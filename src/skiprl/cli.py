@@ -78,12 +78,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = None
-    if args.lemma:
-        suites = args.lemma
-    elif not args.all:
-        suites = None  # default: all
-    report = harness.verify(suites, seed=args.seed)
+    report = harness.verify(args.lemma, seed=args.seed)
     for entry in report["suites"]:
         status = "pass" if entry["pass"] else "FAIL"
         print(f"{status}  {entry['name']}: worst slack {entry['worst_slack']:.3e} (tol {entry['tolerance']:.0e})")
@@ -95,22 +90,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    rows = []
-    with open(args.rows) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = dict(zip(header, line.strip().split(",")))
-            rows.append(
-                harness.ReplicateRecord(
-                    n=int(vals["n"]),
-                    seed=int(vals["seed"]),
-                    gap=float(vals["gap"]),
-                    chosen_guess=int(vals["chosen_guess"]),
-                    feasible_count=int(vals["feasible_count"]),
-                    tightness_max=float(vals["tightness_max"]),
-                    wall_ms=float(vals["wall_ms"]),
-                )
-            )
+    rows = harness.read_rows_csv(args.rows)
     result = harness.ExperimentResult(
         rows=rows, summary=harness.summarize(rows), config_echo="{}", calibrations={}, vstar=float("nan")
     )
@@ -152,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("verify", help="run the lemma verification suites")
-    v.add_argument("--all", action="store_true")
+    v.add_argument("--all", action="store_true", help="run every suite (the default without --lemma)")
     v.add_argument("--lemma", action="append", choices=sorted(harness.VERIFY_SUITES))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)

@@ -12,9 +12,12 @@ only nondeterministic field.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
+import functools
 import json
 import os
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -316,23 +319,10 @@ def run_replicate(cfg: ExperimentConfig, inst: Instance, lc: LearnerConfig, n: i
     return record, outcome
 
 
-_INSTANCE_CACHE: dict = {}
-
-
-def _cached_instance(cfg_json: str):
-    if cfg_json not in _INSTANCE_CACHE:
-        _INSTANCE_CACHE.clear()  # one instance per worker is enough
-        _INSTANCE_CACHE[cfg_json] = build_instance(ExperimentConfig.from_json(cfg_json))
-    return _INSTANCE_CACHE[cfg_json]
-
-
-def _worker_cell(payload):
-    cfg_json, n, replicate, beta, eps_bar = payload
-    cfg = ExperimentConfig.from_json(cfg_json)
-    inst = _cached_instance(cfg_json)
-    lc = replace(learner_config(cfg, cfg.env.d), beta=beta, eps_bar=eps_bar)
-    record, _ = run_replicate(cfg, inst, lc, n, replicate)
-    return record
+def _run_cell(cfg: ExperimentConfig, inst: Instance, tuned: dict, cell) -> ReplicateRecord:
+    """The row of one (n, replicate) cell under the learner config tuned for n."""
+    n, replicate = cell
+    return run_replicate(cfg, inst, tuned[n], n, replicate)[0]
 
 
 def worker_count() -> int:
@@ -363,14 +353,13 @@ def _run_cells(cfg: ExperimentConfig, n_values) -> ExperimentResult:
         tuned[n] = lc
         calibrations[int(n)] = cal
     cells = [(n, r) for n in n_values for r in range(cfg.sweep.replicates)]
+    cell = functools.partial(_run_cell, cfg, inst, tuned)
     workers = worker_count()
     if workers > 1 and len(cells) > 1:
-        cfg_json = cfg.to_json()
-        payloads = [(cfg_json, n, r, tuned[n].beta, tuned[n].eps_bar) for n, r in cells]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker_cell, payloads))
+            rows = list(pool.map(cell, cells))
     else:
-        rows = [run_replicate(cfg, inst, tuned[n], n, r)[0] for n, r in cells]
+        rows = list(map(cell, cells))
     rows.sort(key=lambda r: (r.n, r.seed))
     return ExperimentResult(
         rows=rows,
@@ -448,6 +437,13 @@ def write_rows_csv(rows, path) -> None:
         fh.write(",".join(ROW_COLUMNS) + "\n")
         for r in rows:
             fh.write(",".join(_fmt(r.row()[c]) for c in ROW_COLUMNS) + "\n")
+
+
+def read_rows_csv(path) -> list:
+    """Replicate records from a rows CSV written by ``write_rows_csv``."""
+    types = typing.get_type_hints(ReplicateRecord)
+    with open(path) as fh:
+        return [ReplicateRecord(**{c: types[c](row[c]) for c in ROW_COLUMNS}) for row in csv.DictReader(fh)]
 
 
 def write_summary_csv(summary, path) -> None:

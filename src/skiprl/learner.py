@@ -28,7 +28,8 @@ from .mdp import (
     Policy,
     StagedMdp,
     ValidationError,
-    ValueTables,
+    backward_induction,
+    greedy_table,
     sample_trajectories,
 )
 from .skipping import SkipParams, batch_skip_targets, dataset_omega, omega_tables
@@ -91,13 +92,7 @@ def greedy_policy(featmap: FeatureMap, thetas: np.ndarray) -> Policy:
     Ties after clipping break toward the lowest action index.
     """
     H = featmap.horizon
-    tables = []
-    for h in range(H + 1):
-        scores = np.clip(featmap.phi[h] @ thetas[h], 0.0, H)
-        table = np.zeros(scores.shape)
-        table[np.arange(scores.shape[0]), np.argmax(scores, axis=1)] = 1.0
-        tables.append(table)
-    return Policy(tables)
+    return Policy([greedy_table(np.clip(featmap.phi[h] @ thetas[h], 0.0, H)) for h in range(H + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +117,6 @@ class StageCovariance:
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ self.matrix @ v, 0.0)))
 
-    def inv_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(v @ self.inv @ v, 0.0)))
-
 
 def stage_features(dataset: Dataset, h: int) -> np.ndarray:
     """Features of the actions actually taken at stage h, shape (n, d)."""
@@ -142,6 +134,12 @@ def _clipped_vbar_rows(stage_feats: np.ndarray, thetas: np.ndarray, horizon: int
     return np.clip(scores.max(axis=2), 0.0, horizon)
 
 
+def _anchor(rewards, omega, vbar_tail: np.ndarray, h: int, phi_h: np.ndarray, cov: StageCovariance) -> np.ndarray:
+    """Ridge solution X_h^{-1} phi_h^T targets, the skip targets built from
+    ``vbar_tail``, the v-bar values of stages h+1..H at the data, shape (n, H-h)."""
+    return cov.solve(phi_h.T @ batch_skip_targets(rewards, omega, vbar_tail, h))
+
+
 def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: LearnerConfig) -> np.ndarray:
     """Ridge solution X_h^{-1} sum_j phi_h^j * target_j for one tail choice.
 
@@ -155,10 +153,9 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     omega = dataset_omega(dataset, guess, config.skip)
     fvals = np.zeros((dataset.n, H - h))
     for i, u in enumerate(range(h + 1, H)):
-        fvals[:, i] = np.clip((dataset.features[:, u] @ tail[i]).max(axis=1), 0.0, H)
-    targets = batch_skip_targets(dataset.rewards, omega, fvals, h)
+        fvals[:, i] = _clipped_vbar_rows(dataset.features[:, u], tail[i : i + 1], H)[0]
     cov = stage_covariance(dataset, h, config.lam)
-    return cov.solve(stage_features(dataset, h).T @ targets)
+    return _anchor(dataset.rewards, omega, fvals, h, stage_features(dataset, h), cov)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +166,20 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
 class StageSets:
     anchors: np.ndarray        # (m, d)
     members: np.ndarray        # (k, d) candidates that passed the ellipsoid test
-    member_stats: np.ndarray   # (k,) min anchor distance in the X_h norm
+
+
+def _anchor_distance(anchors: np.ndarray, cov: StageCovariance, thetas: np.ndarray) -> np.ndarray:
+    """min over anchors of the X_h-distance to each row of ``thetas``, shape (p,)."""
+    diffs = thetas[:, None, :] - anchors[None, :, :]
+    quad = np.einsum("pmd,de,pme->pm", diffs, cov.matrix, diffs)
+    return np.sqrt(np.maximum(quad.min(axis=1), 0.0))
+
+
+def _admitted(thetas: np.ndarray, stats: np.ndarray, config: LearnerConfig) -> np.ndarray:
+    """Rows inside the theta_radius ball whose anchor distance is at most beta."""
+    return (np.linalg.norm(thetas, axis=1) <= config.theta_radius + RADIUS_TOL) & (
+        stats <= config.beta + MEMBER_TOL
+    )
 
 
 @dataclass
@@ -200,16 +210,14 @@ class ConfidenceSets:
         sets = self.stage_sets[h]
         if sets is None:
             return float("inf")
-        diffs = sets.anchors - np.asarray(theta)[None, :]
-        quad = np.einsum("md,de,me->m", diffs, self.covariances[h].matrix, diffs)
-        return float(np.sqrt(max(quad.min(), 0.0)))
+        theta = np.asarray(theta, dtype=float)[None, :]
+        return float(_anchor_distance(sets.anchors, self.covariances[h], theta)[0])
 
     def is_member(self, h: int, theta: np.ndarray, config: LearnerConfig) -> bool:
+        theta = np.asarray(theta, dtype=float)
         if h == self.horizon:
-            return bool(np.all(np.asarray(theta) == 0.0))
-        if np.linalg.norm(theta) > config.theta_radius + RADIUS_TOL:
-            return False
-        return self.ellipsoid_statistic(h, theta) <= config.beta + MEMBER_TOL
+            return bool(np.all(theta == 0.0))
+        return bool(_admitted(theta[None, :], np.array([self.ellipsoid_statistic(h, theta)]), config)[0])
 
 
 def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
@@ -230,29 +238,31 @@ def _tail_combos(counts, cap: int, rng_seed) -> list:
     return [tuple(row) for row in _dedupe_rows(draws)]
 
 
+def _net(config: LearnerConfig, d: int):
+    """The epsilon-net pool points of the theta_radius ball, or None without ``net_spacing``."""
+    return None if config.net_spacing is None else epsilon_net(config.theta_radius, d, config.net_spacing)
+
+
 def build_confidence_sets(
     dataset: Dataset,
     guess: Guess,
     config: LearnerConfig,
     extra_candidates: dict | None = None,
-    membership_filter: bool = True,
 ) -> ConfidenceSets:
     """Backward construction of anchors and filtered candidate sets.
 
-    ``extra_candidates`` maps a stage to extra vectors to include in that
-    stage's candidate pool (used by the diagnostic lemma checks, which track
-    specific parameters through the construction).  With
-    ``membership_filter=False`` the ellipsoid/radius filter is skipped, which
-    is only used to produce a deterministic fallback when every guess was
-    rejected.
+    Each stage's pool is its anchors, then ``extra_candidates[h]``, then the
+    epsilon-net points; the ``grid_per_stage`` pool points nearest an anchor
+    are kept and admitted when they lie in the theta_radius ball within beta
+    of an anchor.  ``extra_candidates`` maps a stage to extra vectors (used by
+    calibration and the diagnostic lemma checks, which track specific
+    parameters through the construction, and by ``solve``'s fallback, which
+    builds with beta = theta_radius = inf).
     """
     n, H, d = dataset.n, dataset.horizon, dataset.dim
     omega = dataset_omega(dataset, guess, config.skip)
     covs = [stage_covariance(dataset, h, config.lam) for h in range(H)]
-
-    net = None
-    if config.net_spacing is not None:
-        net = epsilon_net(config.theta_radius, d, config.net_spacing)
+    net = _net(config, d)
 
     stage_sets: list = [None] * H
     vbar_rows: list = [None] * (H + 1)
@@ -267,11 +277,8 @@ def build_confidence_sets(
         phi_h = stage_features(dataset, h)
         anchors = np.empty((len(combos), d))
         for ci, combo in enumerate(combos):
-            fvals = np.empty((n, H - h))
-            for i, u in enumerate(range(h + 1, H + 1)):
-                fvals[:, i] = vbar_rows[u][combo[i]]
-            targets = batch_skip_targets(dataset.rewards, omega, fvals, h)
-            anchors[ci] = covs[h].solve(phi_h.T @ targets)
+            fvals = np.stack([vbar_rows[u][c] for u, c in zip(range(h + 1, H + 1), combo)], axis=1)
+            anchors[ci] = _anchor(dataset.rewards, omega, fvals, h, phi_h, covs[h])
         anchors = _dedupe_rows(anchors)
 
         pool = [anchors]
@@ -281,20 +288,11 @@ def build_confidence_sets(
             pool.append(net)
         pool = _dedupe_rows(np.vstack(pool))
 
-        diffs = pool[:, None, :] - anchors[None, :, :]
-        quad = np.einsum("pmd,de,pme->pm", diffs, covs[h].matrix, diffs)
-        stats = np.sqrt(np.maximum(quad.min(axis=1), 0.0))
+        stats = _anchor_distance(anchors, covs[h], pool)
         order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
         pool, stats = pool[order], stats[order]
-
-        if membership_filter:
-            ok = (np.linalg.norm(pool, axis=1) <= config.theta_radius + RADIUS_TOL) & (
-                stats <= config.beta + MEMBER_TOL
-            )
-            members, member_stats = pool[ok], stats[ok]
-        else:
-            members, member_stats = pool, stats
-        stage_sets[h] = StageSets(anchors=anchors, members=members, member_stats=member_stats)
+        members = pool[_admitted(pool, stats, config)]
+        stage_sets[h] = StageSets(anchors=anchors, members=members)
         if members.shape[0] == 0:
             empty_stage = h
             for t in range(h):
@@ -339,8 +337,12 @@ class SolveOutcome:
     """Result of the optimistic solve; also the all-guesses-rejected report.
 
     When no guess passes the tightness filter, ``all_rejected`` is True and a
-    deterministic fallback chain (least-infeasible guess) still populates the
-    policy so downstream evaluation stays total.
+    deterministic fallback chain still populates the policy so downstream
+    evaluation stays total: the guess with no empty stage and the smallest
+    maximum tightness, or, when every guess has an empty stage, guess 0
+    rebuilt with beta = theta_radius = inf (every pool point admitted).
+    ``fallback_used`` always equals ``all_rejected``; it is kept for the
+    serialized outcome.
     """
 
     chosen_guess: int
@@ -401,25 +403,27 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
 
     candidates = [r for r in reports if r.feasible]
     all_rejected = not candidates
-    fallback_used = False
-    if all_rejected:
-        fallback_used = True
+    if candidates:
+        best = None
+        for r in candidates:
+            thetas, vbar = _chain_from(r.sets, featmap)
+            if best is None or vbar > best[1]:
+                best = (thetas, vbar, r.index)
+        thetas, vbar, chosen = best
+    else:
         whole = [r for r in reports if r.empty_stage is None]
         if whole:
             pick = min(whole, key=lambda r: (r.max_tightness, r.index))
             chosen, sets = pick.index, pick.sets
         else:
-            chosen = 0
-            sets = build_confidence_sets(dataset, guesses[0], config, membership_filter=False)
-    else:
-        best = None
-        for r in candidates:
-            thetas, val = _chain_from(r.sets, featmap)
-            if best is None or val > best[0]:
-                best = (val, r.index, r.sets)
-        _, chosen, sets = best
+            # Guess 0 with every pool point admitted; the net keeps the
+            # configured radius, so it joins the pool as extra candidates.
+            net = _net(config, dataset.dim)
+            extras = None if net is None else dict.fromkeys(range(H), net)
+            admit_all = replace(config, beta=math.inf, theta_radius=math.inf, net_spacing=None)
+            chosen, sets = 0, build_confidence_sets(dataset, guesses[0], admit_all, extra_candidates=extras)
+        thetas, vbar = _chain_from(sets, featmap)
 
-    thetas, vbar = _chain_from(sets, featmap)
     return SolveOutcome(
         chosen_guess=chosen,
         thetas=thetas,
@@ -427,7 +431,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
         reports=reports,
         policy=greedy_policy(featmap, thetas),
         all_rejected=all_rejected,
-        fallback_used=fallback_used,
+        fallback_used=all_rejected,
     )
 
 
@@ -465,24 +469,14 @@ def skip_optimal_policy(
     probability and otherwise acts greedily w.r.t. its own action values; the
     recursion resolves stage by stage from the terminal end.
     """
-    H = mdp.horizon
     omega = omega_tables(guess, featmap, params)
-    q = [None] * (H + 1)
-    v = [None] * (H + 1)
-    tables = [None] * (H + 1)
-    q[H] = np.zeros((1, mdp.num_actions))
-    v[H] = np.zeros(1)
-    terminal = np.zeros((1, mdp.num_actions))
-    terminal[0, 0] = 1.0
-    tables[H] = terminal
-    for h in range(H - 1, -1, -1):
-        q[h] = mdp.reward_means[h] + mdp.transitions[h] @ v[h + 1]
-        greedy = np.zeros_like(q[h])
-        greedy[np.arange(q[h].shape[0]), np.argmax(q[h], axis=1)] = 1.0
+
+    def choose(h, q):
         w = omega[h][:, None]
-        tables[h] = w * behavior.tables[h] + (1.0 - w) * greedy
-        v[h] = np.sum(tables[h] * q[h], axis=1)
-    return Policy(tables), ValueTables(q=q, v=v)
+        return w * behavior.tables[h] + (1.0 - w) * greedy_table(q)
+
+    tables, values = backward_induction(mdp, choose)
+    return Policy(tables), values
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +501,15 @@ def calibrate(
     replicates: int,
     delta: float,
     seed,
-    include_psi_extras: bool = True,
 ) -> CalibrationResult:
     """Data-driven confidence radius and tightness threshold.
 
     ``beta`` is the (1 - delta)-quantile, over held-out replicates, of the
-    per-replicate worst-stage distance between the skip-optimal parameter and
-    its own-tail anchor; ``eps_bar`` is twice the worst observed true-guess
-    tightness under that beta (floored away from zero so exact-singleton sets
-    stay feasible).
+    per-replicate worst-stage distance between the skip-optimal parameter
+    psi and its own-tail anchor; ``eps_bar`` is twice the worst observed
+    true-guess tightness under that beta, with psi[h] added to every stage
+    pool as an extra candidate (floored away from zero so exact-singleton
+    sets stay feasible).
     """
     pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, config.skip)
     psi = fit_policy_params(mdp, featmap, pistar).theta
@@ -533,7 +527,7 @@ def calibrate(
         stats[c] = worst
     beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
 
-    extras = {h: psi[h][None, :] for h in range(H)} if include_psi_extras else None
+    extras = {h: psi[h][None, :] for h in range(H)}
     cfg = replace(config, beta=beta)
     tight = np.zeros(replicates)
     for c, ds in enumerate(datasets):

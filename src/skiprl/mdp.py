@@ -269,18 +269,38 @@ def _check_policy_shape(mdp: StagedMdp, policy: Policy) -> None:
             raise ValidationError(f"policy stage {h}: shape {t.shape} does not match MDP")
 
 
-def evaluate_policy(mdp: StagedMdp, policy: Policy) -> ValueTables:
-    """Exact backward induction: q_h = r_h + P_h v_{h+1}, v_h = sum_a pi q_h."""
-    _check_policy_shape(mdp, policy)
+def greedy_table(q: np.ndarray) -> np.ndarray:
+    """One-hot table on the argmax of each row of ``q``; ties go to the lowest action."""
+    table = np.zeros(q.shape)
+    table[np.arange(q.shape[0]), np.argmax(q, axis=1)] = 1.0
+    return table
+
+
+def backward_induction(mdp: StagedMdp, choose):
+    """Exact backward induction: q_h = r_h + P_h v_{h+1}, v_h = sum_a pi_h q_h.
+
+    ``choose(h, q_h)`` returns the (S_h, A) action table pi_h of stage h; the
+    terminal table puts unit mass on action 0.  Returns the raw tables (no
+    ``Policy`` validation, so per-call cost stays low) and the value tables.
+    """
     H = mdp.horizon
     q = [None] * (H + 1)
     v = [None] * (H + 1)
+    tables = [None] * (H + 1)
     q[H] = np.zeros((1, mdp.num_actions))
     v[H] = np.zeros(1)
+    tables[H] = greedy_table(q[H])
     for h in range(H - 1, -1, -1):
         q[h] = mdp.reward_means[h] + mdp.transitions[h] @ v[h + 1]
-        v[h] = np.sum(policy.tables[h] * q[h], axis=1)
-    return ValueTables(q=q, v=v)
+        tables[h] = choose(h, q[h])
+        v[h] = np.sum(tables[h] * q[h], axis=1)
+    return tables, ValueTables(q=q, v=v)
+
+
+def evaluate_policy(mdp: StagedMdp, policy: Policy) -> ValueTables:
+    """Exact values of ``policy`` by backward induction."""
+    _check_policy_shape(mdp, policy)
+    return backward_induction(mdp, lambda h, q: policy.tables[h])[1]
 
 
 def optimal_policy(mdp: StagedMdp):
@@ -290,18 +310,8 @@ def optimal_policy(mdp: StagedMdp):
     reproducible.  Returns ``(policy, values)`` where the values are the
     pointwise optimal q and v tables.
     """
-    H = mdp.horizon
-    q = [None] * (H + 1)
-    v = [None] * (H + 1)
-    q[H] = np.zeros((1, mdp.num_actions))
-    v[H] = np.zeros(1)
-    actions = [None] * (H + 1)
-    actions[H] = [0]
-    for h in range(H - 1, -1, -1):
-        q[h] = mdp.reward_means[h] + mdp.transitions[h] @ v[h + 1]
-        actions[h] = np.argmax(q[h], axis=1)
-        v[h] = q[h][np.arange(mdp.stage_sizes[h]), actions[h]]
-    return deterministic_policy(mdp, actions), ValueTables(q=q, v=v)
+    tables, values = backward_induction(mdp, lambda h, q: greedy_table(q))
+    return Policy(tables), values
 
 
 def occupancy(mdp: StagedMdp, policy: Policy) -> OccupancyMeasure:

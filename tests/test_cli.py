@@ -52,6 +52,7 @@ def test_sweep_and_plot(tmp_path, config_file):
     replot = str(tmp_path / "replot")
     assert main(["plot", "--rows", out_dir + "/rows.csv", "--out-dir", replot]) == 0
     ET.parse(replot + "/gap_vs_n.svg")
+    assert open(replot + "/rows.csv").read() == open(out_dir + "/rows.csv").read()
 
 
 def test_verify_subset_and_exit_codes(tmp_path, capsys):

@@ -256,6 +256,24 @@ class TestSolve:
         assert out.reports[0].tightness  # per-guess tightness values still reported
         assert out.policy is not None
 
+    @pytest.mark.parametrize("net_spacing", [None, 0.5])
+    def test_all_empty_falls_back_to_guess_zero(self, setup, net_spacing):
+        # every guess empties stage H-1, so guess 0 is rebuilt with
+        # beta = theta_radius = inf; its chain is the own-tail anchor chain.
+        # With a net, the net of the configured 1e-9 ball (the origin) joins
+        # every pool and ranks behind the anchor.
+        mdp, fm, behavior, guess, config, ds = setup
+        cfg = replace(config, theta_radius=1e-9, net_spacing=net_spacing)
+        guesses = guess_grid(guess, 0.3, 4, seed=2)
+        out = solve(ds, guesses, cfg, fm)
+        H = mdp.horizon
+        assert all(r.empty_stage == H - 1 for r in out.reports)
+        assert out.all_rejected and out.fallback_used and out.chosen_guess == 0
+        assert out.tightness_max == float("inf")
+        for h in range(H):
+            anchor = lstsq_anchor(ds, h, guesses[0], out.thetas[h + 1 :], cfg)
+            np.testing.assert_allclose(out.thetas[h], anchor, rtol=0, atol=1e-12)
+
     def test_deterministic_serialization(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         guesses = guess_grid(guess, 0.3, 5, seed=3)
