@@ -10,6 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from skiprl.envs import estimate_misspecification
 from skiprl.harness import ExperimentConfig, calibrated_config, build_instance
 from skiprl.learner import derived_constants
 
@@ -19,6 +20,7 @@ CONFIG = pathlib.Path(__file__).resolve().parent / "acceptance_config.json"
 def main() -> int:
     cfg = ExperimentConfig.from_json(CONFIG.read_text())
     inst = build_instance(cfg)
+    eta_hat = estimate_misspecification(inst.mdp, inst.featmap, cfg.policy_sample, cfg.policy_sample_seed)
     n = cfg.data.n
     dc = derived_constants(
         d=cfg.env.d,
@@ -27,11 +29,11 @@ def main() -> int:
         delta=cfg.calibration.delta,
         l1=inst.featmap.l1_bound,
         l2=inst.true_guess.radius_bound,
-        eta=inst.eta_hat,
+        eta=eta_hat,
         c_conc=inst.c_conc,
         n=n,
     )
-    print(f"instance: d={cfg.env.d} H={cfg.env.horizon} n={n} C_conc={inst.c_conc:.4g} eta_hat={inst.eta_hat:.2e}")
+    print(f"instance: d={cfg.env.d} H={cfg.env.horizon} n={n} C_conc={inst.c_conc:.4g} eta_hat={eta_hat:.2e}")
     print("closed-form table:")
     for name in ("d0", "alpha", "l2_bar", "lam", "eta_bar", "eps_check", "beta_bar", "beta", "eps_bar", "eps_tilde"):
         print(f"  {name:<10} = {getattr(dc, name):.6g}")

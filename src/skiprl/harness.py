@@ -24,7 +24,7 @@ import numpy as np
 
 from . import learner, oracles
 from .design import Guess, build_true_guess, guess_grid
-from .envs import FeatureMap, estimate_misspecification, random_linear_mdp, sample_policies
+from .envs import FeatureMap, random_linear_mdp, sample_policies
 from .learner import LearnerConfig, calibrate, solve
 from .mdp import (
     Dataset,
@@ -139,6 +139,7 @@ class ExperimentConfig:
                 sub["n_values"] = tuple(sub["n_values"])
             return spec_cls(**sub)
 
+        top = {k: doc[k] for k in ("policy_sample", "policy_sample_seed", "output_dir") if k in doc}
         return cls(
             env=build(EnvSpec, "env"),
             data=build(DataSpec, "data"),
@@ -146,9 +147,7 @@ class ExperimentConfig:
             calibration=build(CalibrationSpec, "calibration"),
             guesses=build(GuessGridSpec, "guesses"),
             sweep=build(SweepSpec, "sweep"),
-            policy_sample=doc.get("policy_sample", 200),
-            policy_sample_seed=doc.get("policy_sample_seed", 5),
-            output_dir=doc.get("output_dir", "results"),
+            **top,
         )
 
     @classmethod
@@ -172,13 +171,10 @@ class Instance:
     mdp: StagedMdp
     featmap: FeatureMap
     behavior: Policy
-    pistar: Policy
     vstar: float
     c_conc: float
     true_guess: Guess
     guesses: list
-    skip: SkipParams
-    eta_hat: float
 
 
 def learner_config(cfg: ExperimentConfig, d: int) -> LearnerConfig:
@@ -222,7 +218,6 @@ def build_instance(cfg: ExperimentConfig) -> Instance:
         policies = sample_policies(mdp, cfg.policy_sample, cfg.policy_sample_seed)
         true_guess = build_true_guess(mdp, featmap, policies)
         guesses = guess_grid(true_guess, cfg.guesses.spread, cfg.guesses.count, cfg.guesses.seed)
-        eta_hat = estimate_misspecification(mdp, featmap, cfg.policy_sample, cfg.policy_sample_seed)
     except HarnessError:
         raise
     except Exception as err:
@@ -231,19 +226,15 @@ def build_instance(cfg: ExperimentConfig) -> Instance:
         mdp=mdp,
         featmap=featmap,
         behavior=behavior,
-        pistar=pistar,
         vstar=float(star_vals.v[0][0]),
         c_conc=conc.c_conc,
         true_guess=true_guess,
         guesses=guesses,
-        skip=SkipParams(alpha=cfg.learn.alpha, d=env.d),
-        eta_hat=eta_hat,
     )
 
 
 def collect(inst: Instance, n: int, seed) -> Dataset:
-    trajs = sample_trajectories(inst.mdp, inst.behavior, n, seed, inst.featmap)
-    return Dataset.from_trajectories(trajs)
+    return sample_trajectories(inst.mdp, inst.behavior, n, seed, inst.featmap)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +378,11 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
 def save_dataset(dataset, path) -> None:
     """One trajectory per line: {"steps": [[s,a,r]...], "features": [...]}. Lossless.
 
-    Accepts a Dataset or a (possibly empty) list of trajectories; an empty
-    dataset produces an empty file.
+    Writes any sequence of trajectories with features: a ``Dataset`` or a
+    (possibly empty) list of ``Trajectory``; an empty one gives an empty file.
     """
-    trajectories = (
-        [dataset.trajectory(j) for j in range(dataset.n)] if isinstance(dataset, Dataset) else dataset
-    )
     with open(path, "w") as fh:
-        for traj in trajectories:
+        for traj in dataset:
             steps = [
                 [int(s), int(a), float(r)]
                 for s, a, r in zip(traj.states, traj.actions, traj.rewards)

@@ -517,7 +517,7 @@ def calibrate(
     datasets = []
     stats = np.zeros(replicates)
     for c in range(replicates):
-        ds = Dataset.from_trajectories(sample_trajectories(mdp, behavior, n, [seed, c], featmap))
+        ds = sample_trajectories(mdp, behavior, n, [seed, c], featmap)
         datasets.append(ds)
         worst = 0.0
         for h in range(H):

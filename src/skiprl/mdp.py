@@ -136,6 +136,16 @@ class OccupancyMeasure:
                 raise ValidationError(f"occupancy stage {h} is not a distribution")
 
 
+def _check_paths(states: np.ndarray, rewards: np.ndarray) -> None:
+    """Trajectory invariants over the last axis, for one path or a stack of them."""
+    if np.any(states[..., 0] != 0) or np.any(states[..., -1] != 0):
+        raise ValidationError("trajectory must start at the start state and end at the terminal state")
+    if np.any(rewards[..., -1] != 0.0):
+        raise ValidationError("terminal reward must be zero")
+    if np.any(rewards < 0) or np.any(rewards > 1):
+        raise ValidationError("rewards must lie in [0, 1]")
+
+
 @dataclass
 class Trajectory:
     """One full-length rollout with per-step features for all actions.
@@ -153,12 +163,7 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=int)
         self.actions = np.asarray(self.actions, dtype=int)
         self.rewards = np.asarray(self.rewards, dtype=float)
-        if self.states[0] != 0 or self.states[-1] != 0:
-            raise ValidationError("trajectory must start at the start state and end at the terminal state")
-        if self.rewards[-1] != 0.0:
-            raise ValidationError("terminal reward must be zero")
-        if np.any(self.rewards < 0) or np.any(self.rewards > 1):
-            raise ValidationError("rewards must lie in [0, 1]")
+        _check_paths(self.states, self.rewards)
 
     @property
     def horizon(self) -> int:
@@ -167,27 +172,39 @@ class Trajectory:
 
 @dataclass
 class Dataset:
-    """A batch of full-length trajectories stacked into arrays."""
+    """The one in-memory trajectory format: n rollouts stacked into arrays.
+
+    A sequence of trajectories (``ds[j]`` is row j as a ``Trajectory``);
+    ``features`` is None when sampled without a feature map.
+    """
 
     states: np.ndarray    # (n, H+1) int
     actions: np.ndarray   # (n, H+1) int
     rewards: np.ndarray   # (n, H+1) float
-    features: np.ndarray  # (n, H, A, d) float
+    features: np.ndarray | None = None  # (n, H, A, d) float
+
+    def __post_init__(self):
+        _check_paths(self.states, self.rewards)
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def __getitem__(self, j: int) -> Trajectory:
+        feats = None if self.features is None else self.features[j]
+        return Trajectory(self.states[j], self.actions[j], self.rewards[j], feats)
 
     @property
     def n(self) -> int:
-        return self.states.shape[0]
+        return len(self)
 
     @property
     def horizon(self) -> int:
         return self.states.shape[1] - 1
 
     @property
-    def num_actions(self) -> int:
-        return self.features.shape[2]
-
-    @property
     def dim(self) -> int:
+        if self.features is None:
+            raise ValidationError("dataset carries no features")
         return self.features.shape[3]
 
     @classmethod
@@ -202,9 +219,6 @@ class Dataset:
             rewards=np.stack([t.rewards for t in trajectories]),
             features=np.stack([t.features for t in trajectories]),
         )
-
-    def trajectory(self, j: int) -> Trajectory:
-        return Trajectory(self.states[j], self.actions[j], self.rewards[j], self.features[j])
 
 
 # ---------------------------------------------------------------------------
@@ -340,57 +354,54 @@ def flatten_seed(seed) -> list:
     return [int(seed)]
 
 
-def _cumulative(tables):
-    return [np.cumsum(t, axis=-1) for t in tables]
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the count of cumulative entries <= u, clamped to the last index."""
+    return np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
 
 
-def _draw(cum_row: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cum_row, u, side="right"))
-    return min(idx, len(cum_row) - 1)
+def _sample(mdp: StagedMdp, policy: Policy, seeds: list, featmap) -> Dataset:
+    """One trajectory per seed, drawn stage-wise for all rows at once.
 
-
-def _rollout(mdp, policy, cum_p, cum_pi, rng, featmap):
-    H, A = mdp.horizon, mdp.num_actions
-    states = np.zeros(H + 1, dtype=int)
-    actions = np.zeros(H + 1, dtype=int)
-    rewards = np.zeros(H + 1)
-    feats = None if featmap is None else np.zeros((H, A, featmap.d))
+    Each trajectory takes its uniforms from its own generator in one call, in
+    rollout order: per stage the action, the reward (Bernoulli rewards only)
+    and the next state, then the terminal action.  Row j therefore equals a
+    single rollout from ``seeds[j]``, whatever the other rows are.
+    """
+    _check_policy_shape(mdp, policy)
+    H, n = mdp.horizon, len(seeds)
     bernoulli = mdp.reward_kind == "bernoulli-mean"
-    s = 0
+    step = 3 if bernoulli else 2
+    k = step * H + 1
+    u = np.array([np.random.default_rng(seed).random(k) for seed in seeds]).reshape(n, k)
+    states = np.zeros((n, H + 1), dtype=int)
+    actions = np.zeros((n, H + 1), dtype=int)
+    rewards = np.zeros((n, H + 1))
     for h in range(H + 1):
-        states[h] = s
-        if feats is not None and h < H:
-            feats[h] = featmap.phi[h][s]
-        a = _draw(cum_pi[h][s], rng.random())
-        actions[h] = a
+        s = states[:, h]
+        actions[:, h] = a = _inverse_cdf(np.cumsum(policy.tables[h], axis=-1)[s], u[:, step * h])
         if h < H:
             mean = mdp.reward_means[h][s, a]
-            rewards[h] = float(rng.random() < mean) if bernoulli else mean
-            s = _draw(cum_p[h][s, a], rng.random())
-    return Trajectory(states, actions, rewards, feats)
+            rewards[:, h] = u[:, step * h + 1] < mean if bernoulli else mean
+            cum_p = np.cumsum(mdp.transitions[h], axis=-1)[s, a]
+            states[:, h + 1] = _inverse_cdf(cum_p, u[:, step * h + step - 1])
+    offsets = np.cumsum((0,) + mdp.stage_sizes[: H - 1])
+    features = None if featmap is None else np.concatenate(featmap.phi[:H])[states[:, :H] + offsets]
+    return Dataset(states, actions, rewards, features)
 
 
 def sample_trajectory(mdp: StagedMdp, policy: Policy, seed, featmap=None) -> Trajectory:
     """Roll out one full trajectory; identical seed gives identical output."""
-    _check_policy_shape(mdp, policy)
-    rng = np.random.default_rng(flatten_seed(seed))
-    return _rollout(mdp, policy, _cumulative(mdp.transitions), _cumulative(policy.tables), rng, featmap)
+    return _sample(mdp, policy, [flatten_seed(seed)], featmap)[0]
 
 
-def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=None):
+def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=None) -> Dataset:
     """Sample n trajectories; trajectory j is drawn from generator seed [seed, j].
 
     The per-trajectory counter seeding makes every trajectory independently
     reproducible: ``sample_trajectories(...)[j] == sample_trajectory(..., seed=[seed, j])``.
     """
-    _check_policy_shape(mdp, policy)
-    cum_p = _cumulative(mdp.transitions)
-    cum_pi = _cumulative(policy.tables)
     base = flatten_seed(seed)
-    return [
-        _rollout(mdp, policy, cum_p, cum_pi, np.random.default_rng(base + [j]), featmap)
-        for j in range(n)
-    ]
+    return _sample(mdp, policy, [base + [j] for j in range(n)], featmap)
 
 
 # ---------------------------------------------------------------------------

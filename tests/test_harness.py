@@ -1,6 +1,7 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ class TestConfig:
         cfg = tiny_config()
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    def test_missing_keys_take_dataclass_defaults(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+        cfg = ExperimentConfig.from_dict({"policy_sample": 9, "learn": {"beta": 2.0}})
+        assert cfg.policy_sample == 9 and cfg.policy_sample_seed == ExperimentConfig().policy_sample_seed
+        assert cfg.learn == replace(ExperimentConfig().learn, beta=2.0)
 
     def test_bad_behavior_kind_surfaces_stage(self):
         cfg = tiny_config(data={"n": 50, "behavior": "nope", "seed": 1})

@@ -210,6 +210,13 @@ class TestSolve:
         out = solve(ds, [guess], config, fm)
         assert out.chosen_guess == 0 and not out.all_rejected
 
+    def test_featureless_dataset_rejected(self, setup):
+        # sampled without a feature map: the learner refuses it by name
+        mdp, fm, behavior, guess, config, _ = setup
+        bare = sample_trajectories(mdp, behavior, 20, 6)
+        with pytest.raises(ValidationError, match="no features"):
+            solve(bare, [guess], config, fm)
+
     def test_zero_reward_env(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=10, reward_scale=0.0)
         behavior = uniform_policy(mdp)

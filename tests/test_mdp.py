@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import one_step_bandit, random_tabular_mdp, zero_reward_mdp
+from skiprl.envs import random_linear_mdp
 from skiprl.mdp import (
     Dataset,
     StagedMdp,
     Trajectory,
     ValidationError,
+    _inverse_cdf,
     deterministic_policy,
     enumerate_deterministic_policies,
     evaluate_policy,
@@ -22,6 +24,46 @@ from skiprl.mdp import (
     sample_trajectory,
     uniform_policy,
 )
+
+
+def reference_rollout(mdp, policy, seed, featmap=None):
+    """Scalar rollout: one ``rng.random()`` per draw, in rollout order, each
+    inverted by ``searchsorted(side="right")`` on the cumulative row and
+    clamped to the last index."""
+    rng = np.random.default_rng(seed)
+
+    def draw(row):
+        cum = np.cumsum(row)
+        return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+
+    H = mdp.horizon
+    states, actions, rewards = np.zeros(H + 1, dtype=int), np.zeros(H + 1, dtype=int), np.zeros(H + 1)
+    feats = None if featmap is None else np.zeros((H, mdp.num_actions, featmap.d))
+    s = 0
+    for h in range(H + 1):
+        states[h] = s
+        if feats is not None and h < H:
+            feats[h] = featmap.phi[h][s]
+        a = actions[h] = draw(policy.tables[h][s])
+        if h < H:
+            mean = mdp.reward_means[h][s, a]
+            rewards[h] = float(rng.random() < mean) if mdp.reward_kind == "bernoulli-mean" else mean
+            s = draw(mdp.transitions[h][s, a])
+    return states, actions, rewards, feats
+
+
+def assert_matches_reference(mdp, pi, n, seed, featmap=None):
+    ds = sample_trajectories(mdp, pi, n, seed, featmap)
+    assert len(ds) == n
+    for j in range(n):
+        states, actions, rewards, feats = reference_rollout(mdp, pi, [seed, j], featmap)
+        np.testing.assert_array_equal(ds.states[j], states)
+        np.testing.assert_array_equal(ds.actions[j], actions)
+        np.testing.assert_array_equal(ds.rewards[j], rewards)
+        if featmap is None:
+            assert ds.features is None
+        else:
+            np.testing.assert_array_equal(ds.features[j], feats)
 
 
 def chain_mdp():
@@ -201,6 +243,43 @@ class TestSampling:
         assert np.all(np.abs(counts / n - nu[h]) <= 3 * sigma + 1e-9)
 
 
+class TestSamplerAgainstReference:
+    @given(
+        seed=st.integers(0, 10_000),
+        reward_kind=st.sampled_from(["deterministic-mean", "bernoulli-mean"]),
+        max_states=st.integers(1, 5),
+        max_actions=st.integers(1, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tabular_bit_for_bit(self, seed, reward_kind, max_states, max_actions):
+        # max_states=1 gives one-state stages, max_actions=1 a single action
+        rng = np.random.default_rng(seed)
+        mdp = random_tabular_mdp(rng, max_states=max_states, max_actions=max_actions, reward_kind=reward_kind)
+        assert_matches_reference(mdp, random_policy(mdp, rng), 12, seed)
+
+    @given(seed=st.integers(0, 10_000), reward_kind=st.sampled_from(["deterministic-mean", "bernoulli-mean"]))
+    @settings(max_examples=15, deadline=None)
+    def test_linear_features_bit_for_bit(self, seed, reward_kind):
+        rng = np.random.default_rng(seed)
+        d, H = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+        mdp, featmap = random_linear_mdp(d, H, sizes, int(rng.integers(1, 4)), seed, reward_kind)
+        assert_matches_reference(mdp, random_policy(mdp, rng), 12, seed, featmap)
+
+    def test_inverse_cdf_boundaries(self):
+        # u equal to a cumulative entry, and u past a row that sums to just under 1
+        cum = np.cumsum([[0.25, 0.25, 0.5 - 1e-13], [0.5, 0.5, 0.0]], axis=1)
+        for u in (0.0, 0.25, 0.5, 0.75, 1.0 - 1e-14, 0.999999):
+            got = _inverse_cdf(cum, np.full(2, u))
+            want = [min(int(np.searchsorted(row, u, side="right")), 2) for row in cum]
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_trajectories(self, fixed_instance):
+        mdp, featmap = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 0, 1, featmap)
+        assert len(ds) == 0 and ds.features.shape == (0, 3, 2, 2)
+
+
 class TestValidation:
     def test_bad_transition_rows(self):
         with pytest.raises(ValidationError):
@@ -247,9 +326,36 @@ class TestDataset:
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 5, 3, featmap)
         ds = Dataset.from_trajectories(trajs)
         assert ds.n == 5 and ds.horizon == 3 and ds.dim == 2
-        back = ds.trajectory(2)
+        back = ds[2]
         np.testing.assert_array_equal(back.states, trajs[2].states)
         np.testing.assert_array_equal(back.features, trajs[2].features)
+
+    def test_sequence_of_trajectories(self, fixed_instance):
+        mdp, featmap = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 4, 3, featmap)
+        assert isinstance(ds, Dataset) and len(ds) == ds.n == 4
+        rows = list(ds)
+        assert len(rows) == 4 and all(isinstance(t, Trajectory) for t in rows)
+        np.testing.assert_array_equal(rows[-1].actions, ds[-1].actions)
+
+    def test_featureless_dim_raises(self, fixed_instance):
+        mdp, _ = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 2, 3)
+        assert ds.features is None and ds[0].features is None
+        with pytest.raises(ValidationError, match="no features"):
+            ds.dim
+
+    def test_batch_invariants_checked(self, fixed_instance):
+        mdp, featmap = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 3, featmap)
+        bad_end = ds.states.copy()
+        bad_end[1, -1] = 1
+        bad_reward = ds.rewards.copy()
+        bad_reward[2, -1] = 0.5
+        with pytest.raises(ValidationError):
+            Dataset(bad_end, ds.actions, ds.rewards, ds.features)
+        with pytest.raises(ValidationError):
+            Dataset(ds.states, ds.actions, bad_reward, ds.features)
 
     def test_requires_features(self, fixed_instance):
         mdp, _ = fixed_instance

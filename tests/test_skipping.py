@@ -224,7 +224,7 @@ class TestBatchTargets:
 
             f = lambda t, s: 0.0 if t == H else clipped_v(theta, fm, t, s)
             for j in range(0, ds.n, 7):
-                scalar = skip_target(g, fm, ds.trajectory(j), h, f, params)
+                scalar = skip_target(g, fm, ds[j], h, f, params)
                 assert batch[j] == pytest.approx(scalar, abs=1e-12)
 
     def test_dataset_omega_edges(self, fixed_instance):
