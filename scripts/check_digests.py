@@ -1,76 +1,54 @@
 #!/usr/bin/env python3
 """Check that the benchmark workloads still produce the reference rows.
 
-    python3 scripts/check_digests.py [--seeds 0-19] [--workload NAME ...]
+    python3 scripts/check_digests.py [--seeds 0-19]
 
-Run from anywhere; it imports ``skiprl`` from ``src/`` and the workloads from
-``perfbench/``.  For every workload and seed it runs one untimed pass, then
-compares ``workloads.rows_digest`` of its rows with
-``perfbench/digests.json`` and requires no raised replicate and no
-``row_failures``.  It prints one line per (workload, seed) and exits 1 on any
-mismatch.  It only reads the digest table; ``perfbench/make_digests.py``
+Run from anywhere.  For every workload and seed it runs one untimed pass with
+``perfbench/make_digests.one_pass`` (which requires no raised replicate and
+no ``row_failures``), then compares ``workloads.rows_digest`` of its rows with
+``perfbench/digests.json``.  It prints one line per (workload, seed) and exits
+1 on any mismatch.  It only reads the digest table; ``make_digests.py``
 writes it.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH = os.path.join(ROOT, "perfbench")
-sys.path[:0] = [PERFBENCH, os.path.join(ROOT, "src")]
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-import specs  # noqa: E402  (imports neither numpy nor skiprl)
-
-os.environ.update(specs.PINNED_ENV)  # before numpy is first imported
-
+# make_digests applies specs.PINNED_ENV before numpy is first imported
+from make_digests import one_pass  # noqa: E402
+from run import stored_digest  # noqa: E402
+import specs  # noqa: E402
 import workloads  # noqa: E402
 
 
-def parse_seeds(text: str) -> list:
-    """"0-19" or "3" or "0,5,7-9" to a list of ints."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
-
-
-def check(name: str, seed: int, reference: str | None, out_dir: str) -> list:
-    """Problems of one pass, empty when it matches the reference digest."""
-    wl = workloads.Workload(name, seed, out_dir)
-    wl.setup()
-    rows, raised = wl.run_pass()
-    problems = [f"{key}: {msg}" for key, msg in wl.row_failures(rows)]
-    if raised:
-        problems.append(f"{raised} replicates raised")
-    digest = workloads.rows_digest(rows)
-    if reference is None:
-        problems.append("no reference digest stored")
-    elif digest != reference:
-        problems.append(f"digest {digest[:12]} != reference {reference[:12]}")
-    return problems
+def parse_seeds(text: str) -> range:
+    """"0-19" or "3" to the seeds they name."""
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0-19"))
-    parser.add_argument("--workload", action="append", choices=sorted(specs.WORKLOADS))
     args = parser.parse_args(argv)
-    with open(os.path.join(PERFBENCH, "digests.json")) as fh:
-        table = json.load(fh)["digests"]
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.workload or list(specs.WORKLOADS):
+        for name in specs.WORKLOADS:
             for seed in args.seeds:
-                problems = check(name, seed, table.get(name, {}).get(str(seed)), tmp)
-                failed += bool(problems)
-                print(f"{'ok  ' if not problems else 'FAIL'} {name} seed {seed}"
-                      + "".join(f"\n     {p}" for p in problems), flush=True)
-    total = len(args.workload or specs.WORKLOADS) * len(args.seeds)
+                try:
+                    digest = workloads.rows_digest(one_pass(name, seed, tmp))
+                    ok = digest == stored_digest(name, seed)
+                except RuntimeError as err:
+                    digest, ok = str(err), False
+                failed += not ok
+                print(f"{'ok  ' if ok else 'FAIL'} {name} seed {seed}: {digest}", flush=True)
+    total = len(specs.WORKLOADS) * len(args.seeds)
     print(f"{total - failed}/{total} digests match")
     return 1 if failed else 0
 

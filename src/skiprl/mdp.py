@@ -172,7 +172,7 @@ class Trajectory:
 
 @dataclass
 class Dataset:
-    """The one in-memory trajectory format: n rollouts stacked into arrays.
+    """The one in-memory trajectory format: n >= 1 rollouts stacked into arrays.
 
     A sequence of trajectories (``ds[j]`` is row j as a ``Trajectory``);
     ``features`` is None when sampled without a feature map.
@@ -184,6 +184,8 @@ class Dataset:
     features: np.ndarray | None = None  # (n, H, A, d) float
 
     def __post_init__(self):
+        if len(self.states) == 0:
+            raise ValidationError("cannot build a dataset from zero trajectories")
         _check_paths(self.states, self.rewards)
 
     def __len__(self) -> int:

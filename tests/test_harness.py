@@ -123,6 +123,16 @@ class TestRunAndSweep:
         assert record.gap == pytest.approx(suboptimality(inst.mdp, outcome.policy), abs=1e-12)
         assert record.gap >= -1e-9
 
+    def test_zero_trajectories_rejected(self):
+        # calibration samples first and raises directly; without it, collect fails by stage
+        with pytest.raises(ValidationError, match="zero trajectories"):
+            run(tiny_config(data={"n": 0, "seed": 17}))
+        with pytest.raises(ValidationError, match="zero trajectories"):
+            sweep(tiny_config(sweep={"n_values": [60, 0], "replicates": 1}))
+        with pytest.raises(HarnessError) as err:
+            run(tiny_config(data={"n": 0, "seed": 17}, calibration={"enabled": False}))
+        assert err.value.stage == "collect" and isinstance(err.value.original, ValidationError)
+
     def test_zero_reward_env_gap_zero(self):
         cfg = tiny_config(env={"d": 2, "horizon": 2, "stage_sizes": [1, 3, 1], "num_actions": 2, "seed": 3, "reward_scale": 0.0})
         result = run(cfg)

@@ -274,10 +274,10 @@ class TestSamplerAgainstReference:
             want = [min(int(np.searchsorted(row, u, side="right")), 2) for row in cum]
             np.testing.assert_array_equal(got, want)
 
-    def test_zero_trajectories(self, fixed_instance):
+    def test_zero_trajectories_rejected(self, fixed_instance):
         mdp, featmap = fixed_instance
-        ds = sample_trajectories(mdp, uniform_policy(mdp), 0, 1, featmap)
-        assert len(ds) == 0 and ds.features.shape == (0, 3, 2, 2)
+        with pytest.raises(ValidationError, match="zero trajectories"):
+            sample_trajectories(mdp, uniform_policy(mdp), 0, 1, featmap)
 
 
 class TestValidation:
