@@ -215,12 +215,8 @@ class Dataset:
             raise ValidationError("cannot build a dataset from zero trajectories")
         if any(t.features is None for t in trajectories):
             raise ValidationError("dataset trajectories must carry features")
-        return cls(
-            states=np.stack([t.states for t in trajectories]),
-            actions=np.stack([t.actions for t in trajectories]),
-            rewards=np.stack([t.rewards for t in trajectories]),
-            features=np.stack([t.features for t in trajectories]),
-        )
+        keys = ("states", "actions", "rewards", "features")
+        return cls(*(np.stack([getattr(t, key) for t in trajectories]) for key in keys))
 
 
 # ---------------------------------------------------------------------------
