@@ -380,15 +380,23 @@ def save_dataset(dataset, path) -> None:
 
     Writes any sequence of trajectories with features: a ``Dataset`` or a
     (possibly empty) list of ``Trajectory``; an empty one gives an empty file.
+    A featureless input raises ``ValidationError`` before the file is opened.
     """
+    if isinstance(dataset, Dataset):
+        if dataset.features is None:
+            raise ValidationError("dataset carries no features")
+        # row views of the arrays: no per-row Trajectory, and converting one
+        # row at a time keeps the Python lists small
+        rows = zip(dataset.states, dataset.actions, dataset.rewards, dataset.features)
+    else:
+        trajectories = list(dataset)
+        if any(t.features is None for t in trajectories):
+            raise ValidationError("dataset trajectories must carry features")
+        rows = ((t.states, t.actions, t.rewards, t.features) for t in trajectories)
     with open(path, "w") as fh:
-        for traj in dataset:
-            steps = [
-                [int(s), int(a), float(r)]
-                for s, a, r in zip(traj.states, traj.actions, traj.rewards)
-            ]
-            doc = {"steps": steps, "features": traj.features.tolist()}
-            fh.write(json.dumps(doc) + "\n")
+        for states, actions, rewards, features in rows:
+            steps = [list(step) for step in zip(states.tolist(), actions.tolist(), rewards.tolist())]
+            fh.write(json.dumps({"steps": steps, "features": features.tolist()}) + "\n")
 
 
 def load_dataset(path) -> list:

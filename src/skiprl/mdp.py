@@ -342,35 +342,127 @@ def occupancy(mdp: StagedMdp, policy: Policy) -> OccupancyMeasure:
 # ---------------------------------------------------------------------------
 # trajectory sampling
 
-def flatten_seed(seed) -> list:
-    """Arbitrarily nested seed parts flattened to a list of ints."""
-    if isinstance(seed, (list, tuple)):
-        out = []
-        for part in seed:
-            out.extend(flatten_seed(part))
-        return out
-    return [int(seed)]
-
-
 def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row, the count of cumulative entries <= u, clamped to the last index."""
     return np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
 
 
-def _sample(mdp: StagedMdp, policy: Policy, seeds: list, featmap) -> Dataset:
-    """One trajectory per seed, drawn stage-wise for all rows at once.
+# numpy's SeedSequence constants (NEP 19) and PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
 
-    Each trajectory takes its uniforms from its own generator in one call, in
-    rollout order: per stage the action, the reward (Bernoulli rewards only)
-    and the next state, then the terminal action.  Row j therefore equals a
-    single rollout from ``seeds[j]``, whatever the other rows are.
+
+def _seed_words(seed) -> list:
+    """The uint32 entropy words ``SeedSequence`` reads from an int or an
+    arbitrarily nested list of ints: each int little-endian in 32-bit words,
+    0 as the single word 0."""
+    if isinstance(seed, (list, tuple)):
+        return [word for part in seed for word in _seed_words(part)]
+    part = int(seed)
+    if part < 0:
+        raise ValueError("expected non-negative integer")
+    words = [part & _MASK32]
+    while part > _MASK32:
+        part >>= 32
+        words.append(part & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash step: xor with the running constant, advance the
+    constant, multiply by it and fold the high half down (uint32 arithmetic)."""
+    def hash_(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hash_
+
+
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on (hi, lo) uint64 halves.
+
+    The high half of lo * multiplier_lo comes from 32-bit limbs, so no product
+    exceeds 64 bits."""
+    m = np.uint64(_MASK32)
+    s32 = np.uint64(32)
+    lo0, lo1 = lo & m, lo >> s32
+    b0, b1 = _PCG_MULT_LO & m, _PCG_MULT_LO >> s32
+    p01, p10 = lo0 * b1, lo1 * b0
+    mid = ((lo0 * b0) >> s32) + (p01 & m) + (p10 & m)
+    carry = lo1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _uniforms(words: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) uniforms; row i is the first k ``random()`` draws of numpy's
+    default generator (PCG64 seeded through SeedSequence) for seed i.
+
+    ``words`` is the (n, w) uint32 array of every seed's entropy words (see
+    ``_seed_words``).  numpy fixes both algorithms, so all rows run at once:
+    SeedSequence mixes the words into a 4-word pool and expands it to four
+    uint64 words; PCG64 (XSL-RR 128/64) seeds its 128-bit LCG from them; each
+    draw is one LCG step, the XSL-RR output x and ``(x >> 11) * 2**-53``.
+    """
+    n, w = words.shape
+    u = np.empty((n, k))
+    with np.errstate(over="ignore"):
+        # SeedSequence.mix_entropy; the hash constants advance identically on every row
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        zero = np.zeros(n, dtype=np.uint32)
+        pool = [hashmix(words[:, i] if i < w else zero) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for src in range(_POOL_SIZE, w):
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
+        # SeedSequence.generate_state(4, uint64): eight hashed pool words, little-endian pairs
+        hash_b = _hasher(_INIT_B, _MULT_B)
+        state32 = [hash_b(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+        seed_hi, seed_lo, seq_hi, seq_lo = (state32[2 * i] | state32[2 * i + 1] << np.uint64(32) for i in range(4))
+        # PCG64 srandom(seed, seq): inc = seq << 1 | 1; state = 0; step; state += seed; step
+        inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+        inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+        lo = inc_lo + seed_lo
+        hi = inc_hi + seed_hi + (lo < seed_lo)
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        for t in range(k):
+            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+            x = hi ^ lo
+            rot = hi >> np.uint64(58)
+            x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+            u[:, t] = (x >> np.uint64(11)) * 2.0 ** -53
+    return u
+
+
+def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Dataset:
+    """One trajectory per row of seed words, drawn stage-wise for all rows at once.
+
+    Row j takes its uniforms from the stream numpy's default generator gives
+    its seed (``_uniforms`` computes every row's stream at once), in rollout
+    order: per stage the action, the reward (Bernoulli rewards only) and the
+    next state, then the terminal action.  Row j therefore equals a single
+    rollout from its seed, whatever the other rows are.
     """
     _check_policy_shape(mdp, policy)
-    H, n = mdp.horizon, len(seeds)
+    H, n = mdp.horizon, len(words)
     bernoulli = mdp.reward_kind == "bernoulli-mean"
     step = 3 if bernoulli else 2
-    k = step * H + 1
-    u = np.array([np.random.default_rng(seed).random(k) for seed in seeds]).reshape(n, k)
+    u = _uniforms(words, step * H + 1)
     states = np.zeros((n, H + 1), dtype=int)
     actions = np.zeros((n, H + 1), dtype=int)
     rewards = np.zeros((n, H + 1))
@@ -388,8 +480,12 @@ def _sample(mdp: StagedMdp, policy: Policy, seeds: list, featmap) -> Dataset:
 
 
 def sample_trajectory(mdp: StagedMdp, policy: Policy, seed, featmap=None) -> Trajectory:
-    """Roll out one full trajectory; identical seed gives identical output."""
-    return _sample(mdp, policy, [flatten_seed(seed)], featmap)[0]
+    """Roll out one full trajectory; identical seed gives identical output.
+
+    Negative seed parts raise ``ValueError``, as in ``np.random.SeedSequence``.
+    """
+    words = np.array([_seed_words(seed)], dtype=np.uint32)
+    return _sample(mdp, policy, words, featmap)[0]
 
 
 def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=None) -> Dataset:
@@ -397,9 +493,13 @@ def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=No
 
     The per-trajectory counter seeding makes every trajectory independently
     reproducible: ``sample_trajectories(...)[j] == sample_trajectory(..., seed=[seed, j])``.
+    Trajectory j's uniforms are bit for bit those of numpy's default generator
+    seeded ``[seed, j]``, because numpy keeps SeedSequence and PCG64 stable;
+    all n streams are computed in one vectorised pass.
     """
-    base = flatten_seed(seed)
-    return _sample(mdp, policy, [base + [j] for j in range(n)], featmap)
+    base = np.array(_seed_words(seed), dtype=np.uint32)
+    j = np.arange(n, dtype=np.uint32)
+    return _sample(mdp, policy, np.column_stack([np.tile(base, (len(j), 1)), j]), featmap)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,38 @@ class TestDatasetPersistence:
         assert os.path.getsize(path) == 0
         assert load_dataset(path) == []
 
+    def test_bytes_match_per_trajectory_writer(self, tmp_path):
+        # the array-wise writer against the row-by-row form it replaced, on both reward kinds
+        from skiprl.envs import random_linear_mdp
+        from skiprl.mdp import sample_trajectories, uniform_policy
+
+        for kind in ("deterministic-mean", "bernoulli-mean"):
+            mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=10, reward_kind=kind)
+            ds = sample_trajectories(mdp, uniform_policy(mdp), 30, 5, fm)
+            want = "".join(
+                json.dumps({
+                    "steps": [[int(s), int(a), float(r)] for s, a, r in zip(t.states, t.actions, t.rewards)],
+                    "features": t.features.tolist(),
+                }) + "\n"
+                for t in ds
+            )
+            for data in (ds, list(ds)):
+                path = tmp_path / f"{kind}.jsonl"
+                save_dataset(data, path)
+                assert path.read_text() == want
+
+    def test_featureless_rejected_before_opening(self, tmp_path, fixed_instance):
+        mdp, _ = fixed_instance
+        from skiprl.mdp import sample_trajectories, uniform_policy
+
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 1)
+        path = tmp_path / "data.jsonl"
+        for data in (ds, list(ds)):
+            path.write_text("keep\n")
+            with pytest.raises(ValidationError):
+                save_dataset(data, path)
+            assert path.read_text() == "keep\n"
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"steps": [[0,0,0.0]], "features": []}\nnot json\n')

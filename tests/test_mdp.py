@@ -12,6 +12,8 @@ from skiprl.mdp import (
     Trajectory,
     ValidationError,
     _inverse_cdf,
+    _seed_words,
+    _uniforms,
     deterministic_policy,
     enumerate_deterministic_policies,
     evaluate_policy,
@@ -278,6 +280,46 @@ class TestSamplerAgainstReference:
         mdp, featmap = fixed_instance
         with pytest.raises(ValidationError, match="zero trajectories"):
             sample_trajectories(mdp, uniform_policy(mdp), 0, 1, featmap)
+
+
+# seed parts at the uint32 word boundaries, plus multi-word ints above 2**64
+seed_parts = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64, 2**64 + 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**64, 2**100),
+)
+
+
+class TestUniformsAgainstNumpy:
+    """``_uniforms`` against numpy's own ``default_rng(seed).random(k)``."""
+
+    @given(seed=st.lists(seed_parts, max_size=6), k=st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_one_seed_bit_for_bit(self, seed, k):
+        # up to 6 parts of up to 4 words each runs the entropy past the 4-word pool
+        got = _uniforms(np.array([_seed_words(seed)], dtype=np.uint32), k)
+        np.testing.assert_array_equal(got[0], np.random.default_rng(seed).random(k))
+
+    @given(
+        rows=st.integers(1, 8).flatmap(
+            lambda w: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=w, max_size=w), min_size=1, max_size=6)
+        ),
+        k=st.integers(1, 16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_independent_streams(self, rows, k):
+        got = _uniforms(np.array(rows, dtype=np.uint32), k)
+        want = np.array([np.random.default_rng(row).random(k) for row in rows])
+        np.testing.assert_array_equal(got, want)
+
+    def test_negative_part_raises_like_numpy(self, fixed_instance):
+        mdp, _ = fixed_instance
+        with pytest.raises(ValueError):
+            np.random.default_rng([3, -1])
+        with pytest.raises(ValueError):
+            sample_trajectory(mdp, uniform_policy(mdp), [3, -1])
+        with pytest.raises(ValueError):
+            sample_trajectories(mdp, uniform_policy(mdp), 4, -2)
 
 
 class TestValidation:

@@ -1,0 +1,20 @@
+"""The benchmark workloads still produce the reference rows.
+
+Runs ``scripts/check_digests.py --seeds 0`` in a fresh process, so a sampler
+or solver change that moves any benchmark row (and hence
+``perfbench/digests.json``) fails here and not only in the benchmark.
+"""
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_seed_zero_digests_match():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "check_digests.py"), "--seeds", "0"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "3/3 digests match" in proc.stdout
