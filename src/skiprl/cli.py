@@ -9,7 +9,7 @@ import numpy as np
 
 from . import harness, oracles
 from .learner import serialize_outcome, solve
-from .mdp import Dataset, Policy, save_mdp
+from .mdp import Policy, save_mdp
 
 
 def _load_cfg(path) -> harness.ExperimentConfig:
@@ -38,7 +38,7 @@ def cmd_collect(args) -> int:
 def cmd_learn(args) -> int:
     cfg = _load_cfg(args.config)
     inst = harness.build_instance(cfg)
-    ds = Dataset.from_trajectories(harness.load_dataset(args.data))
+    ds = harness.load_dataset(args.data)
     lc, cal = harness.calibrated_config(cfg, inst, ds.n)
     outcome = solve(ds, inst.guesses, lc, inst.featmap)
     with open(args.out, "w") as fh:

@@ -30,10 +30,11 @@ from .mdp import (
     Dataset,
     Policy,
     StagedMdp,
-    Trajectory,
     ValidationError,
+    _check_paths,
     mix_policies,
     optimal_policy,
+    random_policy,
     sample_trajectories,
     uniform_policy,
 )
@@ -317,7 +318,10 @@ def _run_cell(cfg: ExperimentConfig, inst: Instance, tuned: dict, cell) -> Repli
 
 
 def worker_count() -> int:
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    try:
+        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    except ValueError:
+        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}") from None
 
 
 def summarize(rows) -> list:
@@ -336,6 +340,7 @@ def summarize(rows) -> list:
 
 
 def _run_cells(cfg: ExperimentConfig, n_values) -> ExperimentResult:
+    workers = worker_count()
     inst = build_instance(cfg)
     calibrations = {}
     tuned = {}
@@ -345,7 +350,6 @@ def _run_cells(cfg: ExperimentConfig, n_values) -> ExperimentResult:
         calibrations[int(n)] = cal
     cells = [(n, r) for n in n_values for r in range(cfg.sweep.replicates)]
     cell = functools.partial(_run_cell, cfg, inst, tuned)
-    workers = worker_count()
     if workers > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(cell, cells))
@@ -375,47 +379,45 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
 # dataset persistence
 
 
-def save_dataset(dataset, path) -> None:
+def save_dataset(dataset: Dataset, path) -> None:
     """One trajectory per line: {"steps": [[s,a,r]...], "features": [...]}. Lossless.
 
-    Writes any sequence of trajectories with features: a ``Dataset`` or a
-    (possibly empty) list of ``Trajectory``; an empty one gives an empty file.
-    A featureless input raises ``ValidationError`` before the file is opened.
+    A featureless ``Dataset`` raises ``ValidationError`` before the file is opened.
     """
-    if isinstance(dataset, Dataset):
-        if dataset.features is None:
-            raise ValidationError("dataset carries no features")
-        # row views of the arrays: no per-row Trajectory, and converting one
-        # row at a time keeps the Python lists small
-        rows = zip(dataset.states, dataset.actions, dataset.rewards, dataset.features)
-    else:
-        trajectories = list(dataset)
-        if any(t.features is None for t in trajectories):
-            raise ValidationError("dataset trajectories must carry features")
-        rows = ((t.states, t.actions, t.rewards, t.features) for t in trajectories)
+    if dataset.features is None:
+        raise ValidationError("dataset carries no features")
+    # row views converted one at a time, so the Python lists stay small
+    rows = zip(dataset.states, dataset.actions, dataset.rewards, dataset.features)
     with open(path, "w") as fh:
         for states, actions, rewards, features in rows:
             steps = [list(step) for step in zip(states.tolist(), actions.tolist(), rewards.tolist())]
             fh.write(json.dumps({"steps": steps, "features": features.tolist()}) + "\n")
 
 
-def load_dataset(path) -> list:
-    """Trajectory list from a line-oriented file; an empty file loads to []."""
-    trajectories = []
+def load_dataset(path) -> Dataset:
+    """The ``Dataset`` of a ``save_dataset`` file: per-line arrays, each field stacked once.
+
+    Bad JSON, a missing key, a broken trajectory invariant, shapes unlike line 1's
+    or an empty file raise ``ValidationError`` naming the file (and the line)."""
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 doc = json.loads(line)
-                states = np.array([s[0] for s in doc["steps"]], dtype=int)
-                actions = np.array([s[1] for s in doc["steps"]], dtype=int)
-                rewards = np.array([s[2] for s in doc["steps"]], dtype=float)
-                feats = np.asarray(doc["features"], dtype=float)
-                trajectories.append(Trajectory(states, actions, rewards, feats))
+                states, actions, rewards = zip(*doc["steps"])
+                features = np.array(doc["features"], dtype=float)
+                row = (np.array(states, dtype=int), np.array(actions, dtype=int), np.array(rewards, dtype=float), features)
+                if rows and [a.shape for a in row] != [a.shape for a in rows[0]]:
+                    raise ValidationError("array shapes differ from the first trajectory's")
+                _check_paths(row[0], row[2])
             except Exception as err:
                 raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
-    return trajectories
+            rows.append(row)
+    if not rows:
+        raise ValidationError(f"{path}: cannot build a dataset from zero trajectories")
+    return Dataset(*(np.stack(field) for field in zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +531,11 @@ def emit_plots(result: ExperimentResult, out_dir) -> dict:
 
 
 def _random_mdp(rng) -> StagedMdp:
-    from .envs import random_linear_mdp as _gen
-
     d = int(rng.integers(1, 4))
     H = int(rng.integers(2, 5))
     sizes = [1] + [int(rng.integers(2, 6)) for _ in range(H - 1)] + [1]
     A = int(rng.integers(2, 4))
-    mdp, _ = _gen(d, H, sizes, A, int(rng.integers(0, 2**31)))
+    mdp, _ = random_linear_mdp(d, H, sizes, A, int(rng.integers(0, 2**31)))
     return mdp
 
 
@@ -552,8 +552,6 @@ def _suite_projection(seed):
 
 
 def _suite_perf_diff(seed, triples=50):
-    from .mdp import random_policy
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(triples):

@@ -226,12 +226,7 @@ def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _tail_combos(counts, cap: int, rng_seed) -> list:
-    total = 1
-    for k in counts:
-        total *= k
-        if total > cap:
-            break
-    if total <= cap:
+    if math.prod(counts) <= cap:
         return list(itertools.product(*[range(k) for k in counts]))
     rng = np.random.default_rng(rng_seed)
     draws = np.stack([rng.integers(0, k, size=cap) for k in counts], axis=1)
@@ -341,8 +336,7 @@ class SolveOutcome:
     evaluation stays total: the guess with no empty stage and the smallest
     maximum tightness, or, when every guess has an empty stage, guess 0
     rebuilt with beta = theta_radius = inf (every pool point admitted).
-    ``fallback_used`` always equals ``all_rejected``; it is kept for the
-    serialized outcome.
+    The serialized outcome reports ``all_rejected`` as ``fallback_used`` too.
     """
 
     chosen_guess: int
@@ -351,7 +345,6 @@ class SolveOutcome:
     reports: list
     policy: Policy
     all_rejected: bool = False
-    fallback_used: bool = False
 
     @property
     def feasible_count(self) -> int:
@@ -431,7 +424,6 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
         reports=reports,
         policy=greedy_policy(featmap, thetas),
         all_rejected=all_rejected,
-        fallback_used=all_rejected,
     )
 
 
@@ -439,7 +431,7 @@ def serialize_outcome(outcome: SolveOutcome) -> str:
     doc = {
         "chosen_guess": outcome.chosen_guess,
         "all_rejected": outcome.all_rejected,
-        "fallback_used": outcome.fallback_used,
+        "fallback_used": outcome.all_rejected,
         "vbar_start": outcome.vbar_start,
         "thetas": outcome.thetas.tolist(),
         "per_guess": [
@@ -491,6 +483,21 @@ class CalibrationResult:
     tightness_values: np.ndarray
 
 
+def _own_tail_distance(ds: Dataset, guess: Guess, psi: np.ndarray, config: LearnerConfig) -> float:
+    """max over stages h of ||lstsq_anchor(ds, h, guess, psi[h+1:]) - psi[h]||_{X_h}, one omega for all h."""
+    H = ds.horizon
+    omega = dataset_omega(ds, guess, config.skip)
+    vbar = np.zeros((ds.n, H + 1))
+    for u in range(1, H):
+        vbar[:, u] = _clipped_vbar_rows(ds.features[:, u], psi[u : u + 1], H)[0]
+    worst = 0.0
+    for h in range(H):
+        cov = stage_covariance(ds, h, config.lam)
+        anchor = _anchor(ds.rewards, omega, vbar[:, h + 1 :], h, stage_features(ds, h), cov)
+        worst = max(worst, cov.norm(anchor - psi[h]))
+    return worst
+
+
 def calibrate(
     mdp: StagedMdp,
     featmap: FeatureMap,
@@ -514,17 +521,8 @@ def calibrate(
     pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, config.skip)
     psi = fit_policy_params(mdp, featmap, pistar).theta
     H = mdp.horizon
-    datasets = []
-    stats = np.zeros(replicates)
-    for c in range(replicates):
-        ds = sample_trajectories(mdp, behavior, n, [seed, c], featmap)
-        datasets.append(ds)
-        worst = 0.0
-        for h in range(H):
-            anchor = lstsq_anchor(ds, h, guess, psi[h + 1 :], config)
-            cov = stage_covariance(ds, h, config.lam)
-            worst = max(worst, cov.norm(anchor - psi[h]))
-        stats[c] = worst
+    datasets = [sample_trajectories(mdp, behavior, n, [seed, c], featmap) for c in range(replicates)]
+    stats = np.array([_own_tail_distance(ds, guess, psi, config) for ds in datasets])
     beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
 
     extras = {h: psi[h][None, :] for h in range(H)}

@@ -211,6 +211,9 @@ class Dataset:
 
     @classmethod
     def from_trajectories(cls, trajectories) -> "Dataset":
+        """Stack trajectories with features; a ``Dataset`` with features comes back as is."""
+        if isinstance(trajectories, Dataset) and trajectories.features is not None:
+            return trajectories
         if not trajectories:
             raise ValidationError("cannot build a dataset from zero trajectories")
         if any(t.features is None for t in trajectories):

@@ -26,7 +26,6 @@ from skiprl.learner import (
     tightness,
 )
 from skiprl.mdp import (
-    Dataset,
     count_deterministic_policies,
     mix_policies,
     occupancy,
@@ -89,9 +88,7 @@ def test_criterion_2_exact_identities(acceptance_instance):
             worst_occ = max(worst_occ, abs(float(table.sum()) - 1.0))
 
     inst = acceptance_instance
-    ds = Dataset.from_trajectories(
-        sample_trajectories(inst.mdp, inst.behavior, 400, [55, 0], inst.featmap)
-    )
+    ds = sample_trajectories(inst.mdp, inst.behavior, 400, [55, 0], inst.featmap)
     lc = harness.learner_config(ExperimentConfig.from_json(CONFIG_PATH.read_text()), 2)
     worst_anchor = 0.0
     H = inst.mdp.horizon
@@ -162,9 +159,7 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
     extras = {h: psi[h][None, :] for h in range(H)}
     passes = 0
     for r in range(20):
-        ds = Dataset.from_trajectories(
-            sample_trajectories(inst.mdp, inst.behavior, n, [cfg.data.seed, r], inst.featmap)
-        )
+        ds = sample_trajectories(inst.mdp, inst.behavior, n, [cfg.data.seed, r], inst.featmap)
         sets = build_confidence_sets(ds, inst.true_guess, lc, extra_candidates=extras)
         if sets.empty_stage is not None:
             continue
@@ -251,7 +246,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     # dataset persistence: lossless decimal round-trip
     path = tmp_path / "data.jsonl"
     save_dataset(ds, path)
-    back = Dataset.from_trajectories(load_dataset(path))
+    back = load_dataset(path)
     lossless = (
         np.array_equal(back.states, ds.states)
         and np.array_equal(back.actions, ds.actions)

@@ -73,9 +73,9 @@ class TestDatasetPersistence:
 
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 20, 5, fm)
         path = tmp_path / "data.jsonl"
-        save_dataset(Dataset.from_trajectories(trajs), path)
+        save_dataset(trajs, path)
         back = load_dataset(path)
-        assert len(back) == 20
+        assert isinstance(back, Dataset) and len(back) == 20
         for a, b in zip(trajs, back):
             np.testing.assert_array_equal(a.states, b.states)
             np.testing.assert_array_equal(a.actions, b.actions)
@@ -91,11 +91,13 @@ class TestDatasetPersistence:
         save_dataset(trajs, path)
         assert sum(1 for _ in open(path)) == 7
 
-    def test_empty_roundtrip(self, tmp_path):
+    def test_empty_file_rejected(self, tmp_path):
+        # a Dataset holds at least one trajectory, so a file without any is an error
         path = tmp_path / "empty.jsonl"
-        save_dataset([], path)
-        assert os.path.getsize(path) == 0
-        assert load_dataset(path) == []
+        for text in ("", "\n\n"):
+            path.write_text(text)
+            with pytest.raises(ValidationError, match="zero trajectories"):
+                load_dataset(path)
 
     def test_bytes_match_per_trajectory_writer(self, tmp_path):
         # the array-wise writer against the row-by-row form it replaced, on both reward kinds
@@ -112,10 +114,9 @@ class TestDatasetPersistence:
                 }) + "\n"
                 for t in ds
             )
-            for data in (ds, list(ds)):
-                path = tmp_path / f"{kind}.jsonl"
-                save_dataset(data, path)
-                assert path.read_text() == want
+            path = tmp_path / f"{kind}.jsonl"
+            save_dataset(ds, path)
+            assert path.read_text() == want
 
     def test_featureless_rejected_before_opening(self, tmp_path, fixed_instance):
         mdp, _ = fixed_instance
@@ -123,11 +124,10 @@ class TestDatasetPersistence:
 
         ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 1)
         path = tmp_path / "data.jsonl"
-        for data in (ds, list(ds)):
-            path.write_text("keep\n")
-            with pytest.raises(ValidationError):
-                save_dataset(data, path)
-            assert path.read_text() == "keep\n"
+        path.write_text("keep\n")
+        with pytest.raises(ValidationError):
+            save_dataset(ds, path)
+        assert path.read_text() == "keep\n"
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -135,6 +135,26 @@ class TestDatasetPersistence:
         with pytest.raises(ValidationError) as err:
             load_dataset(path)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("fault", ["reward", "features-shape", "steps-length", "missing-key"])
+    def test_bad_second_line_reports_number(self, tmp_path, fixed_instance, fault):
+        mdp, fm = fixed_instance
+        from skiprl.mdp import sample_trajectories, uniform_policy
+
+        path = tmp_path / "data.jsonl"
+        save_dataset(sample_trajectories(mdp, uniform_policy(mdp), 3, 5, fm), path)
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        if fault == "reward":
+            docs[1]["steps"][0][2] = 1.5
+        elif fault == "features-shape":
+            docs[1]["features"] = [[phi + [0.0] for phi in stage] for stage in docs[1]["features"]]
+        elif fault == "steps-length":
+            del docs[1]["steps"][1]
+        else:
+            del docs[1]["features"]
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with pytest.raises(ValidationError, match="line 2"):
+            load_dataset(path)
 
 
 class TestRunAndSweep:
@@ -191,6 +211,15 @@ class TestRunAndSweep:
             gaps = np.array([r.gap for r in result.rows if r.n == entry["n"]])
             assert entry["median_gap"] == pytest.approx(float(np.median(gaps)), abs=1e-15)
             assert entry["iqr_low"] == pytest.approx(float(np.quantile(gaps, 0.25)), abs=1e-15)
+
+    def test_bad_worker_count_rejected_before_calibration(self, monkeypatch):
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibration ran before the worker count was read")
+
+        monkeypatch.setenv(harness.WORKERS_ENV, "two")
+        monkeypatch.setattr(harness, "calibrate", no_calibration)
+        with pytest.raises(ValidationError, match=harness.WORKERS_ENV):
+            sweep(tiny_config())
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config(sweep={"n_values": [60], "replicates": 4})

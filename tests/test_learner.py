@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,7 @@ def setup(fixed_instance):
     config = LearnerConfig(
         lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, skip=SkipParams(alpha=0.2, d=2), seed=0
     )
-    ds = Dataset.from_trajectories(sample_trajectories(mdp, behavior, 600, [3000, 0], fm))
+    ds = sample_trajectories(mdp, behavior, 600, [3000, 0], fm)
     return mdp, fm, behavior, guess, config, ds
 
 
@@ -94,7 +95,7 @@ class TestAnchor:
     def test_zero_data_zero_anchor(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
         zero_mdp, zero_fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=10, reward_scale=0.0)
-        ds = Dataset.from_trajectories(sample_trajectories(zero_mdp, uniform_policy(zero_mdp), 50, 1, zero_fm))
+        ds = sample_trajectories(zero_mdp, uniform_policy(zero_mdp), 50, 1, zero_fm)
         tail = np.zeros((3, 2))
         anchor = lstsq_anchor(ds, 0, zero_guess(3, 2), tail, config)
         np.testing.assert_allclose(anchor, 0.0, atol=1e-12)
@@ -221,7 +222,7 @@ class TestSolve:
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=10, reward_scale=0.0)
         behavior = uniform_policy(mdp)
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
-        ds = Dataset.from_trajectories(sample_trajectories(mdp, behavior, 100, 4, fm))
+        ds = sample_trajectories(mdp, behavior, 100, 4, fm)
         config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=10.0, skip=SkipParams(alpha=0.2, d=2))
         out = solve(ds, [guess], config, fm)
         assert out.vbar_start == pytest.approx(0.0, abs=1e-9)
@@ -259,7 +260,7 @@ class TestSolve:
             config, net_spacing=0.7, theta_radius=2.0, beta=1e9, grid_per_stage=30, eps_bar=1e-9
         )
         out = solve(ds, [guess], cfg, fm)
-        assert out.all_rejected and out.fallback_used
+        assert out.all_rejected and json.loads(serialize_outcome(out))["fallback_used"]
         assert out.reports[0].tightness  # per-guess tightness values still reported
         assert out.policy is not None
 
@@ -275,7 +276,7 @@ class TestSolve:
         out = solve(ds, guesses, cfg, fm)
         H = mdp.horizon
         assert all(r.empty_stage == H - 1 for r in out.reports)
-        assert out.all_rejected and out.fallback_used and out.chosen_guess == 0
+        assert out.all_rejected and json.loads(serialize_outcome(out))["fallback_used"] and out.chosen_guess == 0
         assert out.tightness_max == float("inf")
         for h in range(H):
             anchor = lstsq_anchor(ds, h, guesses[0], out.thetas[h + 1 :], cfg)

@@ -366,8 +366,8 @@ class TestDataset:
     def test_from_trajectories_and_indexing(self, fixed_instance):
         mdp, featmap = fixed_instance
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 5, 3, featmap)
-        ds = Dataset.from_trajectories(trajs)
-        assert ds.n == 5 and ds.horizon == 3 and ds.dim == 2
+        ds = Dataset.from_trajectories(list(trajs))
+        assert ds is not trajs and ds.n == 5 and ds.horizon == 3 and ds.dim == 2
         back = ds[2]
         np.testing.assert_array_equal(back.states, trajs[2].states)
         np.testing.assert_array_equal(back.features, trajs[2].features)
@@ -402,5 +402,11 @@ class TestDataset:
     def test_requires_features(self, fixed_instance):
         mdp, _ = fixed_instance
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 2, 3)
+        assert isinstance(trajs, Dataset) and trajs.features is None
         with pytest.raises(ValidationError):
             Dataset.from_trajectories(trajs)
+
+    def test_featured_dataset_returned_unchanged(self, fixed_instance):
+        mdp, featmap = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 4, 3, featmap)
+        assert Dataset.from_trajectories(ds) is ds

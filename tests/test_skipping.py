@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from skiprl.design import Guess, build_true_guess, zero_guess
 from skiprl.envs import FeatureMap, random_linear_mdp, sample_policies
-from skiprl.mdp import Dataset, ValidationError, sample_trajectories, sample_trajectory, uniform_policy
+from skiprl.mdp import ValidationError, sample_trajectories, sample_trajectory, uniform_policy
 from skiprl.skipping import (
     ContractError,
     SkipParams,
@@ -211,7 +211,7 @@ class TestBatchTargets:
         mdp, fm = fixed_instance
         g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
         params = SkipParams(alpha=0.25, d=2)
-        ds = Dataset.from_trajectories(sample_trajectories(mdp, uniform_policy(mdp), 64, 77, fm))
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 64, 77, fm)
         theta = np.array([0.4, -0.2])
         omega = dataset_omega(ds, g, params)
         H = mdp.horizon
@@ -231,7 +231,7 @@ class TestBatchTargets:
         mdp, fm = fixed_instance
         g = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
         params = SkipParams(alpha=0.3, d=2)
-        ds = Dataset.from_trajectories(sample_trajectories(mdp, uniform_policy(mdp), 16, 5, fm))
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 16, 5, fm)
         omega = dataset_omega(ds, g, params)
         assert np.all(omega[:, 0] == 0.0)
         assert np.all(omega[:, -1] == 0.0)
