@@ -38,24 +38,16 @@ def test_full_pipeline(tmp_path, config_file, capsys):
     assert main(["learn", "--config", config_file, "--data", data_path, "--out", outcome_path]) == 0
     doc = json.load(open(outcome_path))
     assert {"chosen_guess", "thetas", "per_guess", "policy"} <= set(doc)
-
-    assert main(["eval", "--config", config_file, "--outcome", outcome_path]) == 0
-    out = capsys.readouterr().out
-    assert "gap" in out
-
-
-def test_learn_from_file_matches_in_memory_solve(tmp_path, config_file):
-    # collect -> file -> learn gives the outcome of solving the collected dataset directly
-    data_path = str(tmp_path / "data.jsonl")
-    outcome_path = str(tmp_path / "outcome.json")
-    assert main(["collect", "--config", config_file, "--out", data_path]) == 0
-    assert main(["learn", "--config", config_file, "--data", data_path, "--out", outcome_path]) == 0
-
+    # differential: collect -> file -> learn gives the outcome of solving the collected dataset in memory
     cfg = harness.load_config(config_file)
     inst = harness.build_instance(cfg)
     ds = harness.collect(inst, cfg.data.n, [cfg.data.seed, 0])
     lc, _ = harness.calibrated_config(cfg, inst, ds.n)
     assert open(outcome_path).read() == serialize_outcome(solve(ds, inst.guesses, lc, inst.featmap))
+
+    assert main(["eval", "--config", config_file, "--outcome", outcome_path]) == 0
+    out = capsys.readouterr().out
+    assert "gap" in out
 
 
 def test_sweep_and_plot(tmp_path, config_file):
