@@ -146,13 +146,6 @@ def approx_optimal_design(vectors, tol: float = 1e-6, max_iters: int = 20_000) -
     weights = w[keep] / w[keep].sum()
     ok, V, max_dual, kres = _verify(X, support, weights, two_d)
     if not ok:
-        # retry without truncation before giving up
-        keep = [i for i in range(m) if w[i] > 1e-12]
-        if len(keep) <= panel_size(d):
-            support = nonzero[keep]
-            weights = w[keep] / w[keep].sum()
-            ok, V, max_dual, kres = _verify(X, support, weights, two_d)
-    if not ok:
         raise DesignError(
             f"design conditions violated after truncation (dual {max_dual:.6g}, kernel {kres:.3g})",
             worst=max_dual,

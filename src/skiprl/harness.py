@@ -31,7 +31,6 @@ from .mdp import (
     Policy,
     StagedMdp,
     ValidationError,
-    _check_paths,
     mix_policies,
     optimal_policy,
     random_policy,
@@ -397,9 +396,11 @@ def save_dataset(dataset: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     """The ``Dataset`` of a ``save_dataset`` file: per-line arrays, each field stacked once.
 
-    Bad JSON, a missing key, a broken trajectory invariant, shapes unlike line 1's
-    or an empty file raise ``ValidationError`` naming the file (and the line)."""
-    rows = []
+    Bad JSON, a missing key, shapes unlike line 1's, a broken trajectory invariant,
+    features not shaped (H, A, d) or an empty file raise ``ValidationError`` naming
+    the file (and the line).  The invariants are checked once on the stacked arrays;
+    only when that check fails are the rows searched for the first bad one."""
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -411,13 +412,22 @@ def load_dataset(path) -> Dataset:
                 row = (np.array(states, dtype=int), np.array(actions, dtype=int), np.array(rewards, dtype=float), features)
                 if rows and [a.shape for a in row] != [a.shape for a in rows[0]]:
                     raise ValidationError("array shapes differ from the first trajectory's")
-                _check_paths(row[0], row[2])
             except Exception as err:
                 raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ValidationError(f"{path}: cannot build a dataset from zero trajectories")
-    return Dataset(*(np.stack(field) for field in zip(*rows)))
+    fields = [np.stack(field) for field in zip(*rows)]
+    try:
+        return Dataset(*fields)
+    except ValidationError:
+        for j, lineno in enumerate(linenos):  # blank lines were skipped, so row j is not line j + 1
+            try:
+                Dataset(*(a[j : j + 1] for a in fields))
+            except ValidationError as err:
+                raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +540,14 @@ def emit_plots(result: ExperimentResult, out_dir) -> dict:
 # lemma verification suites
 
 
-def _random_mdp(rng) -> StagedMdp:
-    d = int(rng.integers(1, 4))
-    H = int(rng.integers(2, 5))
-    sizes = [1] + [int(rng.integers(2, 6)) for _ in range(H - 1)] + [1]
-    A = int(rng.integers(2, 4))
-    mdp, _ = random_linear_mdp(d, H, sizes, A, int(rng.integers(0, 2**31)))
-    return mdp
+def _random_instance(rng, d_range=(1, 4), h_range=(2, 5), size_range=(2, 6), a_range=(2, 4)):
+    """A random exact-linear (mdp, featmap); each range is a half-open ``rng.integers`` interval,
+    drawn in the order d, H, the interior stage sizes, A, then the environment seed."""
+    d = int(rng.integers(*d_range))
+    H = int(rng.integers(*h_range))
+    sizes = [1] + [int(rng.integers(*size_range)) for _ in range(H - 1)] + [1]
+    A = int(rng.integers(*a_range))
+    return random_linear_mdp(d, H, sizes, A, int(rng.integers(0, 2**31)))
 
 
 def _suite_lsq(seed):
@@ -555,7 +566,7 @@ def _suite_perf_diff(seed, triples=50):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(triples):
-        mdp = _random_mdp(rng)
+        mdp, _ = _random_instance(rng)
         pa, pb = random_policy(mdp, rng), random_policy(mdp, rng)
         worst = max(worst, oracles.check_perf_diff(mdp, pa, pb))
     return 1e-10 - worst, 0.0, f"{triples} random (MDP, policy, policy) triples"
@@ -565,10 +576,7 @@ def _suite_range_bound(seed, instances=5, policy_count=60):
     rng = np.random.default_rng(seed)
     worst = float("inf")
     for _ in range(instances):
-        d = int(rng.integers(1, 4))
-        H = int(rng.integers(2, 5))
-        sizes = [1] + [int(rng.integers(2, 5)) for _ in range(H - 1)] + [1]
-        mdp, featmap = random_linear_mdp(d, H, sizes, int(rng.integers(2, 4)), int(rng.integers(0, 2**31)))
+        mdp, featmap = _random_instance(rng, size_range=(2, 5))
         policies = sample_policies(mdp, policy_count, int(rng.integers(0, 2**31)))
         guess = build_true_guess(mdp, featmap, policies)
         worst = min(worst, oracles.check_range_bound(mdp, featmap, guess, policies))
@@ -579,10 +587,8 @@ def _suite_skip_realizability(seed, instances=4, thetas=3):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        d = int(rng.integers(1, 4))
-        H = int(rng.integers(2, 5))
-        sizes = [1] + [int(rng.integers(2, 5)) for _ in range(H - 1)] + [1]
-        mdp, featmap = random_linear_mdp(d, H, sizes, int(rng.integers(2, 4)), int(rng.integers(0, 2**31)))
+        mdp, featmap = _random_instance(rng, size_range=(2, 5))
+        d, H = featmap.d, mdp.horizon
         behavior = uniform_policy(mdp)
         policies = sample_policies(mdp, 40, int(rng.integers(0, 2**31)))
         guess = build_true_guess(mdp, featmap, policies)
@@ -605,10 +611,8 @@ def _suite_concentrability(seed, instances=6):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        d = int(rng.integers(1, 3))
-        H = int(rng.integers(2, 4))
-        sizes = [1] + [int(rng.integers(2, 4)) for _ in range(H - 1)] + [1]
-        mdp, _ = random_linear_mdp(d, H, sizes, 2, int(rng.integers(0, 2**31)))
+        # rng.integers(2, 3) is always 2 and consumes no draw, so A = 2 keeps the stream
+        mdp, _ = _random_instance(rng, d_range=(1, 3), h_range=(2, 4), size_range=(2, 4), a_range=(2, 3))
         behavior = uniform_policy(mdp)
         dp = oracles.concentrability(mdp, behavior).c_conc
         brute = oracles.concentrability_by_enumeration(mdp, behavior)

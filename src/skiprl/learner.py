@@ -101,8 +101,10 @@ def greedy_policy(featmap: FeatureMap, thetas: np.ndarray) -> Policy:
 
 @dataclass
 class StageCovariance:
-    """Ridge covariance X_h = lam I + sum_j phi_h^j (phi_h^j)^T with cached inverse."""
+    """Stage-h data shared by every guess: the features of the actions taken,
+    ``phi`` (n, d), and X_h = lam I + phi^T phi with its cached inverse."""
 
+    phi: np.ndarray
     matrix: np.ndarray
     lam: float
 
@@ -111,21 +113,15 @@ class StageCovariance:
         if np.linalg.eigvalsh(self.matrix).min() < self.lam - 1e-9:
             raise ValidationError("stage covariance lost positive definiteness")
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.inv @ b
-
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ self.matrix @ v, 0.0)))
 
 
-def stage_features(dataset: Dataset, h: int) -> np.ndarray:
-    """Features of the actions actually taken at stage h, shape (n, d)."""
-    return dataset.features[np.arange(dataset.n), h, dataset.actions[:, h]]
-
-
 def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
-    phi = stage_features(dataset, h)
-    return StageCovariance(matrix=lam * np.eye(dataset.dim) + phi.T @ phi, lam=lam)
+    """The stage-h data of ``dataset``; it depends on the data and lam alone, never on a guess."""
+    d = dataset.dim  # refuses a featureless dataset by name
+    phi = dataset.features[np.arange(dataset.n), h, dataset.actions[:, h]]
+    return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam)
 
 
 def _clipped_vbar_rows(stage_feats: np.ndarray, thetas: np.ndarray, horizon: int) -> np.ndarray:
@@ -134,10 +130,10 @@ def _clipped_vbar_rows(stage_feats: np.ndarray, thetas: np.ndarray, horizon: int
     return np.clip(scores.max(axis=2), 0.0, horizon)
 
 
-def _anchor(rewards, omega, vbar_tail: np.ndarray, h: int, phi_h: np.ndarray, cov: StageCovariance) -> np.ndarray:
+def _anchor(rewards, omega, vbar_tail: np.ndarray, h: int, cov: StageCovariance) -> np.ndarray:
     """Ridge solution X_h^{-1} phi_h^T targets, the skip targets built from
     ``vbar_tail``, the v-bar values of stages h+1..H at the data, shape (n, H-h)."""
-    return cov.solve(phi_h.T @ batch_skip_targets(rewards, omega, vbar_tail, h))
+    return cov.inv @ (cov.phi.T @ batch_skip_targets(rewards, omega, vbar_tail, h))
 
 
 def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: LearnerConfig) -> np.ndarray:
@@ -154,8 +150,7 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     fvals = np.zeros((dataset.n, H - h))
     for i, u in enumerate(range(h + 1, H)):
         fvals[:, i] = _clipped_vbar_rows(dataset.features[:, u], tail[i : i + 1], H)[0]
-    cov = stage_covariance(dataset, h, config.lam)
-    return _anchor(dataset.rewards, omega, fvals, h, stage_features(dataset, h), cov)
+    return _anchor(dataset.rewards, omega, fvals, h, stage_covariance(dataset, h, config.lam))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +163,10 @@ class StageSets:
     members: np.ndarray        # (k, d) candidates that passed the ellipsoid test
 
 
-def _anchor_distance(anchors: np.ndarray, cov: StageCovariance, thetas: np.ndarray) -> np.ndarray:
-    """min over anchors of the X_h-distance to each row of ``thetas``, shape (p,)."""
+def _anchor_distance(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """min over anchors of the X_h-distance (``matrix`` is X_h) to each row of ``thetas``, shape (p,)."""
     diffs = thetas[:, None, :] - anchors[None, :, :]
-    quad = np.einsum("pmd,de,pme->pm", diffs, cov.matrix, diffs)
+    quad = np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
     return np.sqrt(np.maximum(quad.min(axis=1), 0.0))
 
 
@@ -188,13 +183,15 @@ class ConfidenceSets:
 
     Stage H is pinned to the singleton {0}.  ``empty_stage`` records the
     first stage (from the top of the backward pass) where no candidate
-    survived, which signals infeasibility of the guess.
+    survived, which signals infeasibility of the guess.  Only the d x d
+    matrices X_h are kept, never the (n, d) stage features.
     """
 
     horizon: int
     dim: int
     stage_sets: list                    # index h in 0..H-1; None below an empty stage
-    covariances: list
+    covariances: list                   # X_h, (d, d) per stage
+    tightness: list                     # members' on-data spread per stage; [] when a stage is empty
     empty_stage: int | None = None
 
     def members_at(self, h: int) -> np.ndarray:
@@ -242,11 +239,13 @@ def build_confidence_sets(
     dataset: Dataset,
     guess: Guess,
     config: LearnerConfig,
+    covs: list,
     extra_candidates: dict | None = None,
 ) -> ConfidenceSets:
-    """Backward construction of anchors and filtered candidate sets.
+    """Backward construction of anchors, filtered candidate sets and their tightness.
 
-    Each stage's pool is its anchors, then ``extra_candidates[h]``, then the
+    ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``, shared by every
+    guess.  Each stage's pool is its anchors, then ``extra_candidates[h]``, then the
     epsilon-net points; the ``grid_per_stage`` pool points nearest an anchor
     are kept and admitted when they lie in the theta_radius ball within beta
     of an anchor.  ``extra_candidates`` maps a stage to extra vectors (used by
@@ -256,10 +255,10 @@ def build_confidence_sets(
     """
     n, H, d = dataset.n, dataset.horizon, dataset.dim
     omega = dataset_omega(dataset, guess, config.skip)
-    covs = [stage_covariance(dataset, h, config.lam) for h in range(H)]
     net = _net(config, d)
 
     stage_sets: list = [None] * H
+    tight: list = [None] * H
     vbar_rows: list = [None] * (H + 1)
     vbar_rows[H] = np.zeros((1, n))
     member_lists: list = [None] * (H + 1)
@@ -269,11 +268,10 @@ def build_confidence_sets(
     for h in range(H - 1, -1, -1):
         counts = [member_lists[u].shape[0] for u in range(h + 1, H + 1)]
         combos = _tail_combos(counts, config.combo_cap, [config.seed, h])
-        phi_h = stage_features(dataset, h)
         anchors = np.empty((len(combos), d))
         for ci, combo in enumerate(combos):
             fvals = np.stack([vbar_rows[u][c] for u, c in zip(range(h + 1, H + 1), combo)], axis=1)
-            anchors[ci] = _anchor(dataset.rewards, omega, fvals, h, phi_h, covs[h])
+            anchors[ci] = _anchor(dataset.rewards, omega, fvals, h, covs[h])
         anchors = _dedupe_rows(anchors)
 
         pool = [anchors]
@@ -283,30 +281,29 @@ def build_confidence_sets(
             pool.append(net)
         pool = _dedupe_rows(np.vstack(pool))
 
-        stats = _anchor_distance(anchors, covs[h], pool)
+        stats = _anchor_distance(anchors, covs[h].matrix, pool)
         order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
         pool, stats = pool[order], stats[order]
         members = pool[_admitted(pool, stats, config)]
         stage_sets[h] = StageSets(anchors=anchors, members=members)
         if members.shape[0] == 0:
-            empty_stage = h
-            for t in range(h):
-                stage_sets[t] = None
+            empty_stage = h  # stages below h were never filled, so they stay None
+            tight = []
             break
+        tight[h] = tightness(covs[h].phi, members, H)
         member_lists[h] = members
         vbar_rows[h] = _clipped_vbar_rows(dataset.features[:, h], members, H)
 
-    return ConfidenceSets(
-        horizon=H, dim=d, stage_sets=stage_sets, covariances=covs, empty_stage=empty_stage
-    )
+    return ConfidenceSets(horizon=H, dim=d, stage_sets=stage_sets, covariances=[cov.matrix for cov in covs],
+                          tightness=tight, empty_stage=empty_stage)
 
 
-def tightness(dataset: Dataset, h: int, thetas) -> float:
-    """Average on-data spread of the clipped q-estimates over a parameter set."""
-    thetas = np.asarray(thetas, dtype=float).reshape(-1, dataset.dim)
+def tightness(phi: np.ndarray, thetas, horizon: int) -> float:
+    """Average spread of the clipped q-estimates over a parameter set at the taken-action features ``phi``."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, phi.shape[1])
     if thetas.shape[0] == 0:
         raise ValidationError("tightness needs a nonempty parameter set")
-    scores = np.clip(stage_features(dataset, h) @ thetas.T, 0.0, dataset.horizon)
+    scores = np.clip(phi @ thetas.T, 0.0, horizon)
     return float(np.mean(scores.max(axis=1) - scores.min(axis=1)))
 
 
@@ -316,15 +313,19 @@ def tightness(dataset: Dataset, h: int, thetas) -> float:
 
 @dataclass
 class GuessReport:
+    """One guess's verdict; its tightness and empty stage are those of its sets."""
+
     index: int
     feasible: bool
-    tightness: list
-    empty_stage: int | None = None
-    sets: ConfidenceSets | None = field(default=None, repr=False)
+    sets: ConfidenceSets = field(repr=False)
 
     @property
-    def max_tightness(self) -> float:
-        return max(self.tightness) if self.tightness else float("inf")
+    def tightness(self) -> list:
+        return self.sets.tightness
+
+    @property
+    def empty_stage(self) -> int | None:
+        return self.sets.empty_stage
 
 
 @dataclass
@@ -352,8 +353,7 @@ class SolveOutcome:
 
     @property
     def tightness_max(self) -> float:
-        vals = [r.max_tightness for r in self.reports if r.empty_stage is None]
-        return max(vals) if vals else float("inf")
+        return max((t for r in self.reports for t in r.tightness), default=float("inf"))
 
 
 def _chain_from(sets: ConfidenceSets, featmap: FeatureMap):
@@ -372,8 +372,9 @@ def _chain_from(sets: ConfidenceSets, featmap: FeatureMap):
 def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap) -> SolveOutcome:
     """Optimistic argmax over guesses and stage-0 candidates.
 
-    Every guess gets confidence sets and a per-stage tightness value; guesses
-    exceeding ``eps_bar`` at any stage (or with an empty stage) are rejected.
+    The stage data is built once for every guess's confidence sets, which
+    carry per-stage tightness; guesses exceeding ``eps_bar`` at any stage
+    (or with an empty stage) are rejected.
     Among feasible guesses the largest clipped start-state estimate wins,
     with ties broken by guess order then member order.  Parameters at stages
     past the first are the first member of their set, and the output policy
@@ -382,17 +383,12 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
     if not guesses:
         raise ValidationError("at least one guess candidate is required")
     H = dataset.horizon
+    covs = [stage_covariance(dataset, h, config.lam) for h in range(H)]
     reports = []
     for gi, guess in enumerate(guesses):
-        sets = build_confidence_sets(dataset, guess, config)
-        if sets.empty_stage is not None:
-            reports.append(
-                GuessReport(index=gi, feasible=False, tightness=[], empty_stage=sets.empty_stage, sets=sets)
-            )
-            continue
-        tight = [tightness(dataset, h, sets.members_at(h)) for h in range(H)]
-        feasible = max(tight) <= config.eps_bar + MEMBER_TOL
-        reports.append(GuessReport(index=gi, feasible=feasible, tightness=tight, sets=sets))
+        sets = build_confidence_sets(dataset, guess, config, covs)
+        feasible = sets.empty_stage is None and max(sets.tightness) <= config.eps_bar + MEMBER_TOL
+        reports.append(GuessReport(index=gi, feasible=feasible, sets=sets))
 
     candidates = [r for r in reports if r.feasible]
     all_rejected = not candidates
@@ -406,7 +402,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
     else:
         whole = [r for r in reports if r.empty_stage is None]
         if whole:
-            pick = min(whole, key=lambda r: (r.max_tightness, r.index))
+            pick = min(whole, key=lambda r: (max(r.tightness), r.index))
             chosen, sets = pick.index, pick.sets
         else:
             # Guess 0 with every pool point admitted; the net keeps the
@@ -414,7 +410,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
             net = _net(config, dataset.dim)
             extras = None if net is None else dict.fromkeys(range(H), net)
             admit_all = replace(config, beta=math.inf, theta_radius=math.inf, net_spacing=None)
-            chosen, sets = 0, build_confidence_sets(dataset, guesses[0], admit_all, extra_candidates=extras)
+            chosen, sets = 0, build_confidence_sets(dataset, guesses[0], admit_all, covs, extra_candidates=extras)
         thetas, vbar = _chain_from(sets, featmap)
 
     return SolveOutcome(
@@ -493,7 +489,7 @@ def _own_tail_distance(ds: Dataset, guess: Guess, psi: np.ndarray, config: Learn
     worst = 0.0
     for h in range(H):
         cov = stage_covariance(ds, h, config.lam)
-        anchor = _anchor(ds.rewards, omega, vbar[:, h + 1 :], h, stage_features(ds, h), cov)
+        anchor = _anchor(ds.rewards, omega, vbar[:, h + 1 :], h, cov)
         worst = max(worst, cov.norm(anchor - psi[h]))
     return worst
 
@@ -529,11 +525,9 @@ def calibrate(
     cfg = replace(config, beta=beta)
     tight = np.zeros(replicates)
     for c, ds in enumerate(datasets):
-        sets = build_confidence_sets(ds, guess, cfg, extra_candidates=extras)
-        if sets.empty_stage is not None:
-            tight[c] = float("inf")
-        else:
-            tight[c] = max(tightness(ds, h, sets.members_at(h)) for h in range(H))
+        covs = [stage_covariance(ds, h, cfg.lam) for h in range(H)]
+        sets = build_confidence_sets(ds, guess, cfg, covs, extra_candidates=extras)
+        tight[c] = max(sets.tightness, default=math.inf)
     eps_bar = max(2.0 * float(tight.max()), 1e-9)
     return CalibrationResult(beta=beta, eps_bar=eps_bar, anchor_stats=stats, tightness_values=tight)
 

@@ -186,6 +186,13 @@ class Dataset:
     def __post_init__(self):
         if len(self.states) == 0:
             raise ValidationError("cannot build a dataset from zero trajectories")
+        shape = self.states.shape
+        if len(shape) != 2 or self.actions.shape != shape or self.rewards.shape != shape:
+            shapes = (shape, self.actions.shape, self.rewards.shape)
+            raise ValidationError(f"states, actions and rewards must share one (n, H+1) shape, got {shapes}")
+        n, H = shape[0], shape[1] - 1
+        if self.features is not None and (self.features.ndim != 4 or self.features.shape[:2] != (n, H)):
+            raise ValidationError(f"features must have shape (n, H, A, d) with n, H = {n}, {H}; got {self.features.shape}")
         _check_paths(self.states, self.rewards)
 
     def __len__(self) -> int:

@@ -22,8 +22,7 @@ from skiprl.learner import (
     serialize_outcome,
     skip_optimal_policy,
     solve,
-    stage_features,
-    tightness,
+    stage_covariance,
 )
 from skiprl.mdp import (
     count_deterministic_policies,
@@ -103,7 +102,7 @@ def test_criterion_2_exact_identities(acceptance_instance):
         for i, u in enumerate(range(h + 1, H)):
             fvals[:, i] = np.clip((ds.features[:, u] @ tail[i]).max(axis=1), 0.0, H)
         targets = batch_skip_targets(ds.rewards, omega, fvals, h)
-        phi = stage_features(ds, h)
+        phi = stage_covariance(ds, h, lc.lam).phi
         aug = np.vstack([phi, np.sqrt(lc.lam) * np.eye(2)])
         oracle, *_ = np.linalg.lstsq(aug, np.concatenate([targets, np.zeros(2)]), rcond=None)
         worst_anchor = max(worst_anchor, float(np.abs(anchor - oracle).max()))
@@ -160,11 +159,12 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
     passes = 0
     for r in range(20):
         ds = sample_trajectories(inst.mdp, inst.behavior, n, [cfg.data.seed, r], inst.featmap)
-        sets = build_confidence_sets(ds, inst.true_guess, lc, extra_candidates=extras)
+        covs = [stage_covariance(ds, h, lc.lam) for h in range(H)]
+        sets = build_confidence_sets(ds, inst.true_guess, lc, covs, extra_candidates=extras)
         if sets.empty_stage is not None:
             continue
         member = all(sets.is_member(h, psi[h], lc) for h in range(H))
-        feasible = max(tightness(ds, h, sets.members_at(h)) for h in range(H)) <= lc.eps_bar + 1e-12
+        feasible = max(sets.tightness) <= lc.eps_bar + 1e-12
         passes += member and feasible
     elapsed = time.perf_counter() - t0
     ok = passes >= 18 and elapsed < 600.0

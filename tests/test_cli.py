@@ -50,6 +50,15 @@ def test_full_pipeline(tmp_path, config_file, capsys):
     assert "gap" in out
 
 
+def test_learn_names_the_line_of_misshapen_features(tmp_path, config_file, capsys):
+    data_path = tmp_path / "one.jsonl"
+    data_path.write_text('{"steps": [[0,0,0.5],[0,1,0.0]], "features": [[1.0, 2.0]]}\n')
+    argv = ["learn", "--config", config_file, "--data", str(data_path), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "features must have shape" in err
+
+
 def test_sweep_and_plot(tmp_path, config_file):
     out_dir = str(tmp_path / "results")
     assert main(["sweep", "--config", config_file, "--out-dir", out_dir]) == 0

@@ -136,6 +136,26 @@ class TestDatasetPersistence:
             load_dataset(path)
         assert "line 2" in str(err.value)
 
+    def test_features_unlike_path_length_report_line(self, tmp_path):
+        # features (1, 2) for a one-step path used to load as (1, 1, 2) and fail later in Dataset.dim
+        path = tmp_path / "one.jsonl"
+        path.write_text('{"steps": [[0,0,0.5],[0,1,0.0]], "features": [[1.0, 2.0]]}\n')
+        with pytest.raises(ValidationError, match="line 1"):
+            load_dataset(path)
+
+    def test_bad_row_after_blank_lines_reports_its_line(self, tmp_path, fixed_instance):
+        # blank lines are skipped, so the failing row's index is not its line number
+        mdp, fm = fixed_instance
+        from skiprl.mdp import sample_trajectories, uniform_policy
+
+        path = tmp_path / "data.jsonl"
+        save_dataset(sample_trajectories(mdp, uniform_policy(mdp), 3, 5, fm), path)
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        docs[2]["steps"][-1][0] = 1  # row 2 ends off the terminal state
+        path.write_text("\n" + json.dumps(docs[0]) + "\n\n" + json.dumps(docs[1]) + "\n" + json.dumps(docs[2]) + "\n")
+        with pytest.raises(ValidationError, match="line 5"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("fault", ["reward", "features-shape", "steps-length", "missing-key"])
     def test_bad_second_line_reports_number(self, tmp_path, fixed_instance, fault):
         mdp, fm = fixed_instance

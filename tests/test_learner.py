@@ -20,7 +20,6 @@ from skiprl.learner import (
     skip_optimal_policy,
     solve,
     stage_covariance,
-    stage_features,
     start_value,
     tightness,
 )
@@ -39,6 +38,11 @@ def setup(fixed_instance):
     )
     ds = sample_trajectories(mdp, behavior, 600, [3000, 0], fm)
     return mdp, fm, behavior, guess, config, ds
+
+
+def covs(ds, config):
+    """The per-stage data ``build_confidence_sets`` takes."""
+    return [stage_covariance(ds, h, config.lam) for h in range(ds.horizon)]
 
 
 class TestClippedEstimators:
@@ -104,7 +108,7 @@ class TestAnchor:
         mdp, fm, behavior, guess, config, ds = setup
         h = mdp.horizon - 1
         anchor = lstsq_anchor(ds, h, guess, np.zeros((1, 2)), config)
-        phi = stage_features(ds, h)
+        phi = stage_covariance(ds, h, config.lam).phi
         rewards = ds.rewards[:, h]
         expect = np.linalg.solve(config.lam * np.eye(2) + phi.T @ phi, phi.T @ rewards)
         np.testing.assert_allclose(anchor, expect, atol=1e-12)
@@ -125,7 +129,7 @@ class TestAnchor:
             for i, u in enumerate(range(h + 1, H)):
                 fvals[:, i] = np.clip((ds.features[:, u] @ tail[i]).max(axis=1), 0.0, H)
             targets = batch_skip_targets(ds.rewards, omega, fvals, h)
-            phi = stage_features(ds, h)
+            phi = stage_covariance(ds, h, config.lam).phi
             aug_A = np.vstack([phi, np.sqrt(config.lam) * np.eye(2)])
             aug_y = np.concatenate([targets, np.zeros(2)])
             oracle, *_ = np.linalg.lstsq(aug_A, aug_y, rcond=None)
@@ -140,12 +144,12 @@ class TestAnchor:
 class TestConfidenceSets:
     def test_terminal_stage_is_zero_singleton(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        sets = build_confidence_sets(ds, guess, config)
+        sets = build_confidence_sets(ds, guess, config, covs(ds, config))
         np.testing.assert_array_equal(sets.members_at(mdp.horizon), np.zeros((1, 2)))
 
     def test_anchors_are_members(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        sets = build_confidence_sets(ds, guess, config)
+        sets = build_confidence_sets(ds, guess, config, covs(ds, config))
         for h in range(mdp.horizon):
             for anchor in sets.stage_sets[h].anchors:
                 assert sets.is_member(h, anchor, config)
@@ -154,7 +158,7 @@ class TestConfidenceSets:
     def test_tiny_radius_gives_empty_signal(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         strict = replace(config, theta_radius=1e-9)
-        sets = build_confidence_sets(ds, guess, strict)
+        sets = build_confidence_sets(ds, guess, strict, covs(ds, strict))
         assert sets.empty_stage is not None
         with pytest.raises(ValidationError):
             sets.members_at(0)
@@ -163,7 +167,7 @@ class TestConfidenceSets:
         mdp, fm, behavior, guess, config, ds = setup
         psi = fit_policy_params(mdp, fm, skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]).theta
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        sets = build_confidence_sets(ds, guess, config, extra_candidates=extras)
+        sets = build_confidence_sets(ds, guess, config, covs(ds, config), extra_candidates=extras)
         for h in range(mdp.horizon):
             assert sets.empty_stage is None
             if sets.is_member(h, psi[h], config):
@@ -173,14 +177,14 @@ class TestConfidenceSets:
     def test_net_points_enter_pool(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         netted = replace(config, net_spacing=1.0, theta_radius=2.0, beta=1e9, grid_per_stage=40)
-        sets = build_confidence_sets(ds, guess, netted)
+        sets = build_confidence_sets(ds, guess, netted, covs(ds, netted))
         assert sets.members_at(0).shape[0] > sets.stage_sets[0].anchors.shape[0]
 
     def test_subsampled_combos_deterministic(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         cfg = replace(config, net_spacing=0.8, theta_radius=2.0, beta=1e9, grid_per_stage=12, combo_cap=5)
-        a = build_confidence_sets(ds, guess, cfg)
-        b = build_confidence_sets(ds, guess, cfg)
+        a = build_confidence_sets(ds, guess, cfg, covs(ds, cfg))
+        b = build_confidence_sets(ds, guess, cfg, covs(ds, cfg))
         for h in range(mdp.horizon):
             np.testing.assert_array_equal(a.stage_sets[h].anchors, b.stage_sets[h].anchors)
             np.testing.assert_array_equal(a.stage_sets[h].members, b.stage_sets[h].members)
@@ -189,19 +193,19 @@ class TestConfidenceSets:
 class TestTightness:
     def test_singleton_zero(self, setup):
         *_, ds = setup
-        assert tightness(ds, 0, np.zeros((1, 2))) == 0.0
+        assert tightness(stage_covariance(ds, 0, 1.0).phi, np.zeros((1, 2)), ds.horizon) == 0.0
 
     def test_zero_and_saturating_theta(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         big = np.full((1, 2), 50.0)  # clips to H on every simplex feature
-        val = tightness(ds, 1, np.vstack([np.zeros((1, 2)), big]))
+        val = tightness(stage_covariance(ds, 1, 1.0).phi, np.vstack([np.zeros((1, 2)), big]), ds.horizon)
         assert val == pytest.approx(mdp.horizon, abs=1e-12)
 
     def test_bounds(self, setup):
         mdp, *_, ds = setup[0], *setup[1:]
         rng = np.random.default_rng(5)
         thetas = rng.normal(size=(6, 2))
-        val = tightness(setup[5], 2, thetas)
+        val = tightness(stage_covariance(setup[5], 2, 1.0).phi, thetas, setup[5].horizon)
         assert 0.0 <= val <= setup[0].horizon
 
 
@@ -243,7 +247,7 @@ class TestSolve:
         mdp, fm, behavior, guess, config, ds = setup
         psi = fit_policy_params(mdp, fm, skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]).theta
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        sets = build_confidence_sets(ds, guess, config, extra_candidates=extras)
+        sets = build_confidence_sets(ds, guess, config, covs(ds, config), extra_candidates=extras)
         assert sets.is_member(0, psi[0], config)
         vals = [start_value(t, fm) for t in sets.members_at(0)]
         assert max(vals) >= start_value(psi[0], fm) - 1e-9

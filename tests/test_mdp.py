@@ -399,6 +399,18 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(ds.states, ds.actions, bad_reward, ds.features)
 
+    def test_shapes_checked(self, fixed_instance):
+        mdp, featmap = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 3, featmap)
+        with pytest.raises(ValidationError, match="features must have shape"):
+            Dataset(ds.states, ds.actions, ds.rewards, ds.features[:, :-1])  # one stage short
+        with pytest.raises(ValidationError, match="features must have shape"):
+            Dataset(ds.states, ds.actions, ds.rewards, ds.features[:2])  # one row short
+        with pytest.raises(ValidationError, match="features must have shape"):
+            Dataset(ds.states, ds.actions, ds.rewards, ds.features[..., 0])  # no feature axis
+        with pytest.raises(ValidationError, match=r"\(n, H\+1\)"):
+            Dataset(ds.states, ds.actions[:, :-1], ds.rewards, ds.features)
+
     def test_requires_features(self, fixed_instance):
         mdp, _ = fixed_instance
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 2, 3)
