@@ -93,7 +93,6 @@ def random_linear_mdp(
     seed,
     reward_kind: str = "deterministic-mean",
     reward_scale: float = 1.0,
-    max_rounds: int = 20,
 ):
     """Sample an exactly linear MDP together with its feature map.
 
@@ -101,8 +100,7 @@ def random_linear_mdp(
     are per-coordinate distributions, so every transition row is a convex
     mixture of distributions and every mean reward an inner product with a
     vector in [0, 1]^d.  Instances therefore satisfy exact linear
-    q^pi-realizability; the rejection loop only guards against numerical
-    degeneracy.
+    q^pi-realizability.
     """
     if d < 1:
         raise GenerationError("feature dimension must be >= 1")
@@ -112,36 +110,33 @@ def random_linear_mdp(
     if len(sizes) != horizon + 1 or any(k < 1 for k in sizes):
         raise GenerationError("stage_sizes must list one positive size per stage")
     rng = np.random.default_rng(seed)
-    last_error = None
-    for _ in range(max_rounds):
-        phi = []
-        transitions = []
-        rewards = []
-        for h in range(horizon):
-            feats = rng.dirichlet(np.ones(d), size=(sizes[h], num_actions))
-            next_factors = rng.dirichlet(np.ones(sizes[h + 1]), size=d)  # (d, S_{h+1})
-            theta_r = reward_scale * rng.uniform(0.0, 1.0, size=d)
-            phi.append(feats)
-            transitions.append(feats @ next_factors)
-            rewards.append(feats @ theta_r)
-        phi.append(np.zeros((1, num_actions, d)))
-        rewards.append(np.zeros((1, num_actions)))
-        try:
-            mdp = StagedMdp(
-                horizon=horizon,
-                stage_sizes=sizes,
-                num_actions=num_actions,
-                transitions=transitions,
-                reward_means=rewards,
-                reward_kind=reward_kind,
-            )
-            l1 = max(np.linalg.norm(p, axis=2).max() for p in phi[:-1])
-            featmap = FeatureMap(d=d, phi=phi, l1_bound=float(l1))
-            featmap.check_against(mdp)
-            return mdp, featmap
-        except ValidationError as err:  # pragma: no cover - construction is valid by design
-            last_error = err
-    raise GenerationError(f"no valid instance after {max_rounds} rounds: {last_error}")
+    phi = []
+    transitions = []
+    rewards = []
+    for h in range(horizon):
+        feats = rng.dirichlet(np.ones(d), size=(sizes[h], num_actions))
+        next_factors = rng.dirichlet(np.ones(sizes[h + 1]), size=d)  # (d, S_{h+1})
+        theta_r = reward_scale * rng.uniform(0.0, 1.0, size=d)
+        phi.append(feats)
+        transitions.append(feats @ next_factors)
+        rewards.append(feats @ theta_r)
+    phi.append(np.zeros((1, num_actions, d)))
+    rewards.append(np.zeros((1, num_actions)))
+    try:
+        mdp = StagedMdp(
+            horizon=horizon,
+            stage_sizes=sizes,
+            num_actions=num_actions,
+            transitions=transitions,
+            reward_means=rewards,
+            reward_kind=reward_kind,
+        )
+        l1 = max(np.linalg.norm(p, axis=2).max() for p in phi[:-1])
+        featmap = FeatureMap(d=d, phi=phi, l1_bound=float(l1))
+        featmap.check_against(mdp)
+    except ValidationError as err:
+        raise GenerationError(f"invalid instance: {err}") from err
+    return mdp, featmap
 
 
 def fit_policy_params(mdp: StagedMdp, featmap: FeatureMap, policy: Policy) -> PolicyParams:

@@ -218,8 +218,6 @@ def build_instance(cfg: ExperimentConfig) -> Instance:
         policies = sample_policies(mdp, cfg.policy_sample, cfg.policy_sample_seed)
         true_guess = build_true_guess(mdp, featmap, policies)
         guesses = guess_grid(true_guess, cfg.guesses.spread, cfg.guesses.count, cfg.guesses.seed)
-    except HarnessError:
-        raise
     except Exception as err:
         raise HarnessError("prepare", err) from err
     return Instance(

@@ -90,17 +90,22 @@ def skip_probability(guess: Guess, featmap, stage: int, state: int, params: Skip
     return probability_from_range(guess_range(guess, featmap, stage, state), params)
 
 
+def _omega_block(feats: np.ndarray, panel: np.ndarray, params: SkipParams) -> np.ndarray:
+    """Skip probabilities of feature blocks (..., A, d) under one stage's panel.
+
+    Bit-equal to ``probability_from_range``: r/t rounds monotonely and t/t, 2t/t are exact.
+    """
+    scores = feats @ panel.T  # (..., A, k)
+    spread = scores.max(axis=-2)
+    spread -= scores.min(axis=-2)
+    return np.clip(2.0 - spread.max(axis=-1) / params.threshold, 0.0, 1.0)
+
+
 def omega_tables(guess: Guess, featmap, params: SkipParams) -> list:
     """Per-stage skip-probability tables over all states."""
     H = guess.horizon
-    out = [np.zeros(featmap.phi[0].shape[0])]
-    for stage in range(1, H):
-        panel = guess.panel(stage)
-        scores = featmap.phi[stage] @ panel.T  # (S, A, k)
-        rng_vals = (scores.max(axis=1) - scores.min(axis=1)).max(axis=1)
-        out.append(np.array([probability_from_range(r, params) for r in rng_vals]))
-    out.append(np.zeros(featmap.phi[H].shape[0]))
-    return out
+    inner = [_omega_block(featmap.phi[stage], guess.panel(stage), params) for stage in range(1, H)]
+    return [np.zeros(featmap.phi[0].shape[0]), *inner, np.zeros(featmap.phi[H].shape[0])]
 
 
 def dataset_omega(dataset: Dataset, guess: Guess, params: SkipParams) -> np.ndarray:
@@ -111,11 +116,7 @@ def dataset_omega(dataset: Dataset, guess: Guess, params: SkipParams) -> np.ndar
     n, H = dataset.n, dataset.horizon
     omega = np.zeros((n, H + 1))
     for stage in range(1, H):
-        panel = guess.panel(stage)
-        scores = dataset.features[:, stage] @ panel.T  # (n, A, k)
-        rng_vals = (scores.max(axis=1) - scores.min(axis=1)).max(axis=1)
-        t = params.threshold
-        omega[:, stage] = np.clip(2.0 - rng_vals / t, 0.0, 1.0)
+        omega[:, stage] = _omega_block(dataset.features[:, stage], guess.panel(stage), params)
     return omega
 
 

@@ -1,11 +1,13 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from skiprl import harness
 from skiprl.cli import main
 from skiprl.learner import serialize_outcome, solve
+from skiprl.mdp import load_mdp
 
 
 @pytest.fixture()
@@ -41,6 +43,17 @@ def test_full_pipeline(tmp_path, config_file, capsys):
     # differential: collect -> file -> learn gives the outcome of solving the collected dataset in memory
     cfg = harness.load_config(config_file)
     inst = harness.build_instance(cfg)
+    # gen-env's file reads back as the instance, table for table
+    mdp, featmap = load_mdp(env_path)
+    assert (mdp.stage_sizes, mdp.reward_kind, featmap.l1_bound) == (
+        inst.mdp.stage_sizes, inst.mdp.reward_kind, inst.featmap.l1_bound
+    )
+    for got, want in [
+        (mdp.transitions, inst.mdp.transitions),
+        (mdp.reward_means, inst.mdp.reward_means),
+        (featmap.phi, inst.featmap.phi),
+    ]:
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
     ds = harness.collect(inst, cfg.data.n, [cfg.data.seed, 0])
     lc, _ = harness.calibrated_config(cfg, inst, ds.n)
     assert open(outcome_path).read() == serialize_outcome(solve(ds, inst.guesses, lc, inst.featmap))

@@ -65,6 +65,23 @@ class TestGenerator:
         with pytest.raises(GenerationError):
             random_linear_mdp(2, 2, (1, 2), 2, seed=0)
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"reward_kind": "bogus"}, "reward_kind"),
+            ({"num_actions": 0}, "num_actions"),
+            ({"stage_sizes": (2, 3, 1)}, "exactly one state"),
+            ({"horizon": 0, "stage_sizes": (1,)}, "horizon"),
+        ],
+        ids=["reward-kind", "no-actions", "wide-first-stage", "zero-horizon"],
+    )
+    def test_invalid_structure_named_at_once(self, change, named):
+        kwargs = dict(d=2, horizon=2, stage_sizes=(1, 3, 1), num_actions=2, seed=0)
+        kwargs.update(change)
+        with pytest.raises(GenerationError) as info:
+            random_linear_mdp(**kwargs)
+        assert named in str(info.value) and "round" not in str(info.value)
+
 
 class TestFitPolicyParams:
     def test_zero_rewards_zero_theta(self):

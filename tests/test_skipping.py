@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 
-from skiprl.design import Guess, build_true_guess, zero_guess
+from skiprl.design import Guess, build_true_guess, guess_grid, zero_guess
 from skiprl.envs import FeatureMap, random_linear_mdp, sample_policies
 from skiprl.mdp import ValidationError, sample_trajectories, sample_trajectory, uniform_policy
 from skiprl.skipping import (
@@ -12,6 +12,7 @@ from skiprl.skipping import (
     batch_skip_targets,
     dataset_omega,
     guess_range,
+    omega_tables,
     probability_from_range,
     skip_probability,
     skip_target,
@@ -236,3 +237,49 @@ class TestBatchTargets:
         assert np.all(omega[:, 0] == 0.0)
         assert np.all(omega[:, -1] == 0.0)
         assert np.all((omega >= 0.0) & (omega <= 1.0))
+
+
+class TestOmegaAgainstScalar:
+    """``omega_tables`` and ``dataset_omega`` against ``skip_probability``, state by state."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(31)
+        checked = interior = 0
+        for _ in range(40):
+            d, H, A = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            sizes = [1] + [int(rng.integers(1, 6)) for _ in range(H - 1)] + [1]
+            mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)))
+            true_guess = build_true_guess(mdp, fm, sample_policies(mdp, 10, int(rng.integers(0, 2**31))))
+            params = SkipParams(alpha=float(1.0 - rng.uniform(0.0, 0.98)), d=d)
+            ds = sample_trajectories(mdp, uniform_policy(mdp), 12, int(rng.integers(0, 2**31)), fm)
+            for g in guess_grid(true_guess, 0.5, 3, int(rng.integers(0, 2**31))):
+                tables = omega_tables(g, fm, params)
+                omega = dataset_omega(ds, g, params)
+                for h in range(H + 1):
+                    for s in range(mdp.stage_sizes[h]):
+                        want = skip_probability(g, fm, h, s, params)
+                        assert tables[h][s] == pytest.approx(want, abs=1e-12)
+                        checked += 1
+                        interior += 0.0 < want < 1.0
+                    for j in range(ds.n):
+                        want = skip_probability(g, fm, h, int(ds.states[j, h]), params)
+                        assert omega[j, h] == pytest.approx(want, abs=1e-12)
+        assert checked > 500 and interior > 20
+
+    def test_clip_pinned_at_branch_boundaries(self):
+        # d=2, alpha=0.5: t = 0.25 exactly; stage s has range r_s exactly
+        params = SkipParams(alpha=0.5, d=2)
+        t = params.threshold
+        assert t == 0.25
+        ranges = {1: t, 2: 1.5 * t, 3: 2.0 * t}
+        phi = [np.array([[[1.0, 0.0], [0.0, 0.0]]]) for _ in range(4)] + [np.zeros((1, 2, 2))]
+        fm = FeatureMap(d=2, phi=phi, l1_bound=1.0)
+        g = Guess.from_stage_vectors(4, 2, {s: [[r, 0.0]] for s, r in ranges.items()}, radius_bound=1.0)
+        mdp = single_path_mdp(4)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 0, fm)
+        tables = omega_tables(g, fm, params)
+        omega = dataset_omega(ds, g, params)
+        for stage, want in zip(ranges, [1.0, 0.5, 0.0]):
+            assert skip_probability(g, fm, stage, 0, params) == want
+            assert tables[stage][0] == want
+            assert np.all(omega[:, stage] == want)
