@@ -104,6 +104,8 @@ def random_linear_mdp(
     """
     if d < 1:
         raise GenerationError("feature dimension must be >= 1")
+    if num_actions < 1:
+        raise GenerationError("num_actions must be >= 1")
     if not (0.0 <= reward_scale <= 1.0):
         raise GenerationError("reward_scale must lie in [0, 1]")
     sizes = tuple(int(k) for k in stage_sizes)

@@ -124,10 +124,14 @@ def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam)
 
 
-def _clipped_vbar_rows(stage_feats: np.ndarray, thetas: np.ndarray, horizon: int) -> np.ndarray:
-    """v-bar of each theta at the visited states of one stage, shape (k, n)."""
-    scores = np.einsum("nad,kd->kna", stage_feats, thetas)
-    return np.clip(scores.max(axis=2), 0.0, horizon)
+def _clipped_vbar_rows(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
+    """v-bar of each theta at the visited states of stage h, shape (k, n).
+
+    Scores the stage's distinct feature blocks once and gathers them back to the rows.
+    """
+    blocks, rows = dataset.visited_blocks[h]
+    scores = np.einsum("mad,kd->kma", blocks, thetas)
+    return np.clip(scores.max(axis=2), 0.0, dataset.horizon)[:, rows]
 
 
 def _anchor(rewards, omega, vbar_tail: np.ndarray, h: int, cov: StageCovariance) -> np.ndarray:
@@ -149,7 +153,7 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     omega = dataset_omega(dataset, guess, config.skip)
     fvals = np.zeros((dataset.n, H - h))
     for i, u in enumerate(range(h + 1, H)):
-        fvals[:, i] = _clipped_vbar_rows(dataset.features[:, u], tail[i : i + 1], H)[0]
+        fvals[:, i] = _clipped_vbar_rows(dataset, u, tail[i : i + 1])[0]
     return _anchor(dataset.rewards, omega, fvals, h, stage_covariance(dataset, h, config.lam))
 
 
@@ -259,14 +263,12 @@ def build_confidence_sets(
 
     stage_sets: list = [None] * H
     tight: list = [None] * H
-    vbar_rows: list = [None] * (H + 1)
+    vbar_rows: list = [None] * (H + 1)  # (members, n) per stage; read only at stages >= 1
     vbar_rows[H] = np.zeros((1, n))
-    member_lists: list = [None] * (H + 1)
-    member_lists[H] = np.zeros((1, d))
     empty_stage = None
 
     for h in range(H - 1, -1, -1):
-        counts = [member_lists[u].shape[0] for u in range(h + 1, H + 1)]
+        counts = [vbar_rows[u].shape[0] for u in range(h + 1, H + 1)]
         combos = _tail_combos(counts, config.combo_cap, [config.seed, h])
         anchors = np.empty((len(combos), d))
         for ci, combo in enumerate(combos):
@@ -291,8 +293,8 @@ def build_confidence_sets(
             tight = []
             break
         tight[h] = tightness(covs[h].phi, members, H)
-        member_lists[h] = members
-        vbar_rows[h] = _clipped_vbar_rows(dataset.features[:, h], members, H)
+        if h >= 1:
+            vbar_rows[h] = _clipped_vbar_rows(dataset, h, members)
 
     return ConfidenceSets(horizon=H, dim=d, stage_sets=stage_sets, covariances=[cov.matrix for cov in covs],
                           tightness=tight, empty_stage=empty_stage)
@@ -485,7 +487,7 @@ def _own_tail_distance(ds: Dataset, guess: Guess, psi: np.ndarray, config: Learn
     omega = dataset_omega(ds, guess, config.skip)
     vbar = np.zeros((ds.n, H + 1))
     for u in range(1, H):
-        vbar[:, u] = _clipped_vbar_rows(ds.features[:, u], psi[u : u + 1], H)[0]
+        vbar[:, u] = _clipped_vbar_rows(ds, u, psi[u : u + 1])[0]
     worst = 0.0
     for h in range(H):
         cov = stage_covariance(ds, h, config.lam)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,7 +176,9 @@ class Dataset:
     """The one in-memory trajectory format: n >= 1 rollouts stacked into arrays.
 
     A sequence of trajectories (``ds[j]`` is row j as a ``Trajectory``);
-    ``features`` is None when sampled without a feature map.
+    ``features`` is None when sampled without a feature map.  The arrays are
+    treated as immutable after construction, which is what lets
+    ``visited_blocks`` be computed once and cached.
     """
 
     states: np.ndarray    # (n, H+1) int
@@ -215,6 +218,25 @@ class Dataset:
         if self.features is None:
             raise ValidationError("dataset carries no features")
         return self.features.shape[3]
+
+    @cached_property
+    def visited_blocks(self) -> list:
+        """Per stage h < H, ``(blocks, rows)``: the distinct recorded (A, d) feature
+        blocks, shape (m, A, d), and each row's index into them, shape (n,), so that
+        ``blocks[rows]`` equals ``features[:, h]`` exactly.
+
+        Rows are grouped by the bytes of their block, not by state: the features of
+        a loaded file need not be a function of the state.
+        """
+        self.dim  # refuses a featureless dataset by name
+        feats = np.ascontiguousarray(self.features)
+        n, H, A, d = feats.shape
+        keys = feats.reshape(n, H, A * d).view(np.dtype((np.void, A * d * feats.itemsize)))[..., 0]
+        out = []
+        for h in range(H):
+            _, first, rows = np.unique(keys[:, h], return_index=True, return_inverse=True)
+            out.append((feats[first, h], rows))
+        return out
 
     @classmethod
     def from_trajectories(cls, trajectories) -> "Dataset":

@@ -111,12 +111,14 @@ def omega_tables(guess: Guess, featmap, params: SkipParams) -> list:
 def dataset_omega(dataset: Dataset, guess: Guess, params: SkipParams) -> np.ndarray:
     """Skip probabilities at every visited state, from the recorded features.
 
-    Returns an (n, H+1) matrix; columns 0 and H are zero by definition.
+    Each stage's distinct feature blocks are scored once and gathered back to
+    the rows.  Returns an (n, H+1) matrix; columns 0 and H are zero by definition.
     """
     n, H = dataset.n, dataset.horizon
     omega = np.zeros((n, H + 1))
     for stage in range(1, H):
-        omega[:, stage] = _omega_block(dataset.features[:, stage], guess.panel(stage), params)
+        blocks, rows = dataset.visited_blocks[stage]
+        omega[:, stage] = _omega_block(blocks, guess.panel(stage), params)[rows]
     return omega
 
 

@@ -70,10 +70,11 @@ class TestGenerator:
         [
             ({"reward_kind": "bogus"}, "reward_kind"),
             ({"num_actions": 0}, "num_actions"),
+            ({"num_actions": -1}, "num_actions"),
             ({"stage_sizes": (2, 3, 1)}, "exactly one state"),
             ({"horizon": 0, "stage_sizes": (1,)}, "horizon"),
         ],
-        ids=["reward-kind", "no-actions", "wide-first-stage", "zero-horizon"],
+        ids=["reward-kind", "no-actions", "negative-actions", "wide-first-stage", "zero-horizon"],
     )
     def test_invalid_structure_named_at_once(self, change, named):
         kwargs = dict(d=2, horizon=2, stage_sizes=(1, 3, 1), num_actions=2, seed=0)

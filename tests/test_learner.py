@@ -322,6 +322,39 @@ class TestSkipOptimalPolicy:
         assert pistar.tables[0][0].max() == 1.0
 
 
+class TestVisitedBlocksShared:
+    """Every guess of a solve, and both calibration passes over a replicate, share
+    one grouping of each stage's feature blocks."""
+
+    @pytest.fixture
+    def groupings(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counting(ar, *args, **kwargs):
+            if ar.dtype.kind == "V":  # the byte keys of one stage's blocks
+                calls.append(ar.shape)
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        return calls
+
+    def test_solve_groups_each_stage_once(self, setup, groupings):
+        mdp, fm, behavior, guess, config, _ = setup
+        ds = sample_trajectories(mdp, behavior, 300, [3000, 1], fm)
+        guesses = guess_grid(guess, 0.3, 16, seed=2)
+        assert len(guesses) == 16
+        solve(ds, guesses, config, fm)
+        assert len(groupings) == ds.horizon
+        assert ds.visited_blocks is ds.visited_blocks
+        assert len(groupings) == ds.horizon
+
+    def test_calibrate_groups_each_replicate_once(self, setup, groupings):
+        mdp, fm, behavior, guess, config, _ = setup
+        calibrate(mdp, fm, behavior, guess, 200, config, replicates=2, delta=0.5, seed=19)
+        assert len(groupings) == 2 * mdp.horizon
+
+
 class TestCalibration:
     def test_produces_usable_thresholds(self, setup):
         mdp, fm, behavior, guess, config, _ = setup

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 
-from skiprl.design import Guess, build_true_guess, guess_grid, zero_guess
+from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import FeatureMap, random_linear_mdp, sample_policies
-from skiprl.mdp import ValidationError, sample_trajectories, sample_trajectory, uniform_policy
+from skiprl.learner import _clipped_vbar_rows
+from skiprl.mdp import Dataset, ValidationError, sample_trajectories, sample_trajectory, uniform_policy
 from skiprl.skipping import (
     ContractError,
     SkipParams,
@@ -283,3 +284,96 @@ class TestOmegaAgainstScalar:
             assert skip_probability(g, fm, stage, 0, params) == want
             assert tables[stage][0] == want
             assert np.all(omega[:, stage] == want)
+
+
+def omega_all_rows(ds, guess, params):
+    """The all-rows omega formula that scored every row of every stage."""
+    omega = np.zeros((ds.n, ds.horizon + 1))
+    for stage in range(1, ds.horizon):
+        scores = ds.features[:, stage] @ guess.panel(stage).T
+        spread = (scores.max(axis=-2) - scores.min(axis=-2)).max(axis=-1)
+        omega[:, stage] = np.clip(2.0 - spread / params.threshold, 0.0, 1.0)
+    return omega
+
+
+def vbar_all_rows(ds, h, thetas):
+    """The all-rows v-bar formula: every row's clipped max over actions, shape (k, n)."""
+    scores = np.einsum("nad,kd->kna", ds.features[:, h], thetas)
+    return np.clip(scores.max(axis=2), 0.0, ds.horizon)
+
+
+def hand_built_dataset(rng, n, H, A, d):
+    """Rows whose features are not a function of the state: each stage's block comes
+    from a small pool (including a -0.0/0.0 twin and an action permutation) or is fresh."""
+    pool = rng.normal(size=(4, A, d))
+    pool[0, 0, 0] = 0.0
+    pool[1] = pool[0]
+    pool[1, 0, 0] = -0.0
+    pool[2] = pool[0, ::-1]
+    feats = rng.normal(size=(n, H, A, d))
+    from_pool = rng.random((n, H)) < 0.7
+    feats[from_pool] = pool[rng.integers(0, 4, size=int(from_pool.sum()))]
+    states = np.zeros((n, H + 1), dtype=int)
+    states[:, 1:H] = rng.integers(0, 2, size=(n, H - 1))
+    actions = rng.integers(0, A, size=(n, H + 1))
+    return Dataset(states, actions, np.zeros((n, H + 1)), feats)
+
+
+class TestDistinctBlocks:
+    """``dataset_omega`` and ``_clipped_vbar_rows`` score each stage's distinct blocks
+    once; they must equal the all-rows formulas bit for bit."""
+
+    def check(self, ds, rng, d):
+        H, checked = ds.horizon, 0
+        for h, (blocks, rows) in enumerate(ds.visited_blocks):
+            assert blocks[rows].tobytes() == np.ascontiguousarray(ds.features[:, h]).tobytes()
+            thetas = rng.normal(scale=float(rng.choice([0.3, 3.0, 30.0])), size=(3, d))
+            assert _clipped_vbar_rows(ds, h, thetas).tobytes() == vbar_all_rows(ds, h, thetas).tobytes()
+        for _ in range(3):
+            scale = float(np.exp(rng.uniform(-3.0, 1.0)))
+            panels = [rng.normal(scale=scale, size=(panel_size(d), d)) for _ in range(H - 1)]
+            guess = Guess(horizon=H, panels=panels, radius_bound=1e9)
+            params = SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d)
+            omega = dataset_omega(ds, guess, params)
+            assert omega.tobytes() == omega_all_rows(ds, guess, params).tobytes()
+            checked += int(((omega > 0.0) & (omega < 1.0)).sum())
+        return checked
+
+    def test_sampled_datasets(self):
+        rng = np.random.default_rng(808)
+        interior = 0
+        for _ in range(25):
+            d, H, A = int(rng.integers(1, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            sizes = [1] + [int(rng.integers(1, 6)) for _ in range(H - 1)] + [1]
+            mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)))
+            n = int(rng.integers(1, 400))
+            ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
+            for h, (blocks, _) in enumerate(ds.visited_blocks):
+                if d >= 2:  # d = 1 simplex features are all 1, whatever the state
+                    assert len(blocks) == len(np.unique(ds.states[:, h]))
+            interior += self.check(ds, rng, d)
+        assert interior > 100
+
+    def test_features_not_a_function_of_the_state(self):
+        rng = np.random.default_rng(809)
+        for _ in range(25):
+            d, H, A = int(rng.integers(1, 6)), int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            ds = hand_built_dataset(rng, int(rng.integers(1, 300)), H, A, d)
+            self.check(ds, rng, d)
+
+    def test_signed_zero_and_permuted_blocks_stay_apart(self):
+        block = np.array([[0.0, 0.5], [0.25, -1.0]])
+        twin = block.copy()
+        twin[0, 0] = -0.0
+        stage1 = np.stack([block, twin, block[::-1], block, twin])  # equal values, three byte patterns
+        feats = np.stack([np.ones((5, 2, 2)), stage1], axis=1)
+        ds = Dataset(np.zeros((5, 3), dtype=int), np.zeros((5, 3), dtype=int), np.zeros((5, 3)), feats)
+        blocks, rows = ds.visited_blocks[1]
+        assert len(blocks) == 3 and len(ds.visited_blocks[0][0]) == 1
+        assert rows[0] == rows[3] and rows[1] == rows[4] and len({rows[0], rows[1], rows[2]}) == 3
+        self.check(ds, np.random.default_rng(810), 2)
+
+    def test_featureless_dataset_refused(self):
+        ds = Dataset(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int), np.zeros((2, 3)))
+        with pytest.raises(ValidationError, match="no features"):
+            ds.visited_blocks
