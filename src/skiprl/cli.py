@@ -9,7 +9,7 @@ import numpy as np
 
 from . import harness, oracles
 from .learner import serialize_outcome, solve
-from .mdp import Policy, save_mdp
+from .mdp import Policy, ValidationError, save_mdp
 
 
 def _load_cfg(path) -> harness.ExperimentConfig:
@@ -39,6 +39,10 @@ def cmd_learn(args) -> int:
     cfg = _load_cfg(args.config)
     inst = harness.build_instance(cfg)
     ds = harness.load_dataset(args.data)
+    want = (inst.mdp.horizon, inst.mdp.num_actions, inst.featmap.d)
+    got = (ds.horizon, *ds.features.shape[2:])
+    if got != want:
+        raise ValidationError(f"dataset {args.data} has (H, A, d) = {got}; the environment has {want}")
     lc, cal = harness.calibrated_config(cfg, inst, ds.n)
     outcome = solve(ds, inst.guesses, lc, inst.featmap)
     with open(args.out, "w") as fh:

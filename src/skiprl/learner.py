@@ -32,7 +32,7 @@ from .mdp import (
     greedy_table,
     sample_trajectories,
 )
-from .skipping import SkipParams, batch_skip_targets, dataset_omega, omega_tables
+from .skipping import SkipParams, batch_skip_targets, dataset_omega, omega_tables, stopping_law, targets_under_law
 
 MEMBER_TOL = 1e-12
 RADIUS_TOL = 1e-9
@@ -116,6 +116,10 @@ class StageCovariance:
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ self.matrix @ v, 0.0)))
 
+    def ridge(self, targets: np.ndarray) -> np.ndarray:
+        """Ridge solution X_h^{-1} phi_h^T targets for per-row ``targets`` (n,)."""
+        return self.inv @ (self.phi.T @ targets)
+
 
 def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     """The stage-h data of ``dataset``; it depends on the data and lam alone, never on a guess."""
@@ -137,7 +141,7 @@ def _clipped_vbar_rows(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarr
 def _anchor(rewards, omega, vbar_tail: np.ndarray, h: int, cov: StageCovariance) -> np.ndarray:
     """Ridge solution X_h^{-1} phi_h^T targets, the skip targets built from
     ``vbar_tail``, the v-bar values of stages h+1..H at the data, shape (n, H-h)."""
-    return cov.inv @ (cov.phi.T @ batch_skip_targets(rewards, omega, vbar_tail, h))
+    return cov.ridge(batch_skip_targets(rewards, omega, vbar_tail, h))
 
 
 def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: LearnerConfig) -> np.ndarray:
@@ -165,6 +169,13 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
 class StageSets:
     anchors: np.ndarray        # (m, d)
     members: np.ndarray        # (k, d) candidates that passed the ellipsoid test
+    combos: int                # tail combinations whose anchors were solved
+    subsampled: bool           # whether combo_cap cut the full enumeration to a sample
+    tails: int                 # distinct trajectory tails of the stage's data
+
+    def diagnostics(self) -> dict:
+        return {"anchors": int(self.anchors.shape[0]), "members": int(self.members.shape[0]),
+                "combos": self.combos, "subsampled": self.subsampled, "tails": self.tails}
 
 
 def _anchor_distance(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -226,12 +237,13 @@ def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
     return arr[np.sort(idx)]
 
 
-def _tail_combos(counts, cap: int, rng_seed) -> list:
+def _tail_combos(counts, cap: int, rng_seed):
+    """The tail combinations to solve and whether they are a seeded sample of all of them."""
     if math.prod(counts) <= cap:
-        return list(itertools.product(*[range(k) for k in counts]))
+        return list(itertools.product(*[range(k) for k in counts])), False
     rng = np.random.default_rng(rng_seed)
     draws = np.stack([rng.integers(0, k, size=cap) for k in counts], axis=1)
-    return [tuple(row) for row in _dedupe_rows(draws)]
+    return [tuple(row) for row in _dedupe_rows(draws)], True
 
 
 def _net(config: LearnerConfig, d: int):
@@ -269,11 +281,15 @@ def build_confidence_sets(
 
     for h in range(H - 1, -1, -1):
         counts = [vbar_rows[u].shape[0] for u in range(h + 1, H + 1)]
-        combos = _tail_combos(counts, config.combo_cap, [config.seed, h])
+        combos, subsampled = _tail_combos(counts, config.combo_cap, [config.seed, h])
+        # a target reads only its row's tail, so each distinct tail is scored once
+        first, back = dataset.tail_paths[h]
+        stop, cumrew = stopping_law(dataset.rewards[first], omega[first], h)
+        tail_vbar = [vbar_rows[u][:, first] for u in range(h + 1, H + 1)]
         anchors = np.empty((len(combos), d))
         for ci, combo in enumerate(combos):
-            fvals = np.stack([vbar_rows[u][c] for u, c in zip(range(h + 1, H + 1), combo)], axis=1)
-            anchors[ci] = _anchor(dataset.rewards, omega, fvals, h, covs[h])
+            fvals = np.stack([vals[c] for vals, c in zip(tail_vbar, combo)], axis=1)
+            anchors[ci] = covs[h].ridge(targets_under_law(stop, cumrew, fvals)[back])
         anchors = _dedupe_rows(anchors)
 
         pool = [anchors]
@@ -287,7 +303,8 @@ def build_confidence_sets(
         order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
         pool, stats = pool[order], stats[order]
         members = pool[_admitted(pool, stats, config)]
-        stage_sets[h] = StageSets(anchors=anchors, members=members)
+        stage_sets[h] = StageSets(anchors=anchors, members=members, combos=len(combos),
+                                  subsampled=subsampled, tails=len(first))
         if members.shape[0] == 0:
             empty_stage = h  # stages below h were never filled, so they stay None
             tight = []
@@ -426,6 +443,9 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
 
 
 def serialize_outcome(outcome: SolveOutcome) -> str:
+    """The outcome as sorted-key JSON; ``diagnostics`` holds, per guess, each stage's
+    anchor, member, combo and distinct-tail counts and whether its combos were
+    subsampled (None below an empty stage)."""
     doc = {
         "chosen_guess": outcome.chosen_guess,
         "all_rejected": outcome.all_rejected,
@@ -442,6 +462,10 @@ def serialize_outcome(outcome: SolveOutcome) -> str:
             for r in outcome.reports
         ],
         "policy": [t.tolist() for t in outcome.policy.tables],
+        "diagnostics": [
+            {"index": r.index, "stages": [None if st is None else st.diagnostics() for st in r.sets.stage_sets]}
+            for r in outcome.reports
+        ],
     }
     return json.dumps(doc, sort_keys=True)
 

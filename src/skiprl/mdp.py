@@ -238,6 +238,26 @@ class Dataset:
             out.append((feats[first, h], rows))
         return out
 
+    @cached_property
+    def tail_paths(self) -> list:
+        """Per stage h < H, ``(first, back)``: one row index per distinct trajectory
+        tail, shape (m,), and each row's tail index, shape (n,), so that row j and
+        row ``first[back[j]]`` share their tail.
+
+        A row's tail is its ``visited_blocks`` indices at stages h+1..H-1 and the
+        bytes of its rewards at stages h..H-1, which is everything a stage-h skip
+        target reads; ``-0.0`` and ``0.0`` rewards are different tails.
+        """
+        blocks = np.stack([rows for _, rows in self.visited_blocks], axis=1).astype(np.int64)
+        H = self.horizon
+        out = []
+        for h in range(H):
+            parts = np.hstack([blocks[:, h + 1 :], self.rewards[:, h:H].astype(np.float64).view(np.int64)])
+            keys = parts.view(np.dtype((np.void, parts.shape[1] * 8)))[:, 0]
+            _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+            out.append((first, back))
+        return out
+
     @classmethod
     def from_trajectories(cls, trajectories) -> "Dataset":
         """Stack trajectories with features; a ``Dataset`` with features comes back as is."""

@@ -122,9 +122,11 @@ def dataset_omega(dataset: Dataset, guess: Guess, params: SkipParams) -> np.ndar
     return omega
 
 
-def _stop_probs_from_omega(omega_tail: np.ndarray) -> np.ndarray:
-    """F(t) = (1 - w_t) prod_{u<t} w_u for the stage-wise skip probabilities."""
-    prefix = np.concatenate([[1.0], np.cumprod(omega_tail[:-1])])
+def stop_probabilities(omega_tail: np.ndarray) -> np.ndarray:
+    """F(t) = (1 - w_t) prod_{u<t} w_u along the last axis of the skip probabilities
+    ``omega_tail`` (..., T) of the stopping candidates, one law per leading index."""
+    ones = np.ones(omega_tail.shape[:-1] + (1,))
+    prefix = np.cumprod(np.concatenate([ones, omega_tail[..., :-1]], axis=-1), axis=-1)
     return prefix * (1.0 - omega_tail)
 
 
@@ -140,7 +142,7 @@ def stop_distribution(guess: Guess, featmap, traj: Trajectory, h: int, params: S
     omega_tail = np.array(
         [skip_probability(guess, featmap, t, int(traj.states[t]), params) for t in range(h + 1, H + 1)]
     )
-    return StopDistribution(start=h, probs=_stop_probs_from_omega(omega_tail))
+    return StopDistribution(start=h, probs=stop_probabilities(omega_tail))
 
 
 def _check_f(value: float, stage: int, horizon: int) -> float:
@@ -168,6 +170,21 @@ def skip_target(guess: Guess, featmap, traj: Trajectory, h: int, f, params: Skip
     return total
 
 
+def stopping_law(rewards: np.ndarray, omega: np.ndarray, h: int):
+    """The parts of the stage-h skip targets that do not depend on the value function.
+
+    Returns ``(stop, cumrew)``, both (n, H-h): each row's stopping law over
+    stages h+1..H and its rewards accumulated from stage h up to each of them.
+    """
+    H = rewards.shape[1] - 1
+    return stop_probabilities(omega[:, h + 1 : H + 1]), np.cumsum(rewards[:, h:H], axis=1)
+
+
+def targets_under_law(stop: np.ndarray, cumrew: np.ndarray, fvals: np.ndarray) -> np.ndarray:
+    """Skip targets of the rows of a ``stopping_law`` with value-function evaluations ``fvals``."""
+    return np.sum(stop * (cumrew + fvals), axis=1)
+
+
 def batch_skip_targets(rewards: np.ndarray, omega: np.ndarray, fvals: np.ndarray, h: int) -> np.ndarray:
     """Vectorised skip targets for a dataset at stage h.
 
@@ -178,9 +195,4 @@ def batch_skip_targets(rewards: np.ndarray, omega: np.ndarray, fvals: np.ndarray
     fvals : (n, H-h) value-function evaluations at the stopping candidates
         (stages h+1..H; the last column must be zero for the terminal stage)
     """
-    H = rewards.shape[1] - 1
-    W = omega[:, h + 1 : H + 1]
-    prefix = np.cumprod(np.hstack([np.ones((W.shape[0], 1)), W[:, :-1]]), axis=1)
-    stop = prefix * (1.0 - W)
-    cumrew = np.cumsum(rewards[:, h:H], axis=1)
-    return np.sum(stop * (cumrew + fvals), axis=1)
+    return targets_under_law(*stopping_law(rewards, omega, h), fvals)

@@ -72,6 +72,35 @@ def test_learn_names_the_line_of_misshapen_features(tmp_path, config_file, capsy
     assert "line 1" in err and "features must have shape" in err
 
 
+def reshaped_copy(src, dst, reshape):
+    """Rewrite every line of a ``collect`` file through ``reshape(doc)``."""
+    with open(src) as fh, open(dst, "w") as out:
+        for line in fh:
+            doc = json.loads(line)
+            reshape(doc)
+            out.write(json.dumps(doc) + "\n")
+
+
+def pad_features(doc):
+    doc["features"] = [[vec + [0.0] for vec in stage] for stage in doc["features"]]
+
+
+def add_stage(doc):
+    doc["steps"].insert(-1, [0, 0, 0.0])
+    doc["features"].append(doc["features"][-1])
+
+
+@pytest.mark.parametrize("reshape, shape", [(pad_features, "(2, 2, 3)"), (add_stage, "(3, 2, 2)")])
+def test_learn_names_a_dataset_shaped_unlike_the_environment(tmp_path, config_file, capsys, reshape, shape):
+    data_path, bad_path = str(tmp_path / "data.jsonl"), str(tmp_path / "bad.jsonl")
+    assert main(["collect", "--config", config_file, "--n", "5", "--out", data_path]) == 0
+    reshaped_copy(data_path, bad_path, reshape)
+    capsys.readouterr()
+    assert main(["learn", "--config", config_file, "--data", bad_path, "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"(H, A, d) = {shape}" in err and "the environment has (2, 2, 2)" in err and bad_path in err
+
+
 def test_sweep_and_plot(tmp_path, config_file):
     out_dir = str(tmp_path / "results")
     assert main(["sweep", "--config", config_file, "--out-dir", out_dir]) == 0

@@ -1,13 +1,23 @@
 import json
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skiprl.design import build_true_guess, guess_grid, zero_guess
+from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import fit_policy_params, random_linear_mdp, sample_policies
 from skiprl.learner import (
     LearnerConfig,
+    _admitted,
+    _anchor,
+    _anchor_distance,
+    _clipped_vbar_rows,
+    _dedupe_rows,
+    _net,
+    _tail_combos,
     build_confidence_sets,
     calibrate,
     clipped_q,
@@ -23,8 +33,8 @@ from skiprl.learner import (
     start_value,
     tightness,
 )
-from skiprl.mdp import Dataset, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
-from skiprl.skipping import SkipParams
+from skiprl.mdp import REWARD_KINDS, Dataset, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
+from skiprl.skipping import SkipParams, dataset_omega
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +303,26 @@ class TestSolve:
         b = serialize_outcome(solve(ds, guesses, config, fm))
         assert a == b
 
+    @pytest.mark.parametrize("theta_radius", [2.0, 1e-9])
+    def test_diagnostics_leave_the_other_keys_unchanged(self, setup, theta_radius):
+        # multi-member sets with subsampled combos, or every guess empty at stage H-1
+        mdp, fm, behavior, guess, config, ds = setup
+        cfg = replace(config, net_spacing=0.8, theta_radius=theta_radius, beta=1e9, grid_per_stage=12, combo_cap=5)
+        out = solve(ds, guess_grid(guess, 0.3, 4, seed=2), cfg, fm)
+        text = serialize_outcome(out)
+        diag = json.loads(text)["diagnostics"]
+        assert text.replace(f'"diagnostics": {json.dumps(diag, sort_keys=True)}, ', "") == serialize_before_diagnostics(out)
+        assert [entry["index"] for entry in diag] == [r.index for r in out.reports]
+        for entry, report in zip(diag, out.reports):
+            for h, (stage, sets) in enumerate(zip(entry["stages"], report.sets.stage_sets)):
+                if sets is None:
+                    assert stage is None and h < report.empty_stage
+                    continue
+                assert stage == {"anchors": len(sets.anchors), "members": len(sets.members), "combos": sets.combos,
+                                 "subsampled": sets.subsampled, "tails": len(ds.tail_paths[h][0])}
+        stages = [stage for entry in diag for stage in entry["stages"] if stage is not None]
+        assert any(stage["subsampled"] for stage in stages) == (theta_radius == 2.0)
+
     def test_greedy_ties_break_low(self, setup):
         mdp, fm, *_ = setup
         pi = greedy_policy(fm, np.zeros((4, 2)))
@@ -324,7 +354,7 @@ class TestSkipOptimalPolicy:
 
 class TestVisitedBlocksShared:
     """Every guess of a solve, and both calibration passes over a replicate, share
-    one grouping of each stage's feature blocks."""
+    one grouping of each stage's feature blocks and one of its trajectory tails."""
 
     @pytest.fixture
     def groupings(self, monkeypatch):
@@ -332,8 +362,8 @@ class TestVisitedBlocksShared:
         unique = np.unique
 
         def counting(ar, *args, **kwargs):
-            if ar.dtype.kind == "V":  # the byte keys of one stage's blocks
-                calls.append(ar.shape)
+            if ar.dtype.kind == "V":  # the byte keys of one stage's blocks or tails
+                calls.append(sys._getframe(1).f_code.co_name)
             return unique(ar, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting)
@@ -341,18 +371,209 @@ class TestVisitedBlocksShared:
 
     def test_solve_groups_each_stage_once(self, setup, groupings):
         mdp, fm, behavior, guess, config, _ = setup
-        ds = sample_trajectories(mdp, behavior, 300, [3000, 1], fm)
-        guesses = guess_grid(guess, 0.3, 16, seed=2)
-        assert len(guesses) == 16
-        solve(ds, guesses, config, fm)
-        assert len(groupings) == ds.horizon
-        assert ds.visited_blocks is ds.visited_blocks
-        assert len(groupings) == ds.horizon
+        for count, seed in [(16, 1), (1, 2)]:
+            groupings.clear()
+            ds = sample_trajectories(mdp, behavior, 300, [3000, seed], fm)
+            guesses = guess_grid(guess, 0.3, count, seed=2)
+            assert len(guesses) == count
+            solve(ds, guesses, config, fm)
+            assert groupings.count("visited_blocks") == ds.horizon
+            assert groupings.count("tail_paths") == ds.horizon
+            assert len(groupings) == 2 * ds.horizon
+            assert ds.visited_blocks is ds.visited_blocks and ds.tail_paths is ds.tail_paths
+            assert len(groupings) == 2 * ds.horizon
 
     def test_calibrate_groups_each_replicate_once(self, setup, groupings):
         mdp, fm, behavior, guess, config, _ = setup
         calibrate(mdp, fm, behavior, guess, 200, config, replicates=2, delta=0.5, seed=19)
-        assert len(groupings) == 2 * mdp.horizon
+        assert groupings.count("visited_blocks") == 2 * mdp.horizon
+        assert groupings.count("tail_paths") == 2 * mdp.horizon
+        assert len(groupings) == 4 * mdp.horizon
+
+
+def serialize_before_diagnostics(outcome):
+    """``serialize_outcome`` as it was before the ``diagnostics`` key."""
+    doc = {
+        "chosen_guess": outcome.chosen_guess,
+        "all_rejected": outcome.all_rejected,
+        "fallback_used": outcome.all_rejected,
+        "vbar_start": outcome.vbar_start,
+        "thetas": outcome.thetas.tolist(),
+        "per_guess": [
+            {"index": r.index, "feasible": r.feasible, "empty_stage": r.empty_stage, "tightness": list(r.tightness)}
+            for r in outcome.reports
+        ],
+        "policy": [t.tolist() for t in outcome.policy.tables],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def reference_sets(dataset, guess, config, covs, extra_candidates=None):
+    """The construction before tail grouping: each combo's anchor is ``_anchor`` on
+    all n rows.  Returns per stage ``(anchors, members)`` (None below an empty
+    stage), the tightness list and the empty stage."""
+    n, H, d = dataset.n, dataset.horizon, dataset.dim
+    omega = dataset_omega(dataset, guess, config.skip)
+    net = _net(config, d)
+    sets, tight = [None] * H, [None] * H
+    vbar_rows = [None] * (H + 1)
+    vbar_rows[H] = np.zeros((1, n))
+    for h in range(H - 1, -1, -1):
+        counts = [vbar_rows[u].shape[0] for u in range(h + 1, H + 1)]
+        combos, _ = _tail_combos(counts, config.combo_cap, [config.seed, h])
+        anchors = np.empty((len(combos), d))
+        for ci, combo in enumerate(combos):
+            fvals = np.stack([vbar_rows[u][c] for u, c in zip(range(h + 1, H + 1), combo)], axis=1)
+            anchors[ci] = _anchor(dataset.rewards, omega, fvals, h, covs[h])
+        anchors = _dedupe_rows(anchors)
+        pool = [anchors]
+        if extra_candidates and h in extra_candidates:
+            pool.append(np.asarray(extra_candidates[h], dtype=float).reshape(-1, d))
+        if net is not None:
+            pool.append(net)
+        pool = _dedupe_rows(np.vstack(pool))
+        stats = _anchor_distance(anchors, covs[h].matrix, pool)
+        order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
+        pool, stats = pool[order], stats[order]
+        members = pool[_admitted(pool, stats, config)]
+        sets[h] = (anchors, members)
+        if members.shape[0] == 0:
+            return sets, [], h
+        tight[h] = tightness(covs[h].phi, members, H)
+        if h >= 1:
+            vbar_rows[h] = _clipped_vbar_rows(dataset, h, members)
+    return sets, tight, None
+
+
+def random_guess(rng, H, d):
+    scale = float(np.exp(rng.uniform(-3.0, 1.0)))
+    panels = [rng.normal(scale=scale, size=(panel_size(d), d)) for _ in range(H - 1)]
+    return Guess(horizon=H, panels=panels, radius_bound=1e9)
+
+
+def hand_built_dataset(rng, n, H, A, d):
+    """Rows whose features are drawn independently of the state, from a small pool of
+    blocks or fresh, with rewards from a small pool that holds a -0.0/0.0 twin."""
+    pool = rng.dirichlet(np.ones(d), size=(3, A))
+    feats = rng.dirichlet(np.ones(d), size=(n, H, A))
+    from_pool = rng.random((n, H)) < 0.8
+    feats[from_pool] = pool[rng.integers(0, 3, size=int(from_pool.sum()))]
+    states = np.zeros((n, H + 1), dtype=int)
+    states[:, 1:H] = rng.integers(0, 2, size=(n, H - 1))
+    actions = rng.integers(0, A, size=(n, H + 1))
+    rewards = np.array([0.0, -0.0, 0.25, 1.0])[rng.integers(0, 4, size=(n, H + 1))]
+    rewards[:, H] = 0.0
+    return Dataset(states, actions, rewards, feats)
+
+
+class TestTailGrouping:
+    """``build_confidence_sets`` scores each distinct trajectory tail once; its anchors,
+    members and tightness must equal the all-rows construction bit for bit."""
+
+    @staticmethod
+    def check(ds, guess, config, extras=None):
+        stage_covs = covs(ds, config)
+        got = build_confidence_sets(ds, guess, config, stage_covs, extra_candidates=extras)
+        sets, tight, empty = reference_sets(ds, guess, config, stage_covs, extra_candidates=extras)
+        assert got.empty_stage == empty
+        assert np.array(got.tightness).tobytes() == np.array(tight).tobytes()
+        for h, stage in enumerate(got.stage_sets):
+            if sets[h] is None:
+                assert stage is None
+                continue
+            assert stage.anchors.tobytes() == sets[h][0].tobytes()
+            assert stage.members.tobytes() == sets[h][1].tobytes()
+            assert stage.tails == len(ds.tail_paths[h][0])
+        return got
+
+    @staticmethod
+    def config_for(rng, d, H, multi, combo_cap):
+        """Singleton sets, multi-member sets from a net or from extra candidates, or
+        a ball too small for any anchor."""
+        base = LearnerConfig(lam=float(rng.uniform(0.1, 2.0)), beta=1e9, eps_bar=1.0, theta_radius=1e6,
+                             skip=SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d),
+                             grid_per_stage=int(rng.integers(1, 9)), combo_cap=combo_cap, seed=int(rng.integers(0, 99)))
+        if multi == "net":
+            return replace(base, theta_radius=2.0, net_spacing=float(rng.uniform(0.6, 1.2))), None
+        if multi == "extras":
+            return base, {h: rng.normal(size=(int(rng.integers(1, 5)), d)) for h in range(H)}
+        if multi == "empty":
+            return replace(base, theta_radius=1e-9), None
+        return replace(base, beta=float(np.exp(rng.uniform(-5.0, 2.0)))), None
+
+    @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(REWARD_KINDS),
+           multi=st.sampled_from(["net", "extras", "plain", "empty"]), combo_cap=st.sampled_from([1, 3, 7, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_datasets(self, seed, kind, multi, combo_cap):
+        rng = np.random.default_rng(seed)
+        d, A = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        H = int(rng.choice([1, 2, 3, 4, 5, 9]))  # H = 9 sums tails of 8 or more terms
+        sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+        mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)), reward_kind=kind)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), int(rng.integers(1, 300)), int(rng.integers(0, 2**31)), fm)
+        config, extras = self.config_for(rng, d, H, multi, combo_cap)
+        self.check(ds, random_guess(rng, H, d), config, extras)
+
+    @given(seed=st.integers(0, 2**31 - 1), multi=st.sampled_from(["net", "extras", "plain", "empty"]),
+           combo_cap=st.sampled_from([1, 3, 64]))
+    @settings(max_examples=30, deadline=None)
+    def test_features_not_a_function_of_the_state(self, seed, multi, combo_cap):
+        rng = np.random.default_rng(seed)
+        d, H, A = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        ds = hand_built_dataset(rng, int(rng.integers(1, 200)), H, A, d)
+        config, extras = self.config_for(rng, d, H, multi, combo_cap)
+        self.check(ds, random_guess(rng, H, d), config, extras)
+
+    def test_multi_member_and_subsampled_stages(self, setup):
+        # wide panels keep the interior states (the true guess skips them all), so
+        # the tail values reach the targets and the combos give distinct anchors
+        mdp, fm, behavior, guess, config, ds = setup
+        wide = Guess(horizon=3, panels=[3.0 * p for p in np.random.default_rng(4).normal(size=(2, panel_size(2), 2))],
+                     radius_bound=1e9)
+        cfg = replace(config, net_spacing=0.8, theta_radius=2.0, beta=1e9, grid_per_stage=12, combo_cap=5)
+        sets = self.check(ds, wide, cfg)
+        stages = sets.stage_sets
+        assert max(s.members.shape[0] for s in stages) > 1 and max(s.anchors.shape[0] for s in stages) > 1
+        assert any(s.subsampled for s in stages) and not stages[-1].subsampled
+        for h, s in enumerate(stages):
+            counts = [stages[u].members.shape[0] for u in range(h + 1, ds.horizon)]
+            assert s.subsampled == (math.prod(counts) > cfg.combo_cap)
+            assert s.combos == math.prod(counts) if not s.subsampled else 1 <= s.combos <= cfg.combo_cap
+            assert s.anchors.shape[0] <= s.combos
+            assert s.tails < ds.n
+
+    def test_signed_zero_reward_twins(self):
+        # the tails differ only in the sign of a zero reward, so they are scored apart
+        feats = np.full((4, 2, 1, 1), 1.0)
+        rewards = np.array([[0.5, 0.0, 0.0], [0.5, -0.0, 0.0], [0.5, 0.0, 0.0], [0.25, -0.0, 0.0]])
+        ds = Dataset(np.zeros((4, 3), dtype=int), np.zeros((4, 3), dtype=int), rewards, feats)
+        first, back = ds.tail_paths[1]
+        assert len(first) == 2 and back[0] == back[2] and back[0] != back[1] and back[1] == back[3]
+        first, back = ds.tail_paths[0]
+        assert len(first) == 3 and back[0] == back[2]
+        config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, skip=SkipParams(alpha=0.5, d=1))
+        self.check(ds, zero_guess(2, 1), config)
+
+
+class TestTailPaths:
+    def test_first_and_back_reproduce_every_tail(self):
+        rng = np.random.default_rng(811)
+        for _ in range(20):
+            d, H, A = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            ds = hand_built_dataset(rng, int(rng.integers(1, 200)), H, A, d)
+            rows = np.stack([r for _, r in ds.visited_blocks], axis=1)
+            for h, (first, back) in enumerate(ds.tail_paths):
+                assert first.shape == (len(set(back.tolist())),) and back.shape == (ds.n,)
+                same = first[back]
+                assert np.array_equal(rows[same, h + 1 :], rows[:, h + 1 :])
+                assert ds.rewards[same, h:H].tobytes() == ds.rewards[:, h:H].tobytes()
+                distinct = {(rows[j, h + 1 :].tobytes(), ds.rewards[j, h:H].tobytes()) for j in range(ds.n)}
+                assert len(first) == len(distinct)
+
+    def test_featureless_dataset_refused(self):
+        ds = Dataset(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int), np.zeros((2, 3)))
+        with pytest.raises(ValidationError, match="no features"):
+            ds.tail_paths
 
 
 class TestCalibration:
