@@ -174,7 +174,7 @@ class StageSets:
     tails: int                 # distinct trajectory tails of the stage's data
 
     def diagnostics(self) -> dict:
-        return {"anchors": int(self.anchors.shape[0]), "members": int(self.members.shape[0]),
+        return {"anchors": len(self.anchors), "members": len(self.members),
                 "combos": self.combos, "subsampled": self.subsampled, "tails": self.tails}
 
 

@@ -178,7 +178,7 @@ class Dataset:
     A sequence of trajectories (``ds[j]`` is row j as a ``Trajectory``);
     ``features`` is None when sampled without a feature map.  The arrays are
     treated as immutable after construction, which is what lets
-    ``visited_blocks`` be computed once and cached.
+    ``visited_blocks`` and ``tail_paths`` be computed once and cached.
     """
 
     states: np.ndarray    # (n, H+1) int
@@ -244,18 +244,22 @@ class Dataset:
         tail, shape (m,), and each row's tail index, shape (n,), so that row j and
         row ``first[back[j]]`` share their tail.
 
-        A row's tail is its ``visited_blocks`` indices at stages h+1..H-1 and the
-        bytes of its rewards at stages h..H-1, which is everything a stage-h skip
-        target reads; ``-0.0`` and ``0.0`` rewards are different tails.
+        A row's stage-h tail is its ``visited_blocks`` indices at stages h+1..H-1
+        and the bytes of its rewards at stages h..H-1, which is everything a
+        stage-h skip target reads; ``-0.0`` and ``0.0`` rewards are different
+        tails.  It is keyed, from the last stage down, by the bytes of (reward at
+        h, block at h+1, tail at h+1).
         """
-        blocks = np.stack([rows for _, rows in self.visited_blocks], axis=1).astype(np.int64)
+        none = np.zeros(self.n, dtype=np.int64)  # stage H has no block and one empty tail
+        rows = [r for _, r in self.visited_blocks] + [none]  # refuses a featureless dataset by name
         H = self.horizon
-        out = []
-        for h in range(H):
-            parts = np.hstack([blocks[:, h + 1 :], self.rewards[:, h:H].astype(np.float64).view(np.int64)])
-            keys = parts.view(np.dtype((np.void, parts.shape[1] * 8)))[:, 0]
-            _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-            out.append((first, back))
+        out = [None] * H
+        back = none
+        for h in range(H - 1, -1, -1):
+            reward = self.rewards[:, h].astype(np.float64).view(np.int64)
+            keys = np.stack([reward, rows[h + 1], back], axis=1).astype(np.int64, copy=False)
+            _, first, back = np.unique(keys.view(np.dtype((np.void, 24)))[:, 0], return_index=True, return_inverse=True)
+            out[h] = (first, back)
         return out
 
     @classmethod

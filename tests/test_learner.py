@@ -303,11 +303,12 @@ class TestSolve:
         b = serialize_outcome(solve(ds, guesses, config, fm))
         assert a == b
 
-    @pytest.mark.parametrize("theta_radius", [2.0, 1e-9])
-    def test_diagnostics_leave_the_other_keys_unchanged(self, setup, theta_radius):
+    @pytest.mark.parametrize("net_spacing, theta_radius", [(0.8, 2.0), (None, 1e-9)])
+    def test_diagnostics_leave_the_other_keys_unchanged(self, setup, net_spacing, theta_radius):
         # multi-member sets with subsampled combos, or every guess empty at stage H-1
         mdp, fm, behavior, guess, config, ds = setup
-        cfg = replace(config, net_spacing=0.8, theta_radius=theta_radius, beta=1e9, grid_per_stage=12, combo_cap=5)
+        cfg = replace(config, net_spacing=net_spacing, theta_radius=theta_radius, beta=1e9, grid_per_stage=12,
+                      combo_cap=5)
         out = solve(ds, guess_grid(guess, 0.3, 4, seed=2), cfg, fm)
         text = serialize_outcome(out)
         diag = json.loads(text)["diagnostics"]
@@ -321,7 +322,8 @@ class TestSolve:
                 assert stage == {"anchors": len(sets.anchors), "members": len(sets.members), "combos": sets.combos,
                                  "subsampled": sets.subsampled, "tails": len(ds.tail_paths[h][0])}
         stages = [stage for entry in diag for stage in entry["stages"] if stage is not None]
-        assert any(stage["subsampled"] for stage in stages) == (theta_radius == 2.0)
+        assert any(stage["subsampled"] for stage in stages) == (net_spacing is not None)
+        assert all(r.empty_stage == (None if net_spacing else mdp.horizon - 1) for r in out.reports)
 
     def test_greedy_ties_break_low(self, setup):
         mdp, fm, *_ = setup
