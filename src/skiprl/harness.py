@@ -379,25 +379,75 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
 def save_dataset(dataset: Dataset, path) -> None:
     """One trajectory per line: {"steps": [[s,a,r]...], "features": [...]}. Lossless.
 
+    Each stage's distinct feature blocks (``Dataset.visited_blocks``, keyed by
+    their bytes) are encoded once with ``json.dumps``; a line's features are
+    its blocks' texts joined as ``json.dumps`` would join them, so the bytes
+    equal one ``json.dumps`` per trajectory.  Steps are encoded per line.
     A featureless ``Dataset`` raises ``ValidationError`` before the file is opened.
     """
     if dataset.features is None:
         raise ValidationError("dataset carries no features")
+    texts, ids = [], []
+    for blocks, rows in dataset.visited_blocks:
+        ids.append(rows + len(texts))
+        texts.extend(json.dumps(block.tolist()) for block in blocks)
+    ids = np.array(ids, dtype=np.int64).reshape(dataset.horizon, dataset.n).T
     # row views converted one at a time, so the Python lists stay small
-    rows = zip(dataset.states, dataset.actions, dataset.rewards, dataset.features)
+    rows = zip(dataset.states, dataset.actions, dataset.rewards, ids)
     with open(path, "w") as fh:
-        for states, actions, rewards, features in rows:
-            steps = [list(step) for step in zip(states.tolist(), actions.tolist(), rewards.tolist())]
-            fh.write(json.dumps({"steps": steps, "features": features.tolist()}) + "\n")
+        for states, actions, rewards, row_ids in rows:
+            steps = json.dumps([list(step) for step in zip(states.tolist(), actions.tolist(), rewards.tolist())])
+            features = ", ".join([texts[i] for i in row_ids.tolist()])
+            fh.write(f'{{"steps": {steps}, "features": [{features}]}}\n')
 
 
-def load_dataset(path) -> Dataset:
-    """The ``Dataset`` of a ``save_dataset`` file: per-line arrays, each field stacked once.
+_HEAD, _MID, _END = '{"steps": ', ', "features": ', "}\n"
+_STAGE_SEP = "]], [["  # between two (A, d) blocks of a line's features
 
-    Bad JSON, a missing key, shapes unlike line 1's, a broken trajectory invariant,
-    features not shaped (H, A, d) or an empty file raise ``ValidationError`` naming
-    the file (and the line).  The invariants are checked once on the stacked arrays;
-    only when that check fails are the rows searched for the first bad one."""
+
+def _load_canonical(fh) -> Dataset | None:
+    """The ``Dataset`` of a file whose every line has the writer's exact form, else None.
+
+    A line ``{"steps": S, "features": [[[B0]], [[B1]], ...]}`` is cut at the first
+    ``, "features": `` and its features at every ``]], [[``.  When S and every
+    ``[[Bh]]`` each decode as one complete JSON value, the line is exactly the
+    object with those two values, so this parse equals ``json.loads(line)``.
+    Each distinct block text is decoded once; a row keeps only its block ids.
+    """
+    memo, blocks, ids, paths = {}, [], [], []
+    try:
+        for line in fh:
+            cut = line.find(_MID)
+            if not (line.startswith(_HEAD) and line.endswith(_END) and cut > 0):
+                return None
+            features = line[cut + len(_MID) : -len(_END)]
+            if not (features.startswith("[[[") and features.endswith("]]]")):
+                return None
+            row = []
+            for part in features[3:-3].split(_STAGE_SEP):
+                i = memo.get(part)
+                if i is None:
+                    i = memo[part] = len(blocks)
+                    blocks.append(np.array(json.loads("[[" + part + "]]"), dtype=float))
+                row.append(i)
+            if ids and len(row) != len(ids[0]):
+                return None
+            ids.append(row)
+            states, actions, rewards = zip(*json.loads(line[len(_HEAD) : cut]))
+            paths.append((states, actions, rewards))
+        states, actions, rewards = zip(*paths)  # raises on an empty file
+        return Dataset(
+            np.array(states, dtype=int),
+            np.array(actions, dtype=int),
+            np.array(rewards, dtype=float),
+            np.stack(blocks)[np.array(ids)],
+        )
+    except Exception:  # the reference loop names what is wrong
+        return None
+
+
+def _load_lines(path) -> Dataset:
+    """The reference reader: ``json.loads`` per line, and the only place errors are named."""
     rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -426,6 +476,23 @@ def load_dataset(path) -> Dataset:
             except ValidationError as err:
                 raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
         raise
+
+
+def load_dataset(path) -> Dataset:
+    """The ``Dataset`` of a ``save_dataset`` file, each field stacked once.
+
+    Lines in the writer's exact form take a fast path that decodes each distinct
+    feature block once and builds the features with one gather.  Any other file
+    (other whitespace or key order, extra keys, blank lines, a last line without
+    a newline, or anything malformed) is read by the per-line reference loop,
+    whose arrays are the same.  Bad JSON, a missing key, shapes unlike line 1's,
+    a broken trajectory invariant, features not shaped (H, A, d) or an empty file
+    raise ``ValidationError`` from that loop, naming the file (and the line).
+    The invariants are checked once on the stacked arrays; only when that check
+    fails are the rows searched for the first bad one."""
+    with open(path) as fh:
+        dataset = _load_canonical(fh)
+    return _load_lines(path) if dataset is None else dataset
 
 
 # ---------------------------------------------------------------------------

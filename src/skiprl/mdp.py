@@ -231,6 +231,8 @@ class Dataset:
         self.dim  # refuses a featureless dataset by name
         feats = np.ascontiguousarray(self.features)
         n, H, A, d = feats.shape
+        if A * d == 0:  # every block is empty, so each stage has one
+            return [(feats[:1, h], np.zeros(n, dtype=np.intp)) for h in range(H)]
         keys = feats.reshape(n, H, A * d).view(np.dtype((np.void, A * d * feats.itemsize)))[..., 0]
         out = []
         for h in range(H):

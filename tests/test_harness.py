@@ -1,10 +1,12 @@
 import json
 import os
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skiprl import harness
 from skiprl.harness import (
@@ -19,7 +21,8 @@ from skiprl.harness import (
     sweep,
     verify,
 )
-from skiprl.mdp import Dataset, ValidationError
+from skiprl.envs import random_linear_mdp
+from skiprl.mdp import Dataset, ValidationError, sample_trajectories, uniform_policy
 from skiprl.oracles import suboptimality
 
 
@@ -47,6 +50,100 @@ def mask_wall(text: str) -> str:
     return "\n".join(out)
 
 
+def reference_load(path) -> Dataset:
+    """The per-line ``json.loads`` loader that ``load_dataset``'s fast path must reproduce."""
+    rows, linenos = [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                states, actions, rewards = zip(*doc["steps"])
+                features = np.array(doc["features"], dtype=float)
+                row = (np.array(states, dtype=int), np.array(actions, dtype=int), np.array(rewards, dtype=float), features)
+                if rows and [a.shape for a in row] != [a.shape for a in rows[0]]:
+                    raise ValidationError("array shapes differ from the first trajectory's")
+            except Exception as err:
+                raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
+            rows.append(row)
+            linenos.append(lineno)
+    if not rows:
+        raise ValidationError(f"{path}: cannot build a dataset from zero trajectories")
+    fields = [np.stack(field) for field in zip(*rows)]
+    try:
+        return Dataset(*fields)
+    except ValidationError:
+        for j, lineno in enumerate(linenos):
+            try:
+                Dataset(*(a[j : j + 1] for a in fields))
+            except ValidationError as err:
+                raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
+        raise
+
+
+def assert_same_arrays(got: Dataset, want: Dataset) -> None:
+    for key in ("states", "actions", "rewards", "features"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), key
+
+
+def assert_same_error(path, match) -> None:
+    """``load_dataset`` raises exactly the reference loop's message."""
+    with pytest.raises(ValidationError, match=match) as err:
+        load_dataset(path)
+    with pytest.raises(ValidationError) as ref:
+        reference_load(path)
+    assert str(err.value) == str(ref.value)
+
+
+def trajectory_docs(ds: Dataset) -> list:
+    return [
+        {"steps": [list(step) for step in zip(s.tolist(), a.tolist(), r.tolist())], "features": f.tolist()}
+        for s, a, r, f in zip(ds.states, ds.actions, ds.rewards, ds.features)
+    ]
+
+
+def per_trajectory_text(ds: Dataset) -> str:
+    """What the writer wrote before it encoded blocks once: one ``json.dumps`` per row."""
+    return "".join(json.dumps(doc) + "\n" for doc in trajectory_docs(ds))
+
+
+def twin_block_dataset(rng, n, H, A, d) -> Dataset:
+    """Rows whose features are drawn independently of the state, mostly from a pool that
+    holds a zero block and its -0.0 twin, with rewards that hold -0.0."""
+    zero = np.zeros((A, d))
+    pool = np.stack([zero, -zero, rng.normal(size=(A, d)), rng.normal(size=(A, d))])
+    feats = rng.normal(size=(n, H, A, d))
+    from_pool = rng.random((n, H)) < 0.8
+    feats[from_pool] = pool[rng.integers(0, len(pool), size=int(from_pool.sum()))]
+    states = np.zeros((n, H + 1), dtype=int)
+    states[:, 1:H] = rng.integers(0, 3, size=(n, H - 1))
+    actions = rng.integers(0, A, size=(n, H + 1))
+    rewards = np.array([0.0, -0.0, 0.25, 1.0])[rng.integers(0, 4, size=(n, H + 1))]
+    rewards[:, H] = -0.0
+    return Dataset(states, actions, rewards, feats)
+
+
+# valid files that are not in the writer's exact form, so they take the per-line loop
+FILE_FORMS = {
+    "canonical": lambda docs: "".join(json.dumps(doc) + "\n" for doc in docs),
+    "compact": lambda docs: "".join(json.dumps(doc, separators=(",", ":")) + "\n" for doc in docs),
+    "features-first": lambda docs: "".join(json.dumps({"features": doc["features"], "steps": doc["steps"]}) + "\n" for doc in docs),
+    "extra-key": lambda docs: "".join(json.dumps({**doc, "note": [[[0.5]]]}) + "\n" for doc in docs),
+    # json.loads keeps the last of a repeated key, so the first value is a decoy
+    "repeated-steps": lambda docs: "".join(
+        '{"steps": ' + json.dumps([[s, a, 0.5 * (t < len(doc["steps"]) - 1)] for t, (s, a, _) in enumerate(doc["steps"])])
+        + ", " + json.dumps(doc)[1:] + "\n" for doc in docs),
+    "repeated-features": lambda docs: "".join(
+        json.dumps({"steps": doc["steps"], "features": (-np.array(doc["features"]) - 1).tolist()})[:-1]
+        + ', "features": ' + json.dumps(doc["features"]) + "}\n" for doc in docs),
+    "blank-lines": lambda docs: "\n" + "\n\n".join(json.dumps(doc) for doc in docs) + "\n\n",
+    "no-final-newline": lambda docs: "\n".join(json.dumps(doc) for doc in docs),
+    "crlf": lambda docs: "".join(json.dumps(doc) + "\r\n" for doc in docs),
+}
+
+
 class TestConfig:
     def test_json_roundtrip(self):
         cfg = tiny_config()
@@ -68,24 +165,21 @@ class TestConfig:
 
 class TestDatasetPersistence:
     def test_roundtrip_lossless(self, tmp_path, fixed_instance):
+        # rows 0 and 1 both start at the start state, so their stage-0 blocks become -0.0/0.0 twins
         mdp, fm = fixed_instance
-        from skiprl.mdp import sample_trajectories, uniform_policy
-
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 20, 5, fm)
+        feats = trajs.features.copy()
+        feats[0, 0, 0, 0], feats[1, 0, 0, 0] = -0.0, 0.0
+        ds = Dataset(trajs.states, trajs.actions, trajs.rewards, feats)
         path = tmp_path / "data.jsonl"
-        save_dataset(trajs, path)
+        save_dataset(ds, path)
         back = load_dataset(path)
         assert isinstance(back, Dataset) and len(back) == 20
-        for a, b in zip(trajs, back):
-            np.testing.assert_array_equal(a.states, b.states)
-            np.testing.assert_array_equal(a.actions, b.actions)
-            np.testing.assert_array_equal(a.rewards, b.rewards)
-            np.testing.assert_array_equal(a.features, b.features)
+        assert np.signbit(back.features[0, 0, 0, 0]) and not np.signbit(back.features[1, 0, 0, 0])
+        assert_same_arrays(back, ds)
 
     def test_line_count_is_n(self, tmp_path, fixed_instance):
         mdp, fm = fixed_instance
-        from skiprl.mdp import sample_trajectories, uniform_policy
-
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 7, 5, fm)
         path = tmp_path / "data.jsonl"
         save_dataset(trajs, path)
@@ -96,32 +190,78 @@ class TestDatasetPersistence:
         path = tmp_path / "empty.jsonl"
         for text in ("", "\n\n"):
             path.write_text(text)
-            with pytest.raises(ValidationError, match="zero trajectories"):
-                load_dataset(path)
+            assert_same_error(path, "zero trajectories")
 
     def test_bytes_match_per_trajectory_writer(self, tmp_path):
-        # the array-wise writer against the row-by-row form it replaced, on both reward kinds
-        from skiprl.envs import random_linear_mdp
-        from skiprl.mdp import sample_trajectories, uniform_policy
-
+        # the block-wise writer against one json.dumps per row, on both reward kinds and on
+        # features that are not a function of the state, with -0.0/0.0 block twins
+        datasets = []
         for kind in ("deterministic-mean", "bernoulli-mean"):
             mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=10, reward_kind=kind)
-            ds = sample_trajectories(mdp, uniform_policy(mdp), 30, 5, fm)
-            want = "".join(
-                json.dumps({
-                    "steps": [[int(s), int(a), float(r)] for s, a, r in zip(t.states, t.actions, t.rewards)],
-                    "features": t.features.tolist(),
-                }) + "\n"
-                for t in ds
-            )
-            path = tmp_path / f"{kind}.jsonl"
+            datasets.append(sample_trajectories(mdp, uniform_policy(mdp), 30, 5, fm))
+        rng = np.random.default_rng(31)
+        for H, A, d in [(1, 1, 1), (3, 2, 2), (5, 3, 4)]:
+            ds = twin_block_dataset(rng, 40, H, A, d)
+            assert any(np.signbit(blocks).any() for blocks, _ in ds.visited_blocks)
+            datasets.append(ds)
+        ones = np.ones((3, 2))
+        datasets.append(Dataset(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), 0.0 * ones, np.zeros((3, 1, 2, 0))))
+        for j, ds in enumerate(datasets):
+            path = tmp_path / f"{j}.jsonl"
             save_dataset(ds, path)
-            assert path.read_text() == want
+            assert path.read_text() == per_trajectory_text(ds), j
+
+    @given(seed=st.integers(0, 2**31 - 1),
+           source=st.sampled_from(["deterministic-mean", "bernoulli-mean", "hand-built"]))
+    @settings(max_examples=60, deadline=None)
+    def test_loader_matches_reference(self, seed, source):
+        rng = np.random.default_rng(seed)
+        d, H, A, n = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 60))
+        if source == "hand-built":
+            ds = twin_block_dataset(rng, n, H, A, d)
+        else:
+            sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+            mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)), reward_kind=source)
+            ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
+        with tempfile.TemporaryDirectory() as tmp:
+            saved = os.path.join(tmp, "saved.jsonl")
+            save_dataset(ds, saved)
+            with open(saved) as fh:
+                assert harness._load_canonical(fh) is not None  # a writer's file takes the fast path
+            paths = [saved]
+            for form, text in FILE_FORMS.items():
+                paths.append(os.path.join(tmp, f"{form}.jsonl"))
+                with open(paths[-1], "w", newline="") as fh:
+                    fh.write(text(trajectory_docs(ds)))
+            for path in paths:
+                got = load_dataset(path)
+                assert_same_arrays(got, reference_load(path))
+                assert_same_arrays(got, ds)
+
+    @pytest.mark.parametrize("steps", [
+        [[0, "1", 0.5], [0, 0, 0.0]],
+        [[0, True, 0.5], [0.0, 0, 0.0]],
+        [[0, 0, None], [0, 0, 0.0]],
+        [[0, 0, 0.5, 7], [0, 0, 0.0, 7]],
+        [[0, 0, 0.5], [0, 0]],
+        [[0, 0, "x"], [0, 0, 0.0]],
+        [],
+    ])
+    def test_odd_steps_in_the_writer_form_match_reference(self, tmp_path, steps):
+        # lines in the writer's form whose steps only the reference loop would ever meet
+        path = tmp_path / "odd.jsonl"
+        path.write_text(json.dumps({"steps": steps, "features": [[[1.0]]]}) + "\n")
+        try:
+            want = reference_load(path)
+        except ValidationError as err:
+            with pytest.raises(ValidationError) as got:
+                load_dataset(path)
+            assert str(got.value) == str(err)
+        else:
+            assert_same_arrays(load_dataset(path), want)
 
     def test_featureless_rejected_before_opening(self, tmp_path, fixed_instance):
         mdp, _ = fixed_instance
-        from skiprl.mdp import sample_trajectories, uniform_policy
-
         ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 1)
         path = tmp_path / "data.jsonl"
         path.write_text("keep\n")
@@ -132,35 +272,27 @@ class TestDatasetPersistence:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"steps": [[0,0,0.0]], "features": []}\nnot json\n')
-        with pytest.raises(ValidationError) as err:
-            load_dataset(path)
-        assert "line 2" in str(err.value)
+        assert_same_error(path, "line 2")
 
     def test_features_unlike_path_length_report_line(self, tmp_path):
         # features (1, 2) for a one-step path used to load as (1, 1, 2) and fail later in Dataset.dim
         path = tmp_path / "one.jsonl"
         path.write_text('{"steps": [[0,0,0.5],[0,1,0.0]], "features": [[1.0, 2.0]]}\n')
-        with pytest.raises(ValidationError, match="line 1"):
-            load_dataset(path)
+        assert_same_error(path, "line 1")
 
     def test_bad_row_after_blank_lines_reports_its_line(self, tmp_path, fixed_instance):
         # blank lines are skipped, so the failing row's index is not its line number
         mdp, fm = fixed_instance
-        from skiprl.mdp import sample_trajectories, uniform_policy
-
         path = tmp_path / "data.jsonl"
         save_dataset(sample_trajectories(mdp, uniform_policy(mdp), 3, 5, fm), path)
         docs = [json.loads(line) for line in path.read_text().splitlines()]
         docs[2]["steps"][-1][0] = 1  # row 2 ends off the terminal state
         path.write_text("\n" + json.dumps(docs[0]) + "\n\n" + json.dumps(docs[1]) + "\n" + json.dumps(docs[2]) + "\n")
-        with pytest.raises(ValidationError, match="line 5"):
-            load_dataset(path)
+        assert_same_error(path, "line 5")
 
-    @pytest.mark.parametrize("fault", ["reward", "features-shape", "steps-length", "missing-key"])
+    @pytest.mark.parametrize("fault", ["reward", "features-shape", "steps-length", "missing-key", "bad-json"])
     def test_bad_second_line_reports_number(self, tmp_path, fixed_instance, fault):
         mdp, fm = fixed_instance
-        from skiprl.mdp import sample_trajectories, uniform_policy
-
         path = tmp_path / "data.jsonl"
         save_dataset(sample_trajectories(mdp, uniform_policy(mdp), 3, 5, fm), path)
         docs = [json.loads(line) for line in path.read_text().splitlines()]
@@ -170,11 +302,13 @@ class TestDatasetPersistence:
             docs[1]["features"] = [[phi + [0.0] for phi in stage] for stage in docs[1]["features"]]
         elif fault == "steps-length":
             del docs[1]["steps"][1]
-        else:
+        elif fault == "missing-key":
             del docs[1]["features"]
-        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-        with pytest.raises(ValidationError, match="line 2"):
-            load_dataset(path)
+        lines = [json.dumps(doc) for doc in docs]
+        if fault == "bad-json":
+            lines[1] = lines[1].replace("]], [[", "]] [[", 1)  # still in the writer's form up to one comma
+        path.write_text("".join(line + "\n" for line in lines))
+        assert_same_error(path, "line 2")
 
 
 class TestRunAndSweep:
