@@ -376,6 +376,11 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
 # dataset persistence
 
 
+# a line of a dataset file is _HEAD + steps + _MID + features + _END
+_HEAD, _MID, _END = '{"steps": ', ', "features": ', "}\n"
+_STAGE_SEP = "]], [["  # between two (A, d) blocks of a line's features
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """One trajectory per line: {"steps": [[s,a,r]...], "features": [...]}. Lossless.
 
@@ -398,11 +403,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         for states, actions, rewards, row_ids in rows:
             steps = json.dumps([list(step) for step in zip(states.tolist(), actions.tolist(), rewards.tolist())])
             features = ", ".join([texts[i] for i in row_ids.tolist()])
-            fh.write(f'{{"steps": {steps}, "features": [{features}]}}\n')
-
-
-_HEAD, _MID, _END = '{"steps": ', ', "features": ', "}\n"
-_STAGE_SEP = "]], [["  # between two (A, d) blocks of a line's features
+            fh.write(_HEAD + steps + _MID + "[" + features + "]" + _END)
 
 
 def _load_canonical(fh) -> Dataset | None:
@@ -412,7 +413,8 @@ def _load_canonical(fh) -> Dataset | None:
     ``, "features": `` and its features at every ``]], [[``.  When S and every
     ``[[Bh]]`` each decode as one complete JSON value, the line is exactly the
     object with those two values, so this parse equals ``json.loads(line)``.
-    Each distinct block text is decoded once; a row keeps only its block ids.
+    Each distinct block text is decoded once and a row keeps only its block ids;
+    each line's steps are decoded on their own and converted once for all rows.
     """
     memo, blocks, ids, paths = {}, [], [], []
     try:
@@ -430,8 +432,6 @@ def _load_canonical(fh) -> Dataset | None:
                     i = memo[part] = len(blocks)
                     blocks.append(np.array(json.loads("[[" + part + "]]"), dtype=float))
                 row.append(i)
-            if ids and len(row) != len(ids[0]):
-                return None
             ids.append(row)
             states, actions, rewards = zip(*json.loads(line[len(_HEAD) : cut]))
             paths.append((states, actions, rewards))

@@ -290,7 +290,7 @@ class TestDatasetPersistence:
         path.write_text("\n" + json.dumps(docs[0]) + "\n\n" + json.dumps(docs[1]) + "\n" + json.dumps(docs[2]) + "\n")
         assert_same_error(path, "line 5")
 
-    @pytest.mark.parametrize("fault", ["reward", "features-shape", "steps-length", "missing-key", "bad-json"])
+    @pytest.mark.parametrize("fault", ["reward", "features-shape", "features-stages", "steps-length", "missing-key", "bad-json"])
     def test_bad_second_line_reports_number(self, tmp_path, fixed_instance, fault):
         mdp, fm = fixed_instance
         path = tmp_path / "data.jsonl"
@@ -300,6 +300,8 @@ class TestDatasetPersistence:
             docs[1]["steps"][0][2] = 1.5
         elif fault == "features-shape":
             docs[1]["features"] = [[phi + [0.0] for phi in stage] for stage in docs[1]["features"]]
+        elif fault == "features-stages":
+            del docs[1]["features"][-1]
         elif fault == "steps-length":
             del docs[1]["steps"][1]
         elif fault == "missing-key":
