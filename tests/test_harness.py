@@ -204,8 +204,8 @@ class TestDatasetPersistence:
             ds = twin_block_dataset(rng, 40, H, A, d)
             assert any(np.signbit(blocks).any() for blocks, _ in ds.visited_blocks)
             datasets.append(ds)
-        ones = np.ones((3, 2))
-        datasets.append(Dataset(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), 0.0 * ones, np.zeros((3, 1, 2, 0))))
+        paths = np.zeros((3, 2), dtype=int)  # one-step rows whose (A, d) = (2, 0) blocks are empty
+        datasets.append(Dataset(paths, paths, np.zeros((3, 2)), np.zeros((3, 1, 2, 0))))
         for j, ds in enumerate(datasets):
             path = tmp_path / f"{j}.jsonl"
             save_dataset(ds, path)
