@@ -415,6 +415,7 @@ def _load_canonical(fh) -> Dataset | None:
     object with those two values, so this parse equals ``json.loads(line)``.
     Each distinct block text is decoded once and a row keeps only its block ids;
     each line's steps are decoded on their own and converted once for all rows.
+    A line with a step of other than three entries is left to the reference loop.
     """
     memo, blocks, ids, paths = {}, [], [], []
     try:
@@ -433,7 +434,7 @@ def _load_canonical(fh) -> Dataset | None:
                     blocks.append(np.array(json.loads("[[" + part + "]]"), dtype=float))
                 row.append(i)
             ids.append(row)
-            states, actions, rewards = zip(*json.loads(line[len(_HEAD) : cut]))
+            states, actions, rewards = zip(*json.loads(line[len(_HEAD) : cut]), strict=True)
             paths.append((states, actions, rewards))
         states, actions, rewards = zip(*paths)  # raises on an empty file
         return Dataset(
@@ -455,6 +456,8 @@ def _load_lines(path) -> Dataset:
                 continue
             try:
                 doc = json.loads(line)
+                if any(len(step) != 3 for step in doc["steps"]):
+                    raise ValidationError("every step must be [state, action, reward]")
                 states, actions, rewards = zip(*doc["steps"])
                 features = np.array(doc["features"], dtype=float)
                 row = (np.array(states, dtype=int), np.array(actions, dtype=int), np.array(rewards, dtype=float), features)
@@ -485,9 +488,10 @@ def load_dataset(path) -> Dataset:
     feature block once and builds the features with one gather.  Any other file
     (other whitespace or key order, extra keys, blank lines, a last line without
     a newline, or anything malformed) is read by the per-line reference loop,
-    whose arrays are the same.  Bad JSON, a missing key, shapes unlike line 1's,
-    a broken trajectory invariant, features not shaped (H, A, d) or an empty file
-    raise ``ValidationError`` from that loop, naming the file (and the line).
+    whose arrays are the same.  Bad JSON, a missing key, a step other than
+    ``[state, action, reward]``, shapes unlike line 1's, a broken trajectory
+    invariant, features not shaped (H, A, d) or an empty file raise
+    ``ValidationError`` from that loop, naming the file (and the line).
     The invariants are checked once on the stacked arrays; only when that check
     fails are the rows searched for the first bad one."""
     with open(path) as fh:

@@ -32,7 +32,15 @@ from .mdp import (
     greedy_table,
     sample_trajectories,
 )
-from .skipping import SkipParams, batch_skip_targets, dataset_omega, omega_tables, stopping_law, targets_under_law
+from .skipping import (
+    SkipParams,
+    batch_skip_targets,
+    block_omega,
+    dataset_omega,
+    omega_tables,
+    stop_probabilities,
+    targets_under_law,
+)
 
 MEMBER_TOL = 1e-12
 RADIUS_TOL = 1e-9
@@ -128,14 +136,17 @@ def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam)
 
 
-def _clipped_vbar_rows(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
-    """v-bar of each theta at the visited states of stage h, shape (k, n).
-
-    Scores the stage's distinct feature blocks once and gathers them back to the rows.
-    """
-    blocks, rows = dataset.visited_blocks[h]
+def _clipped_vbar_blocks(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
+    """v-bar of each theta at the distinct visited feature blocks of stage h, shape (k, m)."""
+    blocks, _ = dataset.visited_blocks[h]
     scores = np.einsum("mad,kd->kma", blocks, thetas)
-    return np.clip(scores.max(axis=2), 0.0, dataset.horizon)[:, rows]
+    return np.clip(scores.max(axis=2), 0.0, dataset.horizon)
+
+
+def _clipped_vbar_rows(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
+    """v-bar of each theta at the visited states of stage h, shape (k, n): the
+    stage's ``_clipped_vbar_blocks`` gathered back to the rows."""
+    return _clipped_vbar_blocks(dataset, h, thetas)[:, dataset.visited_blocks[h][1]]
 
 
 def _anchor(rewards, omega, vbar_tail: np.ndarray, h: int, cov: StageCovariance) -> np.ndarray:
@@ -233,6 +244,10 @@ class ConfidenceSets:
 
 
 def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
+    """The rows of ``arr`` that equal no earlier row (by value, so ``-0.0`` matches
+    ``0.0``), in order; an array of at most one row comes back as is."""
+    if arr.shape[0] <= 1:
+        return arr
     _, idx = np.unique(arr, axis=0, return_index=True)
     return arr[np.sort(idx)]
 
@@ -251,14 +266,56 @@ def _net(config: LearnerConfig, d: int):
     return None if config.net_spacing is None else epsilon_net(config.theta_radius, d, config.net_spacing)
 
 
+def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, paths, stop, cumrew, tail_vbar,
+                extras, net) -> StageSets:
+    """Stage h's anchors and admitted members for one skip suffix.
+
+    ``paths`` is ``dataset.tail_paths[h]``; ``stop`` and ``cumrew`` are the
+    distinct tails' stopping law and accumulated rewards, and ``tail_vbar`` the
+    tails' v-bar values at stages h+1..H, one (k_u, tails) array per stage.
+    """
+    first, back = paths
+    d = cov.matrix.shape[0]
+    combos, subsampled = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
+    anchors = np.empty((len(combos), d))
+    for ci, combo in enumerate(combos):
+        fvals = np.stack([vals[c] for vals, c in zip(tail_vbar, combo)], axis=1)
+        anchors[ci] = cov.ridge(targets_under_law(stop, cumrew, fvals)[back])
+    anchors = _dedupe_rows(anchors)
+
+    pool = [anchors]
+    if extras is not None:
+        pool.append(np.asarray(extras, dtype=float).reshape(-1, d))
+    if net is not None:
+        pool.append(net)
+    pool = anchors if len(pool) == 1 else _dedupe_rows(np.vstack(pool))  # the anchors are distinct already
+
+    stats = _anchor_distance(anchors, cov.matrix, pool)
+    order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
+    pool, stats = pool[order], stats[order]
+    members = pool[_admitted(pool, stats, config)]
+    return StageSets(anchors=anchors, members=members, combos=len(combos), subsampled=subsampled, tails=len(first))
+
+
 def build_confidence_sets(
     dataset: Dataset,
-    guess: Guess,
+    guesses,
     config: LearnerConfig,
     covs: list,
     extra_candidates: dict | None = None,
-) -> ConfidenceSets:
-    """Backward construction of anchors, filtered candidate sets and their tightness.
+) -> list:
+    """Backward construction of anchors, filtered candidate sets and their tightness,
+    one ``ConfidenceSets`` per guess of the sequence ``guesses``.
+
+    A guess reaches stage h only through its skip probabilities omega at stages
+    h+1..H-1 (its skip suffix), which fix the stopping law of the stage-h
+    targets and, through the sets above, the tail values.  So one backward pass
+    keeps groups of guesses with equal suffixes: all guesses share stage H-1,
+    and before stage h < H-1 each group splits by the bytes of its guesses'
+    ``block_omega`` at stage h+1.  Each group's ``StageSets`` is built once and
+    the same object goes to every guess of the group.  A group keeps omega and
+    its members' v-bar per distinct visited block of each later stage, and
+    gathers both to the stage's distinct tails (``Dataset.tail_paths``).
 
     ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``, shared by every
     guess.  Each stage's pool is its anchors, then ``extra_candidates[h]``, then the
@@ -269,52 +326,56 @@ def build_confidence_sets(
     parameters through the construction, and by ``solve``'s fallback, which
     builds with beta = theta_radius = inf).
     """
-    n, H, d = dataset.n, dataset.horizon, dataset.dim
-    omega = dataset_omega(dataset, guess, config.skip)
+    H, d = dataset.horizon, dataset.dim
     net = _net(config, d)
+    stage_sets = [[None] * H for _ in guesses]
+    tight = [[None] * H for _ in guesses]
+    empty_stage = [None] * len(guesses)
 
-    stage_sets: list = [None] * H
-    tight: list = [None] * H
-    vbar_rows: list = [None] * (H + 1)  # (members, n) per stage; read only at stages >= 1
-    vbar_rows[H] = np.zeros((1, n))
-    empty_stage = None
-
+    # (guess indices, omega, members' v-bar), the last two per block of stages h+1..H-1
+    groups = [(list(range(len(guesses))), [], [])]
     for h in range(H - 1, -1, -1):
-        counts = [vbar_rows[u].shape[0] for u in range(h + 1, H + 1)]
-        combos, subsampled = _tail_combos(counts, config.combo_cap, [config.seed, h])
-        # a target reads only its row's tail, so each distinct tail is scored once
-        first, back = dataset.tail_paths[h]
-        stop, cumrew = stopping_law(dataset.rewards[first], omega[first], h)
-        tail_vbar = [vbar_rows[u][:, first] for u in range(h + 1, H + 1)]
-        anchors = np.empty((len(combos), d))
-        for ci, combo in enumerate(combos):
-            fvals = np.stack([vals[c] for vals, c in zip(tail_vbar, combo)], axis=1)
-            anchors[ci] = covs[h].ridge(targets_under_law(stop, cumrew, fvals)[back])
-        anchors = _dedupe_rows(anchors)
-
-        pool = [anchors]
-        if extra_candidates and h in extra_candidates:
-            pool.append(np.asarray(extra_candidates[h], dtype=float).reshape(-1, d))
-        if net is not None:
-            pool.append(net)
-        pool = _dedupe_rows(np.vstack(pool))
-
-        stats = _anchor_distance(anchors, covs[h].matrix, pool)
-        order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
-        pool, stats = pool[order], stats[order]
-        members = pool[_admitted(pool, stats, config)]
-        stage_sets[h] = StageSets(anchors=anchors, members=members, combos=len(combos),
-                                  subsampled=subsampled, tails=len(first))
-        if members.shape[0] == 0:
-            empty_stage = h  # stages below h were never filled, so they stay None
-            tight = []
+        if not groups:
             break
-        tight[h] = tightness(covs[h].phi, members, H)
-        if h >= 1:
-            vbar_rows[h] = _clipped_vbar_rows(dataset, h, members)
+        if h < H - 1:
+            split = []
+            for indices, omega_tail, vbar_tail in groups:
+                by_omega = {}
+                for g in indices:
+                    omega = block_omega(dataset, guesses[g], h + 1, config.skip)
+                    by_omega.setdefault(omega.tobytes(), (omega, []))[1].append(g)
+                split.extend((sub, [omega, *omega_tail], vbar_tail) for omega, sub in by_omega.values())
+            groups = split
 
-    return ConfidenceSets(horizon=H, dim=d, stage_sets=stage_sets, covariances=[cov.matrix for cov in covs],
-                          tightness=tight, empty_stage=empty_stage)
+        first, back = dataset.tail_paths[h]
+        at = [dataset.visited_blocks[u][1][first] for u in range(h + 1, H)]  # each tail's block at stage u
+        cumrew = np.cumsum(dataset.rewards[first, h:H], axis=1)
+        terminal = np.zeros((1, len(first)))
+        extras = extra_candidates[h] if extra_candidates and h in extra_candidates else None
+        kept = []
+        for indices, omega_tail, vbar_tail in groups:
+            omega = np.zeros((len(first), H - h))
+            for i, (w, blocks) in enumerate(zip(omega_tail, at)):
+                omega[:, i] = w[blocks]
+            tail_vbar = [vals[:, blocks] for vals, blocks in zip(vbar_tail, at)] + [terminal]
+            sets = _stage_sets(h, config, covs[h], (first, back), stop_probabilities(omega), cumrew, tail_vbar,
+                               extras, net)
+            for g in indices:
+                stage_sets[g][h] = sets
+            if sets.members.shape[0] == 0:
+                for g in indices:
+                    empty_stage[g] = h  # stages below h are never filled, so they stay None
+                    tight[g] = []
+                continue
+            spread = tightness(covs[h].phi, sets.members, H)
+            for g in indices:
+                tight[g][h] = spread
+            if h >= 1:
+                kept.append((indices, omega_tail, [_clipped_vbar_blocks(dataset, h, sets.members), *vbar_tail]))
+        groups = kept
+
+    return [ConfidenceSets(horizon=H, dim=d, stage_sets=s, covariances=[cov.matrix for cov in covs],
+                           tightness=t, empty_stage=e) for s, t, e in zip(stage_sets, tight, empty_stage)]
 
 
 def tightness(phi: np.ndarray, thetas, horizon: int) -> float:
@@ -391,9 +452,10 @@ def _chain_from(sets: ConfidenceSets, featmap: FeatureMap):
 def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap) -> SolveOutcome:
     """Optimistic argmax over guesses and stage-0 candidates.
 
-    The stage data is built once for every guess's confidence sets, which
-    carry per-stage tightness; guesses exceeding ``eps_bar`` at any stage
-    (or with an empty stage) are rejected.
+    The stage data is built once, and one ``build_confidence_sets`` pass gives
+    every guess its confidence sets (guesses with equal skip suffixes share
+    their stage sets), which carry per-stage tightness; guesses exceeding
+    ``eps_bar`` at any stage (or with an empty stage) are rejected.
     Among feasible guesses the largest clipped start-state estimate wins,
     with ties broken by guess order then member order.  Parameters at stages
     past the first are the first member of their set, and the output policy
@@ -404,8 +466,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
     H = dataset.horizon
     covs = [stage_covariance(dataset, h, config.lam) for h in range(H)]
     reports = []
-    for gi, guess in enumerate(guesses):
-        sets = build_confidence_sets(dataset, guess, config, covs)
+    for gi, sets in enumerate(build_confidence_sets(dataset, guesses, config, covs)):
         feasible = sets.empty_stage is None and max(sets.tightness) <= config.eps_bar + MEMBER_TOL
         reports.append(GuessReport(index=gi, feasible=feasible, sets=sets))
 
@@ -429,7 +490,8 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
             net = _net(config, dataset.dim)
             extras = None if net is None else dict.fromkeys(range(H), net)
             admit_all = replace(config, beta=math.inf, theta_radius=math.inf, net_spacing=None)
-            chosen, sets = 0, build_confidence_sets(dataset, guesses[0], admit_all, covs, extra_candidates=extras)
+            (sets,) = build_confidence_sets(dataset, guesses[:1], admit_all, covs, extra_candidates=extras)
+            chosen = 0
         thetas, vbar = _chain_from(sets, featmap)
 
     return SolveOutcome(
@@ -552,7 +614,7 @@ def calibrate(
     tight = np.zeros(replicates)
     for c, ds in enumerate(datasets):
         covs = [stage_covariance(ds, h, cfg.lam) for h in range(H)]
-        sets = build_confidence_sets(ds, guess, cfg, covs, extra_candidates=extras)
+        (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
         tight[c] = max(sets.tightness, default=math.inf)
     eps_bar = max(2.0 * float(tight.max()), 1e-9)
     return CalibrationResult(beta=beta, eps_bar=eps_bar, anchor_stats=stats, tightness_values=tight)

@@ -143,7 +143,7 @@ def _check_paths(states: np.ndarray, rewards: np.ndarray) -> None:
         raise ValidationError("trajectory must start at the start state and end at the terminal state")
     if np.any(rewards[..., -1] != 0.0):
         raise ValidationError("terminal reward must be zero")
-    if np.any(rewards < 0) or np.any(rewards > 1):
+    if np.any(~((rewards >= 0) & (rewards <= 1))):  # also refuses NaN
         raise ValidationError("rewards must lie in [0, 1]")
 
 

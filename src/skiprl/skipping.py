@@ -108,17 +108,23 @@ def omega_tables(guess: Guess, featmap, params: SkipParams) -> list:
     return [np.zeros(featmap.phi[0].shape[0]), *inner, np.zeros(featmap.phi[H].shape[0])]
 
 
+def block_omega(dataset: Dataset, guess: Guess, stage: int, params: SkipParams) -> np.ndarray:
+    """Skip probabilities of the distinct visited feature blocks of an interior
+    ``stage`` (``dataset.visited_blocks[stage]``), shape (m,)."""
+    blocks, _ = dataset.visited_blocks[stage]
+    return _omega_block(blocks, guess.panel(stage), params)
+
+
 def dataset_omega(dataset: Dataset, guess: Guess, params: SkipParams) -> np.ndarray:
     """Skip probabilities at every visited state, from the recorded features.
 
-    Each stage's distinct feature blocks are scored once and gathered back to
-    the rows.  Returns an (n, H+1) matrix; columns 0 and H are zero by definition.
+    Each stage's ``block_omega`` is gathered back to the rows.  Returns an
+    (n, H+1) matrix; columns 0 and H are zero by definition.
     """
     n, H = dataset.n, dataset.horizon
     omega = np.zeros((n, H + 1))
     for stage in range(1, H):
-        blocks, rows = dataset.visited_blocks[stage]
-        omega[:, stage] = _omega_block(blocks, guess.panel(stage), params)[rows]
+        omega[:, stage] = block_omega(dataset, guess, stage, params)[dataset.visited_blocks[stage][1]]
     return omega
 
 
@@ -170,18 +176,10 @@ def skip_target(guess: Guess, featmap, traj: Trajectory, h: int, f, params: Skip
     return total
 
 
-def stopping_law(rewards: np.ndarray, omega: np.ndarray, h: int):
-    """The parts of the stage-h skip targets that do not depend on the value function.
-
-    Returns ``(stop, cumrew)``, both (n, H-h): each row's stopping law over
-    stages h+1..H and its rewards accumulated from stage h up to each of them.
-    """
-    H = rewards.shape[1] - 1
-    return stop_probabilities(omega[:, h + 1 : H + 1]), np.cumsum(rewards[:, h:H], axis=1)
-
-
 def targets_under_law(stop: np.ndarray, cumrew: np.ndarray, fvals: np.ndarray) -> np.ndarray:
-    """Skip targets of the rows of a ``stopping_law`` with value-function evaluations ``fvals``."""
+    """Stage-h skip targets of rows with stopping laws ``stop`` over stages h+1..H,
+    rewards ``cumrew`` accumulated from stage h up to each of them and value-function
+    evaluations ``fvals`` there, all (rows, H-h)."""
     return np.sum(stop * (cumrew + fvals), axis=1)
 
 
@@ -195,4 +193,5 @@ def batch_skip_targets(rewards: np.ndarray, omega: np.ndarray, fvals: np.ndarray
     fvals : (n, H-h) value-function evaluations at the stopping candidates
         (stages h+1..H; the last column must be zero for the terminal stage)
     """
-    return targets_under_law(*stopping_law(rewards, omega, h), fvals)
+    H = rewards.shape[1] - 1
+    return targets_under_law(stop_probabilities(omega[:, h + 1 : H + 1]), np.cumsum(rewards[:, h:H], axis=1), fvals)

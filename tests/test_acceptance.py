@@ -160,7 +160,7 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
     for r in range(20):
         ds = sample_trajectories(inst.mdp, inst.behavior, n, [cfg.data.seed, r], inst.featmap)
         covs = [stage_covariance(ds, h, lc.lam) for h in range(H)]
-        sets = build_confidence_sets(ds, inst.true_guess, lc, covs, extra_candidates=extras)
+        (sets,) = build_confidence_sets(ds, [inst.true_guess], lc, covs, extra_candidates=extras)
         if sets.empty_stage is not None:
             continue
         member = all(sets.is_member(h, psi[h], lc) for h in range(H))

@@ -59,6 +59,8 @@ def reference_load(path) -> Dataset:
                 continue
             try:
                 doc = json.loads(line)
+                if any(len(step) != 3 for step in doc["steps"]):
+                    raise ValidationError("every step must be [state, action, reward]")
                 states, actions, rewards = zip(*doc["steps"])
                 features = np.array(doc["features"], dtype=float)
                 row = (np.array(states, dtype=int), np.array(actions, dtype=int), np.array(rewards, dtype=float), features)
@@ -259,6 +261,21 @@ class TestDatasetPersistence:
             assert str(got.value) == str(err)
         else:
             assert_same_arrays(load_dataset(path), want)
+
+    def test_nan_reward_rejected(self, tmp_path):
+        # NaN fails both `r < 0` and `r > 1`, so it used to load as a reward
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps({"steps": [[0, 0, float("nan")], [0, 1, 0.0]], "features": [[[1.0]]]}) + "\n")
+        assert_same_error(path, "line 1: rewards must lie in")
+
+    @pytest.mark.parametrize("steps", [[[0, 0, 0.5, 7], [0, 1, 0.0]], [[0, 0, 0.5], [0, 1, 0.0, 7]]])
+    def test_step_beyond_three_entries_rejected(self, tmp_path, steps):
+        # zip(*steps) stops at the shortest step, so the extra entry used to be dropped silently
+        path = tmp_path / "long.jsonl"
+        path.write_text(json.dumps({"steps": steps, "features": [[[1.0]]]}) + "\n")
+        with open(path) as fh:
+            assert harness._load_canonical(fh) is None
+        assert_same_error(path, "line 1: every step must be")
 
     def test_featureless_rejected_before_opening(self, tmp_path, fixed_instance):
         mdp, _ = fixed_instance

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -154,12 +155,12 @@ class TestAnchor:
 class TestConfidenceSets:
     def test_terminal_stage_is_zero_singleton(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        sets = build_confidence_sets(ds, guess, config, covs(ds, config))
+        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config))
         np.testing.assert_array_equal(sets.members_at(mdp.horizon), np.zeros((1, 2)))
 
     def test_anchors_are_members(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        sets = build_confidence_sets(ds, guess, config, covs(ds, config))
+        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config))
         for h in range(mdp.horizon):
             for anchor in sets.stage_sets[h].anchors:
                 assert sets.is_member(h, anchor, config)
@@ -168,7 +169,7 @@ class TestConfidenceSets:
     def test_tiny_radius_gives_empty_signal(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         strict = replace(config, theta_radius=1e-9)
-        sets = build_confidence_sets(ds, guess, strict, covs(ds, strict))
+        (sets,) = build_confidence_sets(ds, [guess], strict, covs(ds, strict))
         assert sets.empty_stage is not None
         with pytest.raises(ValidationError):
             sets.members_at(0)
@@ -177,7 +178,7 @@ class TestConfidenceSets:
         mdp, fm, behavior, guess, config, ds = setup
         psi = fit_policy_params(mdp, fm, skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]).theta
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        sets = build_confidence_sets(ds, guess, config, covs(ds, config), extra_candidates=extras)
+        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
         for h in range(mdp.horizon):
             assert sets.empty_stage is None
             if sets.is_member(h, psi[h], config):
@@ -187,14 +188,14 @@ class TestConfidenceSets:
     def test_net_points_enter_pool(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         netted = replace(config, net_spacing=1.0, theta_radius=2.0, beta=1e9, grid_per_stage=40)
-        sets = build_confidence_sets(ds, guess, netted, covs(ds, netted))
+        (sets,) = build_confidence_sets(ds, [guess], netted, covs(ds, netted))
         assert sets.members_at(0).shape[0] > sets.stage_sets[0].anchors.shape[0]
 
     def test_subsampled_combos_deterministic(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         cfg = replace(config, net_spacing=0.8, theta_radius=2.0, beta=1e9, grid_per_stage=12, combo_cap=5)
-        a = build_confidence_sets(ds, guess, cfg, covs(ds, cfg))
-        b = build_confidence_sets(ds, guess, cfg, covs(ds, cfg))
+        (a,) = build_confidence_sets(ds, [guess], cfg, covs(ds, cfg))
+        (b,) = build_confidence_sets(ds, [guess], cfg, covs(ds, cfg))
         for h in range(mdp.horizon):
             np.testing.assert_array_equal(a.stage_sets[h].anchors, b.stage_sets[h].anchors)
             np.testing.assert_array_equal(a.stage_sets[h].members, b.stage_sets[h].members)
@@ -257,7 +258,7 @@ class TestSolve:
         mdp, fm, behavior, guess, config, ds = setup
         psi = fit_policy_params(mdp, fm, skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]).theta
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        sets = build_confidence_sets(ds, guess, config, covs(ds, config), extra_candidates=extras)
+        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
         assert sets.is_member(0, psi[0], config)
         vals = [start_value(t, fm) for t in sets.members_at(0)]
         assert max(vals) >= start_value(psi[0], fm) - 1e-9
@@ -468,6 +469,20 @@ def hand_built_dataset(rng, n, H, A, d):
     return Dataset(states, actions, rewards, feats)
 
 
+def assert_matches_reference(got, ds, guess, config, stage_covs, extras=None):
+    """One guess's ``ConfidenceSets`` equal ``reference_sets`` bit for bit."""
+    sets, tight, empty = reference_sets(ds, guess, config, stage_covs, extra_candidates=extras)
+    assert got.empty_stage == empty
+    assert np.array(got.tightness).tobytes() == np.array(tight).tobytes()
+    for h, stage in enumerate(got.stage_sets):
+        if sets[h] is None:
+            assert stage is None
+            continue
+        assert stage.anchors.tobytes() == sets[h][0].tobytes()
+        assert stage.members.tobytes() == sets[h][1].tobytes()
+        assert stage.tails == len(ds.tail_paths[h][0])
+
+
 class TestTailGrouping:
     """``build_confidence_sets`` scores each distinct trajectory tail once; its anchors,
     members and tightness must equal the all-rows construction bit for bit."""
@@ -475,17 +490,8 @@ class TestTailGrouping:
     @staticmethod
     def check(ds, guess, config, extras=None):
         stage_covs = covs(ds, config)
-        got = build_confidence_sets(ds, guess, config, stage_covs, extra_candidates=extras)
-        sets, tight, empty = reference_sets(ds, guess, config, stage_covs, extra_candidates=extras)
-        assert got.empty_stage == empty
-        assert np.array(got.tightness).tobytes() == np.array(tight).tobytes()
-        for h, stage in enumerate(got.stage_sets):
-            if sets[h] is None:
-                assert stage is None
-                continue
-            assert stage.anchors.tobytes() == sets[h][0].tobytes()
-            assert stage.members.tobytes() == sets[h][1].tobytes()
-            assert stage.tails == len(ds.tail_paths[h][0])
+        (got,) = build_confidence_sets(ds, [guess], config, stage_covs, extra_candidates=extras)
+        assert_matches_reference(got, ds, guess, config, stage_covs, extras)
         return got
 
     @staticmethod
@@ -555,6 +561,125 @@ class TestTailGrouping:
         assert len(first) == 3 and back[0] == back[2]
         config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, skip=SkipParams(alpha=0.5, d=1))
         self.check(ds, zero_guess(2, 1), config)
+
+
+class TestSuffixSharing:
+    """``build_confidence_sets`` builds each stage once per group of guesses with equal
+    skip suffixes (omega at the later stages); every guess's sets must still equal its
+    own per-guess construction bit for bit, and the grouping must be exactly the
+    suffix rule."""
+
+    @staticmethod
+    def check(ds, guesses, config, extras=None):
+        stage_covs = covs(ds, config)
+        got = build_confidence_sets(ds, guesses, config, stage_covs, extra_candidates=extras)
+        assert len(got) == len(guesses)
+        for guess, sets in zip(guesses, got):
+            assert_matches_reference(sets, ds, guess, config, stage_covs, extras)
+        return got
+
+    @staticmethod
+    def assert_shared_by_suffix(ds, guesses, got, params):
+        """Two guesses hold the same ``StageSets`` object at stage h exactly when their
+        row-level omega agrees at stages h+1..H-1; stage H-1 is one object for all."""
+        H = ds.horizon
+        omegas = [dataset_omega(ds, guess, params) for guess in guesses]
+        assert len({id(sets.stage_sets[H - 1]) for sets in got}) == 1
+        for h in range(H):
+            for i, j in itertools.combinations(range(len(guesses)), 2):
+                a, b = got[i].stage_sets[h], got[j].stage_sets[h]
+                if a is None or b is None:
+                    continue
+                same_suffix = omegas[i][:, h + 1 : H].tobytes() == omegas[j][:, h + 1 : H].tobytes()
+                assert (a is b) == same_suffix, (h, i, j)
+
+    def test_grid_shares_by_suffix(self, setup):
+        # the true guess skips every interior state, like the zero guess, so the two
+        # share all stages; ``mixed`` takes guess 1's stage-2 panel and guess 2's
+        # stage-1 panel, so it shares stage 1 with guess 1 and stage 0 with no one
+        mdp, fm, behavior, guess, config, ds = setup
+        grid = guess_grid(guess, 0.3, 6, seed=2)
+        mixed = Guess(horizon=3, panels=[grid[2].panels[0], grid[1].panels[1]], radius_bound=grid[1].radius_bound)
+        guesses = [*grid, grid[3], mixed]
+        got = self.check(ds, guesses, config)
+        self.assert_shared_by_suffix(ds, guesses, got, config.skip)
+        assert all(s is t for s, t in zip(got[0].stage_sets, got[len(grid) - 1].stage_sets))
+        assert all(s is t for s, t in zip(got[3].stage_sets, got[len(grid)].stage_sets))
+        assert got[-1].stage_sets[1] is got[1].stage_sets[1]
+        assert all(got[-1].stage_sets[0] is not sets.stage_sets[0] for sets in got[:-1])
+
+    @pytest.mark.parametrize("theta_radius, empty", [(1.3, {0, 1}), (2.25, {None, 0})])
+    def test_some_guesses_empty_a_stage(self, setup, theta_radius, empty):
+        # balls that hold some guesses' anchors at stages 0-1 and not others'
+        mdp, fm, behavior, guess, config, ds = setup
+        wide = Guess(horizon=3, panels=[3.0 * p for p in np.random.default_rng(4).normal(size=(2, panel_size(2), 2))],
+                     radius_bound=1e9)
+        guesses = [*guess_grid(guess, 0.3, 8, seed=2), wide]
+        cfg = replace(config, theta_radius=theta_radius)
+        got = self.check(ds, guesses, cfg)
+        assert {sets.empty_stage for sets in got} == empty
+        self.assert_shared_by_suffix(ds, guesses, got, cfg.skip)
+
+    @pytest.mark.parametrize("net_spacing, combo_cap", [(0.8, 5), (0.5, 64)])
+    def test_netted_grid(self, setup, net_spacing, combo_cap):
+        mdp, fm, behavior, guess, config, ds = setup
+        cfg = replace(config, net_spacing=net_spacing, theta_radius=2.0, beta=1e9, grid_per_stage=12,
+                      combo_cap=combo_cap)
+        guesses = guess_grid(guess, 0.3, 8, seed=2)
+        got = self.check(ds, guesses, cfg)
+        assert max(s.members.shape[0] for sets in got for s in sets.stage_sets) > 1
+        self.assert_shared_by_suffix(ds, guesses, got, cfg.skip)
+
+    @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(REWARD_KINDS),
+           multi=st.sampled_from(["net", "extras", "plain", "empty", "partial"]), combo_cap=st.sampled_from([1, 3, 64]))
+    @settings(max_examples=30, deadline=None)
+    def test_sampled_grids(self, seed, kind, multi, combo_cap):
+        rng = np.random.default_rng(seed)
+        d, A = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        H = int(rng.choice([1, 2, 3, 4, 5]))
+        sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+        mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)), reward_kind=kind)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), int(rng.integers(1, 200)), int(rng.integers(0, 2**31)), fm)
+        # the grid ends with the zero guess; an exact repeat always shares every stage
+        true = random_guess(rng, H, d)
+        guesses = [true, zero_guess(H, d)] if H == 1 else guess_grid(
+            true, float(rng.uniform(0.05, 1.0)), int(rng.integers(2, 7)), seed=int(rng.integers(0, 99)))
+        guesses.append(guesses[int(rng.integers(0, len(guesses)))])
+        config, extras = TestTailGrouping.config_for(rng, d, H, "plain" if multi == "partial" else multi, combo_cap)
+        if multi == "partial":
+            # a ball that holds the shared stage H-1 and passes through one of the lower
+            # stages' unconstrained anchors empties some guesses' stages and not others'
+            config = replace(config, beta=1e9)
+            free = build_confidence_sets(ds, guesses, config, covs(ds, config))
+            top = max(float(np.linalg.norm(free[0].stage_sets[-1].anchors, axis=1).max()), 1e-9)
+            lower = sorted({float(x) for sets in free for s in sets.stage_sets[:-1]
+                            for x in np.linalg.norm(s.anchors, axis=1) if x > top})
+            config = replace(config, theta_radius=lower[int(rng.integers(0, len(lower)))] if lower else top)
+        got = self.check(ds, guesses, config, extras)
+        self.assert_shared_by_suffix(ds, guesses, got, config.skip)
+
+    def test_no_guesses(self, setup):
+        mdp, fm, behavior, guess, config, ds = setup
+        assert build_confidence_sets(ds, [], config, covs(ds, config)) == []
+
+
+def dedupe_reference(arr):
+    """``_dedupe_rows`` before arrays of at most one row were returned as they are."""
+    _, idx = np.unique(arr, axis=0, return_index=True)
+    return arr[np.sort(idx)]
+
+
+@given(data=st.data(), rows=st.integers(0, 7), cols=st.integers(1, 3), dtype=st.sampled_from([float, np.int64]))
+@settings(max_examples=200, deadline=None)
+def test_dedupe_rows_matches_unique(data, rows, cols, dtype):
+    # a small value pool repeats rows often; -0.0 and 0.0 are one value to np.unique
+    values = [0.0, -0.0, 1.0, 2.5] if dtype is float else [0, 1, 2]
+    cells = data.draw(st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols))
+    arr = np.array(cells, dtype=dtype).reshape(rows, cols)
+    got, want = _dedupe_rows(arr), dedupe_reference(arr)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+    # the pool skips a second pass over the deduplicated anchors
+    assert _dedupe_rows(got).tobytes() == dedupe_reference(got).tobytes() == got.tobytes()
 
 
 class TestTailPaths:
