@@ -4,7 +4,8 @@ For every candidate guess the learner builds, backwards over stages, a finite
 approximation of the parameter confidence sets: least-squares anchors are
 computed for combinations of later-stage candidates, and a candidate pool
 (anchors, optional diagnostics, optional net points) is filtered by the
-ellipsoid test.  Guesses whose q-estimates spread too much on the data are
+ellipsoid test; guesses whose skip probabilities agree at the later stages
+share a stage's sets.  Guesses whose q-estimates spread too much on the data are
 rejected; among the survivors the guess and stage-0 parameter maximising the
 clipped start-state value win, and the output policy is greedy with respect
 to the chosen parameters.
@@ -266,15 +267,15 @@ def _net(config: LearnerConfig, d: int):
     return None if config.net_spacing is None else epsilon_net(config.theta_radius, d, config.net_spacing)
 
 
-def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, paths, stop, cumrew, tail_vbar,
+def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop, cumrew, tail_vbar,
                 extras, net) -> StageSets:
     """Stage h's anchors and admitted members for one skip suffix.
 
-    ``paths`` is ``dataset.tail_paths[h]``; ``stop`` and ``cumrew`` are the
-    distinct tails' stopping law and accumulated rewards, and ``tail_vbar`` the
-    tails' v-bar values at stages h+1..H, one (k_u, tails) array per stage.
+    ``stop`` and ``cumrew`` are the stopping law and accumulated rewards of the
+    stage's distinct tails, ``tail_vbar`` the tails' v-bar values at stages
+    h+1..H, one (k_u, tails) array per stage, and ``back`` each row's tail
+    (``dataset.tail_paths[h]``).
     """
-    first, back = paths
     d = cov.matrix.shape[0]
     combos, subsampled = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
     anchors = np.empty((len(combos), d))
@@ -294,7 +295,7 @@ def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, paths, stop
     order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
     pool, stats = pool[order], stats[order]
     members = pool[_admitted(pool, stats, config)]
-    return StageSets(anchors=anchors, members=members, combos=len(combos), subsampled=subsampled, tails=len(first))
+    return StageSets(anchors=anchors, members=members, combos=len(combos), subsampled=subsampled, tails=stop.shape[0])
 
 
 def build_confidence_sets(
@@ -358,8 +359,7 @@ def build_confidence_sets(
             for i, (w, blocks) in enumerate(zip(omega_tail, at)):
                 omega[:, i] = w[blocks]
             tail_vbar = [vals[:, blocks] for vals, blocks in zip(vbar_tail, at)] + [terminal]
-            sets = _stage_sets(h, config, covs[h], (first, back), stop_probabilities(omega), cumrew, tail_vbar,
-                               extras, net)
+            sets = _stage_sets(h, config, covs[h], back, stop_probabilities(omega), cumrew, tail_vbar, extras, net)
             for g in indices:
                 stage_sets[g][h] = sets
             if sets.members.shape[0] == 0:
