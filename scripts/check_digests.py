@@ -28,9 +28,12 @@ import workloads  # noqa: E402
 
 
 def parse_seeds(text: str) -> range:
-    """"0-19" or "3" to the seeds they name."""
+    """"0-19" or "3" to the seeds they name; a range naming no seed is refused."""
     lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
+    seeds = range(int(lo), int(hi or lo) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {text!r} names no seed")
+    return seeds
 
 
 def main(argv=None) -> int:

@@ -6,13 +6,11 @@ from .design import (
     approx_optimal_design,
     build_true_guess,
     epsilon_net,
-    guess_from_doc,
     guess_grid,
-    guess_to_doc,
     panel_size,
 )
 from .envs import FeatureMap, PolicyParams, estimate_misspecification, fit_policy_params, random_linear_mdp, state_range
-from .harness import ExperimentConfig, emit_plots, load_dataset, run, save_dataset, sweep, verify
+from .harness import ExperimentConfig, emit_plots, load_dataset, save_dataset, sweep, verify
 from .learner import (
     ConfidenceSets,
     DerivedConstants,
@@ -20,7 +18,6 @@ from .learner import (
     SolveOutcome,
     build_confidence_sets,
     calibrate,
-    clipped_q,
     clipped_v,
     derived_constants,
     lstsq_anchor,

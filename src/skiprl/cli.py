@@ -72,6 +72,9 @@ def cmd_sweep(args) -> int:
         cfg.output_dir = args.out_dir
     result = harness.sweep(cfg)
     paths = harness.emit_plots(result, cfg.output_dir)
+    print(f"v*(s1) = {result.vstar:.6g}")
+    for n, cal in sorted(result.calibrations.items()):
+        print(f"n = {n}: beta = {cal['beta']:.6g}, eps_bar = {cal['eps_bar']:.6g}")
     for row in result.summary:
         print(f"n = {row['n']}: median gap {row['median_gap']:.6g} (IQR {row['iqr_low']:.6g}..{row['iqr_high']:.6g})")
     if "warning" in paths:
@@ -85,7 +88,10 @@ def cmd_verify(args) -> int:
     report = harness.verify(args.lemma, seed=args.seed)
     for entry in report["suites"]:
         status = "pass" if entry["pass"] else "FAIL"
-        print(f"{status}  {entry['name']}: worst slack {entry['worst_slack']:.3e} (tol {entry['tolerance']:.0e})")
+        print(
+            f"{status}  {entry['name']}: worst slack {entry['worst_slack']:.3e} (tol {entry['tolerance']:.0e})"
+            f"  [{entry['instances']}]"
+        )
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -95,10 +101,7 @@ def cmd_verify(args) -> int:
 
 def cmd_plot(args) -> int:
     rows = harness.read_rows_csv(args.rows)
-    result = harness.ExperimentResult(
-        rows=rows, summary=harness.summarize(rows), config_echo="{}", calibrations={}, vstar=float("nan")
-    )
-    paths = harness.emit_plots(result, args.out_dir)
+    paths = harness.write_tables(rows, harness.summarize(rows), args.out_dir)
     print(paths.get("plot", paths.get("warning", "")))
     return 0
 

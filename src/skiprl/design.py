@@ -220,30 +220,7 @@ def zero_guess(horizon: int, d: int, radius_bound: float = 1e-12) -> Guess:
     return Guess.from_stage_vectors(horizon, d, {}, radius_bound=radius_bound)
 
 
-def guess_to_doc(guess: Guess) -> dict:
-    """Structured document with explicit stage indices; floats round-trip exactly."""
-    return {
-        "horizon": guess.horizon,
-        "radius_bound": guess.radius_bound,
-        "stages": [
-            {"stage": stage, "panel": guess.panel(stage).tolist()}
-            for stage in range(1, guess.horizon)
-        ],
-    }
-
-
-def guess_from_doc(doc: dict) -> Guess:
-    entries = sorted(doc["stages"], key=lambda e: e["stage"])
-    if [e["stage"] for e in entries] != list(range(1, doc["horizon"])):
-        raise ValidationError("guess document must carry exactly stages 1..H-1")
-    return Guess(
-        horizon=doc["horizon"],
-        panels=[np.asarray(e["panel"], dtype=float) for e in entries],
-        radius_bound=doc["radius_bound"],
-    )
-
-
-def build_true_guess(mdp, featmap, policies, seed=0) -> Guess:
+def build_true_guess(mdp, featmap, policies) -> Guess:
     """Design-based guess panels from the fitted parameters of a policy set.
 
     Each interior stage's panel is the support of a near-optimal design over

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, persistence, runs, sweeps, verification.
+"""Experiment orchestration: configs, persistence, sweeps, verification.
 
 A run builds the environment from its seed, computes the exact optimal value,
 concentrability, and the design-based guess, collects trajectories with the
@@ -336,16 +336,17 @@ def summarize(rows) -> list:
     return out
 
 
-def _run_cells(cfg: ExperimentConfig, n_values) -> ExperimentResult:
+def sweep(cfg: ExperimentConfig) -> ExperimentResult:
+    """The full pipeline for every (n, replicate) cell of the config's n grid."""
     workers = worker_count()
     inst = build_instance(cfg)
     calibrations = {}
     tuned = {}
-    for n in n_values:
+    for n in cfg.sweep.n_values:
         lc, cal = calibrated_config(cfg, inst, n)
         tuned[n] = lc
         calibrations[int(n)] = cal
-    cells = [(n, r) for n in n_values for r in range(cfg.sweep.replicates)]
+    cells = [(n, r) for n in cfg.sweep.n_values for r in range(cfg.sweep.replicates)]
     cell = functools.partial(_run_cell, cfg, inst, tuned)
     if workers > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -360,16 +361,6 @@ def _run_cells(cfg: ExperimentConfig, n_values) -> ExperimentResult:
         calibrations=calibrations,
         vstar=inst.vstar,
     )
-
-
-def run(cfg: ExperimentConfig) -> ExperimentResult:
-    """Full pipeline at the config's single data size."""
-    return _run_cells(cfg, [cfg.data.n])
-
-
-def sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """The run pipeline across the config's n grid."""
-    return _run_cells(cfg, list(cfg.sweep.n_values))
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +570,26 @@ def _svg_plot(rows, summary, width=640, height=420) -> str:
     return "\n".join(parts)
 
 
-def emit_plots(result: ExperimentResult, out_dir) -> dict:
+def write_tables(rows, summary, out_dir) -> dict:
     """Write rows.csv, summary.csv, and gap_vs_n.svg; no-op warning when empty."""
     os.makedirs(out_dir, exist_ok=True)
-    if not result.rows:
+    if not rows:
         return {"warning": "empty result table; nothing emitted"}
     rows_path = os.path.join(out_dir, "rows.csv")
     summary_path = os.path.join(out_dir, "summary.csv")
     svg_path = os.path.join(out_dir, "gap_vs_n.svg")
-    write_rows_csv(result.rows, rows_path)
-    write_summary_csv(result.summary, summary_path)
+    write_rows_csv(rows, rows_path)
+    write_summary_csv(summary, summary_path)
     with open(svg_path, "w") as fh:
-        fh.write(_svg_plot(result.rows, result.summary))
+        fh.write(_svg_plot(rows, summary))
+    return {"rows": rows_path, "summary": summary_path, "plot": svg_path}
+
+
+def emit_plots(result: ExperimentResult, out_dir) -> dict:
+    """``write_tables`` of a sweep, then its run_meta.json (config echo, calibrations, v*)."""
+    paths = write_tables(result.rows, result.summary, out_dir)
+    if "warning" in paths:
+        return paths
     meta_path = os.path.join(out_dir, "run_meta.json")
     with open(meta_path, "w") as fh:
         json.dump(
@@ -602,7 +601,7 @@ def emit_plots(result: ExperimentResult, out_dir) -> dict:
             fh,
             sort_keys=True,
         )
-    return {"rows": rows_path, "summary": summary_path, "plot": svg_path, "meta": meta_path}
+    return {**paths, "meta": meta_path}
 
 
 # ---------------------------------------------------------------------------

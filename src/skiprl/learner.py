@@ -79,12 +79,6 @@ class LearnerConfig:
 # clipped value estimators
 
 
-def clipped_q(theta: np.ndarray, featmap: FeatureMap, stage: int, state: int, action: int) -> float:
-    """clip_[0,H] of the linear action-value estimate."""
-    H = featmap.horizon
-    return float(np.clip(featmap.phi[stage][state, action] @ theta, 0.0, H))
-
-
 def clipped_v(theta: np.ndarray, featmap: FeatureMap, stage: int, state: int) -> float:
     """clip_[0,H] of the best linear action-value; the clip is applied after the max."""
     H = featmap.horizon
@@ -567,16 +561,16 @@ class CalibrationResult:
     tightness_values: np.ndarray
 
 
-def _own_tail_distance(ds: Dataset, guess: Guess, psi: np.ndarray, config: LearnerConfig) -> float:
-    """max over stages h of ||lstsq_anchor(ds, h, guess, psi[h+1:]) - psi[h]||_{X_h}, one omega for all h."""
+def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, config: LearnerConfig) -> float:
+    """max over stages h of ||lstsq_anchor(ds, h, guess, psi[h+1:]) - psi[h]||_{X_h}, one omega for all h;
+    ``covs[h]`` is ``stage_covariance(ds, h, config.lam)``."""
     H = ds.horizon
     omega = dataset_omega(ds, guess, config.skip)
     vbar = np.zeros((ds.n, H + 1))
     for u in range(1, H):
         vbar[:, u] = _clipped_vbar_rows(ds, u, psi[u : u + 1])[0]
     worst = 0.0
-    for h in range(H):
-        cov = stage_covariance(ds, h, config.lam)
+    for h, cov in enumerate(covs):
         anchor = _anchor(ds.rewards, omega, vbar[:, h + 1 :], h, cov)
         worst = max(worst, cov.norm(anchor - psi[h]))
     return worst
@@ -606,14 +600,14 @@ def calibrate(
     psi = fit_policy_params(mdp, featmap, pistar).theta
     H = mdp.horizon
     datasets = [sample_trajectories(mdp, behavior, n, [seed, c], featmap) for c in range(replicates)]
-    stats = np.array([_own_tail_distance(ds, guess, psi, config) for ds in datasets])
+    stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]
+    stats = np.array([_own_tail_distance(ds, covs, guess, psi, config) for ds, covs in zip(datasets, stage_data)])
     beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
 
     extras = {h: psi[h][None, :] for h in range(H)}
     cfg = replace(config, beta=beta)
     tight = np.zeros(replicates)
-    for c, ds in enumerate(datasets):
-        covs = [stage_covariance(ds, h, cfg.lam) for h in range(H)]
+    for c, (ds, covs) in enumerate(zip(datasets, stage_data)):
         (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
         tight[c] = max(sets.tightness, default=math.inf)
     eps_bar = max(2.0 * float(tight.max()), 1e-9)
@@ -683,7 +677,7 @@ def derived_constants(
     alpha = eps / (12.0 * (H + 1))
     l2_bar = l2 * (8.0 * H * H * d0 / alpha + 1.0)
     sqrt_lam = H ** 1.5 * d / l2_bar
-    lam = sqrt_lam ** 2
+    lam = lambda_from_bound(H, d, l2_bar)
     eta_bar = eta * (10.0 * H * H * d0 / alpha + 1.0)
     lg = l2  # guess-ball radius stand-in
 

@@ -224,7 +224,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     cfg = ExperimentConfig.from_dict(doc)
 
     # repeated runs: byte-identical except the wall-time column
-    a, b = harness.run(cfg), harness.run(cfg)
+    a, b = sweep(cfg), sweep(cfg)
     pa, pb = tmp_path / "a", tmp_path / "b"
     emit_plots(a, pa)
     emit_plots(b, pb)

@@ -1,4 +1,5 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -101,17 +102,28 @@ def test_learn_names_a_dataset_shaped_unlike_the_environment(tmp_path, config_fi
     assert f"(H, A, d) = {shape}" in err and "the environment has (2, 2, 2)" in err and bad_path in err
 
 
-def test_sweep_and_plot(tmp_path, config_file):
+def test_sweep_and_plot(tmp_path, config_file, capsys):
     out_dir = str(tmp_path / "results")
     assert main(["sweep", "--config", config_file, "--out-dir", out_dir]) == 0
     rows = open(out_dir + "/rows.csv").read().splitlines()
     assert len(rows) == 1 + 2 * 2
     ET.parse(out_dir + "/gap_vs_n.svg")
+    # the sweep prints v* and the thresholds it used at each n, as run_meta.json records them
+    out = capsys.readouterr().out.splitlines()
+    meta = json.load(open(out_dir + "/run_meta.json"))
+    assert f"v*(s1) = {meta['vstar']:.6g}" in out
+    assert list(meta["calibrations"]) == ["40", "80"]
+    assert [line for line in out if "beta" in line] == [
+        f"n = {n}: beta = {cal['beta']:.6g}, eps_bar = {cal['eps_bar']:.6g}" for n, cal in meta["calibrations"].items()
+    ]
 
     replot = str(tmp_path / "replot")
     assert main(["plot", "--rows", out_dir + "/rows.csv", "--out-dir", replot]) == 0
     ET.parse(replot + "/gap_vs_n.svg")
     assert open(replot + "/rows.csv").read() == open(out_dir + "/rows.csv").read()
+    assert open(replot + "/summary.csv").read() == open(out_dir + "/summary.csv").read()
+    # a replot knows no config, calibration or v*, so it writes no run metadata
+    assert sorted(os.listdir(replot)) == ["gap_vs_n.svg", "rows.csv", "summary.csv"]
 
 
 def test_verify_subset_and_exit_codes(tmp_path, capsys):
@@ -121,13 +133,18 @@ def test_verify_subset_and_exit_codes(tmp_path, capsys):
     assert [s["name"] for s in report["suites"]] == ["perf-diff"]
     out = capsys.readouterr().out
     assert "worst slack" in out
+    assert f"[{report['suites'][0]['instances']}]" in out
 
 
-def test_verify_all_passes(tmp_path):
+def test_verify_all_passes(tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     assert main(["verify", "--all", "--out", report_path]) == 0
     report = json.load(open(report_path))
     assert report["all_pass"] and len(report["suites"]) == 7
+    # each suite's line names the instances it ran on
+    lines = capsys.readouterr().out.splitlines()
+    for entry, line in zip(report["suites"], lines):
+        assert line.startswith(f"pass  {entry['name']}:") and line.endswith(f"[{entry['instances']}]")
 
 
 def test_unknown_inputs_fail_cleanly(tmp_path):

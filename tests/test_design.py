@@ -200,25 +200,3 @@ def test_zero_guess_shape():
     g = zero_guess(4, 3)
     assert len(g.panels) == 3
     assert all(np.all(p == 0) for p in g.panels)
-
-
-class TestGuessSerialization:
-    def test_roundtrip_bit_exact(self):
-        import json
-
-        from skiprl.design import guess_from_doc, guess_to_doc
-
-        mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=9)
-        g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
-        doc = json.loads(json.dumps(guess_to_doc(g)))
-        assert [e["stage"] for e in doc["stages"]] == [1, 2]
-        back = guess_from_doc(doc)
-        assert back.horizon == g.horizon and back.radius_bound == g.radius_bound
-        for pa, pb in zip(back.panels, g.panels):
-            np.testing.assert_array_equal(pa, pb)
-
-    def test_missing_stage_rejected(self):
-        from skiprl.design import guess_from_doc
-
-        with pytest.raises(ValidationError):
-            guess_from_doc({"horizon": 3, "radius_bound": 1.0, "stages": [{"stage": 2, "panel": [[0.0, 0.0]]}]})

@@ -16,7 +16,6 @@ from skiprl.harness import (
     build_instance,
     emit_plots,
     load_dataset,
-    run,
     save_dataset,
     sweep,
     verify,
@@ -332,8 +331,8 @@ class TestDatasetPersistence:
 
 class TestRunAndSweep:
     def test_run_deterministic_modulo_wall(self, tmp_path):
-        cfg = tiny_config()
-        a, b = run(cfg), run(cfg)
+        cfg = tiny_config(sweep={"n_values": [120], "replicates": 3})
+        a, b = sweep(cfg), sweep(cfg)
         pa, pb = tmp_path / "a", tmp_path / "b"
         emit_plots(a, pa)
         emit_plots(b, pb)
@@ -351,16 +350,19 @@ class TestRunAndSweep:
     def test_zero_trajectories_rejected(self):
         # calibration samples first and raises directly; without it, collect fails by stage
         with pytest.raises(ValidationError, match="zero trajectories"):
-            run(tiny_config(data={"n": 0, "seed": 17}))
+            sweep(tiny_config(sweep={"n_values": [0], "replicates": 3}))
         with pytest.raises(ValidationError, match="zero trajectories"):
             sweep(tiny_config(sweep={"n_values": [60, 0], "replicates": 1}))
         with pytest.raises(HarnessError) as err:
-            run(tiny_config(data={"n": 0, "seed": 17}, calibration={"enabled": False}))
+            sweep(tiny_config(sweep={"n_values": [0], "replicates": 3}, calibration={"enabled": False}))
         assert err.value.stage == "collect" and isinstance(err.value.original, ValidationError)
 
     def test_zero_reward_env_gap_zero(self):
-        cfg = tiny_config(env={"d": 2, "horizon": 2, "stage_sizes": [1, 3, 1], "num_actions": 2, "seed": 3, "reward_scale": 0.0})
-        result = run(cfg)
+        cfg = tiny_config(
+            env={"d": 2, "horizon": 2, "stage_sizes": [1, 3, 1], "num_actions": 2, "seed": 3, "reward_scale": 0.0},
+            sweep={"n_values": [120], "replicates": 3},
+        )
+        result = sweep(cfg)
         assert all(r.gap == pytest.approx(0.0, abs=1e-12) for r in result.rows)
 
     def test_sweep_row_count_and_order(self):
@@ -368,14 +370,6 @@ class TestRunAndSweep:
         result = sweep(cfg)
         assert len(result.rows) == 2 * 3
         assert [(r.n, r.seed) for r in result.rows] == sorted((r.n, r.seed) for r in result.rows)
-
-    def test_single_cell_sweep_equals_run(self):
-        cfg = tiny_config(sweep={"n_values": [120], "replicates": 3})
-        a = run(cfg)  # run uses data.n = 120
-        b = sweep(cfg)
-        assert [(r.n, r.seed, r.gap, r.chosen_guess) for r in a.rows] == [
-            (r.n, r.seed, r.gap, r.chosen_guess) for r in b.rows
-        ]
 
     def test_summary_recomputable_from_rows(self):
         cfg = tiny_config()
@@ -409,8 +403,8 @@ class TestRunAndSweep:
         assert [(r.n, r.seed, r.gap) for r in serial.rows] == [(r.n, r.seed, r.gap) for r in parallel.rows]
 
     def test_config_echo_embedded(self, tmp_path):
-        cfg = tiny_config()
-        result = run(cfg)
+        cfg = tiny_config(sweep={"n_values": [120], "replicates": 3})
+        result = sweep(cfg)
         paths = emit_plots(result, tmp_path / "out")
         meta = json.loads(open(paths["meta"]).read())
         assert ExperimentConfig.from_dict(meta["config"]) == cfg
@@ -425,16 +419,18 @@ class TestRunAndSweep:
                 "seed": 3,
                 "reward_kind": "bernoulli-mean",
             },
-            sweep={"n_values": [80], "replicates": 2},
+            sweep={"n_values": [120], "replicates": 2},
         )
-        result = run(cfg)
+        result = sweep(cfg)
         assert all(np.isfinite(r.gap) and r.gap >= -1e-9 for r in result.rows)
 
     def test_eps_greedy_behavior(self):
-        cfg = tiny_config(data={"n": 100, "behavior": "eps-greedy", "mix": 0.4, "seed": 9})
+        cfg = tiny_config(
+            data={"n": 100, "behavior": "eps-greedy", "mix": 0.4, "seed": 9}, sweep={"n_values": [100], "replicates": 3}
+        )
         inst = build_instance(cfg)
         assert np.isfinite(inst.c_conc)
-        result = run(cfg)
+        result = sweep(cfg)
         assert all(r.gap >= -1e-9 for r in result.rows)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skiprl import learner
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import fit_policy_params, random_linear_mdp, sample_policies
 from skiprl.learner import (
@@ -21,7 +22,6 @@ from skiprl.learner import (
     _tail_combos,
     build_confidence_sets,
     calibrate,
-    clipped_q,
     clipped_v,
     derived_constants,
     greedy_policy,
@@ -60,13 +60,13 @@ class TestClippedEstimators:
     def test_zero_theta(self, setup):
         _, fm, *_ = setup
         theta = np.zeros(2)
-        assert clipped_q(theta, fm, 1, 0, 0) == 0.0
+        assert np.clip(fm.phi[1][0, 0] @ theta, 0.0, fm.horizon) == 0.0
         assert clipped_v(theta, fm, 1, 0) == 0.0
 
     def test_clip_upper(self, setup):
         mdp, fm, *_ = setup
         theta = np.full(2, 50.0)  # simplex features: inner product is 50 > H
-        assert clipped_q(theta, fm, 1, 0, 0) == mdp.horizon
+        assert np.clip(fm.phi[1][0, 0] @ theta, 0.0, mdp.horizon) == mdp.horizon
         assert clipped_v(theta, fm, 1, 0) == mdp.horizon
 
     def test_v_is_max_q_inside_range(self, setup):
@@ -78,7 +78,7 @@ class TestClippedEstimators:
                 for s in range(mdp.stage_sizes[stage]):
                     raw = fm.phi[stage][s] @ theta
                     if 0.0 <= raw.max() <= mdp.horizon:
-                        qmax = max(clipped_q(theta, fm, stage, s, a) for a in range(mdp.num_actions))
+                        qmax = np.clip(fm.phi[stage][s] @ theta, 0.0, mdp.horizon).max()
                         assert clipped_v(theta, fm, stage, s) == pytest.approx(qmax, abs=1e-12)
 
 
@@ -711,6 +711,22 @@ class TestCalibration:
         assert len(cal.anchor_stats) == 4
         assert np.isfinite(cal.tightness_values).all()
 
+    def test_stage_data_built_once_per_replicate(self, fixed_instance, monkeypatch):
+        # H stage objects per held-out replicate, shared by its own-tail distance and its sets
+        mdp, fm = fixed_instance
+        assert mdp.horizon == 3
+        guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
+        config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, skip=SkipParams(alpha=0.2, d=2))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return stage_covariance(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "stage_covariance", counted)
+        calibrate(mdp, fm, uniform_policy(mdp), guess, 50, config, replicates=2, delta=0.5, seed=3)
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
     def test_quantile_respects_delta(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
         cal = calibrate(mdp, fm, behavior, guess, 400, config, replicates=8, delta=0.5, seed=18)
@@ -740,4 +756,4 @@ class TestDerivedConstants:
 
     def test_lambda_consistent_with_bound(self):
         dc = derived_constants(d=2, horizon=4, eps=1.0, delta=0.05, l1=1.0, l2=1.0, eta=0.0, c_conc=1.0, n=100)
-        assert dc.lam == pytest.approx(lambda_from_bound(4, 2, dc.l2_bar), rel=1e-12)
+        assert dc.lam == lambda_from_bound(4, 2, dc.l2_bar)

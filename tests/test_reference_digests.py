@@ -18,3 +18,12 @@ def test_seed_zero_digests_match():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "3/3 digests match" in proc.stdout
+
+
+def test_empty_seed_range_refused():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "check_digests.py"), "--seeds", "5-3"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "names no seed" in proc.stderr and "digests match" not in proc.stdout
