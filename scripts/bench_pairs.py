@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Paired benchmark of a parent tree against this one, written as a BENCH file.
 
-    python3 scripts/bench_pairs.py --parent DIR --pairs 10 --seconds 15 --seed 0 --label NAME
+    python3 scripts/bench_pairs.py --parent DIR --pairs 10 --seconds 15 --seed 0 --label NAME \
+        [--workloads NAME[,NAME]]
 
 ``DIR`` is a checkout of the parent commit (a ``git clone`` or ``git
-archive`` of it).  For every workload in ``BENCHMARK.json`` the script
-alternates ``perfbench/run.py --trace 0`` runs between the parent and this
+archive`` of it).  For every workload in ``BENCHMARK.json`` (or only those
+``--workloads`` names) the script alternates ``perfbench/run.py --trace 0`` runs between the parent and this
 tree, parent first in even pairs and this tree first in odd ones, then makes
 one ``--trace 1`` run per side.  It writes
 ``results/bench/BENCH_<label>.json`` with, per workload and end-to-end
@@ -29,14 +30,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 900
 
 
-def parse_args(argv):
+def load_benchmark() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
+def parse_args(argv, bench: dict):
+    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--label", required=True)
+    parser.add_argument("--workloads", default=",".join(names),
+                        help="comma-separated workloads to run (default: every workload in BENCHMARK.json)")
     args = parser.parse_args(argv)
+    args.workloads = list(dict.fromkeys(w.strip() for w in args.workloads.split(",") if w.strip()))
+    unknown = [w for w in args.workloads if w not in names]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; choose from {', '.join(names)}")
+    if not args.workloads:
+        parser.error("--workloads names no workload")
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
     if not os.path.isfile(os.path.join(args.parent, "perfbench", "run.py")):
@@ -104,17 +119,15 @@ def compare(metric: dict, parent: list, change: list) -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    names = [w["name"] for w in bench["workloads"]]
+    bench = load_benchmark()
+    args = parse_args(argv, bench)
     metrics = bench["end_to_end"]
     if any(m["better"] != "lower" for m in metrics):
         raise SystemExit("bench_pairs compares lower-is-better end-to-end metrics only")
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
     provenance = {}
     out = {}
-    for name in names:
+    for name in args.workloads:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -142,7 +155,7 @@ def main(argv=None) -> int:
     doc = {
         "label": args.label,
         "date": datetime.date.today().isoformat(),
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed, "workloads": args.workloads,
                      "command": "perfbench/run.py, alternating parent/change; one --trace 1 run per side"},
         "parent": {**(provenance.get("parent") or {}), **git_state(trees["parent"])},
         "change": {**(provenance.get("change") or {}), **git_state(trees["change"])},

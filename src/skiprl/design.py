@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import ValidationError
+from .envs import fit_policy_stack
+from .mdp import PolicyStack, ValidationError
 
 KERNEL_TOL = 1e-8
 DUAL_SLACK = 1e-6
@@ -61,15 +62,26 @@ class DesignResult:
             raise ValidationError("design weights must form a distribution")
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i for every row pair, each as the same dot product ``a_i @ b_i`` runs."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _verify(inputs: np.ndarray, support: np.ndarray, weights: np.ndarray, two_d: float):
+    """Both design conditions over every input row.
+
+    The broadcast products run, row by row, the matrix-vector and dot
+    products of ``proj @ theta``, ``theta @ pinv @ theta`` and
+    ``norm(theta)``, so the reported dual and kernel values do not depend on
+    how many inputs are checked at once.
+    """
     V = (support.T * weights) @ support
     pinv, proj = _pseudo_inverse(V)
-    kernel_residual = 0.0
-    max_dual = 0.0
-    for theta in inputs:
-        off = np.linalg.norm(theta - proj @ theta)
-        kernel_residual = max(kernel_residual, off / max(1.0, np.linalg.norm(theta)))
-        max_dual = max(max_dual, float(theta @ pinv @ theta))
+    X = np.ascontiguousarray(inputs)
+    off = X - (proj @ X[:, :, None])[..., 0]
+    scale = np.maximum(1.0, np.sqrt(_row_dots(X, X)))
+    kernel_residual = float((np.sqrt(_row_dots(off, off)) / scale).max(initial=0.0))
+    max_dual = float(_row_dots((X[:, None, :] @ pinv)[:, 0], X).max(initial=0.0))
     ok = kernel_residual <= KERNEL_TOL and max_dual <= two_d + DUAL_SLACK
     return ok, V, max_dual, kernel_residual
 
@@ -100,7 +112,8 @@ def approx_optimal_design(vectors, tol: float = 1e-6, max_iters: int = 20_000) -
     d = X.shape[1]
     two_d = 2.0 * d
 
-    uniq = np.unique(X, axis=0)
+    # return_index keeps numpy 2.4 from importing numpy.ma for the axis=0 case
+    uniq = np.unique(X, axis=0, return_index=True)[0]
     nonzero = uniq[np.linalg.norm(uniq, axis=1) > 1e-14]
     if nonzero.shape[0] == 0:
         support = np.zeros((1, d))
@@ -227,16 +240,12 @@ def build_true_guess(mdp, featmap, policies) -> Guess:
     that stage's fitted parameters, zero-padded to the panel budget.  The
     construction is deterministic for a fixed policy sample.
     """
-    from .envs import fit_policy_params
-
-    if not policies:
+    stack = PolicyStack.of(mdp, policies)
+    if not len(stack):
         raise ValidationError("policy sample must be nonempty")
-    params = [fit_policy_params(mdp, featmap, pi) for pi in policies]
-    stage_vectors = {}
-    for stage in range(1, mdp.horizon):
-        vecs = np.stack([p.theta[stage] for p in params])
-        stage_vectors[stage] = approx_optimal_design(vecs).support
-    bound = max(p.l2_bound for p in params)
+    fit = fit_policy_stack(mdp, featmap, stack)
+    stage_vectors = {stage: approx_optimal_design(fit.theta[stage]).support for stage in range(1, mdp.horizon)}
+    bound = float(fit.l2_bounds.max())
     return Guess.from_stage_vectors(mdp.horizon, featmap.d, stage_vectors, radius_bound=max(bound, 1e-12))
 
 

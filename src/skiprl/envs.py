@@ -5,7 +5,9 @@ products with a feature map, so every policy's action-value function is
 exactly linear in the features (zero misspecification).  Fitting recovers the
 per-stage parameter of a given policy by least squares and reports the
 achieved sup-norm residual, which is what the misspecification and range
-estimators build on.
+estimators build on.  Policy samples are fitted as one ``PolicyStack``: one
+backward induction over the whole stack, then one ``lstsq`` per policy and
+stage, bit-identical to fitting each policy alone.
 """
 from __future__ import annotations
 
@@ -15,15 +17,19 @@ import numpy as np
 
 from .mdp import (
     Policy,
+    PolicyStack,
     StagedMdp,
     ValidationError,
     count_deterministic_policies,
-    enumerate_deterministic_policies,
-    evaluate_policy,
-    random_policy,
+    deterministic_policy_stacks,
+    evaluate_stack,
+    optimal_policy,
+    random_policy_stack,
+    uniform_policy,
 )
 
 NORM_TOL = 1e-12
+FIT_CHUNK = 512  # policies per stacked fit when estimating the misspecification
 
 
 class GenerationError(RuntimeError):
@@ -85,6 +91,31 @@ class PolicyParams:
             raise ValidationError("terminal parameter must be the zero vector")
 
 
+@dataclass
+class StackParams:
+    """Per-stage linear parameters fitted to every policy of a ``PolicyStack``.
+
+    ``theta`` has shape (H+1, P, d), stage-major so that ``theta[h]`` is the
+    (P, d) block of stage h; the terminal block is zero.  ``l2_bounds`` and
+    ``residuals`` hold each policy's ``PolicyParams.l2_bound`` and
+    ``residual``.  The rank flags are shared: every policy is fitted against
+    the same stage feature matrix.  ``params[i]`` is policy i's fit.
+    """
+
+    theta: np.ndarray
+    l2_bounds: np.ndarray
+    residuals: np.ndarray
+    rank_deficient_stages: tuple = ()
+
+    def __getitem__(self, i: int) -> PolicyParams:
+        return PolicyParams(
+            theta=np.ascontiguousarray(self.theta[:, i]),
+            l2_bound=float(self.l2_bounds[i]),
+            residual=float(self.residuals[i]),
+            rank_deficient_stages=self.rank_deficient_stages,
+        )
+
+
 def random_linear_mdp(
     d: int,
     horizon: int,
@@ -141,45 +172,57 @@ def random_linear_mdp(
     return mdp, featmap
 
 
-def fit_policy_params(mdp: StagedMdp, featmap: FeatureMap, policy: Policy) -> PolicyParams:
-    """Least-squares fit of theta_h to q^pi over each stage's state-action grid.
+def fit_policy_stack(mdp: StagedMdp, featmap: FeatureMap, policies) -> StackParams:
+    """Least-squares fit of theta_h to q^pi over each stage's state-action grid,
+    for every policy of a ``PolicyStack`` (or a sequence of ``Policy``).
 
     The objective is the l2 surrogate of the sup-norm minimizer; the reported
     residual is always the sup norm.  Rank-deficient stage feature matrices
-    fall back to the minimum-norm solution and are flagged.
+    fall back to the minimum-norm solution and are flagged.  The stack is
+    evaluated in one pass and each policy column gets its own ``lstsq`` call
+    (a multi-column solve would move the last bits), so every policy's fit is
+    bit-identical to fitting it alone.
     """
     featmap.check_against(mdp)
-    values = evaluate_policy(mdp, policy)
-    H, d = mdp.horizon, featmap.d
-    theta = np.zeros((H + 1, d))
-    worst = 0.0
+    stack = PolicyStack.of(mdp, policies)
+    values = evaluate_stack(mdp, stack)
+    H, d, P = mdp.horizon, featmap.d, len(stack)
+    theta = np.zeros((H + 1, P, d))
+    residuals = np.zeros(P)
     flagged = []
     for h in range(H):
         design = featmap.phi[h].reshape(-1, d)
-        target = values.q[h].ravel()
-        sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        theta[h] = sol
+        targets = values.q[h].reshape(P, -1)
+        rank = d
+        for p in range(P):
+            theta[h, p], _, rank, _ = np.linalg.lstsq(design, targets[p], rcond=None)
         if rank < d:
             flagged.append(h)
-        worst = max(worst, float(np.abs(design @ sol - target).max()))
-    norms = np.linalg.norm(theta, axis=1)
-    return PolicyParams(
+        fitted = (design @ theta[h][:, :, None])[..., 0]
+        residuals = np.maximum(residuals, np.abs(fitted - targets).max(axis=1))
+    return StackParams(
         theta=theta,
-        l2_bound=float(norms.max()),
-        residual=worst,
+        l2_bounds=np.linalg.norm(theta, axis=2).max(axis=0),
+        residuals=residuals,
         rank_deficient_stages=tuple(flagged),
     )
 
 
-def sample_policies(mdp: StagedMdp, count: int, seed) -> list:
-    """Deterministic policy sample: uniform + optimal + random mixtures."""
-    from .mdp import optimal_policy, uniform_policy
+def fit_policy_params(mdp: StagedMdp, featmap: FeatureMap, policy: Policy) -> PolicyParams:
+    """``fit_policy_stack`` on the one-policy stack."""
+    return fit_policy_stack(mdp, featmap, [policy])[0]
 
+
+def sample_policies(mdp: StagedMdp, count: int, seed) -> PolicyStack:
+    """Deterministic policy sample: uniform + optimal + random mixtures, as one stack.
+
+    The random mixtures are one Dirichlet block (``random_policy_stack``),
+    bit-identical to drawing them one policy at a time.
+    """
     rng = np.random.default_rng(seed)
-    pis = [uniform_policy(mdp), optimal_policy(mdp)[0]]
-    while len(pis) < count:
-        pis.append(random_policy(mdp, rng))
-    return pis[:count]
+    fixed = PolicyStack.of(mdp, [uniform_policy(mdp), optimal_policy(mdp)[0]][:count])
+    drawn = random_policy_stack(mdp, rng, max(count - 2, 0))
+    return PolicyStack([np.concatenate(pair) for pair in zip(fixed.tables, drawn.tables)])
 
 
 def estimate_misspecification(
@@ -193,16 +236,32 @@ def estimate_misspecification(
 
     Enumerates every deterministic policy when there are at most
     ``enumeration_cap`` of them, otherwise draws ``policy_sample_size``
-    uniformly random mixture policies.
+    uniformly random mixture policies.  Either set is fitted in stacks of at
+    most ``FIT_CHUNK`` policies.
     """
     if policy_sample_size < 1:
         raise ValidationError("policy_sample_size must be >= 1")
     if count_deterministic_policies(mdp) <= enumeration_cap:
-        policies = enumerate_deterministic_policies(mdp)
+        stacks = deterministic_policy_stacks(mdp, FIT_CHUNK)
     else:
         rng = np.random.default_rng(seed)
-        policies = (random_policy(mdp, rng) for _ in range(policy_sample_size))
-    return max(fit_policy_params(mdp, featmap, pi).residual for pi in policies)
+        stacks = (
+            random_policy_stack(mdp, rng, min(FIT_CHUNK, policy_sample_size - start))
+            for start in range(0, policy_sample_size, FIT_CHUNK)
+        )
+    return max(float(fit_policy_stack(mdp, featmap, stack).residuals.max()) for stack in stacks)
+
+
+def stage_ranges(featmap: FeatureMap, theta: np.ndarray, stage: int) -> np.ndarray:
+    """Largest fitted action-value spread at each state of ``stage`` across policies.
+
+    ``theta`` is the (P, d) block of the policies' stage parameters; entry s
+    is ``state_range`` at state s.  One broadcast product scores every
+    (policy, state, action) with the matrix-vector products a per-state loop
+    would run.
+    """
+    scores = (featmap.phi[stage][None] @ theta[:, None, :, None])[..., 0]  # (P, S, A)
+    return (scores.max(axis=2) - scores.min(axis=2)).max(axis=0, initial=0.0)
 
 
 def state_range(
@@ -216,15 +275,16 @@ def state_range(
     """Largest fitted action-value spread at a state across sampled policies.
 
     A lower bound on the true range (the supremum runs over all memoryless
-    policies).  Defined only for interior stages 1..H-1.
+    policies).  Defined only for interior stages 1..H-1.  ``params`` may
+    carry the policies' fits (a ``StackParams`` or a list of
+    ``PolicyParams``) so they are not fitted again.
     """
     if stage < 1 or stage >= mdp.horizon:
         raise ValidationError(f"range is undefined at stage {stage}")
     if params is None:
-        params = [fit_policy_params(mdp, featmap, pi) for pi in policies]
-    feats = featmap.phi[stage][state]  # (A, d)
-    best = 0.0
-    for p in params:
-        scores = feats @ p.theta[stage]
-        best = max(best, float(scores.max() - scores.min()))
-    return best
+        params = fit_policy_stack(mdp, featmap, policies)
+    if isinstance(params, StackParams):
+        theta = params.theta[stage]
+    else:
+        theta = np.array([p.theta[stage] for p in params]).reshape(-1, featmap.d)
+    return float(stage_ranges(featmap, theta, stage)[state])

@@ -29,7 +29,7 @@ class ValidationError(ValueError):
 def _check_rows(name: str, arr: np.ndarray, tol: float = PROB_TOL) -> None:
     if np.any(arr < 0):
         raise ValidationError(f"{name}: negative entries present")
-    worst = np.abs(arr.sum(axis=-1) - 1.0).max()
+    worst = np.abs(arr.sum(axis=-1) - 1.0).max(initial=0.0)
     if worst > tol:
         raise ValidationError(f"{name}: rows must sum to 1 (worst deviation {worst:.3e})")
 
@@ -117,8 +117,60 @@ class Policy:
 
 
 @dataclass
+class PolicyStack:
+    """P memoryless policies stored stage by stage, checked once as a block.
+
+    ``tables[h]`` has shape (P, S_h, A) and holds stage h of every policy;
+    ``stack[i]`` is policy i as a ``Policy``.  Stacked evaluation and fitting
+    read the tables directly, so a sample of P policies costs one row check
+    per stage instead of one per policy and stage.
+    """
+
+    tables: list  # tables[h]: (P, S_h, A)
+
+    def __post_init__(self):
+        self.tables = [np.asarray(t, dtype=float) for t in self.tables]
+        if not self.tables:
+            raise ValidationError("policy stack needs at least one stage")
+        count = self.tables[0].shape[0]
+        for h, t in enumerate(self.tables):
+            if t.ndim != 3 or t.shape[0] != count:
+                raise ValidationError(f"policy stack stage {h}: expected shape ({count}, S, A)")
+            _check_rows(f"policy stack stage {h}", t)
+
+    @classmethod
+    def of(cls, mdp: "StagedMdp", policies) -> "PolicyStack":
+        """``policies`` as a stack: a ``PolicyStack`` as is, a sequence of ``Policy`` stacked."""
+        if isinstance(policies, PolicyStack):
+            return policies
+        policies = list(policies)
+        for pi in policies:
+            _check_policy_shape(mdp, pi)
+        if not policies:
+            return cls([np.zeros((0, k, mdp.num_actions)) for k in mdp.stage_sizes])
+        return cls([np.stack(tables) for tables in zip(*(pi.tables for pi in policies))])
+
+    def __len__(self) -> int:
+        return self.tables[0].shape[0]
+
+    def __getitem__(self, i: int) -> Policy:
+        return Policy([t[i] for t in self.tables])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def horizon(self) -> int:
+        return len(self.tables) - 1
+
+
+@dataclass
 class ValueTables:
-    """State- and action-value tables from exact backward induction."""
+    """State- and action-value tables from exact backward induction.
+
+    Tables of a ``PolicyStack`` carry a leading policy axis: q[h] is
+    (P, S_h, A) and v[h] is (P, S_h).
+    """
 
     q: list  # q[h]: (S_h, A)
     v: list  # v[h]: (S_h,)
@@ -286,10 +338,21 @@ def uniform_policy(mdp: StagedMdp) -> Policy:
     return Policy([np.full((k, A), 1.0 / A) for k in mdp.stage_sizes])
 
 
+def random_policy_stack(mdp: StagedMdp, rng: np.random.Generator, count: int) -> PolicyStack:
+    """``count`` uniformly random mixture policies (Dirichlet(1,...,1) rows) as one block.
+
+    The block is drawn row by row in policy-major order, the order in which
+    ``count`` draws of one stage table after another read the stream, so the
+    tables and the generator state afterwards do not depend on how a sample
+    is split into blocks.
+    """
+    rows = rng.dirichlet(np.ones(mdp.num_actions), size=(count, sum(mdp.stage_sizes)))
+    return PolicyStack(np.split(rows, np.cumsum(mdp.stage_sizes)[:-1], axis=1))
+
+
 def random_policy(mdp: StagedMdp, rng: np.random.Generator) -> Policy:
     """Uniformly random mixture policy (Dirichlet(1,...,1) rows)."""
-    A = mdp.num_actions
-    return Policy([rng.dirichlet(np.ones(A), size=k) for k in mdp.stage_sizes])
+    return random_policy_stack(mdp, rng, 1)[0]
 
 
 def deterministic_policy(mdp: StagedMdp, actions: list) -> Policy:
@@ -313,30 +376,44 @@ def count_deterministic_policies(mdp: StagedMdp) -> int:
     return mdp.num_actions ** n_states
 
 
-def enumerate_deterministic_policies(mdp: StagedMdp):
-    """Yield every deterministic policy (terminal action fixed to 0)."""
-    H, A = mdp.horizon, mdp.num_actions
+def deterministic_policy_stacks(mdp: StagedMdp, chunk: int):
+    """Every deterministic policy (terminal action fixed to 0) as stacks of at
+    most ``chunk`` policies, so no array grows with the total count.
+
+    Policies come in ``itertools.product`` order over the non-terminal states,
+    stage by stage, with the last state varying fastest.
+    """
+    if chunk < 1:
+        raise ValidationError("chunk must be >= 1")
+    A = mdp.num_actions
     slots = sum(mdp.stage_sizes[:-1])
-    for combo in itertools.product(range(A), repeat=slots):
-        actions, i = [], 0
-        for h in range(H):
-            k = mdp.stage_sizes[h]
-            actions.append(list(combo[i:i + k]))
-            i += k
-        actions.append([0])
-        yield deterministic_policy(mdp, actions)
+    combos = itertools.product(range(A), repeat=slots)
+    bounds = np.cumsum(mdp.stage_sizes[:-1])[:-1]
+    while True:
+        block = np.array(list(itertools.islice(combos, chunk)), dtype=int).reshape(-1, slots)
+        if block.shape[0] == 0:
+            return
+        actions = np.split(block, bounds, axis=1) + [np.zeros((block.shape[0], 1), dtype=int)]
+        yield PolicyStack([(a[..., None] == np.arange(A)).astype(float) for a in actions])
+
+
+def enumerate_deterministic_policies(mdp: StagedMdp):
+    """Yield every deterministic policy, in ``deterministic_policy_stacks`` order."""
+    for stack in deterministic_policy_stacks(mdp, 512):
+        yield from stack
 
 
 # ---------------------------------------------------------------------------
 # exact dynamic programming
 
 
-def _check_policy_shape(mdp: StagedMdp, policy: Policy) -> None:
+def _check_policy_shape(mdp: StagedMdp, policy) -> None:
+    """Stage count and per-stage (S_h, A) shape of a ``Policy`` or a ``PolicyStack``."""
     if policy.horizon != mdp.horizon:
         raise ValidationError("policy horizon does not match MDP")
     for h, t in enumerate(policy.tables):
-        if t.shape != (mdp.stage_sizes[h], mdp.num_actions):
-            raise ValidationError(f"policy stage {h}: shape {t.shape} does not match MDP")
+        if t.shape[-2:] != (mdp.stage_sizes[h], mdp.num_actions):
+            raise ValidationError(f"policy stage {h}: shape {t.shape[-2:]} does not match MDP")
 
 
 def greedy_table(q: np.ndarray) -> np.ndarray:
@@ -371,6 +448,25 @@ def evaluate_policy(mdp: StagedMdp, policy: Policy) -> ValueTables:
     """Exact values of ``policy`` by backward induction."""
     _check_policy_shape(mdp, policy)
     return backward_induction(mdp, lambda h, q: policy.tables[h])[1]
+
+
+def evaluate_stack(mdp: StagedMdp, stack: PolicyStack) -> ValueTables:
+    """Exact values of every policy in ``stack``, bit-identical to ``evaluate_policy`` on each.
+
+    ``T_h[None] @ v[:, None, :, None]`` applies each stage's transition tensor
+    to all P value vectors in one broadcast product whose per-policy blocks
+    are the same matrix-vector products ``T_h @ v`` runs.
+    """
+    _check_policy_shape(mdp, stack)
+    H, P = mdp.horizon, len(stack)
+    q = [None] * (H + 1)
+    v = [None] * (H + 1)
+    q[H] = np.zeros((P, 1, mdp.num_actions))
+    v[H] = np.zeros((P, 1))
+    for h in range(H - 1, -1, -1):
+        q[h] = mdp.reward_means[h] + (mdp.transitions[h][None] @ v[h + 1][:, None, :, None])[..., 0]
+        v[h] = np.sum(stack.tables[h] * q[h], axis=2)
+    return ValueTables(q=q, v=v)
 
 
 def optimal_policy(mdp: StagedMdp):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Guess
-from .envs import FeatureMap, fit_policy_params, state_range
+from .envs import FeatureMap, fit_policy_stack, stage_ranges
 from .mdp import (
     Policy,
     StagedMdp,
@@ -216,14 +216,14 @@ def check_range_bound(mdp: StagedMdp, featmap: FeatureMap, guess: Guess, policie
     """
     from .skipping import guess_range
 
-    params = [fit_policy_params(mdp, featmap, pi) for pi in policies]
+    theta = fit_policy_stack(mdp, featmap, policies).theta
     factor = np.sqrt(2.0 * featmap.d)
     worst = float("inf")
     for stage in range(1, mdp.horizon):
+        lhs = stage_ranges(featmap, theta[stage], stage)
         for state in range(mdp.stage_sizes[stage]):
-            lhs = state_range(mdp, featmap, None, stage, state, params=params)
             rhs = factor * guess_range(guess, featmap, stage, state)
-            worst = min(worst, float(rhs - lhs))
+            worst = min(worst, float(rhs - lhs[state]))
     return worst
 
 
