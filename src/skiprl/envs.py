@@ -222,7 +222,7 @@ def sample_policies(mdp: StagedMdp, count: int, seed) -> PolicyStack:
     rng = np.random.default_rng(seed)
     fixed = PolicyStack.of(mdp, [uniform_policy(mdp), optimal_policy(mdp)[0]][:count])
     drawn = random_policy_stack(mdp, rng, max(count - 2, 0))
-    return PolicyStack([np.concatenate(pair) for pair in zip(fixed.tables, drawn.tables)])
+    return fixed.concat(drawn)
 
 
 def estimate_misspecification(

@@ -29,7 +29,7 @@ class ValidationError(ValueError):
 def _check_rows(name: str, arr: np.ndarray, tol: float = PROB_TOL) -> None:
     if np.any(arr < 0):
         raise ValidationError(f"{name}: negative entries present")
-    worst = np.abs(arr.sum(axis=-1) - 1.0).max(initial=0.0)
+    worst = np.abs(arr.sum(axis=-1) - 1.0).max()
     if worst > tol:
         raise ValidationError(f"{name}: rows must sum to 1 (worst deviation {worst:.3e})")
 
@@ -136,7 +136,16 @@ class PolicyStack:
         for h, t in enumerate(self.tables):
             if t.ndim != 3 or t.shape[0] != count:
                 raise ValidationError(f"policy stack stage {h}: expected shape ({count}, S, A)")
-            _check_rows(f"policy stack stage {h}", t)
+            if count:
+                _check_rows(f"policy stack stage {h}", t)
+
+    @classmethod
+    def _of_checked(cls, tables: list) -> "PolicyStack":
+        """A stack of tables whose rows were already checked, as rows of a
+        ``Policy`` or of another ``PolicyStack``; the check is not repeated."""
+        stack = cls.__new__(cls)
+        stack.tables = tables
+        return stack
 
     @classmethod
     def of(cls, mdp: "StagedMdp", policies) -> "PolicyStack":
@@ -148,7 +157,11 @@ class PolicyStack:
             _check_policy_shape(mdp, pi)
         if not policies:
             return cls([np.zeros((0, k, mdp.num_actions)) for k in mdp.stage_sizes])
-        return cls([np.stack(tables) for tables in zip(*(pi.tables for pi in policies))])
+        return cls._of_checked([np.stack(tables) for tables in zip(*(pi.tables for pi in policies))])
+
+    def concat(self, other: "PolicyStack") -> "PolicyStack":
+        """The policies of ``self`` followed by those of ``other``."""
+        return PolicyStack._of_checked([np.concatenate(pair) for pair in zip(self.tables, other.tables)])
 
     def __len__(self) -> int:
         return self.tables[0].shape[0]
