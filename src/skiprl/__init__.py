@@ -9,7 +9,7 @@ from .design import (
     guess_grid,
     panel_size,
 )
-from .envs import FeatureMap, PolicyParams, estimate_misspecification, fit_policy_params, random_linear_mdp, state_range
+from .envs import FeatureMap, estimate_misspecification, fit_policy_stack, random_linear_mdp, state_range
 from .harness import ExperimentConfig, emit_plots, load_dataset, save_dataset, sweep, verify
 from .learner import (
     ConfidenceSets,

@@ -1,13 +1,14 @@
-"""Exactly linear environments and per-policy parameter fitting.
+"""Exactly linear environments and policy parameter fitting.
 
 The generator builds MDPs whose transitions and mean rewards are inner
 products with a feature map, so every policy's action-value function is
 exactly linear in the features (zero misspecification).  Fitting recovers the
-per-stage parameter of a given policy by least squares and reports the
-achieved sup-norm residual, which is what the misspecification and range
-estimators build on.  Policy samples are fitted as one ``PolicyStack``: one
-backward induction over the whole stack, then one ``lstsq`` per policy and
-stage, bit-identical to fitting each policy alone.
+per-stage parameters of a set of policies by least squares and reports the
+achieved sup-norm residuals, which is what the misspecification and range
+estimators build on.  A policy set is fitted as one ``PolicyStack`` (one
+policy is the one-policy stack): one backward induction over the whole stack,
+then one ``lstsq`` per policy and stage, bit-identical to fitting each policy
+alone.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import (
-    Policy,
     PolicyStack,
     StagedMdp,
     ValidationError,
@@ -72,34 +72,15 @@ class FeatureMap:
 
 
 @dataclass
-class PolicyParams:
-    """Per-stage linear parameters fitted to one policy's q-function.
-
-    ``theta`` has shape (H+1, d); the terminal row is forced to zero.
-    ``residual`` is the sup-norm fit error over all stages and state-action
-    pairs, and ``l2_bound`` equals the largest per-stage parameter norm.
-    """
-
-    theta: np.ndarray
-    l2_bound: float
-    residual: float
-    rank_deficient_stages: tuple = ()
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if np.any(self.theta[-1] != 0):
-            raise ValidationError("terminal parameter must be the zero vector")
-
-
-@dataclass
 class StackParams:
     """Per-stage linear parameters fitted to every policy of a ``PolicyStack``.
 
     ``theta`` has shape (H+1, P, d), stage-major so that ``theta[h]`` is the
-    (P, d) block of stage h; the terminal block is zero.  ``l2_bounds`` and
-    ``residuals`` hold each policy's ``PolicyParams.l2_bound`` and
-    ``residual``.  The rank flags are shared: every policy is fitted against
-    the same stage feature matrix.  ``params[i]`` is policy i's fit.
+    (P, d) block of stage h and ``theta[:, i]`` is policy i's parameters; the
+    terminal block must be zero.  ``l2_bounds`` holds each policy's largest
+    per-stage parameter norm and ``residuals`` its sup-norm fit error over all
+    stages and state-action pairs.  The rank flags are shared: every policy is
+    fitted against the same stage feature matrix.
     """
 
     theta: np.ndarray
@@ -107,13 +88,10 @@ class StackParams:
     residuals: np.ndarray
     rank_deficient_stages: tuple = ()
 
-    def __getitem__(self, i: int) -> PolicyParams:
-        return PolicyParams(
-            theta=np.ascontiguousarray(self.theta[:, i]),
-            l2_bound=float(self.l2_bounds[i]),
-            residual=float(self.residuals[i]),
-            rank_deficient_stages=self.rank_deficient_stages,
-        )
+    def __post_init__(self):
+        self.theta = np.asarray(self.theta, dtype=float)
+        if np.any(self.theta[-1] != 0):
+            raise ValidationError("terminal parameter block must be zero")
 
 
 def random_linear_mdp(
@@ -208,11 +186,6 @@ def fit_policy_stack(mdp: StagedMdp, featmap: FeatureMap, policies) -> StackPara
     )
 
 
-def fit_policy_params(mdp: StagedMdp, featmap: FeatureMap, policy: Policy) -> PolicyParams:
-    """``fit_policy_stack`` on the one-policy stack."""
-    return fit_policy_stack(mdp, featmap, [policy])[0]
-
-
 def sample_policies(mdp: StagedMdp, count: int, seed) -> PolicyStack:
     """Deterministic policy sample: uniform + optimal + random mixtures, as one stack.
 
@@ -264,27 +237,13 @@ def stage_ranges(featmap: FeatureMap, theta: np.ndarray, stage: int) -> np.ndarr
     return (scores.max(axis=2) - scores.min(axis=2)).max(axis=0, initial=0.0)
 
 
-def state_range(
-    mdp: StagedMdp,
-    featmap: FeatureMap,
-    policies,
-    stage: int,
-    state: int,
-    params=None,
-) -> float:
+def state_range(mdp: StagedMdp, featmap: FeatureMap, policies, stage: int, state: int) -> float:
     """Largest fitted action-value spread at a state across sampled policies.
 
     A lower bound on the true range (the supremum runs over all memoryless
-    policies).  Defined only for interior stages 1..H-1.  ``params`` may
-    carry the policies' fits (a ``StackParams`` or a list of
-    ``PolicyParams``) so they are not fitted again.
+    policies).  Defined only for interior stages 1..H-1.
     """
     if stage < 1 or stage >= mdp.horizon:
         raise ValidationError(f"range is undefined at stage {stage}")
-    if params is None:
-        params = fit_policy_stack(mdp, featmap, policies)
-    if isinstance(params, StackParams):
-        theta = params.theta[stage]
-    else:
-        theta = np.array([p.theta[stage] for p in params]).reshape(-1, featmap.d)
+    theta = fit_policy_stack(mdp, featmap, policies).theta[stage]
     return float(stage_ranges(featmap, theta, stage)[state])

@@ -263,20 +263,17 @@ class ExperimentResult:
 
 
 def calibrated_config(cfg: ExperimentConfig, inst: Instance, n: int) -> tuple:
+    """The learner config for n, with calibrated beta and eps_bar when calibration
+    is enabled; a calibration failure is raised as stage ``calibrate``."""
     base = learner_config(cfg, cfg.env.d)
     if not cfg.calibration.enabled:
         return base, {"beta": base.beta, "eps_bar": base.eps_bar}
-    cal = calibrate(
-        inst.mdp,
-        inst.featmap,
-        inst.behavior,
-        inst.true_guess,
-        n,
-        base,
-        cfg.calibration.replicates,
-        cfg.calibration.delta,
-        [cfg.data.seed, cfg.calibration.seed_offset],
-    )
+    spec = cfg.calibration
+    try:
+        cal = calibrate(inst.mdp, inst.featmap, inst.behavior, inst.true_guess, n, base,
+                        spec.replicates, spec.delta, [cfg.data.seed, spec.seed_offset])
+    except Exception as err:
+        raise HarnessError("calibrate", err) from err
     tuned = replace(base, beta=cal.beta, eps_bar=cal.eps_bar)
     return tuned, {"beta": cal.beta, "eps_bar": cal.eps_bar}
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .design import Guess, epsilon_net, panel_size
-from .envs import FeatureMap, fit_policy_params
+from .envs import FeatureMap, fit_policy_stack
 from .mdp import (
     Dataset,
     Policy,
@@ -51,11 +51,14 @@ RADIUS_TOL = 1e-9
 class LearnerConfig:
     """Knobs of the optimistic solver.
 
-    ``beta`` is the ellipsoid radius, ``eps_bar`` the tightness threshold,
-    ``theta_radius`` the candidate-norm ball, ``grid_per_stage`` the candidate
-    pool budget and ``combo_cap`` the number of tail combinations enumerated
-    per stage (full enumeration below the cap, seeded uniform subsample
-    above).  ``net_spacing`` optionally adds epsilon-net points to the pool.
+    ``lam`` is the ridge weight of the stage covariances X_h = lam I + phi^T phi,
+    ``beta`` the ellipsoid radius, ``eps_bar`` the tightness threshold,
+    ``theta_radius`` the candidate-norm ball and ``skip`` the skip threshold
+    and feature dimension of the guesses' skip probabilities.
+    ``grid_per_stage`` is the candidate pool budget and ``combo_cap`` the
+    number of tail combinations enumerated per stage (full enumeration below
+    the cap, a uniform subsample seeded by ``seed`` and the stage above).
+    ``net_spacing`` optionally adds epsilon-net points to the pool.
     """
 
     lam: float
@@ -73,6 +76,20 @@ class LearnerConfig:
             raise ValidationError("lam, beta, eps_bar, theta_radius must be positive")
         if self.grid_per_stage < 1 or self.combo_cap < 1:
             raise ValidationError("grid_per_stage and combo_cap must be >= 1")
+
+
+def _check_dims(config: LearnerConfig, guesses=(), featmap=None, dataset=None) -> None:
+    """Refuse disagreeing feature dimensions among ``config.skip.d``, each guess's
+    ``dim``, ``featmap.d`` and ``dataset.dim``; a guess without panels (H = 1) has none."""
+    named = [("config.skip.d", config.skip.d)]
+    if featmap is not None:
+        named.append(("featmap.d", featmap.d))
+    if dataset is not None:
+        named.append(("dataset.dim", dataset.dim))
+    named.extend((f"guess {i} dim", g.dim) for i, g in enumerate(guesses) if g.panels)
+    for name, d in named[1:]:
+        if d != config.skip.d:
+            raise ValidationError(f"dimension mismatch: {name} = {d} but config.skip.d = {config.skip.d}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +173,7 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     ``theta_tail`` holds one parameter per stage h+1..H; the terminal entry
     is ignored because the terminal value estimate is identically zero.
     """
+    _check_dims(config, [guess], dataset=dataset)
     tail = np.asarray(theta_tail, dtype=float)
     H = dataset.horizon
     if tail.shape != (H - h, dataset.dim):
@@ -321,6 +339,7 @@ def build_confidence_sets(
     parameters through the construction, and by ``solve``'s fallback, which
     builds with beta = theta_radius = inf).
     """
+    _check_dims(config, guesses, dataset=dataset)
     H, d = dataset.horizon, dataset.dim
     net = _net(config, d)
     stage_sets = [[None] * H for _ in guesses]
@@ -457,6 +476,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
     """
     if not guesses:
         raise ValidationError("at least one guess candidate is required")
+    _check_dims(config, featmap=featmap)  # build_confidence_sets checks the data and the guesses
     H = dataset.horizon
     covs = [stage_covariance(dataset, h, config.lam) for h in range(H)]
     reports = []
@@ -594,10 +614,15 @@ def calibrate(
     psi and its own-tail anchor; ``eps_bar`` is twice the worst observed
     true-guess tightness under that beta, with psi[h] added to every stage
     pool as an extra candidate (floored away from zero so exact-singleton
-    sets stay feasible).
+    sets stay feasible).  ``replicates`` must be >= 1 and ``delta`` in (0, 1).
     """
+    _check_dims(config, [guess], featmap=featmap)
+    if replicates < 1:
+        raise ValidationError(f"calibration replicates must be >= 1, got {replicates}")
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"calibration delta must lie in (0, 1), got {delta}")
     pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, config.skip)
-    psi = fit_policy_params(mdp, featmap, pistar).theta
+    psi = np.ascontiguousarray(fit_policy_stack(mdp, featmap, [pistar]).theta[:, 0])
     H = mdp.horizon
     datasets = [sample_trajectories(mdp, behavior, n, [seed, c], featmap) for c in range(replicates)]
     stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]

@@ -202,14 +202,19 @@ class OccupancyMeasure:
                 raise ValidationError(f"occupancy stage {h} is not a distribution")
 
 
-def _check_paths(states: np.ndarray, rewards: np.ndarray) -> None:
-    """Trajectory invariants over the last axis, for one path or a stack of them."""
+def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, features) -> None:
+    """Trajectory invariants over the last axis, for one path or a stack of them;
+    actions must index the action axis of the features, when there are any."""
     if np.any(states[..., 0] != 0) or np.any(states[..., -1] != 0):
         raise ValidationError("trajectory must start at the start state and end at the terminal state")
     if np.any(rewards[..., -1] != 0.0):
         raise ValidationError("terminal reward must be zero")
     if np.any(~((rewards >= 0) & (rewards <= 1))):  # also refuses NaN
         raise ValidationError("rewards must lie in [0, 1]")
+    if actions.min(initial=0) < 0:  # min and max read the actions once each, with no mask
+        raise ValidationError(f"actions must be >= 0, got {actions.min()}")
+    if features is not None and actions.max(initial=-1) >= features.shape[-2]:
+        raise ValidationError(f"actions must be < {features.shape[-2]} (the features' action count), got {actions.max()}")
 
 
 @dataclass
@@ -229,7 +234,7 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=int)
         self.actions = np.asarray(self.actions, dtype=int)
         self.rewards = np.asarray(self.rewards, dtype=float)
-        _check_paths(self.states, self.rewards)
+        _check_paths(self.states, self.actions, self.rewards, self.features)
 
     @property
     def horizon(self) -> int:
@@ -261,7 +266,7 @@ class Dataset:
         n, H = shape[0], shape[1] - 1
         if self.features is not None and (self.features.ndim != 4 or self.features.shape[:2] != (n, H)):
             raise ValidationError(f"features must have shape (n, H, A, d) with n, H = {n}, {H}; got {self.features.shape}")
-        _check_paths(self.states, self.rewards)
+        _check_paths(self.states, self.actions, self.rewards, self.features)
 
     def __len__(self) -> int:
         return self.states.shape[0]

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_tabular_mdp
 from skiprl import harness
-from skiprl.envs import fit_policy_params
+from skiprl.envs import fit_policy_stack
 from skiprl.harness import ExperimentConfig, emit_plots, load_dataset, save_dataset, sweep
 from skiprl.learner import (
     build_confidence_sets,
@@ -153,7 +153,7 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
     base = harness.learner_config(cfg, cfg.env.d)
     lc, cal = harness.calibrated_config(cfg, inst, n)
     pistar_G, _ = skip_optimal_policy(inst.mdp, inst.featmap, inst.true_guess, inst.behavior, lc.skip)
-    psi = fit_policy_params(inst.mdp, inst.featmap, pistar_G).theta
+    psi = fit_policy_stack(inst.mdp, inst.featmap, [pistar_G]).theta[:, 0]
     H = inst.mdp.horizon
     extras = {h: psi[h][None, :] for h in range(H)}
     passes = 0

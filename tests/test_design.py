@@ -13,7 +13,7 @@ from skiprl.design import (
     panel_size,
     zero_guess,
 )
-from skiprl.envs import fit_policy_params, random_linear_mdp, sample_policies
+from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.mdp import ValidationError
 
 
@@ -95,10 +95,10 @@ class TestTrueGuess:
     def test_panels_subset_of_fitted_parameters(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=1)
         policies = sample_policies(mdp, 60, 0)
-        fitted = [fit_policy_params(mdp, fm, pi) for pi in policies]
+        fitted = fit_policy_stack(mdp, fm, policies)
         guess = build_true_guess(mdp, fm, policies)
         for stage in range(1, mdp.horizon):
-            pool = np.stack([p.theta[stage] for p in fitted])
+            pool = fitted.theta[stage]
             for row in guess.panel(stage):
                 if np.all(row == 0):
                     continue  # zero padding

@@ -5,8 +5,9 @@ from conftest import random_tabular_mdp
 from skiprl.envs import (
     FeatureMap,
     GenerationError,
+    StackParams,
     estimate_misspecification,
-    fit_policy_params,
+    fit_policy_stack,
     random_linear_mdp,
     sample_policies,
     state_range,
@@ -39,8 +40,8 @@ class TestGenerator:
     def test_fifty_policies_fit_exactly(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 3, 1), 2, seed=1)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert fit_policy_params(mdp, fm, random_policy(mdp, rng)).residual <= 1e-8
+        fit = fit_policy_stack(mdp, fm, [random_policy(mdp, rng) for _ in range(50)])
+        assert np.all(fit.residuals <= 1e-8)
 
     def test_constant_feature_constant_reward(self):
         # phi = (1), rewards all c: q at stage h is c * (H - h), so theta_h = c (H - h)
@@ -50,10 +51,10 @@ class TestGenerator:
         rewards = [np.full_like(r, c) for r in base.reward_means[:-1]] + [base.reward_means[-1]]
         mdp = StagedMdp(base.horizon, base.stage_sizes, base.num_actions, base.transitions, rewards)
         fm = ones_featmap(mdp)
-        params = fit_policy_params(mdp, fm, uniform_policy(mdp))
+        params = fit_policy_stack(mdp, fm, [uniform_policy(mdp)])
         for h in range(mdp.horizon):
-            assert params.theta[h, 0] == pytest.approx(c * (mdp.horizon - h), abs=1e-10)
-        assert params.residual <= 1e-10
+            assert params.theta[h, 0, 0] == pytest.approx(c * (mdp.horizon - h), abs=1e-10)
+        assert params.residuals[0] <= 1e-10
 
     def test_reward_scale_zero(self):
         mdp, _ = random_linear_mdp(2, 2, (1, 3, 1), 2, seed=4, reward_scale=0.0)
@@ -85,21 +86,30 @@ class TestGenerator:
 
 
 class TestFitPolicyParams:
+    """``fit_policy_stack`` on one policy, the P = 1 stack."""
+
     def test_zero_rewards_zero_theta(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 2, seed=2, reward_scale=0.0)
-        params = fit_policy_params(mdp, fm, uniform_policy(mdp))
+        params = fit_policy_stack(mdp, fm, [uniform_policy(mdp)])
         np.testing.assert_allclose(params.theta, 0.0, atol=1e-12)
-        assert params.residual <= 1e-12
+        assert params.residuals[0] <= 1e-12
 
     def test_terminal_theta_zero(self):
         mdp, fm = random_linear_mdp(2, 2, (1, 3, 1), 2, seed=3)
-        params = fit_policy_params(mdp, fm, uniform_policy(mdp))
+        params = fit_policy_stack(mdp, fm, [uniform_policy(mdp)])
         assert np.all(params.theta[-1] == 0.0)
+
+    def test_nonzero_terminal_block_rejected(self):
+        theta = np.zeros((3, 2, 2))
+        StackParams(theta=theta, l2_bounds=np.zeros(2), residuals=np.zeros(2))
+        theta[-1, 1, 0] = 1e-300
+        with pytest.raises(ValidationError, match="terminal"):
+            StackParams(theta=theta, l2_bounds=np.zeros(2), residuals=np.zeros(2))
 
     def test_residual_invariant_to_state_permutation(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=5)
         pi = uniform_policy(mdp)
-        base = fit_policy_params(mdp, fm, pi).residual
+        base = fit_policy_stack(mdp, fm, [pi]).residuals[0]
         perm = np.array([2, 0, 3, 1])
         transitions = list(mdp.transitions)
         transitions[0] = mdp.transitions[0][:, :, perm]
@@ -110,12 +120,12 @@ class TestFitPolicyParams:
         phi[1] = fm.phi[1][perm]
         permuted = StagedMdp(mdp.horizon, mdp.stage_sizes, mdp.num_actions, transitions, rewards)
         pfm = FeatureMap(d=fm.d, phi=phi, l1_bound=fm.l1_bound)
-        assert fit_policy_params(permuted, pfm, pi).residual == pytest.approx(base, abs=1e-12)
+        assert fit_policy_stack(permuted, pfm, [pi]).residuals[0] == pytest.approx(base, abs=1e-12)
 
     def test_l2_bound_covers_all_stages(self):
         mdp, fm = random_linear_mdp(3, 3, (1, 4, 4, 1), 2, seed=6)
-        params = fit_policy_params(mdp, fm, uniform_policy(mdp))
-        assert params.l2_bound >= np.linalg.norm(params.theta, axis=1).max() - 1e-15
+        params = fit_policy_stack(mdp, fm, [uniform_policy(mdp)])
+        assert params.l2_bounds[0] >= np.linalg.norm(params.theta[:, 0], axis=1).max() - 1e-15
 
     def test_rank_deficiency_flagged(self):
         # two-dimensional features confined to a line: stage matrix has rank 1
@@ -127,15 +137,15 @@ class TestFitPolicyParams:
             phi.append(block)
         phi.append(np.zeros((1, mdp.num_actions, 2)))
         fm = FeatureMap(d=2, phi=phi, l1_bound=1.0)
-        params = fit_policy_params(mdp, fm, uniform_policy(mdp))
+        params = fit_policy_stack(mdp, fm, [uniform_policy(mdp)])
         assert params.rank_deficient_stages == tuple(range(mdp.horizon))
 
     def test_optimal_policy_parameters_reproduce_qstar(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=8)
         pistar, star = optimal_policy(mdp)
-        params = fit_policy_params(mdp, fm, pistar)
+        params = fit_policy_stack(mdp, fm, [pistar])
         for h in range(mdp.horizon):
-            fitted = fm.phi[h] @ params.theta[h]
+            fitted = fm.phi[h] @ params.theta[h, 0]
             assert np.abs(fitted - star.q[h]).max() <= 1e-8
 
 
@@ -147,7 +157,7 @@ class TestMisspecification:
     def test_monotone_in_policy_sample(self):
         mdp, fm = random_linear_mdp(2, 2, (1, 3, 1), 2, seed=9)
         rng = np.random.default_rng(1)
-        residuals = [fit_policy_params(mdp, fm, random_policy(mdp, rng)).residual for _ in range(30)]
+        residuals = list(fit_policy_stack(mdp, fm, [random_policy(mdp, rng) for _ in range(30)]).residuals)
         for k in range(1, 31):
             assert max(residuals[:k]) <= max(residuals) + 1e-18
 
@@ -201,11 +211,10 @@ class TestStateRange:
         # |v^pi(s) - q^pi(s,a)| <= range(s) + 2 eta_hat + 1e-6 over the sampled policies
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=13)
         policies = sample_policies(mdp, 40, 1)
-        params = [fit_policy_params(mdp, fm, pi) for pi in policies]
         eta_hat = estimate_misspecification(mdp, fm, 40, seed=1)
         for stage in range(1, mdp.horizon):
             for s in range(mdp.stage_sizes[stage]):
-                rng_val = state_range(mdp, fm, policies, stage, s, params=params)
+                rng_val = state_range(mdp, fm, policies, stage, s)
                 for pi in policies:
                     vals = evaluate_policy(mdp, pi)
                     gap = np.abs(vals.v[stage][s] - vals.q[stage][s]).max()

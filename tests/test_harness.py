@@ -306,7 +306,11 @@ class TestDatasetPersistence:
         path.write_text("\n" + json.dumps(docs[0]) + "\n\n" + json.dumps(docs[1]) + "\n" + json.dumps(docs[2]) + "\n")
         assert_same_error(path, "line 5")
 
-    @pytest.mark.parametrize("fault", ["reward", "features-shape", "features-stages", "steps-length", "missing-key", "bad-json"])
+    @pytest.mark.parametrize(
+        "fault",
+        ["reward", "features-shape", "features-stages", "steps-length", "missing-key", "bad-json",
+         "action-negative", "action-too-large"],
+    )
     def test_bad_second_line_reports_number(self, tmp_path, fixed_instance, fault):
         mdp, fm = fixed_instance
         path = tmp_path / "data.jsonl"
@@ -322,6 +326,10 @@ class TestDatasetPersistence:
             del docs[1]["steps"][1]
         elif fault == "missing-key":
             del docs[1]["features"]
+        elif fault == "action-negative":
+            docs[1]["steps"][1][1] = -1  # used to load and score action A-1's features
+        elif fault == "action-too-large":
+            docs[1]["steps"][1][1] = mdp.num_actions  # used to load and fail in learn with an IndexError
         lines = [json.dumps(doc) for doc in docs]
         if fault == "bad-json":
             lines[1] = lines[1].replace("]], [[", "]] [[", 1)  # still in the writer's form up to one comma
@@ -348,14 +356,24 @@ class TestRunAndSweep:
         assert record.gap >= -1e-9
 
     def test_zero_trajectories_rejected(self):
-        # calibration samples first and raises directly; without it, collect fails by stage
-        with pytest.raises(ValidationError, match="zero trajectories"):
-            sweep(tiny_config(sweep={"n_values": [0], "replicates": 3}))
-        with pytest.raises(ValidationError, match="zero trajectories"):
-            sweep(tiny_config(sweep={"n_values": [60, 0], "replicates": 1}))
+        # calibration samples first and fails by its stage; without it, collect fails by stage
+        for grid in ({"n_values": [0], "replicates": 3}, {"n_values": [60, 0], "replicates": 1}):
+            with pytest.raises(HarnessError, match="zero trajectories") as err:
+                sweep(tiny_config(sweep=grid))
+            assert err.value.stage == "calibrate" and isinstance(err.value.original, ValidationError)
         with pytest.raises(HarnessError) as err:
             sweep(tiny_config(sweep={"n_values": [0], "replicates": 3}, calibration={"enabled": False}))
         assert err.value.stage == "collect" and isinstance(err.value.original, ValidationError)
+
+    @pytest.mark.parametrize(
+        "calibration", [{"replicates": 0}, {"delta": 0.0}, {"delta": 1.0}], ids=["replicates-0", "delta-0", "delta-1"]
+    )
+    def test_bad_calibration_named_by_stage(self, calibration):
+        # replicates = 0 used to surface as a bare IndexError from np.quantile
+        with pytest.raises(HarnessError) as err:
+            sweep(tiny_config(calibration={"enabled": True, "replicates": 3, "delta": 0.34, **calibration}))
+        assert err.value.stage == "calibrate" and isinstance(err.value.original, ValidationError)
+        assert next(iter(calibration)) in str(err.value)
 
     def test_zero_reward_env_gap_zero(self):
         cfg = tiny_config(

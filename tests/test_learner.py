@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from skiprl import learner
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
-from skiprl.envs import fit_policy_params, random_linear_mdp, sample_policies
+from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import (
     LearnerConfig,
     _admitted,
@@ -176,7 +176,7 @@ class TestConfidenceSets:
 
     def test_extras_join_when_close(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        psi = fit_policy_params(mdp, fm, skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]).theta
+        psi = fit_policy_stack(mdp, fm, [skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
         (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
         for h in range(mdp.horizon):
@@ -256,7 +256,7 @@ class TestSolve:
     def test_optimism_against_skip_optimal_parameter(self, setup):
         # when psi_1(pi*_G) enters the candidate sets, the optimistic value dominates it
         mdp, fm, behavior, guess, config, ds = setup
-        psi = fit_policy_params(mdp, fm, skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]).theta
+        psi = fit_policy_stack(mdp, fm, [skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
         (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
         assert sets.is_member(0, psi[0], config)
@@ -701,6 +701,50 @@ class TestTailPaths:
         ds = Dataset(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int), np.zeros((2, 3)))
         with pytest.raises(ValidationError, match="no features"):
             ds.tail_paths
+
+
+class TestDimensions:
+    """``config.skip.d``, every guess's panel width, ``featmap.d`` and ``dataset.dim`` must agree."""
+
+    MISMATCH = r"(dataset\.dim|featmap\.d) = 2 but config\.skip\.d = 50"
+
+    def test_skip_dimension_mismatch_refused(self, setup):
+        # d = 50 on this d = 2 dataset used to move the chosen guess and theta_0 without a warning
+        mdp, fm, behavior, guess, config, ds = setup
+        wrong = replace(config, skip=SkipParams(alpha=0.2, d=50))
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            solve(ds, [guess], wrong, fm)
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            lstsq_anchor(ds, 0, guess, np.zeros((mdp.horizon, 2)), wrong)
+        with pytest.raises(ValidationError, match=self.MISMATCH):
+            calibrate(mdp, fm, behavior, guess, 50, wrong, replicates=2, delta=0.5, seed=0)
+
+    def test_featmap_dimension_mismatch_refused(self, setup):
+        # a d = 3 feature map of the same shape used to fail inside numpy's matmul
+        mdp, fm, behavior, guess, config, ds = setup
+        _, fm3 = random_linear_mdp(3, mdp.horizon, mdp.stage_sizes, mdp.num_actions, seed=0)
+        with pytest.raises(ValidationError, match=r"featmap\.d = 3 but config\.skip\.d = 2"):
+            solve(ds, [guess], config, fm3)
+
+    def test_guess_width_mismatch_refused(self, setup):
+        # a width-3 guess used to fail inside numpy's matmul
+        mdp, fm, behavior, guess, config, ds = setup
+        wide = zero_guess(mdp.horizon, 3)
+        with pytest.raises(ValidationError, match=r"guess 1 dim = 3 but config\.skip\.d = 2"):
+            solve(ds, [guess, wide], config, fm)
+        with pytest.raises(ValidationError, match=r"guess 0 dim = 3"):
+            lstsq_anchor(ds, 0, wide, np.zeros((mdp.horizon, 2)), config)
+        with pytest.raises(ValidationError, match=r"guess 0 dim = 3"):
+            calibrate(mdp, fm, behavior, wide, 50, config, replicates=2, delta=0.5, seed=0)
+
+    def test_guess_without_panels_exempt(self):
+        # with H = 1 a guess has no panels, so it carries no dimension to compare
+        feats = np.ones((3, 1, 2, 1))
+        rewards = np.array([[0.5, 0.0], [0.25, 0.0], [0.5, 0.0]])
+        ds = Dataset(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), rewards, feats)
+        config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, skip=SkipParams(alpha=0.5, d=1))
+        (sets,) = build_confidence_sets(ds, [zero_guess(1, 5)], config, covs(ds, config))
+        assert sets.empty_stage is None
 
 
 class TestCalibration:

@@ -335,6 +335,24 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Trajectory(np.array([0, 0]), np.array([0, 0]), np.array([0.5, 0.2]))
 
+    @pytest.mark.parametrize("action, named", [(-1, ">= 0"), (2, "< 2")], ids=["negative", "past-last"])
+    def test_actions_outside_feature_range(self, action, named):
+        # the features record A = 2 actions; -1 used to index action 1's features
+        states, rewards = np.zeros((2, 3), dtype=int), np.zeros((2, 3))
+        actions = np.zeros((2, 3), dtype=int)
+        feats = np.ones((2, 2, 2, 1))
+        Dataset(states, actions, rewards, feats)
+        actions[1, 1] = action
+        with pytest.raises(ValidationError, match=named):
+            Dataset(states, actions, rewards, feats)
+        with pytest.raises(ValidationError, match=named):
+            Trajectory(states[1], actions[1], rewards[1], feats[1])
+        if action < 0:  # without features only the sign can be checked
+            with pytest.raises(ValidationError, match=named):
+                Dataset(states, actions, rewards)
+        else:
+            Dataset(states, actions, rewards)
+
     def test_rewards_outside_unit_interval(self):
         with pytest.raises(ValidationError):
             StagedMdp(1, (1, 1), 1, [np.ones((1, 1, 1))], [np.array([[1.2]]), np.zeros((1, 1))])

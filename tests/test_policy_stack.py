@@ -22,7 +22,6 @@ from skiprl.envs import (
     FIT_CHUNK,
     FeatureMap,
     estimate_misspecification,
-    fit_policy_params,
     fit_policy_stack,
     random_linear_mdp,
     sample_policies,
@@ -79,7 +78,7 @@ def ref_sample_policies(mdp, count, seed):
     return pis[:count]
 
 
-def ref_fit_policy_params(mdp, featmap, policy):
+def ref_fit_one_policy(mdp, featmap, policy):
     """(theta, l2_bound, residual, rank-deficient stages) of one policy."""
     values = evaluate_policy(mdp, policy)
     H, d = mdp.horizon, featmap.d
@@ -99,7 +98,7 @@ def ref_fit_policy_params(mdp, featmap, policy):
 
 def ref_true_guess(mdp, featmap, policies):
     """(panels, radius_bound) of the guess built from per-policy fits."""
-    fits = [ref_fit_policy_params(mdp, featmap, pi) for pi in policies]
+    fits = [ref_fit_one_policy(mdp, featmap, pi) for pi in policies]
     k, d = panel_size(featmap.d), featmap.d
     panels = []
     for stage in range(1, mdp.horizon):
@@ -125,7 +124,7 @@ def ref_misspecification(mdp, featmap, policy_sample_size, seed, enumeration_cap
     else:
         rng = np.random.default_rng(seed)
         policies = (ref_random_policy(mdp, rng) for _ in range(policy_sample_size))
-    return max(ref_fit_policy_params(mdp, featmap, pi)[2] for pi in policies)
+    return max(ref_fit_one_policy(mdp, featmap, pi)[2] for pi in policies)
 
 
 def ref_verify(inputs, support, weights, two_d):
@@ -253,13 +252,13 @@ def test_stacked_fit_matches_per_policy_fit(args, count, seed):
     stack = sample_policies(mdp, count, seed)
     fit = fit_policy_stack(mdp, fm, stack)
     for i, pi in enumerate(stack):
-        theta, l2, residual, flagged = ref_fit_policy_params(mdp, fm, pi)
+        theta, l2, residual, flagged = ref_fit_one_policy(mdp, fm, pi)
         assert fit.theta[:, i].tobytes() == theta.tobytes()
         assert fit.l2_bounds[i] == l2 and fit.residuals[i] == residual
         assert fit.rank_deficient_stages == flagged
-        one = fit_policy_params(mdp, fm, pi)
-        assert one.theta.tobytes() == theta.tobytes()
-        assert (one.l2_bound, one.residual, one.rank_deficient_stages) == (l2, residual, flagged)
+        one = fit_policy_stack(mdp, fm, [pi])
+        assert one.theta[:, 0].tobytes() == theta.tobytes()
+        assert (one.l2_bounds[0], one.residuals[0], one.rank_deficient_stages) == (l2, residual, flagged)
 
 
 def test_rank_flags_shared_across_the_stack():
@@ -269,9 +268,9 @@ def test_rank_flags_shared_across_the_stack():
     fit = fit_policy_stack(mdp, fm, policies)
     assert fit.rank_deficient_stages == tuple(range(mdp.horizon))
     for i, pi in enumerate(policies):
-        theta, l2, residual, flagged = ref_fit_policy_params(mdp, fm, pi)
-        assert fit[i].theta.tobytes() == theta.tobytes() and fit[i].residual == residual
-        assert fit[i].rank_deficient_stages == flagged
+        theta, l2, residual, flagged = ref_fit_one_policy(mdp, fm, pi)
+        assert fit.theta[:, i].tobytes() == theta.tobytes() and fit.residuals[i] == residual
+        assert fit.rank_deficient_stages == flagged
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +294,7 @@ def test_true_guess_matches_per_policy_reference(d, H, sizes, A, env_seed, count
     panels, radius = ref_true_guess(mdp, fm, policies)
     assert [p.tobytes() for p in guess.panels] == [p.tobytes() for p in panels]
     assert guess.radius_bound == radius
-    flags = {ref_fit_policy_params(mdp, fm, pi)[3] for pi in policies}
+    flags = {ref_fit_one_policy(mdp, fm, pi)[3] for pi in policies}
     assert flags == {fit_policy_stack(mdp, fm, policies).rank_deficient_stages}
 
 
@@ -314,7 +313,7 @@ def test_true_guess_on_rank_deficient_features():
 def test_stage_ranges_match_per_state_loop(args, count, seed):
     mdp, fm = make_instance(args)
     stack = sample_policies(mdp, count, seed)
-    thetas = [ref_fit_policy_params(mdp, fm, pi)[0] for pi in stack]
+    thetas = [ref_fit_one_policy(mdp, fm, pi)[0] for pi in stack]
     fit = fit_policy_stack(mdp, fm, stack)
     for stage in range(1, mdp.horizon):
         ranges = stage_ranges(fm, fit.theta[stage], stage)
