@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the benchmark workloads still produce the reference rows.
 
-    python3 scripts/check_digests.py [--seeds 0-19]
+    python3 scripts/check_digests.py [--seeds 0-19 | --seeds 0,7]
 
 Run from anywhere.  For every workload and seed it runs one untimed pass with
 ``perfbench/make_digests.one_pass`` (which requires no raised replicate and
@@ -27,12 +27,15 @@ import specs  # noqa: E402
 import workloads  # noqa: E402
 
 
-def parse_seeds(text: str) -> range:
-    """"0-19" or "3" to the seeds they name; a range naming no seed is refused."""
-    lo, _, hi = text.partition("-")
-    seeds = range(int(lo), int(hi or lo) + 1)
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"seed range {text!r} names no seed")
+def parse_seeds(text: str) -> list:
+    """"0-19", "3" or "0,7" to the seeds they name; a range naming no seed is refused."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        named = range(int(lo), int(hi or lo) + 1)
+        if not named:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} names no seed")
+        seeds.extend(named)
     return seeds
 
 

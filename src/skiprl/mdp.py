@@ -217,6 +217,25 @@ def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, f
         raise ValidationError(f"actions must be < {features.shape[-2]} (the features' action count), got {actions.max()}")
 
 
+def _factorize(codes: np.ndarray, size: int):
+    """Group nonnegative integer ``codes`` below ``size``: returns ``(first, inverse)``,
+    groups numbered in increasing code order, ``first[g]`` the first row of group g
+    and ``inverse[j]`` row j's group.
+
+    A small code range uses a dense first-occurrence table, one linear pass;
+    a large one a 1-D sort.  Both give the same arrays.
+    """
+    n = len(codes)
+    if size <= 4 * n + 64:
+        codes = codes.astype(np.intp, copy=False)
+        table = np.full(size, n, dtype=np.intp)
+        np.minimum.at(table, codes, np.arange(n, dtype=np.intp))
+        present = table < n
+        return table[present], (np.cumsum(present) - 1).take(codes)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 @dataclass
 class Trajectory:
     """One full-length rollout with per-step features for all actions.
@@ -234,6 +253,12 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=int)
         self.actions = np.asarray(self.actions, dtype=int)
         self.rewards = np.asarray(self.rewards, dtype=float)
+        shape = self.states.shape
+        if len(shape) != 1 or self.actions.shape != shape or self.rewards.shape != shape:
+            shapes = (shape, self.actions.shape, self.rewards.shape)
+            raise ValidationError(f"states, actions and rewards must share one (H+1,) shape, got {shapes}")
+        if self.features is not None and (self.features.ndim != 3 or self.features.shape[0] != shape[0] - 1):
+            raise ValidationError(f"features must have shape (H, A, d) with H = {shape[0] - 1}; got {self.features.shape}")
         _check_paths(self.states, self.actions, self.rewards, self.features)
 
     @property
@@ -292,45 +317,68 @@ class Dataset:
     @cached_property
     def visited_blocks(self) -> list:
         """Per stage h < H, ``(blocks, rows)``: the distinct recorded (A, d) feature
-        blocks, shape (m, A, d), and each row's index into them, shape (n,), so that
-        ``blocks[rows]`` equals ``features[:, h]`` exactly.
+        blocks in the order of their bytes, shape (m, A, d), and each row's index
+        into them, shape (n,), so that ``blocks[rows]`` equals ``features[:, h]``
+        exactly.
 
         Rows are grouped by the bytes of their block, not by state: the features of
-        a loaded file need not be a function of the state.
+        a loaded file need not be a function of the state.  Each stage is first
+        keyed by ``states[:, h]`` (one ``_factorize`` pass); when every row's block
+        is byte for byte its state's first row's block, only those representatives
+        are sorted by their bytes.  A stage that fails this check sorts all n rows'
+        byte keys.  Both ways give the same ``(blocks, rows)``.
         """
         self.dim  # refuses a featureless dataset by name
         feats = np.ascontiguousarray(self.features)
         n, H, A, d = feats.shape
         if A * d == 0:  # every block is empty, so each stage has one
             return [(feats[:1, h], np.zeros(n, dtype=np.intp)) for h in range(H)]
-        keys = feats.reshape(n, H, A * d).view(np.dtype((np.void, A * d * feats.itemsize)))[..., 0]
+        flat = feats.reshape(n, H, A * d)
+        unit = feats.itemsize if feats.itemsize in (1, 2, 4, 8) else 1
+        bits = flat.view(f"u{unit}")  # compared as integers, so -0.0 and 0.0 stay apart
+        keys = flat.view(np.dtype((np.void, A * d * feats.itemsize)))[..., 0]
         out = []
         for h in range(H):
-            _, first, rows = np.unique(keys[:, h], return_index=True, return_inverse=True)
-            out.append((feats[first, h], rows))
+            state = self.states[:, h].astype(np.int64)
+            low = state.min()
+            size = int(state.max()) - int(low) + 1
+            first, by_state = _factorize((state - low).view(np.uint64), size)  # wraps to the exact offset
+            if np.array_equal(bits[first, h].take(by_state, axis=0), bits[:, h]):
+                _, rep, rows = np.unique(keys[first, h], return_index=True, return_inverse=True)
+                out.append((feats[first[rep], h], rows.take(by_state)))
+            else:
+                _, first, rows = np.unique(keys[:, h], return_index=True, return_inverse=True)
+                out.append((feats[first, h], rows))
         return out
 
     @cached_property
     def tail_paths(self) -> list:
         """Per stage h < H, ``(first, back)``: one row index per distinct trajectory
         tail, shape (m,), and each row's tail index, shape (n,), so that row j and
-        row ``first[back[j]]`` share their tail.
+        row ``first[back[j]]`` share their tail; ``first[g]`` is tail g's smallest row.
 
         A row's stage-h tail is its ``visited_blocks`` indices at stages h+1..H-1
         and the bytes of its rewards at stages h..H-1, which is everything a
         stage-h skip target reads; ``-0.0`` and ``0.0`` rewards are different
-        tails.  It is keyed, from the last stage down, by the bytes of (reward at
-        h, block at h+1, tail at h+1).
+        tails.  From the last stage down, stage h codes its reward bytes (one
+        1-D ``np.unique``), then factorizes (block at h+1, tail at h+1) and
+        (reward code, that pair) as integer codes below n**2.  Tails are numbered
+        in that code order, not by row or by bytes; consumers read them only
+        through ``first`` and ``back``.
         """
-        none = np.zeros(self.n, dtype=np.int64)  # stage H has no block and one empty tail
-        rows = [r for _, r in self.visited_blocks] + [none]  # refuses a featureless dataset by name
+        grouped = self.visited_blocks  # refuses a featureless dataset by name
+        # stage H has one block and one empty tail
+        rows = [r for _, r in grouped] + [np.zeros(self.n, dtype=np.intp)]
+        counts = [len(blocks) for blocks, _ in grouped] + [1]
         H = self.horizon
         out = [None] * H
-        back = none
+        back, tails = rows[H], 1
         for h in range(H - 1, -1, -1):
-            reward = self.rewards[:, h].astype(np.float64).view(np.int64)
-            keys = np.stack([reward, rows[h + 1], back], axis=1).astype(np.int64, copy=False)
-            _, first, back = np.unique(keys.view(np.dtype((np.void, 24)))[:, 0], return_index=True, return_inverse=True)
+            pairs, pair = _factorize(rows[h + 1] * tails + back, counts[h + 1] * tails)
+            reward_bytes = self.rewards[:, h].astype(np.float64).view(np.int64)
+            values, reward = np.unique(reward_bytes, return_inverse=True)
+            first, back = _factorize(reward * len(pairs) + pair, len(values) * len(pairs))
+            tails = len(first)
             out[h] = (first, back)
         return out
 

@@ -102,7 +102,10 @@ def _omega_block(feats: np.ndarray, panel: np.ndarray, params: SkipParams) -> np
 
 
 def omega_tables(guess: Guess, featmap, params: SkipParams) -> list:
-    """Per-stage skip-probability tables over all states."""
+    """Per-stage skip-probability tables over all states; a guess with panels must
+    have the feature map's width."""
+    if guess.panels and guess.dim != featmap.d:
+        raise ValidationError(f"dimension mismatch: guess dim = {guess.dim} but featmap.d = {featmap.d}")
     H = guess.horizon
     inner = [_omega_block(featmap.phi[stage], guess.panel(stage), params) for stage in range(1, H)]
     return [np.zeros(featmap.phi[0].shape[0]), *inner, np.zeros(featmap.phi[H].shape[0])]

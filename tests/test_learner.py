@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skiprl import learner
+from skiprl import learner, mdp as mdp_module
+from skiprl.harness import load_dataset, save_dataset
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import (
@@ -35,7 +36,7 @@ from skiprl.learner import (
     tightness,
 )
 from skiprl.mdp import REWARD_KINDS, Dataset, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
-from skiprl.skipping import SkipParams, dataset_omega
+from skiprl.skipping import SkipParams, dataset_omega, omega_tables
 
 
 @pytest.fixture(scope="module")
@@ -361,37 +362,63 @@ class TestVisitedBlocksShared:
 
     @pytest.fixture
     def groupings(self, monkeypatch):
-        calls = []
-        unique = np.unique
+        """The grouping passes: the caller of each ``mdp._factorize`` pass (one per
+        stage of ``visited_blocks``, two per stage of ``tail_paths``), and the length
+        of each ``np.unique`` sort of feature-block byte keys."""
+        calls = {"passes": [], "block_sorts": []}
+        factorize, unique = mdp_module._factorize, np.unique
 
-        def counting(ar, *args, **kwargs):
-            if ar.dtype.kind == "V":  # the byte keys of one stage's blocks or tails
-                calls.append(sys._getframe(1).f_code.co_name)
+        def counting_factorize(codes, size):
+            calls["passes"].append(sys._getframe(1).f_code.co_name)
+            return factorize(codes, size)
+
+        def counting_unique(ar, *args, **kwargs):
+            if ar.dtype.kind == "V":
+                calls["block_sorts"].append(len(ar))
             return unique(ar, *args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", counting)
+        monkeypatch.setattr(mdp_module, "_factorize", counting_factorize)
+        monkeypatch.setattr(np, "unique", counting_unique)
         return calls
 
     def test_solve_groups_each_stage_once(self, setup, groupings):
         mdp, fm, behavior, guess, config, _ = setup
+        passes = groupings["passes"]
         for count, seed in [(16, 1), (1, 2)]:
-            groupings.clear()
+            passes.clear()
             ds = sample_trajectories(mdp, behavior, 300, [3000, seed], fm)
             guesses = guess_grid(guess, 0.3, count, seed=2)
             assert len(guesses) == count
             solve(ds, guesses, config, fm)
-            assert groupings.count("visited_blocks") == ds.horizon
-            assert groupings.count("tail_paths") == ds.horizon
-            assert len(groupings) == 2 * ds.horizon
+            assert passes.count("visited_blocks") == ds.horizon
+            assert passes.count("tail_paths") == 2 * ds.horizon
+            assert len(passes) == 3 * ds.horizon
             assert ds.visited_blocks is ds.visited_blocks and ds.tail_paths is ds.tail_paths
-            assert len(groupings) == 2 * ds.horizon
+            assert len(passes) == 3 * ds.horizon
 
     def test_calibrate_groups_each_replicate_once(self, setup, groupings):
         mdp, fm, behavior, guess, config, _ = setup
+        passes = groupings["passes"]
         calibrate(mdp, fm, behavior, guess, 200, config, replicates=2, delta=0.5, seed=19)
-        assert groupings.count("visited_blocks") == 2 * mdp.horizon
-        assert groupings.count("tail_paths") == 2 * mdp.horizon
-        assert len(groupings) == 4 * mdp.horizon
+        assert passes.count("visited_blocks") == 2 * mdp.horizon
+        assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
+        assert len(passes) == 6 * mdp.horizon
+
+    def test_only_the_fallback_sorts_every_row(self, setup, groupings, tmp_path):
+        # a sampled stage sorts one block per visited state; a loaded file whose
+        # features are not a function of the state sorts all n rows' blocks
+        mdp, fm, behavior, *_ = setup
+        ds = sample_trajectories(mdp, behavior, 300, [3000, 3], fm)
+        ds.visited_blocks
+        sorts = groupings["block_sorts"]
+        assert len(sorts) == ds.horizon
+        assert all(size <= k for size, k in zip(sorts, mdp.stage_sizes))
+        feats = ds.features.copy()
+        feats[::2, 1] = feats[::2, 1, ::-1]  # even rows swap the actions of their stage-1 block
+        save_dataset(Dataset(ds.states, ds.actions, ds.rewards, feats), tmp_path / "data.jsonl")
+        sorts.clear()
+        load_dataset(tmp_path / "data.jsonl").visited_blocks
+        assert sorts[1] == ds.n and sorts[0] <= 1 and sorts[2] <= mdp.stage_sizes[2]
 
 
 def serialize_before_diagnostics(outcome):
@@ -736,6 +763,16 @@ class TestDimensions:
             lstsq_anchor(ds, 0, wide, np.zeros((mdp.horizon, 2)), config)
         with pytest.raises(ValidationError, match=r"guess 0 dim = 3"):
             calibrate(mdp, fm, behavior, wide, 50, config, replicates=2, delta=0.5, seed=0)
+
+    def test_oracle_guess_width_refused(self, setup):
+        # a width-3 guess on the d = 2 feature map used to fail inside numpy's matmul
+        mdp, fm, behavior, guess, config, ds = setup
+        wide = zero_guess(mdp.horizon, 3)
+        with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
+            skip_optimal_policy(mdp, fm, wide, behavior, config.skip)
+        with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
+            omega_tables(wide, fm, config.skip)
+        omega_tables(zero_guess(1, 3), random_linear_mdp(2, 1, (1, 1), 2, seed=0)[1], config.skip)  # no panels to compare
 
     def test_guess_without_panels_exempt(self):
         # with H = 1 a guess has no panels, so it carries no dimension to compare

@@ -11,6 +11,7 @@ from skiprl.mdp import (
     StagedMdp,
     Trajectory,
     ValidationError,
+    _factorize,
     _inverse_cdf,
     _seed_words,
     _uniforms,
@@ -335,6 +336,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Trajectory(np.array([0, 0]), np.array([0, 0]), np.array([0.5, 0.2]))
 
+    @pytest.mark.parametrize("states, actions, rewards, features, named", [
+        ([0, 1, 0], [0], [0.5, 0.0], np.ones((2, 2, 1)), r"\(H\+1,\) shape"),
+        ([0, 1, 0], [0, 0, 0], [0.5, 0.0], np.ones((2, 2, 1)), r"\(H\+1,\) shape"),
+        ([[0, 0]], [[0, 0]], [[0.5, 0.0]], None, r"\(H\+1,\) shape"),
+        ([0, 1, 0], [0, 0, 0], [0.5, 0.0, 0.0], np.ones((7, 2, 1)), r"\(H, A, d\) with H = 2"),
+        ([0, 1, 0], [0, 0, 0], [0.5, 0.0, 0.0], np.ones((2, 2)), r"\(H, A, d\) with H = 2"),
+    ], ids=["short-actions", "short-rewards", "two-dimensional", "feature-stages", "feature-rank"])
+    def test_trajectory_shapes_checked(self, states, actions, rewards, features, named):
+        # Trajectory([0, 1, 0], [0], [0.5, 0.0], ones((7, 2, 1))) used to build
+        with pytest.raises(ValidationError, match=named):
+            Trajectory(np.array(states), np.array(actions), np.array(rewards), features)
+        Trajectory(np.array([0, 1, 0]), np.array([0, 1, 0]), np.array([0.5, 0.0, 0.0]), np.ones((2, 2, 1)))
+
     @pytest.mark.parametrize("action, named", [(-1, ">= 0"), (2, "< 2")], ids=["negative", "past-last"])
     def test_actions_outside_feature_range(self, action, named):
         # the features record A = 2 actions; -1 used to index action 1's features
@@ -440,3 +454,114 @@ class TestDataset:
         mdp, featmap = fixed_instance
         ds = sample_trajectories(mdp, uniform_policy(mdp), 4, 3, featmap)
         assert Dataset.from_trajectories(ds) is ds
+
+
+def byte_key_blocks(ds):
+    """``visited_blocks`` by sorting every row's block bytes (the all-rows reference)."""
+    feats = np.ascontiguousarray(ds.features)
+    n, H, A, d = feats.shape
+    if A * d == 0:
+        return [(feats[:1, h], np.zeros(n, dtype=np.intp)) for h in range(H)]
+    keys = feats.reshape(n, H, A * d).view(np.dtype((np.void, A * d * feats.itemsize)))[..., 0]
+    out = []
+    for h in range(H):
+        _, first, rows = np.unique(keys[:, h], return_index=True, return_inverse=True)
+        out.append((feats[first, h], rows))
+    return out
+
+
+def byte_key_tails(ds):
+    """``tail_paths`` keyed by the 24 bytes of (reward at h, block at h+1, tail at h+1),
+    numbered in byte order (the all-rows reference)."""
+    rows = [r for _, r in byte_key_blocks(ds)] + [np.zeros(ds.n, dtype=np.int64)]
+    out = [None] * ds.horizon
+    back = rows[-1]
+    for h in range(ds.horizon - 1, -1, -1):
+        reward = ds.rewards[:, h].astype(np.float64).view(np.int64)
+        keys = np.stack([reward, rows[h + 1], back], axis=1).astype(np.int64, copy=False)
+        _, first, back = np.unique(keys.view(np.dtype((np.void, 24)))[:, 0], return_index=True, return_inverse=True)
+        out[h] = (first, back)
+    return out
+
+
+HUGE_STATES = [-2**63, -7, 3, 10**12, 2**63 - 1]  # offsets beyond int64 and ranges past the dense table
+REWARDS = [0.0, -0.0, 0.25, 0.5, 1.0]
+
+
+def grouping_dataset(kind, seed, n):
+    """A dataset for the grouping checks.  "sampled" is a linear MDP's sample with
+    some zero rewards made -0.0; "not-of-state" has blocks drawn per row from a pool
+    (a -0.0/0.0 twin, an action permutation) or fresh; "huge-states" keys blocks by
+    state ids far apart, so the state pass sorts, and may give some of a state's
+    rows a -0.0 twin of its block; "empty-blocks" has d = 0."""
+    rng = np.random.default_rng(seed)
+    H, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    if kind == "sampled":
+        sizes = [1] + [int(rng.integers(1, 6)) for _ in range(H - 1)] + [1]
+        mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)))
+        ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
+        rewards = ds.rewards.copy()
+        rewards[(rewards == 0.0) & (rng.random(rewards.shape) < 0.5)] = -0.0
+        return Dataset(ds.states, ds.actions, rewards, ds.features)
+    pool = rng.normal(size=(4, A, d))
+    pool[0, 0, 0] = 0.0
+    pool[1] = pool[0]
+    pool[1, 0, 0] = -0.0
+    pool[2] = pool[0, ::-1]
+    states = np.zeros((n, H + 1), dtype=np.int64)
+    if kind == "huge-states":
+        states[:, 1:H] = rng.choice(HUGE_STATES, size=(n, H - 1))
+        of_state = {s: pool[int(rng.integers(0, 4))] for s in HUGE_STATES + [0]}
+        feats = np.array([[of_state[s] for s in row] for row in states[:, :H].tolist()]).reshape(n, H, A, d)
+        if rng.random() < 0.5:  # some rows of a state differ from its others only by a -0.0
+            corner = feats[..., 0, 0]
+            corner[(corner == 0.0) & (rng.random(corner.shape) < 0.3)] = -0.0
+    else:
+        states[:, 1:H] = rng.integers(0, 3, size=(n, H - 1))
+        feats = rng.normal(size=(n, H, A, d))
+        from_pool = rng.random((n, H)) < 0.7
+        feats[from_pool] = pool[rng.integers(0, 4, size=int(from_pool.sum()))]
+        if kind == "empty-blocks":
+            feats = feats[..., :0]
+    rewards = rng.choice(REWARDS, size=(n, H + 1))
+    rewards[:, H] = 0.0
+    return Dataset(states, rng.integers(0, A, size=(n, H + 1)), rewards, feats)
+
+
+class TestGroupingAgainstByteKeys:
+    """``visited_blocks`` and ``tail_paths`` group through ``_factorize``; they must
+    equal the byte-key sorts they replace."""
+
+    @given(st.lists(st.integers(0, 63), min_size=1, max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_factorize_branches_agree(self, codes):
+        codes = np.array(codes, dtype=np.uint64)
+        n = len(codes)
+        dense = _factorize(codes, int(codes.max()) + 1)  # 64 <= 4n + 64: the first-occurrence table
+        by_sort = _factorize(codes, 4 * n + 65)  # past the table: the 1-D sort
+        for got, want in zip(dense, by_sort):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape) and np.array_equal(got, want)
+        first, inverse = dense
+        assert np.array_equal(codes[first], np.unique(codes)) and np.array_equal(codes[first][inverse], codes)
+        assert all(first[g] == np.flatnonzero(inverse == g)[0] for g in range(len(first)))
+
+    def test_factorize_full_uint64_range(self):
+        codes = np.array([2**64 - 1, 0, 2**63, 0, 2**64 - 1], dtype=np.uint64)
+        first, inverse = _factorize(codes, 2**64)
+        assert first.tolist() == [1, 2, 0] and inverse.tolist() == [2, 0, 1, 0, 2]
+
+    @given(st.sampled_from(["sampled", "not-of-state", "huge-states", "empty-blocks"]),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150]))
+    @settings(max_examples=80, deadline=None)
+    def test_against_byte_keys(self, kind, seed, n):
+        ds = grouping_dataset(kind, seed, n)
+        for (blocks, rows), (want_blocks, want_rows) in zip(ds.visited_blocks, byte_key_blocks(ds), strict=True):
+            assert (blocks.dtype, blocks.shape) == (want_blocks.dtype, want_blocks.shape)
+            assert blocks.tobytes() == want_blocks.tobytes()
+            assert (rows.dtype, rows.shape) == (want_rows.dtype, want_rows.shape) and np.array_equal(rows, want_rows)
+        for (first, back), (want_first, want_back) in zip(ds.tail_paths, byte_key_tails(ds), strict=True):
+            m = len(want_first)
+            assert first.shape == (m,) and back.shape == (ds.n,)
+            assert len({(a, b) for a, b in zip(back.tolist(), want_back.tolist())}) == m  # the same partition
+            assert [int(np.flatnonzero(back == g)[0]) for g in range(m)] == first.tolist()
+            assert sorted(first.tolist()) == sorted(want_first.tolist())
