@@ -115,16 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_env)
 
-    c = sub.add_parser("collect", help="collect a trajectory dataset")
+    c = sub.add_parser("collect", help="collect a trajectory dataset into a numpy .npz archive")
     c.add_argument("--config", default=None)
     c.add_argument("--n", type=int, default=None)
     c.add_argument("--replicate", type=int, default=0)
-    c.add_argument("--out", required=True)
+    c.add_argument("--out", required=True, help="archive path, written as given (no suffix is added)")
     c.set_defaults(fn=cmd_collect)
 
     l = sub.add_parser("learn", help="solve the optimistic problem on a dataset")
     l.add_argument("--config", default=None)
-    l.add_argument("--data", required=True)
+    l.add_argument("--data", required=True, help="a collect archive (.npz); JSON-lines files are no longer read")
     l.add_argument("--out", required=True)
     l.set_defaults(fn=cmd_learn)
 

@@ -18,6 +18,7 @@ import json
 import os
 import time
 import typing
+import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -312,10 +313,14 @@ def _run_cell(cfg: ExperimentConfig, inst: Instance, tuned: dict, cell) -> Repli
 
 
 def worker_count() -> int:
+    """The process count from ``SKIPRL_WORKERS`` (default 1); anything but an integer >= 1 is refused."""
+    text = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        if int(text) >= 1:
+            return int(text)
     except ValueError:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {os.environ[WORKERS_ENV]!r}") from None
+        pass
+    raise ValidationError(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
 
 
 def summarize(rows) -> list:
@@ -364,127 +369,53 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
 # dataset persistence
 
 
-# a line of a dataset file is _HEAD + steps + _MID + features + _END
-_HEAD, _MID, _END = '{"steps": ', ', "features": ', "}\n"
-_STAGE_SEP = "]], [["  # between two (A, d) blocks of a line's features
+# the arrays of a dataset archive, with the dtype kind and rank each must have
+DATASET_ARRAYS = {"states": (np.integer, 2), "actions": (np.integer, 2),
+                  "rewards": (np.floating, 2), "features": (np.floating, 4)}
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """One trajectory per line: {"steps": [[s,a,r]...], "features": [...]}. Lossless.
+    """Write the dataset's four arrays, bit for bit, as one uncompressed ``.npz`` archive.
 
-    Each stage's distinct feature blocks (``Dataset.visited_blocks``, keyed by
-    their bytes) are encoded once with ``json.dumps``; a line's features are
-    its blocks' texts joined as ``json.dumps`` would join them, so the bytes
-    equal one ``json.dumps`` per trajectory.  Steps are encoded per line.
+    The archive goes to a file object, so numpy adds no ``.npz`` suffix to ``path``.
     A featureless ``Dataset`` raises ``ValidationError`` before the file is opened.
     """
     if dataset.features is None:
         raise ValidationError("dataset carries no features")
-    texts, ids = [], []
-    for blocks, rows in dataset.visited_blocks:
-        ids.append(rows + len(texts))
-        texts.extend(json.dumps(block.tolist()) for block in blocks)
-    ids = np.array(ids, dtype=np.int64).reshape(dataset.horizon, dataset.n).T
-    # row views converted one at a time, so the Python lists stay small
-    rows = zip(dataset.states, dataset.actions, dataset.rewards, ids)
-    with open(path, "w") as fh:
-        for states, actions, rewards, row_ids in rows:
-            steps = json.dumps([list(step) for step in zip(states.tolist(), actions.tolist(), rewards.tolist())])
-            features = ", ".join([texts[i] for i in row_ids.tolist()])
-            fh.write(_HEAD + steps + _MID + "[" + features + "]" + _END)
-
-
-def _load_canonical(fh) -> Dataset | None:
-    """The ``Dataset`` of a file whose every line has the writer's exact form, else None.
-
-    A line ``{"steps": S, "features": [[[B0]], [[B1]], ...]}`` is cut at the first
-    ``, "features": `` and its features at every ``]], [[``.  When S and every
-    ``[[Bh]]`` each decode as one complete JSON value, the line is exactly the
-    object with those two values, so this parse equals ``json.loads(line)``.
-    Each distinct block text is decoded once and a row keeps only its block ids;
-    each line's steps are decoded on their own and converted once for all rows.
-    A line with a step of other than three entries is left to the reference loop.
-    """
-    memo, blocks, ids, paths = {}, [], [], []
-    try:
-        for line in fh:
-            cut = line.find(_MID)
-            if not (line.startswith(_HEAD) and line.endswith(_END) and cut > 0):
-                return None
-            features = line[cut + len(_MID) : -len(_END)]
-            if not (features.startswith("[[[") and features.endswith("]]]")):
-                return None
-            row = []
-            for part in features[3:-3].split(_STAGE_SEP):
-                i = memo.get(part)
-                if i is None:
-                    i = memo[part] = len(blocks)
-                    blocks.append(np.array(json.loads("[[" + part + "]]"), dtype=float))
-                row.append(i)
-            ids.append(row)
-            states, actions, rewards = zip(*json.loads(line[len(_HEAD) : cut]), strict=True)
-            paths.append((states, actions, rewards))
-        states, actions, rewards = zip(*paths)  # raises on an empty file
-        return Dataset(
-            np.array(states, dtype=int),
-            np.array(actions, dtype=int),
-            np.array(rewards, dtype=float),
-            np.stack(blocks)[np.array(ids)],
-        )
-    except Exception:  # the reference loop names what is wrong
-        return None
-
-
-def _load_lines(path) -> Dataset:
-    """The reference reader: ``json.loads`` per line, and the only place errors are named."""
-    rows, linenos = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                if any(len(step) != 3 for step in doc["steps"]):
-                    raise ValidationError("every step must be [state, action, reward]")
-                states, actions, rewards = zip(*doc["steps"])
-                features = np.array(doc["features"], dtype=float)
-                row = (np.array(states, dtype=int), np.array(actions, dtype=int), np.array(rewards, dtype=float), features)
-                if rows and [a.shape for a in row] != [a.shape for a in rows[0]]:
-                    raise ValidationError("array shapes differ from the first trajectory's")
-            except Exception as err:
-                raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
-            rows.append(row)
-            linenos.append(lineno)
-    if not rows:
-        raise ValidationError(f"{path}: cannot build a dataset from zero trajectories")
-    fields = [np.stack(field) for field in zip(*rows)]
-    try:
-        return Dataset(*fields)
-    except ValidationError:
-        for j, lineno in enumerate(linenos):  # blank lines were skipped, so row j is not line j + 1
-            try:
-                Dataset(*(a[j : j + 1] for a in fields))
-            except ValidationError as err:
-                raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
-        raise
+    with open(path, "wb") as fh:
+        np.savez(fh, **{key: getattr(dataset, key) for key in DATASET_ARRAYS})
 
 
 def load_dataset(path) -> Dataset:
-    """The ``Dataset`` of a ``save_dataset`` file, each field stacked once.
+    """The ``Dataset`` of a ``save_dataset`` archive; JSON-lines files are no longer read.
 
-    Lines in the writer's exact form take a fast path that decodes each distinct
-    feature block once and builds the features with one gather.  Any other file
-    (other whitespace or key order, extra keys, blank lines, a last line without
-    a newline, or anything malformed) is read by the per-line reference loop,
-    whose arrays are the same.  Bad JSON, a missing key, a step other than
-    ``[state, action, reward]``, shapes unlike line 1's, a broken trajectory
-    invariant, features not shaped (H, A, d) or an empty file raise
-    ``ValidationError`` from that loop, naming the file (and the line).
-    The invariants are checked once on the stacked arrays; only when that check
-    fails are the rows searched for the first bad one."""
-    with open(path) as fh:
-        dataset = _load_canonical(fh)
-    return _load_lines(path) if dataset is None else dataset
+    The archive is opened as ``np.load`` opens one, with ``allow_pickle=False``, so
+    an object array is refused unpickled.  It must hold exactly the arrays of
+    ``DATASET_ARRAYS``, of their dtype kinds and ranks; ``Dataset`` then checks the
+    invariants once.  Every refusal is a ``ValidationError`` naming the file; a broken
+    invariant also names the first trajectory that is refused on its own.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive:
+                if sorted(archive.files) != sorted(DATASET_ARRAYS):
+                    raise ValidationError(f"it holds {sorted(archive.files)}, not {sorted(DATASET_ARRAYS)}")
+                arrays = {key: archive[key] for key in DATASET_ARRAYS}
+        except (EOFError, ValueError, zipfile.BadZipFile) as err:  # ValueError covers ValidationError
+            raise ValidationError(f"{path}: not a dataset archive: {err}") from err
+    for key, (kind, ndim) in DATASET_ARRAYS.items():
+        a = arrays[key]
+        if not np.issubdtype(a.dtype, kind) or a.ndim != ndim:
+            raise ValidationError(f"{path}: {key} must be a {ndim}-d {kind.__name__} array, got {a.dtype} of shape {a.shape}")
+    try:
+        return Dataset(**arrays)
+    except ValidationError as err:
+        for j in range(len(arrays["states"])):  # only a refused file searches its rows
+            try:
+                Dataset(**{key: a[j : j + 1] for key, a in arrays.items()})
+            except ValidationError as bad:
+                raise ValidationError(f"{path}: trajectory {j}: {bad}") from bad
+        raise ValidationError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

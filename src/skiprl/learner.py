@@ -615,6 +615,9 @@ def calibrate(
     true-guess tightness under that beta, with psi[h] added to every stage
     pool as an extra candidate (floored away from zero so exact-singleton
     sets stay feasible).  ``replicates`` must be >= 1 and ``delta`` in (0, 1).
+    A held-out replicate on which the true guess's set is empty at some stage
+    is refused, naming the stage, the replicate and ``theta_radius``: its
+    tightness, and so ``eps_bar``, would be infinite and the filter off.
     """
     _check_dims(config, [guess], featmap=featmap)
     if replicates < 1:
@@ -634,7 +637,10 @@ def calibrate(
     tight = np.zeros(replicates)
     for c, (ds, covs) in enumerate(zip(datasets, stage_data)):
         (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
-        tight[c] = max(sets.tightness, default=math.inf)
+        if sets.empty_stage is not None:
+            raise ValidationError(f"the true guess's confidence set is empty at stage {sets.empty_stage} on held-out "
+                                  f"replicate {c} (theta_radius = {config.theta_radius:g}); eps_bar would be inf")
+        tight[c] = max(sets.tightness)
     eps_bar = max(2.0 * float(tight.max()), 1e-9)
     return CalibrationResult(beta=beta, eps_bar=eps_bar, anchor_stats=stats, tightness_values=tight)
 

@@ -243,8 +243,8 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     out_a = serialize_outcome(solve(ds, inst.guesses, lc, inst.featmap))
     out_b = serialize_outcome(solve(ds, inst.guesses, lc, inst.featmap))
 
-    # dataset persistence: lossless decimal round-trip
-    path = tmp_path / "data.jsonl"
+    # dataset persistence: lossless round-trip
+    path = tmp_path / "data.npz"
     save_dataset(ds, path)
     back = load_dataset(path)
     lossless = (

@@ -29,14 +29,14 @@ def config_file(tmp_path):
 
 def test_full_pipeline(tmp_path, config_file, capsys):
     env_path = str(tmp_path / "env.json")
-    data_path = str(tmp_path / "data.jsonl")
+    data_path = str(tmp_path / "data.npz")
     outcome_path = str(tmp_path / "outcome.json")
 
     assert main(["gen-env", "--config", config_file, "--out", env_path]) == 0
     assert json.load(open(env_path))["H"] == 2
 
     assert main(["collect", "--config", config_file, "--out", data_path]) == 0
-    assert sum(1 for _ in open(data_path)) == 80
+    assert harness.load_dataset(data_path).n == 80
 
     assert main(["learn", "--config", config_file, "--data", data_path, "--out", outcome_path]) == 0
     doc = json.load(open(outcome_path))
@@ -64,38 +64,34 @@ def test_full_pipeline(tmp_path, config_file, capsys):
     assert "gap" in out
 
 
-def test_learn_names_the_line_of_misshapen_features(tmp_path, config_file, capsys):
-    data_path = tmp_path / "one.jsonl"
-    data_path.write_text('{"steps": [[0,0,0.5],[0,1,0.0]], "features": [[1.0, 2.0]]}\n')
+def test_learn_names_the_file_of_misshapen_features(tmp_path, config_file, capsys):
+    data_path = tmp_path / "one.npz"
+    np.savez(data_path, states=np.zeros((1, 2), dtype=int), actions=np.array([[0, 1]]),
+             rewards=np.array([[0.5, 0.0]]), features=np.array([[1.0, 2.0]]))
     argv = ["learn", "--config", config_file, "--data", str(data_path), "--out", str(tmp_path / "out.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "line 1" in err and "features must have shape" in err
+    assert str(data_path) in err and "features must be a 4-d floating array" in err
 
 
-def reshaped_copy(src, dst, reshape):
-    """Rewrite every line of a ``collect`` file through ``reshape(doc)``."""
-    with open(src) as fh, open(dst, "w") as out:
-        for line in fh:
-            doc = json.loads(line)
-            reshape(doc)
-            out.write(json.dumps(doc) + "\n")
+def pad_features(arrays):
+    arrays["features"] = np.concatenate([arrays["features"], np.zeros(arrays["features"].shape[:3] + (1,))], axis=3)
 
 
-def pad_features(doc):
-    doc["features"] = [[vec + [0.0] for vec in stage] for stage in doc["features"]]
-
-
-def add_stage(doc):
-    doc["steps"].insert(-1, [0, 0, 0.0])
-    doc["features"].append(doc["features"][-1])
+def add_stage(arrays):
+    for key in ("states", "actions", "rewards"):
+        arrays[key] = np.insert(arrays[key], -1, 0, axis=1)  # a stage-0 step before the terminal one
+    arrays["features"] = np.concatenate([arrays["features"], arrays["features"][:, -1:]], axis=1)
 
 
 @pytest.mark.parametrize("reshape, shape", [(pad_features, "(2, 2, 3)"), (add_stage, "(3, 2, 2)")])
 def test_learn_names_a_dataset_shaped_unlike_the_environment(tmp_path, config_file, capsys, reshape, shape):
-    data_path, bad_path = str(tmp_path / "data.jsonl"), str(tmp_path / "bad.jsonl")
+    data_path, bad_path = str(tmp_path / "data.npz"), str(tmp_path / "bad.npz")
     assert main(["collect", "--config", config_file, "--n", "5", "--out", data_path]) == 0
-    reshaped_copy(data_path, bad_path, reshape)
+    with np.load(data_path) as archive:
+        arrays = dict(archive)
+    reshape(arrays)
+    np.savez(bad_path, **arrays)
     capsys.readouterr()
     assert main(["learn", "--config", config_file, "--data", bad_path, "--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err

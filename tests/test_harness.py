@@ -1,7 +1,9 @@
 import json
 import os
+import pickle
 import tempfile
 import xml.etree.ElementTree as ET
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -49,65 +51,51 @@ def mask_wall(text: str) -> str:
     return "\n".join(out)
 
 
-def reference_load(path) -> Dataset:
-    """The per-line ``json.loads`` loader that ``load_dataset``'s fast path must reproduce."""
-    rows, linenos = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                if any(len(step) != 3 for step in doc["steps"]):
-                    raise ValidationError("every step must be [state, action, reward]")
-                states, actions, rewards = zip(*doc["steps"])
-                features = np.array(doc["features"], dtype=float)
-                row = (np.array(states, dtype=int), np.array(actions, dtype=int), np.array(rewards, dtype=float), features)
-                if rows and [a.shape for a in row] != [a.shape for a in rows[0]]:
-                    raise ValidationError("array shapes differ from the first trajectory's")
-            except Exception as err:
-                raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
-            rows.append(row)
-            linenos.append(lineno)
-    if not rows:
-        raise ValidationError(f"{path}: cannot build a dataset from zero trajectories")
-    fields = [np.stack(field) for field in zip(*rows)]
-    try:
-        return Dataset(*fields)
-    except ValidationError:
-        for j, lineno in enumerate(linenos):
-            try:
-                Dataset(*(a[j : j + 1] for a in fields))
-            except ValidationError as err:
-                raise ValidationError(f"{path}: malformed trajectory on line {lineno}: {err}") from err
-        raise
-
-
 def assert_same_arrays(got: Dataset, want: Dataset) -> None:
     for key in ("states", "actions", "rewards", "features"):
         a, b = getattr(got, key), getattr(want, key)
         assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), key
 
 
-def assert_same_error(path, match) -> None:
-    """``load_dataset`` raises exactly the reference loop's message."""
+def assert_refused(path, match) -> None:
+    """``load_dataset`` raises ``ValidationError`` matching ``match`` and naming the file."""
     with pytest.raises(ValidationError, match=match) as err:
         load_dataset(path)
-    with pytest.raises(ValidationError) as ref:
-        reference_load(path)
-    assert str(err.value) == str(ref.value)
+    assert str(path) in str(err.value)
 
 
-def trajectory_docs(ds: Dataset) -> list:
-    return [
-        {"steps": [list(step) for step in zip(s.tolist(), a.tolist(), r.tolist())], "features": f.tolist()}
-        for s, a, r, f in zip(ds.states, ds.actions, ds.rewards, ds.features)
-    ]
+def valid_arrays(n=1) -> dict:
+    """The arrays of n valid one-step trajectories with (A, d) = (2, 2)."""
+    actions = np.zeros((n, 2), dtype=int)
+    actions[:, 0] = np.arange(n) % 2
+    return {
+        "states": np.zeros((n, 2), dtype=int),
+        "actions": actions,
+        "rewards": np.tile([0.5, 0.0], (n, 1)),
+        "features": np.arange(n * 4, dtype=float).reshape(n, 1, 2, 2) / 10,
+    }
 
 
-def per_trajectory_text(ds: Dataset) -> str:
-    """What the writer wrote before it encoded blocks once: one ``json.dumps`` per row."""
-    return "".join(json.dumps(doc) + "\n" for doc in trajectory_docs(ds))
+def write_archive(tmp_path, arrays: dict):
+    path = tmp_path / "data.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+UNPICKLED = []
+
+
+def _unpickled(tag):
+    UNPICKLED.append(tag)
+    return 0.0
+
+
+class Tripwire:
+    """An object whose unpickling is recorded in ``UNPICKLED``."""
+
+    def __reduce__(self):
+        return _unpickled, ("tripwire",)
 
 
 def twin_block_dataset(rng, n, H, A, d) -> Dataset:
@@ -124,25 +112,6 @@ def twin_block_dataset(rng, n, H, A, d) -> Dataset:
     rewards = np.array([0.0, -0.0, 0.25, 1.0])[rng.integers(0, 4, size=(n, H + 1))]
     rewards[:, H] = -0.0
     return Dataset(states, actions, rewards, feats)
-
-
-# valid files that are not in the writer's exact form, so they take the per-line loop
-FILE_FORMS = {
-    "canonical": lambda docs: "".join(json.dumps(doc) + "\n" for doc in docs),
-    "compact": lambda docs: "".join(json.dumps(doc, separators=(",", ":")) + "\n" for doc in docs),
-    "features-first": lambda docs: "".join(json.dumps({"features": doc["features"], "steps": doc["steps"]}) + "\n" for doc in docs),
-    "extra-key": lambda docs: "".join(json.dumps({**doc, "note": [[[0.5]]]}) + "\n" for doc in docs),
-    # json.loads keeps the last of a repeated key, so the first value is a decoy
-    "repeated-steps": lambda docs: "".join(
-        '{"steps": ' + json.dumps([[s, a, 0.5 * (t < len(doc["steps"]) - 1)] for t, (s, a, _) in enumerate(doc["steps"])])
-        + ", " + json.dumps(doc)[1:] + "\n" for doc in docs),
-    "repeated-features": lambda docs: "".join(
-        json.dumps({"steps": doc["steps"], "features": (-np.array(doc["features"]) - 1).tolist()})[:-1]
-        + ', "features": ' + json.dumps(doc["features"]) + "}\n" for doc in docs),
-    "blank-lines": lambda docs: "\n" + "\n\n".join(json.dumps(doc) for doc in docs) + "\n\n",
-    "no-final-newline": lambda docs: "\n".join(json.dumps(doc) for doc in docs),
-    "crlf": lambda docs: "".join(json.dumps(doc) + "\r\n" for doc in docs),
-}
 
 
 class TestConfig:
@@ -172,50 +141,47 @@ class TestDatasetPersistence:
         feats = trajs.features.copy()
         feats[0, 0, 0, 0], feats[1, 0, 0, 0] = -0.0, 0.0
         ds = Dataset(trajs.states, trajs.actions, trajs.rewards, feats)
-        path = tmp_path / "data.jsonl"
+        path = tmp_path / "data.npz"
         save_dataset(ds, path)
         back = load_dataset(path)
         assert isinstance(back, Dataset) and len(back) == 20
         assert np.signbit(back.features[0, 0, 0, 0]) and not np.signbit(back.features[1, 0, 0, 0])
         assert_same_arrays(back, ds)
 
-    def test_line_count_is_n(self, tmp_path, fixed_instance):
-        mdp, fm = fixed_instance
-        trajs = sample_trajectories(mdp, uniform_policy(mdp), 7, 5, fm)
-        path = tmp_path / "data.jsonl"
-        save_dataset(trajs, path)
-        assert sum(1 for _ in open(path)) == 7
-
-    def test_empty_file_rejected(self, tmp_path):
-        # a Dataset holds at least one trajectory, so a file without any is an error
-        path = tmp_path / "empty.jsonl"
-        for text in ("", "\n\n"):
-            path.write_text(text)
-            assert_same_error(path, "zero trajectories")
-
-    def test_bytes_match_per_trajectory_writer(self, tmp_path):
-        # the block-wise writer against one json.dumps per row, on both reward kinds and on
-        # features that are not a function of the state, with -0.0/0.0 block twins
+    def test_roundtrip_keeps_dtype_shape_and_bytes(self, tmp_path):
+        # both reward kinds, features that are not a function of the state with -0.0/0.0
+        # twins in features and rewards, (A, d) = (2, 0) blocks, n = 1 and narrow dtypes
         datasets = []
         for kind in ("deterministic-mean", "bernoulli-mean"):
             mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=10, reward_kind=kind)
             datasets.append(sample_trajectories(mdp, uniform_policy(mdp), 30, 5, fm))
         rng = np.random.default_rng(31)
-        for H, A, d in [(1, 1, 1), (3, 2, 2), (5, 3, 4)]:
-            ds = twin_block_dataset(rng, 40, H, A, d)
-            assert any(np.signbit(blocks).any() for blocks, _ in ds.visited_blocks)
-            datasets.append(ds)
-        paths = np.zeros((3, 2), dtype=int)  # one-step rows whose (A, d) = (2, 0) blocks are empty
+        for n, H, A, d in [(40, 1, 1, 1), (40, 3, 2, 2), (40, 5, 3, 4), (1, 2, 2, 3)]:
+            datasets.append(twin_block_dataset(rng, n, H, A, d))
+        assert any(np.signbit(blocks).any() for ds in datasets for blocks, _ in ds.visited_blocks)
+        assert any(np.signbit(ds.rewards[:, :-1]).any() for ds in datasets)
+        paths = np.zeros((3, 2), dtype=int)
         datasets.append(Dataset(paths, paths, np.zeros((3, 2)), np.zeros((3, 1, 2, 0))))
+        ds = datasets[3]
+        datasets.append(Dataset(ds.states.astype(np.int32), ds.actions.astype(np.int8),
+                                ds.rewards.astype(np.float32), ds.features.astype(np.float32)))
         for j, ds in enumerate(datasets):
-            path = tmp_path / f"{j}.jsonl"
+            path = tmp_path / f"{j}.data"
             save_dataset(ds, path)
-            assert path.read_text() == per_trajectory_text(ds), j
+            assert_same_arrays(load_dataset(path), ds)
+        # written to the path as given: numpy adds no .npz suffix
+        assert sorted(os.listdir(tmp_path)) == [f"{j}.data" for j in range(len(datasets))]
+        # one stored (uncompressed) .npy member per array, and nothing else
+        with zipfile.ZipFile(tmp_path / "0.data") as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == ["actions.npy", "features.npy", "rewards.npy", "states.npy"]
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
 
     @given(seed=st.integers(0, 2**31 - 1),
            source=st.sampled_from(["deterministic-mean", "bernoulli-mean", "hand-built"]))
     @settings(max_examples=60, deadline=None)
     def test_loader_matches_reference(self, seed, source):
+        # the reference is the saved Dataset itself: loading gives back its arrays bit for bit
         rng = np.random.default_rng(seed)
         d, H, A, n = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 60))
         if source == "hand-built":
@@ -225,116 +191,99 @@ class TestDatasetPersistence:
             mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)), reward_kind=source)
             ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
         with tempfile.TemporaryDirectory() as tmp:
-            saved = os.path.join(tmp, "saved.jsonl")
-            save_dataset(ds, saved)
-            with open(saved) as fh:
-                assert harness._load_canonical(fh) is not None  # a writer's file takes the fast path
-            paths = [saved]
-            for form, text in FILE_FORMS.items():
-                paths.append(os.path.join(tmp, f"{form}.jsonl"))
-                with open(paths[-1], "w", newline="") as fh:
-                    fh.write(text(trajectory_docs(ds)))
-            for path in paths:
-                got = load_dataset(path)
-                assert_same_arrays(got, reference_load(path))
-                assert_same_arrays(got, ds)
-
-    @pytest.mark.parametrize("steps", [
-        [[0, "1", 0.5], [0, 0, 0.0]],
-        [[0, True, 0.5], [0.0, 0, 0.0]],
-        [[0, 0, None], [0, 0, 0.0]],
-        [[0, 0, 0.5, 7], [0, 0, 0.0, 7]],
-        [[0, 0, 0.5], [0, 0]],
-        [[0, 0, "x"], [0, 0, 0.0]],
-        [],
-    ])
-    def test_odd_steps_in_the_writer_form_match_reference(self, tmp_path, steps):
-        # lines in the writer's form whose steps only the reference loop would ever meet
-        path = tmp_path / "odd.jsonl"
-        path.write_text(json.dumps({"steps": steps, "features": [[[1.0]]]}) + "\n")
-        try:
-            want = reference_load(path)
-        except ValidationError as err:
-            with pytest.raises(ValidationError) as got:
-                load_dataset(path)
-            assert str(got.value) == str(err)
-        else:
-            assert_same_arrays(load_dataset(path), want)
-
-    def test_nan_reward_rejected(self, tmp_path):
-        # NaN fails both `r < 0` and `r > 1`, so it used to load as a reward
-        path = tmp_path / "nan.jsonl"
-        path.write_text(json.dumps({"steps": [[0, 0, float("nan")], [0, 1, 0.0]], "features": [[[1.0]]]}) + "\n")
-        assert_same_error(path, "line 1: rewards must lie in")
-
-    @pytest.mark.parametrize("steps", [[[0, 0, 0.5, 7], [0, 1, 0.0]], [[0, 0, 0.5], [0, 1, 0.0, 7]]])
-    def test_step_beyond_three_entries_rejected(self, tmp_path, steps):
-        # zip(*steps) stops at the shortest step, so the extra entry used to be dropped silently
-        path = tmp_path / "long.jsonl"
-        path.write_text(json.dumps({"steps": steps, "features": [[[1.0]]]}) + "\n")
-        with open(path) as fh:
-            assert harness._load_canonical(fh) is None
-        assert_same_error(path, "line 1: every step must be")
+            path = os.path.join(tmp, "data.npz")
+            save_dataset(ds, path)
+            assert_same_arrays(load_dataset(path), ds)
 
     def test_featureless_rejected_before_opening(self, tmp_path, fixed_instance):
         mdp, _ = fixed_instance
         ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 1)
-        path = tmp_path / "data.jsonl"
+        path = tmp_path / "data.npz"
         path.write_text("keep\n")
         with pytest.raises(ValidationError):
             save_dataset(ds, path)
         assert path.read_text() == "keep\n"
 
-    def test_malformed_line_reports_number(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"steps": [[0,0,0.0]], "features": []}\nnot json\n')
-        assert_same_error(path, "line 2")
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        for text in ("", "\n\n"):
+            path.write_text(text)
+            assert_refused(path, "not a dataset archive")
 
-    def test_features_unlike_path_length_report_line(self, tmp_path):
-        # features (1, 2) for a one-step path used to load as (1, 1, 2) and fail later in Dataset.dim
-        path = tmp_path / "one.jsonl"
-        path.write_text('{"steps": [[0,0,0.5],[0,1,0.0]], "features": [[1.0, 2.0]]}\n')
-        assert_same_error(path, "line 1")
+    @pytest.mark.parametrize("form", ["json-lines", "npy", "truncated"])
+    def test_not_an_archive_rejected(self, tmp_path, fixed_instance, form):
+        path = tmp_path / "data.npz"
+        if form == "json-lines":  # the format before the archive, which is no longer read
+            path.write_text('{"steps": [[0, 0, 0.5], [0, 1, 0.0]], "features": [[[1.0]]]}\n')
+        elif form == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.zeros((2, 3)))
+        else:
+            mdp, fm = fixed_instance
+            save_dataset(sample_trajectories(mdp, uniform_policy(mdp), 3, 5, fm), path)
+            path.write_bytes(path.read_bytes()[:-40])
+        assert_refused(path, "not a dataset archive")
 
-    def test_bad_row_after_blank_lines_reports_its_line(self, tmp_path, fixed_instance):
-        # blank lines are skipped, so the failing row's index is not its line number
-        mdp, fm = fixed_instance
-        path = tmp_path / "data.jsonl"
-        save_dataset(sample_trajectories(mdp, uniform_policy(mdp), 3, 5, fm), path)
-        docs = [json.loads(line) for line in path.read_text().splitlines()]
-        docs[2]["steps"][-1][0] = 1  # row 2 ends off the terminal state
-        path.write_text("\n" + json.dumps(docs[0]) + "\n\n" + json.dumps(docs[1]) + "\n" + json.dumps(docs[2]) + "\n")
-        assert_same_error(path, "line 5")
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_array_names_must_match(self, tmp_path, change):
+        arrays = valid_arrays()
+        if change == "missing":
+            del arrays["rewards"]
+        else:
+            arrays["note"] = np.zeros(1)
+        path = write_archive(tmp_path, arrays)
+        assert_refused(path, "not a dataset archive: it holds")
 
-    @pytest.mark.parametrize(
-        "fault",
-        ["reward", "features-shape", "features-stages", "steps-length", "missing-key", "bad-json",
-         "action-negative", "action-too-large"],
-    )
-    def test_bad_second_line_reports_number(self, tmp_path, fixed_instance, fault):
-        mdp, fm = fixed_instance
-        path = tmp_path / "data.jsonl"
-        save_dataset(sample_trajectories(mdp, uniform_policy(mdp), 3, 5, fm), path)
-        docs = [json.loads(line) for line in path.read_text().splitlines()]
-        if fault == "reward":
-            docs[1]["steps"][0][2] = 1.5
-        elif fault == "features-shape":
-            docs[1]["features"] = [[phi + [0.0] for phi in stage] for stage in docs[1]["features"]]
+    def test_object_array_refused_without_unpickling(self, tmp_path):
+        pickle.loads(pickle.dumps(Tripwire()))
+        assert UNPICKLED == ["tripwire"]  # the tripwire fires when unpickled
+        UNPICKLED.clear()
+        arrays = valid_arrays()
+        arrays["rewards"] = np.array([[Tripwire(), 0.0]], dtype=object)
+        path = write_archive(tmp_path, arrays)
+        assert_refused(path, "not a dataset archive")
+        assert UNPICKLED == []
+
+    @pytest.mark.parametrize("key, dtype, kind", [("states", float, "integer"), ("actions", bool, "integer"),
+                                                  ("rewards", int, "floating"), ("features", np.int64, "floating")])
+    def test_array_dtypes_checked(self, tmp_path, key, dtype, kind):
+        arrays = valid_arrays()
+        arrays[key] = arrays[key].astype(dtype)
+        path = write_archive(tmp_path, arrays)
+        assert_refused(path, f"{key} must be a {arrays[key].ndim}-d {kind} array")
+
+    @pytest.mark.parametrize("fault", ["features-rank", "features-stages", "actions-length"])
+    def test_misshapen_arrays_rejected(self, tmp_path, fault):
+        arrays = valid_arrays()
+        if fault == "features-rank":  # features (1, 2) for a one-step path
+            arrays["features"] = arrays["features"][0, 0]
+            match = "features must be a 4-d floating array"
         elif fault == "features-stages":
-            del docs[1]["features"][-1]
-        elif fault == "steps-length":
-            del docs[1]["steps"][1]
-        elif fault == "missing-key":
-            del docs[1]["features"]
-        elif fault == "action-negative":
-            docs[1]["steps"][1][1] = -1  # used to load and score action A-1's features
-        elif fault == "action-too-large":
-            docs[1]["steps"][1][1] = mdp.num_actions  # used to load and fail in learn with an IndexError
-        lines = [json.dumps(doc) for doc in docs]
-        if fault == "bad-json":
-            lines[1] = lines[1].replace("]], [[", "]] [[", 1)  # still in the writer's form up to one comma
-        path.write_text("".join(line + "\n" for line in lines))
-        assert_same_error(path, "line 2")
+            arrays["features"] = np.concatenate([arrays["features"]] * 2, axis=1)
+            match = "trajectory 0: features must have shape"
+        else:
+            arrays["actions"] = arrays["actions"][:, :-1]
+            match = "trajectory 0: states, actions and rewards must share"
+        assert_refused(write_archive(tmp_path, arrays), match)
+
+    def test_zero_trajectory_archive_rejected(self, tmp_path):
+        # a Dataset holds at least one trajectory, so an archive without any is an error
+        path = write_archive(tmp_path, {key: a[:0] for key, a in valid_arrays().items()})
+        assert_refused(path, "zero trajectories")
+
+    def test_nan_reward_rejected(self, tmp_path):
+        # NaN fails both `r < 0` and `r > 1`, so it used to load as a reward
+        arrays = valid_arrays(n=3)
+        arrays["rewards"][1, 0] = np.nan
+        assert_refused(write_archive(tmp_path, arrays), "trajectory 1: rewards must lie in")
+
+    @pytest.mark.parametrize("action, match", [(-1, "actions must be >= 0"), (2, "actions must be < 2")],
+                             ids=["action-negative", "action-too-large"])
+    def test_out_of_range_action_names_its_trajectory(self, tmp_path, action, match):
+        # -1 used to load and score action A-1's features; A used to fail in learn with an IndexError
+        arrays = valid_arrays(n=3)
+        arrays["actions"][1, 0] = action
+        assert_refused(write_archive(tmp_path, arrays), f"trajectory 1: {match}")
 
 
 class TestRunAndSweep:
@@ -375,6 +324,15 @@ class TestRunAndSweep:
         assert err.value.stage == "calibrate" and isinstance(err.value.original, ValidationError)
         assert next(iter(calibration)) in str(err.value)
 
+    def test_empty_calibration_set_named_by_stage(self):
+        # a tiny theta_radius empties every held-out true-guess set; calibration used to
+        # return eps_bar = inf, which turned the tightness filter off without a word
+        cfg = tiny_config(learn={"alpha": 0.3, "grid_per_stage": 6, "combo_cap": 32, "theta_radius": 0.05})
+        inst = build_instance(cfg)
+        with pytest.raises(HarnessError, match=r"empty at stage \d on held-out replicate 0 \(theta_radius = 0.05\)") as err:
+            harness.calibrated_config(cfg, inst, 60)
+        assert err.value.stage == "calibrate" and isinstance(err.value.original, ValidationError)
+
     def test_zero_reward_env_gap_zero(self):
         cfg = tiny_config(
             env={"d": 2, "horizon": 2, "stage_sizes": [1, 3, 1], "num_actions": 2, "seed": 3, "reward_scale": 0.0},
@@ -401,10 +359,11 @@ class TestRunAndSweep:
         def no_calibration(*args, **kwargs):
             raise AssertionError("calibration ran before the worker count was read")
 
-        monkeypatch.setenv(harness.WORKERS_ENV, "two")
         monkeypatch.setattr(harness, "calibrate", no_calibration)
-        with pytest.raises(ValidationError, match=harness.WORKERS_ENV):
-            sweep(tiny_config())
+        for value in ("two", "0", "-2"):  # 0 and -2 used to run serially
+            monkeypatch.setenv(harness.WORKERS_ENV, value)
+            with pytest.raises(ValidationError, match=f"{harness.WORKERS_ENV} must be an integer >= 1, got '{value}'"):
+                sweep(tiny_config())
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config(sweep={"n_values": [60], "replicates": 4})

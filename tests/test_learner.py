@@ -415,9 +415,9 @@ class TestVisitedBlocksShared:
         assert all(size <= k for size, k in zip(sorts, mdp.stage_sizes))
         feats = ds.features.copy()
         feats[::2, 1] = feats[::2, 1, ::-1]  # even rows swap the actions of their stage-1 block
-        save_dataset(Dataset(ds.states, ds.actions, ds.rewards, feats), tmp_path / "data.jsonl")
+        save_dataset(Dataset(ds.states, ds.actions, ds.rewards, feats), tmp_path / "data.npz")
         sorts.clear()
-        load_dataset(tmp_path / "data.jsonl").visited_blocks
+        load_dataset(tmp_path / "data.npz").visited_blocks
         assert sorts[1] == ds.n and sorts[0] <= 1 and sorts[2] <= mdp.stage_sizes[2]
 
 
