@@ -6,6 +6,7 @@ from .design import (
     approx_optimal_design,
     build_true_guess,
     epsilon_net,
+    guess_from_fit,
     guess_grid,
     panel_size,
 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import fit_policy_stack
+from .envs import StackParams, fit_policy_stack
 from .mdp import PolicyStack, ValidationError
 
 KERNEL_TOL = 1e-8
@@ -243,10 +243,16 @@ def build_true_guess(mdp, featmap, policies) -> Guess:
     stack = PolicyStack.of(mdp, policies)
     if not len(stack):
         raise ValidationError("policy sample must be nonempty")
-    fit = fit_policy_stack(mdp, featmap, stack)
-    stage_vectors = {stage: approx_optimal_design(fit.theta[stage]).support for stage in range(1, mdp.horizon)}
+    return guess_from_fit(fit_policy_stack(mdp, featmap, stack))
+
+
+def guess_from_fit(fit: StackParams) -> Guess:
+    """``build_true_guess`` from the sample's ``fit_policy_stack`` result, for callers
+    that use the fit again (``oracles.check_range_bound``)."""
+    H, d = fit.theta.shape[0] - 1, fit.theta.shape[2]
+    stage_vectors = {stage: approx_optimal_design(fit.theta[stage]).support for stage in range(1, H)}
     bound = float(fit.l2_bounds.max())
-    return Guess.from_stage_vectors(mdp.horizon, featmap.d, stage_vectors, radius_bound=max(bound, 1e-12))
+    return Guess.from_stage_vectors(H, d, stage_vectors, radius_bound=max(bound, 1e-12))
 
 
 def guess_grid(true_guess: Guess, spread: float, count_cap: int, seed) -> list:

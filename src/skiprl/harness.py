@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import learner, oracles
-from .design import Guess, build_true_guess, guess_grid
-from .envs import FeatureMap, random_linear_mdp, sample_policies
+from .design import Guess, build_true_guess, guess_from_fit, guess_grid
+from .envs import FeatureMap, fit_policy_stack, random_linear_mdp, sample_policies
 from .learner import LearnerConfig, calibrate, solve
 from .mdp import (
     Dataset,
@@ -573,9 +573,8 @@ def _suite_range_bound(seed, instances=5, policy_count=60):
     worst = float("inf")
     for _ in range(instances):
         mdp, featmap = _random_instance(rng, size_range=(2, 5))
-        policies = sample_policies(mdp, policy_count, int(rng.integers(0, 2**31)))
-        guess = build_true_guess(mdp, featmap, policies)
-        worst = min(worst, oracles.check_range_bound(mdp, featmap, guess, policies))
+        fit = fit_policy_stack(mdp, featmap, sample_policies(mdp, policy_count, int(rng.integers(0, 2**31))))
+        worst = min(worst, oracles.check_range_bound(mdp, featmap, guess_from_fit(fit), fit))
     return worst, -1e-6, f"{instances} exact-linear instances, {policy_count} sampled policies each"
 
 

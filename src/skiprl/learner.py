@@ -35,12 +35,13 @@ from .mdp import (
 )
 from .skipping import (
     SkipParams,
+    add_in_stage_order,
     batch_skip_targets,
     block_omega,
     dataset_omega,
     omega_tables,
     stop_probabilities,
-    targets_under_law,
+    target_terms,
 )
 
 MEMBER_TOL = 1e-12
@@ -122,11 +123,23 @@ def greedy_policy(featmap: FeatureMap, thetas: np.ndarray) -> Policy:
 @dataclass
 class StageCovariance:
     """Stage-h data shared by every guess: the features of the actions taken,
-    ``phi`` (n, d), and X_h = lam I + phi^T phi with its cached inverse."""
+    ``phi`` (n, d), X_h = lam I + phi^T phi with its cached inverse, and the
+    distinct taken-feature rows ``pairs`` with each row's index ``codes`` (n,)
+    into them, so that ``pairs[codes]`` equals ``phi`` byte for byte.
+
+    ``pairs`` holds the stage's distinct visited blocks' action rows, m * A of
+    them, and ``codes`` is ``visited_blocks[h][1] * A + actions[:, h]``.  numpy's
+    matmul scores a one-row left operand with gemv and a larger one with gemm,
+    whose last bits can differ, so ``pairs`` has one row exactly when ``phi``
+    does: a single (block, action) row is doubled, and when there are at least
+    as many of them as data rows, ``pairs`` is ``phi`` itself.
+    """
 
     phi: np.ndarray
     matrix: np.ndarray
     lam: float
+    pairs: np.ndarray
+    codes: np.ndarray
 
     def __post_init__(self):
         self.inv = np.linalg.inv(self.matrix)
@@ -144,8 +157,15 @@ class StageCovariance:
 def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     """The stage-h data of ``dataset``; it depends on the data and lam alone, never on a guess."""
     d = dataset.dim  # refuses a featureless dataset by name
-    phi = dataset.features[np.arange(dataset.n), h, dataset.actions[:, h]]
-    return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam)
+    rows, actions = np.arange(dataset.n), dataset.actions[:, h]
+    phi = dataset.features[rows, h, actions]
+    blocks, block_of_row = dataset.visited_blocks[h]
+    pairs, codes = blocks.reshape(-1, d), block_of_row * blocks.shape[1] + actions
+    if len(pairs) >= len(rows):
+        pairs, codes = phi, rows
+    elif len(pairs) == 1:
+        pairs = np.repeat(pairs, 2, axis=0)
+    return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam, pairs=pairs, codes=codes)
 
 
 def _clipped_vbar_blocks(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
@@ -256,13 +276,54 @@ class ConfidenceSets:
         return bool(_admitted(theta[None, :], np.array([self.ellipsoid_statistic(h, theta)]), config)[0])
 
 
+def _row_keys(arr: np.ndarray) -> list:
+    """One bytes key per row of the 2-D ``arr``; floats are keyed after ``+ 0.0``, so
+    that ``-0.0`` and ``0.0`` give one key, as they are one value."""
+    if arr.dtype.kind == "f":
+        arr = arr + 0.0
+    arr = np.ascontiguousarray(arr)
+    return arr.view(np.dtype((np.void, arr.dtype.itemsize * arr.shape[1]))).ravel().tolist()
+
+
 def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
     """The rows of ``arr`` that equal no earlier row (by value, so ``-0.0`` matches
     ``0.0``), in order; an array of at most one row comes back as is."""
     if arr.shape[0] <= 1:
         return arr
-    _, idx = np.unique(arr, axis=0, return_index=True)
-    return arr[np.sort(idx)]
+    first = {}
+    for i, key in enumerate(_row_keys(arr)):
+        first.setdefault(key, i)
+    return arr[list(first.values())]
+
+
+def _keyed(points: np.ndarray):
+    """``points`` without repeated rows, and a dict from each kept row's key to its index."""
+    points = _dedupe_rows(points)
+    return points, {key: i for i, key in enumerate(_row_keys(points))}
+
+
+def _pool(anchors: np.ndarray, extras, net) -> np.ndarray:
+    """A stage's candidate pool: its distinct ``anchors``, then the ``extras`` (m, d)
+    and the net points that equal no earlier pool row, in order.  These are the
+    rows of ``_dedupe_rows(np.vstack([anchors, extras, net points]))``.  ``net``
+    is ``_keyed`` once per build, so a stage looks up only its anchors and extras
+    in it; either of ``extras`` and ``net`` may be None."""
+    if extras is None and net is None:
+        return anchors
+    seen = dict.fromkeys(_row_keys(anchors))
+    parts = [anchors]
+    if extras is not None:
+        keep = []
+        for i, key in enumerate(_row_keys(extras)):
+            if key not in seen:
+                seen[key] = None
+                keep.append(i)
+        parts.append(extras[keep])
+    if net is not None:
+        points, index = net
+        taken = [index[key] for key in seen if key in index]
+        parts.append(np.delete(points, taken, axis=0) if taken else points)
+    return np.vstack(parts)
 
 
 def _tail_combos(counts, cap: int, rng_seed):
@@ -286,23 +347,19 @@ def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop,
     ``stop`` and ``cumrew`` are the stopping law and accumulated rewards of the
     stage's distinct tails, ``tail_vbar`` the tails' v-bar values at stages
     h+1..H, one (k_u, tails) array per stage, and ``back`` each row's tail
-    (``dataset.tail_paths[h]``).
+    (``dataset.tail_paths[h]``).  Each member's target term at each later stage
+    is computed once (``skipping.target_terms``); a combo's targets add its
+    members' terms in stage order.  ``extras`` and ``net`` are as in ``_pool``.
     """
     d = cov.matrix.shape[0]
     combos, subsampled = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
+    terms = target_terms(stop, cumrew, tail_vbar)
     anchors = np.empty((len(combos), d))
     for ci, combo in enumerate(combos):
-        fvals = np.stack([vals[c] for vals, c in zip(tail_vbar, combo)], axis=1)
-        anchors[ci] = cov.ridge(targets_under_law(stop, cumrew, fvals)[back])
+        anchors[ci] = cov.ridge(add_in_stage_order([term[c] for term, c in zip(terms, combo)])[back])
     anchors = _dedupe_rows(anchors)
 
-    pool = [anchors]
-    if extras is not None:
-        pool.append(np.asarray(extras, dtype=float).reshape(-1, d))
-    if net is not None:
-        pool.append(net)
-    pool = anchors if len(pool) == 1 else _dedupe_rows(np.vstack(pool))  # the anchors are distinct already
-
+    pool = _pool(anchors, extras, net)
     stats = _anchor_distance(anchors, cov.matrix, pool)
     order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
     pool, stats = pool[order], stats[order]
@@ -328,13 +385,19 @@ def build_confidence_sets(
     ``block_omega`` at stage h+1.  Each group's ``StageSets`` is built once and
     the same object goes to every guess of the group.  A group keeps omega and
     its members' v-bar per distinct visited block of each later stage, and
-    gathers both to the stage's distinct tails (``Dataset.tail_paths``).
+    gathers both to the stage's distinct tails (``Dataset.tail_paths``).  There
+    each member's target term at each later stage is computed once, and a tail
+    combo's targets add its members' terms in stage order before they are
+    gathered to the n rows for the ridge solve.
 
     ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``, shared by every
     guess.  Each stage's pool is its anchors, then ``extra_candidates[h]``, then the
-    epsilon-net points; the ``grid_per_stage`` pool points nearest an anchor
+    epsilon-net points, each row kept once by value (``_pool``; the net is keyed
+    once per call); the ``grid_per_stage`` pool points nearest an anchor
     are kept and admitted when they lie in the theta_radius ball within beta
-    of an anchor.  ``extra_candidates`` maps a stage to extra vectors (used by
+    of an anchor.  A stage's tightness scores its members on the stage's
+    distinct (visited block, action) rows (``tightness``).  ``extra_candidates``
+    maps a stage to extra vectors (used by
     calibration and the diagnostic lemma checks, which track specific
     parameters through the construction, and by ``solve``'s fallback, which
     builds with beta = theta_radius = inf).
@@ -342,6 +405,7 @@ def build_confidence_sets(
     _check_dims(config, guesses, dataset=dataset)
     H, d = dataset.horizon, dataset.dim
     net = _net(config, d)
+    net = None if net is None else _keyed(net)
     stage_sets = [[None] * H for _ in guesses]
     tight = [[None] * H for _ in guesses]
     empty_stage = [None] * len(guesses)
@@ -365,7 +429,9 @@ def build_confidence_sets(
         at = [dataset.visited_blocks[u][1][first] for u in range(h + 1, H)]  # each tail's block at stage u
         cumrew = np.cumsum(dataset.rewards[first, h:H], axis=1)
         terminal = np.zeros((1, len(first)))
-        extras = extra_candidates[h] if extra_candidates and h in extra_candidates else None
+        extras = None
+        if extra_candidates and h in extra_candidates:
+            extras = np.asarray(extra_candidates[h], dtype=float).reshape(-1, d)
         kept = []
         for indices, omega_tail, vbar_tail in groups:
             omega = np.zeros((len(first), H - h))
@@ -380,7 +446,7 @@ def build_confidence_sets(
                     empty_stage[g] = h  # stages below h are never filled, so they stay None
                     tight[g] = []
                 continue
-            spread = tightness(covs[h].phi, sets.members, H)
+            spread = tightness(covs[h], sets.members, H)
             for g in indices:
                 tight[g][h] = spread
             if h >= 1:
@@ -391,13 +457,15 @@ def build_confidence_sets(
                            tightness=t, empty_stage=e) for s, t, e in zip(stage_sets, tight, empty_stage)]
 
 
-def tightness(phi: np.ndarray, thetas, horizon: int) -> float:
-    """Average spread of the clipped q-estimates over a parameter set at the taken-action features ``phi``."""
-    thetas = np.asarray(thetas, dtype=float).reshape(-1, phi.shape[1])
+def tightness(cov: StageCovariance, thetas, horizon: int) -> float:
+    """Average spread of the clipped q-estimates over a parameter set at the stage's
+    taken-action features: each distinct row ``cov.pairs`` is scored once and the
+    spreads are gathered back to the n rows (``cov.codes``) before the mean."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, cov.pairs.shape[1])
     if thetas.shape[0] == 0:
         raise ValidationError("tightness needs a nonempty parameter set")
-    scores = np.clip(phi @ thetas.T, 0.0, horizon)
-    return float(np.mean(scores.max(axis=1) - scores.min(axis=1)))
+    scores = np.clip(cov.pairs @ thetas.T, 0.0, horizon)
+    return float(np.mean((scores.max(axis=1) - scores.min(axis=1))[cov.codes]))
 
 
 # ---------------------------------------------------------------------------

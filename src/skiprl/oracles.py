@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import Guess
-from .envs import FeatureMap, fit_policy_stack, stage_ranges
+from .envs import FeatureMap, StackParams, stage_ranges
 from .mdp import (
     Policy,
     StagedMdp,
@@ -208,15 +208,17 @@ def suboptimality(mdp: StagedMdp, policy: Policy) -> float:
     return float(star.v[0][0] - vals.v[0][0])
 
 
-def check_range_bound(mdp: StagedMdp, featmap: FeatureMap, guess: Guess, policies) -> float:
+def check_range_bound(mdp: StagedMdp, featmap: FeatureMap, guess: Guess, fit: StackParams) -> float:
     """Worst slack of sampled_range(s) <= sqrt(2d) * guess_range(s) over all states.
 
-    Sound because the left side is a lower bound of the true range; the guess
-    must have been built from (a superset of) the same policy sample.
+    ``fit`` is ``fit_policy_stack`` of a policy sample.  The check is sound
+    because the left side is a lower bound of the true range; the guess must
+    have been built from (a superset of) the same sample, for example by
+    ``design.guess_from_fit(fit)``.
     """
     from .skipping import guess_range
 
-    theta = fit_policy_stack(mdp, featmap, policies).theta
+    theta = fit.theta
     factor = np.sqrt(2.0 * featmap.d)
     worst = float("inf")
     for stage in range(1, mdp.horizon):

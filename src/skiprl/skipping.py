@@ -179,11 +179,36 @@ def skip_target(guess: Guess, featmap, traj: Trajectory, h: int, f, params: Skip
     return total
 
 
+def target_terms(stop: np.ndarray, cumrew: np.ndarray, fvals) -> list:
+    """Each stopping candidate's share of the skip targets: ``stop[:, i] * (cumrew[:, i]
+    + fvals[i])`` for candidate i, where ``fvals[i]`` holds value-function evaluations
+    at the rows, shape (rows,) or (k, rows) for k value functions at once.
+
+    The first term has ``+ 0.0`` folded in, so that ``add_in_stage_order`` starts
+    from +0.0 as ``np.sum`` does (a -0.0 first term sums to 0.0)."""
+    terms = [stop[:, i] * (cumrew[:, i] + f) for i, f in enumerate(fvals)]
+    terms[0] += 0.0
+    return terms
+
+
+def add_in_stage_order(terms) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` from left to right, a new array when there are two
+    or more.  Over at most 7 terms ``target_terms`` then sums to the bits of
+    ``np.sum(..., axis=1)``, which switches to pairwise summation from 8 on; the
+    left-to-right order is that of the scalar ``skip_target``."""
+    if len(terms) == 1:
+        return terms[0]
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
 def targets_under_law(stop: np.ndarray, cumrew: np.ndarray, fvals: np.ndarray) -> np.ndarray:
     """Stage-h skip targets of rows with stopping laws ``stop`` over stages h+1..H,
     rewards ``cumrew`` accumulated from stage h up to each of them and value-function
-    evaluations ``fvals`` there, all (rows, H-h)."""
-    return np.sum(stop * (cumrew + fvals), axis=1)
+    evaluations ``fvals`` there, all (rows, H-h); the stages are added in order."""
+    return add_in_stage_order(target_terms(stop, cumrew, fvals.T))
 
 
 def batch_skip_targets(rewards: np.ndarray, omega: np.ndarray, fvals: np.ndarray, h: int) -> np.ndarray:

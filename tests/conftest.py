@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from skiprl.design import build_true_guess
-from skiprl.envs import random_linear_mdp, sample_policies
+from skiprl.design import guess_from_fit
+from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.mdp import StagedMdp
 
 
@@ -41,7 +41,8 @@ def fixed_instance():
 
 @pytest.fixture(scope="session")
 def small_linear_batch():
-    """20 exact-linear instances (d<=3, H<=4, |S_h|<=5, |A|<=3) with fitted guesses.
+    """20 exact-linear instances (d<=3, H<=4, |S_h|<=5, |A|<=3), each with the fit of
+    a 200-policy sample and the guess built from that fit.
 
     Shared by the realizability and range-bound suites, which the contract
     requires to run on the same instances and policy samples.
@@ -54,7 +55,6 @@ def small_linear_batch():
         sizes = [1] + [int(rng.integers(2, 6)) for _ in range(H - 1)] + [1]
         A = int(rng.integers(2, 4))
         mdp, featmap = random_linear_mdp(d, H, sizes, A, int(rng.integers(0, 2**31)))
-        policies = sample_policies(mdp, 200, int(rng.integers(0, 2**31)))
-        guess = build_true_guess(mdp, featmap, policies)
-        batch.append((mdp, featmap, policies, guess))
+        fit = fit_policy_stack(mdp, featmap, sample_policies(mdp, 200, int(rng.integers(0, 2**31))))
+        batch.append((mdp, featmap, fit, guess_from_fit(fit)))
     return batch

@@ -139,8 +139,8 @@ def test_criterion_3_skip_realizability(small_linear_batch):
 def test_criterion_4_range_bound(small_linear_batch):
     t0 = time.perf_counter()
     worst = float("inf")
-    for mdp, featmap, policies, guess in small_linear_batch:
-        worst = min(worst, check_range_bound(mdp, featmap, guess, policies))
+    for mdp, featmap, fit, guess in small_linear_batch:
+        worst = min(worst, check_range_bound(mdp, featmap, guess, fit))
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-6 and elapsed < 120.0
     report(4, "range-bound", ok, f"worst slack {worst:.3e} over 20 instances, 200 policies; {elapsed:.1f}s")

@@ -9,6 +9,7 @@ from skiprl.design import (
     build_true_guess,
     covers,
     epsilon_net,
+    guess_from_fit,
     guess_grid,
     panel_size,
     zero_guess,
@@ -116,6 +117,16 @@ class TestTrueGuess:
         mdp, fm = random_linear_mdp(2, 2, (1, 2, 1), 2, seed=3)
         with pytest.raises(ValidationError):
             build_true_guess(mdp, fm, [])
+
+    def test_guess_from_fit_is_the_true_guess(self):
+        # the range check builds its guess from the fit it then reads
+        for seed in range(4):
+            mdp, fm = random_linear_mdp(3, 4, (1, 4, 3, 5, 1), 3, seed=seed)
+            policies = sample_policies(mdp, 60, seed)
+            want = build_true_guess(mdp, fm, policies)
+            got = guess_from_fit(fit_policy_stack(mdp, fm, policies))
+            assert (got.horizon, got.radius_bound) == (want.horizon, want.radius_bound)
+            assert [p.tobytes() for p in got.panels] == [p.tobytes() for p in want.panels]
 
 
 class TestGuessType:

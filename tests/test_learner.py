@@ -36,7 +36,7 @@ from skiprl.learner import (
     tightness,
 )
 from skiprl.mdp import REWARD_KINDS, Dataset, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
-from skiprl.skipping import SkipParams, dataset_omega, omega_tables
+from skiprl.skipping import SkipParams, dataset_omega, omega_tables, stop_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -205,20 +205,43 @@ class TestConfidenceSets:
 class TestTightness:
     def test_singleton_zero(self, setup):
         *_, ds = setup
-        assert tightness(stage_covariance(ds, 0, 1.0).phi, np.zeros((1, 2)), ds.horizon) == 0.0
+        assert tightness(stage_covariance(ds, 0, 1.0), np.zeros((1, 2)), ds.horizon) == 0.0
 
     def test_zero_and_saturating_theta(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         big = np.full((1, 2), 50.0)  # clips to H on every simplex feature
-        val = tightness(stage_covariance(ds, 1, 1.0).phi, np.vstack([np.zeros((1, 2)), big]), ds.horizon)
+        val = tightness(stage_covariance(ds, 1, 1.0), np.vstack([np.zeros((1, 2)), big]), ds.horizon)
         assert val == pytest.approx(mdp.horizon, abs=1e-12)
 
     def test_bounds(self, setup):
         mdp, *_, ds = setup[0], *setup[1:]
         rng = np.random.default_rng(5)
         thetas = rng.normal(size=(6, 2))
-        val = tightness(stage_covariance(setup[5], 2, 1.0).phi, thetas, setup[5].horizon)
+        val = tightness(stage_covariance(setup[5], 2, 1.0), thetas, setup[5].horizon)
         assert 0.0 <= val <= setup[0].horizon
+
+    @staticmethod
+    def per_row(phi, thetas, horizon):
+        """The per-row formula: every data row scored, ``np.clip(phi @ thetas.T)``."""
+        scores = np.clip(phi @ thetas.T, 0.0, horizon)
+        return float(np.mean(scores.max(axis=1) - scores.min(axis=1)))
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([1, 2, 3, 40, 200]))
+    @settings(max_examples=60, deadline=None)
+    def test_block_coded_equals_per_row(self, seed, n):
+        # features not a function of the state, -0.0/0.0 twins, A = 1 stages with a
+        # single (block, action) row, and one-row datasets
+        rng = np.random.default_rng(seed)
+        d, H, A = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        ds = hand_built_dataset(rng, n, H, A, d)
+        for h in range(H):
+            cov = stage_covariance(ds, h, 1.0)
+            assert cov.pairs[cov.codes].tobytes() == cov.phi.tobytes()
+            assert (cov.pairs.shape[0] == 1) == (n == 1)
+            for k in (1, 2, 5):
+                thetas = rng.normal(scale=float(rng.choice([0.3, 3.0, 30.0])), size=(k, d))
+                got, want = tightness(cov, thetas, H), self.per_row(cov.phi, thetas, H)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestSolve:
@@ -439,8 +462,10 @@ def serialize_before_diagnostics(outcome):
 
 
 def reference_sets(dataset, guess, config, covs, extra_candidates=None):
-    """The construction before tail grouping: each combo's anchor is ``_anchor`` on
-    all n rows.  Returns per stage ``(anchors, members)`` (None below an empty
+    """The construction before tail grouping, target terms, block-coded tightness and
+    the keyed pool: each combo's targets are stacked and summed on all n rows, the
+    anchors and the pool are deduplicated with ``np.unique`` and tightness scores
+    every row.  Returns per stage ``(anchors, members)`` (None below an empty
     stage), the tightness list and the empty stage."""
     n, H, d = dataset.n, dataset.horizon, dataset.dim
     omega = dataset_omega(dataset, guess, config.skip)
@@ -451,17 +476,23 @@ def reference_sets(dataset, guess, config, covs, extra_candidates=None):
     for h in range(H - 1, -1, -1):
         counts = [vbar_rows[u].shape[0] for u in range(h + 1, H + 1)]
         combos, _ = _tail_combos(counts, config.combo_cap, [config.seed, h])
+        stop = stop_probabilities(omega[:, h + 1 : H + 1])
+        cumrew = np.cumsum(dataset.rewards[:, h:H], axis=1)
         anchors = np.empty((len(combos), d))
         for ci, combo in enumerate(combos):
             fvals = np.stack([vbar_rows[u][c] for u, c in zip(range(h + 1, H + 1), combo)], axis=1)
-            anchors[ci] = _anchor(dataset.rewards, omega, fvals, h, covs[h])
-        anchors = _dedupe_rows(anchors)
+            terms = stop * (cumrew + fvals)
+            # np.sum adds up to 7 columns left to right from +0.0 and longer rows
+            # pairwise; those are added left to right, as ``skip_target`` does
+            targets = np.sum(terms, axis=1) if H - h <= 7 else sum(terms.T, np.zeros(n))
+            anchors[ci] = covs[h].inv @ (covs[h].phi.T @ targets)
+        anchors = dedupe_reference(anchors)
         pool = [anchors]
         if extra_candidates and h in extra_candidates:
             pool.append(np.asarray(extra_candidates[h], dtype=float).reshape(-1, d))
         if net is not None:
             pool.append(net)
-        pool = _dedupe_rows(np.vstack(pool))
+        pool = dedupe_reference(np.vstack(pool))
         stats = _anchor_distance(anchors, covs[h].matrix, pool)
         order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
         pool, stats = pool[order], stats[order]
@@ -469,7 +500,8 @@ def reference_sets(dataset, guess, config, covs, extra_candidates=None):
         sets[h] = (anchors, members)
         if members.shape[0] == 0:
             return sets, [], h
-        tight[h] = tightness(covs[h].phi, members, H)
+        scores = np.clip(covs[h].phi @ members.T, 0.0, H)
+        tight[h] = float(np.mean(scores.max(axis=1) - scores.min(axis=1)))
         if h >= 1:
             vbar_rows[h] = _clipped_vbar_rows(dataset, h, members)
     return sets, tight, None

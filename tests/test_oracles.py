@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import one_step_bandit, random_tabular_mdp
-from skiprl.design import build_true_guess, zero_guess
-from skiprl.envs import random_linear_mdp, sample_policies
+from skiprl.design import build_true_guess, guess_from_fit, zero_guess
+from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import clipped_v
 from skiprl.mdp import (
     StagedMdp,
@@ -183,19 +183,18 @@ class TestPerformanceDifference:
 class TestRangeBound:
     def test_zero_reward_both_sides_zero(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 2, seed=0, reward_scale=0.0)
-        policies = sample_policies(mdp, 20, 0)
-        guess = build_true_guess(mdp, fm, policies)
-        assert check_range_bound(mdp, fm, guess, policies) >= -1e-12
+        fit = fit_policy_stack(mdp, fm, sample_policies(mdp, 20, 0))
+        assert check_range_bound(mdp, fm, guess_from_fit(fit), fit) >= -1e-12
 
     def test_single_action_both_sides_zero(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 1, seed=1)
-        policies = sample_policies(mdp, 10, 0)
-        guess = build_true_guess(mdp, fm, policies)
-        assert check_range_bound(mdp, fm, guess, policies) >= -1e-12
+        fit = fit_policy_stack(mdp, fm, sample_policies(mdp, 10, 0))
+        assert check_range_bound(mdp, fm, guess_from_fit(fit), fit) >= -1e-12
 
     def test_random_instances_no_violation(self, small_linear_batch):
-        for mdp, fm, policies, guess in small_linear_batch[:6]:
-            assert check_range_bound(mdp, fm, guess, policies) >= -1e-6
+        for mdp, fm, fit, guess in small_linear_batch[:6]:
+            assert check_range_bound(mdp, fm, guess, fit) >= -1e-6
+
 
 
 class TestSkipRealizability:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import FeatureMap, random_linear_mdp, sample_policies
-from skiprl.learner import _clipped_vbar_rows
+from skiprl.learner import _clipped_vbar_rows, clipped_v
 from skiprl.mdp import Dataset, ValidationError, sample_trajectories, sample_trajectory, uniform_policy
 from skiprl.skipping import (
     ContractError,
@@ -18,6 +18,8 @@ from skiprl.skipping import (
     skip_probability,
     skip_target,
     stop_distribution,
+    stop_probabilities,
+    targets_under_law,
 )
 
 
@@ -209,25 +211,52 @@ class TestSkipTarget:
 
 
 class TestBatchTargets:
-    def test_batch_agrees_with_scalar(self, fixed_instance):
-        mdp, fm = fixed_instance
-        g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
-        params = SkipParams(alpha=0.25, d=2)
-        ds = sample_trajectories(mdp, uniform_policy(mdp), 64, 77, fm)
-        theta = np.array([0.4, -0.2])
+    @staticmethod
+    def assert_batch_equals_scalar(mdp, fm, g, params, ds, theta, step):
         omega = dataset_omega(ds, g, params)
         H = mdp.horizon
+        f = lambda t, s: 0.0 if t == H else clipped_v(theta, fm, t, s)
         for h in range(H):
             fvals = np.zeros((ds.n, H - h))
             for i, u in enumerate(range(h + 1, H)):
                 fvals[:, i] = np.clip((ds.features[:, u] @ theta).max(axis=1), 0.0, H)
             batch = batch_skip_targets(ds.rewards, omega, fvals, h)
-            from skiprl.learner import clipped_v
+            for j in range(0, ds.n, step):
+                assert batch[j] == skip_target(g, fm, ds[j], h, f, params)
 
-            f = lambda t, s: 0.0 if t == H else clipped_v(theta, fm, t, s)
-            for j in range(0, ds.n, 7):
-                scalar = skip_target(g, fm, ds[j], h, f, params)
-                assert batch[j] == pytest.approx(scalar, abs=1e-12)
+    def test_batch_agrees_with_scalar(self, fixed_instance):
+        mdp, fm = fixed_instance
+        g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
+        params = SkipParams(alpha=0.25, d=2)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 64, 77, fm)
+        self.assert_batch_equals_scalar(mdp, fm, g, params, ds, np.array([0.4, -0.2]), 7)
+
+    def test_batch_agrees_with_scalar_over_nine_stages(self):
+        # stage 0 sums 9 terms, where np.sum would switch to pairwise summation;
+        # the stage-order sum keeps the scalar oracle's bits on every row
+        mdp, fm = random_linear_mdp(2, 9, (1,) + (4,) * 8 + (1,), 2, seed=7)
+        g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
+        params = SkipParams(alpha=0.5, d=2)  # np.sum's pairwise order missed the oracle on 9 of 576 targets
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 64, 7, fm)
+        omega = dataset_omega(ds, g, params)
+        assert ((omega[:, 1:9] > 0.0) & (omega[:, 1:9] < 1.0)).any()  # the laws spread over several stages
+        self.assert_batch_equals_scalar(mdp, fm, g, params, ds, np.array([0.4, -0.2]), 1)
+
+    @given(seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 40), stages=st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_stage_order_sum_matches_np_sum(self, seed, rows, stages):
+        # up to 7 stages the left-to-right sum has np.sum's bits; a row whose terms are
+        # all -0.0 (-0.0 rewards and values, the terminal value included) sums to 0.0
+        rng = np.random.default_rng(seed)
+        omega = rng.choice([0.0, 0.5, 1.0, float(rng.random())], size=(rows, stages))
+        omega[:, -1] = 0.0
+        stop = stop_probabilities(omega)
+        rewards = rng.choice([0.0, -0.0, 0.25, float(rng.random())], size=(rows, stages))
+        cumrew = np.cumsum(rewards, axis=1)
+        fvals = rng.choice([0.0, -0.0, 1.5, float(rng.uniform(0.0, 3.0))], size=(rows, stages))
+        fvals[:, -1] = rng.choice([0.0, -0.0], size=rows)
+        got = targets_under_law(stop, cumrew, fvals)
+        assert got.tobytes() == np.sum(stop * (cumrew + fvals), axis=1).tobytes()
 
     def test_dataset_omega_edges(self, fixed_instance):
         mdp, fm = fixed_instance
