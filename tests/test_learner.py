@@ -15,7 +15,6 @@ from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import (
     LearnerConfig,
     _admitted,
-    _anchor,
     _anchor_distance,
     _clipped_vbar_rows,
     _dedupe_rows,

@@ -196,7 +196,6 @@ class TestRangeBound:
             assert check_range_bound(mdp, fm, guess, fit) >= -1e-6
 
 
-
 class TestSkipRealizability:
     def test_zero_everything(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 2, seed=3, reward_scale=0.0)

@@ -232,7 +232,7 @@ class TestBatchTargets:
         self.assert_batch_equals_scalar(mdp, fm, g, params, ds, np.array([0.4, -0.2]), 7)
 
     def test_batch_agrees_with_scalar_over_nine_stages(self):
-        # stage 0 sums 9 terms, where np.sum would switch to pairwise summation;
+        # stages 0 and 1 sum 9 and 8 terms, where np.sum switches to pairwise summation;
         # the stage-order sum keeps the scalar oracle's bits on every row
         mdp, fm = random_linear_mdp(2, 9, (1,) + (4,) * 8 + (1,), 2, seed=7)
         g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
