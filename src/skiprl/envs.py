@@ -7,8 +7,8 @@ per-stage parameters of a set of policies by least squares and reports the
 achieved sup-norm residuals, which is what the misspecification and range
 estimators build on.  A policy set is fitted as one ``PolicyStack`` (one
 policy is the one-policy stack): one backward induction over the whole stack,
-then one ``lstsq`` per policy and stage, bit-identical to fitting each policy
-alone.
+then one ``lstsq`` per distinct target row and stage, bit-identical to fitting
+each policy alone.
 """
 from __future__ import annotations
 
@@ -53,8 +53,10 @@ class FeatureMap:
         for h, p in enumerate(self.phi):
             if p.ndim != 3 or p.shape[2] != self.d:
                 raise ValidationError(f"features stage {h}: expected shape (S, A, {self.d})")
+            if not np.isfinite(p).all():  # a NaN norm would pass the bound check
+                raise ValidationError(f"features stage {h}: non-finite entries present")
             worst = np.linalg.norm(p, axis=2).max()
-            if worst > self.l1_bound + NORM_TOL:
+            if not worst <= self.l1_bound + NORM_TOL:  # also refuses a NaN bound
                 raise ValidationError(
                     f"features stage {h}: norm {worst:.6g} exceeds bound {self.l1_bound:.6g}"
                 )
@@ -157,9 +159,12 @@ def fit_policy_stack(mdp: StagedMdp, featmap: FeatureMap, policies) -> StackPara
     The objective is the l2 surrogate of the sup-norm minimizer; the reported
     residual is always the sup norm.  Rank-deficient stage feature matrices
     fall back to the minimum-norm solution and are flagged.  The stack is
-    evaluated in one pass and each policy column gets its own ``lstsq`` call
-    (a multi-column solve would move the last bits), so every policy's fit is
-    bit-identical to fitting it alone.
+    evaluated in one pass and each distinct target row of a stage gets its own
+    ``lstsq`` call (a multi-column solve would move the last bits), so every
+    policy's fit is bit-identical to fitting it alone.  Rows are matched by
+    their bytes, so ``-0.0`` and ``0.0`` targets are solved apart; at stage
+    H-1, where q equals the reward table for every policy, one call serves
+    the whole stack.
     """
     featmap.check_against(mdp)
     stack = PolicyStack.of(mdp, policies)
@@ -172,8 +177,14 @@ def fit_policy_stack(mdp: StagedMdp, featmap: FeatureMap, policies) -> StackPara
         design = featmap.phi[h].reshape(-1, d)
         targets = values.q[h].reshape(P, -1)
         rank = d
+        fitted_rows = {}  # target bytes -> the policy fitted to them
         for p in range(P):
-            theta[h, p], _, rank, _ = np.linalg.lstsq(design, targets[p], rcond=None)
+            key = targets[p].tobytes()
+            if key in fitted_rows:
+                theta[h, p] = theta[h, fitted_rows[key]]
+            else:
+                fitted_rows[key] = p
+                theta[h, p], _, rank, _ = np.linalg.lstsq(design, targets[p], rcond=None)
         if rank < d:
             flagged.append(h)
         fitted = (design @ theta[h][:, :, None])[..., 0]

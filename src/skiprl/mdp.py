@@ -27,6 +27,10 @@ class ValidationError(ValueError):
 
 
 def _check_rows(name: str, arr: np.ndarray, tol: float = PROB_TOL) -> None:
+    """Finite, nonnegative rows summing to 1 within ``tol``; the sampler's CDF
+    tables are nondecreasing only because of the first two."""
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name}: non-finite entries present")
     if np.any(arr < 0):
         raise ValidationError(f"{name}: negative entries present")
     worst = np.abs(arr.sum(axis=-1) - 1.0).max()
@@ -92,7 +96,7 @@ class StagedMdp:
             want = (self.stage_sizes[h], A)
             if self.reward_means[h].shape != want:
                 raise ValidationError(f"reward_means[{h}]: expected shape {want}")
-            if np.any(self.reward_means[h] < 0) or np.any(self.reward_means[h] > 1):
+            if np.any(~((self.reward_means[h] >= 0) & (self.reward_means[h] <= 1))):  # also refuses NaN
                 raise ValidationError(f"reward_means[{h}]: entries outside [0, 1]")
         if np.any(self.reward_means[H] != 0):
             raise ValidationError("terminal stage must pay zero reward")
@@ -314,6 +318,29 @@ class Dataset:
             raise ValidationError("dataset carries no features")
         return self.features.shape[3]
 
+    def _reward_codes(self, h: int):
+        """``(count, codes)``: the number of distinct reward bytes at stage h and
+        each row's index into their sorted order, as ``np.unique(...,
+        return_inverse=True)`` on all n rows gives them.
+
+        Rows are first grouped by (visited block, action), one ``_factorize``
+        pass over the codes ``visited_blocks`` already holds; when every row's
+        reward bytes are its pair's first row's, only those representatives are
+        sorted.  A sampled deterministic mean reward passes the check whenever
+        equal blocks carry equal rewards, as in a linear MDP (r = phi . theta);
+        Bernoulli rewards and loaded files may not, and then all n rows are.
+        """
+        reward_bytes = self.rewards[:, h].astype(np.float64).view(np.int64)
+        blocks, rows = self.visited_blocks[h]
+        A = blocks.shape[1]
+        first, pair = _factorize(rows * A + self.actions[:, h], len(blocks) * A)
+        reps = reward_bytes[first]
+        if np.array_equal(reps.take(pair), reward_bytes):
+            values, codes = np.unique(reps, return_inverse=True)
+            return len(values), codes.take(pair)
+        values, codes = np.unique(reward_bytes, return_inverse=True)
+        return len(values), codes
+
     @cached_property
     def visited_blocks(self) -> list:
         """Per stage h < H, ``(blocks, rows)``: the distinct recorded (A, d) feature
@@ -360,11 +387,12 @@ class Dataset:
         A row's stage-h tail is its ``visited_blocks`` indices at stages h+1..H-1
         and the bytes of its rewards at stages h..H-1, which is everything a
         stage-h skip target reads; ``-0.0`` and ``0.0`` rewards are different
-        tails.  From the last stage down, stage h codes its reward bytes (one
-        1-D ``np.unique``), then factorizes (block at h+1, tail at h+1) and
-        (reward code, that pair) as integer codes below n**2.  Tails are numbered
-        in that code order, not by row or by bytes; consumers read them only
-        through ``first`` and ``back``.
+        tails.  From the last stage down, stage h codes its reward bytes
+        (``_reward_codes``: sorting one row per (block, action) pair when the
+        rewards are a function of the pair, all n rows otherwise), then
+        factorizes (block at h+1, tail at h+1) and (reward code, that pair) as
+        integer codes below n**2.  Tails are numbered in that code order, not by
+        row or by bytes; consumers read them only through ``first`` and ``back``.
         """
         grouped = self.visited_blocks  # refuses a featureless dataset by name
         # stage H has one block and one empty tail
@@ -375,9 +403,8 @@ class Dataset:
         back, tails = rows[H], 1
         for h in range(H - 1, -1, -1):
             pairs, pair = _factorize(rows[h + 1] * tails + back, counts[h + 1] * tails)
-            reward_bytes = self.rewards[:, h].astype(np.float64).view(np.int64)
-            values, reward = np.unique(reward_bytes, return_inverse=True)
-            first, back = _factorize(reward * len(pairs) + pair, len(values) * len(pairs))
+            count, reward = self._reward_codes(h)
+            first, back = _factorize(reward * len(pairs) + pair, count * len(pairs))
             tails = len(first)
             out[h] = (first, back)
         return out
@@ -562,9 +589,19 @@ def occupancy(mdp: StagedMdp, policy: Policy) -> OccupancyMeasure:
 # ---------------------------------------------------------------------------
 # trajectory sampling
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the count of cumulative entries <= u, clamped to the last index."""
-    return np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
+def _draw(thresholds: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw i, the count of entries <= u[i] in CDF row ``rows[i]``, clamped
+    to the last index, without gathering the (n, K) rows.
+
+    ``thresholds`` is the (K, R) transpose of an (R, K) CDF table.  Each CDF
+    row is nondecreasing (validated rows are finite and nonnegative), so its
+    entries <= u form a prefix, and counting only the first K - 1 thresholds,
+    one column at a time, is the clamped count.
+    """
+    out = np.zeros(len(u), dtype=np.intp)
+    for column in thresholds[:-1]:
+        out += column.take(rows) <= u
+    return out
 
 
 # numpy's SeedSequence constants (NEP 19) and PCG64's 128-bit LCG multiplier
@@ -635,21 +672,29 @@ def _uniforms(words: np.ndarray, k: int) -> np.ndarray:
     SeedSequence mixes the words into a 4-word pool and expands it to four
     uint64 words; PCG64 (XSL-RR 128/64) seeds its 128-bit LCG from them; each
     draw is one LCG step, the XSL-RR output x and ``(x >> 11) * 2**-53``.
+
+    A word column equal on every row (the ``[seed, ...]`` prefix that
+    ``sample_trajectories`` repeats) enters as one uint32 scalar, so it is
+    hashed and mixed once; broadcasting gives every row the bits a per-row
+    column would, and a pool word becomes an (n,) array only once a per-row
+    word is mixed into it.  The result is the transpose of a (k, n) array,
+    so each draw's column ``u[:, t]`` is contiguous.
     """
     n, w = words.shape
-    u = np.empty((n, k))
+    u = np.empty((k, n))
+    # n = 0 keeps its empty columns: there is no first row to share
+    columns = [col[0] if n and (col == col[0]).all() else col for col in words.T]
     with np.errstate(over="ignore"):
         # SeedSequence.mix_entropy; the hash constants advance identically on every row
         hashmix = _hasher(_INIT_A, _MULT_A)
-        zero = np.zeros(n, dtype=np.uint32)
-        pool = [hashmix(words[:, i] if i < w else zero) for i in range(_POOL_SIZE)]
+        pool = [hashmix(columns[i] if i < w else np.uint32(0)) for i in range(_POOL_SIZE)]
         for src in range(_POOL_SIZE):
             for dst in range(_POOL_SIZE):
                 if src != dst:
                     pool[dst] = _mix(pool[dst], hashmix(pool[src]))
         for src in range(_POOL_SIZE, w):
             for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
+                pool[dst] = _mix(pool[dst], hashmix(columns[src]))
         # SeedSequence.generate_state(4, uint64): eight hashed pool words, little-endian pairs
         hash_b = _hasher(_INIT_B, _MULT_B)
         state32 = [hash_b(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
@@ -665,8 +710,8 @@ def _uniforms(words: np.ndarray, k: int) -> np.ndarray:
             x = hi ^ lo
             rot = hi >> np.uint64(58)
             x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-            u[:, t] = (x >> np.uint64(11)) * 2.0 ** -53
-    return u
+            u[t] = (x >> np.uint64(11)) * 2.0 ** -53
+    return u.T
 
 
 def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Dataset:
@@ -677,25 +722,32 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
     order: per stage the action, the reward (Bernoulli rewards only) and the
     next state, then the terminal action.  Row j therefore equals a single
     rollout from its seed, whatever the other rows are.
+
+    Each draw is counted by ``_draw`` against a CDF table built once per
+    stage, (S_h, A) for the policy and (S_h * A, S_{h+1}) for the transitions
+    indexed by ``s * A + a``, so a stage costs O(n * K) elementwise work and
+    no per-row copy of a CDF row.
     """
     _check_policy_shape(mdp, policy)
-    H, n = mdp.horizon, len(words)
+    H, n, A = mdp.horizon, len(words), mdp.num_actions
     bernoulli = mdp.reward_kind == "bernoulli-mean"
     step = 3 if bernoulli else 2
     u = _uniforms(words, step * H + 1)
     states = np.zeros((n, H + 1), dtype=int)
     actions = np.zeros((n, H + 1), dtype=int)
     rewards = np.zeros((n, H + 1))
+    s = np.zeros(n, dtype=np.intp)
     for h in range(H + 1):
-        s = states[:, h]
-        actions[:, h] = a = _inverse_cdf(np.cumsum(policy.tables[h], axis=-1)[s], u[:, step * h])
+        policy_cdf = np.cumsum(policy.tables[h], axis=1).T
+        actions[:, h] = a = _draw(policy_cdf, s, u[:, step * h])
         if h < H:
-            mean = mdp.reward_means[h][s, a]
+            pair = s * A + a
+            mean = mdp.reward_means[h].ravel().take(pair)
             rewards[:, h] = u[:, step * h + 1] < mean if bernoulli else mean
-            cum_p = np.cumsum(mdp.transitions[h], axis=-1)[s, a]
-            states[:, h + 1] = _inverse_cdf(cum_p, u[:, step * h + step - 1])
+            next_cdf = np.cumsum(mdp.transitions[h], axis=2).reshape(-1, mdp.stage_sizes[h + 1]).T
+            states[:, h + 1] = s = _draw(next_cdf, pair, u[:, step * h + step - 1])
     offsets = np.cumsum((0,) + mdp.stage_sizes[: H - 1])
-    features = None if featmap is None else np.concatenate(featmap.phi[:H])[states[:, :H] + offsets]
+    features = None if featmap is None else np.concatenate(featmap.phi[:H]).take(states[:, :H] + offsets, axis=0)
     return Dataset(states, actions, rewards, features)
 
 

@@ -384,9 +384,10 @@ class TestVisitedBlocksShared:
 
     @pytest.fixture
     def groupings(self, monkeypatch):
-        """The grouping passes: the caller of each ``mdp._factorize`` pass (one per
-        stage of ``visited_blocks``, two per stage of ``tail_paths``), and the length
-        of each ``np.unique`` sort of feature-block byte keys."""
+        """The grouping passes: the caller of each ``mdp._factorize`` pass (per
+        stage one of ``visited_blocks``, one of ``_reward_codes`` and two of
+        ``tail_paths``), and the length of each ``np.unique`` sort of feature-block
+        byte keys."""
         calls = {"passes": [], "block_sorts": []}
         factorize, unique = mdp_module._factorize, np.unique
 
@@ -413,18 +414,20 @@ class TestVisitedBlocksShared:
             assert len(guesses) == count
             solve(ds, guesses, config, fm)
             assert passes.count("visited_blocks") == ds.horizon
+            assert passes.count("_reward_codes") == ds.horizon
             assert passes.count("tail_paths") == 2 * ds.horizon
-            assert len(passes) == 3 * ds.horizon
+            assert len(passes) == 4 * ds.horizon
             assert ds.visited_blocks is ds.visited_blocks and ds.tail_paths is ds.tail_paths
-            assert len(passes) == 3 * ds.horizon
+            assert len(passes) == 4 * ds.horizon
 
     def test_calibrate_groups_each_replicate_once(self, setup, groupings):
         mdp, fm, behavior, guess, config, _ = setup
         passes = groupings["passes"]
         calibrate(mdp, fm, behavior, guess, 200, config, replicates=2, delta=0.5, seed=19)
         assert passes.count("visited_blocks") == 2 * mdp.horizon
+        assert passes.count("_reward_codes") == 2 * mdp.horizon
         assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
-        assert len(passes) == 6 * mdp.horizon
+        assert len(passes) == 8 * mdp.horizon
 
     def test_only_the_fallback_sorts_every_row(self, setup, groupings, tmp_path):
         # a sampled stage sorts one block per visited state; a loaded file whose

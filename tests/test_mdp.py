@@ -1,18 +1,21 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import one_step_bandit, random_tabular_mdp, zero_reward_mdp
-from skiprl.envs import random_linear_mdp
+from skiprl.envs import FeatureMap, random_linear_mdp
 from skiprl.mdp import (
     Dataset,
+    Policy,
+    PolicyStack,
     StagedMdp,
     Trajectory,
     ValidationError,
+    _draw,
     _factorize,
-    _inverse_cdf,
     _seed_words,
     _uniforms,
     deterministic_policy,
@@ -27,6 +30,12 @@ from skiprl.mdp import (
     sample_trajectory,
     uniform_policy,
 )
+
+
+def inverse_cdf(cum, u):
+    """Per row of the gathered (n, K) CDF rows ``cum``, the count of entries <= u,
+    clamped to the last index (the sampler's draw before ``_draw``)."""
+    return np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
 
 
 def reference_rollout(mdp, policy, seed, featmap=None):
@@ -67,6 +76,37 @@ def assert_matches_reference(mdp, pi, n, seed, featmap=None):
             assert ds.features is None
         else:
             np.testing.assert_array_equal(ds.features[j], feats)
+
+
+def sparse_rows(rng, shape):
+    """Probability rows of ``shape`` with exact zeros: one-hot, leading zeros
+    (``[0, 0, 1]``), trailing zeros, or a random support."""
+    k = shape[-1]
+    rows = np.zeros(shape)
+    for idx in np.ndindex(*shape[:-1]):
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            support = [int(rng.integers(0, k))]
+        elif kind == 1:
+            support = list(range(int(rng.integers(0, k)), k))
+        elif kind == 2:
+            support = list(range(int(rng.integers(1, k + 1))))
+        else:
+            support = np.flatnonzero(rng.random(k) < 0.5).tolist() or [int(rng.integers(0, k))]
+        rows[idx][support] = rng.dirichlet(np.ones(len(support)))
+    return rows
+
+
+def sparse_tabular_mdp(rng, reward_kind):
+    """A tabular MDP whose transition rows are sparse or deterministic; stage 1
+    has 8 or 9 states, the width of the wide instance's stages."""
+    H = int(rng.integers(2, 5))
+    sizes = [1, int(rng.integers(8, 10))] + [int(rng.integers(1, 10)) for _ in range(H - 2)] + [1]
+    A = int(rng.integers(1, 5))
+    transitions = [sparse_rows(rng, (sizes[h], A, sizes[h + 1])) for h in range(H)]
+    rewards = [rng.uniform(0, 1, size=(sizes[h], A)) for h in range(H)] + [np.zeros((1, A))]
+    mdp = StagedMdp(H, sizes, A, transitions, rewards, reward_kind)
+    return mdp, Policy([sparse_rows(rng, (k, A)) for k in sizes])
 
 
 def chain_mdp():
@@ -269,11 +309,34 @@ class TestSamplerAgainstReference:
         mdp, featmap = random_linear_mdp(d, H, sizes, int(rng.integers(1, 4)), seed, reward_kind)
         assert_matches_reference(mdp, random_policy(mdp, rng), 12, seed, featmap)
 
+    @given(seed=st.integers(0, 2**32 - 1), reward_kind=st.sampled_from(["deterministic-mean", "bernoulli-mean"]))
+    @settings(max_examples=30, deadline=None)
+    def test_sparse_tables_bit_for_bit(self, seed, reward_kind):
+        # exact zeros, leading and trailing zero-probability entries, one-hot rows
+        rng = np.random.default_rng(seed)
+        mdp, pi = sparse_tabular_mdp(rng, reward_kind)
+        assert_matches_reference(mdp, pi, 16, seed)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9), r=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_draw_matches_inverse_cdf(self, seed, k, r):
+        # nondecreasing rows with ties, ending below, at or above 1; u at every
+        # entry, just below it, at 0 and at the largest uniform 1 - 2**-53
+        rng = np.random.default_rng(seed)
+        cdf = np.cumsum(sparse_rows(rng, (r, k)) * rng.choice([1.0, 1 - 1e-13, 1 + 1e-13, 2.0]), axis=1)
+        entries = cdf.ravel()
+        u = np.concatenate([[0.0, 1 - 2.0**-53], entries, np.nextafter(entries, 0), rng.random(8)])
+        rows = np.repeat(np.arange(r), len(u))
+        u = np.tile(u, r)
+        got = _draw(np.ascontiguousarray(cdf.T), rows, u)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, inverse_cdf(cdf[rows], u))
+
     def test_inverse_cdf_boundaries(self):
         # u equal to a cumulative entry, and u past a row that sums to just under 1
         cum = np.cumsum([[0.25, 0.25, 0.5 - 1e-13], [0.5, 0.5, 0.0]], axis=1)
         for u in (0.0, 0.25, 0.5, 0.75, 1.0 - 1e-14, 0.999999):
-            got = _inverse_cdf(cum, np.full(2, u))
+            got = inverse_cdf(cum, np.full(2, u))
             want = [min(int(np.searchsorted(row, u, side="right")), 2) for row in cum]
             np.testing.assert_array_equal(got, want)
 
@@ -310,6 +373,20 @@ class TestUniformsAgainstNumpy:
     @settings(max_examples=60, deadline=None)
     def test_rows_are_independent_streams(self, rows, k):
         got = _uniforms(np.array(rows, dtype=np.uint32), k)
+        want = np.array([np.random.default_rng(row).random(k) for row in rows])
+        np.testing.assert_array_equal(got, want)
+
+    @given(w=st.integers(1, 8), n=st.integers(1, 6), k=st.integers(1, 12), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_leading_words(self, w, n, k, data):
+        # rows sharing their first 0..w words mix those words once, as scalars;
+        # n = 1 and rows that share every word never build a per-row column
+        shared = data.draw(st.integers(0, w))
+        word = st.integers(0, 2**32 - 1)
+        prefix = data.draw(st.lists(word, min_size=shared, max_size=shared))
+        rows = [prefix + data.draw(st.lists(word, min_size=w - shared, max_size=w - shared)) for _ in range(n)]
+        got = _uniforms(np.array(rows, dtype=np.uint32), k)
+        assert got.shape == (n, k)
         want = np.array([np.random.default_rng(row).random(k) for row in rows])
         np.testing.assert_array_equal(got, want)
 
@@ -370,6 +447,45 @@ class TestValidation:
     def test_rewards_outside_unit_interval(self):
         with pytest.raises(ValidationError):
             StagedMdp(1, (1, 1), 1, [np.ones((1, 1, 1))], [np.array([[1.2]]), np.zeros((1, 1))])
+
+    @pytest.mark.parametrize("build, good, named", [
+        (lambda x: Policy([[[x, 1.0]], [[1.0, 0.0]]]), 0.0, "policy stage 0: non-finite"),
+        (lambda x: PolicyStack([np.array([[[1.0, 0.0]]] * 2), np.array([[[0.0, 1.0]], [[1.0, x]]])]), 0.0,
+         "policy stack stage 1: non-finite"),
+        (lambda x: StagedMdp(2, (1, 2, 1), 2, [np.array([[[0.5, 0.5], [1.0, 0.0]]]), np.array([[[1.0], [x]]] * 2)],
+                             [np.zeros((1, 2)), np.zeros((2, 2)), np.zeros((1, 2))]), 1.0,
+         r"transitions\[1\]: non-finite"),
+        (lambda x: StagedMdp(1, (1, 1), 2, [np.ones((1, 2, 1))], [np.array([[0.5, x]]), np.zeros((1, 2))]), 0.5,
+         r"reward_means\[0\]: entries outside \[0, 1\]"),
+        (lambda x: FeatureMap(d=1, phi=[np.array([[[0.5], [x]]]), np.zeros((1, 2, 1))], l1_bound=1.0), 0.5,
+         "features stage 0: non-finite"),
+    ], ids=["policy", "policy-stack", "transitions", "reward-means", "features"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tables_refused(self, build, good, named, bad):
+        # a NaN entry passed both the sign and the row-sum check; the sampler then
+        # drew action 0 on every row and evaluate_policy returned v = [nan]
+        build(good)
+        with pytest.raises(ValidationError, match=named):
+            build(bad)
+
+    @pytest.mark.parametrize("path, named", [
+        (("transitions", 1, 2, 0, 3), r"transitions\[1\]: non-finite"),
+        (("reward_means", 2, 3, 1), r"reward_means\[2\]"),
+        (("features", "phi", 1, 0, 1, 0), "features stage 1: non-finite"),
+        (("features", "l1_bound"), "exceeds bound nan"),
+    ], ids=["transitions", "reward-means", "features", "norm-bound"])
+    def test_nan_in_document_refused(self, fixed_instance, path, named):
+        text = json.dumps(mdp_to_doc(*fixed_instance))
+        doc = json.loads(text)
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = float("nan")
+        text = json.dumps(doc)  # json writes the bare token NaN and reads it back as a float
+        assert "NaN" in text
+        with pytest.raises(ValidationError, match=named):
+            mdp_from_doc(json.loads(text))
 
 
 class TestSerialization:
@@ -488,18 +604,34 @@ HUGE_STATES = [-2**63, -7, 3, 10**12, 2**63 - 1]  # offsets beyond int64 and ran
 REWARDS = [0.0, -0.0, 0.25, 0.5, 1.0]
 
 
+# sampled grouping kinds: (reward kind, reward scale) of the linear MDP
+SAMPLED_KINDS = {
+    "sampled": ("deterministic-mean", 1.0),
+    "zero-twins": ("deterministic-mean", 0.0),
+    "of-pair": ("deterministic-mean", 1.0),
+    "bernoulli": ("bernoulli-mean", 1.0),
+}
+GROUPING_KINDS = list(SAMPLED_KINDS) + ["not-of-state", "huge-states", "empty-blocks"]
+
+
 def grouping_dataset(kind, seed, n):
     """A dataset for the grouping checks.  "sampled" is a linear MDP's sample with
-    some zero rewards made -0.0; "not-of-state" has blocks drawn per row from a pool
+    some zero rewards made -0.0, "zero-twins" the same with every mean reward 0, so
+    a (block, action) pair's rows can pay 0.0 and -0.0; "of-pair" and "bernoulli"
+    are plain samples with deterministic and Bernoulli rewards; "not-of-state" has
+    blocks drawn per row from a pool
     (a -0.0/0.0 twin, an action permutation) or fresh; "huge-states" keys blocks by
     state ids far apart, so the state pass sorts, and may give some of a state's
     rows a -0.0 twin of its block; "empty-blocks" has d = 0."""
     rng = np.random.default_rng(seed)
     H, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    if kind == "sampled":
+    if kind in SAMPLED_KINDS:
         sizes = [1] + [int(rng.integers(1, 6)) for _ in range(H - 1)] + [1]
-        mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)))
+        reward_kind, scale = SAMPLED_KINDS[kind]
+        mdp, fm = random_linear_mdp(d, H, sizes, A, int(rng.integers(0, 2**31)), reward_kind, scale)
         ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
+        if kind in ("of-pair", "bernoulli"):
+            return ds
         rewards = ds.rewards.copy()
         rewards[(rewards == 0.0) & (rng.random(rewards.shape) < 0.5)] = -0.0
         return Dataset(ds.states, ds.actions, rewards, ds.features)
@@ -550,8 +682,7 @@ class TestGroupingAgainstByteKeys:
         first, inverse = _factorize(codes, 2**64)
         assert first.tolist() == [1, 2, 0] and inverse.tolist() == [2, 0, 1, 0, 2]
 
-    @given(st.sampled_from(["sampled", "not-of-state", "huge-states", "empty-blocks"]),
-           st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150]))
+    @given(st.sampled_from(GROUPING_KINDS), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150]))
     @settings(max_examples=80, deadline=None)
     def test_against_byte_keys(self, kind, seed, n):
         ds = grouping_dataset(kind, seed, n)
@@ -565,3 +696,43 @@ class TestGroupingAgainstByteKeys:
             assert len({(a, b) for a, b in zip(back.tolist(), want_back.tolist())}) == m  # the same partition
             assert [int(np.flatnonzero(back == g)[0]) for g in range(m)] == first.tolist()
             assert sorted(first.tolist()) == sorted(want_first.tolist())
+
+    @given(st.sampled_from(GROUPING_KINDS), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150]))
+    @settings(max_examples=80, deadline=None)
+    def test_tail_paths_match_full_reward_sort(self, kind, seed, n):
+        # coding rewards through (block, action) representatives gives the very arrays
+        # of one np.unique over all n rows, not just the same partition
+        ds = grouping_dataset(kind, seed, n)
+        for (first, back), (want_first, want_back) in zip(ds.tail_paths, sorting_tail_paths(ds), strict=True):
+            assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
+            assert back.dtype == want_back.dtype and np.array_equal(back, want_back)
+
+    @pytest.mark.parametrize("reward_kind, sorts_all_rows", [("deterministic-mean", False), ("bernoulli-mean", True)])
+    def test_reward_coding_sorts_representatives_of_pairs(self, reward_kind, sorts_all_rows):
+        mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, 10, reward_kind)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 400, 7, fm)
+        ds.visited_blocks  # its own sorts are not counted
+        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+            ds.tail_paths
+        sizes = [len(call.args[0]) for call in spy.call_args_list]
+        assert len(sizes) == mdp.horizon
+        if sorts_all_rows:
+            assert sizes == [ds.n] * mdp.horizon
+        else:
+            assert all(size <= mdp.stage_sizes[h] * mdp.num_actions for h, size in enumerate(sizes[::-1]))
+
+
+def sorting_tail_paths(ds):
+    """``tail_paths`` with each stage's reward bytes coded by one ``np.unique`` over
+    all n rows (the reference for the (block, action) coding)."""
+    rows = [r for _, r in ds.visited_blocks] + [np.zeros(ds.n, dtype=np.intp)]
+    counts = [len(blocks) for blocks, _ in ds.visited_blocks] + [1]
+    out = [None] * ds.horizon
+    back, tails = rows[-1], 1
+    for h in range(ds.horizon - 1, -1, -1):
+        pairs, pair = _factorize(rows[h + 1] * tails + back, counts[h + 1] * tails)
+        values, reward = np.unique(ds.rewards[:, h].astype(np.float64).view(np.int64), return_inverse=True)
+        first, back = _factorize(reward * len(pairs) + pair, len(values) * len(pairs))
+        tails = len(first)
+        out[h] = (first, back)
+    return out

@@ -10,6 +10,7 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,6 +271,30 @@ def test_rank_flags_shared_across_the_stack():
     for i, pi in enumerate(policies):
         theta, l2, residual, flagged = ref_fit_one_policy(mdp, fm, pi)
         assert fit.theta[:, i].tobytes() == theta.tobytes() and fit.residuals[i] == residual
+        assert fit.rank_deficient_stages == flagged
+
+
+@settings(max_examples=15, deadline=None)
+@given(args=instance_args, seed=st.integers(0, 2**31 - 1))
+def test_repeated_target_rows_are_fitted_once(args, seed):
+    # stage h's targets read the policy only after stage h: policies that differ only
+    # at stage 0 share every target row, and q equals the reward table at stage H-1
+    mdp, fm = make_instance(args)
+    base = sample_policies(mdp, 4, seed)
+    rng = np.random.default_rng(seed)
+    tables = [np.concatenate([t, t[::-1], t]) for t in base.tables]
+    tables[0] = rng.dirichlet(np.ones(mdp.num_actions), size=(12, 1))
+    stack = PolicyStack(tables)
+    values = evaluate_stack(mdp, stack)
+    distinct = sum(len({row.tobytes() for row in values.q[h].reshape(12, -1)}) for h in range(mdp.horizon))
+    assert distinct <= 4 * (mdp.horizon - 1) + 1
+    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+        fit = fit_policy_stack(mdp, fm, stack)
+    assert spy.call_count == distinct
+    for i, pi in enumerate(stack):
+        theta, l2, residual, flagged = ref_fit_one_policy(mdp, fm, pi)
+        assert fit.theta[:, i].tobytes() == theta.tobytes()
+        assert fit.l2_bounds[i] == l2 and fit.residuals[i] == residual
         assert fit.rank_deficient_stages == flagged
 
 
