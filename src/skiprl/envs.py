@@ -7,14 +7,15 @@ per-stage parameters of a set of policies by least squares and reports the
 achieved sup-norm residuals, which is what the misspecification and range
 estimators build on.  A policy set is fitted as one ``PolicyStack`` (one
 policy is the one-policy stack): one backward induction over the whole stack,
-then one ``lstsq`` per distinct target row and stage, bit-identical to fitting
-each policy alone.
+then one stacked single-column ``lstsq`` over the distinct target rows of each
+stage, bit-identical to fitting each policy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .mdp import (
     PolicyStack,
@@ -152,6 +153,25 @@ def random_linear_mdp(
     return mdp, featmap
 
 
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_rows(design: np.ndarray, rows: np.ndarray):
+    """``np.linalg.lstsq(design, row, rcond=None)`` for every row of ``rows`` (k, m)
+    in one call of numpy's ``lstsq`` gufunc: the (k, d) solutions and (k,) ranks.
+
+    Each item is the single-right-hand-side gelsd that ``np.linalg.lstsq`` runs,
+    with its ``rcond``, so every solution has its bits (a multi-column solve
+    would move them), and SVD non-convergence raises ``np.linalg.LinAlgError``
+    as it does there.
+    """
+    rcond = np.finfo(np.float64).eps * max(design.shape)
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        solved, _, ranks, _ = _umath_linalg.lstsq(design, rows[:, :, None], rcond, signature="ddd->ddid")
+    return solved[..., 0], ranks
+
+
 def fit_policy_stack(mdp: StagedMdp, featmap: FeatureMap, policies) -> StackParams:
     """Least-squares fit of theta_h to q^pi over each stage's state-action grid,
     for every policy of a ``PolicyStack`` (or a sequence of ``Policy``).
@@ -159,12 +179,11 @@ def fit_policy_stack(mdp: StagedMdp, featmap: FeatureMap, policies) -> StackPara
     The objective is the l2 surrogate of the sup-norm minimizer; the reported
     residual is always the sup norm.  Rank-deficient stage feature matrices
     fall back to the minimum-norm solution and are flagged.  The stack is
-    evaluated in one pass and each distinct target row of a stage gets its own
-    ``lstsq`` call (a multi-column solve would move the last bits), so every
-    policy's fit is bit-identical to fitting it alone.  Rows are matched by
-    their bytes, so ``-0.0`` and ``0.0`` targets are solved apart; at stage
-    H-1, where q equals the reward table for every policy, one call serves
-    the whole stack.
+    evaluated in one pass, and the distinct target rows of a stage are solved
+    in one stacked call (``_lstsq_rows``), so every policy's fit is
+    bit-identical to fitting it alone.  Rows are matched by their bytes, so
+    ``-0.0`` and ``0.0`` targets are solved apart; at stage H-1, where q
+    equals the reward table for every policy, one row serves the whole stack.
     """
     featmap.check_against(mdp)
     stack = PolicyStack.of(mdp, policies)
@@ -175,17 +194,12 @@ def fit_policy_stack(mdp: StagedMdp, featmap: FeatureMap, policies) -> StackPara
     flagged = []
     for h in range(H):
         design = featmap.phi[h].reshape(-1, d)
-        targets = values.q[h].reshape(P, -1)
-        rank = d
-        fitted_rows = {}  # target bytes -> the policy fitted to them
-        for p in range(P):
-            key = targets[p].tobytes()
-            if key in fitted_rows:
-                theta[h, p] = theta[h, fitted_rows[key]]
-            else:
-                fitted_rows[key] = p
-                theta[h, p], _, rank, _ = np.linalg.lstsq(design, targets[p], rcond=None)
-        if rank < d:
+        targets = np.ascontiguousarray(values.q[h].reshape(P, -1))
+        keys = targets.view(np.dtype((np.void, targets.itemsize * targets.shape[1])))[:, 0]
+        _, first, row_of = np.unique(keys, return_index=True, return_inverse=True)
+        solved, ranks = _lstsq_rows(design, targets[first])
+        theta[h] = solved[row_of]
+        if ranks.min(initial=d) < d:
             flagged.append(h)
         fitted = (design @ theta[h][:, :, None])[..., 0]
         residuals = np.maximum(residuals, np.abs(fitted - targets).max(axis=1))

@@ -46,6 +46,7 @@ from .skipping import (
 
 MEMBER_TOL = 1e-12
 RADIUS_TOL = 1e-9
+DISTANCE_BLOCK = 1 << 14  # elements of each (d, rows, m) array _stacked_forms builds at once
 
 
 @dataclass
@@ -157,12 +158,11 @@ class StageCovariance:
 def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     """The stage-h data of ``dataset``; it depends on the data and lam alone, never on a guess."""
     d = dataset.dim  # refuses a featureless dataset by name
-    rows, actions = np.arange(dataset.n), dataset.actions[:, h]
-    phi = dataset.features[rows, h, actions]
     blocks, block_of_row = dataset.visited_blocks[h]
-    pairs, codes = blocks.reshape(-1, d), block_of_row * blocks.shape[1] + actions
-    if len(pairs) >= len(rows):
-        pairs, codes = phi, rows
+    pairs, codes = blocks.reshape(-1, d), block_of_row * blocks.shape[1] + dataset.actions[:, h]
+    phi = pairs.take(codes, axis=0)  # the taken rows of features[:, h], byte for byte
+    if len(pairs) >= len(codes):
+        pairs, codes = phi, np.arange(dataset.n)
     elif len(pairs) == 1:
         pairs = np.repeat(pairs, 2, axis=0)
     return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam, pairs=pairs, codes=codes)
@@ -222,11 +222,48 @@ class StageSets:
                 "combos": self.combos, "subsampled": self.subsampled, "tails": self.tails}
 
 
+def _stacked_forms(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The X_h quadratic form (``matrix`` is X_h) of each row of ``thetas`` minus each
+    anchor, shape (p, m), computed in the order of ``np.einsum("pmd,de,pme->pm",
+    diffs, matrix, diffs)``: each term is ``(diff_d * X_de) * diff_e``, and the
+    d * d terms are added one at a time, d-major, onto +0.0.  That gives
+    einsum's bits whenever the output has more than two elements; at d = 2
+    einsum adds a one- or two-element output's terms row by row.  Rows are
+    taken in blocks whose (d, rows, m) arrays hold at most ``DISTANCE_BLOCK``
+    elements.
+    """
+    p, m, d = thetas.shape[0], anchors.shape[0], matrix.shape[0]
+    quad = np.zeros((p, m))
+    step = max(1, DISTANCE_BLOCK // (d * m))
+    rows, centres = thetas.T[:, :, None], anchors.T[:, None, :]
+    for start in range(0, p, step):
+        diffs = rows[:, start : start + step] - centres  # (d, rows, m)
+        block = quad[start : start + step]
+        for i in range(d):
+            terms = diffs[i] * matrix[i, :, None, None]
+            terms *= diffs
+            for term in terms:
+                block += term
+    return quad
+
+
+def _anchor_forms(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """``np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)`` of the (p, m, d) diffs
+    of ``thetas`` from ``anchors``, bit for bit.  einsum is slow over a
+    length-2 or -3 axis with more than one anchor, so there an output of at
+    least 512 elements goes through ``_stacked_forms``; einsum is as fast
+    elsewhere.
+    """
+    p, m, d = thetas.shape[0], anchors.shape[0], matrix.shape[0]
+    if d in (2, 3) and m > 1 and p * m >= 512:
+        return _stacked_forms(anchors, matrix, thetas)
+    diffs = thetas[:, None, :] - anchors[None, :, :]
+    return np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
+
+
 def _anchor_distance(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """min over anchors of the X_h-distance (``matrix`` is X_h) to each row of ``thetas``, shape (p,)."""
-    diffs = thetas[:, None, :] - anchors[None, :, :]
-    quad = np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
-    return np.sqrt(np.maximum(quad.min(axis=1), 0.0))
+    return np.sqrt(np.maximum(_anchor_forms(anchors, matrix, thetas).min(axis=1), 0.0))
 
 
 def _admitted(thetas: np.ndarray, stats: np.ndarray, config: LearnerConfig) -> np.ndarray:
@@ -518,16 +555,22 @@ class SolveOutcome:
 
 
 def _chain_from(sets: ConfidenceSets, featmap: FeatureMap):
-    """Optimistic stage-0 member plus first members at later stages."""
+    """Optimistic stage-0 member plus first members at later stages.
+
+    The members' start values are one stacked product whose items are the
+    matrix-vector products ``start_value`` computes (``members @ phi.T`` would
+    run gemm and can move their last bits).
+    """
     H, d = sets.horizon, sets.dim
     members = sets.members_at(0)
-    vals = [start_value(theta, featmap) for theta in members]
+    scores = (featmap.phi[0][0] @ members[:, :, None])[..., 0]
+    vals = np.clip(scores.max(axis=1), 0.0, featmap.horizon)
     best = int(np.argmax(vals))
     thetas = np.zeros((H + 1, d))
     thetas[0] = members[best]
     for h in range(1, H):
         thetas[h] = sets.members_at(h)[0]
-    return thetas, vals[best]
+    return thetas, float(vals[best])
 
 
 def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap) -> SolveOutcome:

@@ -323,21 +323,26 @@ class Dataset:
         each row's index into their sorted order, as ``np.unique(...,
         return_inverse=True)`` on all n rows gives them.
 
-        Rows are first grouped by (visited block, action), one ``_factorize``
-        pass over the codes ``visited_blocks`` already holds; when every row's
-        reward bytes are its pair's first row's, only those representatives are
-        sorted.  A sampled deterministic mean reward passes the check whenever
-        equal blocks carry equal rewards, as in a linear MDP (r = phi . theta);
-        Bernoulli rewards and loaded files may not, and then all n rows are.
+        Each row's reward bytes are scattered to its (visited block, action)
+        pair's slot, one write per row with no grouping pass, and read back:
+        when every row finds its own bytes there, the rewards are a function of
+        the pair and only the slots of visited pairs are sorted.  A sampled
+        deterministic mean reward passes the check whenever equal blocks carry
+        equal rewards, as in a linear MDP (r = phi . theta); Bernoulli rewards
+        and loaded files may not, and then all n rows are sorted, after a check
+        that costs a few linear passes.
         """
         reward_bytes = self.rewards[:, h].astype(np.float64).view(np.int64)
         blocks, rows = self.visited_blocks[h]
-        A = blocks.shape[1]
-        first, pair = _factorize(rows * A + self.actions[:, h], len(blocks) * A)
-        reps = reward_bytes[first]
-        if np.array_equal(reps.take(pair), reward_bytes):
-            values, codes = np.unique(reps, return_inverse=True)
-            return len(values), codes.take(pair)
+        pair = rows * blocks.shape[1] + self.actions[:, h]
+        slot = np.zeros(len(blocks) * blocks.shape[1], dtype=np.int64)
+        slot[pair] = reward_bytes
+        if np.array_equal(slot.take(pair), reward_bytes):
+            visited = np.zeros(len(slot), dtype=bool)
+            visited[pair] = True
+            values, codes = np.unique(slot[visited], return_inverse=True)
+            slot[visited] = codes
+            return len(values), slot.take(pair)
         values, codes = np.unique(reward_bytes, return_inverse=True)
         return len(values), codes
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from skiprl import learner, mdp as mdp_module
 from skiprl.harness import load_dataset, save_dataset
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
-from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
+from skiprl.envs import FeatureMap, fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import (
     LearnerConfig,
     _admitted,
@@ -104,6 +104,25 @@ class TestStageCovariance:
         for h in range(3):
             cov = stage_covariance(ds, h, 0.3)
             assert np.linalg.eigvalsh(cov.matrix).min() >= 0.3 - 1e-9
+
+    @staticmethod
+    def assert_phi_is_the_taken_features(ds):
+        # phi is gathered from the distinct blocks; it must be the fancy index of the
+        # taken actions' features byte for byte
+        for h in range(ds.horizon):
+            want = ds.features[np.arange(ds.n), h, ds.actions[:, h]]
+            assert stage_covariance(ds, h, 1.0).phi.tobytes() == want.tobytes()
+
+    def test_phi_gathers_the_taken_features(self, setup):
+        self.assert_phi_is_the_taken_features(setup[5])
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([1, 2, 3, 40, 200]))
+    @settings(max_examples=40, deadline=None)
+    def test_phi_gathers_the_taken_features_of_hand_built_data(self, seed, n):
+        # features not a function of the state, -0.0/0.0 twins and A = 1 stages
+        rng = np.random.default_rng(seed)
+        d, H, A = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        self.assert_phi_is_the_taken_features(hand_built_dataset(rng, n, H, A, d))
 
 
 class TestAnchor:
@@ -241,6 +260,88 @@ class TestTightness:
                 thetas = rng.normal(scale=float(rng.choice([0.3, 3.0, 30.0])), size=(k, d))
                 got, want = tightness(cov, thetas, H), self.per_row(cov.phi, thetas, H)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestStackedKernels:
+    """The anchor distance and the chain's start values are stacked kernels; each
+    must equal the per-item numpy call it replaced bit for bit."""
+
+    @staticmethod
+    def assert_distance_is_einsums(anchors, matrix, thetas):
+        # the stacked form is exact for outputs of more than two elements at every d,
+        # though _anchor_forms sends it only d = 2 or 3, m > 1 and 512 or more
+        diffs = thetas[:, None, :] - anchors[None, :, :]
+        want = np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
+        assert learner._anchor_forms(anchors, matrix, thetas).tobytes() == want.tobytes()
+        if thetas.shape[0] * anchors.shape[0] > 2:
+            assert learner._stacked_forms(anchors, matrix, thetas).tobytes() == want.tobytes()
+        got = _anchor_distance(anchors, matrix, thetas)
+        assert got.tobytes() == einsum_distance(anchors, matrix, thetas).tobytes()
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        d=st.integers(1, 6),
+        m=st.integers(1, 8),
+        rows=st.sampled_from(["one", "two", "three", "block", "block+1", "blocks+3"]),
+        zeros=st.sampled_from(["none", "anchor rows", "coordinates", "signed"]),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_anchor_distance_matches_einsum(self, seed, d, m, rows, zeros, sign):
+        rng = np.random.default_rng(seed)
+        step = max(1, learner.DISTANCE_BLOCK // (d * m))  # pool rows per block
+        p = {"one": 1, "two": 2, "three": 3, "block": step, "block+1": step + 1, "blocks+3": 2 * step + 3}[rows]
+        scale = 10.0 ** rng.uniform(-2, 2)
+        anchors = rng.normal(scale=scale, size=(m, d))
+        thetas = rng.normal(scale=scale, size=(p, d))
+        if zeros == "anchor rows":  # rows equal to an anchor: every diff of the pair is 0.0
+            pick = rng.random(p) < 0.5
+            thetas[pick] = anchors[rng.integers(0, m, size=int(pick.sum()))]
+        elif zeros == "coordinates":  # exact-zero diffs in some coordinates
+            cols = rng.random(d) < 0.5
+            thetas[:, cols] = anchors[0, cols]
+        elif zeros == "signed":  # -0.0 - 0.0 is a -0.0 diff
+            anchors[rng.random((m, d)) < 0.5] = 0.0
+            thetas[rng.random((p, d)) < 0.5] = -0.0
+        phi = rng.normal(scale=scale, size=(5, d))
+        # X_h is positive definite; a negated one gives -0.0 terms, which einsum adds onto +0.0
+        matrix = sign * (float(rng.choice([1e-2, 1.0])) * np.eye(d) + phi.T @ phi)
+        self.assert_distance_is_einsums(anchors, matrix, thetas)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_anchor_distance_of_small_outputs_matches_einsum(self, d):
+        # einsum adds a one- or two-element output's terms in its own order at d = 2;
+        # 511 and 512 outputs sit on either side of _anchor_forms' switch
+        rng = np.random.default_rng(d)
+        for p, m in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (511, 1), (256, 2)] * 25:
+            anchors, thetas = rng.normal(size=(m, d)), rng.normal(size=(p, d))
+            phi = rng.normal(size=(5, d))
+            self.assert_distance_is_einsums(anchors, np.eye(d) + phi.T @ phi, thetas)
+
+    @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 12), ties=st.sampled_from(["none", "repeated", "clipped"]))
+    @settings(max_examples=100, deadline=None)
+    def test_chain_matches_per_member_start_value(self, seed, k, ties):
+        rng = np.random.default_rng(seed)
+        d, A, H = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        phi = [rng.dirichlet(np.ones(d), size=(1 if h == 0 else 2, A)) for h in range(H)]
+        fm = FeatureMap(d=d, phi=[*phi, np.zeros((1, A, d))], l1_bound=1.0)
+        scale = 1e3 if ties == "clipped" else float(rng.choice([0.3, 3.0, 30.0]))  # clipped: values tie at 0 or H
+        members = [rng.normal(scale=scale, size=(k if h == 0 else 2, d)) for h in range(H)]
+        if ties == "repeated":
+            members[0] = members[0][rng.integers(0, (k + 1) // 2, size=k)]
+        stage_sets = [
+            learner.StageSets(anchors=mem[:1], members=mem, combos=1, subsampled=False, tails=1) for mem in members
+        ]
+        sets = learner.ConfidenceSets(
+            horizon=H, dim=d, stage_sets=stage_sets, covariances=[np.eye(d)] * H, tightness=[0.0] * H
+        )
+        vals = [start_value(theta, fm) for theta in members[0]]
+        best = int(np.argmax(vals))
+        thetas, vbar = learner._chain_from(sets, fm)
+        assert type(vbar) is float and vbar == vals[best]
+        assert thetas[0].tobytes() == members[0][best].tobytes()
+        assert all(thetas[h].tobytes() == members[h][0].tobytes() for h in range(1, H))
+        assert not thetas[H].any()
 
 
 class TestSolve:
@@ -385,8 +486,8 @@ class TestVisitedBlocksShared:
     @pytest.fixture
     def groupings(self, monkeypatch):
         """The grouping passes: the caller of each ``mdp._factorize`` pass (per
-        stage one of ``visited_blocks``, one of ``_reward_codes`` and two of
-        ``tail_paths``), and the length of each ``np.unique`` sort of feature-block
+        stage one of ``visited_blocks`` and two of ``tail_paths``; ``_reward_codes``
+        makes none), and the length of each ``np.unique`` sort of feature-block
         byte keys."""
         calls = {"passes": [], "block_sorts": []}
         factorize, unique = mdp_module._factorize, np.unique
@@ -414,20 +515,18 @@ class TestVisitedBlocksShared:
             assert len(guesses) == count
             solve(ds, guesses, config, fm)
             assert passes.count("visited_blocks") == ds.horizon
-            assert passes.count("_reward_codes") == ds.horizon
             assert passes.count("tail_paths") == 2 * ds.horizon
-            assert len(passes) == 4 * ds.horizon
+            assert len(passes) == 3 * ds.horizon
             assert ds.visited_blocks is ds.visited_blocks and ds.tail_paths is ds.tail_paths
-            assert len(passes) == 4 * ds.horizon
+            assert len(passes) == 3 * ds.horizon
 
     def test_calibrate_groups_each_replicate_once(self, setup, groupings):
         mdp, fm, behavior, guess, config, _ = setup
         passes = groupings["passes"]
         calibrate(mdp, fm, behavior, guess, 200, config, replicates=2, delta=0.5, seed=19)
         assert passes.count("visited_blocks") == 2 * mdp.horizon
-        assert passes.count("_reward_codes") == 2 * mdp.horizon
         assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
-        assert len(passes) == 8 * mdp.horizon
+        assert len(passes) == 6 * mdp.horizon
 
     def test_only_the_fallback_sorts_every_row(self, setup, groupings, tmp_path):
         # a sampled stage sorts one block per visited state; a loaded file whose
@@ -463,6 +562,14 @@ def serialize_before_diagnostics(outcome):
     return json.dumps(doc, sort_keys=True)
 
 
+def einsum_distance(anchors, matrix, thetas):
+    """The anchor distance as one three-operand ``np.einsum`` (the reference for
+    ``learner._anchor_distance``)."""
+    diffs = thetas[:, None, :] - anchors[None, :, :]
+    quad = np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
+    return np.sqrt(np.maximum(quad.min(axis=1), 0.0))
+
+
 def reference_sets(dataset, guess, config, covs, extra_candidates=None):
     """The construction before tail grouping, target terms, block-coded tightness and
     the keyed pool: each combo's targets are stacked and summed on all n rows, the
@@ -495,7 +602,7 @@ def reference_sets(dataset, guess, config, covs, extra_candidates=None):
         if net is not None:
             pool.append(net)
         pool = dedupe_reference(np.vstack(pool))
-        stats = _anchor_distance(anchors, covs[h].matrix, pool)
+        stats = einsum_distance(anchors, covs[h].matrix, pool)
         order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
         pool, stats = pool[order], stats[order]
         members = pool[_admitted(pool, stats, config)]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_tabular_mdp
-from skiprl import design as design_mod
+from skiprl import design as design_mod, envs
 from skiprl.design import approx_optimal_design, build_true_guess, panel_size
 from skiprl.envs import (
     FIT_CHUNK,
@@ -288,14 +288,84 @@ def test_repeated_target_rows_are_fitted_once(args, seed):
     values = evaluate_stack(mdp, stack)
     distinct = sum(len({row.tobytes() for row in values.q[h].reshape(12, -1)}) for h in range(mdp.horizon))
     assert distinct <= 4 * (mdp.horizon - 1) + 1
-    with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+    with mock.patch.object(envs, "_lstsq_rows", wraps=envs._lstsq_rows) as spy:
         fit = fit_policy_stack(mdp, fm, stack)
-    assert spy.call_count == distinct
+    assert spy.call_count == mdp.horizon  # one stacked solve per stage
+    assert sum(len(call.args[1]) for call in spy.call_args_list) == distinct
     for i, pi in enumerate(stack):
         theta, l2, residual, flagged = ref_fit_one_policy(mdp, fm, pi)
         assert fit.theta[:, i].tobytes() == theta.tobytes()
         assert fit.l2_bounds[i] == l2 and fit.residuals[i] == residual
         assert fit.rank_deficient_stages == flagged
+
+
+@settings(max_examples=25, deadline=None)
+@given(args=instance_args, count=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
+def test_stacked_fit_flags_a_duplicated_feature_column(args, count, seed):
+    # a stage whose extra column repeats column 0 is rank deficient; the others get a
+    # fresh column and are flagged only if they have fewer state-action rows than d + 1
+    mdp, fm = make_instance(args)
+    rng = np.random.default_rng(seed)
+    phi = []
+    for h, block in enumerate(fm.phi):
+        extra = block[..., :1] if h < mdp.horizon and rng.random() < 0.5 else rng.random(block.shape[:2] + (1,))
+        phi.append(np.concatenate([block, extra], axis=2))
+    wide = FeatureMap(d=fm.d + 1, phi=phi, l1_bound=2.0)
+    stack = sample_policies(mdp, count, seed)
+    fit = fit_policy_stack(mdp, wide, stack)
+    for i, pi in enumerate(stack):
+        theta, l2, residual, flagged = ref_fit_one_policy(mdp, wide, pi)
+        assert fit.theta[:, i].tobytes() == theta.tobytes()
+        assert fit.l2_bounds[i] == l2 and fit.residuals[i] == residual
+        assert fit.rank_deficient_stages == flagged
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 2), A=st.integers(1, 2), H=st.integers(1, 3), seed=st.integers(0, 2**31 - 1))
+def test_signed_zero_twin_targets_are_solved_apart(d, A, H, seed):
+    # with zero rewards every q is 0.0; some policies' rows are given -0.0 entries,
+    # which a one- or two-row design solves to differently signed zeros
+    mdp, fm = random_linear_mdp(d, H, [1] * (H + 1), A, seed, reward_scale=0.0)
+    rng = np.random.default_rng(seed)
+    stack = sample_policies(mdp, 8, seed)
+    signs = [rng.random((len(stack), mdp.stage_sizes[h], A)) < 0.5 for h in range(H)]
+
+    def with_twins(mdp, stack):
+        values = evaluate_stack(mdp, stack)
+        for h in range(H):
+            values.q[h][signs[h]] = -0.0
+        return values
+
+    with mock.patch.object(envs, "evaluate_stack", with_twins):
+        fit = fit_policy_stack(mdp, fm, stack)
+    for h in range(H):
+        design = fm.phi[h].reshape(-1, d)
+        for i in range(len(stack)):
+            target = np.where(signs[h][i].ravel(), -0.0, 0.0)
+            want = np.linalg.lstsq(design, target, rcond=None)[0]
+            assert fit.theta[h, i].tobytes() == want.tobytes()
+
+
+def test_stacked_solve_is_numpys_lstsq():
+    # fit_policy_stack calls numpy's private lstsq gufunc; a numpy that moves or
+    # changes it fails here by name
+    from numpy.linalg import _umath_linalg
+
+    assert _umath_linalg.lstsq.signature == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"
+    assert "ddd->ddid" in _umath_linalg.lstsq.types
+    rng = np.random.default_rng(0)
+    design = rng.random((12, 3))
+    design[:, 2] = design[:, 0]  # rank deficient, so the rcond cut matters
+    rows = rng.normal(size=(5, 12))
+    solved, ranks = envs._lstsq_rows(design, rows)
+    for row, got, rank in zip(rows, solved, ranks, strict=True):
+        want, _, want_rank, _ = np.linalg.lstsq(design, row, rcond=None)
+        assert got.tobytes() == want.tobytes() and rank == want_rank == 2
+
+
+def test_stacked_solve_raises_when_the_svd_fails():
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        envs._lstsq_rows(np.full((3, 2), np.nan), np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
