@@ -126,6 +126,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep.replicates < 1:
             raise ValidationError("replicate count must be >= 1")
+        values = list(self.sweep.n_values)
+        for i, n in enumerate(values):
+            if n in values[:i]:
+                raise ValidationError(f"sweep.n_values repeats n = {n!r}; each n is one set of cells")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -263,20 +267,28 @@ class ExperimentResult:
     vstar: float
 
 
-def calibrated_config(cfg: ExperimentConfig, inst: Instance, n: int) -> tuple:
-    """The learner config for n, with calibrated beta and eps_bar when calibration
-    is enabled; a calibration failure is raised as stage ``calibrate``."""
+def calibrated_configs(cfg: ExperimentConfig, inst: Instance, n_values) -> list:
+    """Per n of ``n_values``, in order, the learner config and its ``{"beta", "eps_bar"}``:
+    calibrated when calibration is enabled, by one ``calibrate`` call over the whole
+    grid, else the configured values.  A calibration failure is raised as stage
+    ``calibrate``."""
     base = learner_config(cfg, cfg.env.d)
     if not cfg.calibration.enabled:
-        return base, {"beta": base.beta, "eps_bar": base.eps_bar}
+        return [(base, {"beta": base.beta, "eps_bar": base.eps_bar}) for _ in n_values]
     spec = cfg.calibration
     try:
-        cal = calibrate(inst.mdp, inst.featmap, inst.behavior, inst.true_guess, n, base,
-                        spec.replicates, spec.delta, [cfg.data.seed, spec.seed_offset])
+        cals = calibrate(inst.mdp, inst.featmap, inst.behavior, inst.true_guess, n_values, base,
+                         spec.replicates, spec.delta, [cfg.data.seed, spec.seed_offset])
     except Exception as err:
         raise HarnessError("calibrate", err) from err
-    tuned = replace(base, beta=cal.beta, eps_bar=cal.eps_bar)
-    return tuned, {"beta": cal.beta, "eps_bar": cal.eps_bar}
+    return [(replace(base, beta=cal.beta, eps_bar=cal.eps_bar), {"beta": cal.beta, "eps_bar": cal.eps_bar})
+            for cal in cals]
+
+
+def calibrated_config(cfg: ExperimentConfig, inst: Instance, n: int) -> tuple:
+    """``calibrated_configs`` at the single n."""
+    (pair,) = calibrated_configs(cfg, inst, [n])
+    return pair
 
 
 def run_replicate(cfg: ExperimentConfig, inst: Instance, lc: LearnerConfig, n: int, replicate: int):
@@ -342,12 +354,9 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """The full pipeline for every (n, replicate) cell of the config's n grid."""
     workers = worker_count()
     inst = build_instance(cfg)
-    calibrations = {}
-    tuned = {}
-    for n in cfg.sweep.n_values:
-        lc, cal = calibrated_config(cfg, inst, n)
-        tuned[n] = lc
-        calibrations[int(n)] = cal
+    configs = calibrated_configs(cfg, inst, cfg.sweep.n_values)
+    tuned = {n: lc for n, (lc, _) in zip(cfg.sweep.n_values, configs)}
+    calibrations = {int(n): cal for n, (_, cal) in zip(cfg.sweep.n_values, configs)}
     cells = [(n, r) for n in cfg.sweep.n_values for r in range(cfg.sweep.replicates)]
     cell = functools.partial(_run_cell, cfg, inst, tuned)
     if workers > 1 and len(cells) > 1:

@@ -32,6 +32,7 @@ from .mdp import (
     backward_induction,
     greedy_table,
     sample_trajectories,
+    trajectory_count,
 )
 from .skipping import (
     SkipParams,
@@ -42,6 +43,7 @@ from .skipping import (
     omega_tables,
     stop_probabilities,
     target_terms,
+    targets_under_law,
 )
 
 MEMBER_TOL = 1e-12
@@ -181,12 +183,6 @@ def _clipped_vbar_rows(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarr
     return _clipped_vbar_blocks(dataset, h, thetas)[:, dataset.visited_blocks[h][1]]
 
 
-def _anchor(rewards, omega, vbar_tail: np.ndarray, h: int, cov: StageCovariance) -> np.ndarray:
-    """Ridge solution X_h^{-1} phi_h^T targets, the skip targets built from
-    ``vbar_tail``, the v-bar values of stages h+1..H at the data, shape (n, H-h)."""
-    return cov.ridge(batch_skip_targets(rewards, omega, vbar_tail, h))
-
-
 def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: LearnerConfig) -> np.ndarray:
     """Ridge solution X_h^{-1} sum_j phi_h^j * target_j for one tail choice.
 
@@ -202,7 +198,17 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     fvals = np.zeros((dataset.n, H - h))
     for i, u in enumerate(range(h + 1, H)):
         fvals[:, i] = _clipped_vbar_rows(dataset, u, tail[i : i + 1])[0]
-    return _anchor(dataset.rewards, omega, fvals, h, stage_covariance(dataset, h, config.lam))
+    return stage_covariance(dataset, h, config.lam).ridge(batch_skip_targets(dataset.rewards, omega, fvals, h))
+
+
+def _on_tails(per_block, at, tails: int) -> np.ndarray:
+    """(tails, len(at) + 1) values at a stage's distinct tails: column i is the
+    per-block array ``per_block[i]`` of stage h+1+i gathered to the tails' blocks
+    ``at[i]`` there, and the last column, the terminal stage, is zero."""
+    out = np.zeros((tails, len(at) + 1))
+    for i, (vals, blocks) in enumerate(zip(per_block, at)):
+        out[:, i] = vals[blocks]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +477,9 @@ def build_confidence_sets(
             extras = np.asarray(extra_candidates[h], dtype=float).reshape(-1, d)
         kept = []
         for indices, omega_tail, vbar_tail in groups:
-            omega = np.zeros((len(first), H - h))
-            for i, (w, blocks) in enumerate(zip(omega_tail, at)):
-                omega[:, i] = w[blocks]
+            stop = stop_probabilities(_on_tails(omega_tail, at, len(first)))
             tail_vbar = [vals[:, blocks] for vals, blocks in zip(vbar_tail, at)] + [terminal]
-            sets = _stage_sets(h, config, covs[h], back, stop_probabilities(omega), cumrew, tail_vbar, extras, net)
+            sets = _stage_sets(h, config, covs[h], back, stop, cumrew, tail_vbar, extras, net)
             for g in indices:
                 stage_sets[g][h] = sets
             if sets.members.shape[0] == 0:
@@ -693,18 +697,51 @@ class CalibrationResult:
 
 
 def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, config: LearnerConfig) -> float:
-    """max over stages h of ||lstsq_anchor(ds, h, guess, psi[h+1:]) - psi[h]||_{X_h}, one omega for all h;
-    ``covs[h]`` is ``stage_covariance(ds, h, config.lam)``."""
+    """max over stages h of ||lstsq_anchor(ds, h, guess, psi[h+1:]) - psi[h]||_{X_h}, bit for bit;
+    ``covs[h]`` is ``stage_covariance(ds, h, config.lam)``.
+
+    omega and psi's v-bar are scored once per distinct visited block of each
+    interior stage.  A stage-h target is elementwise in its row's tail
+    (``ds.tail_paths[h]``), so the targets are computed once per distinct tail
+    and gathered back to the n rows for the unchanged ridge solve.
+    """
     H = ds.horizon
-    omega = dataset_omega(ds, guess, config.skip)
-    vbar = np.zeros((ds.n, H + 1))
-    for u in range(1, H):
-        vbar[:, u] = _clipped_vbar_rows(ds, u, psi[u : u + 1])[0]
+    # per block of stages 1..H-1, so entries h: are those of stages h+1..H-1
+    omega = [block_omega(ds, guess, u, config.skip) for u in range(1, H)]
+    vbar = [_clipped_vbar_blocks(ds, u, psi[u : u + 1])[0] for u in range(1, H)]
     worst = 0.0
     for h, cov in enumerate(covs):
-        anchor = _anchor(ds.rewards, omega, vbar[:, h + 1 :], h, cov)
-        worst = max(worst, cov.norm(anchor - psi[h]))
+        first, back = ds.tail_paths[h]
+        at = [ds.visited_blocks[u][1][first] for u in range(h + 1, H)]
+        stop = stop_probabilities(_on_tails(omega[h:], at, len(first)))
+        cumrew = np.cumsum(ds.rewards[first, h:H], axis=1)
+        targets = targets_under_law(stop, cumrew, _on_tails(vbar[h:], at, len(first)))
+        worst = max(worst, cov.norm(cov.ridge(targets[back]) - psi[h]))
     return worst
+
+
+def _calibrate_at(pool: list, n: int, guess: Guess, psi: np.ndarray, config: LearnerConfig,
+                  delta: float) -> CalibrationResult:
+    """``calibrate``'s result at n from the first n rows of each held-out replicate of ``pool``."""
+    datasets = [ds if ds.n == n else Dataset(ds.states[:n], ds.actions[:n], ds.rewards[:n], ds.features[:n])
+                for ds in pool]
+    H = pool[0].horizon
+    stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]
+    stats = np.array([_own_tail_distance(ds, covs, guess, psi, config) for ds, covs in zip(datasets, stage_data)])
+    beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
+
+    extras = {h: psi[h][None, :] for h in range(H)}
+    cfg = replace(config, beta=beta)
+    tight = np.zeros(len(pool))
+    for c, (ds, covs) in enumerate(zip(datasets, stage_data)):
+        (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
+        if sets.empty_stage is not None:
+            raise ValidationError(f"the true guess's confidence set is empty at stage {sets.empty_stage} on held-out "
+                                  f"replicate {c} (theta_radius = {config.theta_radius:g}) at n = {n}; "
+                                  "eps_bar would be inf")
+        tight[c] = max(sets.tightness)
+    eps_bar = max(2.0 * float(tight.max()), 1e-9)
+    return CalibrationResult(beta=beta, eps_bar=eps_bar, anchor_stats=stats, tightness_values=tight)
 
 
 def calibrate(
@@ -712,48 +749,47 @@ def calibrate(
     featmap: FeatureMap,
     behavior: Policy,
     guess: Guess,
-    n: int,
+    n_values,
     config: LearnerConfig,
     replicates: int,
     delta: float,
     seed,
-) -> CalibrationResult:
-    """Data-driven confidence radius and tightness threshold.
+) -> list:
+    """Data-driven confidence radius and tightness threshold, one ``CalibrationResult``
+    per entry of ``n_values``, in order.
 
-    ``beta`` is the (1 - delta)-quantile, over held-out replicates, of the
-    per-replicate worst-stage distance between the skip-optimal parameter
-    psi and its own-tail anchor; ``eps_bar`` is twice the worst observed
-    true-guess tightness under that beta, with psi[h] added to every stage
-    pool as an extra candidate (floored away from zero so exact-singleton
-    sets stay feasible).  ``replicates`` must be >= 1 and ``delta`` in (0, 1).
-    A held-out replicate on which the true guess's set is empty at some stage
-    is refused, naming the stage, the replicate and ``theta_radius``: its
-    tightness, and so ``eps_bar``, would be infinite and the filter off.
+    At each n, ``beta`` is the (1 - delta)-quantile, over held-out replicates,
+    of the per-replicate worst-stage distance between the skip-optimal
+    parameter psi and its own-tail anchor; ``eps_bar`` is twice the worst
+    observed true-guess tightness under that beta, with psi[h] added to every
+    stage pool as an extra candidate (floored away from zero so
+    exact-singleton sets stay feasible).
+
+    psi is fitted once for the whole grid.  Held-out replicate c is sampled
+    once, at the largest n, from seed ``[seed, c]``; each smaller n reads the
+    first n rows of each array, which are byte for byte a sample of n from
+    that seed, since trajectory j depends only on ``[seed, c, j]``.  So every
+    n gets the result a separate sample of n would give.  The pool is dropped
+    when the call returns.
+
+    Every n must pass ``mdp.trajectory_count``, ``n_values`` must be nonempty,
+    ``replicates`` >= 1 and ``delta`` in (0, 1).  A held-out replicate on
+    which the true guess's set is empty at some stage is refused, naming the
+    stage, the replicate, ``theta_radius`` and n: its tightness, and so
+    ``eps_bar``, would be infinite and the filter off.
     """
     _check_dims(config, [guess], featmap=featmap)
     if replicates < 1:
         raise ValidationError(f"calibration replicates must be >= 1, got {replicates}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"calibration delta must lie in (0, 1), got {delta}")
+    n_values = [trajectory_count(n) for n in n_values]  # before slicing: a negative n would slice from the end
+    if not n_values:
+        raise ValidationError("calibration needs at least one n")
     pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, config.skip)
     psi = np.ascontiguousarray(fit_policy_stack(mdp, featmap, [pistar]).theta[:, 0])
-    H = mdp.horizon
-    datasets = [sample_trajectories(mdp, behavior, n, [seed, c], featmap) for c in range(replicates)]
-    stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]
-    stats = np.array([_own_tail_distance(ds, covs, guess, psi, config) for ds, covs in zip(datasets, stage_data)])
-    beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
-
-    extras = {h: psi[h][None, :] for h in range(H)}
-    cfg = replace(config, beta=beta)
-    tight = np.zeros(replicates)
-    for c, (ds, covs) in enumerate(zip(datasets, stage_data)):
-        (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
-        if sets.empty_stage is not None:
-            raise ValidationError(f"the true guess's confidence set is empty at stage {sets.empty_stage} on held-out "
-                                  f"replicate {c} (theta_radius = {config.theta_radius:g}); eps_bar would be inf")
-        tight[c] = max(sets.tightness)
-    eps_bar = max(2.0 * float(tight.max()), 1e-9)
-    return CalibrationResult(beta=beta, eps_bar=eps_bar, anchor_stats=stats, tightness_values=tight)
+    pool = [sample_trajectories(mdp, behavior, max(n_values), [seed, c], featmap) for c in range(replicates)]
+    return [_calibrate_at(pool, n, guess, psi, config, delta) for n in n_values]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 PROB_TOL = 1e-12
 OCC_TOL = 1e-10
+REWARD_CHECK_ROWS = 256  # rows of Dataset._reward_codes' first, short check
 
 REWARD_KINDS = ("deterministic-mean", "bernoulli-mean")
 
@@ -329,22 +330,26 @@ class Dataset:
         the pair and only the slots of visited pairs are sorted.  A sampled
         deterministic mean reward passes the check whenever equal blocks carry
         equal rewards, as in a linear MDP (r = phi . theta); Bernoulli rewards
-        and loaded files may not, and then all n rows are sorted, after a check
-        that costs a few linear passes.
+        and loaded files may not, and then all n rows are sorted.  The check
+        runs on the first ``REWARD_CHECK_ROWS`` rows before all n: a pair whose
+        rows disagree there disagrees in all rows, so Bernoulli data usually
+        skips the n-row check.
         """
         reward_bytes = self.rewards[:, h].astype(np.float64).view(np.int64)
         blocks, rows = self.visited_blocks[h]
-        pair = rows * blocks.shape[1] + self.actions[:, h]
-        slot = np.zeros(len(blocks) * blocks.shape[1], dtype=np.int64)
-        slot[pair] = reward_bytes
-        if np.array_equal(slot.take(pair), reward_bytes):
-            visited = np.zeros(len(slot), dtype=bool)
-            visited[pair] = True
-            values, codes = np.unique(slot[visited], return_inverse=True)
-            slot[visited] = codes
-            return len(values), slot.take(pair)
-        values, codes = np.unique(reward_bytes, return_inverse=True)
-        return len(values), codes
+        A = blocks.shape[1]
+        slot = np.zeros(len(blocks) * A, dtype=np.int64)
+        for k in dict.fromkeys((min(self.n, REWARD_CHECK_ROWS), self.n)):
+            pair = rows[:k] * A + self.actions[:k, h]
+            slot[pair] = reward_bytes[:k]
+            if not np.array_equal(slot.take(pair), reward_bytes[:k]):
+                values, codes = np.unique(reward_bytes, return_inverse=True)
+                return len(values), codes
+        visited = np.zeros(len(slot), dtype=bool)
+        visited[pair] = True
+        values, codes = np.unique(slot[visited], return_inverse=True)
+        slot[visited] = codes
+        return len(values), slot.take(pair)
 
     @cached_property
     def visited_blocks(self) -> list:
@@ -765,15 +770,28 @@ def sample_trajectory(mdp: StagedMdp, policy: Policy, seed, featmap=None) -> Tra
     return _sample(mdp, policy, words, featmap)[0]
 
 
+def trajectory_count(n) -> int:
+    """``n`` as a number of trajectories: an integer (a numpy integer too, never a
+    bool) of at least 1, refused otherwise with a ``ValidationError`` naming it."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"the trajectory count n must be an integer, got {n!r}")
+    if n <= 0:
+        raise ValidationError(f"n = {n} gives zero trajectories; a dataset needs at least one")
+    return int(n)
+
+
 def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=None) -> Dataset:
     """Sample n trajectories; trajectory j is drawn from generator seed [seed, j].
 
     The per-trajectory counter seeding makes every trajectory independently
     reproducible: ``sample_trajectories(...)[j] == sample_trajectory(..., seed=[seed, j])``.
-    Trajectory j's uniforms are bit for bit those of numpy's default generator
-    seeded ``[seed, j]``, because numpy keeps SeedSequence and PCG64 stable;
-    all n streams are computed in one vectorised pass.
+    So a sample of n trajectories is, array by array, the first n rows of a
+    sample of more from the same seed.  Trajectory j's uniforms are bit for
+    bit those of numpy's default generator seeded ``[seed, j]``, because numpy
+    keeps SeedSequence and PCG64 stable; all n streams are computed in one
+    vectorised pass.  ``n`` must pass ``trajectory_count``.
     """
+    n = trajectory_count(n)
     base = np.array(_seed_words(seed), dtype=np.uint32)
     j = np.arange(n, dtype=np.uint32)
     return _sample(mdp, policy, np.column_stack([np.tile(base, (len(j), 1)), j]), featmap)

@@ -44,6 +44,7 @@ from skiprl.oracles import (
 )
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "scripts" / "acceptance_config.json"
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "acceptance"
 
 
 def report(number, name, ok, detail):
@@ -193,6 +194,15 @@ def test_criterion_6_end_to_end_trend(acceptance_config, acceptance_instance, tm
         f"threshold {0.15 * vstar:.4f}; {elapsed:.1f}s"
     )
     report(6, "end-to-end-trend", ok, detail)
+
+
+def test_committed_calibrations_reproduce(acceptance_config, acceptance_instance):
+    # rows.csv digests never see beta or eps_bar, so the committed run_meta.json is checked on its own
+    meta = json.loads((RESULTS_DIR / "run_meta.json").read_text())
+    cfg = acceptance_config
+    configs = harness.calibrated_configs(cfg, acceptance_instance, cfg.sweep.n_values)
+    got = {str(n): cal for n, (_, cal) in zip(cfg.sweep.n_values, configs)}
+    assert got == meta["calibrations"]
 
 
 def test_criterion_7_concentrability_oracle():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skiprl import harness
+from skiprl import harness, learner
 from skiprl.harness import (
     ExperimentConfig,
     HarnessError,
@@ -125,6 +125,11 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({"policy_sample": 9, "learn": {"beta": 2.0}})
         assert cfg.policy_sample == 9 and cfg.policy_sample_seed == ExperimentConfig().policy_sample_seed
         assert cfg.learn == replace(ExperimentConfig().learn, beta=2.0)
+
+    def test_repeated_n_values_refused(self):
+        # [40, 40] used to run every cell twice and write duplicate (n, replicate) rows
+        with pytest.raises(ValidationError, match=r"sweep\.n_values repeats n = 40"):
+            tiny_config(sweep={"n_values": [40, 60, 40], "replicates": 1})
 
     def test_bad_behavior_kind_surfaces_stage(self):
         cfg = tiny_config(data={"n": 50, "behavior": "nope", "seed": 1})
@@ -329,9 +334,26 @@ class TestRunAndSweep:
         # return eps_bar = inf, which turned the tightness filter off without a word
         cfg = tiny_config(learn={"alpha": 0.3, "grid_per_stage": 6, "combo_cap": 32, "theta_radius": 0.05})
         inst = build_instance(cfg)
-        with pytest.raises(HarnessError, match=r"empty at stage \d on held-out replicate 0 \(theta_radius = 0.05\)") as err:
+        named = r"empty at stage \d on held-out replicate 0 \(theta_radius = 0.05\) at n = 60"
+        with pytest.raises(HarnessError, match=named) as err:
             harness.calibrated_config(cfg, inst, 60)
         assert err.value.stage == "calibrate" and isinstance(err.value.original, ValidationError)
+
+    def test_sweep_calibrates_the_grid_once(self, monkeypatch):
+        # one calibrate call for the whole n grid; each n's thresholds equal the one-n call's
+        cfg = tiny_config()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(list(args[4]))
+            return learner.calibrate(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "calibrate", counted)
+        result = sweep(cfg)
+        assert calls == [[60, 120]]
+        inst = build_instance(cfg)
+        for n in cfg.sweep.n_values:
+            assert result.calibrations[n] == harness.calibrated_config(cfg, inst, n)[1]
 
     def test_zero_reward_env_gap_zero(self):
         cfg = tiny_config(

@@ -2,7 +2,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,12 +13,14 @@ from skiprl.harness import load_dataset, save_dataset
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import FeatureMap, fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import (
+    CalibrationResult,
     LearnerConfig,
     _admitted,
     _anchor_distance,
     _clipped_vbar_rows,
     _dedupe_rows,
     _net,
+    _own_tail_distance,
     _tail_combos,
     build_confidence_sets,
     calibrate,
@@ -523,7 +525,7 @@ class TestVisitedBlocksShared:
     def test_calibrate_groups_each_replicate_once(self, setup, groupings):
         mdp, fm, behavior, guess, config, _ = setup
         passes = groupings["passes"]
-        calibrate(mdp, fm, behavior, guess, 200, config, replicates=2, delta=0.5, seed=19)
+        calibrate(mdp, fm, behavior, guess, [200], config, replicates=2, delta=0.5, seed=19)
         assert passes.count("visited_blocks") == 2 * mdp.horizon
         assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
         assert len(passes) == 6 * mdp.horizon
@@ -885,7 +887,7 @@ class TestDimensions:
         with pytest.raises(ValidationError, match=self.MISMATCH):
             lstsq_anchor(ds, 0, guess, np.zeros((mdp.horizon, 2)), wrong)
         with pytest.raises(ValidationError, match=self.MISMATCH):
-            calibrate(mdp, fm, behavior, guess, 50, wrong, replicates=2, delta=0.5, seed=0)
+            calibrate(mdp, fm, behavior, guess, [50], wrong, replicates=2, delta=0.5, seed=0)
 
     def test_featmap_dimension_mismatch_refused(self, setup):
         # a d = 3 feature map of the same shape used to fail inside numpy's matmul
@@ -903,7 +905,7 @@ class TestDimensions:
         with pytest.raises(ValidationError, match=r"guess 0 dim = 3"):
             lstsq_anchor(ds, 0, wide, np.zeros((mdp.horizon, 2)), config)
         with pytest.raises(ValidationError, match=r"guess 0 dim = 3"):
-            calibrate(mdp, fm, behavior, wide, 50, config, replicates=2, delta=0.5, seed=0)
+            calibrate(mdp, fm, behavior, wide, [50], config, replicates=2, delta=0.5, seed=0)
 
     def test_oracle_guess_width_refused(self, setup):
         # a width-3 guess on the d = 2 feature map used to fail inside numpy's matmul
@@ -928,7 +930,7 @@ class TestDimensions:
 class TestCalibration:
     def test_produces_usable_thresholds(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
-        cal = calibrate(mdp, fm, behavior, guess, 400, config, replicates=4, delta=0.25, seed=17)
+        (cal,) = calibrate(mdp, fm, behavior, guess, [400], config, replicates=4, delta=0.25, seed=17)
         assert cal.beta > 0 and cal.eps_bar > 0
         assert len(cal.anchor_stats) == 4
         assert np.isfinite(cal.tightness_values).all()
@@ -946,15 +948,79 @@ class TestCalibration:
             return stage_covariance(*args, **kwargs)
 
         monkeypatch.setattr(learner, "stage_covariance", counted)
-        calibrate(mdp, fm, uniform_policy(mdp), guess, 50, config, replicates=2, delta=0.5, seed=3)
+        calibrate(mdp, fm, uniform_policy(mdp), guess, [50], config, replicates=2, delta=0.5, seed=3)
         assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
+    def test_grid_equals_one_n_calls(self, setup):
+        # one sample at the largest n, sliced for the others, gives each n the
+        # result of its own call, field by field and bit for bit
+        mdp, fm, behavior, guess, config, _ = setup
+        grid = [130, 400, 60, 400]
+        results = calibrate(mdp, fm, behavior, guess, grid, config, replicates=3, delta=0.34, seed=21)
+        assert len(results) == len(grid)
+        for n, got in zip(grid, results):
+            (want,) = calibrate(mdp, fm, behavior, guess, [n], config, replicates=3, delta=0.34, seed=21)
+            for f in fields(CalibrationResult):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), (n, f.name)
+
+    @pytest.mark.parametrize("n_values, match", [
+        ([60, -5], "n = -5 gives zero trajectories"),  # slicing would have kept n_max - 5 rows
+        ([60, 0], "zero trajectories"),
+        ([40.5], "must be an integer, got 40.5"),
+        ([True], "must be an integer, got True"),
+        ([], "at least one n"),
+    ], ids=["negative", "zero", "fraction", "bool", "empty"])
+    def test_bad_n_refused_before_sampling(self, setup, monkeypatch, n_values, match):
+        mdp, fm, behavior, guess, config, _ = setup
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("calibration sampled before checking n")
+
+        monkeypatch.setattr(learner, "sample_trajectories", no_sampling)
+        with pytest.raises(ValidationError, match=match):
+            calibrate(mdp, fm, behavior, guess, n_values, config, replicates=2, delta=0.5, seed=0)
 
     def test_quantile_respects_delta(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
-        cal = calibrate(mdp, fm, behavior, guess, 400, config, replicates=8, delta=0.5, seed=18)
+        (cal,) = calibrate(mdp, fm, behavior, guess, [400], config, replicates=8, delta=0.5, seed=18)
         # with delta = 0.5 the radius is the median-order statistic, so some
         # replicates may exceed it
         assert cal.beta <= cal.anchor_stats.max() + 1e-12
+
+
+class TestOwnTailDistance:
+    """Calibration's distance computes the targets once per distinct tail; it must equal
+    the all-rows reference, max over h of ||lstsq_anchor(ds, h, guess, psi[h+1:]) - psi[h]||."""
+
+    @given(seed=st.integers(0, 2**31 - 1), source=st.sampled_from([*REWARD_KINDS, "hand-built"]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_lstsq_anchor_reference(self, seed, source):
+        rng = np.random.default_rng(seed)
+        d, A = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        H = int(rng.choice([1, 2, 3, 4, 5, 9]))  # H = 9 sums targets of 8 or more terms
+        n = int(rng.integers(1, 300))
+        if source == "hand-built":  # features not a function of the state, -0.0/0.0 reward twins
+            ds = hand_built_dataset(rng, n, H, A, d)
+        else:
+            sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+            mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)), reward_kind=source)
+            ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
+            rewards, feats = ds.rewards.copy(), ds.features.copy()
+            zero = rng.random((n, H)) < 0.3
+            rewards[:, :H][zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+            h = int(rng.integers(0, H))
+            feats[::2, h] = feats[::2, h, ::-1]  # even rows swap their actions' features at stage h
+            ds = Dataset(ds.states, ds.actions, rewards, feats)
+        config = LearnerConfig(lam=float(rng.uniform(0.1, 2.0)), beta=1.0, eps_bar=1.0, theta_radius=1e6,
+                               skip=SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d))
+        guess = random_guess(rng, H, d)
+        psi = rng.normal(scale=float(np.exp(rng.uniform(-2.0, 2.0))), size=(H + 1, d))
+        want = 0.0
+        for h in range(H):
+            cov = stage_covariance(ds, h, config.lam)
+            want = max(want, cov.norm(lstsq_anchor(ds, h, guess, psi[h + 1 :], config) - psi[h]))
+        assert _own_tail_distance(ds, covs(ds, config), guess, psi, config) == want
 
 
 class TestDerivedConstants:

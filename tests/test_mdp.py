@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import one_step_bandit, random_tabular_mdp, zero_reward_mdp
 from skiprl.envs import FeatureMap, random_linear_mdp
 from skiprl.mdp import (
+    REWARD_CHECK_ROWS,
     Dataset,
     Policy,
     PolicyStack,
@@ -344,6 +345,38 @@ class TestSamplerAgainstReference:
         mdp, featmap = fixed_instance
         with pytest.raises(ValidationError, match="zero trajectories"):
             sample_trajectories(mdp, uniform_policy(mdp), 0, 1, featmap)
+        with pytest.raises(ValidationError, match="n = -3 gives zero trajectories"):
+            sample_trajectories(mdp, uniform_policy(mdp), -3, 1, featmap)
+
+    @pytest.mark.parametrize("n", [40.5, 3.0, True, "3", None], ids=["fraction", "float", "bool", "str", "none"])
+    def test_count_must_be_an_integer(self, fixed_instance, n):
+        # 40.5 used to give 41 trajectories and True one
+        mdp, featmap = fixed_instance
+        with pytest.raises(ValidationError, match=f"trajectory count n must be an integer, got {n!r}"):
+            sample_trajectories(mdp, uniform_policy(mdp), n, 1, featmap)
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.uint16(3), np.intp(3)], ids=["int64", "uint16", "intp"])
+    def test_numpy_integer_counts_accepted(self, fixed_instance, n):
+        mdp, featmap = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), n, 1, featmap)
+        want = sample_trajectories(mdp, uniform_policy(mdp), 3, 1, featmap)
+        assert ds.n == 3 and ds.states.tobytes() == want.states.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), reward_kind=st.sampled_from(["deterministic-mean", "bernoulli-mean"]),
+           n=st.integers(1, 40), more=st.integers(1, 300))
+    @settings(max_examples=30, deadline=None)
+    def test_sample_is_a_prefix_of_a_larger_one(self, seed, reward_kind, n, more):
+        # calibration samples each held-out replicate once at the largest n and slices the rest
+        rng = np.random.default_rng(seed)
+        d, H = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+        mdp, featmap = random_linear_mdp(d, H, sizes, int(rng.integers(1, 4)), seed, reward_kind)
+        pi = random_policy(mdp, rng)
+        small = sample_trajectories(mdp, pi, n, [seed, 3], featmap)
+        large = sample_trajectories(mdp, pi, n + more, [seed, 3], featmap)
+        for key in ("states", "actions", "rewards", "features"):
+            a, b = getattr(small, key), getattr(large, key)[:n]
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), key
 
 
 # seed parts at the uint32 word boundaries, plus multi-word ints above 2**64
@@ -697,7 +730,7 @@ class TestGroupingAgainstByteKeys:
             assert [int(np.flatnonzero(back == g)[0]) for g in range(m)] == first.tolist()
             assert sorted(first.tolist()) == sorted(want_first.tolist())
 
-    @given(st.sampled_from(GROUPING_KINDS), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150]))
+    @given(st.sampled_from(GROUPING_KINDS), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150, 300]))
     @settings(max_examples=80, deadline=None)
     def test_tail_paths_match_full_reward_sort(self, kind, seed, n):
         # coding rewards through (block, action) representatives gives the very arrays
@@ -706,6 +739,26 @@ class TestGroupingAgainstByteKeys:
         for (first, back), (want_first, want_back) in zip(ds.tail_paths, sorting_tail_paths(ds), strict=True):
             assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
             assert back.dtype == want_back.dtype and np.array_equal(back, want_back)
+
+    def test_reward_check_prefix_passes_and_a_later_row_fails(self):
+        # the first REWARD_CHECK_ROWS rows pay a function of their (block, action) pair
+        # and row 300 does not: the short check passes, the n-row check sorts all rows
+        mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, 10, "deterministic-mean")
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 400, 7, fm)
+        rewards = ds.rewards.copy()
+        rewards[300, 0] = 0.123 if rewards[300, 0] != 0.123 else 0.5
+        bent = Dataset(ds.states, ds.actions, rewards, ds.features)
+        assert 256 == REWARD_CHECK_ROWS < 300 < bent.n
+        bent.visited_blocks
+        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+            tails = bent.tail_paths
+        sizes = [len(call.args[0]) for call in spy.call_args_list]
+        assert sizes[-1] == bent.n and all(size <= 8 for size in sizes[:-1])  # stage 0 is coded last
+        for h, ((first, back), (want_first, want_back)) in enumerate(zip(tails, sorting_tail_paths(bent), strict=True)):
+            assert np.array_equal(first, want_first) and np.array_equal(back, want_back)
+            count, codes = bent._reward_codes(h)
+            values, want = np.unique(rewards[:, h].view(np.int64), return_inverse=True)
+            assert count == len(values) and codes.dtype == want.dtype and np.array_equal(codes, want)
 
     @pytest.mark.parametrize("reward_kind, sorts_all_rows", [("deterministic-mean", False), ("bernoulli-mean", True)])
     def test_reward_coding_sorts_representatives_of_pairs(self, reward_kind, sorts_all_rows):

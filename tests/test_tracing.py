@@ -3,12 +3,16 @@
 ``perfbench/tracing.py`` wraps named ``skiprl`` functions in every module
 that binds them.  A refactor that renames a traced function, or routes a call
 around it (say, through a private alias), would silently drop its span; this
-test runs a tiny solve and calibration under the recorder and asserts the
-solver layers still show up, and that uninstalling restores the program.
+test runs a tiny solve, calibration and reference anchor (``lstsq_anchor``,
+the one caller of the all-rows ``dataset_omega`` and ``batch_skip_targets``)
+under the recorder and asserts the solver layers still show up, and that
+uninstalling restores the program.
 """
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from skiprl import learner
 from skiprl.design import build_true_guess, guess_grid
@@ -24,6 +28,7 @@ REQUIRED_SPANS = {
     "learner.build_confidence_sets",
     "learner.stage_covariance",
     "learner.tightness",
+    "learner.lstsq_anchor",
     "skipping.dataset_omega",
     "skipping.batch_skip_targets",
 }
@@ -58,7 +63,8 @@ def test_recorder_sees_solver_layers_and_uninstalls(fixed_instance):
     rec.install()
     try:
         learner.solve(ds, guess_grid(guess, 0.3, 3, seed=2), config, fm)
-        learner.calibrate(mdp, fm, behavior, guess, 40, config, replicates=2, delta=0.5, seed=1)
+        learner.calibrate(mdp, fm, behavior, guess, [40], config, replicates=2, delta=0.5, seed=1)
+        learner.lstsq_anchor(ds, 0, guess, np.zeros((mdp.horizon, 2)), config)
         recorded = {span[0] for span in rec.spans}
         assert REQUIRED_SPANS <= recorded, f"no spans for {sorted(REQUIRED_SPANS - recorded)}"
     finally:
