@@ -14,13 +14,11 @@ from .envs import FeatureMap, estimate_misspecification, fit_policy_stack, rando
 from .harness import ExperimentConfig, emit_plots, load_dataset, save_dataset, sweep, verify
 from .learner import (
     ConfidenceSets,
-    DerivedConstants,
     LearnerConfig,
     SolveOutcome,
     build_confidence_sets,
     calibrate,
     clipped_v,
-    derived_constants,
     lstsq_anchor,
     skip_optimal_policy,
     solve,
@@ -41,6 +39,7 @@ from .mdp import (
 )
 from .oracles import (
     ConcReport,
+    StopDistribution,
     check_elliptical_potential,
     check_lsq_decomposition,
     check_perf_diff,
@@ -48,8 +47,12 @@ from .oracles import (
     check_range_bound,
     check_skip_realizability,
     concentrability,
+    guess_range,
+    skip_probability,
+    skip_target,
+    stop_distribution,
     suboptimality,
 )
-from .skipping import SkipParams, StopDistribution, guess_range, skip_probability, skip_target, stop_distribution
+from .skipping import SkipParams
 
 __version__ = "0.1.0"

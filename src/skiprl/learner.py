@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .design import Guess, epsilon_net, panel_size
+from .design import Guess, epsilon_net
 from .envs import FeatureMap, fit_policy_stack
 from .mdp import (
     Dataset,
@@ -76,8 +76,11 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lam, self.beta, self.eps_bar, self.theta_radius) <= 0:
-            raise ValidationError("lam, beta, eps_bar, theta_radius must be positive")
+        for name in ("lam", "beta", "eps_bar", "theta_radius"):
+            if not getattr(self, name) > 0:  # also refuses NaN; inf stays legal
+                raise ValidationError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.net_spacing is not None and not self.net_spacing > 0:
+            raise ValidationError(f"net_spacing must be positive, got {self.net_spacing!r}")
         if self.grid_per_stage < 1 or self.combo_cap < 1:
             raise ValidationError("grid_per_stage and combo_cap must be >= 1")
 
@@ -104,10 +107,6 @@ def clipped_v(theta: np.ndarray, featmap: FeatureMap, stage: int, state: int) ->
     """clip_[0,H] of the best linear action-value; the clip is applied after the max."""
     H = featmap.horizon
     return float(np.clip((featmap.phi[stage][state] @ theta).max(), 0.0, H))
-
-
-def start_value(theta: np.ndarray, featmap: FeatureMap) -> float:
-    return clipped_v(theta, featmap, 0, 0)
 
 
 def greedy_policy(featmap: FeatureMap, thetas: np.ndarray) -> Policy:
@@ -303,20 +302,6 @@ class ConfidenceSets:
         if sets is None:
             raise ValidationError(f"stage {h} has no sets (guess infeasible at stage {self.empty_stage})")
         return sets.members
-
-    def ellipsoid_statistic(self, h: int, theta: np.ndarray) -> float:
-        """min over anchors of the X_h-distance to theta."""
-        sets = self.stage_sets[h]
-        if sets is None:
-            return float("inf")
-        theta = np.asarray(theta, dtype=float)[None, :]
-        return float(_anchor_distance(sets.anchors, self.covariances[h], theta)[0])
-
-    def is_member(self, h: int, theta: np.ndarray, config: LearnerConfig) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if h == self.horizon:
-            return bool(np.all(theta == 0.0))
-        return bool(_admitted(theta[None, :], np.array([self.ellipsoid_statistic(h, theta)]), config)[0])
 
 
 def _row_keys(arr: np.ndarray) -> list:
@@ -562,8 +547,8 @@ def _chain_from(sets: ConfidenceSets, featmap: FeatureMap):
     """Optimistic stage-0 member plus first members at later stages.
 
     The members' start values are one stacked product whose items are the
-    matrix-vector products ``start_value`` computes (``members @ phi.T`` would
-    run gemm and can move their last bits).
+    matrix-vector products ``clipped_v(theta, featmap, 0, 0)`` computes
+    (``members @ phi.T`` would run gemm and can move their last bits).
     """
     H, d = sets.horizon, sets.dim
     members = sets.members_at(0)
@@ -790,158 +775,3 @@ def calibrate(
     psi = np.ascontiguousarray(fit_policy_stack(mdp, featmap, [pistar]).theta[:, 0])
     pool = [sample_trajectories(mdp, behavior, max(n_values), [seed, c], featmap) for c in range(replicates)]
     return [_calibrate_at(pool, n, guess, psi, config, delta) for n in n_values]
-
-
-# ---------------------------------------------------------------------------
-# theoretical constants
-
-
-def lambda_from_bound(horizon: int, d: int, l2_bar: float) -> float:
-    """Ridge weight lambda from sqrt(lambda) = H^{3/2} d / l2_bar."""
-    return (horizon ** 1.5 * d / l2_bar) ** 2
-
-
-def _softplus_log(log_x: float) -> float:
-    """log(1 + exp(log_x)) without overflow."""
-    return log_x if log_x > 34.0 else math.log1p(math.exp(log_x))
-
-
-@dataclass
-class DerivedConstants:
-    """The theoretical parameter table evaluated literally (report only)."""
-
-    d0: int
-    alpha: float
-    l2_bar: float
-    sqrt_lam: float
-    lam: float
-    eta_bar: float
-    eps_check: float
-    beta_bar: float
-    beta: float
-    eps_bar: float
-    eps_tilde: float
-    xi: float
-    xi_bar: float
-    log_guess_cover: float
-
-    def __post_init__(self):
-        for name in ("alpha", "l2_bar", "sqrt_lam", "lam", "eta_bar", "eps_check", "beta_bar", "beta"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"derived constant {name} must be nonnegative")
-
-
-def derived_constants(
-    d: int,
-    horizon: int,
-    eps: float,
-    delta: float,
-    l1: float,
-    l2: float,
-    eta: float,
-    c_conc: float,
-    n: int,
-    xi: float | None = None,
-) -> DerivedConstants:
-    """Evaluate the full constants table for a given problem size.
-
-    These grow far beyond anything a desk-scale run can meet; they exist so
-    the theoretical regime is inspectable next to the calibrated one.  The
-    guess-ball radius is taken to be l2 (the fitted parameters always lie in
-    that ball), and the cover cardinality is reported in log form.
-    """
-    H = horizon
-    d0 = panel_size(d)
-    alpha = eps / (12.0 * (H + 1))
-    l2_bar = l2 * (8.0 * H * H * d0 / alpha + 1.0)
-    sqrt_lam = H ** 1.5 * d / l2_bar
-    lam = lambda_from_bound(H, d, l2_bar)
-    eta_bar = eta * (10.0 * H * H * d0 / alpha + 1.0)
-    lg = l2  # guess-ball radius stand-in
-
-    eps_check = (
-        math.sqrt(d / n)
-        + math.sqrt((d * d * math.log1p(16.0 * n * l1 * l1 * l2_bar ** 3) + math.log(3.0 * H / delta)) / n)
-        + math.sqrt(2.0 * d / n * math.log((d * lam + n * l1 * l1) / (d * lam)))
-    )
-    beta_bar = (
-        H
-        * math.sqrt(
-            2.0 * d * H * (d0 + 1) * math.log1p(28.0 * math.sqrt(2.0 * d) * H * H * lg * l2_bar * l1 / alpha)
-            + d * math.log(lam + n * l1 * l1 / d)
-            - d * math.log(lam)
-            + math.log(3.0 * H / delta)
-        )
-        + 1.0
-    )
-    beta = H ** 1.5 * d + eta_bar * math.sqrt(n) + beta_bar
-
-    log_base = (
-        math.log(96.0)
-        + 0.5 * math.log(2.0 * d)
-        + 2.0 * math.log(H)
-        + 2.0 * math.log(l1)
-        + math.log(lg)
-        - math.log(alpha)
-        + math.log(l2_bar)
-        - 1.5 * math.log(H)
-        - math.log(d)
-    )
-    inner_bar = _softplus_log(log_base + math.log(n))
-    inner_tilde = _softplus_log(log_base + 0.5 * math.log(n))
-    eps_bar_v = (
-        H * math.sqrt((d * H * H * d0 * inner_bar + math.log(6.0 * H / delta)) / n)
-        + 1.0 / math.sqrt(n)
-        + H * eta_bar
-        + 4.0 * H * c_conc * eps_check * beta
-    )
-    eps_tilde = c_conc * (
-        H * math.sqrt((d * H * H * d0 * inner_tilde + math.log(6.0 * H / delta)) / n)
-        + 1.0 / math.sqrt(n)
-        + eps_bar_v
-    )
-
-    growth = math.log(2.0 * math.sqrt(n) * l1 * l2_bar / (H ** 1.5 * d))
-    if xi is None:
-        log_xi = -(
-            math.log(24.0)
-            + 0.5 * math.log(n)
-            + 0.5 * math.log(2.0 * d)
-            + 2.0 * math.log(H)
-            + math.log(l1)
-            - math.log(alpha)
-            + H * growth
-        )
-        xi_val = math.exp(log_xi) if log_xi > -700 else 0.0
-        xi_bar = 0.5 / math.sqrt(n)  # analytic value at the default xi
-    else:
-        log_xi = math.log(xi)
-        xi_val = xi
-        log_xi_bar = (
-            math.log(12.0)
-            + 0.5 * math.log(2.0 * d)
-            + 2.0 * math.log(H)
-            + math.log(l1)
-            + log_xi
-            - math.log(alpha)
-            + H * growth
-        )
-        xi_bar = math.exp(log_xi_bar) if log_xi_bar < 700 else float("inf")
-    log_cover = d * H * d0 * _softplus_log(math.log(2.0 * lg) - log_xi)
-
-    return DerivedConstants(
-        d0=d0,
-        alpha=alpha,
-        l2_bar=l2_bar,
-        sqrt_lam=sqrt_lam,
-        lam=lam,
-        eta_bar=eta_bar,
-        eps_check=eps_check,
-        beta_bar=beta_bar,
-        beta=beta,
-        eps_bar=eps_bar_v,
-        eps_tilde=eps_tilde,
-        xi=xi_val,
-        xi_bar=xi_bar,
-        log_guess_cover=log_cover,
-    )

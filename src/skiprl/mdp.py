@@ -208,8 +208,8 @@ class OccupancyMeasure:
 
 
 def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, features) -> None:
-    """Trajectory invariants over the last axis, for one path or a stack of them;
-    actions must index the action axis of the features, when there are any."""
+    """Trajectory invariants over the last axis, for one path or a stack of them; when
+    there are features, actions must index their action axis and they must be finite."""
     if np.any(states[..., 0] != 0) or np.any(states[..., -1] != 0):
         raise ValidationError("trajectory must start at the start state and end at the terminal state")
     if np.any(rewards[..., -1] != 0.0):
@@ -220,6 +220,8 @@ def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, f
         raise ValidationError(f"actions must be >= 0, got {actions.min()}")
     if features is not None and actions.max(initial=-1) >= features.shape[-2]:
         raise ValidationError(f"actions must be < {features.shape[-2]} (the features' action count), got {actions.max()}")
+    if features is not None and not np.isfinite(features).all():
+        raise ValidationError("features must be finite")
 
 
 def _factorize(codes: np.ndarray, size: int):

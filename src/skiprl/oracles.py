@@ -5,7 +5,9 @@ a bare boolean, so tolerance regressions stay visible.  The concentrability
 coefficient is computed exactly by a per-target reachability DP, and the
 skip-realizability check evaluates its expectation by exhaustively
 enumerating the trajectory space, so none of these paths share code with the
-estimators they validate.
+estimators they validate.  The scalar skip chain (ranges, skip probabilities,
+stopping laws and skip targets of one state or one trajectory at a time) is
+the reference that ``skipping``'s batch kernels are tested against.
 """
 from __future__ import annotations
 
@@ -19,13 +21,14 @@ from .envs import FeatureMap, StackParams, stage_ranges
 from .mdp import (
     Policy,
     StagedMdp,
+    Trajectory,
     ValidationError,
     enumerate_deterministic_policies,
     evaluate_policy,
     occupancy,
     optimal_policy,
 )
-from .skipping import SkipParams, omega_tables
+from .skipping import SkipParams
 
 
 @dataclass
@@ -216,8 +219,6 @@ def check_range_bound(mdp: StagedMdp, featmap: FeatureMap, guess: Guess, fit: St
     have been built from (a superset of) the same sample, for example by
     ``design.guess_from_fit(fit)``.
     """
-    from .skipping import guess_range
-
     theta = fit.theta
     factor = np.sqrt(2.0 * featmap.d)
     worst = float("inf")
@@ -227,6 +228,106 @@ def check_range_bound(mdp: StagedMdp, featmap: FeatureMap, guess: Guess, fit: St
             rhs = factor * guess_range(guess, featmap, stage, state)
             worst = min(worst, float(rhs - lhs[state]))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the scalar skip chain, one state or one trajectory at a time
+
+F_TOL = 1e-12
+
+
+class ContractError(ValueError):
+    """A supplied value function violates its stated bounds."""
+
+
+def guess_range(guess: Guess, featmap: FeatureMap, stage: int, state: int) -> float:
+    """Surrogate range of a state under a guess, defined on stages 1..H-1: the max over
+    panel vectors and action pairs of the feature-difference score."""
+    if stage < 1 or stage >= guess.horizon:
+        raise ValidationError(f"guess range is undefined at stage {stage}")
+    if guess.dim != featmap.d:
+        raise ValidationError(f"dimension mismatch: guess dim = {guess.dim} but featmap.d = {featmap.d}")
+    scores = featmap.phi[stage][state] @ guess.panel(stage).T  # (A, k)
+    return float((scores.max(axis=0) - scores.min(axis=0)).max())
+
+
+def probability_from_range(range_value: float, params: SkipParams) -> float:
+    """Piecewise skip probability: 1 below the threshold, 0 above twice it."""
+    t = params.threshold
+    if range_value <= t:
+        return 1.0
+    if range_value >= 2.0 * t:
+        return 0.0
+    return 2.0 - range_value / t
+
+
+def skip_probability(guess: Guess, featmap: FeatureMap, stage: int, state: int, params: SkipParams) -> float:
+    """Probability of skipping a state; zero at the start and terminal stages."""
+    if stage == 0 or stage >= guess.horizon:
+        return 0.0
+    return probability_from_range(guess_range(guess, featmap, stage, state), params)
+
+
+@dataclass
+class StopDistribution:
+    """Law of the first non-skipped stage after ``start`` along one trajectory."""
+
+    start: int            # stage h; support is stages h+1 .. H
+    probs: np.ndarray     # (H - start,)
+
+    def __post_init__(self):
+        self.probs = np.asarray(self.probs, dtype=float)
+        total = float(self.probs.sum())
+        if abs(total - 1.0) > F_TOL or np.any(self.probs < -F_TOL):
+            raise ValidationError(f"stop distribution sums to {total!r}, not 1")
+
+    @property
+    def support(self):
+        return range(self.start + 1, self.start + 1 + len(self.probs))
+
+
+def stop_distribution(guess: Guess, featmap: FeatureMap, traj: Trajectory, h: int,
+                      params: SkipParams) -> StopDistribution:
+    """Stopping law over stages h+1..H for one trajectory: F(t) = (1 - w_t) prod_{u<t} w_u
+    with w the skip probabilities along it, the product kept as a running one.
+
+    The terminal stage is never skipped, so the probabilities always
+    telescope to one.
+    """
+    H = traj.horizon
+    if h < 0 or h >= H:
+        raise ValidationError(f"stop distribution start stage {h} outside 0..{H - 1}")
+    probs, reach = [], 1.0
+    for t in range(h + 1, H + 1):
+        omega = skip_probability(guess, featmap, t, int(traj.states[t]), params)
+        probs.append(reach * (1.0 - omega))
+        reach *= omega
+    return StopDistribution(start=h, probs=np.array(probs))
+
+
+def _check_f(value: float, stage: int, horizon: int) -> float:
+    if value < -1e-9 or value > horizon + 1e-9:
+        raise ContractError(f"value function leaves [0, H] at stage {stage}: {value!r}")
+    if stage == horizon and abs(value) > 1e-12:
+        raise ContractError("value function must vanish at the terminal state")
+    return value
+
+
+def skip_target(guess: Guess, featmap: FeatureMap, traj: Trajectory, h: int, f, params: SkipParams) -> float:
+    """Exact stopping-law expectation of accumulated reward plus f at the stop.
+
+    ``f`` maps (stage, state) to a value in [0, H] with f(terminal) = 0; the
+    result is the finite sum over the stopping support and lies in [0, 2H].
+    """
+    H = traj.horizon
+    dist = stop_distribution(guess, featmap, traj, h, params)
+    cum = 0.0
+    total = 0.0
+    for i, t in enumerate(dist.support):
+        cum += float(traj.rewards[t - 1])
+        fval = _check_f(float(f(t, int(traj.states[t]))), t, H)
+        total += dist.probs[i] * (cum + fval)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +379,8 @@ def expected_skip_target(
         )
     if abs(float(f(H, 0))) > 1e-12:
         raise ValidationError("value function must vanish at the terminal state")
-    omega = omega_tables(guess, featmap, params)
+    omega = [[skip_probability(guess, featmap, t, s, params) for s in range(mdp.stage_sizes[t])]
+             for t in range(H + 1)]
 
     # group paths by their entry state at stage h+1
     group = np.zeros(mdp.stage_sizes[h + 1])

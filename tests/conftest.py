@@ -3,6 +3,7 @@ import pytest
 
 from skiprl.design import guess_from_fit
 from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
+from skiprl.learner import MEMBER_TOL, RADIUS_TOL
 from skiprl.mdp import StagedMdp
 
 
@@ -25,6 +26,21 @@ def one_step_bandit(r0=0.3, r1=0.7):
         transitions=[np.ones((1, 2, 1))],
         reward_means=[np.array([[r0, r1]]), np.zeros((1, 2))],
     )
+
+
+def anchor_distance(sets, h, theta) -> float:
+    """min over stage h's anchors a of sqrt((theta - a)^T X_h (theta - a)), one anchor at a
+    time, without the learner's stacked distance kernels."""
+    X = sets.covariances[h]
+    return min(float(np.sqrt(max((theta - a) @ X @ (theta - a), 0.0))) for a in sets.stage_sets[h].anchors)
+
+
+def is_member(sets, h, theta, config) -> bool:
+    """Whether ``theta`` passes stage h's ellipsoid test: inside the theta_radius ball and
+    within beta of an anchor, with the learner's tolerances."""
+    theta = np.asarray(theta, dtype=float)
+    return (np.linalg.norm(theta) <= config.theta_radius + RADIUS_TOL
+            and anchor_distance(sets, h, theta) <= config.beta + MEMBER_TOL)
 
 
 def zero_reward_mdp(rng, horizon=3):

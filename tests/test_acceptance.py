@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_tabular_mdp
+from conftest import is_member, random_tabular_mdp
 from skiprl import harness
 from skiprl.envs import fit_policy_stack
 from skiprl.harness import ExperimentConfig, emit_plots, load_dataset, save_dataset, sweep
@@ -164,7 +164,7 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
         (sets,) = build_confidence_sets(ds, [inst.true_guess], lc, covs, extra_candidates=extras)
         if sets.empty_stage is not None:
             continue
-        member = all(sets.is_member(h, psi[h], lc) for h in range(H))
+        member = all(is_member(sets, h, psi[h], lc) for h in range(H))
         feasible = max(sets.tightness) <= lc.eps_bar + 1e-12
         passes += member and feasible
     elapsed = time.perf_counter() - t0

@@ -131,6 +131,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"sweep\.n_values repeats n = 40"):
             tiny_config(sweep={"n_values": [40, 60, 40], "replicates": 1})
 
+    def test_nan_learn_settings_refused(self):
+        # json reads NaN; a NaN beta and eps_bar used to reach solve, which quietly set all_rejected
+        cfg = ExperimentConfig.from_json('{"learn": {"beta": NaN, "eps_bar": NaN}}')
+        with pytest.raises(ValidationError, match="beta must be positive, got nan"):
+            harness.learner_config(cfg, cfg.env.d)
+
     def test_bad_behavior_kind_surfaces_stage(self):
         cfg = tiny_config(data={"n": 50, "behavior": "nope", "seed": 1})
         with pytest.raises(HarnessError) as err:
@@ -281,6 +287,13 @@ class TestDatasetPersistence:
         arrays = valid_arrays(n=3)
         arrays["rewards"][1, 0] = np.nan
         assert_refused(write_archive(tmp_path, arrays), "trajectory 1: rewards must lie in")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        # a NaN feature used to load; solve then found no sets at stage 0, naming no file
+        arrays = valid_arrays(n=3)
+        arrays["features"][1, 0, 1, 0] = value
+        assert_refused(write_archive(tmp_path, arrays), "trajectory 1: features must be finite")
 
     @pytest.mark.parametrize("action, match", [(-1, "actions must be >= 0"), (2, "actions must be < 2")],
                              ids=["action-negative", "action-too-large"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import anchor_distance, is_member
 from skiprl import learner, mdp as mdp_module
 from skiprl.harness import load_dataset, save_dataset
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
@@ -25,18 +26,16 @@ from skiprl.learner import (
     build_confidence_sets,
     calibrate,
     clipped_v,
-    derived_constants,
     greedy_policy,
-    lambda_from_bound,
     lstsq_anchor,
     serialize_outcome,
     skip_optimal_policy,
     solve,
     stage_covariance,
-    start_value,
     tightness,
 )
 from skiprl.mdp import REWARD_KINDS, Dataset, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
+from skiprl.oracles import check_skip_realizability
 from skiprl.skipping import SkipParams, dataset_omega, omega_tables, stop_probabilities
 
 
@@ -184,8 +183,8 @@ class TestConfidenceSets:
         (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config))
         for h in range(mdp.horizon):
             for anchor in sets.stage_sets[h].anchors:
-                assert sets.is_member(h, anchor, config)
-                assert sets.ellipsoid_statistic(h, anchor) <= 1e-9
+                assert is_member(sets, h, anchor, config)
+                assert anchor_distance(sets, h, anchor) <= 1e-9
 
     def test_tiny_radius_gives_empty_signal(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
@@ -202,7 +201,7 @@ class TestConfidenceSets:
         (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
         for h in range(mdp.horizon):
             assert sets.empty_stage is None
-            if sets.is_member(h, psi[h], config):
+            if is_member(sets, h, psi[h], config):
                 members = sets.members_at(h)
                 assert np.min(np.linalg.norm(members - psi[h], axis=1)) <= 1e-12
 
@@ -337,7 +336,7 @@ class TestStackedKernels:
         sets = learner.ConfidenceSets(
             horizon=H, dim=d, stage_sets=stage_sets, covariances=[np.eye(d)] * H, tightness=[0.0] * H
         )
-        vals = [start_value(theta, fm) for theta in members[0]]
+        vals = [clipped_v(theta, fm, 0, 0) for theta in members[0]]
         best = int(np.argmax(vals))
         thetas, vbar = learner._chain_from(sets, fm)
         assert type(vbar) is float and vbar == vals[best]
@@ -377,7 +376,7 @@ class TestSolve:
             if not report.feasible:
                 continue
             for theta in report.sets.members_at(0):
-                assert out.vbar_start >= start_value(theta, fm) - 1e-9
+                assert out.vbar_start >= clipped_v(theta, fm, 0, 0) - 1e-9
 
     def test_optimism_against_skip_optimal_parameter(self, setup):
         # when psi_1(pi*_G) enters the candidate sets, the optimistic value dominates it
@@ -385,14 +384,14 @@ class TestSolve:
         psi = fit_policy_stack(mdp, fm, [skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
         (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
-        assert sets.is_member(0, psi[0], config)
-        vals = [start_value(t, fm) for t in sets.members_at(0)]
-        assert max(vals) >= start_value(psi[0], fm) - 1e-9
+        assert is_member(sets, 0, psi[0], config)
+        vals = [clipped_v(t, fm, 0, 0) for t in sets.members_at(0)]
+        assert max(vals) >= clipped_v(psi[0], fm, 0, 0) - 1e-9
 
     def test_vbar_matches_reevaluation(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         out = solve(ds, [guess], config, fm)
-        assert out.vbar_start == pytest.approx(start_value(out.thetas[0], fm), abs=1e-12)
+        assert out.vbar_start == pytest.approx(clipped_v(out.thetas[0], fm, 0, 0), abs=1e-12)
 
     def test_all_rejected_reports_and_falls_back(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
@@ -873,6 +872,23 @@ class TestTailPaths:
             ds.tail_paths
 
 
+class TestLearnerConfig:
+    POSITIVE = {"lam": 1.0, "beta": 5.0, "eps_bar": 1.0, "theta_radius": 10.0}
+
+    @pytest.mark.parametrize("name", ["lam", "beta", "eps_bar", "theta_radius", "net_spacing"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+    def test_nan_or_non_positive_refused_by_name(self, name, value):
+        # NaN passed `min(...) <= 0` and reached solve, which quietly set all_rejected;
+        # a NaN net_spacing failed in epsilon_net's int(floor(nan))
+        with pytest.raises(ValidationError, match=f"^{name} must be positive, got {value!r}$"):
+            LearnerConfig(**{**self.POSITIVE, name: value}, skip=SkipParams(alpha=0.2, d=2))
+
+    def test_inf_stays_legal(self):
+        # solve's fallback builds with beta = theta_radius = inf
+        inf = dict.fromkeys(["lam", "beta", "eps_bar", "theta_radius", "net_spacing"], math.inf)
+        LearnerConfig(**inf, skip=SkipParams(alpha=0.2, d=2))
+
+
 class TestDimensions:
     """``config.skip.d``, every guess's panel width, ``featmap.d`` and ``dataset.dim`` must agree."""
 
@@ -915,6 +931,8 @@ class TestDimensions:
             skip_optimal_policy(mdp, fm, wide, behavior, config.skip)
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
             omega_tables(wide, fm, config.skip)
+        with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
+            check_skip_realizability(mdp, fm, wide, behavior, lambda t, s: 0.0, 0, config.skip)
         omega_tables(zero_guess(1, 3), random_linear_mdp(2, 1, (1, 1), 2, seed=0)[1], config.skip)  # no panels to compare
 
     def test_guess_without_panels_exempt(self):
@@ -1021,27 +1039,3 @@ class TestOwnTailDistance:
             cov = stage_covariance(ds, h, config.lam)
             want = max(want, cov.norm(lstsq_anchor(ds, h, guess, psi[h + 1 :], config) - psi[h]))
         assert _own_tail_distance(ds, covs(ds, config), guess, psi, config) == want
-
-
-class TestDerivedConstants:
-    def test_alpha_formula(self):
-        dc = derived_constants(d=2, horizon=11, eps=1.2, delta=0.05, l1=1.0, l2=1.0, eta=0.0, c_conc=2.0, n=1000)
-        assert dc.alpha == pytest.approx(1.2 / 144.0, abs=1e-15)
-
-    def test_zero_misspecification_propagates(self):
-        dc = derived_constants(d=2, horizon=3, eps=0.5, delta=0.05, l1=1.0, l2=2.0, eta=0.0, c_conc=1.5, n=500)
-        assert dc.eta_bar == 0.0
-
-    def test_lambda_from_bound_example(self):
-        assert lambda_from_bound(4, 2, 16.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_table_is_finite_and_positive(self):
-        dc = derived_constants(d=3, horizon=4, eps=0.8, delta=0.1, l1=1.0, l2=3.0, eta=1e-4, c_conc=2.0, n=10_000)
-        for name in ("l2_bar", "sqrt_lam", "lam", "eps_check", "beta_bar", "beta", "eps_bar", "eps_tilde"):
-            assert np.isfinite(getattr(dc, name)) and getattr(dc, name) > 0
-        assert dc.log_guess_cover > 0
-        assert dc.d0 == 18  # 4 * 3 * ln ln 3 + 16 = 17.13, ceiled
-
-    def test_lambda_consistent_with_bound(self):
-        dc = derived_constants(d=2, horizon=4, eps=1.0, delta=0.05, l1=1.0, l2=1.0, eta=0.0, c_conc=1.0, n=100)
-        assert dc.lam == lambda_from_bound(4, 2, dc.l2_bar)

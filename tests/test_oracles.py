@@ -27,9 +27,10 @@ from skiprl.oracles import (
     concentrability,
     concentrability_by_enumeration,
     expected_skip_target,
+    skip_target,
     suboptimality,
 )
-from skiprl.skipping import SkipParams, skip_target
+from skiprl.skipping import SkipParams
 
 
 class TestConcentrability:

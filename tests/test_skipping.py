@@ -7,17 +7,19 @@ from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_
 from skiprl.envs import FeatureMap, random_linear_mdp, sample_policies
 from skiprl.learner import _clipped_vbar_rows, clipped_v
 from skiprl.mdp import Dataset, ValidationError, sample_trajectories, sample_trajectory, uniform_policy
-from skiprl.skipping import (
+from skiprl.oracles import (
     ContractError,
-    SkipParams,
-    batch_skip_targets,
-    dataset_omega,
     guess_range,
-    omega_tables,
     probability_from_range,
     skip_probability,
     skip_target,
     stop_distribution,
+)
+from skiprl.skipping import (
+    SkipParams,
+    batch_skip_targets,
+    dataset_omega,
+    omega_tables,
     stop_probabilities,
     targets_under_law,
 )
