@@ -215,8 +215,11 @@ def sample_policies(mdp: StagedMdp, count: int, seed) -> PolicyStack:
     """Deterministic policy sample: uniform + optimal + random mixtures, as one stack.
 
     The random mixtures are one Dirichlet block (``random_policy_stack``),
-    bit-identical to drawing them one policy at a time.
+    bit-identical to drawing them one policy at a time.  ``count`` must be >= 0;
+    a sample smaller than 2 holds the first ``count`` of uniform and optimal.
     """
+    if count < 0:
+        raise ValidationError(f"policy count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     fixed = PolicyStack.of(mdp, [uniform_policy(mdp), optimal_policy(mdp)[0]][:count])
     drawn = random_policy_stack(mdp, rng, max(count - 2, 0))

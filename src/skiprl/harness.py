@@ -5,21 +5,19 @@ concentrability, and the design-based guess, collects trajectories with the
 behavior policy, optionally calibrates the confidence radius and tightness
 threshold on held-out replicates, solves, and evaluates the returned policy
 by exact dynamic programming.  Replicates are pure functions of (config, n,
-replicate index), so sweeps can fan out over processes and still produce
-byte-identical output; rows are sorted before writing and wall time is the
-only nondeterministic field.
+replicate index), so a sweep's output does not depend on the order of its
+cells; rows are sorted before writing and wall time is the only
+nondeterministic field.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import functools
 import json
 import os
 import time
 import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,8 +37,6 @@ from .mdp import (
     uniform_policy,
 )
 from .skipping import SkipParams
-
-WORKERS_ENV = "SKIPRL_WORKERS"
 
 ROW_COLUMNS = ("n", "seed", "gap", "chosen_guess", "feasible_count", "tightness_max", "wall_ms")
 
@@ -78,19 +74,6 @@ class DataSpec:
 
 
 @dataclass
-class LearnSpec:
-    lam: float = 1.0
-    beta: float = 10.0
-    eps_bar: float = 1.0
-    theta_radius: float = 1e6
-    alpha: float = 0.2
-    grid_per_stage: int = 8
-    combo_cap: int = 64
-    net_spacing: float | None = None
-    seed: int = 0
-
-
-@dataclass
 class CalibrationSpec:
     enabled: bool = True
     replicates: int = 10
@@ -111,11 +94,19 @@ class SweepSpec:
     replicates: int = 20
 
 
+def _refuse_unknown(doc: dict, spec_cls, where: str) -> None:
+    """Refuse the first key of ``doc`` that names no field of ``spec_cls``."""
+    known = [f.name for f in fields(spec_cls)]
+    for key in doc:
+        if key not in known:
+            raise ValidationError(f"unknown config key {key!r} {where}; known keys: {', '.join(known)}")
+
+
 @dataclass
 class ExperimentConfig:
     env: EnvSpec = field(default_factory=EnvSpec)
     data: DataSpec = field(default_factory=DataSpec)
-    learn: LearnSpec = field(default_factory=LearnSpec)
+    learn: LearnerConfig = field(default_factory=LearnerConfig)
     calibration: CalibrationSpec = field(default_factory=CalibrationSpec)
     guesses: GuessGridSpec = field(default_factory=GuessGridSpec)
     sweep: SweepSpec = field(default_factory=SweepSpec)
@@ -136,8 +127,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """The config of a JSON document: a missing key takes its default, and an
+        unknown key is refused, naming its section."""
+        _refuse_unknown(doc, cls, "at the top level")
+
         def build(spec_cls, key):
             sub = dict(doc.get(key, {}))
+            _refuse_unknown(sub, spec_cls, f"in section {key!r}")
             if "stage_sizes" in sub:
                 sub["stage_sizes"] = tuple(sub["stage_sizes"])
             if "n_values" in sub:
@@ -148,7 +144,7 @@ class ExperimentConfig:
         return cls(
             env=build(EnvSpec, "env"),
             data=build(DataSpec, "data"),
-            learn=build(LearnSpec, "learn"),
+            learn=build(LearnerConfig, "learn"),
             calibration=build(CalibrationSpec, "calibration"),
             guesses=build(GuessGridSpec, "guesses"),
             sweep=build(SweepSpec, "sweep"),
@@ -183,18 +179,8 @@ class Instance:
 
 
 def learner_config(cfg: ExperimentConfig, d: int) -> LearnerConfig:
-    ls = cfg.learn
-    return LearnerConfig(
-        lam=ls.lam,
-        beta=ls.beta,
-        eps_bar=ls.eps_bar,
-        theta_radius=ls.theta_radius,
-        skip=SkipParams(alpha=ls.alpha, d=d),
-        grid_per_stage=ls.grid_per_stage,
-        combo_cap=ls.combo_cap,
-        net_spacing=ls.net_spacing,
-        seed=ls.seed,
-    )
+    """``cfg.learn``; ``d`` is unused, as the learner takes the feature width from its data."""
+    return cfg.learn
 
 
 def build_instance(cfg: ExperimentConfig) -> Instance:
@@ -272,7 +258,7 @@ def calibrated_configs(cfg: ExperimentConfig, inst: Instance, n_values) -> list:
     calibrated when calibration is enabled, by one ``calibrate`` call over the whole
     grid, else the configured values.  A calibration failure is raised as stage
     ``calibrate``."""
-    base = learner_config(cfg, cfg.env.d)
+    base = cfg.learn
     if not cfg.calibration.enabled:
         return [(base, {"beta": base.beta, "eps_bar": base.eps_bar}) for _ in n_values]
     spec = cfg.calibration
@@ -318,23 +304,6 @@ def run_replicate(cfg: ExperimentConfig, inst: Instance, lc: LearnerConfig, n: i
     return record, outcome
 
 
-def _run_cell(cfg: ExperimentConfig, inst: Instance, tuned: dict, cell) -> ReplicateRecord:
-    """The row of one (n, replicate) cell under the learner config tuned for n."""
-    n, replicate = cell
-    return run_replicate(cfg, inst, tuned[n], n, replicate)[0]
-
-
-def worker_count() -> int:
-    """The process count from ``SKIPRL_WORKERS`` (default 1); anything but an integer >= 1 is refused."""
-    text = os.environ.get(WORKERS_ENV, "1")
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise ValidationError(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
-
-
 def summarize(rows) -> list:
     out = []
     for n in sorted({r.n for r in rows}):
@@ -351,19 +320,12 @@ def summarize(rows) -> list:
 
 
 def sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """The full pipeline for every (n, replicate) cell of the config's n grid."""
-    workers = worker_count()
+    """The full pipeline for every (n, replicate) cell of the config's n grid, in one loop."""
     inst = build_instance(cfg)
     configs = calibrated_configs(cfg, inst, cfg.sweep.n_values)
-    tuned = {n: lc for n, (lc, _) in zip(cfg.sweep.n_values, configs)}
     calibrations = {int(n): cal for n, (_, cal) in zip(cfg.sweep.n_values, configs)}
-    cells = [(n, r) for n in cfg.sweep.n_values for r in range(cfg.sweep.replicates)]
-    cell = functools.partial(_run_cell, cfg, inst, tuned)
-    if workers > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell, cells))
-    else:
-        rows = list(map(cell, cells))
+    rows = [run_replicate(cfg, inst, lc, n, r)[0]
+            for n, (lc, _) in zip(cfg.sweep.n_values, configs) for r in range(cfg.sweep.replicates)]
     rows.sort(key=lambda r: (r.n, r.seed))
     return ExperimentResult(
         rows=rows,

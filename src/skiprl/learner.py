@@ -53,23 +53,23 @@ DISTANCE_BLOCK = 1 << 14  # elements of each (d, rows, m) array _stacked_forms b
 
 @dataclass
 class LearnerConfig:
-    """Knobs of the optimistic solver.
+    """Settings of the optimistic solver, read from an experiment config's ``learn`` section.
 
     ``lam`` is the ridge weight of the stage covariances X_h = lam I + phi^T phi,
     ``beta`` the ellipsoid radius, ``eps_bar`` the tightness threshold,
-    ``theta_radius`` the candidate-norm ball and ``skip`` the skip threshold
-    and feature dimension of the guesses' skip probabilities.
-    ``grid_per_stage`` is the candidate pool budget and ``combo_cap`` the
-    number of tail combinations enumerated per stage (full enumeration below
-    the cap, a uniform subsample seeded by ``seed`` and the stage above).
-    ``net_spacing`` optionally adds epsilon-net points to the pool.
+    ``theta_radius`` the candidate-norm ball and ``alpha`` the skip threshold
+    of the guesses' skip probabilities (``SkipParams(alpha, d)``, with d the
+    data's feature width).  ``grid_per_stage`` is the candidate pool budget and
+    ``combo_cap`` the number of tail combinations enumerated per stage (full
+    enumeration below the cap, a uniform subsample seeded by ``seed`` and the
+    stage above).  ``net_spacing`` optionally adds epsilon-net points to the pool.
     """
 
-    lam: float
-    beta: float
-    eps_bar: float
-    theta_radius: float
-    skip: SkipParams
+    lam: float = 1.0
+    beta: float = 10.0
+    eps_bar: float = 1.0
+    theta_radius: float = 1e6
+    alpha: float = 0.2
     grid_per_stage: int = 8
     combo_cap: int = 64
     net_spacing: float | None = None
@@ -79,24 +79,26 @@ class LearnerConfig:
         for name in ("lam", "beta", "eps_bar", "theta_radius"):
             if not getattr(self, name) > 0:  # also refuses NaN; inf stays legal
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         if self.net_spacing is not None and not self.net_spacing > 0:
             raise ValidationError(f"net_spacing must be positive, got {self.net_spacing!r}")
         if self.grid_per_stage < 1 or self.combo_cap < 1:
             raise ValidationError("grid_per_stage and combo_cap must be >= 1")
 
 
-def _check_dims(config: LearnerConfig, guesses=(), featmap=None, dataset=None) -> None:
-    """Refuse disagreeing feature dimensions among ``config.skip.d``, each guess's
-    ``dim``, ``featmap.d`` and ``dataset.dim``; a guess without panels (H = 1) has none."""
-    named = [("config.skip.d", config.skip.d)]
+def _check_dims(guesses=(), featmap=None, dataset=None) -> None:
+    """Refuse disagreeing feature dimensions among ``featmap.d``, ``dataset.dim`` and
+    each guess's ``dim``; a guess without panels (H = 1) has none."""
+    named = []
     if featmap is not None:
         named.append(("featmap.d", featmap.d))
     if dataset is not None:
         named.append(("dataset.dim", dataset.dim))
     named.extend((f"guess {i} dim", g.dim) for i, g in enumerate(guesses) if g.panels)
     for name, d in named[1:]:
-        if d != config.skip.d:
-            raise ValidationError(f"dimension mismatch: {name} = {d} but config.skip.d = {config.skip.d}")
+        if d != named[0][1]:
+            raise ValidationError(f"dimension mismatch: {name} = {d} but {named[0][0]} = {named[0][1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +190,12 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     ``theta_tail`` holds one parameter per stage h+1..H; the terminal entry
     is ignored because the terminal value estimate is identically zero.
     """
-    _check_dims(config, [guess], dataset=dataset)
+    _check_dims([guess], dataset=dataset)
     tail = np.asarray(theta_tail, dtype=float)
     H = dataset.horizon
     if tail.shape != (H - h, dataset.dim):
         raise ValidationError(f"tail must supply one parameter for each of stages {h + 1}..{H}")
-    omega = dataset_omega(dataset, guess, config.skip)
+    omega = dataset_omega(dataset, guess, SkipParams(config.alpha, dataset.dim))
     fvals = np.zeros((dataset.n, H - h))
     for i, u in enumerate(range(h + 1, H)):
         fvals[:, i] = _clipped_vbar_rows(dataset, u, tail[i : i + 1])[0]
@@ -430,8 +432,9 @@ def build_confidence_sets(
     parameters through the construction, and by ``solve``'s fallback, which
     builds with beta = theta_radius = inf).
     """
-    _check_dims(config, guesses, dataset=dataset)
+    _check_dims(guesses, dataset=dataset)
     H, d = dataset.horizon, dataset.dim
+    skip = SkipParams(config.alpha, d)
     net = _net(config, d)
     net = None if net is None else _keyed(net)
     stage_sets = [[None] * H for _ in guesses]
@@ -448,7 +451,7 @@ def build_confidence_sets(
             for indices, omega_tail, vbar_tail in groups:
                 by_omega = {}
                 for g in indices:
-                    omega = block_omega(dataset, guesses[g], h + 1, config.skip)
+                    omega = block_omega(dataset, guesses[g], h + 1, skip)
                     by_omega.setdefault(omega.tobytes(), (omega, []))[1].append(g)
                 split.extend((sub, [omega, *omega_tail], vbar_tail) for omega, sub in by_omega.values())
             groups = split
@@ -576,7 +579,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
     """
     if not guesses:
         raise ValidationError("at least one guess candidate is required")
-    _check_dims(config, featmap=featmap)  # build_confidence_sets checks the data and the guesses
+    _check_dims(guesses, featmap=featmap, dataset=dataset)
     H = dataset.horizon
     covs = [stage_covariance(dataset, h, config.lam) for h in range(H)]
     reports = []
@@ -692,7 +695,8 @@ def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, c
     """
     H = ds.horizon
     # per block of stages 1..H-1, so entries h: are those of stages h+1..H-1
-    omega = [block_omega(ds, guess, u, config.skip) for u in range(1, H)]
+    skip = SkipParams(config.alpha, ds.dim)
+    omega = [block_omega(ds, guess, u, skip) for u in range(1, H)]
     vbar = [_clipped_vbar_blocks(ds, u, psi[u : u + 1])[0] for u in range(1, H)]
     worst = 0.0
     for h, cov in enumerate(covs):
@@ -763,7 +767,7 @@ def calibrate(
     stage, the replicate, ``theta_radius`` and n: its tightness, and so
     ``eps_bar``, would be infinite and the filter off.
     """
-    _check_dims(config, [guess], featmap=featmap)
+    _check_dims([guess], featmap=featmap)
     if replicates < 1:
         raise ValidationError(f"calibration replicates must be >= 1, got {replicates}")
     if not 0.0 < delta < 1.0:
@@ -771,7 +775,7 @@ def calibrate(
     n_values = [trajectory_count(n) for n in n_values]  # before slicing: a negative n would slice from the end
     if not n_values:
         raise ValidationError("calibration needs at least one n")
-    pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, config.skip)
+    pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, SkipParams(config.alpha, featmap.d))
     psi = np.ascontiguousarray(fit_policy_stack(mdp, featmap, [pistar]).theta[:, 0])
     pool = [sample_trajectories(mdp, behavior, max(n_values), [seed, c], featmap) for c in range(replicates)]
     return [_calibrate_at(pool, n, guess, psi, config, delta) for n in n_values]

@@ -18,7 +18,6 @@ import numpy as np
 
 PROB_TOL = 1e-12
 OCC_TOL = 1e-10
-REWARD_CHECK_ROWS = 256  # rows of Dataset._reward_codes' first, short check
 
 REWARD_KINDS = ("deterministic-mean", "bernoulli-mean")
 
@@ -321,38 +320,6 @@ class Dataset:
             raise ValidationError("dataset carries no features")
         return self.features.shape[3]
 
-    def _reward_codes(self, h: int):
-        """``(count, codes)``: the number of distinct reward bytes at stage h and
-        each row's index into their sorted order, as ``np.unique(...,
-        return_inverse=True)`` on all n rows gives them.
-
-        Each row's reward bytes are scattered to its (visited block, action)
-        pair's slot, one write per row with no grouping pass, and read back:
-        when every row finds its own bytes there, the rewards are a function of
-        the pair and only the slots of visited pairs are sorted.  A sampled
-        deterministic mean reward passes the check whenever equal blocks carry
-        equal rewards, as in a linear MDP (r = phi . theta); Bernoulli rewards
-        and loaded files may not, and then all n rows are sorted.  The check
-        runs on the first ``REWARD_CHECK_ROWS`` rows before all n: a pair whose
-        rows disagree there disagrees in all rows, so Bernoulli data usually
-        skips the n-row check.
-        """
-        reward_bytes = self.rewards[:, h].astype(np.float64).view(np.int64)
-        blocks, rows = self.visited_blocks[h]
-        A = blocks.shape[1]
-        slot = np.zeros(len(blocks) * A, dtype=np.int64)
-        for k in dict.fromkeys((min(self.n, REWARD_CHECK_ROWS), self.n)):
-            pair = rows[:k] * A + self.actions[:k, h]
-            slot[pair] = reward_bytes[:k]
-            if not np.array_equal(slot.take(pair), reward_bytes[:k]):
-                values, codes = np.unique(reward_bytes, return_inverse=True)
-                return len(values), codes
-        visited = np.zeros(len(slot), dtype=bool)
-        visited[pair] = True
-        values, codes = np.unique(slot[visited], return_inverse=True)
-        slot[visited] = codes
-        return len(values), slot.take(pair)
-
     @cached_property
     def visited_blocks(self) -> list:
         """Per stage h < H, ``(blocks, rows)``: the distinct recorded (A, d) feature
@@ -399,12 +366,11 @@ class Dataset:
         A row's stage-h tail is its ``visited_blocks`` indices at stages h+1..H-1
         and the bytes of its rewards at stages h..H-1, which is everything a
         stage-h skip target reads; ``-0.0`` and ``0.0`` rewards are different
-        tails.  From the last stage down, stage h codes its reward bytes
-        (``_reward_codes``: sorting one row per (block, action) pair when the
-        rewards are a function of the pair, all n rows otherwise), then
-        factorizes (block at h+1, tail at h+1) and (reward code, that pair) as
-        integer codes below n**2.  Tails are numbered in that code order, not by
-        row or by bytes; consumers read them only through ``first`` and ``back``.
+        tails.  From the last stage down, stage h codes its reward bytes with one
+        ``np.unique`` over their int64 view, then factorizes (block at h+1, tail
+        at h+1) and (reward code, that pair) as integer codes below n**2.  Tails
+        are numbered in that code order, not by row or by bytes; consumers read
+        them only through ``first`` and ``back``.
         """
         grouped = self.visited_blocks  # refuses a featureless dataset by name
         # stage H has one block and one empty tail
@@ -415,8 +381,8 @@ class Dataset:
         back, tails = rows[H], 1
         for h in range(H - 1, -1, -1):
             pairs, pair = _factorize(rows[h + 1] * tails + back, counts[h + 1] * tails)
-            count, reward = self._reward_codes(h)
-            first, back = _factorize(reward * len(pairs) + pair, count * len(pairs))
+            values, reward = np.unique(self.rewards[:, h].astype(np.float64).view(np.int64), return_inverse=True)
+            first, back = _factorize(reward * len(pairs) + pair, len(values) * len(pairs))
             tails = len(first)
             out[h] = (first, back)
         return out

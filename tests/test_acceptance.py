@@ -89,7 +89,7 @@ def test_criterion_2_exact_identities(acceptance_instance):
 
     inst = acceptance_instance
     ds = sample_trajectories(inst.mdp, inst.behavior, 400, [55, 0], inst.featmap)
-    lc = harness.learner_config(ExperimentConfig.from_json(CONFIG_PATH.read_text()), 2)
+    lc = ExperimentConfig.from_json(CONFIG_PATH.read_text()).learn
     worst_anchor = 0.0
     H = inst.mdp.horizon
     for h in range(H):
@@ -98,7 +98,7 @@ def test_criterion_2_exact_identities(acceptance_instance):
         anchor = lstsq_anchor(ds, h, inst.true_guess, tail, lc)
         from skiprl.skipping import batch_skip_targets, dataset_omega
 
-        omega = dataset_omega(ds, inst.true_guess, lc.skip)
+        omega = dataset_omega(ds, inst.true_guess, harness.SkipParams(lc.alpha, ds.dim))
         fvals = np.zeros((ds.n, H - h))
         for i, u in enumerate(range(h + 1, H)):
             fvals[:, i] = np.clip((ds.features[:, u] @ tail[i]).max(axis=1), 0.0, H)
@@ -151,9 +151,9 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
     t0 = time.perf_counter()
     cfg, inst = acceptance_config, acceptance_instance
     n = 5000
-    base = harness.learner_config(cfg, cfg.env.d)
     lc, cal = harness.calibrated_config(cfg, inst, n)
-    pistar_G, _ = skip_optimal_policy(inst.mdp, inst.featmap, inst.true_guess, inst.behavior, lc.skip)
+    skip = harness.SkipParams(lc.alpha, inst.featmap.d)
+    pistar_G, _ = skip_optimal_policy(inst.mdp, inst.featmap, inst.true_guess, inst.behavior, skip)
     psi = fit_policy_stack(inst.mdp, inst.featmap, [pistar_G]).theta[:, 0]
     H = inst.mdp.horizon
     extras = {h: psi[h][None, :] for h in range(H)}

@@ -133,9 +133,32 @@ class TestConfig:
 
     def test_nan_learn_settings_refused(self):
         # json reads NaN; a NaN beta and eps_bar used to reach solve, which quietly set all_rejected
-        cfg = ExperimentConfig.from_json('{"learn": {"beta": NaN, "eps_bar": NaN}}')
         with pytest.raises(ValidationError, match="beta must be positive, got nan"):
-            harness.learner_config(cfg, cfg.env.d)
+            ExperimentConfig.from_json('{"learn": {"beta": NaN, "eps_bar": NaN}}')
+
+    def test_unknown_top_level_key_refused(self):
+        # "sweeps" used to be dropped, so the default 3 x 20 grid ran
+        with pytest.raises(ValidationError, match=r"^unknown config key 'sweeps' at the top level; known keys: env, "):
+            ExperimentConfig.from_dict({"sweeps": {"n_values": [5]}})
+
+    @pytest.mark.parametrize("section, key", [("learn", "skip"), ("sweep", "n"), ("env", "dim")])
+    def test_unknown_section_key_refused(self, section, key):
+        # a misspelt key inside a section used to raise a bare TypeError from the dataclass
+        with pytest.raises(ValidationError, match=rf"^unknown config key '{key}' in section '{section}'; known keys: "):
+            ExperimentConfig.from_dict({section: {key: 1}})
+
+    def test_learn_section_is_the_learner_config(self):
+        cfg = tiny_config()
+        assert isinstance(cfg.learn, learner.LearnerConfig)
+        assert harness.learner_config(cfg, cfg.env.d) is cfg.learn
+        assert sorted(json.loads(cfg.to_json())["learn"]) == sorted(
+            ["lam", "beta", "eps_bar", "theta_radius", "alpha", "grid_per_stage", "combo_cap", "net_spacing", "seed"])
+
+    def test_negative_policy_sample_refused(self):
+        # -1 used to build the instance from the uniform policy alone
+        with pytest.raises(HarnessError, match=r"policy count must be >= 0, got -1") as err:
+            build_instance(tiny_config(policy_sample=-1))
+        assert err.value.stage == "prepare"
 
     def test_bad_behavior_kind_surfaces_stage(self):
         cfg = tiny_config(data={"n": 50, "behavior": "nope", "seed": 1})
@@ -390,29 +413,18 @@ class TestRunAndSweep:
             assert entry["median_gap"] == pytest.approx(float(np.median(gaps)), abs=1e-15)
             assert entry["iqr_low"] == pytest.approx(float(np.quantile(gaps, 0.25)), abs=1e-15)
 
-    def test_bad_worker_count_rejected_before_calibration(self, monkeypatch):
-        def no_calibration(*args, **kwargs):
-            raise AssertionError("calibration ran before the worker count was read")
-
-        monkeypatch.setattr(harness, "calibrate", no_calibration)
-        for value in ("two", "0", "-2"):  # 0 and -2 used to run serially
-            monkeypatch.setenv(harness.WORKERS_ENV, value)
-            with pytest.raises(ValidationError, match=f"{harness.WORKERS_ENV} must be an integer >= 1, got '{value}'"):
-                sweep(tiny_config())
-
-    def test_parallel_matches_serial(self):
-        cfg = tiny_config(sweep={"n_values": [60], "replicates": 4})
-        serial = sweep(cfg)
-        old = os.environ.get(harness.WORKERS_ENV)
-        os.environ[harness.WORKERS_ENV] = "2"
-        try:
-            parallel = sweep(cfg)
-        finally:
-            if old is None:
-                os.environ.pop(harness.WORKERS_ENV, None)
-            else:
-                os.environ[harness.WORKERS_ENV] = old
-        assert [(r.n, r.seed, r.gap) for r in serial.rows] == [(r.n, r.seed, r.gap) for r in parallel.rows]
+    def test_rows_equal_their_own_replicate_records(self):
+        # each cell is a pure function of (config, n, replicate): the sweep's rows are
+        # the records of run_replicate under the calibrated config of their n
+        cfg = tiny_config(sweep={"n_values": [120, 60], "replicates": 3})
+        result = sweep(cfg)
+        inst = build_instance(cfg)
+        configs = harness.calibrated_configs(cfg, inst, cfg.sweep.n_values)
+        tuned = {n: lc for n, (lc, _) in zip(cfg.sweep.n_values, configs)}
+        assert [(r.n, r.seed) for r in result.rows] == [(n, r) for n in (60, 120) for r in range(3)]
+        for row in result.rows:
+            record, _ = harness.run_replicate(cfg, inst, tuned[row.n], row.n, row.seed)
+            assert replace(row, wall_ms=0.0) == replace(record, wall_ms=0.0)
 
     def test_config_echo_embedded(self, tmp_path):
         cfg = tiny_config(sweep={"n_values": [120], "replicates": 3})

@@ -45,9 +45,7 @@ def setup(fixed_instance):
     behavior = uniform_policy(mdp)
     policies = sample_policies(mdp, 120, 5)
     guess = build_true_guess(mdp, fm, policies)
-    config = LearnerConfig(
-        lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, skip=SkipParams(alpha=0.2, d=2), seed=0
-    )
+    config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, alpha=0.2, seed=0)
     ds = sample_trajectories(mdp, behavior, 600, [3000, 0], fm)
     return mdp, fm, behavior, guess, config, ds
 
@@ -155,7 +153,7 @@ class TestAnchor:
             anchor = lstsq_anchor(ds, h, guess, tail, config)
             from skiprl.skipping import batch_skip_targets, dataset_omega
 
-            omega = dataset_omega(ds, guess, config.skip)
+            omega = dataset_omega(ds, guess, SkipParams(config.alpha, ds.dim))
             fvals = np.zeros((ds.n, H - h))
             for i, u in enumerate(range(h + 1, H)):
                 fvals[:, i] = np.clip((ds.features[:, u] @ tail[i]).max(axis=1), 0.0, H)
@@ -196,7 +194,8 @@ class TestConfidenceSets:
 
     def test_extras_join_when_close(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        psi = fit_policy_stack(mdp, fm, [skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]]).theta[:, 0]
+        pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
+        psi = fit_policy_stack(mdp, fm, [pistar]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
         (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
         for h in range(mdp.horizon):
@@ -363,7 +362,7 @@ class TestSolve:
         behavior = uniform_policy(mdp)
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
         ds = sample_trajectories(mdp, behavior, 100, 4, fm)
-        config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=10.0, skip=SkipParams(alpha=0.2, d=2))
+        config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=10.0, alpha=0.2)
         out = solve(ds, [guess], config, fm)
         assert out.vbar_start == pytest.approx(0.0, abs=1e-9)
 
@@ -381,7 +380,8 @@ class TestSolve:
     def test_optimism_against_skip_optimal_parameter(self, setup):
         # when psi_1(pi*_G) enters the candidate sets, the optimistic value dominates it
         mdp, fm, behavior, guess, config, ds = setup
-        psi = fit_policy_stack(mdp, fm, [skip_optimal_policy(mdp, fm, guess, behavior, config.skip)[0]]).theta[:, 0]
+        pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
+        psi = fit_policy_stack(mdp, fm, [pistar]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
         (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
         assert is_member(sets, 0, psi[0], config)
@@ -461,7 +461,7 @@ class TestSolve:
 class TestSkipOptimalPolicy:
     def test_consistent_with_its_own_evaluation(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
-        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, config.skip)
+        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
         again = evaluate_policy(mdp, pistar)
         for h in range(mdp.horizon + 1):
             np.testing.assert_allclose(vals.v[h], again.v[h], atol=1e-12)
@@ -470,13 +470,13 @@ class TestSkipOptimalPolicy:
         # zero guess: every interior range is 0, so omega = 1 and the policy
         # follows the behavior policy at interior stages
         mdp, fm, behavior, _, config, _ = setup
-        pistar, _ = skip_optimal_policy(mdp, fm, zero_guess(mdp.horizon, 2), behavior, config.skip)
+        pistar, _ = skip_optimal_policy(mdp, fm, zero_guess(mdp.horizon, 2), behavior, SkipParams(config.alpha, fm.d))
         for h in range(1, mdp.horizon):
             np.testing.assert_allclose(pistar.tables[h], behavior.tables[h], atol=1e-12)
 
     def test_greedy_at_start(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
-        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, config.skip)
+        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
         assert pistar.tables[0][0].max() == 1.0
 
 
@@ -487,9 +487,8 @@ class TestVisitedBlocksShared:
     @pytest.fixture
     def groupings(self, monkeypatch):
         """The grouping passes: the caller of each ``mdp._factorize`` pass (per
-        stage one of ``visited_blocks`` and two of ``tail_paths``; ``_reward_codes``
-        makes none), and the length of each ``np.unique`` sort of feature-block
-        byte keys."""
+        stage one of ``visited_blocks`` and two of ``tail_paths``), and the
+        length of each ``np.unique`` sort of feature-block byte keys."""
         calls = {"passes": [], "block_sorts": []}
         factorize, unique = mdp_module._factorize, np.unique
 
@@ -578,7 +577,7 @@ def reference_sets(dataset, guess, config, covs, extra_candidates=None):
     every row.  Returns per stage ``(anchors, members)`` (None below an empty
     stage), the tightness list and the empty stage."""
     n, H, d = dataset.n, dataset.horizon, dataset.dim
-    omega = dataset_omega(dataset, guess, config.skip)
+    omega = dataset_omega(dataset, guess, SkipParams(config.alpha, d))
     net = _net(config, d)
     sets, tight = [None] * H, [None] * H
     vbar_rows = [None] * (H + 1)
@@ -668,7 +667,7 @@ class TestTailGrouping:
         """Singleton sets, multi-member sets from a net or from extra candidates, or
         a ball too small for any anchor."""
         base = LearnerConfig(lam=float(rng.uniform(0.1, 2.0)), beta=1e9, eps_bar=1.0, theta_radius=1e6,
-                             skip=SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d),
+                             alpha=float(rng.uniform(0.05, 1.0)),
                              grid_per_stage=int(rng.integers(1, 9)), combo_cap=combo_cap, seed=int(rng.integers(0, 99)))
         if multi == "net":
             return replace(base, theta_radius=2.0, net_spacing=float(rng.uniform(0.6, 1.2))), None
@@ -728,7 +727,7 @@ class TestTailGrouping:
         assert len(first) == 2 and back[0] == back[2] and back[0] != back[1] and back[1] == back[3]
         first, back = ds.tail_paths[0]
         assert len(first) == 3 and back[0] == back[2]
-        config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, skip=SkipParams(alpha=0.5, d=1))
+        config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, alpha=0.5)
         self.check(ds, zero_guess(2, 1), config)
 
 
@@ -771,7 +770,7 @@ class TestSuffixSharing:
         mixed = Guess(horizon=3, panels=[grid[2].panels[0], grid[1].panels[1]], radius_bound=grid[1].radius_bound)
         guesses = [*grid, grid[3], mixed]
         got = self.check(ds, guesses, config)
-        self.assert_shared_by_suffix(ds, guesses, got, config.skip)
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(config.alpha, ds.dim))
         assert all(s is t for s, t in zip(got[0].stage_sets, got[len(grid) - 1].stage_sets))
         assert all(s is t for s, t in zip(got[3].stage_sets, got[len(grid)].stage_sets))
         assert got[-1].stage_sets[1] is got[1].stage_sets[1]
@@ -787,7 +786,7 @@ class TestSuffixSharing:
         cfg = replace(config, theta_radius=theta_radius)
         got = self.check(ds, guesses, cfg)
         assert {sets.empty_stage for sets in got} == empty
-        self.assert_shared_by_suffix(ds, guesses, got, cfg.skip)
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(cfg.alpha, ds.dim))
 
     @pytest.mark.parametrize("net_spacing, combo_cap", [(0.8, 5), (0.5, 64)])
     def test_netted_grid(self, setup, net_spacing, combo_cap):
@@ -797,7 +796,7 @@ class TestSuffixSharing:
         guesses = guess_grid(guess, 0.3, 8, seed=2)
         got = self.check(ds, guesses, cfg)
         assert max(s.members.shape[0] for sets in got for s in sets.stage_sets) > 1
-        self.assert_shared_by_suffix(ds, guesses, got, cfg.skip)
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(cfg.alpha, ds.dim))
 
     @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(REWARD_KINDS),
            multi=st.sampled_from(["net", "extras", "plain", "empty", "partial"]), combo_cap=st.sampled_from([1, 3, 64]))
@@ -825,7 +824,7 @@ class TestSuffixSharing:
                             for x in np.linalg.norm(s.anchors, axis=1) if x > top})
             config = replace(config, theta_radius=lower[int(rng.integers(0, len(lower)))] if lower else top)
         got = self.check(ds, guesses, config, extras)
-        self.assert_shared_by_suffix(ds, guesses, got, config.skip)
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(config.alpha, ds.dim))
 
     def test_no_guesses(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
@@ -881,42 +880,49 @@ class TestLearnerConfig:
         # NaN passed `min(...) <= 0` and reached solve, which quietly set all_rejected;
         # a NaN net_spacing failed in epsilon_net's int(floor(nan))
         with pytest.raises(ValidationError, match=f"^{name} must be positive, got {value!r}$"):
-            LearnerConfig(**{**self.POSITIVE, name: value}, skip=SkipParams(alpha=0.2, d=2))
+            LearnerConfig(**{**self.POSITIVE, name: value})
 
     def test_inf_stays_legal(self):
         # solve's fallback builds with beta = theta_radius = inf
         inf = dict.fromkeys(["lam", "beta", "eps_bar", "theta_radius", "net_spacing"], math.inf)
-        LearnerConfig(**inf, skip=SkipParams(alpha=0.2, d=2))
+        LearnerConfig(**inf)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, -0.5, 1.5])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        with pytest.raises(ValidationError, match=rf"^alpha must lie in \(0, 1\], got {alpha!r}$"):
+            LearnerConfig(alpha=alpha)
 
 
 class TestDimensions:
-    """``config.skip.d``, every guess's panel width, ``featmap.d`` and ``dataset.dim`` must agree."""
+    """Every guess's panel width, ``featmap.d`` and ``dataset.dim`` must agree."""
 
-    MISMATCH = r"(dataset\.dim|featmap\.d) = 2 but config\.skip\.d = 50"
+    MISMATCH = r"dimension mismatch: (dataset\.dim = 50 but featmap\.d = 2|guess 0 dim = 2 but dataset\.dim = 50)"
 
     def test_skip_dimension_mismatch_refused(self, setup):
-        # d = 50 on this d = 2 dataset used to move the chosen guess and theta_0 without a warning
+        # the skip threshold alpha / sqrt(2 d) takes d from the data, so data of another
+        # width than the feature map and the guesses is refused; a skip width of 50 on
+        # this d = 2 data used to move the chosen guess and theta_0 without a warning
         mdp, fm, behavior, guess, config, ds = setup
-        wrong = replace(config, skip=SkipParams(alpha=0.2, d=50))
+        wide = Dataset(ds.states, ds.actions, ds.rewards, np.pad(ds.features, [(0, 0)] * 3 + [(0, 48)]))
         with pytest.raises(ValidationError, match=self.MISMATCH):
-            solve(ds, [guess], wrong, fm)
+            solve(wide, [guess], config, fm)
         with pytest.raises(ValidationError, match=self.MISMATCH):
-            lstsq_anchor(ds, 0, guess, np.zeros((mdp.horizon, 2)), wrong)
+            lstsq_anchor(wide, 0, guess, np.zeros((mdp.horizon, 50)), config)
         with pytest.raises(ValidationError, match=self.MISMATCH):
-            calibrate(mdp, fm, behavior, guess, [50], wrong, replicates=2, delta=0.5, seed=0)
+            build_confidence_sets(wide, [guess], config, covs(wide, config))
 
     def test_featmap_dimension_mismatch_refused(self, setup):
         # a d = 3 feature map of the same shape used to fail inside numpy's matmul
         mdp, fm, behavior, guess, config, ds = setup
         _, fm3 = random_linear_mdp(3, mdp.horizon, mdp.stage_sizes, mdp.num_actions, seed=0)
-        with pytest.raises(ValidationError, match=r"featmap\.d = 3 but config\.skip\.d = 2"):
+        with pytest.raises(ValidationError, match=r"dataset\.dim = 2 but featmap\.d = 3"):
             solve(ds, [guess], config, fm3)
 
     def test_guess_width_mismatch_refused(self, setup):
         # a width-3 guess used to fail inside numpy's matmul
         mdp, fm, behavior, guess, config, ds = setup
         wide = zero_guess(mdp.horizon, 3)
-        with pytest.raises(ValidationError, match=r"guess 1 dim = 3 but config\.skip\.d = 2"):
+        with pytest.raises(ValidationError, match=r"guess 1 dim = 3 but featmap\.d = 2"):
             solve(ds, [guess, wide], config, fm)
         with pytest.raises(ValidationError, match=r"guess 0 dim = 3"):
             lstsq_anchor(ds, 0, wide, np.zeros((mdp.horizon, 2)), config)
@@ -928,19 +934,19 @@ class TestDimensions:
         mdp, fm, behavior, guess, config, ds = setup
         wide = zero_guess(mdp.horizon, 3)
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
-            skip_optimal_policy(mdp, fm, wide, behavior, config.skip)
+            skip_optimal_policy(mdp, fm, wide, behavior, SkipParams(config.alpha, fm.d))
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
-            omega_tables(wide, fm, config.skip)
+            omega_tables(wide, fm, SkipParams(config.alpha, fm.d))
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
-            check_skip_realizability(mdp, fm, wide, behavior, lambda t, s: 0.0, 0, config.skip)
-        omega_tables(zero_guess(1, 3), random_linear_mdp(2, 1, (1, 1), 2, seed=0)[1], config.skip)  # no panels to compare
+            check_skip_realizability(mdp, fm, wide, behavior, lambda t, s: 0.0, 0, SkipParams(config.alpha, fm.d))
+        omega_tables(zero_guess(1, 3), random_linear_mdp(2, 1, (1, 1), 2, seed=0)[1], SkipParams(config.alpha, 2))  # no panels to compare
 
     def test_guess_without_panels_exempt(self):
         # with H = 1 a guess has no panels, so it carries no dimension to compare
         feats = np.ones((3, 1, 2, 1))
         rewards = np.array([[0.5, 0.0], [0.25, 0.0], [0.5, 0.0]])
         ds = Dataset(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), rewards, feats)
-        config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, skip=SkipParams(alpha=0.5, d=1))
+        config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, alpha=0.5)
         (sets,) = build_confidence_sets(ds, [zero_guess(1, 5)], config, covs(ds, config))
         assert sets.empty_stage is None
 
@@ -958,7 +964,7 @@ class TestCalibration:
         mdp, fm = fixed_instance
         assert mdp.horizon == 3
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
-        config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, skip=SkipParams(alpha=0.2, d=2))
+        config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, alpha=0.2)
         calls = []
 
         def counted(*args, **kwargs):
@@ -1031,7 +1037,7 @@ class TestOwnTailDistance:
             feats[::2, h] = feats[::2, h, ::-1]  # even rows swap their actions' features at stage h
             ds = Dataset(ds.states, ds.actions, rewards, feats)
         config = LearnerConfig(lam=float(rng.uniform(0.1, 2.0)), beta=1.0, eps_bar=1.0, theta_radius=1e6,
-                               skip=SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d))
+                               alpha=float(rng.uniform(0.05, 1.0)))
         guess = random_guess(rng, H, d)
         psi = rng.normal(scale=float(np.exp(rng.uniform(-2.0, 2.0))), size=(H + 1, d))
         want = 0.0

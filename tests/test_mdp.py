@@ -1,5 +1,4 @@
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import one_step_bandit, random_tabular_mdp, zero_reward_mdp
 from skiprl.envs import FeatureMap, random_linear_mdp
 from skiprl.mdp import (
-    REWARD_CHECK_ROWS,
     Dataset,
     Policy,
     PolicyStack,
@@ -729,63 +727,3 @@ class TestGroupingAgainstByteKeys:
             assert len({(a, b) for a, b in zip(back.tolist(), want_back.tolist())}) == m  # the same partition
             assert [int(np.flatnonzero(back == g)[0]) for g in range(m)] == first.tolist()
             assert sorted(first.tolist()) == sorted(want_first.tolist())
-
-    @given(st.sampled_from(GROUPING_KINDS), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150, 300]))
-    @settings(max_examples=80, deadline=None)
-    def test_tail_paths_match_full_reward_sort(self, kind, seed, n):
-        # coding rewards through (block, action) representatives gives the very arrays
-        # of one np.unique over all n rows, not just the same partition
-        ds = grouping_dataset(kind, seed, n)
-        for (first, back), (want_first, want_back) in zip(ds.tail_paths, sorting_tail_paths(ds), strict=True):
-            assert first.dtype == want_first.dtype and np.array_equal(first, want_first)
-            assert back.dtype == want_back.dtype and np.array_equal(back, want_back)
-
-    def test_reward_check_prefix_passes_and_a_later_row_fails(self):
-        # the first REWARD_CHECK_ROWS rows pay a function of their (block, action) pair
-        # and row 300 does not: the short check passes, the n-row check sorts all rows
-        mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, 10, "deterministic-mean")
-        ds = sample_trajectories(mdp, uniform_policy(mdp), 400, 7, fm)
-        rewards = ds.rewards.copy()
-        rewards[300, 0] = 0.123 if rewards[300, 0] != 0.123 else 0.5
-        bent = Dataset(ds.states, ds.actions, rewards, ds.features)
-        assert 256 == REWARD_CHECK_ROWS < 300 < bent.n
-        bent.visited_blocks
-        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
-            tails = bent.tail_paths
-        sizes = [len(call.args[0]) for call in spy.call_args_list]
-        assert sizes[-1] == bent.n and all(size <= 8 for size in sizes[:-1])  # stage 0 is coded last
-        for h, ((first, back), (want_first, want_back)) in enumerate(zip(tails, sorting_tail_paths(bent), strict=True)):
-            assert np.array_equal(first, want_first) and np.array_equal(back, want_back)
-            count, codes = bent._reward_codes(h)
-            values, want = np.unique(rewards[:, h].view(np.int64), return_inverse=True)
-            assert count == len(values) and codes.dtype == want.dtype and np.array_equal(codes, want)
-
-    @pytest.mark.parametrize("reward_kind, sorts_all_rows", [("deterministic-mean", False), ("bernoulli-mean", True)])
-    def test_reward_coding_sorts_representatives_of_pairs(self, reward_kind, sorts_all_rows):
-        mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, 10, reward_kind)
-        ds = sample_trajectories(mdp, uniform_policy(mdp), 400, 7, fm)
-        ds.visited_blocks  # its own sorts are not counted
-        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
-            ds.tail_paths
-        sizes = [len(call.args[0]) for call in spy.call_args_list]
-        assert len(sizes) == mdp.horizon
-        if sorts_all_rows:
-            assert sizes == [ds.n] * mdp.horizon
-        else:
-            assert all(size <= mdp.stage_sizes[h] * mdp.num_actions for h, size in enumerate(sizes[::-1]))
-
-
-def sorting_tail_paths(ds):
-    """``tail_paths`` with each stage's reward bytes coded by one ``np.unique`` over
-    all n rows (the reference for the (block, action) coding)."""
-    rows = [r for _, r in ds.visited_blocks] + [np.zeros(ds.n, dtype=np.intp)]
-    counts = [len(blocks) for blocks, _ in ds.visited_blocks] + [1]
-    out = [None] * ds.horizon
-    back, tails = rows[-1], 1
-    for h in range(ds.horizon - 1, -1, -1):
-        pairs, pair = _factorize(rows[h + 1] * tails + back, counts[h + 1] * tails)
-        values, reward = np.unique(ds.rewards[:, h].astype(np.float64).view(np.int64), return_inverse=True)
-        first, back = _factorize(reward * len(pairs) + pair, len(values) * len(pairs))
-        tails = len(first)
-        out[h] = (first, back)
-    return out

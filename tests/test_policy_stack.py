@@ -185,6 +185,14 @@ def test_sample_policies_matches_random_policy_loop(count):
     assert_tables_equal(sample_policies(mdp, count, 8), ref_sample_policies(mdp, count, 8))
 
 
+@pytest.mark.parametrize("count", [-1, -2])
+def test_negative_policy_count_refused(count):
+    # -1 used to keep only the uniform policy (the slice [:count]); -2 gave an empty sample
+    mdp, _ = random_linear_mdp(2, 2, (1, 3, 1), 2, seed=3)
+    with pytest.raises(ValidationError, match=rf"^policy count must be >= 0, got {count}$"):
+        sample_policies(mdp, count, 8)
+
+
 def test_random_stack_reads_the_loop_stream():
     mdp, _ = random_linear_mdp(2, 3, (1, 4, 2, 1), 4, seed=2)
     a, b = np.random.default_rng(5), np.random.default_rng(5)

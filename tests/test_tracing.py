@@ -18,7 +18,6 @@ from skiprl import learner
 from skiprl.design import build_true_guess, guess_grid
 from skiprl.envs import sample_policies
 from skiprl.mdp import Dataset, sample_trajectories, uniform_policy
-from skiprl.skipping import SkipParams
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -54,9 +53,7 @@ def test_recorder_sees_solver_layers_and_uninstalls(fixed_instance):
     mdp, fm = fixed_instance
     behavior = uniform_policy(mdp)
     guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
-    config = learner.LearnerConfig(
-        lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, skip=SkipParams(alpha=0.2, d=2)
-    )
+    config = learner.LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, alpha=0.2)
     ds = sample_trajectories(mdp, behavior, 40, 7, fm)
     before = _bindings()
     rec = _load_tracing().Recorder()
