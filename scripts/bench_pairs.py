@@ -11,7 +11,10 @@ tree, parent first in even pairs and this tree first in odd ones, then makes
 one ``--trace 1`` run per side.  It writes
 ``results/bench/BENCH_<label>.json`` with, per workload and end-to-end
 metric, each side's runs, median and quartiles, the pairs this tree won, and
-whether the gain rule and the regression bound hold; the traced per-layer
+whether the gain rule and the regression bound hold; beside them each
+untraced run's ``host.ref_ms`` (the median of the host reference timings
+``run.py`` prints before and after its passes), so a side whose host ran
+slow shows in the same pairs; the traced per-layer
 medians of both sides; failures and digest status; both git hashes, the
 numpy version and the core count.  Standard library only; one benchmark
 process runs at a time.
@@ -22,6 +25,7 @@ import argparse
 import datetime
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -86,7 +90,14 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -
             result["provenance"] = json.loads(line[len("provenance "):])
         elif line.startswith("outputs digest "):
             result["digest_status"] = line[line.rfind("(") + 1 : -1]
+        elif line.startswith("host.ref_ms "):
+            result["host_ref_ms"] = host_ref_ms(line)
     return result
+
+
+def host_ref_ms(line: str) -> float:
+    """Median of the timings on ``run.py``'s ``host.ref_ms before [...]  after [...]`` line."""
+    return statistics.median(float(x) for x in re.findall(r"\d+(?:\.\d+)?", line[len("host.ref_ms "):]))
 
 
 def summary(values: list) -> dict:
@@ -137,13 +148,15 @@ def main(argv=None) -> int:
                 runs[side].append(result)
                 m = result["metrics"]
                 print(f"{name} pair {i} {side}: run_s {m['run_s']['value']:.4f}  setup_s {m['setup_s']['value']:.4f}"
-                      f"  peak_rss_mb {m['peak_rss_mb']['value']:.2f}  failed {result['failed']}", flush=True)
+                      f"  peak_rss_mb {m['peak_rss_mb']['value']:.2f}  host.ref_ms {result['host_ref_ms']:.2f}"
+                      f"  failed {result['failed']}", flush=True)
         traced = {side: run_bench(trees[side], name, args.seed, args.seconds, trace=1) for side in trees}
         out[name] = {
             "end_to_end": {
                 m["name"]: compare(m, *[[r["metrics"][m["name"]]["value"] for r in runs[side]] for side in trees])
                 for m in metrics
             },
+            "host_ref_ms": {side: summary([r["host_ref_ms"] for r in runs[side]]) for side in trees},
             "failed": {side: sum(r["failed"] for r in runs[side]) + traced[side]["failed"] for side in trees},
             "attempted": {side: sum(r["attempted"] for r in runs[side]) + traced[side]["attempted"] for side in trees},
             "digest_status": {side: sorted({r.get("digest_status") for r in runs[side]}) for side in trees},
@@ -171,6 +184,8 @@ def main(argv=None) -> int:
             print(f"{name:18s} {key:12s} {c['parent']['median']:.4f} -> {c['change']['median']:.4f} "
                   f"[{c['parent']['q1']:.4f}, {c['parent']['q3']:.4f}]  lower {c['change_lower_pairs']}/{c['pairs']}"
                   f"  gain {c['gain']}  within_bound {c['within_bound']}")
+        ref = w["host_ref_ms"]
+        print(f"{name:18s} {'host.ref_ms':12s} {ref['parent']['median']:.2f} -> {ref['change']['median']:.2f}")
     print(f"wrote {path}")
     return 0
 

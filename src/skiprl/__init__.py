@@ -10,7 +10,7 @@ from .design import (
     guess_grid,
     panel_size,
 )
-from .envs import FeatureMap, estimate_misspecification, fit_policy_stack, random_linear_mdp, state_range
+from .envs import FeatureMap, estimate_misspecification, fit_policy_stack, random_linear_mdp
 from .harness import ExperimentConfig, emit_plots, load_dataset, save_dataset, sweep, verify
 from .learner import (
     ConfidenceSets,
@@ -30,12 +30,10 @@ from .mdp import (
     OccupancyMeasure,
     Policy,
     StagedMdp,
-    Trajectory,
     ValueTables,
     evaluate_policy,
     occupancy,
     optimal_policy,
-    sample_trajectory,
 )
 from .oracles import (
     ConcReport,

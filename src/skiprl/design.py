@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import StackParams, fit_policy_stack
-from .mdp import PolicyStack, ValidationError
+from .mdp import PolicyStack, ValidationError, is_integer
 
 KERNEL_TOL = 1e-8
 DUAL_SLACK = 1e-6
@@ -262,6 +262,8 @@ def guess_grid(true_guess: Guess, spread: float, count_cap: int, seed) -> list:
     project every vector back into the radius ball.  The true guess is always
     first, so any cap >= 1 keeps it in the candidate set.
     """
+    if not is_integer(count_cap):
+        raise ValidationError(f"count_cap must be an integer, got {count_cap!r}")
     if count_cap < 1:
         raise ValidationError("count_cap must be >= 1")
     out = [true_guess]

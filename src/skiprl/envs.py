@@ -256,22 +256,11 @@ def estimate_misspecification(
 def stage_ranges(featmap: FeatureMap, theta: np.ndarray, stage: int) -> np.ndarray:
     """Largest fitted action-value spread at each state of ``stage`` across policies.
 
-    ``theta`` is the (P, d) block of the policies' stage parameters; entry s
-    is ``state_range`` at state s.  One broadcast product scores every
-    (policy, state, action) with the matrix-vector products a per-state loop
-    would run.
+    ``theta`` is the (P, d) block of the policies' stage parameters.  Entry s
+    is a lower bound on the true range of state s (the supremum runs over all
+    memoryless policies); ranges are meant for interior stages 1..H-1.  One
+    broadcast product scores every (policy, state, action) with the
+    matrix-vector products a per-state loop would run.
     """
     scores = (featmap.phi[stage][None] @ theta[:, None, :, None])[..., 0]  # (P, S, A)
     return (scores.max(axis=2) - scores.min(axis=2)).max(axis=0, initial=0.0)
-
-
-def state_range(mdp: StagedMdp, featmap: FeatureMap, policies, stage: int, state: int) -> float:
-    """Largest fitted action-value spread at a state across sampled policies.
-
-    A lower bound on the true range (the supremum runs over all memoryless
-    policies).  Defined only for interior stages 1..H-1.
-    """
-    if stage < 1 or stage >= mdp.horizon:
-        raise ValidationError(f"range is undefined at stage {stage}")
-    theta = fit_policy_stack(mdp, featmap, policies).theta[stage]
-    return float(stage_ranges(featmap, theta, stage)[state])

@@ -31,6 +31,7 @@ from .mdp import (
     ValidationError,
     backward_induction,
     greedy_table,
+    is_integer,
     sample_trajectories,
     trajectory_count,
 )
@@ -83,8 +84,13 @@ class LearnerConfig:
             raise ValidationError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         if self.net_spacing is not None and not self.net_spacing > 0:
             raise ValidationError(f"net_spacing must be positive, got {self.net_spacing!r}")
+        for name in ("grid_per_stage", "combo_cap", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.grid_per_stage < 1 or self.combo_cap < 1:
             raise ValidationError("grid_per_stage and combo_cap must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def _check_dims(guesses=(), featmap=None, dataset=None) -> None:
@@ -286,14 +292,14 @@ class ConfidenceSets:
 
     Stage H is pinned to the singleton {0}.  ``empty_stage`` records the
     first stage (from the top of the backward pass) where no candidate
-    survived, which signals infeasibility of the guess.  Only the d x d
-    matrices X_h are kept, never the (n, d) stage features.
+    survived, which signals infeasibility of the guess.  The X_h matrices
+    are not kept; they stay in the ``StageCovariance`` list the sets were
+    built from.
     """
 
     horizon: int
     dim: int
     stage_sets: list                    # index h in 0..H-1; None below an empty stage
-    covariances: list                   # X_h, (d, d) per stage
     tightness: list                     # members' on-data spread per stage; [] when a stage is empty
     empty_stage: int | None = None
 
@@ -482,8 +488,8 @@ def build_confidence_sets(
                 kept.append((indices, omega_tail, [_clipped_vbar_blocks(dataset, h, sets.members), *vbar_tail]))
         groups = kept
 
-    return [ConfidenceSets(horizon=H, dim=d, stage_sets=s, covariances=[cov.matrix for cov in covs],
-                           tightness=t, empty_stage=e) for s, t, e in zip(stage_sets, tight, empty_stage)]
+    return [ConfidenceSets(horizon=H, dim=d, stage_sets=s, tightness=t, empty_stage=e)
+            for s, t, e in zip(stage_sets, tight, empty_stage)]
 
 
 def tightness(cov: StageCovariance, thetas, horizon: int) -> float:

@@ -207,18 +207,18 @@ class OccupancyMeasure:
 
 
 def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, features) -> None:
-    """Trajectory invariants over the last axis, for one path or a stack of them; when
-    there are features, actions must index their action axis and they must be finite."""
-    if np.any(states[..., 0] != 0) or np.any(states[..., -1] != 0):
+    """Invariants of (n, H+1) trajectory stacks, row by row; when there are
+    features, actions must index their action axis and they must be finite."""
+    if np.any(states[:, 0] != 0) or np.any(states[:, -1] != 0):
         raise ValidationError("trajectory must start at the start state and end at the terminal state")
-    if np.any(rewards[..., -1] != 0.0):
+    if np.any(rewards[:, -1] != 0.0):
         raise ValidationError("terminal reward must be zero")
     if np.any(~((rewards >= 0) & (rewards <= 1))):  # also refuses NaN
         raise ValidationError("rewards must lie in [0, 1]")
     if actions.min(initial=0) < 0:  # min and max read the actions once each, with no mask
         raise ValidationError(f"actions must be >= 0, got {actions.min()}")
-    if features is not None and actions.max(initial=-1) >= features.shape[-2]:
-        raise ValidationError(f"actions must be < {features.shape[-2]} (the features' action count), got {actions.max()}")
+    if features is not None and actions.max(initial=-1) >= features.shape[2]:
+        raise ValidationError(f"actions must be < {features.shape[2]} (the features' action count), got {actions.max()}")
     if features is not None and not np.isfinite(features).all():
         raise ValidationError("features must be finite")
 
@@ -243,43 +243,13 @@ def _factorize(codes: np.ndarray, size: int):
 
 
 @dataclass
-class Trajectory:
-    """One full-length rollout with per-step features for all actions.
-
-    ``features[t]`` holds the feature vectors of every action at the visited
-    state ``states[t]`` for t in 0..H-1 (the terminal stage records none).
-    """
-
-    states: np.ndarray   # (H+1,) int
-    actions: np.ndarray  # (H+1,) int
-    rewards: np.ndarray  # (H+1,) float
-    features: np.ndarray | None = None  # (H, A, d) float
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=int)
-        self.actions = np.asarray(self.actions, dtype=int)
-        self.rewards = np.asarray(self.rewards, dtype=float)
-        shape = self.states.shape
-        if len(shape) != 1 or self.actions.shape != shape or self.rewards.shape != shape:
-            shapes = (shape, self.actions.shape, self.rewards.shape)
-            raise ValidationError(f"states, actions and rewards must share one (H+1,) shape, got {shapes}")
-        if self.features is not None and (self.features.ndim != 3 or self.features.shape[0] != shape[0] - 1):
-            raise ValidationError(f"features must have shape (H, A, d) with H = {shape[0] - 1}; got {self.features.shape}")
-        _check_paths(self.states, self.actions, self.rewards, self.features)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.states) - 1
-
-
-@dataclass
 class Dataset:
-    """The one in-memory trajectory format: n >= 1 rollouts stacked into arrays.
+    """The one trajectory container: n >= 1 rollouts stacked into arrays, row j
+    of each array being trajectory j.
 
-    A sequence of trajectories (``ds[j]`` is row j as a ``Trajectory``);
-    ``features`` is None when sampled without a feature map.  The arrays are
-    treated as immutable after construction, which is what lets
-    ``visited_blocks`` and ``tail_paths`` be computed once and cached.
+    ``len(ds)`` is n; ``features`` is None when sampled without a feature
+    map.  The arrays are treated as immutable after construction, which is
+    what lets ``visited_blocks`` and ``tail_paths`` be computed once and cached.
     """
 
     states: np.ndarray    # (n, H+1) int
@@ -301,10 +271,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def __getitem__(self, j: int) -> Trajectory:
-        feats = None if self.features is None else self.features[j]
-        return Trajectory(self.states[j], self.actions[j], self.rewards[j], feats)
 
     @property
     def n(self) -> int:
@@ -388,16 +354,13 @@ class Dataset:
         return out
 
     @classmethod
-    def from_trajectories(cls, trajectories) -> "Dataset":
-        """Stack trajectories with features; a ``Dataset`` with features comes back as is."""
-        if isinstance(trajectories, Dataset) and trajectories.features is not None:
-            return trajectories
-        if not trajectories:
-            raise ValidationError("cannot build a dataset from zero trajectories")
-        if any(t.features is None for t in trajectories):
+    def from_trajectories(cls, dataset) -> "Dataset":
+        """``dataset`` itself when it is a ``Dataset`` with features; anything else is refused."""
+        if not isinstance(dataset, Dataset):
+            raise ValidationError(f"expected a Dataset, got {type(dataset).__name__}")
+        if dataset.features is None:
             raise ValidationError("dataset trajectories must carry features")
-        keys = ("states", "actions", "rewards", "features")
-        return cls(*(np.stack([getattr(t, key) for t in trajectories]) for key in keys))
+        return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +400,9 @@ def deterministic_policy(mdp: StagedMdp, actions: list) -> Policy:
 
 
 def mix_policies(primary: Policy, other: Policy, eps: float) -> Policy:
-    """Pointwise mixture (1 - eps) * primary + eps * other."""
+    """Pointwise mixture (1 - eps) * primary + eps * other, for eps in [0, 1]."""
+    if not 0.0 <= eps <= 1.0:  # also refuses NaN
+        raise ValidationError(f"mixture weight eps must lie in [0, 1], got {eps!r}")
     return Policy([(1.0 - eps) * p + eps * o for p, o in zip(primary.tables, other.tables)])
 
 
@@ -729,19 +694,15 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
     return Dataset(states, actions, rewards, features)
 
 
-def sample_trajectory(mdp: StagedMdp, policy: Policy, seed, featmap=None) -> Trajectory:
-    """Roll out one full trajectory; identical seed gives identical output.
-
-    Negative seed parts raise ``ValueError``, as in ``np.random.SeedSequence``.
-    """
-    words = np.array([_seed_words(seed)], dtype=np.uint32)
-    return _sample(mdp, policy, words, featmap)[0]
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def trajectory_count(n) -> int:
     """``n`` as a number of trajectories: an integer (a numpy integer too, never a
     bool) of at least 1, refused otherwise with a ``ValidationError`` naming it."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    if not is_integer(n):
         raise ValidationError(f"the trajectory count n must be an integer, got {n!r}")
     if n <= 0:
         raise ValidationError(f"n = {n} gives zero trajectories; a dataset needs at least one")
@@ -752,9 +713,9 @@ def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=No
     """Sample n trajectories; trajectory j is drawn from generator seed [seed, j].
 
     The per-trajectory counter seeding makes every trajectory independently
-    reproducible: ``sample_trajectories(...)[j] == sample_trajectory(..., seed=[seed, j])``.
+    reproducible: row j is the rollout of the generator seeded ``[seed, j]``.
     So a sample of n trajectories is, array by array, the first n rows of a
-    sample of more from the same seed.  Trajectory j's uniforms are bit for
+    sample of more from the same seed.  Row j's uniforms are bit for
     bit those of numpy's default generator seeded ``[seed, j]``, because numpy
     keeps SeedSequence and PCG64 stable; all n streams are computed in one
     vectorised pass.  ``n`` must pass ``trajectory_count``.

@@ -7,7 +7,8 @@ skip-realizability check evaluates its expectation by exhaustively
 enumerating the trajectory space, so none of these paths share code with the
 estimators they validate.  The scalar skip chain (ranges, skip probabilities,
 stopping laws and skip targets of one state or one trajectory at a time) is
-the reference that ``skipping``'s batch kernels are tested against.
+the reference that ``skipping``'s batch kernels are tested against; it reads
+a trajectory as plain ``states`` and ``rewards`` rows, never a ``Dataset``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .envs import FeatureMap, StackParams, stage_ranges
 from .mdp import (
     Policy,
     StagedMdp,
-    Trajectory,
     ValidationError,
     enumerate_deterministic_policies,
     evaluate_policy,
@@ -37,7 +37,6 @@ class ConcReport:
 
     c_conc: float
     witness: tuple          # (stage, state, action)
-    stage_max: np.ndarray   # per-stage maximum ratio
     max_reach: list         # max_reach[h][s] = sup over policies of P(S_h = s)
     mu: list                # behavior occupancy tables
 
@@ -77,7 +76,6 @@ def concentrability(mdp: StagedMdp, behavior: Policy) -> ConcReport:
     reach = [_max_reach(mdp, h) for h in range(H)]
     best = 0.0
     witness = (0, 0, 0)
-    stage_max = np.zeros(H)
     for h in range(H):
         for s in range(mdp.stage_sizes[h]):
             if reach[h][s] <= 0.0:
@@ -85,12 +83,10 @@ def concentrability(mdp: StagedMdp, behavior: Policy) -> ConcReport:
             for a in range(mdp.num_actions):
                 denom = mu[h][s, a]
                 ratio = float("inf") if denom <= 0.0 else reach[h][s] / denom
-                if ratio > stage_max[h]:
-                    stage_max[h] = ratio
                 if ratio > best:
                     best = ratio
                     witness = (h, s, a)
-    return ConcReport(c_conc=best, witness=witness, stage_max=stage_max, max_reach=reach, mu=mu)
+    return ConcReport(c_conc=best, witness=witness, max_reach=reach, mu=mu)
 
 
 def concentrability_by_enumeration(mdp: StagedMdp, behavior: Policy) -> float:
@@ -286,20 +282,20 @@ class StopDistribution:
         return range(self.start + 1, self.start + 1 + len(self.probs))
 
 
-def stop_distribution(guess: Guess, featmap: FeatureMap, traj: Trajectory, h: int,
-                      params: SkipParams) -> StopDistribution:
-    """Stopping law over stages h+1..H for one trajectory: F(t) = (1 - w_t) prod_{u<t} w_u
-    with w the skip probabilities along it, the product kept as a running one.
+def stop_distribution(guess: Guess, featmap: FeatureMap, states, h: int, params: SkipParams) -> StopDistribution:
+    """Stopping law over stages h+1..H along one trajectory's visited ``states``, shape
+    (H+1,): F(t) = (1 - w_t) prod_{u<t} w_u with w the skip probabilities along it,
+    the product kept as a running one.
 
     The terminal stage is never skipped, so the probabilities always
     telescope to one.
     """
-    H = traj.horizon
+    H = len(states) - 1
     if h < 0 or h >= H:
         raise ValidationError(f"stop distribution start stage {h} outside 0..{H - 1}")
     probs, reach = [], 1.0
     for t in range(h + 1, H + 1):
-        omega = skip_probability(guess, featmap, t, int(traj.states[t]), params)
+        omega = skip_probability(guess, featmap, t, int(states[t]), params)
         probs.append(reach * (1.0 - omega))
         reach *= omega
     return StopDistribution(start=h, probs=np.array(probs))
@@ -313,19 +309,20 @@ def _check_f(value: float, stage: int, horizon: int) -> float:
     return value
 
 
-def skip_target(guess: Guess, featmap: FeatureMap, traj: Trajectory, h: int, f, params: SkipParams) -> float:
-    """Exact stopping-law expectation of accumulated reward plus f at the stop.
+def skip_target(guess: Guess, featmap: FeatureMap, states, rewards, h: int, f, params: SkipParams) -> float:
+    """Exact stopping-law expectation of accumulated reward plus f at the stop, along
+    one trajectory's ``states`` and ``rewards`` rows, shape (H+1,) each.
 
     ``f`` maps (stage, state) to a value in [0, H] with f(terminal) = 0; the
     result is the finite sum over the stopping support and lies in [0, 2H].
     """
-    H = traj.horizon
-    dist = stop_distribution(guess, featmap, traj, h, params)
+    H = len(states) - 1
+    dist = stop_distribution(guess, featmap, states, h, params)
     cum = 0.0
     total = 0.0
     for i, t in enumerate(dist.support):
-        cum += float(traj.rewards[t - 1])
-        fval = _check_f(float(f(t, int(traj.states[t]))), t, H)
+        cum += float(rewards[t - 1])
+        fval = _check_f(float(f(t, int(states[t]))), t, H)
         total += dist.probs[i] * (cum + fval)
     return total
 

@@ -28,19 +28,20 @@ def one_step_bandit(r0=0.3, r1=0.7):
     )
 
 
-def anchor_distance(sets, h, theta) -> float:
-    """min over stage h's anchors a of sqrt((theta - a)^T X_h (theta - a)), one anchor at a
-    time, without the learner's stacked distance kernels."""
-    X = sets.covariances[h]
+def anchor_distance(sets, covs, h, theta) -> float:
+    """min over stage h's anchors a of sqrt((theta - a)^T X_h (theta - a)), with X_h the
+    matrix of ``covs[h]``, one anchor at a time, without the learner's stacked
+    distance kernels."""
+    X = covs[h].matrix
     return min(float(np.sqrt(max((theta - a) @ X @ (theta - a), 0.0))) for a in sets.stage_sets[h].anchors)
 
 
-def is_member(sets, h, theta, config) -> bool:
+def is_member(sets, covs, h, theta, config) -> bool:
     """Whether ``theta`` passes stage h's ellipsoid test: inside the theta_radius ball and
-    within beta of an anchor, with the learner's tolerances."""
+    within beta of an anchor in the metric of ``covs[h]``, with the learner's tolerances."""
     theta = np.asarray(theta, dtype=float)
     return (np.linalg.norm(theta) <= config.theta_radius + RADIUS_TOL
-            and anchor_distance(sets, h, theta) <= config.beta + MEMBER_TOL)
+            and anchor_distance(sets, covs, h, theta) <= config.beta + MEMBER_TOL)
 
 
 def zero_reward_mdp(rng, horizon=3):

@@ -164,7 +164,7 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
         (sets,) = build_confidence_sets(ds, [inst.true_guess], lc, covs, extra_candidates=extras)
         if sets.empty_stage is not None:
             continue
-        member = all(is_member(sets, h, psi[h], lc) for h in range(H))
+        member = all(is_member(sets, covs, h, psi[h], lc) for h in range(H))
         feasible = max(sets.tightness) <= lc.eps_bar + 1e-12
         passes += member and feasible
     elapsed = time.perf_counter() - t0

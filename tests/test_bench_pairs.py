@@ -33,3 +33,10 @@ def test_unknown_workload_is_a_usage_error():
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "unknown workload no-such-workload" in proc.stderr and proc.stdout == ""
+
+
+def test_host_reference_timings_are_read_from_the_run_output():
+    # run.py prints the host reference timings on one line, before and after its passes
+    bp = load_script()
+    assert bp.host_ref_ms("host.ref_ms before [30.5, 31.0, 29.75]  after [40.0, 28.0, 33.25]") == 30.75
+    assert bp.host_ref_ms("host.ref_ms before [12]  after []") == 12.0

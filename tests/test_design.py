@@ -162,6 +162,14 @@ class TestGuessGrid:
             for p in g.panels:
                 assert np.linalg.norm(p, axis=1).max() <= g.radius_bound + 1e-9
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True], ids=["fractional", "float", "bool"])
+    def test_non_integer_cap_refused(self, cap):
+        # a cap of 2.5 used to build 3 guesses
+        g = Guess.from_stage_vectors(3, 2, {1: [[0.5, 0.0]]}, radius_bound=1.0)
+        with pytest.raises(ValidationError, match=f"^count_cap must be an integer, got {cap!r}$"):
+            guess_grid(g, 0.3, cap, seed=0)
+        assert len(guess_grid(g, 0.3, np.int64(3), seed=0)) == 3
+
     def test_zero_spread_copies_equal_true_guess(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 2, seed=6)
         tg = build_true_guess(mdp, fm, sample_policies(mdp, 30, 0))

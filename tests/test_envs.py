@@ -10,7 +10,7 @@ from skiprl.envs import (
     fit_policy_stack,
     random_linear_mdp,
     sample_policies,
-    state_range,
+    stage_ranges,
 )
 from skiprl.mdp import (
     StagedMdp,
@@ -174,38 +174,35 @@ class TestMisspecification:
         assert eta >= 0.5 - 1e-12
 
 
+def state_ranges(mdp, fm, policies, stage):
+    """``stage_ranges`` of the policies' fitted stage parameters: one range per state."""
+    return stage_ranges(fm, fit_policy_stack(mdp, fm, policies).theta[stage], stage)
+
+
 class TestStateRange:
     def test_single_action_zero(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 1, seed=10)
         policies = sample_policies(mdp, 10, 0)
-        assert state_range(mdp, fm, policies, 1, 0) == 0.0
+        assert not state_ranges(mdp, fm, policies, 1).any()
 
     def test_identical_action_features_zero(self):
         rng = np.random.default_rng(15)
         mdp = random_tabular_mdp(rng, horizon=2, max_states=2, max_actions=3)
         fm = ones_featmap(mdp)
         policies = [uniform_policy(mdp), random_policy(mdp, rng)]
-        for s in range(mdp.stage_sizes[1]):
-            assert state_range(mdp, fm, policies, 1, s) == 0.0
+        assert not state_ranges(mdp, fm, policies, 1).any()
 
     def test_matches_value_spread_on_exact_instances(self):
         # brute force: max over deterministic policies of max_{a,a'} q(s,a) - q(s,a')
         mdp, fm = random_linear_mdp(2, 2, (1, 3, 1), 2, seed=11)
         policies = list(enumerate_deterministic_policies(mdp))
+        ranges = state_ranges(mdp, fm, policies, 1)
         for s in range(mdp.stage_sizes[1]):
             spread = 0.0
             for pi in policies:
                 q = evaluate_policy(mdp, pi).q[1][s]
                 spread = max(spread, float(q.max() - q.min()))
-            assert state_range(mdp, fm, policies, 1, s) == pytest.approx(spread, abs=1e-9)
-
-    def test_domain_errors(self):
-        mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 2, seed=12)
-        policies = sample_policies(mdp, 5, 0)
-        with pytest.raises(ValidationError):
-            state_range(mdp, fm, policies, 0, 0)
-        with pytest.raises(ValidationError):
-            state_range(mdp, fm, policies, mdp.horizon, 0)
+            assert ranges[s] == pytest.approx(spread, abs=1e-9)
 
     def test_value_sandwich_with_range(self):
         # |v^pi(s) - q^pi(s,a)| <= range(s) + 2 eta_hat + 1e-6 over the sampled policies
@@ -213,8 +210,9 @@ class TestStateRange:
         policies = sample_policies(mdp, 40, 1)
         eta_hat = estimate_misspecification(mdp, fm, 40, seed=1)
         for stage in range(1, mdp.horizon):
+            ranges = state_ranges(mdp, fm, policies, stage)
             for s in range(mdp.stage_sizes[stage]):
-                rng_val = state_range(mdp, fm, policies, stage, s)
+                rng_val = ranges[s]
                 for pi in policies:
                     vals = evaluate_policy(mdp, pi)
                     gap = np.abs(vals.v[stage][s] - vals.q[stage][s]).max()

@@ -178,11 +178,12 @@ class TestConfidenceSets:
 
     def test_anchors_are_members(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config))
+        stage_covs = covs(ds, config)
+        (sets,) = build_confidence_sets(ds, [guess], config, stage_covs)
         for h in range(mdp.horizon):
             for anchor in sets.stage_sets[h].anchors:
-                assert is_member(sets, h, anchor, config)
-                assert anchor_distance(sets, h, anchor) <= 1e-9
+                assert is_member(sets, stage_covs, h, anchor, config)
+                assert anchor_distance(sets, stage_covs, h, anchor) <= 1e-9
 
     def test_tiny_radius_gives_empty_signal(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
@@ -197,10 +198,11 @@ class TestConfidenceSets:
         pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
         psi = fit_policy_stack(mdp, fm, [pistar]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
+        stage_covs = covs(ds, config)
+        (sets,) = build_confidence_sets(ds, [guess], config, stage_covs, extra_candidates=extras)
         for h in range(mdp.horizon):
             assert sets.empty_stage is None
-            if is_member(sets, h, psi[h], config):
+            if is_member(sets, stage_covs, h, psi[h], config):
                 members = sets.members_at(h)
                 assert np.min(np.linalg.norm(members - psi[h], axis=1)) <= 1e-12
 
@@ -332,9 +334,7 @@ class TestStackedKernels:
         stage_sets = [
             learner.StageSets(anchors=mem[:1], members=mem, combos=1, subsampled=False, tails=1) for mem in members
         ]
-        sets = learner.ConfidenceSets(
-            horizon=H, dim=d, stage_sets=stage_sets, covariances=[np.eye(d)] * H, tightness=[0.0] * H
-        )
+        sets = learner.ConfidenceSets(horizon=H, dim=d, stage_sets=stage_sets, tightness=[0.0] * H)
         vals = [clipped_v(theta, fm, 0, 0) for theta in members[0]]
         best = int(np.argmax(vals))
         thetas, vbar = learner._chain_from(sets, fm)
@@ -383,8 +383,9 @@ class TestSolve:
         pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
         psi = fit_policy_stack(mdp, fm, [pistar]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config), extra_candidates=extras)
-        assert is_member(sets, 0, psi[0], config)
+        stage_covs = covs(ds, config)
+        (sets,) = build_confidence_sets(ds, [guess], config, stage_covs, extra_candidates=extras)
+        assert is_member(sets, stage_covs, 0, psi[0], config)
         vals = [clipped_v(t, fm, 0, 0) for t in sets.members_at(0)]
         assert max(vals) >= clipped_v(psi[0], fm, 0, 0) - 1e-9
 
@@ -891,6 +892,21 @@ class TestLearnerConfig:
     def test_alpha_outside_unit_interval_refused(self, alpha):
         with pytest.raises(ValidationError, match=rf"^alpha must lie in \(0, 1\], got {alpha!r}$"):
             LearnerConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("name, value, named", [
+        ("grid_per_stage", 8.0, "grid_per_stage must be an integer, got 8.0"),
+        ("combo_cap", 2.5, "combo_cap must be an integer, got 2.5"),
+        ("combo_cap", True, "combo_cap must be an integer, got True"),
+        ("seed", 1.0, "seed must be an integer, got 1.0"),
+        ("seed", False, "seed must be an integer, got False"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ], ids=["float-grid", "fractional-cap", "bool-cap", "float-seed", "bool-seed", "negative-seed"])
+    def test_integer_settings_refused_by_name(self, name, value, named):
+        # grid_per_stage 8.0 failed only inside solve as a bad slice index, combo_cap 2.5
+        # and seed -1 only once the combos were subsampled, and True ran as 1
+        with pytest.raises(ValidationError, match=f"^{named}$"):
+            LearnerConfig(**{name: value})
+        LearnerConfig(**{name: np.int64(2)})
 
 
 class TestDimensions:

@@ -11,7 +11,6 @@ from skiprl.mdp import (
     Policy,
     PolicyStack,
     StagedMdp,
-    Trajectory,
     ValidationError,
     _draw,
     _factorize,
@@ -22,11 +21,11 @@ from skiprl.mdp import (
     evaluate_policy,
     mdp_from_doc,
     mdp_to_doc,
+    mix_policies,
     occupancy,
     optimal_policy,
     random_policy,
     sample_trajectories,
-    sample_trajectory,
     uniform_policy,
 )
 
@@ -159,7 +158,7 @@ class TestEvaluatePolicy:
             pi = random_policy(mdp, rng)
             exact = evaluate_policy(mdp, pi).v[0][0]
             trajs = sample_trajectories(mdp, pi, 4000, int(rng.integers(1 << 30)))
-            returns = np.array([t.rewards.sum() for t in trajs])
+            returns = trajs.rewards.sum(axis=1)
             se = returns.std(ddof=1) / np.sqrt(len(returns))
             assert abs(returns.mean() - exact) <= 3 * se + 1e-9
 
@@ -227,8 +226,7 @@ class TestOccupancy:
         trajs = sample_trajectories(mdp, pi, n, 909)
         for h in range(mdp.horizon):
             counts = np.zeros_like(nu[h])
-            for t in trajs:
-                counts[t.states[h], t.actions[h]] += 1
+            np.add.at(counts, (trajs.states[:, h], trajs.actions[:, h]), 1)
             freq = counts / n
             sigma = np.sqrt(np.maximum(nu[h] * (1 - nu[h]), 1e-12) / n)
             assert np.all(np.abs(freq - nu[h]) <= 3 * sigma + 1e-9)
@@ -241,7 +239,7 @@ class TestSampling:
         rewards = [np.array([[0.2, 0.8]]), np.array([[0.5, 0.1], [0.0, 0.0]]), np.zeros((1, 2))]
         mdp = StagedMdp(2, (1, 2, 1), 2, transitions, rewards)
         pi = deterministic_policy(mdp, [[1], [0, 0], [0]])
-        t1, t2 = sample_trajectory(mdp, pi, 1), sample_trajectory(mdp, pi, 999)
+        t1, t2 = sample_trajectories(mdp, pi, 1, 1), sample_trajectories(mdp, pi, 1, 999)
         np.testing.assert_array_equal(t1.states, t2.states)
         np.testing.assert_array_equal(t1.actions, t2.actions)
         np.testing.assert_array_equal(t1.rewards, t2.rewards)
@@ -250,25 +248,26 @@ class TestSampling:
         rng = np.random.default_rng(21)
         mdp = random_tabular_mdp(rng, reward_kind="deterministic-mean")
         pi = random_policy(mdp, rng)
-        traj = sample_trajectory(mdp, pi, 17)
+        ds = sample_trajectories(mdp, pi, 8, 17)
         for h in range(mdp.horizon):
-            assert traj.rewards[h] == mdp.reward_means[h][traj.states[h], traj.actions[h]]
+            np.testing.assert_array_equal(ds.rewards[:, h], mdp.reward_means[h][ds.states[:, h], ds.actions[:, h]])
 
     def test_bernoulli_rewards_binary(self):
         rng = np.random.default_rng(22)
         mdp = random_tabular_mdp(rng, reward_kind="bernoulli-mean")
-        traj = sample_trajectory(mdp, random_policy(mdp, rng), 3)
-        assert set(np.unique(traj.rewards)).issubset({0.0, 1.0})
+        ds = sample_trajectories(mdp, random_policy(mdp, rng), 8, 3)
+        assert set(np.unique(ds.rewards)).issubset({0.0, 1.0})
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(23)
         mdp = random_tabular_mdp(rng)
         pi = random_policy(mdp, rng)
-        a = sample_trajectory(mdp, pi, [77, 4])
+        # the same seed gives the same rows, and a smaller sample is a prefix of a larger one
+        a = sample_trajectories(mdp, pi, 5, 77)
         batch = sample_trajectories(mdp, pi, 6, 77)
-        np.testing.assert_array_equal(a.states, batch[4].states)
-        np.testing.assert_array_equal(a.actions, batch[4].actions)
-        np.testing.assert_array_equal(a.rewards, batch[4].rewards)
+        for key in ("states", "actions", "rewards"):
+            np.testing.assert_array_equal(getattr(a, key), getattr(batch, key)[:5])
+            np.testing.assert_array_equal(getattr(batch, key), getattr(sample_trajectories(mdp, pi, 6, 77), key))
 
     def test_visit_frequencies_match_occupancy(self):
         rng = np.random.default_rng(31)
@@ -279,8 +278,7 @@ class TestSampling:
         trajs = sample_trajectories(mdp, pi, n, 4242)
         h = mdp.horizon - 1
         counts = np.zeros_like(nu[h])
-        for t in trajs:
-            counts[t.states[h], t.actions[h]] += 1
+        np.add.at(counts, (trajs.states[:, h], trajs.actions[:, h]), 1)
         sigma = np.sqrt(np.maximum(nu[h] * (1 - nu[h]), 1e-12) / n)
         assert np.all(np.abs(counts / n - nu[h]) <= 3 * sigma + 1e-9)
 
@@ -426,7 +424,7 @@ class TestUniformsAgainstNumpy:
         with pytest.raises(ValueError):
             np.random.default_rng([3, -1])
         with pytest.raises(ValueError):
-            sample_trajectory(mdp, uniform_policy(mdp), [3, -1])
+            sample_trajectories(mdp, uniform_policy(mdp), 1, [3, -1])
         with pytest.raises(ValueError):
             sample_trajectories(mdp, uniform_policy(mdp), 4, -2)
 
@@ -441,21 +439,22 @@ class TestValidation:
             StagedMdp(1, (1, 1), 2, [np.ones((1, 2, 1))], [np.zeros((1, 2)), np.full((1, 2), 0.1)])
 
     def test_trajectory_invariants(self):
-        with pytest.raises(ValidationError):
-            Trajectory(np.array([0, 0]), np.array([0, 0]), np.array([0.5, 0.2]))
+        # a one-row dataset whose terminal stage pays 0.2
+        with pytest.raises(ValidationError, match="terminal reward must be zero"):
+            Dataset(np.array([[0, 0]]), np.array([[0, 0]]), np.array([[0.5, 0.2]]))
 
     @pytest.mark.parametrize("states, actions, rewards, features, named", [
-        ([0, 1, 0], [0], [0.5, 0.0], np.ones((2, 2, 1)), r"\(H\+1,\) shape"),
-        ([0, 1, 0], [0, 0, 0], [0.5, 0.0], np.ones((2, 2, 1)), r"\(H\+1,\) shape"),
-        ([[0, 0]], [[0, 0]], [[0.5, 0.0]], None, r"\(H\+1,\) shape"),
-        ([0, 1, 0], [0, 0, 0], [0.5, 0.0, 0.0], np.ones((7, 2, 1)), r"\(H, A, d\) with H = 2"),
-        ([0, 1, 0], [0, 0, 0], [0.5, 0.0, 0.0], np.ones((2, 2)), r"\(H, A, d\) with H = 2"),
-    ], ids=["short-actions", "short-rewards", "two-dimensional", "feature-stages", "feature-rank"])
+        ([[0, 1, 0]], [[0]], [[0.5, 0.0]], np.ones((1, 2, 2, 1)), r"\(n, H\+1\) shape"),
+        ([[0, 1, 0]], [[0, 0, 0]], [[0.5, 0.0]], np.ones((1, 2, 2, 1)), r"\(n, H\+1\) shape"),
+        ([0, 1, 0], [0, 0, 0], [0.5, 0.0, 0.0], None, r"\(n, H\+1\) shape"),
+        ([[0, 1, 0]], [[0, 0, 0]], [[0.5, 0.0, 0.0]], np.ones((1, 7, 2, 1)), r"\(n, H, A, d\) with n, H = 1, 2"),
+        ([[0, 1, 0]], [[0, 0, 0]], [[0.5, 0.0, 0.0]], np.ones((2, 2, 1)), r"\(n, H, A, d\) with n, H = 1, 2"),
+    ], ids=["short-actions", "short-rewards", "one-dimensional", "feature-stages", "feature-rank"])
     def test_trajectory_shapes_checked(self, states, actions, rewards, features, named):
-        # Trajectory([0, 1, 0], [0], [0.5, 0.0], ones((7, 2, 1))) used to build
+        # one trajectory is a one-row dataset; an unstacked path or feature block is refused
         with pytest.raises(ValidationError, match=named):
-            Trajectory(np.array(states), np.array(actions), np.array(rewards), features)
-        Trajectory(np.array([0, 1, 0]), np.array([0, 1, 0]), np.array([0.5, 0.0, 0.0]), np.ones((2, 2, 1)))
+            Dataset(np.array(states), np.array(actions), np.array(rewards), features)
+        Dataset(np.array([[0, 1, 0]]), np.array([[0, 1, 0]]), np.array([[0.5, 0.0, 0.0]]), np.ones((1, 2, 2, 1)))
 
     @pytest.mark.parametrize("action, named", [(-1, ">= 0"), (2, "< 2")], ids=["negative", "past-last"])
     def test_actions_outside_feature_range(self, action, named):
@@ -467,8 +466,8 @@ class TestValidation:
         actions[1, 1] = action
         with pytest.raises(ValidationError, match=named):
             Dataset(states, actions, rewards, feats)
-        with pytest.raises(ValidationError, match=named):
-            Trajectory(states[1], actions[1], rewards[1], feats[1])
+        with pytest.raises(ValidationError, match=named):  # the offending row alone
+            Dataset(states[1:], actions[1:], rewards[1:], feats[1:])
         if action < 0:  # without features only the sign can be checked
             with pytest.raises(ValidationError, match=named):
                 Dataset(states, actions, rewards)
@@ -478,6 +477,16 @@ class TestValidation:
     def test_rewards_outside_unit_interval(self):
         with pytest.raises(ValidationError):
             StagedMdp(1, (1, 1), 1, [np.ones((1, 1, 1))], [np.array([[1.2]]), np.zeros((1, 1))])
+
+    @pytest.mark.parametrize("eps", [1.5, -0.1, np.nan], ids=["above-one", "negative", "nan"])
+    def test_mixture_weight_outside_unit_interval(self, eps):
+        # at A = 2, eps = 1.5 passed the row checks as 0.25 on the greedy action and 0.75 on the other
+        mdp = one_step_bandit()
+        greedy, uniform = deterministic_policy(mdp, [[1], [0]]), uniform_policy(mdp)
+        with pytest.raises(ValidationError, match=rf"^mixture weight eps must lie in \[0, 1\], got {eps!r}$"):
+            mix_policies(greedy, uniform, eps)
+        for edge in (0.0, 1.0):
+            mix_policies(greedy, uniform, edge)
 
     @pytest.mark.parametrize("build, good, named", [
         (lambda x: Policy([[[x, 1.0]], [[1.0, 0.0]]]), 0.0, "policy stage 0: non-finite"),
@@ -542,27 +551,24 @@ class TestSerialization:
 
 
 class TestDataset:
-    def test_from_trajectories_and_indexing(self, fixed_instance):
+    def test_from_trajectories_refuses_other_containers(self, fixed_instance):
+        # the classmethod only passes a featured Dataset through; it no longer stacks rows
         mdp, featmap = fixed_instance
-        trajs = sample_trajectories(mdp, uniform_policy(mdp), 5, 3, featmap)
-        ds = Dataset.from_trajectories(list(trajs))
-        assert ds is not trajs and ds.n == 5 and ds.horizon == 3 and ds.dim == 2
-        back = ds[2]
-        np.testing.assert_array_equal(back.states, trajs[2].states)
-        np.testing.assert_array_equal(back.features, trajs[2].features)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 5, 3, featmap)
+        with pytest.raises(ValidationError, match="^expected a Dataset, got list$"):
+            Dataset.from_trajectories([ds])
 
-    def test_sequence_of_trajectories(self, fixed_instance):
+    def test_one_row_per_trajectory(self, fixed_instance):
         mdp, featmap = fixed_instance
         ds = sample_trajectories(mdp, uniform_policy(mdp), 4, 3, featmap)
-        assert isinstance(ds, Dataset) and len(ds) == ds.n == 4
-        rows = list(ds)
-        assert len(rows) == 4 and all(isinstance(t, Trajectory) for t in rows)
-        np.testing.assert_array_equal(rows[-1].actions, ds[-1].actions)
+        assert len(ds) == ds.n == 4 and ds.horizon == 3 and ds.dim == 2
+        assert ds.states.shape == ds.actions.shape == ds.rewards.shape == (4, 4)
+        assert ds.features.shape == (4, 3, 2, 2)
 
     def test_featureless_dim_raises(self, fixed_instance):
         mdp, _ = fixed_instance
         ds = sample_trajectories(mdp, uniform_policy(mdp), 2, 3)
-        assert ds.features is None and ds[0].features is None
+        assert ds.features is None
         with pytest.raises(ValidationError, match="no features"):
             ds.dim
 

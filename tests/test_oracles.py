@@ -264,7 +264,8 @@ class TestSkipRealizability:
         from skiprl.mdp import Policy
 
         trajs = sample_trajectories(mdp, Policy(forced), 20_000, 31, fm)
-        samples = np.array([skip_target(guess, fm, t, h, f, params) for t in trajs])
+        samples = np.array([skip_target(guess, fm, states, rewards, h, f, params)
+                            for states, rewards in zip(trajs.states, trajs.rewards)])
         se = samples.std(ddof=1) / np.sqrt(len(samples))
         assert abs(samples.mean() - exact) <= 3 * se + 1e-9
 

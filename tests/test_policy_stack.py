@@ -27,7 +27,6 @@ from skiprl.envs import (
     random_linear_mdp,
     sample_policies,
     stage_ranges,
-    state_range,
 )
 from skiprl.mdp import (
     REWARD_KINDS,
@@ -423,7 +422,6 @@ def test_stage_ranges_match_per_state_loop(args, count, seed):
         for s in range(mdp.stage_sizes[stage]):
             want = ref_state_range(fm, thetas, stage, s)
             assert ranges[s] == want
-            assert state_range(mdp, fm, stack, stage, s) == want
 
 
 def shared_feature_mdp():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import FeatureMap, random_linear_mdp, sample_policies
 from skiprl.learner import _clipped_vbar_rows, clipped_v
-from skiprl.mdp import Dataset, ValidationError, sample_trajectories, sample_trajectory, uniform_policy
+from skiprl.mdp import Dataset, ValidationError, sample_trajectories, uniform_policy
 from skiprl.oracles import (
     ContractError,
     guess_range,
@@ -118,6 +118,12 @@ def single_path_mdp(horizon, rng=None, zero_rewards=False):
     return StagedMdp(horizon, (1,) * (horizon + 1), 2, transitions, rewards)
 
 
+def one_path(mdp, seed):
+    """The states and rewards rows of one uniform-behaviour trajectory drawn from ``seed``."""
+    ds = sample_trajectories(mdp, uniform_policy(mdp), 1, seed)
+    return ds.states[0], ds.rewards[0]
+
+
 def make_omega_trajectory(horizon, omega_value, alpha=0.5):
     """Single-path MDP whose interior states all have skip probability omega_value."""
     params = SkipParams(alpha=alpha, d=1)
@@ -134,9 +140,9 @@ class TestStopDistribution:
         g = build_true_guess(mdp, fm, sample_policies(mdp, 30, 0))
         # alpha tiny: every interior range is above twice the threshold
         params = SkipParams(alpha=1e-9, d=2)
-        traj = sample_trajectory(mdp, uniform_policy(mdp), 1, fm)
+        states, _ = one_path(mdp, 1)
         for h in range(mdp.horizon):
-            dist = stop_distribution(g, fm, traj, h, params)
+            dist = stop_distribution(g, fm, states, h, params)
             assert dist.probs[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_product_formula(self):
@@ -144,8 +150,8 @@ class TestStopDistribution:
         # F(1) = 0.6, F(2) = 0.4
         fm, g, params = make_omega_trajectory(2, 0.4)
         mdp = single_path_mdp(2, np.random.default_rng(0))
-        traj = sample_trajectory(mdp, uniform_policy(mdp), 3, fm)
-        dist = stop_distribution(g, fm, traj, 0, params)
+        states, _ = one_path(mdp, 3)
+        dist = stop_distribution(g, fm, states, 0, params)
         np.testing.assert_allclose(dist.probs, [0.6, 0.4], atol=1e-12)
         assert list(dist.support) == [1, 2]
 
@@ -159,36 +165,36 @@ class TestStopDistribution:
         mdp, fm = random_linear_mdp(d, H, sizes, 2, seed=int(rng.integers(0, 2**31)))
         g = build_true_guess(mdp, fm, sample_policies(mdp, 10, 0))
         params = SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d)
-        traj = sample_trajectory(mdp, uniform_policy(mdp), int(rng.integers(0, 100)), fm)
+        states, _ = one_path(mdp, int(rng.integers(0, 100)))
         for h in range(H):
-            assert stop_distribution(g, fm, traj, h, params).probs.sum() == pytest.approx(1.0, abs=1e-12)
+            assert stop_distribution(g, fm, states, h, params).probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSkipTarget:
     def test_zero_rewards_zero_f(self):
         fm, g, params = make_omega_trajectory(3, 0.7)
         zero = single_path_mdp(3, zero_rewards=True)
-        traj = sample_trajectory(zero, uniform_policy(zero), 0, fm)
-        assert skip_target(g, fm, traj, 0, lambda t, s: 0.0, params) == 0.0
+        states, rewards = one_path(zero, 0)
+        assert skip_target(g, fm, states, rewards, 0, lambda t, s: 0.0, params) == 0.0
 
     def test_point_mass_reduces_to_one_step(self):
         fm, g, params = make_omega_trajectory(3, 0.0)  # never skip
         mdp = single_path_mdp(3, np.random.default_rng(4))
-        traj = sample_trajectory(mdp, uniform_policy(mdp), 5, fm)
+        states, rewards = one_path(mdp, 5)
         f = lambda t, s: 0.25 if t < 3 else 0.0
-        got = skip_target(g, fm, traj, 1, f, params)
-        assert got == pytest.approx(float(traj.rewards[1]) + 0.25, abs=1e-12)
+        got = skip_target(g, fm, states, rewards, 1, f, params)
+        assert got == pytest.approx(float(rewards[1]) + 0.25, abs=1e-12)
 
     def test_matches_monte_carlo_stop_sampling(self):
         fm, g, params = make_omega_trajectory(4, 0.55)
         mdp = single_path_mdp(4, np.random.default_rng(6))
-        traj = sample_trajectory(mdp, uniform_policy(mdp), 9, fm)
+        states, rewards = one_path(mdp, 9)
         f = lambda t, s: 0.0 if t == 4 else 0.8
-        dist = stop_distribution(g, fm, traj, 0, params)
-        exact = skip_target(g, fm, traj, 0, f, params)
+        dist = stop_distribution(g, fm, states, 0, params)
+        exact = skip_target(g, fm, states, rewards, 0, f, params)
         draws = np.random.default_rng(7).choice(len(dist.probs), size=100_000, p=dist.probs)
         stages = np.arange(1, 5)[draws]
-        cum = np.concatenate([[0.0], np.cumsum(traj.rewards[:-1])])
+        cum = np.concatenate([[0.0], np.cumsum(rewards[:-1])])
         samples = np.array([cum[t] - 0.0 + f(t, 0) for t in stages])
         se = samples.std(ddof=1) / np.sqrt(len(samples))
         assert abs(samples.mean() - exact) <= 3 * se + 1e-9
@@ -196,19 +202,19 @@ class TestSkipTarget:
     def test_contract_violations(self):
         fm, g, params = make_omega_trajectory(2, 0.5)
         mdp = single_path_mdp(2, np.random.default_rng(8))
-        traj = sample_trajectory(mdp, uniform_policy(mdp), 0, fm)
+        states, rewards = one_path(mdp, 0)
         with pytest.raises(ContractError):
-            skip_target(g, fm, traj, 0, lambda t, s: 100.0, params)
+            skip_target(g, fm, states, rewards, 0, lambda t, s: 100.0, params)
         with pytest.raises(ContractError):
-            skip_target(g, fm, traj, 0, lambda t, s: 0.5, params)  # nonzero at terminal
+            skip_target(g, fm, states, rewards, 0, lambda t, s: 0.5, params)  # nonzero at terminal
 
     def test_value_within_bounds(self, fixed_instance):
         mdp, fm = fixed_instance
         g = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
         params = SkipParams(alpha=0.3, d=2)
-        traj = sample_trajectory(mdp, uniform_policy(mdp), 11, fm)
+        states, rewards = one_path(mdp, 11)
         f = lambda t, s: 0.0 if t == mdp.horizon else 1.5
-        val = skip_target(g, fm, traj, 0, f, params)
+        val = skip_target(g, fm, states, rewards, 0, f, params)
         assert 0.0 <= val <= 2 * mdp.horizon
 
 
@@ -224,7 +230,7 @@ class TestBatchTargets:
                 fvals[:, i] = np.clip((ds.features[:, u] @ theta).max(axis=1), 0.0, H)
             batch = batch_skip_targets(ds.rewards, omega, fvals, h)
             for j in range(0, ds.n, step):
-                assert batch[j] == skip_target(g, fm, ds[j], h, f, params)
+                assert batch[j] == skip_target(g, fm, ds.states[j], ds.rewards[j], h, f, params)
 
     def test_batch_agrees_with_scalar(self, fixed_instance):
         mdp, fm = fixed_instance
