@@ -40,7 +40,7 @@ def cmd_learn(args) -> int:
     inst = harness.build_instance(cfg)
     ds = harness.load_dataset(args.data)
     want = (inst.mdp.horizon, inst.mdp.num_actions, inst.featmap.d)
-    got = (ds.horizon, *ds.features.shape[2:])
+    got = (ds.horizon, *ds.visited_blocks[0][0].shape[1:])
     if got != want:
         raise ValidationError(f"dataset {args.data} has (H, A, d) = {got}; the environment has {want}")
     lc, cal = harness.calibrated_config(cfg, inst, ds.n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 import typing
@@ -30,6 +31,7 @@ from .mdp import (
     Policy,
     StagedMdp,
     ValidationError,
+    is_integer,
     mix_policies,
     optimal_policy,
     random_policy,
@@ -115,6 +117,15 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        counts = {"sweep.replicates": self.sweep.replicates, "calibration.replicates": self.calibration.replicates,
+                  "policy_sample": self.policy_sample, "policy_sample_seed": self.policy_sample_seed}
+        for name, value in counts.items():
+            if not is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.calibration.enabled, (bool, np.bool_)):
+            raise ValidationError(f"calibration.enabled must be true or false, got {self.calibration.enabled!r}")
+        if not 0.0 <= self.guesses.spread < math.inf:  # also refuses NaN
+            raise ValidationError(f"guesses.spread must be a finite number >= 0, got {self.guesses.spread!r}")
         if self.sweep.replicates < 1:
             raise ValidationError("replicate count must be >= 1")
         values = list(self.sweep.n_values)
@@ -277,10 +288,18 @@ def calibrated_config(cfg: ExperimentConfig, inst: Instance, n: int) -> tuple:
     return pair
 
 
-def run_replicate(cfg: ExperimentConfig, inst: Instance, lc: LearnerConfig, n: int, replicate: int):
+def run_replicate(cfg: ExperimentConfig, inst: Instance, lc: LearnerConfig, n: int, replicate: int,
+                  sample: Dataset | None = None):
+    """One cell: collect, solve and evaluate replicate ``replicate`` at n.
+
+    ``sample``, when given, is the replicate's dataset at n or more trajectories,
+    and the cell solves its first n (``Dataset.prefix``), which are byte for byte
+    the n a fresh collect would give; ``wall_ms`` then times the prefix view,
+    the solve and the evaluation, not the sampling.
+    """
     start = time.perf_counter()
     try:
-        ds = collect(inst, n, [cfg.data.seed, replicate])
+        ds = collect(inst, n, [cfg.data.seed, replicate]) if sample is None else sample.prefix(n)
     except Exception as err:
         raise HarnessError("collect", err) from err
     try:
@@ -320,12 +339,25 @@ def summarize(rows) -> list:
 
 
 def sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """The full pipeline for every (n, replicate) cell of the config's n grid, in one loop."""
+    """The full pipeline for every (n, replicate) cell of the config's n grid, in one loop.
+
+    The n points are paired: each replicate is sampled once, at the largest n,
+    and every n of the grid solves a nested prefix of that one sample
+    (``run_replicate`` with ``sample``).  Trajectory j depends only on
+    ``[data.seed, replicate, j]``, so each row equals ``run_replicate`` on a
+    fresh sample of its n.
+    """
     inst = build_instance(cfg)
-    configs = calibrated_configs(cfg, inst, cfg.sweep.n_values)
-    calibrations = {int(n): cal for n, (_, cal) in zip(cfg.sweep.n_values, configs)}
-    rows = [run_replicate(cfg, inst, lc, n, r)[0]
-            for n, (lc, _) in zip(cfg.sweep.n_values, configs) for r in range(cfg.sweep.replicates)]
+    n_values = cfg.sweep.n_values
+    configs = calibrated_configs(cfg, inst, n_values)
+    calibrations = {int(n): cal for n, (_, cal) in zip(n_values, configs)}
+    rows = []
+    for r in range(cfg.sweep.replicates if n_values else 0):  # an empty grid has no cells
+        try:
+            sample = collect(inst, max(n_values), [cfg.data.seed, r])
+        except Exception as err:
+            raise HarnessError("collect", err) from err
+        rows.extend(run_replicate(cfg, inst, lc, n, r, sample)[0] for n, (lc, _) in zip(n_values, configs))
     rows.sort(key=lambda r: (r.n, r.seed))
     return ExperimentResult(
         rows=rows,
@@ -341,52 +373,87 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 # the arrays of a dataset archive, with the dtype kind and rank each must have
-DATASET_ARRAYS = {"states": (np.integer, 2), "actions": (np.integer, 2),
-                  "rewards": (np.floating, 2), "features": (np.floating, 4)}
+DATASET_ARRAYS = {"states": (np.integer, 2), "actions": (np.integer, 2), "rewards": (np.floating, 2),
+                  "blocks": (np.floating, 3), "block_counts": (np.integer, 1), "codes": (np.integer, 2)}
+# the arrays of the earlier archive, which stored dense (n, H, A, d) features
+DENSE_ARRAYS = ["actions", "features", "rewards", "states"]
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the dataset's four arrays, bit for bit, as one uncompressed ``.npz`` archive.
+    """Write the dataset's stored form, bit for bit, as one uncompressed ``.npz`` archive.
 
-    The archive goes to a file object, so numpy adds no ``.npz`` suffix to ``path``.
-    A featureless ``Dataset`` raises ``ValidationError`` before the file is opened.
+    The archive holds ``states``, ``actions`` and ``rewards``; ``blocks``, every
+    stage's distinct feature blocks stacked stage after stage, (sum of m_h, A, d);
+    ``block_counts``, the H counts m_h; and ``codes``, each row's block index at
+    each stage, (n, H).  It goes to a file object, so numpy adds no ``.npz``
+    suffix to ``path``.  A featureless ``Dataset`` raises ``ValidationError``
+    before the file is opened.
     """
-    if dataset.features is None:
-        raise ValidationError("dataset carries no features")
+    groups = dataset.visited_blocks  # refuses a featureless dataset by name
     with open(path, "wb") as fh:
-        np.savez(fh, **{key: getattr(dataset, key) for key in DATASET_ARRAYS})
+        np.savez(fh, states=dataset.states, actions=dataset.actions, rewards=dataset.rewards,
+                 blocks=np.concatenate([blocks for blocks, _ in groups]),
+                 block_counts=np.array([len(blocks) for blocks, _ in groups]),
+                 codes=np.stack([rows for _, rows in groups]).T)
 
 
 def load_dataset(path) -> Dataset:
-    """The ``Dataset`` of a ``save_dataset`` archive; JSON-lines files are no longer read.
+    """The ``Dataset`` of a ``save_dataset`` archive.
 
     The archive is opened as ``np.load`` opens one, with ``allow_pickle=False``, so
     an object array is refused unpickled.  It must hold exactly the arrays of
-    ``DATASET_ARRAYS``, of their dtype kinds and ranks; ``Dataset`` then checks the
-    invariants once.  Every refusal is a ``ValidationError`` naming the file; a broken
-    invariant also names the first trajectory that is refused on its own.
+    ``DATASET_ARRAYS``, of their dtype kinds and ranks, and ``block_counts`` must
+    split ``blocks`` into H stages; ``Dataset.of_blocks`` then checks the
+    invariants and the stored form once.  Every refusal is a ``ValidationError``
+    naming the file: JSON-lines files and archives of dense features, the earlier
+    formats, are refused too.  A broken row invariant also names the first
+    trajectory that is refused on its own.
     """
     with open(path, "rb") as fh:
         try:
             with np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive:
-                if sorted(archive.files) != sorted(DATASET_ARRAYS):
-                    raise ValidationError(f"it holds {sorted(archive.files)}, not {sorted(DATASET_ARRAYS)}")
-                arrays = {key: archive[key] for key in DATASET_ARRAYS}
-        except (EOFError, ValueError, zipfile.BadZipFile) as err:  # ValueError covers ValidationError
+                files = sorted(archive.files)
+                arrays = {key: archive[key] for key in DATASET_ARRAYS} if files == sorted(DATASET_ARRAYS) else None
+        except (EOFError, ValueError, zipfile.BadZipFile) as err:
             raise ValidationError(f"{path}: not a dataset archive: {err}") from err
+    if files == DENSE_ARRAYS:
+        raise ValidationError(f"{path}: an archive of dense features (states, actions, rewards, features), "
+                              "the earlier dataset format, is no longer read; collect the dataset again")
+    if arrays is None:
+        raise ValidationError(f"{path}: not a dataset archive: it holds {files}, not {sorted(DATASET_ARRAYS)}")
     for key, (kind, ndim) in DATASET_ARRAYS.items():
         a = arrays[key]
         if not np.issubdtype(a.dtype, kind) or a.ndim != ndim:
             raise ValidationError(f"{path}: {key} must be a {ndim}-d {kind.__name__} array, got {a.dtype} of shape {a.shape}")
+    counts, blocks = arrays.pop("block_counts"), arrays.pop("blocks")
+    H = arrays["states"].shape[1] - 1
+    if len(counts) != H or counts.min(initial=1) < 1 or counts.sum() != len(blocks):
+        raise ValidationError(f"{path}: block_counts {counts.tolist()} must give each of the H = {H} stages "
+                              f"at least one of the {len(blocks)} blocks")
+    # one array per stage, as a fresh grouping has, not views into one buffer
+    arrays["blocks"] = [b.copy() for b in np.split(blocks, np.cumsum(counts)[:-1])]
     try:
-        return Dataset(**arrays)
+        return Dataset.of_blocks(**arrays)
     except ValidationError as err:
-        for j in range(len(arrays["states"])):  # only a refused file searches its rows
-            try:
-                Dataset(**{key: a[j : j + 1] for key, a in arrays.items()})
-            except ValidationError as bad:
-                raise ValidationError(f"{path}: trajectory {j}: {bad}") from bad
+        if arrays["codes"].shape == (len(arrays["states"]), H):  # only a refused file searches its rows
+            for j in range(len(arrays["states"])):
+                try:
+                    _trajectory(arrays, j)
+                except ValidationError as bad:
+                    raise ValidationError(f"{path}: trajectory {j}: {bad}") from bad
         raise ValidationError(f"{path}: {err}") from err
+
+
+def _trajectory(arrays: dict, j: int) -> Dataset:
+    """Row j of an archive's arrays as a one-trajectory ``Dataset`` of the dense
+    features its codes name."""
+    feats = []
+    for h, (blocks, code) in enumerate(zip(arrays["blocks"], arrays["codes"][j])):
+        if not 0 <= code < len(blocks):
+            raise ValidationError(f"stage {h} code {code} lies outside [0, {len(blocks)})")
+        feats.append(blocks[code])
+    row = slice(j, j + 1)
+    return Dataset(arrays["states"][row], arrays["actions"][row], arrays["rewards"][row], np.stack(feats)[None])
 
 
 # ---------------------------------------------------------------------------

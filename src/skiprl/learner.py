@@ -717,9 +717,9 @@ def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, c
 
 def _calibrate_at(pool: list, n: int, guess: Guess, psi: np.ndarray, config: LearnerConfig,
                   delta: float) -> CalibrationResult:
-    """``calibrate``'s result at n from the first n rows of each held-out replicate of ``pool``."""
-    datasets = [ds if ds.n == n else Dataset(ds.states[:n], ds.actions[:n], ds.rewards[:n], ds.features[:n])
-                for ds in pool]
+    """``calibrate``'s result at n from the first n rows of each held-out replicate of
+    ``pool`` (``Dataset.prefix``, which groups nothing again)."""
+    datasets = [ds.prefix(n) for ds in pool]
     H = pool[0].horizon
     stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]
     stats = np.array([_own_tail_distance(ds, covs, guess, psi, config) for ds, covs in zip(datasets, stage_data)])
@@ -761,11 +761,11 @@ def calibrate(
     exact-singleton sets stay feasible).
 
     psi is fitted once for the whole grid.  Held-out replicate c is sampled
-    once, at the largest n, from seed ``[seed, c]``; each smaller n reads the
-    first n rows of each array, which are byte for byte a sample of n from
-    that seed, since trajectory j depends only on ``[seed, c, j]``.  So every
-    n gets the result a separate sample of n would give.  The pool is dropped
-    when the call returns.
+    once, at the largest n, from seed ``[seed, c]``; each smaller n reads its
+    first n rows (``Dataset.prefix``), which are byte for byte a sample of n
+    from that seed, since trajectory j depends only on ``[seed, c, j]``.  So
+    every n gets the result a separate sample of n would give.  The pool is
+    dropped when the call returns.
 
     Every n must pass ``mdp.trajectory_count``, ``n_values`` must be nonempty,
     ``replicates`` >= 1 and ``delta`` in (0, 1).  A held-out replicate on

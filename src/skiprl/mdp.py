@@ -206,9 +206,10 @@ class OccupancyMeasure:
                 raise ValidationError(f"occupancy stage {h} is not a distribution")
 
 
-def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, features) -> None:
+def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, blocks) -> None:
     """Invariants of (n, H+1) trajectory stacks, row by row; when there are
-    features, actions must index their action axis and they must be finite."""
+    feature ``blocks`` (one (m_h, A, d) array per stage), actions must index
+    their action axis and they must be finite."""
     if np.any(states[:, 0] != 0) or np.any(states[:, -1] != 0):
         raise ValidationError("trajectory must start at the start state and end at the terminal state")
     if np.any(rewards[:, -1] != 0.0):
@@ -217,9 +218,12 @@ def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, f
         raise ValidationError("rewards must lie in [0, 1]")
     if actions.min(initial=0) < 0:  # min and max read the actions once each, with no mask
         raise ValidationError(f"actions must be >= 0, got {actions.min()}")
-    if features is not None and actions.max(initial=-1) >= features.shape[2]:
-        raise ValidationError(f"actions must be < {features.shape[2]} (the features' action count), got {actions.max()}")
-    if features is not None and not np.isfinite(features).all():
+    if blocks is None:
+        return
+    A = blocks[0].shape[1]
+    if actions.max(initial=-1) >= A:
+        raise ValidationError(f"actions must be < {A} (the features' action count), got {actions.max()}")
+    if not all(np.isfinite(b).all() for b in blocks):
         raise ValidationError("features must be finite")
 
 
@@ -242,32 +246,167 @@ def _factorize(codes: np.ndarray, size: int):
     return first, inverse
 
 
-@dataclass
+def _visited_states(state: np.ndarray):
+    """``_factorize`` of one stage's state column: the first row of each distinct
+    state, in increasing state order, and each row's index among them."""
+    state = state.astype(np.int64)
+    low = state.min()
+    size = int(state.max()) - int(low) + 1
+    return _factorize((state - low).view(np.uint64), size)  # wraps to the exact offset
+
+
+def _byte_order(blocks: np.ndarray):
+    """``(first, inverse)`` of ``np.unique`` over the bytes of the (k, A, d) ``blocks``:
+    the distinct blocks in the order of their bytes are ``blocks[first]``, and row j
+    is distinct block ``inverse[j]``.  Empty (A * d = 0) blocks are all one block."""
+    k, A, d = blocks.shape
+    if A * d == 0:
+        return np.zeros(1, dtype=np.intp), np.zeros(k, dtype=np.intp)
+    flat = np.ascontiguousarray(blocks).reshape(k, A * d)
+    keys = flat.view(np.dtype((np.void, A * d * flat.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _group_by_state(by_state: np.ndarray, candidates: np.ndarray):
+    """A stage's ``(blocks, rows)`` when row j's block is ``candidates[by_state[j]]``,
+    one candidate per visited state: only the candidates are sorted by their bytes."""
+    rep, rows = _byte_order(candidates)
+    return candidates[rep], rows.take(by_state)
+
+
+def _group_dense(states: np.ndarray, features: np.ndarray) -> list:
+    """Per stage h < H, ``(blocks, rows)`` of dense (n, H, A, d) ``features``: the
+    distinct blocks of ``features[:, h]`` in the order of their bytes and each row's
+    index into them.
+
+    Rows are grouped by the bytes of their block, not by state: the features of
+    a loaded file need not be a function of the state.  Each stage is first
+    keyed by ``states[:, h]``; when every row's block is byte for byte its
+    state's first row's block, only those representatives are sorted by their
+    bytes.  A stage that fails this check sorts all n rows' byte keys.  Both
+    ways give the same ``(blocks, rows)``.
+    """
+    feats = np.ascontiguousarray(features)
+    n, H, A, d = feats.shape
+    unit = feats.itemsize if feats.itemsize in (1, 2, 4, 8) else 1
+    bits = feats.reshape(n, H, A * d).view(f"u{unit}")  # compared as integers, so -0.0 and 0.0 stay apart
+    out = []
+    for h in range(H):
+        first, by_state = _visited_states(states[:, h])
+        if np.array_equal(bits[first, h].take(by_state, axis=0), bits[:, h]):
+            out.append(_group_by_state(by_state, feats[first, h]))
+        else:
+            first, rows = _byte_order(feats[:, h])
+            out.append((feats[first, h], rows))
+    return out
+
+
+def _renumber(codes: np.ndarray, size: int):
+    """The groups of ``range(size)`` that ``codes`` uses, as a mask, and ``codes``
+    renumbered over them in the same order."""
+    used = np.bincount(codes, minlength=size) > 0
+    return used, (np.cumsum(used) - 1).take(codes)
+
+
+def _stack_shape(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> tuple:
+    """(n, H) of the shared (n, H+1) shape of the trajectory stacks, n >= 1."""
+    if len(states) == 0:
+        raise ValidationError("cannot build a dataset from zero trajectories")
+    shape = states.shape
+    if len(shape) != 2 or actions.shape != shape or rewards.shape != shape:
+        shapes = (shape, actions.shape, rewards.shape)
+        raise ValidationError(f"states, actions and rewards must share one (n, H+1) shape, got {shapes}")
+    return shape[0], shape[1] - 1
+
+
+def _strictly_byte_ordered(blocks: np.ndarray) -> bool:
+    """Whether each of the (m, A, d) ``blocks`` comes after the one before it in the
+    order of their bytes, as ``np.unique`` sorts them; no sort is run."""
+    m = len(blocks)
+    if m <= 1:
+        return True
+    raw = np.ascontiguousarray(blocks).reshape(m, -1).view(np.uint8)
+    if raw.shape[1] == 0:
+        return False  # empty blocks are all one block
+    differ = raw[1:] != raw[:-1]
+    at = differ.argmax(axis=1)  # first differing byte of each adjacent pair
+    rows = np.arange(m - 1)
+    return bool(differ[rows, at].all() and (raw[1:][rows, at] > raw[:-1][rows, at]).all())
+
+
 class Dataset:
     """The one trajectory container: n >= 1 rollouts stacked into arrays, row j
     of each array being trajectory j.
 
-    ``len(ds)`` is n; ``features`` is None when sampled without a feature
-    map.  The arrays are treated as immutable after construction, which is
-    what lets ``visited_blocks`` and ``tail_paths`` be computed once and cached.
+    Features are stored per stage, never as one dense (n, H, A, d) array:
+    ``visited_blocks[h]`` is ``(blocks, rows)``, the distinct recorded (A, d)
+    feature blocks of stage h in the order of their bytes, shape (m_h, A, d),
+    and each row's index into them, shape (n,), so that ``blocks[rows]`` is
+    the dense ``features[:, h]`` exactly.  ``Dataset(states, actions, rewards,
+    features)`` groups dense features once, here; the sampler, the archive
+    reader and ``prefix`` build the stored form directly.
+
+    ``len(ds)`` is n.  A dataset sampled without a feature map has no blocks.
+    The arrays are treated as immutable after construction, which is what
+    lets ``tail_paths`` be computed once and cached.
     """
 
-    states: np.ndarray    # (n, H+1) int
-    actions: np.ndarray   # (n, H+1) int
-    rewards: np.ndarray   # (n, H+1) float
-    features: np.ndarray | None = None  # (n, H, A, d) float
+    def __init__(self, states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, features=None):
+        n, H = _stack_shape(states, actions, rewards)
+        groups = None
+        if features is not None:
+            if features.ndim != 4 or features.shape[:2] != (n, H):
+                raise ValidationError(f"features must have shape (n, H, A, d) with n, H = {n}, {H}; got {features.shape}")
+            if H == 0:
+                raise ValidationError("a dataset with features needs at least one acting stage")
+            groups = _group_dense(states, features)
+        _check_paths(states, actions, rewards, None if groups is None else [b for b, _ in groups])
+        self._set(states, actions, rewards, groups)
 
-    def __post_init__(self):
-        if len(self.states) == 0:
-            raise ValidationError("cannot build a dataset from zero trajectories")
-        shape = self.states.shape
-        if len(shape) != 2 or self.actions.shape != shape or self.rewards.shape != shape:
-            shapes = (shape, self.actions.shape, self.rewards.shape)
-            raise ValidationError(f"states, actions and rewards must share one (n, H+1) shape, got {shapes}")
-        n, H = shape[0], shape[1] - 1
-        if self.features is not None and (self.features.ndim != 4 or self.features.shape[:2] != (n, H)):
-            raise ValidationError(f"features must have shape (n, H, A, d) with n, H = {n}, {H}; got {self.features.shape}")
-        _check_paths(self.states, self.actions, self.rewards, self.features)
+    def _set(self, states, actions, rewards, groups, parent=None) -> None:
+        self.states = states      # (n, H+1) int
+        self.actions = actions    # (n, H+1) int
+        self.rewards = rewards    # (n, H+1) float
+        self._groups = groups     # H (blocks, rows) pairs, or None without features
+        self._parent = parent     # the dataset this one is a prefix of, or None
+
+    @classmethod
+    def _of_groups(cls, states, actions, rewards, groups, parent=None) -> "Dataset":
+        """A dataset of already-checked arrays and groupings; nothing is checked again."""
+        ds = cls.__new__(cls)
+        ds._set(states, actions, rewards, groups, parent)
+        return ds
+
+    @classmethod
+    def of_blocks(cls, states, actions, rewards, blocks: list, codes: np.ndarray) -> "Dataset":
+        """A dataset of its stored form: ``blocks[h]`` the (m_h, A, d) distinct
+        blocks of stage h and ``codes[:, h]`` each row's index into them.
+
+        Besides ``_check_paths``, every block must be finite and of one (A, d)
+        shape and dtype, each stage's blocks must be distinct and in the order of
+        their bytes, and ``codes`` an (n, H) integer array whose column h lies in
+        [0, m_h) and uses every block of stage h: the form a fresh grouping gives.
+        """
+        n, H = _stack_shape(states, actions, rewards)
+        if H == 0:
+            raise ValidationError("a dataset with features needs at least one acting stage")
+        if len(blocks) != H:
+            raise ValidationError(f"expected one block array per stage, H = {H}, got {len(blocks)}")
+        if any(b.ndim != 3 or b.shape[1:] != blocks[0].shape[1:] or b.dtype != blocks[0].dtype for b in blocks):
+            raise ValidationError("every stage's blocks must be (m, A, d) arrays of one (A, d) and dtype")
+        if codes.shape != (n, H) or not np.issubdtype(codes.dtype, np.integer):
+            raise ValidationError(f"codes must be an (n, H) integer array with n, H = {n}, {H}; got {codes.dtype} of shape {codes.shape}")
+        rows = np.ascontiguousarray(codes.T, dtype=np.intp)  # stage-major, so each stage's rows are contiguous
+        for h, (b, column) in enumerate(zip(blocks, rows)):
+            if column.min() < 0 or column.max() >= len(b):
+                raise ValidationError(f"stage {h} codes must lie in [0, {len(b)}), got {column.min()}..{column.max()}")
+            if not np.bincount(column, minlength=len(b)).all():
+                raise ValidationError(f"stage {h} has a block that no trajectory visits")
+            if not _strictly_byte_ordered(b):
+                raise ValidationError(f"stage {h} blocks must be distinct and in the order of their bytes")
+        _check_paths(states, actions, rewards, blocks)
+        return cls._of_groups(states, actions, rewards, list(zip(blocks, rows)))
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -281,47 +420,24 @@ class Dataset:
         return self.states.shape[1] - 1
 
     @property
-    def dim(self) -> int:
-        if self.features is None:
-            raise ValidationError("dataset carries no features")
-        return self.features.shape[3]
-
-    @cached_property
     def visited_blocks(self) -> list:
-        """Per stage h < H, ``(blocks, rows)``: the distinct recorded (A, d) feature
-        blocks in the order of their bytes, shape (m, A, d), and each row's index
-        into them, shape (n,), so that ``blocks[rows]`` equals ``features[:, h]``
-        exactly.
+        """Per stage h < H, ``(blocks, rows)``: see the class docstring."""
+        if self._groups is None:
+            raise ValidationError("dataset carries no features")
+        return self._groups
 
-        Rows are grouped by the bytes of their block, not by state: the features of
-        a loaded file need not be a function of the state.  Each stage is first
-        keyed by ``states[:, h]`` (one ``_factorize`` pass); when every row's block
-        is byte for byte its state's first row's block, only those representatives
-        are sorted by their bytes.  A stage that fails this check sorts all n rows'
-        byte keys.  Both ways give the same ``(blocks, rows)``.
-        """
-        self.dim  # refuses a featureless dataset by name
-        feats = np.ascontiguousarray(self.features)
-        n, H, A, d = feats.shape
-        if A * d == 0:  # every block is empty, so each stage has one
-            return [(feats[:1, h], np.zeros(n, dtype=np.intp)) for h in range(H)]
-        flat = feats.reshape(n, H, A * d)
-        unit = feats.itemsize if feats.itemsize in (1, 2, 4, 8) else 1
-        bits = flat.view(f"u{unit}")  # compared as integers, so -0.0 and 0.0 stay apart
-        keys = flat.view(np.dtype((np.void, A * d * feats.itemsize)))[..., 0]
-        out = []
-        for h in range(H):
-            state = self.states[:, h].astype(np.int64)
-            low = state.min()
-            size = int(state.max()) - int(low) + 1
-            first, by_state = _factorize((state - low).view(np.uint64), size)  # wraps to the exact offset
-            if np.array_equal(bits[first, h].take(by_state, axis=0), bits[:, h]):
-                _, rep, rows = np.unique(keys[first, h], return_index=True, return_inverse=True)
-                out.append((feats[first[rep], h], rows.take(by_state)))
-            else:
-                _, first, rows = np.unique(keys[:, h], return_index=True, return_inverse=True)
-                out.append((feats[first, h], rows))
-        return out
+    @property
+    def dim(self) -> int:
+        return self.visited_blocks[0][0].shape[2]
+
+    @property
+    def features(self):
+        """The dense (n, H, A, d) features, built from the blocks on every read, or
+        None without features.  It serves tests and reference computations; the
+        program never reads it."""
+        if self._groups is None:
+            return None
+        return np.stack([blocks[rows] for blocks, rows in self._groups], axis=1)
 
     @cached_property
     def tail_paths(self) -> list:
@@ -336,9 +452,16 @@ class Dataset:
         ``np.unique`` over their int64 view, then factorizes (block at h+1, tail
         at h+1) and (reward code, that pair) as integer codes below n**2.  Tails
         are numbered in that code order, not by row or by bytes; consumers read
-        them only through ``first`` and ``back``.
+        them only through ``first`` and ``back``.  A ``prefix`` restricts its
+        parent's tails instead.
         """
         grouped = self.visited_blocks  # refuses a featureless dataset by name
+        if self._parent is not None:
+            out = []
+            for first, back in self._parent.tail_paths:
+                used, back = _renumber(back[: self.n], len(first))
+                out.append((first[used], back))
+            return out
         # stage H has one block and one empty tail
         rows = [r for _, r in grouped] + [np.zeros(self.n, dtype=np.intp)]
         counts = [len(blocks) for blocks, _ in grouped] + [1]
@@ -353,12 +476,34 @@ class Dataset:
             out[h] = (first, back)
         return out
 
+    def prefix(self, n) -> "Dataset":
+        """The dataset of the first n trajectories; the dataset itself at n = len(self).
+
+        Its ``visited_blocks`` and ``tail_paths`` are this dataset's restricted
+        to the first n rows and renumbered over the blocks and tails those rows
+        use, which are exactly a fresh grouping's: blocks are in byte order and
+        restriction keeps that order, tails keep their code order, and a used
+        tail's smallest row is below n.  Nothing is grouped or sorted again.
+        """
+        n = trajectory_count(n)
+        if n > self.n:
+            raise ValidationError(f"a prefix of {n} trajectories needs at least that many; the dataset has {self.n}")
+        if n == self.n:
+            return self
+        groups = None
+        if self._groups is not None:
+            groups = []
+            for blocks, rows in self._groups:
+                used, rows = _renumber(rows[:n], len(blocks))
+                groups.append((blocks[used], rows))
+        return Dataset._of_groups(self.states[:n], self.actions[:n], self.rewards[:n], groups, parent=self)
+
     @classmethod
     def from_trajectories(cls, dataset) -> "Dataset":
         """``dataset`` itself when it is a ``Dataset`` with features; anything else is refused."""
         if not isinstance(dataset, Dataset):
             raise ValidationError(f"expected a Dataset, got {type(dataset).__name__}")
-        if dataset.features is None:
+        if dataset._groups is None:
             raise ValidationError("dataset trajectories must carry features")
         return dataset
 
@@ -689,9 +834,14 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
             rewards[:, h] = u[:, step * h + 1] < mean if bernoulli else mean
             next_cdf = np.cumsum(mdp.transitions[h], axis=2).reshape(-1, mdp.stage_sizes[h + 1]).T
             states[:, h + 1] = s = _draw(next_cdf, pair, u[:, step * h + step - 1])
-    offsets = np.cumsum((0,) + mdp.stage_sizes[: H - 1])
-    features = None if featmap is None else np.concatenate(featmap.phi[:H]).take(states[:, :H] + offsets, axis=0)
-    return Dataset(states, actions, rewards, features)
+    groups = None
+    if featmap is not None:  # grouped by state: no (n, H, A, d) array is gathered
+        groups = []
+        for h in range(H):
+            first, by_state = _visited_states(states[:, h])
+            groups.append(_group_by_state(by_state, featmap.phi[h].take(states[first, h], axis=0)))
+    _check_paths(states, actions, rewards, None if groups is None else [b for b, _ in groups])
+    return Dataset._of_groups(states, actions, rewards, groups)
 
 
 def is_integer(value) -> bool:

@@ -67,21 +67,26 @@ def test_full_pipeline(tmp_path, config_file, capsys):
 def test_learn_names_the_file_of_misshapen_features(tmp_path, config_file, capsys):
     data_path = tmp_path / "one.npz"
     np.savez(data_path, states=np.zeros((1, 2), dtype=int), actions=np.array([[0, 1]]),
-             rewards=np.array([[0.5, 0.0]]), features=np.array([[1.0, 2.0]]))
+             rewards=np.array([[0.5, 0.0]]), blocks=np.array([[1.0, 2.0]]), block_counts=np.array([1]),
+             codes=np.zeros((1, 1), dtype=int))
     argv = ["learn", "--config", config_file, "--data", str(data_path), "--out", str(tmp_path / "out.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert str(data_path) in err and "features must be a 4-d floating array" in err
+    assert str(data_path) in err and "blocks must be a 3-d floating array" in err
 
 
 def pad_features(arrays):
-    arrays["features"] = np.concatenate([arrays["features"], np.zeros(arrays["features"].shape[:3] + (1,))], axis=3)
+    # a zero feature after each action's d keeps the blocks distinct and in byte order
+    arrays["blocks"] = np.concatenate([arrays["blocks"], np.zeros(arrays["blocks"].shape[:2] + (1,))], axis=2)
 
 
 def add_stage(arrays):
     for key in ("states", "actions", "rewards"):
         arrays[key] = np.insert(arrays[key], -1, 0, axis=1)  # a stage-0 step before the terminal one
-    arrays["features"] = np.concatenate([arrays["features"], arrays["features"][:, -1:]], axis=1)
+    last = arrays["block_counts"][-1]  # the new stage repeats the last stage's blocks and codes
+    arrays["blocks"] = np.concatenate([arrays["blocks"], arrays["blocks"][-last:]])
+    arrays["block_counts"] = np.append(arrays["block_counts"], last)
+    arrays["codes"] = np.concatenate([arrays["codes"], arrays["codes"][:, -1:]], axis=1)
 
 
 @pytest.mark.parametrize("reshape, shape", [(pad_features, "(2, 2, 3)"), (add_stage, "(3, 2, 2)")])

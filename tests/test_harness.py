@@ -23,6 +23,7 @@ from skiprl.harness import (
     verify,
 )
 from skiprl.envs import random_linear_mdp
+from skiprl.learner import serialize_outcome
 from skiprl.mdp import Dataset, ValidationError, sample_trajectories, uniform_policy
 from skiprl.oracles import suboptimality
 
@@ -52,9 +53,14 @@ def mask_wall(text: str) -> str:
 
 
 def assert_same_arrays(got: Dataset, want: Dataset) -> None:
+    """The paths, the dense features and both groupings of ``got`` and ``want``, bit for bit."""
     for key in ("states", "actions", "rewards", "features"):
         a, b = getattr(got, key), getattr(want, key)
         assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), key
+    for grouping in ("visited_blocks", "tail_paths"):
+        for pair, want_pair in zip(getattr(got, grouping), getattr(want, grouping), strict=True):
+            for a, b in zip(pair, want_pair):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), grouping
 
 
 def assert_refused(path, match) -> None:
@@ -65,15 +71,13 @@ def assert_refused(path, match) -> None:
 
 
 def valid_arrays(n=1) -> dict:
-    """The arrays of n valid one-step trajectories with (A, d) = (2, 2)."""
+    """The archive arrays of n valid one-step trajectories with (A, d) = (2, 2), row j
+    with a stage-0 block of its own."""
     actions = np.zeros((n, 2), dtype=int)
     actions[:, 0] = np.arange(n) % 2
-    return {
-        "states": np.zeros((n, 2), dtype=int),
-        "actions": actions,
-        "rewards": np.tile([0.5, 0.0], (n, 1)),
-        "features": np.arange(n * 4, dtype=float).reshape(n, 1, 2, 2) / 10,
-    }
+    paths = {"states": np.zeros((n, 2), dtype=int), "actions": actions, "rewards": np.tile([0.5, 0.0], (n, 1))}
+    blocks, rows = Dataset(**paths, features=np.arange(n * 4, dtype=float).reshape(n, 1, 2, 2) / 10).visited_blocks[0]
+    return {**paths, "blocks": blocks, "block_counts": np.array([len(blocks)]), "codes": rows[:, None]}
 
 
 def write_archive(tmp_path, arrays: dict):
@@ -160,6 +164,32 @@ class TestConfig:
             build_instance(tiny_config(policy_sample=-1))
         assert err.value.stage == "prepare"
 
+    @pytest.mark.parametrize("section, key, value, match", [
+        ("calibration", "enabled", "no", "calibration.enabled must be true or false, got 'no'"),
+        ("calibration", "enabled", 1, "calibration.enabled must be true or false, got 1"),
+        ("sweep", "replicates", 1.5, "sweep.replicates must be an integer, got 1.5"),
+        ("sweep", "replicates", True, "sweep.replicates must be an integer, got True"),
+        ("calibration", "replicates", 2.5, "calibration.replicates must be an integer, got 2.5"),
+        ("calibration", "replicates", False, "calibration.replicates must be an integer, got False"),
+        (None, "policy_sample", 20.5, "policy_sample must be an integer, got 20.5"),
+        (None, "policy_sample", True, "policy_sample must be an integer, got True"),
+        (None, "policy_sample_seed", 5.0, "policy_sample_seed must be an integer, got 5.0"),
+        (None, "policy_sample_seed", True, "policy_sample_seed must be an integer, got True"),
+    ])
+    def test_ill_typed_settings_refused_by_name(self, section, key, value, match):
+        # "enabled": "no" used to run with calibration on; 1.5 replicates raised a bare
+        # TypeError with no pipeline stage, and true ran as 1
+        doc = {key: value} if section is None else {section: {key: value}}
+        with pytest.raises(ValidationError, match=f"^{match}$"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("spread", ["-0.3", "NaN", "Infinity"])
+    def test_bad_guess_spread_refused_by_name(self, spread):
+        # -0.3 used to fail at stage prepare with numpy's bare "scale < 0"
+        with pytest.raises(ValidationError, match=r"^guesses\.spread must be a finite number >= 0, got "):
+            ExperimentConfig.from_json(f'{{"guesses": {{"spread": {spread}}}}}')
+        assert ExperimentConfig.from_dict({"guesses": {"spread": 0.0}}).guesses.spread == 0.0
+
     def test_bad_behavior_kind_surfaces_stage(self):
         cfg = tiny_config(data={"n": 50, "behavior": "nope", "seed": 1})
         with pytest.raises(HarnessError) as err:
@@ -208,7 +238,7 @@ class TestDatasetPersistence:
         # one stored (uncompressed) .npy member per array, and nothing else
         with zipfile.ZipFile(tmp_path / "0.data") as archive:
             members = archive.infolist()
-        assert sorted(m.filename for m in members) == ["actions.npy", "features.npy", "rewards.npy", "states.npy"]
+        assert sorted(m.filename for m in members) == [f"{key}.npy" for key in sorted(harness.DATASET_ARRAYS)]
         assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
 
     @given(seed=st.integers(0, 2**31 - 1),
@@ -279,22 +309,26 @@ class TestDatasetPersistence:
         assert UNPICKLED == []
 
     @pytest.mark.parametrize("key, dtype, kind", [("states", float, "integer"), ("actions", bool, "integer"),
-                                                  ("rewards", int, "floating"), ("features", np.int64, "floating")])
+                                                  ("rewards", int, "floating"), ("blocks", np.int64, "floating"),
+                                                  ("block_counts", float, "integer"), ("codes", float, "integer")])
     def test_array_dtypes_checked(self, tmp_path, key, dtype, kind):
         arrays = valid_arrays()
         arrays[key] = arrays[key].astype(dtype)
         path = write_archive(tmp_path, arrays)
         assert_refused(path, f"{key} must be a {arrays[key].ndim}-d {kind} array")
 
-    @pytest.mark.parametrize("fault", ["features-rank", "features-stages", "actions-length"])
+    @pytest.mark.parametrize("fault", ["blocks-rank", "counts-stages", "codes-stages", "actions-length"])
     def test_misshapen_arrays_rejected(self, tmp_path, fault):
         arrays = valid_arrays()
-        if fault == "features-rank":  # features (1, 2) for a one-step path
-            arrays["features"] = arrays["features"][0, 0]
-            match = "features must be a 4-d floating array"
-        elif fault == "features-stages":
-            arrays["features"] = np.concatenate([arrays["features"]] * 2, axis=1)
-            match = "trajectory 0: features must have shape"
+        if fault == "blocks-rank":  # blocks (2, 2) for one (A, d) = (2, 2) block
+            arrays["blocks"] = arrays["blocks"][0]
+            match = "blocks must be a 3-d floating array"
+        elif fault == "counts-stages":  # block counts for two stages of a one-step path
+            arrays["block_counts"] = np.array([1, 0])
+            match = r"block_counts \[1, 0\] must give each of the H = 1 stages"
+        elif fault == "codes-stages":
+            arrays["codes"] = np.concatenate([arrays["codes"]] * 2, axis=1)
+            match = r"codes must be an \(n, H\) integer array with n, H = 1, 1"
         else:
             arrays["actions"] = arrays["actions"][:, :-1]
             match = "trajectory 0: states, actions and rewards must share"
@@ -302,7 +336,8 @@ class TestDatasetPersistence:
 
     def test_zero_trajectory_archive_rejected(self, tmp_path):
         # a Dataset holds at least one trajectory, so an archive without any is an error
-        path = write_archive(tmp_path, {key: a[:0] for key, a in valid_arrays().items()})
+        arrays = valid_arrays()
+        path = write_archive(tmp_path, {**arrays, **{key: arrays[key][:0] for key in ("states", "actions", "rewards", "codes")}})
         assert_refused(path, "zero trajectories")
 
     def test_nan_reward_rejected(self, tmp_path):
@@ -315,7 +350,7 @@ class TestDatasetPersistence:
     def test_non_finite_feature_rejected(self, tmp_path, value):
         # a NaN feature used to load; solve then found no sets at stage 0, naming no file
         arrays = valid_arrays(n=3)
-        arrays["features"][1, 0, 1, 0] = value
+        arrays["blocks"][arrays["codes"][1, 0], 1, 0] = value  # row 1's block, which no other row visits
         assert_refused(write_archive(tmp_path, arrays), "trajectory 1: features must be finite")
 
     @pytest.mark.parametrize("action, match", [(-1, "actions must be >= 0"), (2, "actions must be < 2")],
@@ -325,6 +360,37 @@ class TestDatasetPersistence:
         arrays = valid_arrays(n=3)
         arrays["actions"][1, 0] = action
         assert_refused(write_archive(tmp_path, arrays), f"trajectory 1: {match}")
+
+
+    @pytest.mark.parametrize("fault, match", [
+        ("code-too-large", r"trajectory 1: stage 0 code 3 lies outside \[0, 3\)"),
+        ("code-negative", r"trajectory 1: stage 0 code -1 lies outside \[0, 3\)"),
+        ("unvisited-block", "stage 0 has a block that no trajectory visits"),
+        ("unordered-blocks", "stage 0 blocks must be distinct and in the order of their bytes"),
+        ("repeated-block", "stage 0 blocks must be distinct and in the order of their bytes"),
+    ])
+    def test_stored_form_checked(self, tmp_path, fault, match):
+        # codes must index their stage's blocks, and the blocks must be a fresh grouping's:
+        # each visited, distinct and in byte order, or a prefix would not regroup exactly
+        arrays = valid_arrays(n=3)
+        codes, blocks = arrays["codes"], arrays["blocks"]
+        if fault.startswith("code"):
+            codes[1, 0] = 3 if fault == "code-too-large" else -1
+        elif fault == "unvisited-block":
+            codes[codes == 2] = 1  # two rows share a block now, and the last is left over
+        elif fault == "unordered-blocks":
+            arrays["blocks"] = blocks[::-1].copy()
+        else:
+            blocks[2] = blocks[1]
+        assert_refused(write_archive(tmp_path, arrays), match)
+
+    def test_dense_archive_refused(self, tmp_path, fixed_instance):
+        # the earlier layout: states, actions, rewards and dense (n, H, A, d) features
+        mdp, fm = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 4, 5, fm)
+        path = write_archive(tmp_path, {"states": ds.states, "actions": ds.actions, "rewards": ds.rewards,
+                                        "features": ds.features})
+        assert_refused(path, "an archive of dense features .* is no longer read; collect the dataset again")
 
 
 class TestRunAndSweep:
@@ -414,17 +480,43 @@ class TestRunAndSweep:
             assert entry["iqr_low"] == pytest.approx(float(np.quantile(gaps, 0.25)), abs=1e-15)
 
     def test_rows_equal_their_own_replicate_records(self):
-        # each cell is a pure function of (config, n, replicate): the sweep's rows are
-        # the records of run_replicate under the calibrated config of their n
-        cfg = tiny_config(sweep={"n_values": [120, 60], "replicates": 3})
+        # each cell is a pure function of (config, n, replicate): the sweep's rows, which
+        # solve prefixes of one sample per replicate, are the records of run_replicate
+        # on a fresh sample of their n under the calibrated config of that n
+        cfg = tiny_config(sweep={"n_values": [120, 30, 75], "replicates": 3})
         result = sweep(cfg)
         inst = build_instance(cfg)
         configs = harness.calibrated_configs(cfg, inst, cfg.sweep.n_values)
         tuned = {n: lc for n, (lc, _) in zip(cfg.sweep.n_values, configs)}
-        assert [(r.n, r.seed) for r in result.rows] == [(n, r) for n in (60, 120) for r in range(3)]
+        assert [(r.n, r.seed) for r in result.rows] == [(n, r) for n in (30, 75, 120) for r in range(3)]
         for row in result.rows:
             record, _ = harness.run_replicate(cfg, inst, tuned[row.n], row.n, row.seed)
             assert replace(row, wall_ms=0.0) == replace(record, wall_ms=0.0)
+
+    def test_prefix_cells_equal_fresh_cells(self):
+        # a cell solved on a prefix of a larger sample returns the whole outcome of
+        # the cell that samples its own n
+        cfg = tiny_config(calibration={"enabled": False})
+        inst = build_instance(cfg)
+        for r in range(2):
+            sample = harness.collect(inst, 150, [cfg.data.seed, r])
+            for n in (1, 40, 150):
+                _, got = harness.run_replicate(cfg, inst, cfg.learn, n, r, sample)
+                _, want = harness.run_replicate(cfg, inst, cfg.learn, n, r)
+                assert serialize_outcome(got) == serialize_outcome(want)
+
+    def test_pipeline_never_builds_dense_features(self, tmp_path, monkeypatch):
+        # sample -> calibrate -> solve on prefixes -> save -> load -> solve reads only
+        # the per-stage blocks: the dense view is for tests and reference oracles
+        def refuse(ds):
+            raise AssertionError("the dense (n, H, A, d) features were built")
+
+        monkeypatch.setattr(Dataset, "features", property(refuse))
+        cfg = tiny_config(sweep={"n_values": [30, 90], "replicates": 2})
+        assert len(sweep(cfg).rows) == 4
+        inst = build_instance(cfg)
+        save_dataset(harness.collect(inst, 50, [1, 0]), tmp_path / "data.npz")
+        assert harness.run_replicate(cfg, inst, cfg.learn, 20, 0, load_dataset(tmp_path / "data.npz"))[0].n == 20
 
     def test_config_echo_embedded(self, tmp_path):
         cfg = tiny_config(sweep={"n_values": [120], "replicates": 3})

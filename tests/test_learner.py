@@ -483,13 +483,14 @@ class TestSkipOptimalPolicy:
 
 class TestVisitedBlocksShared:
     """Every guess of a solve, and both calibration passes over a replicate, share
-    one grouping of each stage's feature blocks and one of its trajectory tails."""
+    one grouping of each stage's feature blocks and one of its trajectory tails;
+    the sampler groups the blocks, and prefixes group nothing again."""
 
     @pytest.fixture
     def groupings(self, monkeypatch):
         """The grouping passes: the caller of each ``mdp._factorize`` pass (per
-        stage one of ``visited_blocks`` and two of ``tail_paths``), and the
-        length of each ``np.unique`` sort of feature-block byte keys."""
+        stage one of the sampler's ``_visited_states`` and two of ``tail_paths``),
+        and the length of each ``np.unique`` sort of feature-block byte keys."""
         calls = {"passes": [], "block_sorts": []}
         factorize, unique = mdp_module._factorize, np.unique
 
@@ -515,7 +516,7 @@ class TestVisitedBlocksShared:
             guesses = guess_grid(guess, 0.3, count, seed=2)
             assert len(guesses) == count
             solve(ds, guesses, config, fm)
-            assert passes.count("visited_blocks") == ds.horizon
+            assert passes.count("_visited_states") == ds.horizon
             assert passes.count("tail_paths") == 2 * ds.horizon
             assert len(passes) == 3 * ds.horizon
             assert ds.visited_blocks is ds.visited_blocks and ds.tail_paths is ds.tail_paths
@@ -525,25 +526,43 @@ class TestVisitedBlocksShared:
         mdp, fm, behavior, guess, config, _ = setup
         passes = groupings["passes"]
         calibrate(mdp, fm, behavior, guess, [200], config, replicates=2, delta=0.5, seed=19)
-        assert passes.count("visited_blocks") == 2 * mdp.horizon
+        assert passes.count("_visited_states") == 2 * mdp.horizon
         assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
         assert len(passes) == 6 * mdp.horizon
 
+    def test_calibration_prefixes_group_nothing_again(self, setup, groupings):
+        # the smaller n are prefixes of each replicate's sample at 200, and they give
+        # the results of separate calibrations at each n
+        mdp, fm, behavior, guess, config, _ = setup
+        passes = groupings["passes"]
+        grid = calibrate(mdp, fm, behavior, guess, [50, 200, 120], config, replicates=2, delta=0.5, seed=19)
+        assert passes.count("_visited_states") == 2 * mdp.horizon
+        assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
+        assert len(passes) == 6 * mdp.horizon
+        for n, got in zip([50, 200, 120], grid):
+            (want,) = calibrate(mdp, fm, behavior, guess, [n], config, replicates=2, delta=0.5, seed=19)
+            assert (got.beta, got.eps_bar) == (want.beta, want.eps_bar)
+            assert got.anchor_stats.tobytes() == want.anchor_stats.tobytes()
+            assert got.tightness_values.tobytes() == want.tightness_values.tobytes()
+
     def test_only_the_fallback_sorts_every_row(self, setup, groupings, tmp_path):
-        # a sampled stage sorts one block per visited state; a loaded file whose
-        # features are not a function of the state sorts all n rows' blocks
+        # the sampler sorts one block per visited state; dense features that are not
+        # a function of the state sort all n rows' blocks, once, when the Dataset is
+        # built; the archive stores the grouping, so loading sorts nothing
         mdp, fm, behavior, *_ = setup
         ds = sample_trajectories(mdp, behavior, 300, [3000, 3], fm)
-        ds.visited_blocks
         sorts = groupings["block_sorts"]
         assert len(sorts) == ds.horizon
         assert all(size <= k for size, k in zip(sorts, mdp.stage_sizes))
         feats = ds.features.copy()
         feats[::2, 1] = feats[::2, 1, ::-1]  # even rows swap the actions of their stage-1 block
-        save_dataset(Dataset(ds.states, ds.actions, ds.rewards, feats), tmp_path / "data.npz")
+        sorts.clear()
+        swapped = Dataset(ds.states, ds.actions, ds.rewards, feats)
+        assert sorts[1] == ds.n and sorts[0] <= 1 and sorts[2] <= mdp.stage_sizes[2]
+        save_dataset(swapped, tmp_path / "data.npz")
         sorts.clear()
         load_dataset(tmp_path / "data.npz").visited_blocks
-        assert sorts[1] == ds.n and sorts[0] <= 1 and sorts[2] <= mdp.stage_sizes[2]
+        assert sorts == []
 
 
 def serialize_before_diagnostics(outcome):

@@ -733,3 +733,99 @@ class TestGroupingAgainstByteKeys:
             assert len({(a, b) for a, b in zip(back.tolist(), want_back.tolist())}) == m  # the same partition
             assert [int(np.flatnonzero(back == g)[0]) for g in range(m)] == first.tolist()
             assert sorted(first.tolist()) == sorted(want_first.tolist())
+
+
+def assert_same_groupings(got: Dataset, want: Dataset) -> None:
+    """``visited_blocks`` and ``tail_paths`` of ``got`` and ``want``: every array's
+    dtype, shape and bytes."""
+    for grouping in ("visited_blocks", "tail_paths"):
+        for pair, want_pair in zip(getattr(got, grouping), getattr(want, grouping), strict=True):
+            for a, b in zip(pair, want_pair, strict=True):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), grouping
+
+
+def held_arrays(obj, seen=None):
+    """Every ndarray a ``Dataset`` holds, through its lists, tuples and parent."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from held_arrays(item, seen)
+    elif isinstance(obj, Dataset):
+        for value in vars(obj).values():
+            yield from held_arrays(value, seen)
+
+
+class TestFactoredDatasets:
+    """The stored per-stage grouping: the sampler's, a dense input's and a prefix's
+    must equal a fresh grouping of the same rows' dense features."""
+
+    @given(st.sampled_from(GROUPING_KINDS), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 7, 40, 150]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_equals_a_fresh_grouping(self, kind, seed, n, data):
+        # dense features not a function of the state, -0.0/0.0 twins in features and
+        # rewards, far-apart state ids and (A, d) blocks with A * d = 0
+        ds = grouping_dataset(kind, seed, n)
+        if data.draw(st.booleans(), label="parent tails first"):
+            ds.tail_paths
+        k = data.draw(st.integers(1, n), label="prefix")
+        view = ds.prefix(k)
+        fresh = Dataset(ds.states[:k], ds.actions[:k], ds.rewards[:k], ds.features[:k])
+        assert len(view) == k
+        for key in ("states", "actions", "rewards", "features"):
+            assert getattr(view, key).tobytes() == getattr(fresh, key).tobytes(), key
+        assert_same_groupings(view, fresh)
+        inner = data.draw(st.integers(1, k), label="prefix of the prefix")
+        assert_same_groupings(view.prefix(inner), ds.prefix(inner))
+
+    def test_prefix_of_the_whole_is_the_dataset(self, fixed_instance):
+        mdp, fm = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 6, 3, fm)
+        assert ds.prefix(6) is ds
+        for bad in (0, 7, 2.0, True):
+            with pytest.raises(ValidationError):
+                ds.prefix(bad)
+        bare = sample_trajectories(mdp, uniform_policy(mdp), 6, 3)
+        assert bare.prefix(2).features is None and bare.prefix(2).states.tobytes() == bare.states[:2].tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SAMPLED_KINDS)), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_sampler_groups_as_its_dense_features_do(self, seed, kind, edit):
+        # the reference gathers each row's blocks from the feature map, as the sampler
+        # did before it grouped by state; "edit" makes some states share a block and
+        # gives some zero entries a -0.0 twin
+        rng = np.random.default_rng(seed)
+        H, A, d = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        sizes = [1] + [int(rng.integers(1, 6)) for _ in range(H - 1)] + [1]
+        reward_kind, scale = SAMPLED_KINDS[kind]
+        mdp, fm = random_linear_mdp(d, H, sizes, A, int(rng.integers(0, 2**31)), reward_kind, scale)
+        if edit:
+            phi = [p.copy() for p in fm.phi]
+            for p in phi[1:H]:
+                p[rng.integers(0, len(p), size=len(p) // 2)] = p[0]
+                p[(rng.random(p.shape) < 0.3)] = 0.0
+                p[(p == 0.0) & (rng.random(p.shape) < 0.5)] = -0.0
+            fm = FeatureMap(d=d, phi=phi, l1_bound=fm.l1_bound)
+        n = int(rng.integers(1, 200))
+        ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
+        dense = np.stack([fm.phi[h][ds.states[:, h]] for h in range(H)], axis=1)
+        assert ds.features.tobytes() == dense.tobytes()
+        assert_same_groupings(ds, Dataset(ds.states, ds.actions, ds.rewards, dense))
+
+    def test_no_dense_features_held(self, fixed_instance, tmp_path):
+        # sampled, prefixed and loaded datasets keep per-stage blocks and codes, with
+        # their caches filled, and no (n, H, A, d) array
+        from skiprl.harness import load_dataset, save_dataset
+
+        mdp, fm = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 500, 9, fm)
+        save_dataset(ds, tmp_path / "data.npz")
+        for item in (ds, ds.prefix(200), load_dataset(tmp_path / "data.npz")):
+            item.tail_paths
+            held = list(held_arrays(item))
+            assert held and all(a.ndim <= 3 for a in held)
+            assert ds.features.ndim == 4  # the dense view is built on request only
