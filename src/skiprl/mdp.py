@@ -320,21 +320,6 @@ def _stack_shape(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -
     return shape[0], shape[1] - 1
 
 
-def _strictly_byte_ordered(blocks: np.ndarray) -> bool:
-    """Whether each of the (m, A, d) ``blocks`` comes after the one before it in the
-    order of their bytes, as ``np.unique`` sorts them; no sort is run."""
-    m = len(blocks)
-    if m <= 1:
-        return True
-    raw = np.ascontiguousarray(blocks).reshape(m, -1).view(np.uint8)
-    if raw.shape[1] == 0:
-        return False  # empty blocks are all one block
-    differ = raw[1:] != raw[:-1]
-    at = differ.argmax(axis=1)  # first differing byte of each adjacent pair
-    rows = np.arange(m - 1)
-    return bool(differ[rows, at].all() and (raw[1:][rows, at] > raw[:-1][rows, at]).all())
-
-
 class Dataset:
     """The one trajectory container: n >= 1 rollouts stacked into arrays, row j
     of each array being trajectory j.
@@ -385,8 +370,9 @@ class Dataset:
 
         Besides ``_check_paths``, every block must be finite and of one (A, d)
         shape and dtype, each stage's blocks must be distinct and in the order of
-        their bytes, and ``codes`` an (n, H) integer array whose column h lies in
-        [0, m_h) and uses every block of stage h: the form a fresh grouping gives.
+        their bytes (so that sorting them moves none), and ``codes`` an (n, H)
+        integer array whose column h lies in [0, m_h) and uses every block of
+        stage h: the form a fresh grouping gives.
         """
         n, H = _stack_shape(states, actions, rewards)
         if H == 0:
@@ -403,7 +389,7 @@ class Dataset:
                 raise ValidationError(f"stage {h} codes must lie in [0, {len(b)}), got {column.min()}..{column.max()}")
             if not np.bincount(column, minlength=len(b)).all():
                 raise ValidationError(f"stage {h} has a block that no trajectory visits")
-            if not _strictly_byte_ordered(b):
+            if not np.array_equal(_byte_order(b)[0], np.arange(len(b))):
                 raise ValidationError(f"stage {h} blocks must be distinct and in the order of their bytes")
         _check_paths(states, actions, rewards, blocks)
         return cls._of_groups(states, actions, rewards, list(zip(blocks, rows)))
