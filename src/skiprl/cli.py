@@ -139,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_sweep)
 
     v = sub.add_parser("verify", help="run the lemma verification suites")
-    v.add_argument("--all", action="store_true", help="run every suite (the default without --lemma)")
-    v.add_argument("--lemma", action="append", choices=sorted(harness.VERIFY_SUITES))
+    suites = v.add_mutually_exclusive_group()
+    suites.add_argument("--all", action="store_true", help="run every suite (the default without --lemma)")
+    suites.add_argument("--lemma", action="append", choices=sorted(harness.VERIFY_SUITES))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)

@@ -129,6 +129,8 @@ class ExperimentConfig:
         if self.sweep.replicates < 1:
             raise ValidationError("replicate count must be >= 1")
         values = list(self.sweep.n_values)
+        if not values:
+            raise ValidationError("sweep.n_values is empty; a sweep needs at least one n")
         for i, n in enumerate(values):
             if n in values[:i]:
                 raise ValidationError(f"sweep.n_values repeats n = {n!r}; each n is one set of cells")
@@ -352,7 +354,7 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
     configs = calibrated_configs(cfg, inst, n_values)
     calibrations = {int(n): cal for n, (_, cal) in zip(n_values, configs)}
     rows = []
-    for r in range(cfg.sweep.replicates if n_values else 0):  # an empty grid has no cells
+    for r in range(cfg.sweep.replicates):
         try:
             sample = collect(inst, max(n_values), [cfg.data.seed, r])
         except Exception as err:
@@ -402,12 +404,11 @@ def load_dataset(path) -> Dataset:
 
     The archive is opened as ``np.load`` opens one, with ``allow_pickle=False``, so
     an object array is refused unpickled.  It must hold exactly the arrays of
-    ``DATASET_ARRAYS``, of their dtype kinds and ranks, and ``block_counts`` must
-    split ``blocks`` into H stages; ``Dataset.of_blocks`` then checks the
-    invariants and the stored form once.  Every refusal is a ``ValidationError``
-    naming the file: JSON-lines files and archives of dense features, the earlier
-    formats, are refused too.  A broken row invariant also names the first
-    trajectory that is refused on its own.
+    ``DATASET_ARRAYS``, of their dtype kinds and ranks; ``Dataset.of_blocks``
+    then checks the stored form and the trajectory invariants once.  Every
+    refusal is a ``ValidationError`` naming the file, and a refused row also
+    names its trajectory.  Archives of dense features, the earlier format, and
+    JSON-lines files, the format before that, are refused too.
     """
     with open(path, "rb") as fh:
         try:
@@ -425,35 +426,10 @@ def load_dataset(path) -> Dataset:
         a = arrays[key]
         if not np.issubdtype(a.dtype, kind) or a.ndim != ndim:
             raise ValidationError(f"{path}: {key} must be a {ndim}-d {kind.__name__} array, got {a.dtype} of shape {a.shape}")
-    counts, blocks = arrays.pop("block_counts"), arrays.pop("blocks")
-    H = arrays["states"].shape[1] - 1
-    if len(counts) != H or counts.min(initial=1) < 1 or counts.sum() != len(blocks):
-        raise ValidationError(f"{path}: block_counts {counts.tolist()} must give each of the H = {H} stages "
-                              f"at least one of the {len(blocks)} blocks")
-    # one array per stage, as a fresh grouping has, not views into one buffer
-    arrays["blocks"] = [b.copy() for b in np.split(blocks, np.cumsum(counts)[:-1])]
     try:
         return Dataset.of_blocks(**arrays)
     except ValidationError as err:
-        if arrays["codes"].shape == (len(arrays["states"]), H):  # only a refused file searches its rows
-            for j in range(len(arrays["states"])):
-                try:
-                    _trajectory(arrays, j)
-                except ValidationError as bad:
-                    raise ValidationError(f"{path}: trajectory {j}: {bad}") from bad
         raise ValidationError(f"{path}: {err}") from err
-
-
-def _trajectory(arrays: dict, j: int) -> Dataset:
-    """Row j of an archive's arrays as a one-trajectory ``Dataset`` of the dense
-    features its codes name."""
-    feats = []
-    for h, (blocks, code) in enumerate(zip(arrays["blocks"], arrays["codes"][j])):
-        if not 0 <= code < len(blocks):
-            raise ValidationError(f"stage {h} code {code} lies outside [0, {len(blocks)})")
-        feats.append(blocks[code])
-    row = slice(j, j + 1)
-    return Dataset(arrays["states"][row], arrays["actions"][row], arrays["rewards"][row], np.stack(feats)[None])
 
 
 # ---------------------------------------------------------------------------

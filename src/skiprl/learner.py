@@ -338,28 +338,17 @@ def _keyed(points: np.ndarray):
     return points, {key: i for i, key in enumerate(_row_keys(points))}
 
 
-def _pool(anchors: np.ndarray, extras, net) -> np.ndarray:
-    """A stage's candidate pool: its distinct ``anchors``, then the ``extras`` (m, d)
-    and the net points that equal no earlier pool row, in order.  These are the
-    rows of ``_dedupe_rows(np.vstack([anchors, extras, net points]))``.  ``net``
-    is ``_keyed`` once per build, so a stage looks up only its anchors and extras
-    in it; either of ``extras`` and ``net`` may be None."""
-    if extras is None and net is None:
+def _pool(anchors: np.ndarray, fixed) -> np.ndarray:
+    """A stage's candidate pool: its distinct ``anchors``, then the ``fixed``
+    candidates that equal no anchor, in order.  ``fixed`` is ``_keyed`` (its
+    points and their key index) or None, so these are the rows of
+    ``_dedupe_rows(np.vstack([anchors, fixed points]))`` and a stage looks up
+    only its anchors."""
+    if fixed is None:
         return anchors
-    seen = dict.fromkeys(_row_keys(anchors))
-    parts = [anchors]
-    if extras is not None:
-        keep = []
-        for i, key in enumerate(_row_keys(extras)):
-            if key not in seen:
-                seen[key] = None
-                keep.append(i)
-        parts.append(extras[keep])
-    if net is not None:
-        points, index = net
-        taken = [index[key] for key in seen if key in index]
-        parts.append(np.delete(points, taken, axis=0) if taken else points)
-    return np.vstack(parts)
+    points, index = fixed
+    taken = [index[key] for key in _row_keys(anchors) if key in index]
+    return np.vstack([anchors, np.delete(points, taken, axis=0) if taken else points])
 
 
 def _tail_combos(counts, cap: int, rng_seed):
@@ -377,7 +366,7 @@ def _net(config: LearnerConfig, d: int):
 
 
 def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop, cumrew, tail_vbar,
-                extras, net) -> StageSets:
+                fixed) -> StageSets:
     """Stage h's anchors and admitted members for one skip suffix.
 
     ``stop`` and ``cumrew`` are the stopping law and accumulated rewards of the
@@ -385,7 +374,7 @@ def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop,
     h+1..H, one (k_u, tails) array per stage, and ``back`` each row's tail
     (``dataset.tail_paths[h]``).  Each member's target term at each later stage
     is computed once (``skipping.target_terms``); a combo's targets add its
-    members' terms in stage order.  ``extras`` and ``net`` are as in ``_pool``.
+    members' terms in stage order.  ``fixed`` is as in ``_pool``.
     """
     d = cov.matrix.shape[0]
     combos, subsampled = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
@@ -395,7 +384,7 @@ def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop,
         anchors[ci] = cov.ridge(add_in_stage_order([term[c] for term, c in zip(terms, combo)])[back])
     anchors = _dedupe_rows(anchors)
 
-    pool = _pool(anchors, extras, net)
+    pool = _pool(anchors, fixed)
     stats = _anchor_distance(anchors, cov.matrix, pool)
     order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
     pool, stats = pool[order], stats[order]
@@ -427,16 +416,16 @@ def build_confidence_sets(
     gathered to the n rows for the ridge solve.
 
     ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``, shared by every
-    guess.  Each stage's pool is its anchors, then ``extra_candidates[h]``, then the
-    epsilon-net points, each row kept once by value (``_pool``; the net is keyed
-    once per call); the ``grid_per_stage`` pool points nearest an anchor
-    are kept and admitted when they lie in the theta_radius ball within beta
-    of an anchor.  A stage's tightness scores its members on the stage's
-    distinct (visited block, action) rows (``tightness``).  ``extra_candidates``
-    maps a stage to extra vectors (used by
-    calibration and the diagnostic lemma checks, which track specific
-    parameters through the construction, and by ``solve``'s fallback, which
-    builds with beta = theta_radius = inf).
+    guess.  Each stage's pool is its anchors, then ``extra_candidates[h]``, then
+    the epsilon-net points, each row kept once by value (``_pool``; the net is
+    keyed once per call, and a stage with extras keys them and the net
+    together); the ``grid_per_stage`` pool points nearest an anchor are kept and
+    admitted when they lie in the theta_radius ball within beta of an anchor.  A
+    stage's tightness scores its members on the stage's distinct (visited
+    block, action) rows (``tightness``).  ``extra_candidates`` maps a stage to
+    extra vectors (used by calibration and the diagnostic lemma checks, which
+    track specific parameters through the construction, and by ``solve``'s
+    fallback, which builds with beta = theta_radius = inf).
     """
     _check_dims(guesses, dataset=dataset)
     H, d = dataset.horizon, dataset.dim
@@ -466,14 +455,15 @@ def build_confidence_sets(
         at = [dataset.visited_blocks[u][1][first] for u in range(h + 1, H)]  # each tail's block at stage u
         cumrew = np.cumsum(dataset.rewards[first, h:H], axis=1)
         terminal = np.zeros((1, len(first)))
-        extras = None
-        if extra_candidates and h in extra_candidates:
+        fixed = net
+        if extra_candidates and h in extra_candidates:  # keyed with the net, extras first
             extras = np.asarray(extra_candidates[h], dtype=float).reshape(-1, d)
+            fixed = _keyed(extras if net is None else np.vstack([extras, net[0]]))
         kept = []
         for indices, omega_tail, vbar_tail in groups:
             stop = stop_probabilities(_on_tails(omega_tail, at, len(first)))
             tail_vbar = [vals[:, blocks] for vals, blocks in zip(vbar_tail, at)] + [terminal]
-            sets = _stage_sets(h, config, covs[h], back, stop, cumrew, tail_vbar, extras, net)
+            sets = _stage_sets(h, config, covs[h], back, stop, cumrew, tail_vbar, fixed)
             for g in indices:
                 stage_sets[g][h] = sets
             if sets.members.shape[0] == 0:

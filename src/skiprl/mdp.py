@@ -206,25 +206,40 @@ class OccupancyMeasure:
                 raise ValidationError(f"occupancy stage {h} is not a distribution")
 
 
-def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, blocks) -> None:
-    """Invariants of (n, H+1) trajectory stacks, row by row; when there are
-    feature ``blocks`` (one (m_h, A, d) array per stage), actions must index
-    their action axis and they must be finite."""
-    if np.any(states[:, 0] != 0) or np.any(states[:, -1] != 0):
-        raise ValidationError("trajectory must start at the start state and end at the terminal state")
-    if np.any(rewards[:, -1] != 0.0):
-        raise ValidationError("terminal reward must be zero")
-    if np.any(~((rewards >= 0) & (rewards <= 1))):  # also refuses NaN
-        raise ValidationError("rewards must lie in [0, 1]")
+def _first_row(bad: np.ndarray) -> int:
+    """The first row of the (n, ...) boolean ``bad`` that holds a True."""
+    return int(bad.reshape(len(bad), -1).any(axis=1).argmax())
+
+
+def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, groups) -> None:
+    """Invariants of (n, H+1) trajectory stacks, in this order: paths start at the
+    start state and end at the terminal state, the terminal reward is zero, rewards
+    lie in [0, 1] and actions are >= 0; with feature ``groups`` (a dataset's
+    ``visited_blocks``), actions index the blocks' action axis and every visited
+    block is finite.  Each invariant is checked on the whole arrays; a refusal
+    names the first trajectory that breaks the first broken invariant, and only
+    then are the rows looked up."""
+    ends = (states[:, 0] != 0) | (states[:, -1] != 0)
+    if ends.any():
+        raise ValidationError(f"trajectory {_first_row(ends)}: must start at the start state and end at the terminal state")
+    paid = rewards[:, -1] != 0.0
+    if paid.any():
+        raise ValidationError(f"trajectory {_first_row(paid)}: terminal reward must be zero")
+    outside = ~((rewards >= 0) & (rewards <= 1))  # also refuses NaN
+    if outside.any():
+        raise ValidationError(f"trajectory {_first_row(outside)}: rewards must lie in [0, 1]")
     if actions.min(initial=0) < 0:  # min and max read the actions once each, with no mask
-        raise ValidationError(f"actions must be >= 0, got {actions.min()}")
-    if blocks is None:
+        j = _first_row(actions < 0)
+        raise ValidationError(f"trajectory {j}: actions must be >= 0, got {actions[j].min()}")
+    if groups is None:
         return
-    A = blocks[0].shape[1]
+    A = groups[0][0].shape[1]
     if actions.max(initial=-1) >= A:
-        raise ValidationError(f"actions must be < {A} (the features' action count), got {actions.max()}")
-    if not all(np.isfinite(b).all() for b in blocks):
-        raise ValidationError("features must be finite")
+        j = _first_row(actions >= A)
+        raise ValidationError(f"trajectory {j}: actions must be < {A} (the features' action count), got {actions[j].max()}")
+    if not all(np.isfinite(b).all() for b, _ in groups):
+        bad = np.column_stack([~np.isfinite(b).all(axis=(1, 2))[rows] for b, rows in groups])
+        raise ValidationError(f"trajectory {_first_row(bad)}: features must be finite")
 
 
 def _factorize(codes: np.ndarray, size: int):
@@ -268,40 +283,6 @@ def _byte_order(blocks: np.ndarray):
     return first, inverse
 
 
-def _group_by_state(by_state: np.ndarray, candidates: np.ndarray):
-    """A stage's ``(blocks, rows)`` when row j's block is ``candidates[by_state[j]]``,
-    one candidate per visited state: only the candidates are sorted by their bytes."""
-    rep, rows = _byte_order(candidates)
-    return candidates[rep], rows.take(by_state)
-
-
-def _group_dense(states: np.ndarray, features: np.ndarray) -> list:
-    """Per stage h < H, ``(blocks, rows)`` of dense (n, H, A, d) ``features``: the
-    distinct blocks of ``features[:, h]`` in the order of their bytes and each row's
-    index into them.
-
-    Rows are grouped by the bytes of their block, not by state: the features of
-    a loaded file need not be a function of the state.  Each stage is first
-    keyed by ``states[:, h]``; when every row's block is byte for byte its
-    state's first row's block, only those representatives are sorted by their
-    bytes.  A stage that fails this check sorts all n rows' byte keys.  Both
-    ways give the same ``(blocks, rows)``.
-    """
-    feats = np.ascontiguousarray(features)
-    n, H, A, d = feats.shape
-    unit = feats.itemsize if feats.itemsize in (1, 2, 4, 8) else 1
-    bits = feats.reshape(n, H, A * d).view(f"u{unit}")  # compared as integers, so -0.0 and 0.0 stay apart
-    out = []
-    for h in range(H):
-        first, by_state = _visited_states(states[:, h])
-        if np.array_equal(bits[first, h].take(by_state, axis=0), bits[:, h]):
-            out.append(_group_by_state(by_state, feats[first, h]))
-        else:
-            first, rows = _byte_order(feats[:, h])
-            out.append((feats[first, h], rows))
-    return out
-
-
 def _renumber(codes: np.ndarray, size: int):
     """The groups of ``range(size)`` that ``codes`` uses, as a mask, and ``codes``
     renumbered over them in the same order."""
@@ -329,8 +310,9 @@ class Dataset:
     feature blocks of stage h in the order of their bytes, shape (m_h, A, d),
     and each row's index into them, shape (n,), so that ``blocks[rows]`` is
     the dense ``features[:, h]`` exactly.  ``Dataset(states, actions, rewards,
-    features)`` groups dense features once, here; the sampler, the archive
-    reader and ``prefix`` build the stored form directly.
+    features)`` groups dense features (a test's or a reference's) by sorting
+    every row's block by its bytes; the program never builds one: the sampler,
+    ``of_blocks`` and ``prefix`` build the stored form directly.
 
     ``len(ds)`` is n.  A dataset sampled without a feature map has no blocks.
     The arrays are treated as immutable after construction, which is what
@@ -345,8 +327,11 @@ class Dataset:
                 raise ValidationError(f"features must have shape (n, H, A, d) with n, H = {n}, {H}; got {features.shape}")
             if H == 0:
                 raise ValidationError("a dataset with features needs at least one acting stage")
-            groups = _group_dense(states, features)
-        _check_paths(states, actions, rewards, None if groups is None else [b for b, _ in groups])
+            groups = []
+            for h in range(H):  # grouped by the bytes of every row's block
+                first, rows = _byte_order(features[:, h])
+                groups.append((features[first, h], rows))
+        _check_paths(states, actions, rewards, groups)
         self._set(states, actions, rewards, groups)
 
     def _set(self, states, actions, rewards, groups, parent=None) -> None:
@@ -364,35 +349,42 @@ class Dataset:
         return ds
 
     @classmethod
-    def of_blocks(cls, states, actions, rewards, blocks: list, codes: np.ndarray) -> "Dataset":
-        """A dataset of its stored form: ``blocks[h]`` the (m_h, A, d) distinct
-        blocks of stage h and ``codes[:, h]`` each row's index into them.
+    def of_blocks(cls, states, actions, rewards, blocks, block_counts, codes) -> "Dataset":
+        """A dataset of its stored form, the arrays of a ``save_dataset`` archive:
+        ``blocks`` every stage's distinct (m_h, A, d) blocks stacked stage after
+        stage, ``block_counts`` the H counts m_h, and ``codes[:, h]`` each row's
+        index into stage h's blocks.
 
-        Besides ``_check_paths``, every block must be finite and of one (A, d)
-        shape and dtype, each stage's blocks must be distinct and in the order of
-        their bytes (so that sorting them moves none), and ``codes`` an (n, H)
-        integer array whose column h lies in [0, m_h) and uses every block of
-        stage h: the form a fresh grouping gives.
+        ``block_counts`` must split ``blocks`` into H nonempty stages and ``codes``
+        be (n, H); each code must lie in its stage's range, then ``_check_paths``
+        holds; and each stage's blocks must all be visited, distinct and in the
+        order of their bytes (so that sorting them moves none): the form a fresh
+        grouping gives.  A refusal of a row names its trajectory.  The arrays'
+        dtype kinds and ranks are the caller's to check.
         """
         n, H = _stack_shape(states, actions, rewards)
         if H == 0:
             raise ValidationError("a dataset with features needs at least one acting stage")
-        if len(blocks) != H:
-            raise ValidationError(f"expected one block array per stage, H = {H}, got {len(blocks)}")
-        if any(b.ndim != 3 or b.shape[1:] != blocks[0].shape[1:] or b.dtype != blocks[0].dtype for b in blocks):
-            raise ValidationError("every stage's blocks must be (m, A, d) arrays of one (A, d) and dtype")
-        if codes.shape != (n, H) or not np.issubdtype(codes.dtype, np.integer):
-            raise ValidationError(f"codes must be an (n, H) integer array with n, H = {n}, {H}; got {codes.dtype} of shape {codes.shape}")
+        if len(block_counts) != H or block_counts.min(initial=1) < 1 or block_counts.sum() != len(blocks):
+            raise ValidationError(f"block_counts {block_counts.tolist()} must give each of the H = {H} stages "
+                                  f"at least one of the {len(blocks)} blocks")
+        if codes.shape != (n, H):
+            raise ValidationError(f"codes must be an (n, H) integer array with n, H = {n}, {H}; got shape {codes.shape}")
+        # one array per stage, as a fresh grouping has, not views into one buffer
+        blocks = [b.copy() for b in np.split(blocks, np.cumsum(block_counts)[:-1])]
         rows = np.ascontiguousarray(codes.T, dtype=np.intp)  # stage-major, so each stage's rows are contiguous
         for h, (b, column) in enumerate(zip(blocks, rows)):
             if column.min() < 0 or column.max() >= len(b):
-                raise ValidationError(f"stage {h} codes must lie in [0, {len(b)}), got {column.min()}..{column.max()}")
+                j = _first_row((column < 0) | (column >= len(b)))
+                raise ValidationError(f"trajectory {j}: stage {h} code {column[j]} lies outside [0, {len(b)})")
+        groups = list(zip(blocks, rows))
+        _check_paths(states, actions, rewards, groups)
+        for h, (b, column) in enumerate(groups):
             if not np.bincount(column, minlength=len(b)).all():
                 raise ValidationError(f"stage {h} has a block that no trajectory visits")
             if not np.array_equal(_byte_order(b)[0], np.arange(len(b))):
                 raise ValidationError(f"stage {h} blocks must be distinct and in the order of their bytes")
-        _check_paths(states, actions, rewards, blocks)
-        return cls._of_groups(states, actions, rewards, list(zip(blocks, rows)))
+        return cls._of_groups(states, actions, rewards, groups)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -825,8 +817,10 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
         groups = []
         for h in range(H):
             first, by_state = _visited_states(states[:, h])
-            groups.append(_group_by_state(by_state, featmap.phi[h].take(states[first, h], axis=0)))
-    _check_paths(states, actions, rewards, None if groups is None else [b for b, _ in groups])
+            candidates = featmap.phi[h].take(states[first, h], axis=0)  # one block per visited state
+            rep, rows = _byte_order(candidates)
+            groups.append((candidates[rep], rows.take(by_state)))
+    _check_paths(states, actions, rewards, groups)
     return Dataset._of_groups(states, actions, rewards, groups)
 
 

@@ -137,6 +137,16 @@ def test_verify_subset_and_exit_codes(tmp_path, capsys):
     assert f"[{report['suites'][0]['instances']}]" in out
 
 
+def test_verify_all_excludes_lemma(tmp_path, capsys):
+    # --all used to be ignored beside --lemma, so the pair quietly ran one suite
+    report_path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--all", "--lemma", "perf-diff", "--out", str(report_path)])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_verify_all_passes(tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     assert main(["verify", "--all", "--out", report_path]) == 0

@@ -135,6 +135,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"sweep\.n_values repeats n = 40"):
             tiny_config(sweep={"n_values": [40, 60, 40], "replicates": 1})
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["calibrated", "uncalibrated"])
+    def test_empty_n_values_refused(self, enabled):
+        # an empty grid used to return zero rows without calibration and fail in calibrate with it
+        with pytest.raises(ValidationError, match=r"sweep\.n_values is empty"):
+            tiny_config(sweep={"n_values": [], "replicates": 3}, calibration={"enabled": enabled})
+
     def test_nan_learn_settings_refused(self):
         # json reads NaN; a NaN beta and eps_bar used to reach solve, which quietly set all_rejected
         with pytest.raises(ValidationError, match="beta must be positive, got nan"):
@@ -331,7 +337,7 @@ class TestDatasetPersistence:
             match = r"codes must be an \(n, H\) integer array with n, H = 1, 1"
         else:
             arrays["actions"] = arrays["actions"][:, :-1]
-            match = "trajectory 0: states, actions and rewards must share"
+            match = "states, actions and rewards must share"  # a whole-array fault names no row
         assert_refused(write_archive(tmp_path, arrays), match)
 
     def test_zero_trajectory_archive_rejected(self, tmp_path):
@@ -361,6 +367,13 @@ class TestDatasetPersistence:
         arrays["actions"][1, 0] = action
         assert_refused(write_archive(tmp_path, arrays), f"trajectory 1: {match}")
 
+    def test_first_broken_invariant_names_its_first_row(self, tmp_path):
+        # row 1 breaks the action check and rows 2 and 3 the reward check, which comes first:
+        # the reward check is reported, naming its first row
+        arrays = valid_arrays(n=4)
+        arrays["actions"][1, 0] = -1
+        arrays["rewards"][2:, 0] = np.nan
+        assert_refused(write_archive(tmp_path, arrays), r"trajectory 2: rewards must lie in \[0, 1\]$")
 
     @pytest.mark.parametrize("fault, match", [
         ("code-too-large", r"trajectory 1: stage 0 code 3 lies outside \[0, 3\)"),

@@ -546,10 +546,9 @@ class TestVisitedBlocksShared:
             assert got.tightness_values.tobytes() == want.tightness_values.tobytes()
 
     def test_only_the_fallback_sorts_every_row(self, setup, groupings, tmp_path):
-        # the sampler sorts one block per visited state; dense features that are not
-        # a function of the state sort all n rows' blocks, once, when the Dataset is
-        # built; the archive stores the grouping, so loading sorts only the distinct
-        # blocks, to check their order
+        # the sampler sorts one block per visited state; the fallback, dense features
+        # handed to Dataset, sorts all n rows' blocks once per stage; the archive stores
+        # the grouping, so loading sorts only the distinct blocks, to check their order
         mdp, fm, behavior, *_ = setup
         ds = sample_trajectories(mdp, behavior, 300, [3000, 3], fm)
         sorts = groupings["block_sorts"]
@@ -559,7 +558,7 @@ class TestVisitedBlocksShared:
         feats[::2, 1] = feats[::2, 1, ::-1]  # even rows swap the actions of their stage-1 block
         sorts.clear()
         swapped = Dataset(ds.states, ds.actions, ds.rewards, feats)
-        assert sorts[1] == ds.n and sorts[0] <= 1 and sorts[2] <= mdp.stage_sizes[2]
+        assert sorts == [ds.n] * ds.horizon
         save_dataset(swapped, tmp_path / "data.npz")
         sorts.clear()
         loaded = load_dataset(tmp_path / "data.npz")

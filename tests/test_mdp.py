@@ -439,9 +439,9 @@ class TestValidation:
             StagedMdp(1, (1, 1), 2, [np.ones((1, 2, 1))], [np.zeros((1, 2)), np.full((1, 2), 0.1)])
 
     def test_trajectory_invariants(self):
-        # a one-row dataset whose terminal stage pays 0.2
-        with pytest.raises(ValidationError, match="terminal reward must be zero"):
-            Dataset(np.array([[0, 0]]), np.array([[0, 0]]), np.array([[0.5, 0.2]]))
+        # a two-row dataset whose second row's terminal stage pays 0.2; the refusal names that row
+        with pytest.raises(ValidationError, match="^trajectory 1: terminal reward must be zero$"):
+            Dataset(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), np.array([[0.5, 0.0], [0.5, 0.2]]))
 
     @pytest.mark.parametrize("states, actions, rewards, features, named", [
         ([[0, 1, 0]], [[0]], [[0.5, 0.0]], np.ones((1, 2, 2, 1)), r"\(n, H\+1\) shape"),
@@ -464,12 +464,12 @@ class TestValidation:
         feats = np.ones((2, 2, 2, 1))
         Dataset(states, actions, rewards, feats)
         actions[1, 1] = action
-        with pytest.raises(ValidationError, match=named):
+        with pytest.raises(ValidationError, match=f"^trajectory 1: actions must be {named}"):
             Dataset(states, actions, rewards, feats)
-        with pytest.raises(ValidationError, match=named):  # the offending row alone
+        with pytest.raises(ValidationError, match=f"^trajectory 0: actions must be {named}"):  # the offending row alone
             Dataset(states[1:], actions[1:], rewards[1:], feats[1:])
         if action < 0:  # without features only the sign can be checked
-            with pytest.raises(ValidationError, match=named):
+            with pytest.raises(ValidationError, match=f"^trajectory 1: actions must be {named}"):
                 Dataset(states, actions, rewards)
         else:
             Dataset(states, actions, rewards)
