@@ -27,6 +27,7 @@ from .design import Guess, build_true_guess, guess_from_fit, guess_grid
 from .envs import FeatureMap, fit_policy_stack, random_linear_mdp, sample_policies
 from .learner import LearnerConfig, calibrate, solve
 from .mdp import (
+    DATASET_ARRAYS,
     Dataset,
     Policy,
     StagedMdp,
@@ -374,9 +375,6 @@ def sweep(cfg: ExperimentConfig) -> ExperimentResult:
 # dataset persistence
 
 
-# the arrays of a dataset archive, with the dtype kind and rank each must have
-DATASET_ARRAYS = {"states": (np.integer, 2), "actions": (np.integer, 2), "rewards": (np.floating, 2),
-                  "blocks": (np.floating, 3), "block_counts": (np.integer, 1), "codes": (np.integer, 2)}
 # the arrays of the earlier archive, which stored dense (n, H, A, d) features
 DENSE_ARRAYS = ["actions", "features", "rewards", "states"]
 
@@ -387,11 +385,10 @@ def save_dataset(dataset: Dataset, path) -> None:
     The archive holds ``states``, ``actions`` and ``rewards``; ``blocks``, every
     stage's distinct feature blocks stacked stage after stage, (sum of m_h, A, d);
     ``block_counts``, the H counts m_h; and ``codes``, each row's block index at
-    each stage, (n, H).  It goes to a file object, so numpy adds no ``.npz``
-    suffix to ``path``.  A featureless ``Dataset`` raises ``ValidationError``
-    before the file is opened.
+    each stage, (n, H): the arguments of ``Dataset.of_blocks``.  It goes to a
+    file object, so numpy adds no ``.npz`` suffix to ``path``.
     """
-    groups = dataset.visited_blocks  # refuses a featureless dataset by name
+    groups = dataset.visited_blocks
     with open(path, "wb") as fh:
         np.savez(fh, states=dataset.states, actions=dataset.actions, rewards=dataset.rewards,
                  blocks=np.concatenate([blocks for blocks, _ in groups]),
@@ -404,8 +401,8 @@ def load_dataset(path) -> Dataset:
 
     The archive is opened as ``np.load`` opens one, with ``allow_pickle=False``, so
     an object array is refused unpickled.  It must hold exactly the arrays of
-    ``DATASET_ARRAYS``, of their dtype kinds and ranks; ``Dataset.of_blocks``
-    then checks the stored form and the trajectory invariants once.  Every
+    ``DATASET_ARRAYS``; ``Dataset.of_blocks`` then checks their dtype kinds and
+    ranks, the stored form and the trajectory invariants once.  Every
     refusal is a ``ValidationError`` naming the file, and a refused row also
     names its trajectory.  Archives of dense features, the earlier format, and
     JSON-lines files, the format before that, are refused too.
@@ -422,10 +419,6 @@ def load_dataset(path) -> Dataset:
                               "the earlier dataset format, is no longer read; collect the dataset again")
     if arrays is None:
         raise ValidationError(f"{path}: not a dataset archive: it holds {files}, not {sorted(DATASET_ARRAYS)}")
-    for key, (kind, ndim) in DATASET_ARRAYS.items():
-        a = arrays[key]
-        if not np.issubdtype(a.dtype, kind) or a.ndim != ndim:
-            raise ValidationError(f"{path}: {key} must be a {ndim}-d {kind.__name__} array, got {a.dtype} of shape {a.shape}")
     try:
         return Dataset.of_blocks(**arrays)
     except ValidationError as err:
@@ -442,11 +435,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows_csv(rows, path) -> None:
+def _write_csv(path, columns, records) -> None:
+    """A header of ``columns``, then one line per record (a dict) of its ``columns``."""
     with open(path, "w") as fh:
-        fh.write(",".join(ROW_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r.row()[c]) for c in ROW_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for record in records:
+            fh.write(",".join(_fmt(record[c]) for c in columns) + "\n")
+
+
+def write_rows_csv(rows, path) -> None:
+    _write_csv(path, ROW_COLUMNS, (r.row() for r in rows))
 
 
 def read_rows_csv(path) -> list:
@@ -457,11 +455,7 @@ def read_rows_csv(path) -> list:
 
 
 def write_summary_csv(summary, path) -> None:
-    cols = ("n", "median_gap", "iqr_low", "iqr_high")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in summary:
-            fh.write(",".join(_fmt(row[c]) for c in cols) + "\n")
+    _write_csv(path, ("n", "median_gap", "iqr_low", "iqr_high"), summary)
 
 
 def _svg_plot(rows, summary, width=640, height=420) -> str:

@@ -166,7 +166,7 @@ class StageCovariance:
 
 def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     """The stage-h data of ``dataset``; it depends on the data and lam alone, never on a guess."""
-    d = dataset.dim  # refuses a featureless dataset by name
+    d = dataset.dim
     blocks, block_of_row = dataset.visited_blocks[h]
     pairs, codes = blocks.reshape(-1, d), block_of_row * blocks.shape[1] + dataset.actions[:, h]
     phi = pairs.take(codes, axis=0)  # the taken rows of features[:, h], byte for byte

@@ -212,10 +212,10 @@ def _first_row(bad: np.ndarray) -> int:
 
 
 def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, groups) -> None:
-    """Invariants of (n, H+1) trajectory stacks, in this order: paths start at the
-    start state and end at the terminal state, the terminal reward is zero, rewards
-    lie in [0, 1] and actions are >= 0; with feature ``groups`` (a dataset's
-    ``visited_blocks``), actions index the blocks' action axis and every visited
+    """Invariants of (n, H+1) trajectory stacks and their feature ``groups`` (a
+    dataset's ``visited_blocks``), in this order: paths start at the start state
+    and end at the terminal state, the terminal reward is zero, rewards lie in
+    [0, 1], actions are >= 0 and index the blocks' action axis, and every visited
     block is finite.  Each invariant is checked on the whole arrays; a refusal
     names the first trajectory that breaks the first broken invariant, and only
     then are the rows looked up."""
@@ -231,8 +231,6 @@ def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, g
     if actions.min(initial=0) < 0:  # min and max read the actions once each, with no mask
         j = _first_row(actions < 0)
         raise ValidationError(f"trajectory {j}: actions must be >= 0, got {actions[j].min()}")
-    if groups is None:
-        return
     A = groups[0][0].shape[1]
     if actions.max(initial=-1) >= A:
         j = _first_row(actions >= A)
@@ -290,62 +288,36 @@ def _renumber(codes: np.ndarray, size: int):
     return used, (np.cumsum(used) - 1).take(codes)
 
 
-def _stack_shape(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray) -> tuple:
-    """(n, H) of the shared (n, H+1) shape of the trajectory stacks, n >= 1."""
-    if len(states) == 0:
-        raise ValidationError("cannot build a dataset from zero trajectories")
-    shape = states.shape
-    if len(shape) != 2 or actions.shape != shape or rewards.shape != shape:
-        shapes = (shape, actions.shape, rewards.shape)
-        raise ValidationError(f"states, actions and rewards must share one (n, H+1) shape, got {shapes}")
-    return shape[0], shape[1] - 1
+# the arrays of the stored form, in ``Dataset.of_blocks`` order, with the dtype kind and rank each must have
+DATASET_ARRAYS = {"states": (np.integer, 2), "actions": (np.integer, 2), "rewards": (np.floating, 2),
+                  "blocks": (np.floating, 3), "block_counts": (np.integer, 1), "codes": (np.integer, 2)}
 
 
 class Dataset:
     """The one trajectory container: n >= 1 rollouts stacked into arrays, row j
-    of each array being trajectory j.
+    of each array being trajectory j, with the features of every action at each
+    visited state.
 
     Features are stored per stage, never as one dense (n, H, A, d) array:
     ``visited_blocks[h]`` is ``(blocks, rows)``, the distinct recorded (A, d)
     feature blocks of stage h in the order of their bytes, shape (m_h, A, d),
     and each row's index into them, shape (n,), so that ``blocks[rows]`` is
-    the dense ``features[:, h]`` exactly.  ``Dataset(states, actions, rewards,
-    features)`` groups dense features (a test's or a reference's) by sorting
-    every row's block by its bytes; the program never builds one: the sampler,
-    ``of_blocks`` and ``prefix`` build the stored form directly.
+    the dense ``features[:, h]`` exactly.  ``of_blocks`` is the one checked
+    constructor; the sampler and ``prefix`` build the stored form directly.
 
-    ``len(ds)`` is n.  A dataset sampled without a feature map has no blocks.
-    The arrays are treated as immutable after construction, which is what
-    lets ``tail_paths`` be computed once and cached.
+    ``len(ds)`` is n.  The arrays are treated as immutable after construction,
+    which is what lets ``tail_paths`` be computed once and cached.
     """
-
-    def __init__(self, states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, features=None):
-        n, H = _stack_shape(states, actions, rewards)
-        groups = None
-        if features is not None:
-            if features.ndim != 4 or features.shape[:2] != (n, H):
-                raise ValidationError(f"features must have shape (n, H, A, d) with n, H = {n}, {H}; got {features.shape}")
-            if H == 0:
-                raise ValidationError("a dataset with features needs at least one acting stage")
-            groups = []
-            for h in range(H):  # grouped by the bytes of every row's block
-                first, rows = _byte_order(features[:, h])
-                groups.append((features[first, h], rows))
-        _check_paths(states, actions, rewards, groups)
-        self._set(states, actions, rewards, groups)
-
-    def _set(self, states, actions, rewards, groups, parent=None) -> None:
-        self.states = states      # (n, H+1) int
-        self.actions = actions    # (n, H+1) int
-        self.rewards = rewards    # (n, H+1) float
-        self._groups = groups     # H (blocks, rows) pairs, or None without features
-        self._parent = parent     # the dataset this one is a prefix of, or None
 
     @classmethod
     def _of_groups(cls, states, actions, rewards, groups, parent=None) -> "Dataset":
         """A dataset of already-checked arrays and groupings; nothing is checked again."""
         ds = cls.__new__(cls)
-        ds._set(states, actions, rewards, groups, parent)
+        ds.states = states          # (n, H+1) int
+        ds.actions = actions        # (n, H+1) int
+        ds.rewards = rewards        # (n, H+1) float
+        ds.visited_blocks = groups  # H (blocks, rows) pairs: see the class docstring
+        ds._parent = parent         # the dataset this one is a prefix of, or None
         return ds
 
     @classmethod
@@ -355,16 +327,24 @@ class Dataset:
         stage, ``block_counts`` the H counts m_h, and ``codes[:, h]`` each row's
         index into stage h's blocks.
 
+        Each array must have the dtype kind and rank ``DATASET_ARRAYS`` gives it;
         ``block_counts`` must split ``blocks`` into H nonempty stages and ``codes``
         be (n, H); each code must lie in its stage's range, then ``_check_paths``
         holds; and each stage's blocks must all be visited, distinct and in the
         order of their bytes (so that sorting them moves none): the form a fresh
-        grouping gives.  A refusal of a row names its trajectory.  The arrays'
-        dtype kinds and ranks are the caller's to check.
+        grouping gives.  A refusal of a row names its trajectory.
         """
-        n, H = _stack_shape(states, actions, rewards)
+        for (key, (kind, ndim)), a in zip(DATASET_ARRAYS.items(), (states, actions, rewards, blocks, block_counts, codes)):
+            if not np.issubdtype(a.dtype, kind) or a.ndim != ndim:
+                raise ValidationError(f"{key} must be a {ndim}-d {kind.__name__} array, got {a.dtype} of shape {a.shape}")
+        if len(states) == 0:
+            raise ValidationError("cannot build a dataset from zero trajectories")
+        if actions.shape != states.shape or rewards.shape != states.shape:
+            shapes = (states.shape, actions.shape, rewards.shape)
+            raise ValidationError(f"states, actions and rewards must share one (n, H+1) shape, got {shapes}")
+        n, H = states.shape[0], states.shape[1] - 1
         if H == 0:
-            raise ValidationError("a dataset with features needs at least one acting stage")
+            raise ValidationError("a dataset needs at least one acting stage")
         if len(block_counts) != H or block_counts.min(initial=1) < 1 or block_counts.sum() != len(blocks):
             raise ValidationError(f"block_counts {block_counts.tolist()} must give each of the H = {H} stages "
                                   f"at least one of the {len(blocks)} blocks")
@@ -398,24 +378,14 @@ class Dataset:
         return self.states.shape[1] - 1
 
     @property
-    def visited_blocks(self) -> list:
-        """Per stage h < H, ``(blocks, rows)``: see the class docstring."""
-        if self._groups is None:
-            raise ValidationError("dataset carries no features")
-        return self._groups
-
-    @property
     def dim(self) -> int:
         return self.visited_blocks[0][0].shape[2]
 
     @property
-    def features(self):
-        """The dense (n, H, A, d) features, built from the blocks on every read, or
-        None without features.  It serves tests and reference computations; the
-        program never reads it."""
-        if self._groups is None:
-            return None
-        return np.stack([blocks[rows] for blocks, rows in self._groups], axis=1)
+    def features(self) -> np.ndarray:
+        """The dense (n, H, A, d) features, built from the blocks on every read.  It
+        serves tests and reference computations; the program never reads it."""
+        return np.stack([blocks[rows] for blocks, rows in self.visited_blocks], axis=1)
 
     @cached_property
     def tail_paths(self) -> list:
@@ -433,7 +403,6 @@ class Dataset:
         them only through ``first`` and ``back``.  A ``prefix`` restricts its
         parent's tails instead.
         """
-        grouped = self.visited_blocks  # refuses a featureless dataset by name
         if self._parent is not None:
             out = []
             for first, back in self._parent.tail_paths:
@@ -441,8 +410,8 @@ class Dataset:
                 out.append((first[used], back))
             return out
         # stage H has one block and one empty tail
-        rows = [r for _, r in grouped] + [np.zeros(self.n, dtype=np.intp)]
-        counts = [len(blocks) for blocks, _ in grouped] + [1]
+        rows = [r for _, r in self.visited_blocks] + [np.zeros(self.n, dtype=np.intp)]
+        counts = [len(blocks) for blocks, _ in self.visited_blocks] + [1]
         H = self.horizon
         out = [None] * H
         back, tails = rows[H], 1
@@ -468,21 +437,17 @@ class Dataset:
             raise ValidationError(f"a prefix of {n} trajectories needs at least that many; the dataset has {self.n}")
         if n == self.n:
             return self
-        groups = None
-        if self._groups is not None:
-            groups = []
-            for blocks, rows in self._groups:
-                used, rows = _renumber(rows[:n], len(blocks))
-                groups.append((blocks[used], rows))
+        groups = []
+        for blocks, rows in self.visited_blocks:
+            used, rows = _renumber(rows[:n], len(blocks))
+            groups.append((blocks[used], rows))
         return Dataset._of_groups(self.states[:n], self.actions[:n], self.rewards[:n], groups, parent=self)
 
     @classmethod
     def from_trajectories(cls, dataset) -> "Dataset":
-        """``dataset`` itself when it is a ``Dataset`` with features; anything else is refused."""
+        """``dataset`` itself when it is a ``Dataset``; anything else is refused."""
         if not isinstance(dataset, Dataset):
             raise ValidationError(f"expected a Dataset, got {type(dataset).__name__}")
-        if dataset._groups is None:
-            raise ValidationError("dataset trajectories must carry features")
         return dataset
 
 
@@ -812,14 +777,12 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
             rewards[:, h] = u[:, step * h + 1] < mean if bernoulli else mean
             next_cdf = np.cumsum(mdp.transitions[h], axis=2).reshape(-1, mdp.stage_sizes[h + 1]).T
             states[:, h + 1] = s = _draw(next_cdf, pair, u[:, step * h + step - 1])
-    groups = None
-    if featmap is not None:  # grouped by state: no (n, H, A, d) array is gathered
-        groups = []
-        for h in range(H):
-            first, by_state = _visited_states(states[:, h])
-            candidates = featmap.phi[h].take(states[first, h], axis=0)  # one block per visited state
-            rep, rows = _byte_order(candidates)
-            groups.append((candidates[rep], rows.take(by_state)))
+    groups = []  # grouped by state: no (n, H, A, d) array is gathered
+    for h in range(H):
+        first, by_state = _visited_states(states[:, h])
+        candidates = featmap.phi[h].take(states[first, h], axis=0)  # one block per visited state
+        rep, rows = _byte_order(candidates)
+        groups.append((candidates[rep], rows.take(by_state)))
     _check_paths(states, actions, rewards, groups)
     return Dataset._of_groups(states, actions, rewards, groups)
 
@@ -839,7 +802,7 @@ def trajectory_count(n) -> int:
     return int(n)
 
 
-def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=None) -> Dataset:
+def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap) -> Dataset:
     """Sample n trajectories; trajectory j is drawn from generator seed [seed, j].
 
     The per-trajectory counter seeding makes every trajectory independently
@@ -848,7 +811,9 @@ def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=No
     sample of more from the same seed.  Row j's uniforms are bit for
     bit those of numpy's default generator seeded ``[seed, j]``, because numpy
     keeps SeedSequence and PCG64 stable; all n streams are computed in one
-    vectorised pass.  ``n`` must pass ``trajectory_count``.
+    vectorised pass.  ``n`` must pass ``trajectory_count``.  Every visited
+    state's features come from ``featmap`` (a ``FeatureMap``), grouped per stage
+    into the dataset's ``visited_blocks``.
     """
     n = trajectory_count(n)
     base = np.array(_seed_words(seed), dtype=np.uint32)
@@ -859,28 +824,26 @@ def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap=No
 # ---------------------------------------------------------------------------
 # serialization
 
-def mdp_to_doc(mdp: StagedMdp, featmap=None) -> dict:
-    """Structured document for on-disk exchange; floats round-trip exactly."""
-    doc = {
+def mdp_to_doc(mdp: StagedMdp, featmap) -> dict:
+    """Structured document of an environment and its feature map for on-disk
+    exchange; floats round-trip exactly."""
+    return {
         "H": mdp.horizon,
         "stage_sizes": list(mdp.stage_sizes),
         "num_actions": mdp.num_actions,
         "transitions": [t.tolist() for t in mdp.transitions],
         "reward_means": [r.tolist() for r in mdp.reward_means],
         "reward_kind": mdp.reward_kind,
+        "features": {"d": featmap.d, "l1_bound": featmap.l1_bound, "phi": [p.tolist() for p in featmap.phi]},
     }
-    if featmap is not None:
-        doc["features"] = {
-            "d": featmap.d,
-            "l1_bound": featmap.l1_bound,
-            "phi": [p.tolist() for p in featmap.phi],
-        }
-    return doc
 
 
 def mdp_from_doc(doc: dict):
+    """``(mdp, featmap)`` of a ``mdp_to_doc`` document; one without features is refused."""
     from .envs import FeatureMap
 
+    if "features" not in doc:
+        raise ValidationError("environment document has no 'features'; every environment carries its feature map")
     mdp = StagedMdp(
         horizon=doc["H"],
         stage_sizes=tuple(doc["stage_sizes"]),
@@ -889,14 +852,11 @@ def mdp_from_doc(doc: dict):
         reward_means=[np.asarray(r) for r in doc["reward_means"]],
         reward_kind=doc["reward_kind"],
     )
-    featmap = None
-    if "features" in doc:
-        f = doc["features"]
-        featmap = FeatureMap(d=f["d"], phi=[np.asarray(p) for p in f["phi"]], l1_bound=f["l1_bound"])
-    return mdp, featmap
+    f = doc["features"]
+    return mdp, FeatureMap(d=f["d"], phi=[np.asarray(p) for p in f["phi"]], l1_bound=f["l1_bound"])
 
 
-def save_mdp(path, mdp: StagedMdp, featmap=None) -> None:
+def save_mdp(path, mdp: StagedMdp, featmap) -> None:
     with open(path, "w") as fh:
         json.dump(mdp_to_doc(mdp, featmap), fh)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from skiprl.design import guess_from_fit
-from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
+from skiprl.envs import FeatureMap, fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import MEMBER_TOL, RADIUS_TOL
-from skiprl.mdp import StagedMdp
+from skiprl.mdp import Dataset, StagedMdp, _byte_order
 
 
 def random_tabular_mdp(rng, horizon=None, max_states=6, max_actions=4, reward_kind="deterministic-mean"):
@@ -26,6 +26,22 @@ def one_step_bandit(r0=0.3, r1=0.7):
         transitions=[np.ones((1, 2, 1))],
         reward_means=[np.array([[r0, r1]]), np.zeros((1, 2))],
     )
+
+
+def unit_featmap(mdp):
+    """The one-column feature map phi = 1 of ``mdp``, for sampling an MDP that has no
+    feature map of its own."""
+    return FeatureMap(d=1, phi=[np.ones((k, mdp.num_actions, 1)) for k in mdp.stage_sizes], l1_bound=1.0)
+
+
+def dense_dataset(states, actions, rewards, features):
+    """The ``Dataset`` of dense (n, H, A, d) ``features`` through ``Dataset.of_blocks``,
+    the checked constructor a loaded archive takes: each stage is grouped by the bytes
+    of every row's block (``mdp._byte_order``), as a fresh grouping is."""
+    firsts, codes = zip(*(_byte_order(features[:, h]) for h in range(features.shape[1])))
+    blocks = [features[first, h] for h, first in enumerate(firsts)]
+    return Dataset.of_blocks(states, actions, rewards, np.concatenate(blocks),
+                             np.array([len(b) for b in blocks]), np.stack(codes, axis=1))
 
 
 def anchor_distance(sets, covs, h, theta) -> float:

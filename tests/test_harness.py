@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_dataset
 from skiprl import harness, learner
 from skiprl.harness import (
     ExperimentConfig,
@@ -76,7 +77,7 @@ def valid_arrays(n=1) -> dict:
     actions = np.zeros((n, 2), dtype=int)
     actions[:, 0] = np.arange(n) % 2
     paths = {"states": np.zeros((n, 2), dtype=int), "actions": actions, "rewards": np.tile([0.5, 0.0], (n, 1))}
-    blocks, rows = Dataset(**paths, features=np.arange(n * 4, dtype=float).reshape(n, 1, 2, 2) / 10).visited_blocks[0]
+    blocks, rows = dense_dataset(**paths, features=np.arange(n * 4, dtype=float).reshape(n, 1, 2, 2) / 10).visited_blocks[0]
     return {**paths, "blocks": blocks, "block_counts": np.array([len(blocks)]), "codes": rows[:, None]}
 
 
@@ -115,7 +116,7 @@ def twin_block_dataset(rng, n, H, A, d) -> Dataset:
     actions = rng.integers(0, A, size=(n, H + 1))
     rewards = np.array([0.0, -0.0, 0.25, 1.0])[rng.integers(0, 4, size=(n, H + 1))]
     rewards[:, H] = -0.0
-    return Dataset(states, actions, rewards, feats)
+    return dense_dataset(states, actions, rewards, feats)
 
 
 class TestConfig:
@@ -210,7 +211,7 @@ class TestDatasetPersistence:
         trajs = sample_trajectories(mdp, uniform_policy(mdp), 20, 5, fm)
         feats = trajs.features.copy()
         feats[0, 0, 0, 0], feats[1, 0, 0, 0] = -0.0, 0.0
-        ds = Dataset(trajs.states, trajs.actions, trajs.rewards, feats)
+        ds = dense_dataset(trajs.states, trajs.actions, trajs.rewards, feats)
         path = tmp_path / "data.npz"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -231,10 +232,10 @@ class TestDatasetPersistence:
         assert any(np.signbit(blocks).any() for ds in datasets for blocks, _ in ds.visited_blocks)
         assert any(np.signbit(ds.rewards[:, :-1]).any() for ds in datasets)
         paths = np.zeros((3, 2), dtype=int)
-        datasets.append(Dataset(paths, paths, np.zeros((3, 2)), np.zeros((3, 1, 2, 0))))
+        datasets.append(dense_dataset(paths, paths, np.zeros((3, 2)), np.zeros((3, 1, 2, 0))))
         ds = datasets[3]
-        datasets.append(Dataset(ds.states.astype(np.int32), ds.actions.astype(np.int8),
-                                ds.rewards.astype(np.float32), ds.features.astype(np.float32)))
+        datasets.append(dense_dataset(ds.states.astype(np.int32), ds.actions.astype(np.int8),
+                                      ds.rewards.astype(np.float32), ds.features.astype(np.float32)))
         for j, ds in enumerate(datasets):
             path = tmp_path / f"{j}.data"
             save_dataset(ds, path)
@@ -264,15 +265,6 @@ class TestDatasetPersistence:
             path = os.path.join(tmp, "data.npz")
             save_dataset(ds, path)
             assert_same_arrays(load_dataset(path), ds)
-
-    def test_featureless_rejected_before_opening(self, tmp_path, fixed_instance):
-        mdp, _ = fixed_instance
-        ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 1)
-        path = tmp_path / "data.npz"
-        path.write_text("keep\n")
-        with pytest.raises(ValidationError):
-            save_dataset(ds, path)
-        assert path.read_text() == "keep\n"
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.npz"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import anchor_distance, is_member
+from conftest import anchor_distance, dense_dataset, is_member
 from skiprl import learner, mdp as mdp_module
 from skiprl.harness import load_dataset, save_dataset
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
@@ -34,7 +34,7 @@ from skiprl.learner import (
     stage_covariance,
     tightness,
 )
-from skiprl.mdp import REWARD_KINDS, Dataset, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
+from skiprl.mdp import REWARD_KINDS, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
 from skiprl.oracles import check_skip_realizability
 from skiprl.skipping import SkipParams, dataset_omega, omega_tables, stop_probabilities
 
@@ -84,7 +84,7 @@ class TestClippedEstimators:
 class TestStageCovariance:
     def test_zero_features_lambda_identity(self, setup):
         *_, ds = setup
-        blank = Dataset(ds.states, ds.actions, ds.rewards, np.zeros_like(ds.features))
+        blank = dense_dataset(ds.states, ds.actions, ds.rewards, np.zeros_like(ds.features))
         cov = stage_covariance(blank, 0, 0.7)
         np.testing.assert_allclose(cov.matrix, 0.7 * np.eye(2), atol=1e-15)
 
@@ -92,7 +92,7 @@ class TestStageCovariance:
         *_, ds = setup
         feats = np.zeros_like(ds.features[:1])
         feats[0, :, :, 0] = 1.0
-        one = Dataset(ds.states[:1], ds.actions[:1], ds.rewards[:1], feats)
+        one = dense_dataset(ds.states[:1], ds.actions[:1], ds.rewards[:1], feats)
         cov = stage_covariance(one, 1, 0.5)
         expect = 0.5 * np.eye(2)
         expect[0, 0] += 1.0
@@ -350,13 +350,6 @@ class TestSolve:
         out = solve(ds, [guess], config, fm)
         assert out.chosen_guess == 0 and not out.all_rejected
 
-    def test_featureless_dataset_rejected(self, setup):
-        # sampled without a feature map: the learner refuses it by name
-        mdp, fm, behavior, guess, config, _ = setup
-        bare = sample_trajectories(mdp, behavior, 20, 6)
-        with pytest.raises(ValidationError, match="no features"):
-            solve(bare, [guess], config, fm)
-
     def test_zero_reward_env(self):
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=10, reward_scale=0.0)
         behavior = uniform_policy(mdp)
@@ -546,9 +539,10 @@ class TestVisitedBlocksShared:
             assert got.tightness_values.tobytes() == want.tightness_values.tobytes()
 
     def test_only_the_fallback_sorts_every_row(self, setup, groupings, tmp_path):
-        # the sampler sorts one block per visited state; the fallback, dense features
-        # handed to Dataset, sorts all n rows' blocks once per stage; the archive stores
-        # the grouping, so loading sorts only the distinct blocks, to check their order
+        # the sampler sorts one block per visited state; dense features (the tests'
+        # dense_dataset) sort all n rows' blocks once per stage, then of_blocks sorts the
+        # distinct blocks to check their order; the archive stores the grouping, so
+        # loading sorts only the distinct blocks
         mdp, fm, behavior, *_ = setup
         ds = sample_trajectories(mdp, behavior, 300, [3000, 3], fm)
         sorts = groupings["block_sorts"]
@@ -557,8 +551,8 @@ class TestVisitedBlocksShared:
         feats = ds.features.copy()
         feats[::2, 1] = feats[::2, 1, ::-1]  # even rows swap the actions of their stage-1 block
         sorts.clear()
-        swapped = Dataset(ds.states, ds.actions, ds.rewards, feats)
-        assert sorts == [ds.n] * ds.horizon
+        swapped = dense_dataset(ds.states, ds.actions, ds.rewards, feats)
+        assert sorts == [ds.n] * ds.horizon + [len(blocks) for blocks, _ in swapped.visited_blocks]
         save_dataset(swapped, tmp_path / "data.npz")
         sorts.clear()
         loaded = load_dataset(tmp_path / "data.npz")
@@ -654,7 +648,7 @@ def hand_built_dataset(rng, n, H, A, d):
     actions = rng.integers(0, A, size=(n, H + 1))
     rewards = np.array([0.0, -0.0, 0.25, 1.0])[rng.integers(0, 4, size=(n, H + 1))]
     rewards[:, H] = 0.0
-    return Dataset(states, actions, rewards, feats)
+    return dense_dataset(states, actions, rewards, feats)
 
 
 def assert_matches_reference(got, ds, guess, config, stage_covs, extras=None):
@@ -742,7 +736,7 @@ class TestTailGrouping:
         # the tails differ only in the sign of a zero reward, so they are scored apart
         feats = np.full((4, 2, 1, 1), 1.0)
         rewards = np.array([[0.5, 0.0, 0.0], [0.5, -0.0, 0.0], [0.5, 0.0, 0.0], [0.25, -0.0, 0.0]])
-        ds = Dataset(np.zeros((4, 3), dtype=int), np.zeros((4, 3), dtype=int), rewards, feats)
+        ds = dense_dataset(np.zeros((4, 3), dtype=int), np.zeros((4, 3), dtype=int), rewards, feats)
         first, back = ds.tail_paths[1]
         assert len(first) == 2 and back[0] == back[2] and back[0] != back[1] and back[1] == back[3]
         first, back = ds.tail_paths[0]
@@ -885,10 +879,6 @@ class TestTailPaths:
                 distinct = {(rows[j, h + 1 :].tobytes(), ds.rewards[j, h:H].tobytes()) for j in range(ds.n)}
                 assert len(first) == len(distinct)
 
-    def test_featureless_dataset_refused(self):
-        ds = Dataset(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int), np.zeros((2, 3)))
-        with pytest.raises(ValidationError, match="no features"):
-            ds.tail_paths
 
 
 class TestLearnerConfig:
@@ -938,7 +928,7 @@ class TestDimensions:
         # width than the feature map and the guesses is refused; a skip width of 50 on
         # this d = 2 data used to move the chosen guess and theta_0 without a warning
         mdp, fm, behavior, guess, config, ds = setup
-        wide = Dataset(ds.states, ds.actions, ds.rewards, np.pad(ds.features, [(0, 0)] * 3 + [(0, 48)]))
+        wide = dense_dataset(ds.states, ds.actions, ds.rewards, np.pad(ds.features, [(0, 0)] * 3 + [(0, 48)]))
         with pytest.raises(ValidationError, match=self.MISMATCH):
             solve(wide, [guess], config, fm)
         with pytest.raises(ValidationError, match=self.MISMATCH):
@@ -980,7 +970,7 @@ class TestDimensions:
         # with H = 1 a guess has no panels, so it carries no dimension to compare
         feats = np.ones((3, 1, 2, 1))
         rewards = np.array([[0.5, 0.0], [0.25, 0.0], [0.5, 0.0]])
-        ds = Dataset(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), rewards, feats)
+        ds = dense_dataset(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), rewards, feats)
         config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, alpha=0.5)
         (sets,) = build_confidence_sets(ds, [zero_guess(1, 5)], config, covs(ds, config))
         assert sets.empty_stage is None
@@ -1070,7 +1060,7 @@ class TestOwnTailDistance:
             rewards[:, :H][zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
             h = int(rng.integers(0, H))
             feats[::2, h] = feats[::2, h, ::-1]  # even rows swap their actions' features at stage h
-            ds = Dataset(ds.states, ds.actions, rewards, feats)
+            ds = dense_dataset(ds.states, ds.actions, rewards, feats)
         config = LearnerConfig(lam=float(rng.uniform(0.1, 2.0)), beta=1.0, eps_bar=1.0, theta_radius=1e6,
                                alpha=float(rng.uniform(0.05, 1.0)))
         guess = random_guess(rng, H, d)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import one_step_bandit, random_tabular_mdp, zero_reward_mdp
+from conftest import dense_dataset, one_step_bandit, random_tabular_mdp, unit_featmap, zero_reward_mdp
 from skiprl.envs import FeatureMap, random_linear_mdp
 from skiprl.mdp import (
     Dataset,
@@ -36,7 +36,7 @@ def inverse_cdf(cum, u):
     return np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
 
 
-def reference_rollout(mdp, policy, seed, featmap=None):
+def reference_rollout(mdp, policy, seed, featmap):
     """Scalar rollout: one ``rng.random()`` per draw, in rollout order, each
     inverted by ``searchsorted(side="right")`` on the cumulative row and
     clamped to the last index."""
@@ -48,14 +48,13 @@ def reference_rollout(mdp, policy, seed, featmap=None):
 
     H = mdp.horizon
     states, actions, rewards = np.zeros(H + 1, dtype=int), np.zeros(H + 1, dtype=int), np.zeros(H + 1)
-    feats = None if featmap is None else np.zeros((H, mdp.num_actions, featmap.d))
+    feats = np.zeros((H, mdp.num_actions, featmap.d))
     s = 0
     for h in range(H + 1):
         states[h] = s
-        if feats is not None and h < H:
-            feats[h] = featmap.phi[h][s]
         a = actions[h] = draw(policy.tables[h][s])
         if h < H:
+            feats[h] = featmap.phi[h][s]
             mean = mdp.reward_means[h][s, a]
             rewards[h] = float(rng.random() < mean) if mdp.reward_kind == "bernoulli-mean" else mean
             s = draw(mdp.transitions[h][s, a])
@@ -63,6 +62,7 @@ def reference_rollout(mdp, policy, seed, featmap=None):
 
 
 def assert_matches_reference(mdp, pi, n, seed, featmap=None):
+    featmap = featmap or unit_featmap(mdp)
     ds = sample_trajectories(mdp, pi, n, seed, featmap)
     assert len(ds) == n
     for j in range(n):
@@ -70,10 +70,7 @@ def assert_matches_reference(mdp, pi, n, seed, featmap=None):
         np.testing.assert_array_equal(ds.states[j], states)
         np.testing.assert_array_equal(ds.actions[j], actions)
         np.testing.assert_array_equal(ds.rewards[j], rewards)
-        if featmap is None:
-            assert ds.features is None
-        else:
-            np.testing.assert_array_equal(ds.features[j], feats)
+        np.testing.assert_array_equal(ds.features[j], feats)
 
 
 def sparse_rows(rng, shape):
@@ -157,7 +154,7 @@ class TestEvaluatePolicy:
             mdp = random_tabular_mdp(rng, max_states=6, max_actions=4)
             pi = random_policy(mdp, rng)
             exact = evaluate_policy(mdp, pi).v[0][0]
-            trajs = sample_trajectories(mdp, pi, 4000, int(rng.integers(1 << 30)))
+            trajs = sample_trajectories(mdp, pi, 4000, int(rng.integers(1 << 30)), unit_featmap(mdp))
             returns = trajs.rewards.sum(axis=1)
             se = returns.std(ddof=1) / np.sqrt(len(returns))
             assert abs(returns.mean() - exact) <= 3 * se + 1e-9
@@ -223,7 +220,7 @@ class TestOccupancy:
         pi = random_policy(mdp, rng)
         nu = occupancy(mdp, pi).nu
         n = 100_000
-        trajs = sample_trajectories(mdp, pi, n, 909)
+        trajs = sample_trajectories(mdp, pi, n, 909, unit_featmap(mdp))
         for h in range(mdp.horizon):
             counts = np.zeros_like(nu[h])
             np.add.at(counts, (trajs.states[:, h], trajs.actions[:, h]), 1)
@@ -239,7 +236,8 @@ class TestSampling:
         rewards = [np.array([[0.2, 0.8]]), np.array([[0.5, 0.1], [0.0, 0.0]]), np.zeros((1, 2))]
         mdp = StagedMdp(2, (1, 2, 1), 2, transitions, rewards)
         pi = deterministic_policy(mdp, [[1], [0, 0], [0]])
-        t1, t2 = sample_trajectories(mdp, pi, 1, 1), sample_trajectories(mdp, pi, 1, 999)
+        fm = unit_featmap(mdp)
+        t1, t2 = sample_trajectories(mdp, pi, 1, 1, fm), sample_trajectories(mdp, pi, 1, 999, fm)
         np.testing.assert_array_equal(t1.states, t2.states)
         np.testing.assert_array_equal(t1.actions, t2.actions)
         np.testing.assert_array_equal(t1.rewards, t2.rewards)
@@ -248,26 +246,26 @@ class TestSampling:
         rng = np.random.default_rng(21)
         mdp = random_tabular_mdp(rng, reward_kind="deterministic-mean")
         pi = random_policy(mdp, rng)
-        ds = sample_trajectories(mdp, pi, 8, 17)
+        ds = sample_trajectories(mdp, pi, 8, 17, unit_featmap(mdp))
         for h in range(mdp.horizon):
             np.testing.assert_array_equal(ds.rewards[:, h], mdp.reward_means[h][ds.states[:, h], ds.actions[:, h]])
 
     def test_bernoulli_rewards_binary(self):
         rng = np.random.default_rng(22)
         mdp = random_tabular_mdp(rng, reward_kind="bernoulli-mean")
-        ds = sample_trajectories(mdp, random_policy(mdp, rng), 8, 3)
+        ds = sample_trajectories(mdp, random_policy(mdp, rng), 8, 3, unit_featmap(mdp))
         assert set(np.unique(ds.rewards)).issubset({0.0, 1.0})
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(23)
         mdp = random_tabular_mdp(rng)
-        pi = random_policy(mdp, rng)
+        pi, fm = random_policy(mdp, rng), unit_featmap(mdp)
         # the same seed gives the same rows, and a smaller sample is a prefix of a larger one
-        a = sample_trajectories(mdp, pi, 5, 77)
-        batch = sample_trajectories(mdp, pi, 6, 77)
+        a = sample_trajectories(mdp, pi, 5, 77, fm)
+        batch = sample_trajectories(mdp, pi, 6, 77, fm)
         for key in ("states", "actions", "rewards"):
             np.testing.assert_array_equal(getattr(a, key), getattr(batch, key)[:5])
-            np.testing.assert_array_equal(getattr(batch, key), getattr(sample_trajectories(mdp, pi, 6, 77), key))
+            np.testing.assert_array_equal(getattr(batch, key), getattr(sample_trajectories(mdp, pi, 6, 77, fm), key))
 
     def test_visit_frequencies_match_occupancy(self):
         rng = np.random.default_rng(31)
@@ -275,7 +273,7 @@ class TestSampling:
         pi = random_policy(mdp, rng)
         nu = occupancy(mdp, pi).nu
         n = 100_000
-        trajs = sample_trajectories(mdp, pi, n, 4242)
+        trajs = sample_trajectories(mdp, pi, n, 4242, unit_featmap(mdp))
         h = mdp.horizon - 1
         counts = np.zeros_like(nu[h])
         np.add.at(counts, (trajs.states[:, h], trajs.actions[:, h]), 1)
@@ -420,13 +418,13 @@ class TestUniformsAgainstNumpy:
         np.testing.assert_array_equal(got, want)
 
     def test_negative_part_raises_like_numpy(self, fixed_instance):
-        mdp, _ = fixed_instance
+        mdp, fm = fixed_instance
         with pytest.raises(ValueError):
             np.random.default_rng([3, -1])
         with pytest.raises(ValueError):
-            sample_trajectories(mdp, uniform_policy(mdp), 1, [3, -1])
+            sample_trajectories(mdp, uniform_policy(mdp), 1, [3, -1], fm)
         with pytest.raises(ValueError):
-            sample_trajectories(mdp, uniform_policy(mdp), 4, -2)
+            sample_trajectories(mdp, uniform_policy(mdp), 4, -2, fm)
 
 
 class TestValidation:
@@ -441,20 +439,23 @@ class TestValidation:
     def test_trajectory_invariants(self):
         # a two-row dataset whose second row's terminal stage pays 0.2; the refusal names that row
         with pytest.raises(ValidationError, match="^trajectory 1: terminal reward must be zero$"):
-            Dataset(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), np.array([[0.5, 0.0], [0.5, 0.2]]))
+            dense_dataset(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), np.array([[0.5, 0.0], [0.5, 0.2]]),
+                          np.ones((2, 1, 1, 1)))
 
-    @pytest.mark.parametrize("states, actions, rewards, features, named", [
-        ([[0, 1, 0]], [[0]], [[0.5, 0.0]], np.ones((1, 2, 2, 1)), r"\(n, H\+1\) shape"),
-        ([[0, 1, 0]], [[0, 0, 0]], [[0.5, 0.0]], np.ones((1, 2, 2, 1)), r"\(n, H\+1\) shape"),
-        ([0, 1, 0], [0, 0, 0], [0.5, 0.0, 0.0], None, r"\(n, H\+1\) shape"),
-        ([[0, 1, 0]], [[0, 0, 0]], [[0.5, 0.0, 0.0]], np.ones((1, 7, 2, 1)), r"\(n, H, A, d\) with n, H = 1, 2"),
-        ([[0, 1, 0]], [[0, 0, 0]], [[0.5, 0.0, 0.0]], np.ones((2, 2, 1)), r"\(n, H, A, d\) with n, H = 1, 2"),
+    @pytest.mark.parametrize("fault, named", [
+        ({"actions": [[0]]}, r"\(n, H\+1\) shape"),
+        ({"rewards": [[0.5, 0.0]]}, r"\(n, H\+1\) shape"),
+        ({"states": [0, 1, 0], "actions": [0, 0, 0], "rewards": [0.5, 0.0, 0.0]}, "^states must be a 2-d integer array"),
+        ({"block_counts": [1, 1, 0, 0, 0, 0, 0]}, r"must give each of the H = 2 stages"),
+        ({"blocks": np.ones((2, 2))}, "^blocks must be a 3-d floating array"),
     ], ids=["short-actions", "short-rewards", "one-dimensional", "feature-stages", "feature-rank"])
-    def test_trajectory_shapes_checked(self, states, actions, rewards, features, named):
+    def test_trajectory_shapes_checked(self, fault, named):
         # one trajectory is a one-row dataset; an unstacked path or feature block is refused
+        arrays = {"states": [[0, 1, 0]], "actions": [[0, 1, 0]], "rewards": [[0.5, 0.0, 0.0]],
+                  "blocks": np.ones((2, 2, 1)), "block_counts": [1, 1], "codes": [[0, 0]]}
+        Dataset.of_blocks(**{key: np.array(value) for key, value in arrays.items()})
         with pytest.raises(ValidationError, match=named):
-            Dataset(np.array(states), np.array(actions), np.array(rewards), features)
-        Dataset(np.array([[0, 1, 0]]), np.array([[0, 1, 0]]), np.array([[0.5, 0.0, 0.0]]), np.ones((1, 2, 2, 1)))
+            Dataset.of_blocks(**{key: np.array(value) for key, value in {**arrays, **fault}.items()})
 
     @pytest.mark.parametrize("action, named", [(-1, ">= 0"), (2, "< 2")], ids=["negative", "past-last"])
     def test_actions_outside_feature_range(self, action, named):
@@ -462,17 +463,12 @@ class TestValidation:
         states, rewards = np.zeros((2, 3), dtype=int), np.zeros((2, 3))
         actions = np.zeros((2, 3), dtype=int)
         feats = np.ones((2, 2, 2, 1))
-        Dataset(states, actions, rewards, feats)
+        dense_dataset(states, actions, rewards, feats)
         actions[1, 1] = action
         with pytest.raises(ValidationError, match=f"^trajectory 1: actions must be {named}"):
-            Dataset(states, actions, rewards, feats)
+            dense_dataset(states, actions, rewards, feats)
         with pytest.raises(ValidationError, match=f"^trajectory 0: actions must be {named}"):  # the offending row alone
-            Dataset(states[1:], actions[1:], rewards[1:], feats[1:])
-        if action < 0:  # without features only the sign can be checked
-            with pytest.raises(ValidationError, match=f"^trajectory 1: actions must be {named}"):
-                Dataset(states, actions, rewards)
-        else:
-            Dataset(states, actions, rewards)
+            dense_dataset(states[1:], actions[1:], rewards[1:], feats[1:])
 
     def test_rewards_outside_unit_interval(self):
         with pytest.raises(ValidationError):
@@ -532,9 +528,9 @@ class TestSerialization:
     def test_roundtrip_bit_exact(self):
         rng = np.random.default_rng(13)
         mdp = random_tabular_mdp(rng)
-        doc = json.loads(json.dumps(mdp_to_doc(mdp)))
+        doc = json.loads(json.dumps(mdp_to_doc(mdp, unit_featmap(mdp))))
         back, featmap = mdp_from_doc(doc)
-        assert featmap is None
+        assert featmap.d == 1
         assert back.horizon == mdp.horizon and back.stage_sizes == mdp.stage_sizes
         for h in range(mdp.horizon):
             np.testing.assert_array_equal(back.transitions[h], mdp.transitions[h])
@@ -549,10 +545,16 @@ class TestSerialization:
         for h in range(mdp.horizon + 1):
             np.testing.assert_array_equal(back_fm.phi[h], featmap.phi[h])
 
+    def test_document_without_features_refused(self, fixed_instance):
+        doc = mdp_to_doc(*fixed_instance)
+        del doc["features"]
+        with pytest.raises(ValidationError, match="has no 'features'"):
+            mdp_from_doc(doc)
+
 
 class TestDataset:
     def test_from_trajectories_refuses_other_containers(self, fixed_instance):
-        # the classmethod only passes a featured Dataset through; it no longer stacks rows
+        # the classmethod only passes a Dataset through; it no longer stacks rows
         mdp, featmap = fixed_instance
         ds = sample_trajectories(mdp, uniform_policy(mdp), 5, 3, featmap)
         with pytest.raises(ValidationError, match="^expected a Dataset, got list$"):
@@ -565,13 +567,6 @@ class TestDataset:
         assert ds.states.shape == ds.actions.shape == ds.rewards.shape == (4, 4)
         assert ds.features.shape == (4, 3, 2, 2)
 
-    def test_featureless_dim_raises(self, fixed_instance):
-        mdp, _ = fixed_instance
-        ds = sample_trajectories(mdp, uniform_policy(mdp), 2, 3)
-        assert ds.features is None
-        with pytest.raises(ValidationError, match="no features"):
-            ds.dim
-
     def test_batch_invariants_checked(self, fixed_instance):
         mdp, featmap = fixed_instance
         ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 3, featmap)
@@ -580,28 +575,26 @@ class TestDataset:
         bad_reward = ds.rewards.copy()
         bad_reward[2, -1] = 0.5
         with pytest.raises(ValidationError):
-            Dataset(bad_end, ds.actions, ds.rewards, ds.features)
+            dense_dataset(bad_end, ds.actions, ds.rewards, ds.features)
         with pytest.raises(ValidationError):
-            Dataset(ds.states, ds.actions, bad_reward, ds.features)
+            dense_dataset(ds.states, ds.actions, bad_reward, ds.features)
 
     def test_shapes_checked(self, fixed_instance):
         mdp, featmap = fixed_instance
         ds = sample_trajectories(mdp, uniform_policy(mdp), 3, 3, featmap)
-        with pytest.raises(ValidationError, match="features must have shape"):
-            Dataset(ds.states, ds.actions, ds.rewards, ds.features[:, :-1])  # one stage short
-        with pytest.raises(ValidationError, match="features must have shape"):
-            Dataset(ds.states, ds.actions, ds.rewards, ds.features[:2])  # one row short
-        with pytest.raises(ValidationError, match="features must have shape"):
-            Dataset(ds.states, ds.actions, ds.rewards, ds.features[..., 0])  # no feature axis
         with pytest.raises(ValidationError, match=r"\(n, H\+1\)"):
-            Dataset(ds.states, ds.actions[:, :-1], ds.rewards, ds.features)
+            dense_dataset(ds.states, ds.actions[:, :-1], ds.rewards, ds.features)
 
-    def test_requires_features(self, fixed_instance):
-        mdp, _ = fixed_instance
-        trajs = sample_trajectories(mdp, uniform_policy(mdp), 2, 3)
-        assert isinstance(trajs, Dataset) and trajs.features is None
-        with pytest.raises(ValidationError):
-            Dataset.from_trajectories(trajs)
+    @pytest.mark.parametrize("key", ["codes", "states"])
+    def test_of_blocks_checks_dtypes(self, key):
+        # codes + 0.7 used to be truncated to intp and group as the integer codes did
+        arrays = dict(states=np.zeros((2, 2), dtype=int), actions=np.zeros((2, 2), dtype=int),
+                      rewards=np.zeros((2, 2)), blocks=np.ones((1, 2, 1)), block_counts=np.array([1]),
+                      codes=np.zeros((2, 1), dtype=int))
+        Dataset.of_blocks(**arrays)
+        arrays[key] = arrays[key] + 0.7
+        with pytest.raises(ValidationError, match=f"^{key} must be a 2-d integer array, got float64"):
+            Dataset.of_blocks(**arrays)
 
     def test_featured_dataset_returned_unchanged(self, fixed_instance):
         mdp, featmap = fixed_instance
@@ -671,7 +664,7 @@ def grouping_dataset(kind, seed, n):
             return ds
         rewards = ds.rewards.copy()
         rewards[(rewards == 0.0) & (rng.random(rewards.shape) < 0.5)] = -0.0
-        return Dataset(ds.states, ds.actions, rewards, ds.features)
+        return dense_dataset(ds.states, ds.actions, rewards, ds.features)
     pool = rng.normal(size=(4, A, d))
     pool[0, 0, 0] = 0.0
     pool[1] = pool[0]
@@ -694,7 +687,7 @@ def grouping_dataset(kind, seed, n):
             feats = feats[..., :0]
     rewards = rng.choice(REWARDS, size=(n, H + 1))
     rewards[:, H] = 0.0
-    return Dataset(states, rng.integers(0, A, size=(n, H + 1)), rewards, feats)
+    return dense_dataset(states, rng.integers(0, A, size=(n, H + 1)), rewards, feats)
 
 
 class TestGroupingAgainstByteKeys:
@@ -774,7 +767,7 @@ class TestFactoredDatasets:
             ds.tail_paths
         k = data.draw(st.integers(1, n), label="prefix")
         view = ds.prefix(k)
-        fresh = Dataset(ds.states[:k], ds.actions[:k], ds.rewards[:k], ds.features[:k])
+        fresh = dense_dataset(ds.states[:k], ds.actions[:k], ds.rewards[:k], ds.features[:k])
         assert len(view) == k
         for key in ("states", "actions", "rewards", "features"):
             assert getattr(view, key).tobytes() == getattr(fresh, key).tobytes(), key
@@ -789,8 +782,6 @@ class TestFactoredDatasets:
         for bad in (0, 7, 2.0, True):
             with pytest.raises(ValidationError):
                 ds.prefix(bad)
-        bare = sample_trajectories(mdp, uniform_policy(mdp), 6, 3)
-        assert bare.prefix(2).features is None and bare.prefix(2).states.tobytes() == bare.states[:2].tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SAMPLED_KINDS)), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -814,7 +805,7 @@ class TestFactoredDatasets:
         ds = sample_trajectories(mdp, uniform_policy(mdp), n, int(rng.integers(0, 2**31)), fm)
         dense = np.stack([fm.phi[h][ds.states[:, h]] for h in range(H)], axis=1)
         assert ds.features.tobytes() == dense.tobytes()
-        assert_same_groupings(ds, Dataset(ds.states, ds.actions, ds.rewards, dense))
+        assert_same_groupings(ds, dense_dataset(ds.states, ds.actions, ds.rewards, dense))
 
     def test_no_dense_features_held(self, fixed_instance, tmp_path):
         # sampled, prefixed and loaded datasets keep per-stage blocks and codes, with

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-
+from conftest import dense_dataset, unit_featmap
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import FeatureMap, random_linear_mdp, sample_policies
 from skiprl.learner import _clipped_vbar_rows, clipped_v
-from skiprl.mdp import Dataset, ValidationError, sample_trajectories, uniform_policy
+from skiprl.mdp import ValidationError, sample_trajectories, uniform_policy
 from skiprl.oracles import (
     ContractError,
     guess_range,
@@ -120,7 +120,7 @@ def single_path_mdp(horizon, rng=None, zero_rewards=False):
 
 def one_path(mdp, seed):
     """The states and rewards rows of one uniform-behaviour trajectory drawn from ``seed``."""
-    ds = sample_trajectories(mdp, uniform_policy(mdp), 1, seed)
+    ds = sample_trajectories(mdp, uniform_policy(mdp), 1, seed, unit_featmap(mdp))
     return ds.states[0], ds.rewards[0]
 
 
@@ -353,7 +353,7 @@ def hand_built_dataset(rng, n, H, A, d):
     states = np.zeros((n, H + 1), dtype=int)
     states[:, 1:H] = rng.integers(0, 2, size=(n, H - 1))
     actions = rng.integers(0, A, size=(n, H + 1))
-    return Dataset(states, actions, np.zeros((n, H + 1)), feats)
+    return dense_dataset(states, actions, np.zeros((n, H + 1)), feats)
 
 
 class TestDistinctBlocks:
@@ -404,13 +404,8 @@ class TestDistinctBlocks:
         twin[0, 0] = -0.0
         stage1 = np.stack([block, twin, block[::-1], block, twin])  # equal values, three byte patterns
         feats = np.stack([np.ones((5, 2, 2)), stage1], axis=1)
-        ds = Dataset(np.zeros((5, 3), dtype=int), np.zeros((5, 3), dtype=int), np.zeros((5, 3)), feats)
+        ds = dense_dataset(np.zeros((5, 3), dtype=int), np.zeros((5, 3), dtype=int), np.zeros((5, 3)), feats)
         blocks, rows = ds.visited_blocks[1]
         assert len(blocks) == 3 and len(ds.visited_blocks[0][0]) == 1
         assert rows[0] == rows[3] and rows[1] == rows[4] and len({rows[0], rows[1], rows[2]}) == 3
         self.check(ds, np.random.default_rng(810), 2)
-
-    def test_featureless_dataset_refused(self):
-        ds = Dataset(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int), np.zeros((2, 3)))
-        with pytest.raises(ValidationError, match="no features"):
-            ds.visited_blocks
