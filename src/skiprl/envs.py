@@ -24,6 +24,7 @@ from .mdp import (
     count_deterministic_policies,
     deterministic_policy_stacks,
     evaluate_stack,
+    is_integer,
     optimal_policy,
     random_policy_stack,
     uniform_policy,
@@ -120,9 +121,12 @@ def random_linear_mdp(
         raise GenerationError("num_actions must be >= 1")
     if not (0.0 <= reward_scale <= 1.0):
         raise GenerationError("reward_scale must lie in [0, 1]")
-    sizes = tuple(int(k) for k in stage_sizes)
-    if len(sizes) != horizon + 1 or any(k < 1 for k in sizes):
+    if len(stage_sizes) != horizon + 1:
         raise GenerationError("stage_sizes must list one positive size per stage")
+    for h, k in enumerate(stage_sizes):
+        if not is_integer(k) or k < 1:
+            raise GenerationError(f"stage {h} size must be a positive integer, got {k!r}")
+    sizes = tuple(int(k) for k in stage_sizes)
     rng = np.random.default_rng(seed)
     phi = []
     transitions = []

@@ -118,8 +118,11 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        counts = {"sweep.replicates": self.sweep.replicates, "calibration.replicates": self.calibration.replicates,
-                  "policy_sample": self.policy_sample, "policy_sample_seed": self.policy_sample_seed}
+        counts = {"env.d": self.env.d, "env.horizon": self.env.horizon, "env.num_actions": self.env.num_actions,
+                  "env.seed": self.env.seed, "data.seed": self.data.seed, "guesses.seed": self.guesses.seed,
+                  "sweep.replicates": self.sweep.replicates, "calibration.replicates": self.calibration.replicates,
+                  "calibration.seed_offset": self.calibration.seed_offset, "policy_sample": self.policy_sample,
+                  "policy_sample_seed": self.policy_sample_seed}
         for name, value in counts.items():
             if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -71,13 +71,14 @@ class StagedMdp:
         H = self.horizon
         if H < 1:
             raise ValidationError("horizon must be >= 1")
+        for h, k in enumerate(self.stage_sizes):
+            if not is_integer(k) or k < 1:
+                raise ValidationError(f"stage {h} size must be a positive integer, got {k!r}")
         self.stage_sizes = tuple(int(k) for k in self.stage_sizes)
         if len(self.stage_sizes) != H + 1:
             raise ValidationError("stage_sizes must have length horizon + 1")
         if self.stage_sizes[0] != 1 or self.stage_sizes[H] != 1:
             raise ValidationError("stages 0 and H must each contain exactly one state")
-        if any(k < 1 for k in self.stage_sizes):
-            raise ValidationError("every stage needs at least one state")
         if self.num_actions < 1:
             raise ValidationError("num_actions must be >= 1")
         if self.reward_kind not in REWARD_KINDS:
@@ -853,7 +854,9 @@ def mdp_from_doc(doc: dict):
         reward_kind=doc["reward_kind"],
     )
     f = doc["features"]
-    return mdp, FeatureMap(d=f["d"], phi=[np.asarray(p) for p in f["phi"]], l1_bound=f["l1_bound"])
+    featmap = FeatureMap(d=f["d"], phi=[np.asarray(p) for p in f["phi"]], l1_bound=f["l1_bound"])
+    featmap.check_against(mdp)
+    return mdp, featmap
 
 
 def save_mdp(path, mdp: StagedMdp, featmap) -> None:

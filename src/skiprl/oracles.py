@@ -2,17 +2,17 @@
 
 Every inequality check here reports slack (bound minus achieved value), never
 a bare boolean, so tolerance regressions stay visible.  The concentrability
-coefficient is computed exactly by a per-target reachability DP, and the
-skip-realizability check evaluates its expectation by exhaustively
-enumerating the trajectory space, so none of these paths share code with the
-estimators they validate.  The scalar skip chain (ranges, skip probabilities,
-stopping laws and skip targets of one state or one trajectory at a time) is
-the reference that ``skipping``'s batch kernels are tested against; it reads
-a trajectory as plain ``states`` and ``rewards`` rows, never a ``Dataset``.
+coefficient is computed exactly by a backward reachability DP over all target
+states of a stage at once, and the skip-realizability check evaluates its
+expectation by a backward recursion over the stopping law, so none of these
+paths share code with the estimators they validate.  The scalar skip chain
+(ranges, skip probabilities, stopping laws and skip targets of one state or
+one trajectory at a time) is the reference that ``skipping``'s batch kernels
+are tested against; it reads a trajectory as plain ``states`` and ``rewards``
+rows, never a ``Dataset``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,8 @@ from .skipping import SkipParams
 
 @dataclass
 class ConcReport:
-    """Exact concentrability coefficient with its witnessing state-action."""
+    """Exact concentrability coefficient with its witness, the first worst
+    state-action in (stage, state, action) order."""
 
     c_conc: float
     witness: tuple          # (stage, state, action)
@@ -51,15 +52,12 @@ class ConcReport:
 
 
 def _max_reach(mdp: StagedMdp, stage: int) -> np.ndarray:
-    """sup over policies of P(S_stage = s) for every s, via backward control DP."""
-    out = np.zeros(mdp.stage_sizes[stage])
-    for target in range(mdp.stage_sizes[stage]):
-        u = np.zeros(mdp.stage_sizes[stage])
-        u[target] = 1.0
-        for h in range(stage - 1, -1, -1):
-            u = (mdp.transitions[h] @ u).max(axis=1)
-        out[target] = u[0]
-    return out
+    """sup over policies of P(S_stage = s) for every s, via backward control DP; row k of
+    ``u`` is target k's DP, and the stacked product runs its own ``T_h @ u_k``, bits and all."""
+    u = np.eye(mdp.stage_sizes[stage])
+    for h in range(stage - 1, -1, -1):
+        u = (mdp.transitions[h][None] @ u[:, None, :, None])[..., 0].max(axis=2)
+    return u[:, 0]
 
 
 def concentrability(mdp: StagedMdp, behavior: Policy) -> ConcReport:
@@ -69,23 +67,20 @@ def concentrability(mdp: StagedMdp, behavior: Policy) -> ConcReport:
     the numerator is maximised by deterministically reaching the state and
     then playing the action, which the reachability DP computes exactly.  A
     reachable pair with zero behavior mass yields an infinite coefficient
-    (reported, not raised).
+    (reported, not raised).  The witness is the first worst pair in (stage,
+    state, action) order.
     """
     mu = occupancy(mdp, behavior).nu
-    H = mdp.horizon
-    reach = [_max_reach(mdp, h) for h in range(H)]
+    reach = [_max_reach(mdp, h) for h in range(mdp.horizon)]
     best = 0.0
     witness = (0, 0, 0)
-    for h in range(H):
-        for s in range(mdp.stage_sizes[h]):
-            if reach[h][s] <= 0.0:
-                continue
-            for a in range(mdp.num_actions):
-                denom = mu[h][s, a]
-                ratio = float("inf") if denom <= 0.0 else reach[h][s] / denom
-                if ratio > best:
-                    best = ratio
-                    witness = (h, s, a)
+    for h, (r, m) in enumerate(zip(reach, mu)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(r[:, None] > 0.0, r[:, None] / m, 0.0)  # x / 0 = inf
+        i = int(np.argmax(ratio))
+        if ratio.flat[i] > best:
+            best = float(ratio.flat[i])
+            witness = (h, *divmod(i, mdp.num_actions))
     return ConcReport(c_conc=best, witness=witness, max_reach=reach, mu=mu)
 
 
@@ -328,21 +323,7 @@ def skip_target(guess: Guess, featmap: FeatureMap, states, rewards, h: int, f, p
 
 
 # ---------------------------------------------------------------------------
-# skip-target realizability by exhaustive expectation
-
-
-def _suffix_paths(mdp: StagedMdp, h: int):
-    """All (states, actions) suffixes over stages h+1..H, as index tuples.
-
-    A path fixes the visited state at every stage h+1..H and the action at
-    stages h+1..H-1 (the terminal action is irrelevant).
-    """
-    H = mdp.horizon
-    state_choices = [range(mdp.stage_sizes[t]) for t in range(h + 1, H + 1)]
-    action_choices = [range(mdp.num_actions) for _ in range(h + 1, H)]
-    for states in itertools.product(*state_choices):
-        for acts in itertools.product(*action_choices):
-            yield states, acts
+# skip-target realizability by backward recursion
 
 
 def expected_skip_target(
@@ -353,56 +334,28 @@ def expected_skip_target(
     f,
     h: int,
     params: SkipParams,
-    path_cap: int = 500_000,
 ) -> np.ndarray:
     """E over trajectories from (s, a) of the skip target, for all (s, a) at stage h.
 
-    Enumerates the full trajectory space (states and actions after stage h)
-    and weights each path by behavior-policy and transition probabilities;
-    mean rewards stand in for sampled rewards, which is exact because the
-    target is linear in the rewards.
+    Backward recursion over the stopping law: g_H = f(H, .) and, for t = H-1
+    down to h+1, g_t(s) = (1 - w_t(s)) f(t, s) + w_t(s) sum_a pi_t(a|s)
+    [r_t(s, a) + P_t(s, a) . g_{t+1}], with w the scalar skip probabilities;
+    the result is r_h + P_h . g_{h+1}.  Mean rewards stand in for sampled
+    rewards, which is exact because the target is linear in the rewards.
     """
     H = mdp.horizon
     if h < 0 or h >= H:
         raise ValidationError(f"stage {h} outside 0..{H - 1}")
-    count = 1
-    for t in range(h + 1, H + 1):
-        count *= mdp.stage_sizes[t]
-        if t < H:
-            count *= mdp.num_actions
-    if count > path_cap:
-        raise ValidationError(
-            f"trajectory space of {count} paths exceeds the cap {path_cap}; instance too large"
-        )
-    if abs(float(f(H, 0))) > 1e-12:
+    g = np.array([float(f(H, 0))])
+    if abs(g[0]) > 1e-12:
         raise ValidationError("value function must vanish at the terminal state")
-    omega = [[skip_probability(guess, featmap, t, s, params) for s in range(mdp.stage_sizes[t])]
-             for t in range(H + 1)]
-
-    # group paths by their entry state at stage h+1
-    group = np.zeros(mdp.stage_sizes[h + 1])
-    for states, acts in _suffix_paths(mdp, h):
-        weight = 1.0
-        rewards = []
-        for i, t in enumerate(range(h + 1, H)):
-            s_t, a_t = states[i], acts[i]
-            weight *= behavior.tables[t][s_t, a_t]
-            weight *= mdp.transitions[t][s_t, a_t, states[i + 1]]
-            rewards.append(mdp.reward_means[t][s_t, a_t])
-        if weight == 0.0:
-            continue
-        stop_w = np.array([omega[t][states[i]] for i, t in enumerate(range(h + 1, H + 1))])
-        prefix = np.concatenate([[1.0], np.cumprod(stop_w[:-1])])
-        stop_probs = prefix * (1.0 - stop_w)
-        cum = np.concatenate([[0.0], np.cumsum(rewards)])
-        fvals = np.array([f(t, states[i]) for i, t in enumerate(range(h + 1, H + 1))])
-        group[states[0]] += weight * float(np.sum(stop_probs * (cum + fvals)))
-
-    out = np.zeros((mdp.stage_sizes[h], mdp.num_actions))
-    for s in range(mdp.stage_sizes[h]):
-        for a in range(mdp.num_actions):
-            out[s, a] = mdp.reward_means[h][s, a] + float(mdp.transitions[h][s, a] @ group)
-    return out
+    for t in range(H - 1, h, -1):
+        states = range(mdp.stage_sizes[t])
+        omega = np.array([skip_probability(guess, featmap, t, s, params) for s in states])
+        stop = np.array([float(f(t, s)) for s in states])
+        go_on = np.sum(behavior.tables[t] * (mdp.reward_means[t] + mdp.transitions[t] @ g), axis=1)
+        g = (1.0 - omega) * stop + omega * go_on
+    return mdp.reward_means[h] + mdp.transitions[h] @ g
 
 
 def check_skip_realizability(
@@ -413,15 +366,14 @@ def check_skip_realizability(
     f,
     h: int,
     params: SkipParams,
-    path_cap: int = 500_000,
 ) -> float:
-    """Sup-norm residual of the best linear fit to the expected skip target.
+    """Sup-norm residual of the best linear fit to ``expected_skip_target``'s recursion.
 
     On exactly linear instances the expectation is exactly linear in the
     stage-h features, so the residual vanishes up to numerics for any guess
     and any bounded value function.
     """
-    targets = expected_skip_target(mdp, featmap, guess, behavior, f, h, params, path_cap)
+    targets = expected_skip_target(mdp, featmap, guess, behavior, f, h, params)
     design = featmap.phi[h].reshape(-1, featmap.d)
     sol, _, _, _ = np.linalg.lstsq(design, targets.ravel(), rcond=None)
     return float(np.abs(design @ sol - targets.ravel()).max())

@@ -152,6 +152,12 @@ def test_verify_all_passes(tmp_path, capsys):
     assert main(["verify", "--all", "--out", report_path]) == 0
     report = json.load(open(report_path))
     assert report["all_pass"] and len(report["suites"]) == 7
+    # the committed report is this run's, timings aside
+    committed = json.load(open(os.path.join(os.path.dirname(__file__), "..", "results", "verify_report.json")))
+    for doc in (report, committed):
+        for entry in doc["suites"]:
+            del entry["elapsed_s"]
+    assert report == committed
     # each suite's line names the instances it ran on
     lines = capsys.readouterr().out.splitlines()
     for entry, line in zip(report["suites"], lines):

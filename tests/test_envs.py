@@ -74,8 +74,11 @@ class TestGenerator:
             ({"num_actions": -1}, "num_actions"),
             ({"stage_sizes": (2, 3, 1)}, "exactly one state"),
             ({"horizon": 0, "stage_sizes": (1,)}, "horizon"),
+            ({"stage_sizes": (1, 4.7, 1)}, "stage 1 size must be a positive integer, got 4.7"),
+            ({"stage_sizes": (1, True, 1)}, "stage 1 size must be a positive integer, got True"),
         ],
-        ids=["reward-kind", "no-actions", "negative-actions", "wide-first-stage", "zero-horizon"],
+        ids=["reward-kind", "no-actions", "negative-actions", "wide-first-stage", "zero-horizon", "fraction-size",
+             "bool-size"],
     )
     def test_invalid_structure_named_at_once(self, change, named):
         kwargs = dict(d=2, horizon=2, stage_sizes=(1, 3, 1), num_actions=2, seed=0)

@@ -165,6 +165,13 @@ class TestConfig:
         assert sorted(json.loads(cfg.to_json())["learn"]) == sorted(
             ["lam", "beta", "eps_bar", "theta_radius", "alpha", "grid_per_stage", "combo_cap", "net_spacing", "seed"])
 
+    @pytest.mark.parametrize("size", [4.7, True], ids=["fraction", "bool"])
+    def test_non_integer_stage_size_refused(self, size):
+        # [1, 4.7, 1] used to build a stage of 4 states and [1, true, 1] one of 1
+        with pytest.raises(HarnessError, match=rf"stage 1 size must be a positive integer, got {size!r}") as err:
+            build_instance(tiny_config(env={"d": 2, "horizon": 2, "stage_sizes": [1, size, 1], "num_actions": 2}))
+        assert err.value.stage == "gen-env"
+
     def test_negative_policy_sample_refused(self):
         # -1 used to build the instance from the uniform policy alone
         with pytest.raises(HarnessError, match=r"policy count must be >= 0, got -1") as err:
@@ -182,6 +189,13 @@ class TestConfig:
         (None, "policy_sample", True, "policy_sample must be an integer, got True"),
         (None, "policy_sample_seed", 5.0, "policy_sample_seed must be an integer, got 5.0"),
         (None, "policy_sample_seed", True, "policy_sample_seed must be an integer, got True"),
+        ("env", "d", 2.0, "env.d must be an integer, got 2.0"),
+        ("env", "horizon", True, "env.horizon must be an integer, got True"),
+        ("env", "num_actions", 2.5, "env.num_actions must be an integer, got 2.5"),
+        ("env", "seed", True, "env.seed must be an integer, got True"),
+        ("data", "seed", True, "data.seed must be an integer, got True"),
+        ("guesses", "seed", True, "guesses.seed must be an integer, got True"),
+        ("calibration", "seed_offset", 1.5, "calibration.seed_offset must be an integer, got 1.5"),
     ])
     def test_ill_typed_settings_refused_by_name(self, section, key, value, match):
         # "enabled": "no" used to run with calibration on; 1.5 replicates raised a bare

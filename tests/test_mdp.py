@@ -432,6 +432,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             StagedMdp(1, (1, 1), 2, [np.full((1, 2, 1), 0.5)], [np.zeros((1, 2)), np.zeros((1, 2))])
 
+    @pytest.mark.parametrize("size", [4.7, True, np.float64(4.0), 0], ids=["fraction", "bool", "numpy-float", "zero"])
+    def test_non_integer_stage_size_named(self, size):
+        # 4.7 used to build a stage of 4 states and True one of 1
+        with pytest.raises(ValidationError) as err:
+            StagedMdp(3, (1, size, 4, 1), 2, [], [])
+        assert str(err.value) == f"stage 1 size must be a positive integer, got {size!r}"
+
     def test_nonzero_terminal_reward(self):
         with pytest.raises(ValidationError):
             StagedMdp(1, (1, 1), 2, [np.ones((1, 2, 1))], [np.zeros((1, 2)), np.full((1, 2), 0.1)])
@@ -544,6 +551,13 @@ class TestSerialization:
         assert back_fm.d == featmap.d
         for h in range(mdp.horizon + 1):
             np.testing.assert_array_equal(back_fm.phi[h], featmap.phi[h])
+
+    def test_features_checked_against_mdp(self, fixed_instance):
+        # a document whose stage-1 features cover 2 of its states used to load
+        doc = mdp_to_doc(*fixed_instance)
+        doc["features"]["phi"][1] = doc["features"]["phi"][1][:2]
+        with pytest.raises(ValidationError, match="^features stage 1: shape does not match MDP$"):
+            mdp_from_doc(doc)
 
     def test_document_without_features_refused(self, fixed_instance):
         doc = mdp_to_doc(*fixed_instance)

@@ -1,17 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import one_step_bandit, random_tabular_mdp
-from skiprl.design import build_true_guess, guess_from_fit, zero_guess
+from skiprl.design import build_true_guess, guess_from_fit, guess_grid, zero_guess
 from skiprl.envs import fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import clipped_v
 from skiprl.mdp import (
+    Policy,
     StagedMdp,
     ValidationError,
     count_deterministic_policies,
     deterministic_policy,
     evaluate_policy,
     mix_policies,
+    occupancy,
     optimal_policy,
     random_policy,
     sample_trajectories,
@@ -31,6 +35,39 @@ from skiprl.oracles import (
     suboptimality,
 )
 from skiprl.skipping import SkipParams
+
+
+def _concentrability_by_loop(mdp, behavior):
+    """Reference: one backward DP per target state, then a scalar scan that keeps the
+    first worst ratio; ``(c_conc, witness, max_reach)``."""
+    mu = occupancy(mdp, behavior).nu
+    reach = [np.zeros(k) for k in mdp.stage_sizes[:-1]]
+    for stage, target in ((h, s) for h in range(mdp.horizon) for s in range(mdp.stage_sizes[h])):
+        u = np.eye(mdp.stage_sizes[stage])[target]
+        for h in range(stage - 1, -1, -1):
+            u = (mdp.transitions[h] @ u).max(axis=1)
+        reach[stage][target] = u[0]
+    best, witness = 0.0, (0, 0, 0)
+    for h, (s, a) in ((h, sa) for h in range(mdp.horizon) for sa in np.ndindex(mu[h].shape)):
+        ratio = float("inf") if mu[h][s, a] <= 0.0 else reach[h][s] / mu[h][s, a]
+        if reach[h][s] > 0.0 and ratio > best:
+            best, witness = ratio, (h, s, a)
+    return best, witness, reach
+
+
+def _skip_target_by_paths(mdp, fm, guess, behavior, f, h, params):
+    """Reference: the scalar skip target of every (s, a) at stage h and every suffix of
+    states and actions after it, weighted by its behavior and transition probability."""
+    H, A = mdp.horizon, mdp.num_actions
+    out = np.zeros((mdp.stage_sizes[h], A))
+    for s, a in np.ndindex(out.shape):
+        for suffix in itertools.product(*map(range, mdp.stage_sizes[h + 1:]), *[range(A)] * (H - h - 1)):
+            states, acts = [0] * h + [s, *suffix[:H - h]], [0] * h + [a, *suffix[H - h:]]
+            weight = np.prod([mdp.transitions[t][states[t], acts[t], states[t + 1]] for t in range(h, H)])
+            weight *= np.prod([behavior.tables[t][states[t], acts[t]] for t in range(h + 1, H)])
+            rewards = [mdp.reward_means[t][states[t], acts[t]] for t in range(H)]
+            out[s, a] += weight * skip_target(guess, fm, states, rewards, h, f, params)
+    return out
 
 
 class TestConcentrability:
@@ -78,6 +115,28 @@ class TestConcentrability:
             brute = concentrability_by_enumeration(mdp, behavior)
             assert dp == pytest.approx(brute, abs=1e-10)
             done += 1
+
+    def test_stacked_reach_matches_per_target_loop(self):
+        # byte for byte, also where zero-mass pairs tie at an infinite ratio
+        rng = np.random.default_rng(2)
+        for i in range(60):
+            mdp = random_tabular_mdp(rng, max_states=5, max_actions=3)
+            behavior = optimal_policy(mdp)[0] if i % 3 == 0 else mix_policies(
+                uniform_policy(mdp), random_policy(mdp, rng), float(rng.uniform()))
+            report = concentrability(mdp, behavior)
+            c_conc, witness, reach = _concentrability_by_loop(mdp, behavior)
+            assert (report.c_conc, report.witness) == (c_conc, witness)
+            assert [r.tobytes() for r in report.max_reach] == [r.tobytes() for r in reach]
+
+    def test_tied_ratios_keep_first_witness(self):
+        # stage 1 ties at ratio 10 on (1, 0, 1) and (1, 1, 0); the first one is kept
+        transitions = [np.array([[[1.0, 0.0], [0.0, 1.0]]]), np.ones((2, 2, 1))]
+        rewards = [np.zeros((1, 2)), np.zeros((2, 2)), np.zeros((1, 2))]
+        mdp = StagedMdp(2, (1, 2, 1), 2, transitions, rewards)
+        behavior = Policy([np.full((1, 2), 0.5), np.array([[0.8, 0.2], [0.2, 0.8]]), np.full((1, 2), 0.5)])
+        report = concentrability(mdp, behavior)
+        assert (report.c_conc, report.witness) == (10.0, (1, 0, 1))
+        assert (report.c_conc, report.witness) == _concentrability_by_loop(mdp, behavior)[:2]
 
     def test_witness_reproduces_coefficient(self, fixed_instance):
         mdp, _ = fixed_instance
@@ -230,13 +289,36 @@ class TestSkipRealizability:
             for h in range(mdp.horizon):
                 assert check_skip_realizability(mdp, fm, guess, behavior, f, h, params) <= 1e-6
 
-    def test_size_cap_refused(self):
-        mdp, fm = random_linear_mdp(2, 4, (1, 5, 5, 5, 1), 3, seed=6)
+    def test_recursion_matches_path_enumeration(self):
+        # true, random and zero guesses, several alpha, clipped value functions
+        rng = np.random.default_rng(13)
+        worst = 0.0
+        for seed in range(8):
+            H = int(rng.integers(2, 4))
+            sizes = (1, *rng.integers(1, 4, size=H - 1).tolist(), 1)
+            mdp, fm = random_linear_mdp(2, H, sizes, int(rng.integers(1, 3)), seed=seed)
+            behavior = random_policy(mdp, rng)
+            true = build_true_guess(mdp, fm, sample_policies(mdp, 20, seed))
+            theta = rng.normal(size=2)
+            f = lambda t, s: clipped_v(theta, fm, t, s)
+            for guess, alpha in itertools.product(guess_grid(true, 0.3, 3, seed), (0.05, 0.4, 1.0)):
+                params = SkipParams(alpha=alpha, d=2)
+                for h in range(H):
+                    dp = expected_skip_target(mdp, fm, guess, behavior, f, h, params)
+                    paths = _skip_target_by_paths(mdp, fm, guess, behavior, f, h, params)
+                    worst = max(worst, float(np.abs(dp - paths).max()))
+        assert worst <= 1e-12
+
+    def test_long_horizon_checked(self):
+        # 1 679 616 suffix paths from stage 0: the recursion checks it in one pass
+        mdp, fm = random_linear_mdp(2, 9, (1, *[3] * 8, 1), 2, seed=14)
         behavior = uniform_policy(mdp)
-        guess = build_true_guess(mdp, fm, sample_policies(mdp, 10, 0))
-        params = SkipParams(alpha=0.3, d=2)
-        with pytest.raises(ValidationError):
-            check_skip_realizability(mdp, fm, guess, behavior, lambda t, s: 0.0, 0, params, path_cap=10)
+        guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
+        params = SkipParams(alpha=0.4, d=2)
+        theta = np.array([0.6, -0.2])
+        f = lambda t, s: clipped_v(theta, fm, t, s)
+        for h in range(mdp.horizon):
+            assert check_skip_realizability(mdp, fm, guess, behavior, f, h, params) <= 1e-10
 
     def test_terminal_value_contract(self):
         mdp, fm = random_linear_mdp(2, 2, (1, 3, 1), 2, seed=7)
