@@ -5,8 +5,9 @@
         [--workloads NAME[,NAME]]
 
 ``DIR`` is a checkout of the parent commit (a ``git clone`` or ``git
-archive`` of it).  For every workload in ``BENCHMARK.json`` (or only those
-``--workloads`` names) the script alternates ``perfbench/run.py --trace 0`` runs between the parent and this
+archive`` of it); this tree itself, under any path, is refused.  For every
+workload in ``BENCHMARK.json`` (or only those ``--workloads`` names) the
+script alternates ``perfbench/run.py --trace 0`` runs between the parent and this
 tree, parent first in even pairs and this tree first in odd ones, then makes
 one ``--trace 1`` run per side.  It writes
 ``results/bench/BENCH_<label>.json`` with, per workload and end-to-end
@@ -60,6 +61,8 @@ def parse_args(argv, bench: dict):
         parser.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
     if not os.path.isfile(os.path.join(args.parent, "perfbench", "run.py")):
         parser.error(f"{args.parent} holds no perfbench/run.py")
+    if os.path.realpath(args.parent) == os.path.realpath(ROOT):
+        parser.error(f"--parent {args.parent} is this tree; a pair needs a separate checkout of the parent commit")
     if not args.label.replace("-", "").replace("_", "").isalnum():
         parser.error("--label may hold only letters, digits, '-' and '_'")
     return args

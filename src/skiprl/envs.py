@@ -219,9 +219,12 @@ def sample_policies(mdp: StagedMdp, count: int, seed) -> PolicyStack:
     """Deterministic policy sample: uniform + optimal + random mixtures, as one stack.
 
     The random mixtures are one Dirichlet block (``random_policy_stack``),
-    bit-identical to drawing them one policy at a time.  ``count`` must be >= 0;
-    a sample smaller than 2 holds the first ``count`` of uniform and optimal.
+    bit-identical to drawing them one policy at a time.  ``count`` must be an
+    integer >= 0 (a bool is not one); a sample smaller than 2 holds the first
+    ``count`` of uniform and optimal.
     """
+    if not is_integer(count):
+        raise ValidationError(f"policy count must be an integer, got {count!r}")
     if count < 0:
         raise ValidationError(f"policy count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)

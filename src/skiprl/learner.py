@@ -177,6 +177,11 @@ def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam, pairs=pairs, codes=codes)
 
 
+def _stage_data(ds: Dataset, lam: float) -> list:
+    """``ds``'s H ``StageCovariance``s, one per stage."""
+    return [stage_covariance(ds, h, lam) for h in range(ds.horizon)]
+
+
 def _clipped_vbar_blocks(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
     """v-bar of each theta at the distinct visited feature blocks of stage h, shape (k, m)."""
     blocks, _ = dataset.visited_blocks[h]
@@ -577,7 +582,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
         raise ValidationError("at least one guess candidate is required")
     _check_dims(guesses, featmap=featmap, dataset=dataset)
     H = dataset.horizon
-    covs = [stage_covariance(dataset, h, config.lam) for h in range(H)]
+    covs = _stage_data(dataset, config.lam)
     reports = []
     for gi, sets in enumerate(build_confidence_sets(dataset, guesses, config, covs)):
         feasible = sets.empty_stage is None and max(sets.tightness) <= config.eps_bar + MEMBER_TOL
@@ -708,18 +713,23 @@ def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, c
 def _calibrate_at(pool: list, n: int, guess: Guess, psi: np.ndarray, config: LearnerConfig,
                   delta: float) -> CalibrationResult:
     """``calibrate``'s result at n from the first n rows of each held-out replicate of
-    ``pool`` (``Dataset.prefix``, which groups nothing again)."""
+    ``pool`` (``Dataset.prefix``, which groups nothing again).
+
+    A replicate's stage data is built for the pass that reads it and dropped
+    before the next replicate's is built: once for the own-tail distances,
+    and once again for the tightness pass, which needs beta, so the distances
+    of every replicate, first.  So no more than H ``StageCovariance``s are
+    alive at any moment, whatever the replicate count.
+    """
     datasets = [ds.prefix(n) for ds in pool]
-    H = pool[0].horizon
-    stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]
-    stats = np.array([_own_tail_distance(ds, covs, guess, psi, config) for ds, covs in zip(datasets, stage_data)])
+    stats = np.array([_own_tail_distance(ds, _stage_data(ds, config.lam), guess, psi, config) for ds in datasets])
     beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
 
-    extras = {h: psi[h][None, :] for h in range(H)}
+    extras = {h: psi[h][None, :] for h in range(pool[0].horizon)}
     cfg = replace(config, beta=beta)
     tight = np.zeros(len(pool))
-    for c, (ds, covs) in enumerate(zip(datasets, stage_data)):
-        (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
+    for c, ds in enumerate(datasets):
+        (sets,) = build_confidence_sets(ds, [guess], cfg, _stage_data(ds, config.lam), extra_candidates=extras)
         if sets.empty_stage is not None:
             raise ValidationError(f"the true guess's confidence set is empty at stage {sets.empty_stage} on held-out "
                                   f"replicate {c} (theta_radius = {config.theta_radius:g}) at n = {n}; "
@@ -757,15 +767,22 @@ def calibrate(
     every n gets the result a separate sample of n would give.  The pool is
     dropped when the call returns.
 
+    Memory: the pool holds each replicate's ``states`` and ``actions`` in
+    ``mdp.index_dtype`` (int8 while no stage has more than 127 states and
+    there are at most 127 actions),
+    and each n builds one replicate's stage data at a time (``_calibrate_at``),
+    so the working set is the pool plus H ``StageCovariance``s, not R * H.
+
     Every n must pass ``mdp.trajectory_count``, ``n_values`` must be nonempty,
-    ``replicates`` >= 1 and ``delta`` in (0, 1).  A held-out replicate on
+    ``replicates`` an integer >= 1 (a bool is not one) and ``delta`` in (0, 1),
+    all checked before anything is sampled.  A held-out replicate on
     which the true guess's set is empty at some stage is refused, naming the
     stage, the replicate, ``theta_radius`` and n: its tightness, and so
     ``eps_bar``, would be infinite and the filter off.
     """
     _check_dims([guess], featmap=featmap)
-    if replicates < 1:
-        raise ValidationError(f"calibration replicates must be >= 1, got {replicates}")
+    if not is_integer(replicates) or replicates < 1:
+        raise ValidationError(f"calibration replicates must be an integer >= 1, got {replicates!r}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"calibration delta must lie in (0, 1), got {delta}")
     n_values = [trajectory_count(n) for n in n_values]  # before slicing: a negative n would slice from the end

@@ -69,8 +69,12 @@ class StagedMdp:
 
     def __post_init__(self):
         H = self.horizon
-        if H < 1:
-            raise ValidationError("horizon must be >= 1")
+        if not is_integer(H) or H < 1:
+            raise ValidationError(f"horizon must be an integer >= 1, got {H!r}")
+        if not is_integer(self.num_actions) or self.num_actions < 1:
+            raise ValidationError(f"num_actions must be an integer >= 1, got {self.num_actions!r}")
+        self.horizon = H = int(H)
+        self.num_actions = A = int(self.num_actions)
         for h, k in enumerate(self.stage_sizes):
             if not is_integer(k) or k < 1:
                 raise ValidationError(f"stage {h} size must be a positive integer, got {k!r}")
@@ -79,15 +83,12 @@ class StagedMdp:
             raise ValidationError("stage_sizes must have length horizon + 1")
         if self.stage_sizes[0] != 1 or self.stage_sizes[H] != 1:
             raise ValidationError("stages 0 and H must each contain exactly one state")
-        if self.num_actions < 1:
-            raise ValidationError("num_actions must be >= 1")
         if self.reward_kind not in REWARD_KINDS:
             raise ValidationError(f"unknown reward_kind {self.reward_kind!r}")
         if len(self.transitions) != H or len(self.reward_means) != H + 1:
             raise ValidationError("transition/reward table count does not match horizon")
         self.transitions = [np.asarray(t, dtype=float) for t in self.transitions]
         self.reward_means = [np.asarray(r, dtype=float) for r in self.reward_means]
-        A = self.num_actions
         for h in range(H):
             want = (self.stage_sizes[h], A, self.stage_sizes[h + 1])
             if self.transitions[h].shape != want:
@@ -314,8 +315,8 @@ class Dataset:
     def _of_groups(cls, states, actions, rewards, groups, parent=None) -> "Dataset":
         """A dataset of already-checked arrays and groupings; nothing is checked again."""
         ds = cls.__new__(cls)
-        ds.states = states          # (n, H+1) int
-        ds.actions = actions        # (n, H+1) int
+        ds.states = states          # (n, H+1) integer; sampled ones are index_dtype(mdp), often int8
+        ds.actions = actions        # (n, H+1) integer, of the same dtype as states when sampled
         ds.rewards = rewards        # (n, H+1) float
         ds.visited_blocks = groups  # H (blocks, rows) pairs: see the class docstring
         ds._parent = parent         # the dataset this one is a prefix of, or None
@@ -695,6 +696,42 @@ def _lcg_step(hi, lo, inc_hi, inc_lo):
     return hi + (lo < inc_lo), lo
 
 
+def _mixed_pool(columns: list) -> list:
+    """SeedSequence.mix_entropy of the entropy word ``columns``: the 4-word uint32 pool.
+    The hash constants advance identically on every row."""
+    w = len(columns)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(columns[i] if i < w else np.uint32(0)) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, w):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(columns[src]))
+    return pool
+
+
+def _pcg64_seeded(pool: list):
+    """PCG64's ``(hi, lo, inc_hi, inc_lo)`` after ``srandom(seed, seq)``, whose four
+    uint64 words come from SeedSequence.generate_state(4, uint64) of ``pool``: eight
+    hashed pool words in order, each little-endian pair one uint64 word.  The words
+    die when this returns, so the draws never hold them."""
+    hash_b = _hasher(_INIT_B, _MULT_B)
+
+    def word64(i):
+        low = hash_b(pool[2 * i % _POOL_SIZE]).astype(np.uint64)
+        return low | hash_b(pool[(2 * i + 1) % _POOL_SIZE]).astype(np.uint64) << np.uint64(32)
+
+    seed_hi, seed_lo = word64(0), word64(1)
+    seq_hi, seq_lo = word64(2), word64(3)
+    # inc = seq << 1 | 1; state = 0; step; state += seed; step (the caller takes that step)
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + seed_lo
+    return inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo
+
+
 def _uniforms(words: np.ndarray, k: int) -> np.ndarray:
     """(n, k) uniforms; row i is the first k ``random()`` draws of numpy's
     default generator (PCG64 seeded through SeedSequence) for seed i.
@@ -709,34 +746,17 @@ def _uniforms(words: np.ndarray, k: int) -> np.ndarray:
     ``sample_trajectories`` repeats) enters as one uint32 scalar, so it is
     hashed and mixed once; broadcasting gives every row the bits a per-row
     column would, and a pool word becomes an (n,) array only once a per-row
-    word is mixed into it.  The result is the transpose of a (k, n) array,
-    so each draw's column ``u[:, t]`` is contiguous.
+    word is mixed into it.  Only the LCG state outlives the seeding, and the
+    output is allocated after it.  The result is the transpose of a (k, n)
+    array, so each draw's column ``u[:, t]`` is contiguous.
     """
-    n, w = words.shape
-    u = np.empty((k, n))
+    n = len(words)
     # n = 0 keeps its empty columns: there is no first row to share
     columns = [col[0] if n and (col == col[0]).all() else col for col in words.T]
     with np.errstate(over="ignore"):
-        # SeedSequence.mix_entropy; the hash constants advance identically on every row
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(columns[i] if i < w else np.uint32(0)) for i in range(_POOL_SIZE)]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for src in range(_POOL_SIZE, w):
-            for dst in range(_POOL_SIZE):
-                pool[dst] = _mix(pool[dst], hashmix(columns[src]))
-        # SeedSequence.generate_state(4, uint64): eight hashed pool words, little-endian pairs
-        hash_b = _hasher(_INIT_B, _MULT_B)
-        state32 = [hash_b(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-        seed_hi, seed_lo, seq_hi, seq_lo = (state32[2 * i] | state32[2 * i + 1] << np.uint64(32) for i in range(4))
-        # PCG64 srandom(seed, seq): inc = seq << 1 | 1; state = 0; step; state += seed; step
-        inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
-        inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
-        lo = inc_lo + seed_lo
-        hi = inc_hi + seed_hi + (lo < seed_lo)
+        hi, lo, inc_hi, inc_lo = _pcg64_seeded(_mixed_pool(columns))
         hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        u = np.empty((k, n))
         for t in range(k):
             hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
             x = hi ^ lo
@@ -744,6 +764,14 @@ def _uniforms(words: np.ndarray, k: int) -> np.ndarray:
             x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
             u[t] = (x >> np.uint64(11)) * 2.0 ** -53
     return u.T
+
+
+def index_dtype(mdp: StagedMdp) -> np.dtype:
+    """The dtype of a sample's ``states`` and ``actions``: the narrowest signed integer
+    dtype that holds ``mdp``'s largest stage size and its action count, and so
+    every state and action index."""
+    top = max(*mdp.stage_sizes, mdp.num_actions)
+    return np.min_scalar_type(-top - 1)  # a signed type holding -top - 1 holds top
 
 
 def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Dataset:
@@ -755,6 +783,11 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
     next state, then the terminal action.  Row j therefore equals a single
     rollout from its seed, whatever the other rows are.
 
+    ``states`` and ``actions`` take ``index_dtype(mdp)``, usually int8; the
+    draws themselves run on intp, and so does any arithmetic that meets an
+    intp operand (``stage_covariance``'s codes), so no index computed from
+    them wraps.
+
     Each draw is counted by ``_draw`` against a CDF table built once per
     stage, (S_h, A) for the policy and (S_h * A, S_{h+1}) for the transitions
     indexed by ``s * A + a``, so a stage costs O(n * K) elementwise work and
@@ -765,8 +798,8 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
     bernoulli = mdp.reward_kind == "bernoulli-mean"
     step = 3 if bernoulli else 2
     u = _uniforms(words, step * H + 1)
-    states = np.zeros((n, H + 1), dtype=int)
-    actions = np.zeros((n, H + 1), dtype=int)
+    states = np.zeros((n, H + 1), dtype=index_dtype(mdp))
+    actions = np.zeros((n, H + 1), dtype=index_dtype(mdp))
     rewards = np.zeros((n, H + 1))
     s = np.zeros(n, dtype=np.intp)
     for h in range(H + 1):

@@ -23,7 +23,8 @@ from skiprl.harness import (
     sweep,
     verify,
 )
-from skiprl.envs import random_linear_mdp
+from skiprl.design import build_true_guess, guess_grid
+from skiprl.envs import random_linear_mdp, sample_policies
 from skiprl.learner import serialize_outcome
 from skiprl.mdp import Dataset, ValidationError, sample_trajectories, uniform_policy
 from skiprl.oracles import suboptimality
@@ -232,6 +233,33 @@ class TestDatasetPersistence:
         assert isinstance(back, Dataset) and len(back) == 20
         assert np.signbit(back.features[0, 0, 0, 0]) and not np.signbit(back.features[1, 0, 0, 0])
         assert_same_arrays(back, ds)
+
+    def test_sampled_narrow_arrays_survive_the_archive(self, tmp_path, fixed_instance):
+        # the sampler stores states and actions as int8 here; the archive keeps them so
+        mdp, fm = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 200, 5, fm)
+        assert ds.states.dtype == ds.actions.dtype == np.int8
+        save_dataset(ds, tmp_path / "data.npz")
+        back = load_dataset(tmp_path / "data.npz")
+        assert back.states.dtype == back.actions.dtype == np.int8
+        assert_same_arrays(back, ds)
+
+    def test_int64_archive_still_loads(self, tmp_path, fixed_instance):
+        # an archive written before the narrow arrays holds int64 states and actions;
+        # it loads as it was written and the learner reads it as it reads the narrow one
+        mdp, fm = fixed_instance
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 200, 5, fm)
+        save_dataset(ds, tmp_path / "narrow.npz")
+        with np.load(tmp_path / "narrow.npz") as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        arrays["states"], arrays["actions"] = arrays["states"].astype(np.int64), arrays["actions"].astype(np.int64)
+        wide = load_dataset(write_archive(tmp_path, arrays))
+        assert wide.states.dtype == wide.actions.dtype == np.int64
+        assert np.array_equal(wide.states, ds.states) and np.array_equal(wide.actions, ds.actions)
+        guesses = guess_grid(build_true_guess(mdp, fm, sample_policies(mdp, 20, 0)), 0.3, 4, seed=1)
+        config = learner.LearnerConfig(net_spacing=0.8, theta_radius=2.0)
+        assert (serialize_outcome(learner.solve(wide, guesses, config, fm))
+                == serialize_outcome(learner.solve(ds, guesses, config, fm)))
 
     def test_roundtrip_keeps_dtype_shape_and_bytes(self, tmp_path):
         # both reward kinds, features that are not a function of the state with -0.0/0.0

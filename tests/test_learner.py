@@ -2,7 +2,9 @@ import itertools
 import json
 import math
 import sys
+import weakref
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -984,21 +986,27 @@ class TestCalibration:
         assert len(cal.anchor_stats) == 4
         assert np.isfinite(cal.tightness_values).all()
 
-    def test_stage_data_built_once_per_replicate(self, fixed_instance, monkeypatch):
-        # H stage objects per held-out replicate, shared by its own-tail distance and its sets
+    def test_stage_data_one_replicate_at_a_time(self, fixed_instance, monkeypatch):
+        # each pass builds a replicate's H stage objects and drops them before the next
+        # replicate's: never more than H alive, and 2H built per replicate per n
         mdp, fm = fixed_instance
-        assert mdp.horizon == 3
+        H = mdp.horizon
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
         config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, alpha=0.2)
-        calls = []
+        built, alive_at_build = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return stage_covariance(*args, **kwargs)
+        def tracked(*args, **kwargs):
+            cov = stage_covariance(*args, **kwargs)
+            built.append((args[1], weakref.ref(cov)))
+            alive_at_build.append(sum(ref() is not None for _, ref in built))
+            return cov
 
-        monkeypatch.setattr(learner, "stage_covariance", counted)
-        calibrate(mdp, fm, uniform_policy(mdp), guess, [50], config, replicates=2, delta=0.5, seed=3)
-        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+        monkeypatch.setattr(learner, "stage_covariance", tracked)
+        grid, replicates = [50, 30], 3
+        calibrate(mdp, fm, uniform_policy(mdp), guess, grid, config, replicates=replicates, delta=0.5, seed=3)
+        assert max(alive_at_build) == H
+        assert len(built) == 2 * H * replicates * len(grid)
+        assert [h for h, _ in built] == list(range(H)) * (2 * replicates * len(grid))
 
     def test_grid_equals_one_n_calls(self, setup):
         # one sample at the largest n, sliced for the others, gives each n the
@@ -1030,12 +1038,80 @@ class TestCalibration:
         with pytest.raises(ValidationError, match=match):
             calibrate(mdp, fm, behavior, guess, n_values, config, replicates=2, delta=0.5, seed=0)
 
+    @pytest.mark.parametrize("replicates", [2.0, 2.5, True, np.float64(3.0), "2"],
+                             ids=["float", "fraction", "bool", "numpy-float", "str"])
+    def test_non_integer_replicates_refused_before_sampling(self, setup, monkeypatch, replicates):
+        # 2.0 and 2.5 used to fail in range() with a bare TypeError, and True ran as 1
+        mdp, fm, behavior, guess, config, _ = setup
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("calibration sampled before checking replicates")
+
+        monkeypatch.setattr(learner, "sample_trajectories", no_sampling)
+        with pytest.raises(ValidationError) as err:
+            calibrate(mdp, fm, behavior, guess, [60], config, replicates=replicates, delta=0.5, seed=0)
+        assert str(err.value) == f"calibration replicates must be an integer >= 1, got {replicates!r}"
+
     def test_quantile_respects_delta(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
         (cal,) = calibrate(mdp, fm, behavior, guess, [400], config, replicates=8, delta=0.5, seed=18)
         # with delta = 0.5 the radius is the median-order statistic, so some
         # replicates may exceed it
         assert cal.beta <= cal.anchor_stats.max() + 1e-12
+
+
+def calibrate_at_reference(pool, n, guess, psi, config, delta):
+    """``learner._calibrate_at`` as it was when every held-out replicate's H stage
+    objects were built first and shared by the own-tail and tightness passes."""
+    datasets = [ds.prefix(n) for ds in pool]
+    H = pool[0].horizon
+    stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]
+    stats = np.array([_own_tail_distance(ds, covs, guess, psi, config) for ds, covs in zip(datasets, stage_data)])
+    beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
+    extras = {h: psi[h][None, :] for h in range(H)}
+    cfg = replace(config, beta=beta)
+    tight = np.zeros(len(pool))
+    for c, (ds, covs) in enumerate(zip(datasets, stage_data)):
+        (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
+        if sets.empty_stage is not None:
+            raise ValidationError(f"the true guess's confidence set is empty at stage {sets.empty_stage} on held-out "
+                                  f"replicate {c} (theta_radius = {config.theta_radius:g}) at n = {n}; "
+                                  "eps_bar would be inf")
+        tight[c] = max(sets.tightness)
+    eps_bar = max(2.0 * float(tight.max()), 1e-9)
+    return CalibrationResult(beta=beta, eps_bar=eps_bar, anchor_stats=stats, tightness_values=tight)
+
+
+def calibration_bytes(*args):
+    """Every field of every ``calibrate(*args)`` result as (type, bytes), or its refusal."""
+    try:
+        results = calibrate(*args)
+    except ValidationError as err:
+        return str(err)
+    return [[(type(getattr(r, f.name)), np.asarray(getattr(r, f.name)).tobytes()) for f in fields(r)] for r in results]
+
+
+class TestCalibrationAgainstAllAtOnce:
+    """Building one replicate's stage data at a time changes no bit of ``calibrate``."""
+
+    @given(seed=st.integers(0, 2**31 - 1), reward_kind=st.sampled_from(REWARD_KINDS),
+           grid=st.lists(st.integers(1, 150), min_size=1, max_size=4), replicates=st.integers(1, 4),
+           delta=st.sampled_from([0.05, 0.34, 0.5, 0.9]), sets=st.sampled_from(["wide", "narrow", "netted"]))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_all_at_once_reference(self, seed, reward_kind, grid, replicates, delta, sets):
+        # "narrow" sets may come out empty, so the refusal is compared too; "netted" ones hold several members
+        rng = np.random.default_rng(seed)
+        d, A, H = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+        mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)), reward_kind=reward_kind)
+        radius, spacing = {"wide": (1e6, None), "narrow": (0.5, None), "netted": (2.0, 0.8)}[sets]
+        config = LearnerConfig(lam=float(rng.uniform(0.1, 2.0)), theta_radius=radius, net_spacing=spacing,
+                               alpha=float(rng.uniform(0.05, 1.0)), grid_per_stage=int(rng.integers(1, 9)))
+        args = (mdp, fm, uniform_policy(mdp), random_guess(rng, H, d), grid, config, replicates, delta,
+                int(rng.integers(0, 2**31)))
+        got = calibration_bytes(*args)
+        with mock.patch.object(learner, "_calibrate_at", calibrate_at_reference):
+            assert got == calibration_bytes(*args)
 
 
 class TestOwnTailDistance:

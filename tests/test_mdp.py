@@ -10,6 +10,7 @@ from skiprl.mdp import (
     Dataset,
     Policy,
     PolicyStack,
+    REWARD_KINDS,
     StagedMdp,
     ValidationError,
     _draw,
@@ -19,6 +20,7 @@ from skiprl.mdp import (
     deterministic_policy,
     enumerate_deterministic_policies,
     evaluate_policy,
+    index_dtype,
     mdp_from_doc,
     mdp_to_doc,
     mix_policies,
@@ -381,6 +383,41 @@ seed_parts = st.one_of(
 )
 
 
+def one_stage_mdp(states, actions):
+    """H = 2 with ``states`` states at stage 1 and ``actions`` actions, uniform transitions."""
+    return StagedMdp(2, (1, states, 1), actions, [np.full((1, actions, states), 1.0 / states),
+                                                  np.ones((states, actions, 1))],
+                     [np.zeros((1, actions)), np.zeros((states, actions)), np.zeros((1, actions))])
+
+
+class TestIndexDtype:
+    """Sampled states and actions take the narrowest signed integer dtype that holds the
+    MDP's largest stage size and action count."""
+
+    @pytest.mark.parametrize("states, actions, want", [
+        (1, 1, np.int8), (127, 2, np.int8), (2, 127, np.int8), (128, 2, np.int16), (3, 128, np.int16),
+        (32767, 1, np.int16), (32768, 1, np.int32), (1, 32768, np.int32),
+    ])
+    def test_narrowest_signed_type_holding_the_counts(self, states, actions, want):
+        assert index_dtype(one_stage_mdp(states, actions)) == np.dtype(want)
+
+    @pytest.mark.parametrize("kind", REWARD_KINDS)
+    def test_sampled_arrays_take_it(self, fixed_instance, kind):
+        mdp, fm = fixed_instance
+        mdp = StagedMdp(mdp.horizon, mdp.stage_sizes, mdp.num_actions, mdp.transitions, mdp.reward_means, kind)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 50, 4, fm)
+        assert ds.states.dtype == ds.actions.dtype == np.int8
+        assert ds.prefix(20).states.dtype == ds.prefix(20).actions.dtype == np.int8
+
+    def test_wide_stage_matches_the_rollouts(self):
+        # 300 states need int16; every index above 127 must survive the narrow store
+        mdp = one_stage_mdp(300, 3)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), 400, 9, unit_featmap(mdp))
+        assert ds.states.dtype == ds.actions.dtype == np.int16
+        assert ds.states[:, 1].max() > 127
+        assert_matches_reference(mdp, uniform_policy(mdp), 40, 9)
+
+
 class TestUniformsAgainstNumpy:
     """``_uniforms`` against numpy's own ``default_rng(seed).random(k)``."""
 
@@ -438,6 +475,25 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             StagedMdp(3, (1, size, 4, 1), 2, [], [])
         assert str(err.value) == f"stage 1 size must be a positive integer, got {size!r}"
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 3.0), ("horizon", True), ("horizon", 0),
+        ("num_actions", 2.0), ("num_actions", np.float64(2.0)), ("num_actions", True), ("num_actions", 0),
+    ], ids=["horizon-float", "horizon-bool", "horizon-zero", "actions-float", "actions-numpy-float", "actions-bool",
+            "actions-zero"])
+    def test_non_integer_horizon_and_action_count_named(self, fixed_instance, field, value):
+        # num_actions 2.0 used to load and fail later in uniform_policy with a bare TypeError
+        mdp, _ = fixed_instance
+        args = {"horizon": 3, "stage_sizes": mdp.stage_sizes, "num_actions": 2, "transitions": mdp.transitions,
+                "reward_means": mdp.reward_means, field: value}
+        with pytest.raises(ValidationError) as err:
+            StagedMdp(**args)
+        assert str(err.value) == f"{field} must be an integer >= 1, got {value!r}"
+
+    def test_numpy_integer_horizon_and_action_count_become_int(self, fixed_instance):
+        mdp, _ = fixed_instance
+        back = StagedMdp(np.int64(3), mdp.stage_sizes, np.int32(2), mdp.transitions, mdp.reward_means)
+        assert type(back.horizon) is int and type(back.num_actions) is int
 
     def test_nonzero_terminal_reward(self):
         with pytest.raises(ValidationError):
@@ -557,6 +613,14 @@ class TestSerialization:
         doc = mdp_to_doc(*fixed_instance)
         doc["features"]["phi"][1] = doc["features"]["phi"][1][:2]
         with pytest.raises(ValidationError, match="^features stage 1: shape does not match MDP$"):
+            mdp_from_doc(doc)
+
+    @pytest.mark.parametrize("key, field", [("num_actions", "num_actions"), ("H", "horizon")])
+    def test_float_counts_in_document_refused_by_name(self, fixed_instance, key, field):
+        # "H": 3.0 used to fail the load with a bare TypeError (tuple indices)
+        doc = json.loads(json.dumps(mdp_to_doc(*fixed_instance)))
+        doc[key] = float(doc[key])
+        with pytest.raises(ValidationError, match=rf"^{field} must be an integer >= 1, got {doc[key]!r}$"):
             mdp_from_doc(doc)
 
     def test_document_without_features_refused(self, fixed_instance):

@@ -192,6 +192,15 @@ def test_negative_policy_count_refused(count):
         sample_policies(mdp, count, 8)
 
 
+@pytest.mark.parametrize("count", [20.0, 2.5, True, np.float64(3.0)], ids=["float", "fraction", "bool", "numpy-float"])
+def test_non_integer_policy_count_refused(count):
+    # 20.0 used to fail in a slice with a bare TypeError
+    mdp, _ = random_linear_mdp(2, 2, (1, 3, 1), 2, seed=3)
+    with pytest.raises(ValidationError) as err:
+        sample_policies(mdp, count, 5)
+    assert str(err.value) == f"policy count must be an integer, got {count!r}"
+
+
 def test_random_stack_reads_the_loop_stream():
     mdp, _ = random_linear_mdp(2, 3, (1, 4, 2, 1), 4, seed=2)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
