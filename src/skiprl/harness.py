@@ -33,6 +33,7 @@ from .mdp import (
     StagedMdp,
     ValidationError,
     is_integer,
+    is_real,
     mix_policies,
     optimal_policy,
     random_policy,
@@ -126,6 +127,11 @@ class ExperimentConfig:
         for name, value in counts.items():
             if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        reals = {"env.reward_scale": self.env.reward_scale, "data.mix": self.data.mix,
+                 "calibration.delta": self.calibration.delta, "guesses.spread": self.guesses.spread}
+        for name, value in reals.items():
+            if not is_real(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not isinstance(self.calibration.enabled, (bool, np.bool_)):
             raise ValidationError(f"calibration.enabled must be true or false, got {self.calibration.enabled!r}")
         if not 0.0 <= self.guesses.spread < math.inf:  # also refuses NaN
@@ -388,15 +394,17 @@ def save_dataset(dataset: Dataset, path) -> None:
     The archive holds ``states``, ``actions`` and ``rewards``; ``blocks``, every
     stage's distinct feature blocks stacked stage after stage, (sum of m_h, A, d);
     ``block_counts``, the H counts m_h; and ``codes``, each row's block index at
-    each stage, (n, H): the arguments of ``Dataset.of_blocks``.  It goes to a
-    file object, so numpy adds no ``.npz`` suffix to ``path``.
+    each stage, (n, H), in the narrowest signed integer dtype that holds the
+    largest m_h (``Dataset.of_blocks`` widens them again): the arguments of
+    ``Dataset.of_blocks``.  It goes to a file object, so numpy adds no ``.npz``
+    suffix to ``path``.
     """
     groups = dataset.visited_blocks
+    counts = np.array([len(blocks) for blocks, _ in groups])
+    codes = np.stack([rows for _, rows in groups]).T.astype(np.min_scalar_type(-int(counts.max()) - 1))
     with open(path, "wb") as fh:
         np.savez(fh, states=dataset.states, actions=dataset.actions, rewards=dataset.rewards,
-                 blocks=np.concatenate([blocks for blocks, _ in groups]),
-                 block_counts=np.array([len(blocks) for blocks, _ in groups]),
-                 codes=np.stack([rows for _, rows in groups]).T)
+                 blocks=np.concatenate([blocks for blocks, _ in groups]), block_counts=counts, codes=codes)
 
 
 def load_dataset(path) -> Dataset:

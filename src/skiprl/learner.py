@@ -15,7 +15,6 @@ needed just to materialise the greedy policy over the full state space.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -32,6 +31,7 @@ from .mdp import (
     backward_induction,
     greedy_table,
     is_integer,
+    is_real,
     sample_trajectories,
     trajectory_count,
 )
@@ -50,6 +50,7 @@ from .skipping import (
 MEMBER_TOL = 1e-12
 RADIUS_TOL = 1e-9
 DISTANCE_BLOCK = 1 << 14  # elements of each (d, rows, m) array _stacked_forms builds at once
+RIDGE_BLOCK = 1 << 13  # _stage_sets solves ceil(RIDGE_BLOCK / n) combos' (combos, n) target rows at once
 
 
 @dataclass
@@ -77,6 +78,9 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lam", "beta", "eps_bar", "theta_radius", "alpha", "net_spacing"):
+            if not is_real(getattr(self, name)) and not (name == "net_spacing" and self.net_spacing is None):
+                raise ValidationError(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name in ("lam", "beta", "eps_bar", "theta_radius"):
             if not getattr(self, name) > 0:  # also refuses NaN; inf stays legal
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -357,12 +361,41 @@ def _pool(anchors: np.ndarray, fixed) -> np.ndarray:
 
 
 def _tail_combos(counts, cap: int, rng_seed):
-    """The tail combinations to solve and whether they are a seeded sample of all of them."""
+    """The seeded sample of a stage's tail combos, rows of member indices with one
+    column per later stage, when there are more than ``cap`` of them; None when
+    every combo is solved, in ``itertools.product`` order."""
     if math.prod(counts) <= cap:
-        return list(itertools.product(*[range(k) for k in counts])), False
+        return None
     rng = np.random.default_rng(rng_seed)
-    draws = np.stack([rng.integers(0, k, size=cap) for k in counts], axis=1)
-    return [tuple(row) for row in _dedupe_rows(draws)], True
+    return _dedupe_rows(np.stack([rng.integers(0, k, size=cap) for k in counts], axis=1))
+
+
+def _extend(prefix: np.ndarray, terms) -> np.ndarray:
+    """Each row of ``prefix`` (p, tails) plus each combination of the rows of ``terms``,
+    added stage by stage, (p * prod k_u, tails) in ``itertools.product`` order."""
+    for term in terms:
+        prefix = prefix + term if term.shape[0] == 1 else (prefix[:, None, :] + term).reshape(-1, prefix.shape[1])
+    return prefix
+
+
+def _combo_targets(terms, picks, step: int):
+    """The tail targets of a stage's combos (``_tail_combos``) in consecutive blocks of
+    ``step`` combos (the last may hold fewer), each (combos, tails), in combo order.
+
+    A combo's targets add its members' ``terms`` (one (k_u, tails) array per later
+    stage, the terminal one last, k = 1) left to right, as ``add_in_stage_order``
+    does.  When every combo is solved and they fit in one block, the stages are
+    broadcast one by one so that combos share their prefix sums (``_extend``);
+    otherwise each block gathers its combos' rows of every stage's terms.
+    """
+    if picks is None:
+        counts = [term.shape[0] for term in terms]
+        if math.prod(counts) <= step:
+            yield _extend(terms[0], terms[1:])
+            return
+        picks = np.stack(np.unravel_index(np.arange(math.prod(counts)), counts), axis=1)
+    for start in range(0, len(picks), step):
+        yield add_in_stage_order([term[col] for term, col in zip(terms, picks[start : start + step].T)])
 
 
 def _net(config: LearnerConfig, d: int):
@@ -379,22 +412,40 @@ def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop,
     h+1..H, one (k_u, tails) array per stage, and ``back`` each row's tail
     (``dataset.tail_paths[h]``).  Each member's target term at each later stage
     is computed once (``skipping.target_terms``); a combo's targets add its
-    members' terms in stage order.  ``fixed`` is as in ``_pool``.
-    """
-    d = cov.matrix.shape[0]
-    combos, subsampled = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
-    terms = target_terms(stop, cumrew, tail_vbar)
-    anchors = np.empty((len(combos), d))
-    for ci, combo in enumerate(combos):
-        anchors[ci] = cov.ridge(add_in_stage_order([term[c] for term, c in zip(terms, combo)])[back])
-    anchors = _dedupe_rows(anchors)
+    members' terms in stage order (``_combo_targets``).
 
-    pool = _pool(anchors, fixed)
-    stats = _anchor_distance(anchors, cov.matrix, pool)
-    order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
-    pool, stats = pool[order], stats[order]
+    The anchors are one stacked ridge per block of ceil(``RIDGE_BLOCK`` / n)
+    combos, so a block's (combos, tails) targets and (combos, n) rows hold
+    fewer than ``RIDGE_BLOCK`` + n elements: the targets are gathered to the n
+    rows with ``take(back, axis=1)`` and solved as
+    ``cov.inv @ (cov.phi.T @ rows[:, :, None])``, which numpy runs as one gemv
+    per combo, the products ``cov.ridge`` makes for one combo.  The gathered
+    rows must be C-contiguous: ``targets[:, back]`` is F-strided, and the
+    stacked product over such a block can move the anchors' last bits.
+
+    ``fixed`` is as in ``_pool``.  An anchor is at distance 0 from itself and the
+    anchors come first in the pool, so when nothing is ``fixed`` or the distinct
+    anchors number at least ``grid_per_stage``, the kept rows are the first
+    ``grid_per_stage`` anchors and the pool is not scored.
+    """
+    picks = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
+    terms = target_terms(stop, cumrew, tail_vbar)
+    step = -(-RIDGE_BLOCK // len(back))
+    solved = [(cov.inv @ (cov.phi.T @ targets.take(back, axis=1)[:, :, None]))[..., 0]
+              for targets in _combo_targets(terms, picks, step)]
+    anchors = _dedupe_rows(np.concatenate(solved))
+
+    keep = config.grid_per_stage
+    if fixed is None or anchors.shape[0] >= keep:
+        pool, stats = anchors[:keep], 0.0
+    else:
+        pool = _pool(anchors, fixed)
+        stats = _anchor_distance(anchors, cov.matrix, pool)
+        order = np.lexsort((np.arange(pool.shape[0]), stats))[:keep]
+        pool, stats = pool[order], stats[order]
     members = pool[_admitted(pool, stats, config)]
-    return StageSets(anchors=anchors, members=members, combos=len(combos), subsampled=subsampled, tails=stop.shape[0])
+    return StageSets(anchors=anchors, members=members, combos=sum(map(len, solved)), subsampled=picks is not None,
+                     tails=stop.shape[0])
 
 
 def build_confidence_sets(
@@ -418,14 +469,18 @@ def build_confidence_sets(
     gathers both to the stage's distinct tails (``Dataset.tail_paths``).  There
     each member's target term at each later stage is computed once, and a tail
     combo's targets add its members' terms in stage order before they are
-    gathered to the n rows for the ridge solve.
+    gathered to the n rows; the combos' ridge solves are stacked, one product
+    per block of combos (``_stage_sets``).
 
     ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``, shared by every
     guess.  Each stage's pool is its anchors, then ``extra_candidates[h]``, then
     the epsilon-net points, each row kept once by value (``_pool``; the net is
     keyed once per call, and a stage with extras keys them and the net
     together); the ``grid_per_stage`` pool points nearest an anchor are kept and
-    admitted when they lie in the theta_radius ball within beta of an anchor.  A
+    admitted when they lie in the theta_radius ball within beta of an anchor.
+    When the pool is the anchors alone, or its distinct anchors number at least
+    ``grid_per_stage``, those are the first ``grid_per_stage`` anchors, each at
+    distance 0, and the pool is not scored.  A
     stage's tightness scores its members on the stage's distinct (visited
     block, action) rows (``tightness``).  ``extra_candidates`` maps a stage to
     extra vectors (used by calibration and the diagnostic lemma checks, which
@@ -467,7 +522,8 @@ def build_confidence_sets(
         kept = []
         for indices, omega_tail, vbar_tail in groups:
             stop = stop_probabilities(_on_tails(omega_tail, at, len(first)))
-            tail_vbar = [vals[:, blocks] for vals, blocks in zip(vbar_tail, at)] + [terminal]
+            # C-contiguous (k_u, tails) rows, so that _combo_targets adds and gathers contiguous rows
+            tail_vbar = [vals.take(blocks, axis=1) for vals, blocks in zip(vbar_tail, at)] + [terminal]
             sets = _stage_sets(h, config, covs[h], back, stop, cumrew, tail_vbar, fixed)
             for g in indices:
                 stage_sets[g][h] = sets

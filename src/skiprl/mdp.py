@@ -826,6 +826,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number, an integer too; a bool is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def trajectory_count(n) -> int:
     """``n`` as a number of trajectories: an integer (a numpy integer too, never a
     bool) of at least 1, refused otherwise with a ``ValidationError`` naming it."""

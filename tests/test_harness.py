@@ -197,10 +197,20 @@ class TestConfig:
         ("data", "seed", True, "data.seed must be an integer, got True"),
         ("guesses", "seed", True, "guesses.seed must be an integer, got True"),
         ("calibration", "seed_offset", 1.5, "calibration.seed_offset must be an integer, got 1.5"),
+        ("learn", "net_spacing", True, "net_spacing must be a real number, got True"),
+        ("learn", "beta", True, "beta must be a real number, got True"),
+        ("learn", "beta", "10", "beta must be a real number, got '10'"),
+        ("learn", "alpha", None, "alpha must be a real number, got None"),
+        ("guesses", "spread", True, "guesses.spread must be a real number, got True"),
+        ("data", "mix", True, "data.mix must be a real number, got True"),
+        ("env", "reward_scale", "2", "env.reward_scale must be a real number, got '2'"),
+        ("calibration", "delta", "0.05", "calibration.delta must be a real number, got '0.05'"),
     ])
     def test_ill_typed_settings_refused_by_name(self, section, key, value, match):
         # "enabled": "no" used to run with calibration on; 1.5 replicates raised a bare
-        # TypeError with no pipeline stage, and true ran as 1
+        # TypeError with no pipeline stage, and true ran as 1 (a net of spacing 1.0, a
+        # beta, a guess spread or an eps-greedy mix of 1.0); "beta": "10" raised a bare
+        # TypeError, and a string reward_scale or delta one only at stage gen-env or calibrate
         doc = {key: value} if section is None else {section: {key: value}}
         with pytest.raises(ValidationError, match=f"^{match}$"):
             ExperimentConfig.from_dict(doc)
@@ -260,6 +270,22 @@ class TestDatasetPersistence:
         config = learner.LearnerConfig(net_spacing=0.8, theta_radius=2.0)
         assert (serialize_outcome(learner.solve(wide, guesses, config, fm))
                 == serialize_outcome(learner.solve(ds, guesses, config, fm)))
+
+    @pytest.mark.parametrize("m, dtype", [(1, np.int8), (127, np.int8), (128, np.int16)])
+    def test_codes_stored_in_the_narrowest_dtype(self, tmp_path, m, dtype):
+        # each code lies below its stage's block count m, so the narrowest signed dtype
+        # holding m holds them all; the codes used to be stored as int64
+        ds = Dataset.of_blocks(**valid_arrays(m))
+        assert [len(blocks) for blocks, _ in ds.visited_blocks] == [m]
+        path = tmp_path / "data.npz"
+        save_dataset(ds, path)
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        assert arrays["codes"].dtype == dtype and arrays["codes"][:, 0].tolist() == ds.visited_blocks[0][1].tolist()
+        assert_same_arrays(load_dataset(path), ds)
+        # an archive written before, with int64 codes, loads to the same dataset
+        arrays["codes"] = arrays["codes"].astype(np.int64)
+        assert_same_arrays(load_dataset(write_archive(tmp_path, arrays)), ds)
 
     def test_roundtrip_keeps_dtype_shape_and_bytes(self, tmp_path):
         # both reward kinds, features that are not a function of the state with -0.0/0.0

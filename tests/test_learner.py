@@ -1,18 +1,20 @@
 import itertools
 import json
 import math
+import re
 import sys
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import anchor_distance, dense_dataset, is_member
 from skiprl import learner, mdp as mdp_module
-from skiprl.harness import load_dataset, save_dataset
+from skiprl.harness import ExperimentConfig, build_instance, collect, load_dataset, save_dataset
 from skiprl.design import Guess, build_true_guess, guess_grid, panel_size, zero_guess
 from skiprl.envs import FeatureMap, fit_policy_stack, random_linear_mdp, sample_policies
 from skiprl.learner import (
@@ -39,6 +41,9 @@ from skiprl.learner import (
 from skiprl.mdp import REWARD_KINDS, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
 from skiprl.oracles import check_skip_realizability
 from skiprl.skipping import SkipParams, dataset_omega, omega_tables, stop_probabilities
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -600,7 +605,8 @@ def reference_sets(dataset, guess, config, covs, extra_candidates=None):
     vbar_rows[H] = np.zeros((1, n))
     for h in range(H - 1, -1, -1):
         counts = [vbar_rows[u].shape[0] for u in range(h + 1, H + 1)]
-        combos, _ = _tail_combos(counts, config.combo_cap, [config.seed, h])
+        picks = _tail_combos(counts, config.combo_cap, [config.seed, h])
+        combos = list(itertools.product(*map(range, counts))) if picks is None else picks
         stop = stop_probabilities(omega[:, h + 1 : H + 1])
         cumrew = np.cumsum(dataset.rewards[:, h:H], axis=1)
         anchors = np.empty((len(combos), d))
@@ -695,6 +701,10 @@ class TestTailGrouping:
 
     @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(REWARD_KINDS),
            multi=st.sampled_from(["net", "extras", "plain", "empty"]), combo_cap=st.sampled_from([1, 3, 7, 64]))
+    # stacked ridges over F-strided target rows (``targets[:, back]``) moved anchor
+    # bits on these two (d = 3, n = 5 and d = 2, n = 75)
+    @example(seed=0, kind="deterministic-mean", multi="net", combo_cap=3)
+    @example(seed=1, kind="bernoulli-mean", multi="net", combo_cap=3)
     @settings(max_examples=40, deadline=None)
     def test_sampled_datasets(self, seed, kind, multi, combo_cap):
         rng = np.random.default_rng(seed)
@@ -847,6 +857,151 @@ class TestSuffixSharing:
         assert build_confidence_sets(ds, [], config, covs(ds, config)) == []
 
 
+class CountingPhi(np.ndarray):
+    """A stage's taken features that count the products ``phi.T @ rows`` made with them."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingPhi.products += 1
+        return np.asarray(self) @ other
+
+
+def netted_sets_inputs():
+    """The instance, learner settings and a replicate's dataset of perfbench's
+    netted-sets workload: the acceptance instance, uncalibrated, with
+    theta_radius 5, an epsilon-net of spacing 0.5 and n = 1000."""
+    doc = json.loads((ROOT / "scripts" / "acceptance_config.json").read_text())
+    doc["calibration"]["enabled"] = False
+    doc["learn"].update(theta_radius=5.0, net_spacing=0.5)
+    cfg = ExperimentConfig.from_dict(doc)
+    inst = build_instance(cfg)
+    return inst, cfg.learn, collect(inst, 1000, [cfg.data.seed, 0])
+
+
+class TestStackedRidge:
+    """``_stage_sets`` solves a stage set's combos in stacked blocks of
+    ceil(RIDGE_BLOCK / n) combos; the anchors must equal the per-combo
+    ``reference_sets`` bit for bit whatever the block size, and the products
+    must be one per block, not one per combo."""
+
+    @staticmethod
+    def netted(config, combo_cap):
+        return replace(config, net_spacing=0.8, theta_radius=2.0, beta=1e9, grid_per_stage=12, combo_cap=combo_cap)
+
+    @pytest.mark.parametrize("combo_cap", [5, 64], ids=["subsampled", "enumerated"])
+    @pytest.mark.parametrize("rows", [1, 3], ids=["per-combo", "three-combo"])
+    def test_any_block_size_gives_the_reference(self, setup, monkeypatch, combo_cap, rows):
+        # a budget of one element solves each combo alone; n * 2 + 1 elements give
+        # blocks of three combos, which split a stage set's combos mid-block
+        mdp, fm, behavior, guess, config, ds = setup
+        monkeypatch.setattr(learner, "RIDGE_BLOCK", 1 if rows == 1 else 2 * ds.n + 1)
+        cfg = self.netted(config, combo_cap)
+        got = TestSuffixSharing.check(ds, guess_grid(guess, 0.3, 8, seed=2), cfg)
+        stages = [s for sets in got for s in sets.stage_sets]
+        # sampled combos with the cap of 5, enumerated ones past one block with 64
+        assert any(s.subsampled == (combo_cap == 5) and s.combos > 3 and s.combos % 3 for s in stages)
+
+    @pytest.mark.parametrize("budget", [None, 1, 1000])
+    def test_one_stacked_product_per_block(self, setup, monkeypatch, budget):
+        # a per-combo loop would make one phi.T product per combo
+        mdp, fm, behavior, guess, config, ds = setup
+        if budget is not None:
+            monkeypatch.setattr(learner, "RIDGE_BLOCK", budget)
+        stage_covs = covs(ds, config)
+        for cov in stage_covs:
+            cov.phi = cov.phi.view(CountingPhi)
+        seen = []
+        real = learner._stage_sets
+
+        def counted(*args):
+            before = CountingPhi.products
+            sets = real(*args)
+            seen.append((sets.combos, CountingPhi.products - before))
+            return sets
+
+        monkeypatch.setattr(learner, "_stage_sets", counted)
+        monkeypatch.setattr(learner.StageCovariance, "ridge", None)  # the per-combo solve
+        cfg = replace(self.netted(config, 64), grid_per_stage=8)
+        build_confidence_sets(ds, guess_grid(guess, 0.3, 8, seed=2), cfg, stage_covs)
+        block = math.ceil(learner.RIDGE_BLOCK / ds.n)
+        for combos, products in seen:
+            assert products == math.ceil(combos / block) <= math.ceil(combos * ds.n / learner.RIDGE_BLOCK)
+        assert max(combos for combos, _ in seen) > block
+        if budget != 1:
+            assert sum(p for _, p in seen) < sum(c for c, _ in seen)
+
+
+class TestPoolRule:
+    """A stage set whose pool is its anchors alone, or whose distinct anchors number
+    at least ``grid_per_stage``, keeps its first ``grid_per_stage`` anchors without
+    scoring the pool; its members must still equal ``reference_sets``, which
+    scores the whole pool."""
+
+    @staticmethod
+    def guarded(grid_per_stage, calls):
+        """``_anchor_distance`` that refuses the stage sets the rule covers and records the others."""
+        real = learner._anchor_distance
+
+        def distance(anchors, matrix, thetas):
+            assert thetas is not anchors and anchors.shape[0] < grid_per_stage, "a full pool was scored"
+            calls.append(anchors.shape[0])
+            return real(anchors, matrix, thetas)
+
+        return mock.patch.object(learner, "_anchor_distance", distance)
+
+    @pytest.mark.parametrize("net_spacing, combo_cap", [(0.8, 5), (0.5, 64)])
+    def test_netted_grid(self, setup, net_spacing, combo_cap):
+        mdp, fm, behavior, guess, config, ds = setup
+        cfg = replace(config, net_spacing=net_spacing, theta_radius=2.0, beta=1e9, grid_per_stage=12,
+                      combo_cap=combo_cap)
+        calls = []
+        with self.guarded(cfg.grid_per_stage, calls):
+            got = TestSuffixSharing.check(ds, guess_grid(guess, 0.3, 8, seed=2), cfg)
+        assert calls  # pools short of anchors are still scored
+        # at most combo_cap anchors: a cap of 5 never fills a pool of 12
+        full = any(s.anchors.shape[0] >= cfg.grid_per_stage for sets in got for s in sets.stage_sets)
+        assert full == (combo_cap >= cfg.grid_per_stage)
+
+    def test_anchors_alone_are_never_scored(self, setup):
+        mdp, fm, behavior, guess, config, ds = setup
+        calls = []
+        with self.guarded(1, calls):
+            outcome = solve(ds, guess_grid(guess, 0.3, 8, seed=2), config, fm)
+        assert not calls and outcome.feasible_count > 0
+
+    def test_netted_sets_solve(self):
+        inst, config, ds = netted_sets_inputs()
+        calls = []
+        with self.guarded(config.grid_per_stage, calls):
+            outcome = solve(ds, inst.guesses, config, inst.featmap)
+        stages = [s for r in outcome.reports for s in r.sets.stage_sets]
+        assert calls and any(s.anchors.shape[0] >= config.grid_per_stage for s in stages)
+        stage_covs = covs(ds, config)
+        for guess, report in zip(inst.guesses[:4], outcome.reports):
+            assert_matches_reference(report.sets, ds, guess, config, stage_covs)
+
+    @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(REWARD_KINDS), multi=st.sampled_from(["net", "extras"]))
+    @settings(max_examples=30, deadline=None)
+    def test_grid_around_an_anchor_count(self, seed, kind, multi):
+        # grid_per_stage at m - 1, m and m + 1 around a stage's anchor count m: the
+        # pool is scored only below m; stage H-1 always has one anchor
+        rng = np.random.default_rng(seed)
+        d, A = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        H = int(rng.choice([2, 3, 4]))
+        sizes = [1] + [int(rng.integers(1, 5)) for _ in range(H - 1)] + [1]
+        mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)), reward_kind=kind)
+        ds = sample_trajectories(mdp, uniform_policy(mdp), int(rng.integers(1, 200)), int(rng.integers(0, 2**31)), fm)
+        config, extras = TestTailGrouping.config_for(rng, d, H, multi, 64)
+        guess = random_guess(rng, H, d)
+        (free,) = build_confidence_sets(ds, [guess], replace(config, grid_per_stage=64), covs(ds, config),
+                                        extra_candidates=extras)
+        m = max(s.anchors.shape[0] for s in free.stage_sets if s is not None)
+        for grid in sorted({m - 1, m, m + 1} - {0}):
+            with self.guarded(grid, []):
+                TestTailGrouping.check(ds, guess, replace(config, grid_per_stage=grid), extras)
+
+
 def dedupe_reference(arr):
     """``_dedupe_rows`` before arrays of at most one row were returned as they are."""
     _, idx = np.unique(arr, axis=0, return_index=True)
@@ -893,6 +1048,21 @@ class TestLearnerConfig:
         # a NaN net_spacing failed in epsilon_net's int(floor(nan))
         with pytest.raises(ValidationError, match=f"^{name} must be positive, got {value!r}$"):
             LearnerConfig(**{**self.POSITIVE, name: value})
+
+    @pytest.mark.parametrize("name", ["lam", "beta", "eps_bar", "theta_radius", "alpha", "net_spacing"])
+    @pytest.mark.parametrize("value", [True, False, "10", [1.0]], ids=["true", "false", "string", "list"])
+    def test_non_real_settings_refused_by_name(self, name, value):
+        # "net_spacing": true built an epsilon-net of spacing 1.0 and "beta": true ran as
+        # beta = 1.0; "beta": "10" raised a bare TypeError from the comparison
+        with pytest.raises(ValidationError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            LearnerConfig(**{name: value})
+
+    def test_numpy_reals_and_integers_stay_legal(self):
+        config = LearnerConfig(lam=np.float32(0.5), beta=np.int64(10), eps_bar=2, alpha=np.float64(0.3),
+                               net_spacing=np.float64(0.5))
+        assert config.beta == 10 and config.net_spacing == 0.5
+        with pytest.raises(ValidationError, match=r"^lam must be a real number, got None$"):
+            LearnerConfig(lam=None)
 
     def test_inf_stays_legal(self):
         # solve's fallback builds with beta = theta_radius = inf
