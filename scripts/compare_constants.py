@@ -17,6 +17,7 @@ from skiprl.design import panel_size
 from skiprl.envs import estimate_misspecification
 from skiprl.harness import ExperimentConfig, calibrated_config, build_instance
 from skiprl.mdp import ValidationError
+from skiprl.oracles import concentrability
 
 CONFIG = pathlib.Path(__file__).resolve().parent / "acceptance_config.json"
 
@@ -177,6 +178,7 @@ def main() -> int:
     inst = build_instance(cfg)
     eta_hat = estimate_misspecification(inst.mdp, inst.featmap, cfg.policy_sample, cfg.policy_sample_seed)
     n = cfg.data.n
+    c_conc = concentrability(inst.mdp, inst.behavior).c_conc
     dc = derived_constants(
         d=cfg.env.d,
         horizon=cfg.env.horizon,
@@ -185,10 +187,10 @@ def main() -> int:
         l1=inst.featmap.l1_bound,
         l2=inst.true_guess.radius_bound,
         eta=eta_hat,
-        c_conc=inst.c_conc,
+        c_conc=c_conc,
         n=n,
     )
-    print(f"instance: d={cfg.env.d} H={cfg.env.horizon} n={n} C_conc={inst.c_conc:.4g} eta_hat={eta_hat:.2e}")
+    print(f"instance: d={cfg.env.d} H={cfg.env.horizon} n={n} C_conc={c_conc:.4g} eta_hat={eta_hat:.2e}")
     print("closed-form table:")
     for name in ("d0", "alpha", "l2_bar", "lam", "eta_bar", "eps_check", "beta_bar", "beta", "eps_bar", "eps_tilde"):
         print(f"  {name:<10} = {getattr(dc, name):.6g}")

@@ -20,7 +20,8 @@ def cmd_gen_env(args) -> int:
     cfg = _load_cfg(args.config)
     inst = harness.build_instance(cfg)
     save_mdp(args.out, inst.mdp, inst.featmap)
-    print(f"wrote environment to {args.out} (v* = {inst.vstar:.6g}, C_conc = {inst.c_conc:.6g})")
+    c_conc = oracles.concentrability(inst.mdp, inst.behavior).c_conc
+    print(f"wrote environment to {args.out} (v* = {inst.vstar:.6g}, C_conc = {c_conc:.6g})")
     return 0
 
 

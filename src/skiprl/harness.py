@@ -1,7 +1,7 @@
 """Experiment orchestration: configs, persistence, sweeps, verification.
 
-A run builds the environment from its seed, computes the exact optimal value,
-concentrability, and the design-based guess, collects trajectories with the
+A run builds the environment from its seed, computes the exact optimal value
+and the design-based guess, collects trajectories with the
 behavior policy, optionally calibrates the confidence radius and tightness
 threshold on held-out replicates, solves, and evaluates the returned policy
 by exact dynamic programming.  Replicates are pure functions of (config, n,
@@ -32,6 +32,7 @@ from .mdp import (
     Policy,
     StagedMdp,
     ValidationError,
+    code_dtype,
     is_integer,
     is_real,
     mix_policies,
@@ -196,7 +197,6 @@ class Instance:
     featmap: FeatureMap
     behavior: Policy
     vstar: float
-    c_conc: float
     true_guess: Guess
     guesses: list
 
@@ -228,7 +228,6 @@ def build_instance(cfg: ExperimentConfig) -> Instance:
             behavior = mix_policies(pistar, uniform_policy(mdp), cfg.data.mix)
         else:
             raise ValidationError(f"unknown behavior kind {cfg.data.behavior!r}")
-        conc = oracles.concentrability(mdp, behavior)
         policies = sample_policies(mdp, cfg.policy_sample, cfg.policy_sample_seed)
         true_guess = build_true_guess(mdp, featmap, policies)
         guesses = guess_grid(true_guess, cfg.guesses.spread, cfg.guesses.count, cfg.guesses.seed)
@@ -239,7 +238,6 @@ def build_instance(cfg: ExperimentConfig) -> Instance:
         featmap=featmap,
         behavior=behavior,
         vstar=float(star_vals.v[0][0]),
-        c_conc=conc.c_conc,
         true_guess=true_guess,
         guesses=guesses,
     )
@@ -389,19 +387,17 @@ DENSE_ARRAYS = ["actions", "features", "rewards", "states"]
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write the dataset's stored form, bit for bit, as one uncompressed ``.npz`` archive.
-
-    The archive holds ``states``, ``actions`` and ``rewards``; ``blocks``, every
-    stage's distinct feature blocks stacked stage after stage, (sum of m_h, A, d);
-    ``block_counts``, the H counts m_h; and ``codes``, each row's block index at
-    each stage, (n, H), in the narrowest signed integer dtype that holds the
-    largest m_h (``Dataset.of_blocks`` widens them again): the arguments of
-    ``Dataset.of_blocks``.  It goes to a file object, so numpy adds no ``.npz``
-    suffix to ``path``.
+    """Write the dataset's stored form, bit for bit, as one uncompressed ``.npz`` archive
+    of the arguments of ``Dataset.of_blocks``: ``states`` and ``actions`` as
+    stored, the dense ``rewards``, ``blocks`` (every stage's distinct feature
+    blocks stacked stage after stage), ``block_counts`` (the H counts m_h) and
+    ``codes`` (each row's block index at each stage, (n, H), in the
+    ``code_dtype`` of the largest m_h).  It goes to a file object, so numpy adds
+    no ``.npz`` suffix to ``path``.
     """
     groups = dataset.visited_blocks
     counts = np.array([len(blocks) for blocks, _ in groups])
-    codes = np.stack([rows for _, rows in groups]).T.astype(np.min_scalar_type(-int(counts.max()) - 1))
+    codes = np.stack([rows for _, rows in groups]).T.astype(code_dtype(counts.max()))
     with open(path, "wb") as fh:
         np.savez(fh, states=dataset.states, actions=dataset.actions, rewards=dataset.rewards,
                  blocks=np.concatenate([blocks for blocks, _ in groups]), block_counts=counts, codes=codes)

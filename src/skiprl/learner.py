@@ -142,11 +142,11 @@ class StageCovariance:
     into them, so that ``pairs[codes]`` equals ``phi`` byte for byte.
 
     ``pairs`` holds the stage's distinct visited blocks' action rows, m * A of
-    them, and ``codes`` is ``visited_blocks[h][1] * A + actions[:, h]``.  numpy's
-    matmul scores a one-row left operand with gemv and a larger one with gemm,
-    whose last bits can differ, so ``pairs`` has one row exactly when ``phi``
-    does: a single (block, action) row is doubled, and when there are at least
-    as many of them as data rows, ``pairs`` is ``phi`` itself.
+    them, and ``codes`` is ``visited_blocks[h][1] * A + actions[:, h]`` in intp.
+    numpy's matmul scores a one-row left operand with gemv and a larger one
+    with gemm, whose last bits can differ, so ``pairs`` has one row exactly
+    when ``phi`` does: a single (block, action) row is doubled, and when there
+    are at least as many of them as data rows, ``pairs`` is ``phi`` itself.
     """
 
     phi: np.ndarray
@@ -172,7 +172,7 @@ def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     """The stage-h data of ``dataset``; it depends on the data and lam alone, never on a guess."""
     d = dataset.dim
     blocks, block_of_row = dataset.visited_blocks[h]
-    pairs, codes = blocks.reshape(-1, d), block_of_row * blocks.shape[1] + dataset.actions[:, h]
+    pairs, codes = blocks.reshape(-1, d), block_of_row * np.intp(blocks.shape[1]) + dataset.actions[:, h]  # intp
     phi = pairs.take(codes, axis=0)  # the taken rows of features[:, h], byte for byte
     if len(pairs) >= len(codes):
         pairs, codes = phi, np.arange(dataset.n)
@@ -411,22 +411,16 @@ def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop,
     stage's distinct tails, ``tail_vbar`` the tails' v-bar values at stages
     h+1..H, one (k_u, tails) array per stage, and ``back`` each row's tail
     (``dataset.tail_paths[h]``).  Each member's target term at each later stage
-    is computed once (``skipping.target_terms``); a combo's targets add its
-    members' terms in stage order (``_combo_targets``).
-
-    The anchors are one stacked ridge per block of ceil(``RIDGE_BLOCK`` / n)
-    combos, so a block's (combos, tails) targets and (combos, n) rows hold
-    fewer than ``RIDGE_BLOCK`` + n elements: the targets are gathered to the n
-    rows with ``take(back, axis=1)`` and solved as
-    ``cov.inv @ (cov.phi.T @ rows[:, :, None])``, which numpy runs as one gemv
-    per combo, the products ``cov.ridge`` makes for one combo.  The gathered
-    rows must be C-contiguous: ``targets[:, back]`` is F-strided, and the
-    stacked product over such a block can move the anchors' last bits.
-
-    ``fixed`` is as in ``_pool``.  An anchor is at distance 0 from itself and the
-    anchors come first in the pool, so when nothing is ``fixed`` or the distinct
-    anchors number at least ``grid_per_stage``, the kept rows are the first
-    ``grid_per_stage`` anchors and the pool is not scored.
+    is computed once (``skipping.target_terms``); a combo adds its members'
+    terms in stage order (``_combo_targets``).  The anchors are one stacked
+    ridge per block of ceil(``RIDGE_BLOCK`` / n) combos: the targets are
+    gathered to C-contiguous (combos, n) rows with ``take(back, axis=1)`` (over
+    F-strided ones the stacked product can move the last bits) and solved as
+    ``cov.inv @ (cov.phi.T @ rows[:, :, None])``, one gemv per combo, the
+    products ``cov.ridge`` makes.  ``fixed`` is as in ``_pool``; when it is None
+    or the distinct anchors number at least ``grid_per_stage``, the kept rows
+    are the first ``grid_per_stage`` anchors, each at distance 0 from itself,
+    and the pool is not scored.
     """
     picks = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
     terms = target_terms(stop, cumrew, tail_vbar)
@@ -459,33 +453,23 @@ def build_confidence_sets(
     one ``ConfidenceSets`` per guess of the sequence ``guesses``.
 
     A guess reaches stage h only through its skip probabilities omega at stages
-    h+1..H-1 (its skip suffix), which fix the stopping law of the stage-h
-    targets and, through the sets above, the tail values.  So one backward pass
-    keeps groups of guesses with equal suffixes: all guesses share stage H-1,
-    and before stage h < H-1 each group splits by the bytes of its guesses'
-    ``block_omega`` at stage h+1.  Each group's ``StageSets`` is built once and
-    the same object goes to every guess of the group.  A group keeps omega and
-    its members' v-bar per distinct visited block of each later stage, and
-    gathers both to the stage's distinct tails (``Dataset.tail_paths``).  There
-    each member's target term at each later stage is computed once, and a tail
-    combo's targets add its members' terms in stage order before they are
-    gathered to the n rows; the combos' ridge solves are stacked, one product
-    per block of combos (``_stage_sets``).
+    h+1..H-1 (its skip suffix).  So one backward pass keeps groups of guesses
+    with equal suffixes, split before each stage h < H-1 by the bytes of their
+    ``block_omega`` at stage h+1, and builds each group's ``StageSets`` once
+    for all its guesses.  A group keeps omega and its members' v-bar per
+    distinct visited block of each later stage and gathers both to the stage's
+    distinct tails (``Dataset.tail_paths``), where ``_stage_sets`` solves the
+    tail combos' ridges.
 
-    ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``, shared by every
-    guess.  Each stage's pool is its anchors, then ``extra_candidates[h]``, then
-    the epsilon-net points, each row kept once by value (``_pool``; the net is
-    keyed once per call, and a stage with extras keys them and the net
-    together); the ``grid_per_stage`` pool points nearest an anchor are kept and
-    admitted when they lie in the theta_radius ball within beta of an anchor.
-    When the pool is the anchors alone, or its distinct anchors number at least
-    ``grid_per_stage``, those are the first ``grid_per_stage`` anchors, each at
-    distance 0, and the pool is not scored.  A
-    stage's tightness scores its members on the stage's distinct (visited
-    block, action) rows (``tightness``).  ``extra_candidates`` maps a stage to
-    extra vectors (used by calibration and the diagnostic lemma checks, which
-    track specific parameters through the construction, and by ``solve``'s
-    fallback, which builds with beta = theta_radius = inf).
+    ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``.  Each stage's
+    pool is its anchors, then ``extra_candidates[h]``, then the epsilon-net
+    points, each row kept once by value (``_pool``); the ``grid_per_stage`` pool
+    points nearest an anchor are kept and admitted when they lie in the
+    theta_radius ball within beta of an anchor.  A stage's tightness scores its
+    members on the stage's distinct (visited block, action) rows
+    (``tightness``).  ``extra_candidates`` maps a stage to extra vectors, for
+    calibration, the lemma checks and ``solve``'s fallback (beta = theta_radius
+    = inf).
     """
     _check_dims(guesses, dataset=dataset)
     H, d = dataset.horizon, dataset.dim
@@ -512,8 +496,9 @@ def build_confidence_sets(
             groups = split
 
         first, back = dataset.tail_paths[h]
-        at = [dataset.visited_blocks[u][1][first] for u in range(h + 1, H)]  # each tail's block at stage u
-        cumrew = np.cumsum(dataset.rewards[first, h:H], axis=1)
+        back = back.astype(np.intp)  # once per stage: every group gathers with it, and numpy gathers fastest by intp
+        at = [dataset.visited_blocks[u][1][first].astype(np.intp) for u in range(h + 1, H)]  # each tail's block at u
+        cumrew = np.cumsum(dataset.tail_rewards(first, h), axis=1)
         terminal = np.zeros((1, len(first)))
         fixed = net
         if extra_candidates and h in extra_candidates:  # keyed with the net, extras first
@@ -758,9 +743,9 @@ def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, c
     worst = 0.0
     for h, cov in enumerate(covs):
         first, back = ds.tail_paths[h]
-        at = [ds.visited_blocks[u][1][first] for u in range(h + 1, H)]
+        at = [ds.visited_blocks[u][1][first].astype(np.intp) for u in range(h + 1, H)]
         stop = stop_probabilities(_on_tails(omega[h:], at, len(first)))
-        cumrew = np.cumsum(ds.rewards[first, h:H], axis=1)
+        cumrew = np.cumsum(ds.tail_rewards(first, h), axis=1)
         targets = targets_under_law(stop, cumrew, _on_tails(vbar[h:], at, len(first)))
         worst = max(worst, cov.norm(cov.ridge(targets[back]) - psi[h]))
     return worst
@@ -769,13 +754,10 @@ def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, c
 def _calibrate_at(pool: list, n: int, guess: Guess, psi: np.ndarray, config: LearnerConfig,
                   delta: float) -> CalibrationResult:
     """``calibrate``'s result at n from the first n rows of each held-out replicate of
-    ``pool`` (``Dataset.prefix``, which groups nothing again).
-
-    A replicate's stage data is built for the pass that reads it and dropped
-    before the next replicate's is built: once for the own-tail distances,
-    and once again for the tightness pass, which needs beta, so the distances
-    of every replicate, first.  So no more than H ``StageCovariance``s are
-    alive at any moment, whatever the replicate count.
+    ``pool`` (``Dataset.prefix``).  A replicate's stage data is built for the
+    pass that reads it and dropped before the next replicate's: once for the
+    own-tail distances, and again for the tightness pass, which needs beta from
+    every replicate first.  So at most H ``StageCovariance``s are alive at a time.
     """
     datasets = [ds.prefix(n) for ds in pool]
     stats = np.array([_own_tail_distance(ds, _stage_data(ds, config.lam), guess, psi, config) for ds in datasets])
@@ -818,16 +800,12 @@ def calibrate(
 
     psi is fitted once for the whole grid.  Held-out replicate c is sampled
     once, at the largest n, from seed ``[seed, c]``; each smaller n reads its
-    first n rows (``Dataset.prefix``), which are byte for byte a sample of n
-    from that seed, since trajectory j depends only on ``[seed, c, j]``.  So
-    every n gets the result a separate sample of n would give.  The pool is
-    dropped when the call returns.
-
-    Memory: the pool holds each replicate's ``states`` and ``actions`` in
-    ``mdp.index_dtype`` (int8 while no stage has more than 127 states and
-    there are at most 127 actions),
-    and each n builds one replicate's stage data at a time (``_calibrate_at``),
-    so the working set is the pool plus H ``StageCovariance``s, not R * H.
+    first n rows (``Dataset.prefix``), byte for byte a sample of n from that
+    seed.  The pool holds each replicate in its stored form (``mdp.Dataset``),
+    5H + 3 bytes per row when every code is int8, and each n builds one
+    replicate's stage data at a time (``_calibrate_at``), so the working set is
+    the pool plus H ``StageCovariance``s, not R * H.  The pool is dropped when
+    the call returns.
 
     Every n must pass ``mdp.trajectory_count``, ``n_values`` must be nonempty,
     ``replicates`` an integer >= 1 (a bool is not one) and ``delta`` in (0, 1),

@@ -42,22 +42,13 @@ def _check_rows(name: str, arr: np.ndarray, tol: float = PROB_TOL) -> None:
 class StagedMdp:
     """Finite-horizon MDP whose state space is partitioned by stage.
 
-    Attributes
-    ----------
-    horizon : int
-        Number of acting stages H; the trajectory visits stages 0..H where
-        stage H is terminal.
-    stage_sizes : tuple of int
-        Length H+1; ``stage_sizes[0] == stage_sizes[H] == 1``.
-    num_actions : int
-    transitions : list of ndarray
-        ``transitions[h]`` has shape (S_h, A, S_{h+1}) for h in 0..H-1.
-    reward_means : list of ndarray
-        ``reward_means[h]`` has shape (S_h, A) with entries in [0, 1];
-        the terminal table must be all zero.
-    reward_kind : str
-        "deterministic-mean" pays the mean exactly; "bernoulli-mean" pays
-        Bernoulli(mean) in {0, 1}.
+    ``horizon`` is the number of acting stages H: a trajectory visits stages
+    0..H, and stage H is terminal.  ``stage_sizes`` has length H+1, with
+    ``stage_sizes[0] == stage_sizes[H] == 1``.  ``transitions[h]`` has shape
+    (S_h, A, S_{h+1}) for h in 0..H-1, and ``reward_means[h]`` shape (S_h, A)
+    with entries in [0, 1], the terminal table all zero.  ``reward_kind``
+    "deterministic-mean" pays the mean exactly; "bernoulli-mean" pays
+    Bernoulli(mean) in {0, 1}.
     """
 
     horizon: int
@@ -213,23 +204,25 @@ def _first_row(bad: np.ndarray) -> int:
     return int(bad.reshape(len(bad), -1).any(axis=1).argmax())
 
 
-def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: np.ndarray, groups) -> None:
-    """Invariants of (n, H+1) trajectory stacks and their feature ``groups`` (a
-    dataset's ``visited_blocks``), in this order: paths start at the start state
-    and end at the terminal state, the terminal reward is zero, rewards lie in
-    [0, 1], actions are >= 0 and index the blocks' action axis, and every visited
-    block is finite.  Each invariant is checked on the whole arrays; a refusal
-    names the first trajectory that breaks the first broken invariant, and only
-    then are the rows looked up."""
+def _check_paths(states: np.ndarray, actions: np.ndarray, rewards: list, groups) -> None:
+    """Invariants of (n, H+1) trajectory stacks, their coded ``rewards`` and their
+    feature ``groups`` (a dataset's ``visited_rewards`` and ``visited_blocks``), in
+    this order: paths start at the start state and end at the terminal state, the
+    terminal reward is zero, rewards lie in [0, 1], actions are >= 0 and index the
+    blocks' action axis, and every visited block is finite.  Each invariant is
+    checked on the whole arrays (rewards on their values, each used by some row);
+    a refusal names the first trajectory that breaks the first broken invariant."""
     ends = (states[:, 0] != 0) | (states[:, -1] != 0)
     if ends.any():
         raise ValidationError(f"trajectory {_first_row(ends)}: must start at the start state and end at the terminal state")
-    paid = rewards[:, -1] != 0.0
+    values, codes = rewards[-1]
+    paid = values != 0.0
     if paid.any():
-        raise ValidationError(f"trajectory {_first_row(paid)}: terminal reward must be zero")
-    outside = ~((rewards >= 0) & (rewards <= 1))  # also refuses NaN
-    if outside.any():
-        raise ValidationError(f"trajectory {_first_row(outside)}: rewards must lie in [0, 1]")
+        raise ValidationError(f"trajectory {_first_row(paid[codes])}: terminal reward must be zero")
+    outside = [~((values >= 0) & (values <= 1)) for values, _ in rewards]  # also refuses NaN
+    if any(bad.any() for bad in outside):
+        bad = np.column_stack([bad[codes] for bad, (_, codes) in zip(outside, rewards)])
+        raise ValidationError(f"trajectory {_first_row(bad)}: rewards must lie in [0, 1]")
     if actions.min(initial=0) < 0:  # min and max read the actions once each, with no mask
         j = _first_row(actions < 0)
         raise ValidationError(f"trajectory {j}: actions must be >= 0, got {actions[j].min()}")
@@ -283,11 +276,26 @@ def _byte_order(blocks: np.ndarray):
     return first, inverse
 
 
-def _renumber(codes: np.ndarray, size: int):
-    """The groups of ``range(size)`` that ``codes`` uses, as a mask, and ``codes``
-    renumbered over them in the same order."""
-    used = np.bincount(codes, minlength=size) > 0
-    return used, (np.cumsum(used) - 1).take(codes)
+def code_dtype(count) -> np.dtype:
+    """The narrowest signed integer dtype that holds ``count``, and so every code below it."""
+    return np.min_scalar_type(-int(count) - 1)  # a signed type holding -count - 1 holds count
+
+
+def _restrict(pairs: list, n: int) -> list:
+    """Per-stage ``(kept, codes)`` pairs cut to the first n rows: each ``kept`` to the
+    entries those rows use, their codes renumbered over them in ``code_dtype``."""
+    out = []
+    for kept, codes in pairs:
+        used = np.bincount(codes[:n], minlength=len(kept)) > 0
+        index = np.cumsum(used) - 1
+        out.append((kept[used], index.astype(code_dtype(index[-1] + 1)).take(codes[:n])))
+    return out
+
+
+def _reward_codes(column: np.ndarray):
+    """``(values, codes)`` of a stage's rewards, the values in the order of their float64 bits as int64."""
+    _, first, codes = np.unique(column.astype(np.float64).view(np.int64), return_index=True, return_inverse=True)
+    return column[first], codes.astype(code_dtype(len(first)))
 
 
 # the arrays of the stored form, in ``Dataset.of_blocks`` order, with the dtype kind and rank each must have
@@ -298,36 +306,38 @@ DATASET_ARRAYS = {"states": (np.integer, 2), "actions": (np.integer, 2), "reward
 class Dataset:
     """The one trajectory container: n >= 1 rollouts stacked into arrays, row j
     of each array being trajectory j, with the features of every action at each
-    visited state.
+    visited state, each per-row cell in its narrowest exact form.
 
-    Features are stored per stage, never as one dense (n, H, A, d) array:
-    ``visited_blocks[h]`` is ``(blocks, rows)``, the distinct recorded (A, d)
-    feature blocks of stage h in the order of their bytes, shape (m_h, A, d),
-    and each row's index into them, shape (n,), so that ``blocks[rows]`` is
-    the dense ``features[:, h]`` exactly.  ``of_blocks`` is the one checked
+    ``states`` and ``actions`` are (n, H+1) integers.  ``visited_blocks[h]``, h < H,
+    is ``(blocks, rows)``: stage h's distinct (A, d) feature blocks in the order
+    of their bytes and each row's index into them, so that ``blocks[rows]`` is
+    the dense ``features[:, h]``.  ``visited_rewards[h]``, h <= H, is ``(values,
+    codes)``: stage h's distinct rewards in the order of their float64 bits read
+    as int64 and each row's index into them.  Every index array, ``tail_paths``'
+    back indices too, takes the ``code_dtype`` of its count (int8 up to 127);
+    arithmetic that multiplies one widens to intp.  ``features`` and ``rewards``
+    are dense arrays built on each read.  ``of_blocks`` is the one checked
     constructor; the sampler and ``prefix`` build the stored form directly.
-
-    ``len(ds)`` is n.  The arrays are treated as immutable after construction,
-    which is what lets ``tail_paths`` be computed once and cached.
+    The arrays are treated as immutable, so ``tail_paths`` is cached.
     """
 
     @classmethod
     def _of_groups(cls, states, actions, rewards, groups, parent=None) -> "Dataset":
         """A dataset of already-checked arrays and groupings; nothing is checked again."""
         ds = cls.__new__(cls)
-        ds.states = states          # (n, H+1) integer; sampled ones are index_dtype(mdp), often int8
-        ds.actions = actions        # (n, H+1) integer, of the same dtype as states when sampled
-        ds.rewards = rewards        # (n, H+1) float
-        ds.visited_blocks = groups  # H (blocks, rows) pairs: see the class docstring
-        ds._parent = parent         # the dataset this one is a prefix of, or None
+        ds.states = states            # (n, H+1) integer; sampled ones are index_dtype(mdp), often int8
+        ds.actions = actions          # (n, H+1) integer, of the same dtype as states when sampled
+        ds.visited_rewards = rewards  # H+1 (values, codes) pairs: see the class docstring
+        ds.visited_blocks = groups    # H (blocks, rows) pairs: see the class docstring
+        ds._parent = parent           # the dataset this one is a prefix of, or None
         return ds
 
     @classmethod
     def of_blocks(cls, states, actions, rewards, blocks, block_counts, codes) -> "Dataset":
-        """A dataset of its stored form, the arrays of a ``save_dataset`` archive:
-        ``blocks`` every stage's distinct (m_h, A, d) blocks stacked stage after
-        stage, ``block_counts`` the H counts m_h, and ``codes[:, h]`` each row's
-        index into stage h's blocks.
+        """A dataset of the arrays of a ``save_dataset`` archive: dense ``rewards``,
+        coded here stage by stage; ``blocks`` every stage's distinct (m_h, A, d)
+        blocks stacked stage after stage, ``block_counts`` the H counts m_h, and
+        ``codes[:, h]`` each row's index into stage h's blocks.
 
         Each array must have the dtype kind and rank ``DATASET_ARRAYS`` gives it;
         ``block_counts`` must split ``blocks`` into H nonempty stages and ``codes``
@@ -354,12 +364,12 @@ class Dataset:
             raise ValidationError(f"codes must be an (n, H) integer array with n, H = {n}, {H}; got shape {codes.shape}")
         # one array per stage, as a fresh grouping has, not views into one buffer
         blocks = [b.copy() for b in np.split(blocks, np.cumsum(block_counts)[:-1])]
-        rows = np.ascontiguousarray(codes.T, dtype=np.intp)  # stage-major, so each stage's rows are contiguous
-        for h, (b, column) in enumerate(zip(blocks, rows)):
+        for h, (b, column) in enumerate(zip(blocks, codes.T)):
             if column.min() < 0 or column.max() >= len(b):
                 j = _first_row((column < 0) | (column >= len(b)))
                 raise ValidationError(f"trajectory {j}: stage {h} code {column[j]} lies outside [0, {len(b)})")
-        groups = list(zip(blocks, rows))
+        groups = [(b, column.astype(code_dtype(len(b)))) for b, column in zip(blocks, codes.T)]
+        rewards = [_reward_codes(column) for column in rewards.T]
         _check_paths(states, actions, rewards, groups)
         for h, (b, column) in enumerate(groups):
             if not np.bincount(column, minlength=len(b)).all():
@@ -389,61 +399,61 @@ class Dataset:
         serves tests and reference computations; the program never reads it."""
         return np.stack([blocks[rows] for blocks, rows in self.visited_blocks], axis=1)
 
+    @property
+    def rewards(self) -> np.ndarray:
+        """The dense (n, H+1) rewards, built from the codes on every read."""
+        return np.stack([values[codes] for values, codes in self.visited_rewards], axis=1)
+
+    def tail_rewards(self, rows: np.ndarray, h: int) -> np.ndarray:
+        """``rewards[rows, h:H]``, gathered from the codes of stages h..H-1 alone."""
+        return np.stack([values[codes[rows]] for values, codes in self.visited_rewards[h:-1]], axis=1)
+
     @cached_property
     def tail_paths(self) -> list:
         """Per stage h < H, ``(first, back)``: one row index per distinct trajectory
         tail, shape (m,), and each row's tail index, shape (n,), so that row j and
         row ``first[back[j]]`` share their tail; ``first[g]`` is tail g's smallest row.
 
-        A row's stage-h tail is its ``visited_blocks`` indices at stages h+1..H-1
-        and the bytes of its rewards at stages h..H-1, which is everything a
-        stage-h skip target reads; ``-0.0`` and ``0.0`` rewards are different
-        tails.  From the last stage down, stage h codes its reward bytes with one
-        ``np.unique`` over their int64 view, then factorizes (block at h+1, tail
-        at h+1) and (reward code, that pair) as integer codes below n**2.  Tails
-        are numbered in that code order, not by row or by bytes; consumers read
-        them only through ``first`` and ``back``.  A ``prefix`` restricts its
-        parent's tails instead.
+        A row's stage-h tail is its block codes at stages h+1..H-1 and its reward
+        codes at stages h..H-1, that is the bytes of its rewards (``-0.0`` and
+        ``0.0`` differ): everything a stage-h skip target reads.  From the last
+        stage down, stage h factorizes (block at h+1, tail at h+1) and (reward
+        code, that pair) as intp codes below n**2, and numbers tails in that
+        order.  A ``prefix`` restricts its parent's tails instead.
         """
         if self._parent is not None:
-            out = []
-            for first, back in self._parent.tail_paths:
-                used, back = _renumber(back[: self.n], len(first))
-                out.append((first[used], back))
-            return out
+            return _restrict(self._parent.tail_paths, self.n)
         # stage H has one block and one empty tail
-        rows = [r for _, r in self.visited_blocks] + [np.zeros(self.n, dtype=np.intp)]
+        rows = [r for _, r in self.visited_blocks] + [np.zeros(self.n, dtype=np.int8)]
         counts = [len(blocks) for blocks, _ in self.visited_blocks] + [1]
         H = self.horizon
         out = [None] * H
         back, tails = rows[H], 1
         for h in range(H - 1, -1, -1):
-            pairs, pair = _factorize(rows[h + 1] * tails + back, counts[h + 1] * tails)
-            values, reward = np.unique(self.rewards[:, h].astype(np.float64).view(np.int64), return_inverse=True)
-            first, back = _factorize(reward * len(pairs) + pair, len(values) * len(pairs))
+            # an intp factor makes each product intp, whatever the codes' dtype
+            pairs, pair = _factorize(rows[h + 1] * np.intp(tails) + back, counts[h + 1] * tails)
+            values, reward = self.visited_rewards[h]
+            first, back = _factorize(reward * np.intp(len(pairs)) + pair, len(values) * len(pairs))
             tails = len(first)
+            back = back.astype(code_dtype(tails))
             out[h] = (first, back)
         return out
 
     def prefix(self, n) -> "Dataset":
         """The dataset of the first n trajectories; the dataset itself at n = len(self).
 
-        Its ``visited_blocks`` and ``tail_paths`` are this dataset's restricted
-        to the first n rows and renumbered over the blocks and tails those rows
-        use, which are exactly a fresh grouping's: blocks are in byte order and
-        restriction keeps that order, tails keep their code order, and a used
-        tail's smallest row is below n.  Nothing is grouped or sorted again.
+        Its ``visited_blocks``, ``visited_rewards`` and ``tail_paths`` are this
+        dataset's restricted to the first n rows (``_restrict``), which are
+        exactly a fresh grouping's: blocks and values keep their byte order,
+        tails their code order, and a used tail's smallest row is below n.
         """
         n = trajectory_count(n)
         if n > self.n:
             raise ValidationError(f"a prefix of {n} trajectories needs at least that many; the dataset has {self.n}")
         if n == self.n:
             return self
-        groups = []
-        for blocks, rows in self.visited_blocks:
-            used, rows = _renumber(rows[:n], len(blocks))
-            groups.append((blocks[used], rows))
-        return Dataset._of_groups(self.states[:n], self.actions[:n], self.rewards[:n], groups, parent=self)
+        return Dataset._of_groups(self.states[:n], self.actions[:n], _restrict(self.visited_rewards, n),
+                                  _restrict(self.visited_blocks, n), parent=self)
 
     @classmethod
     def from_trajectories(cls, dataset) -> "Dataset":
@@ -679,21 +689,36 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """One PCG64 step, state * multiplier + inc mod 2**128, on (hi, lo) uint64 halves.
-
-    The high half of lo * multiplier_lo comes from 32-bit limbs, so no product
-    exceeds 64 bits."""
-    m = np.uint64(_MASK32)
-    s32 = np.uint64(32)
-    lo0, lo1 = lo & m, lo >> s32
+def _lcg_step(hi, lo, inc_hi, inc_lo, scratch: np.ndarray) -> None:
+    """One PCG64 step, state * multiplier + inc mod 2**128, in place on the (n,)
+    uint64 halves ``hi`` and ``lo``, with a (3, n) uint64 ``scratch``.  The high
+    half of lo * multiplier_lo comes from 32-bit limbs, the carry of their
+    middle sum counted apart, so no product exceeds 64 bits."""
+    m, s32 = np.uint64(_MASK32), np.uint64(32)
     b0, b1 = _PCG_MULT_LO & m, _PCG_MULT_LO >> s32
-    p01, p10 = lo0 * b1, lo1 * b0
-    mid = ((lo0 * b0) >> s32) + (p01 & m) + (p10 & m)
-    carry = lo1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-    hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
-    lo = lo * _PCG_MULT_LO + inc_lo
-    return hi + (lo < inc_lo), lo
+    l0, l1, low = scratch
+    hi *= _PCG_MULT_LO
+    hi += np.multiply(lo, _PCG_MULT_HI, out=low)
+    hi += inc_hi
+    np.bitwise_and(lo, m, out=l0)
+    np.right_shift(lo, s32, out=l1)
+    lo *= _PCG_MULT_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+    hi += np.multiply(l1, b1, out=low)
+    np.multiply(l0, b0, out=low)
+    low >>= s32
+    l0 *= b1
+    l1 *= b0
+    l0 += l1  # the middle sum mod 2**64; its carry is worth 2**32 in hi
+    np.less(l0, l1, out=l1)
+    l1 <<= s32
+    hi += l1
+    low += np.bitwise_and(l0, m, out=l1)
+    l0 >>= s32
+    low >>= s32
+    hi += l0
+    hi += low
 
 
 def _mixed_pool(columns: list) -> list:
@@ -732,91 +757,95 @@ def _pcg64_seeded(pool: list):
     return inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo
 
 
-def _uniforms(words: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) uniforms; row i is the first k ``random()`` draws of numpy's
-    default generator (PCG64 seeded through SeedSequence) for seed i.
+def _uniform_columns(words: np.ndarray):
+    """Every row's uniforms, one (n,) column per ``next``: row i of column t is the
+    t-th ``random()`` draw of numpy's default generator for seed i.
 
     ``words`` is the (n, w) uint32 array of every seed's entropy words (see
     ``_seed_words``).  numpy fixes both algorithms, so all rows run at once:
     SeedSequence mixes the words into a 4-word pool and expands it to four
     uint64 words; PCG64 (XSL-RR 128/64) seeds its 128-bit LCG from them; each
-    draw is one LCG step, the XSL-RR output x and ``(x >> 11) * 2**-53``.
-
-    A word column equal on every row (the ``[seed, ...]`` prefix that
-    ``sample_trajectories`` repeats) enters as one uint32 scalar, so it is
-    hashed and mixed once; broadcasting gives every row the bits a per-row
-    column would, and a pool word becomes an (n,) array only once a per-row
-    word is mixed into it.  Only the LCG state outlives the seeding, and the
-    output is allocated after it.  The result is the transpose of a (k, n)
-    array, so each draw's column ``u[:, t]`` is contiguous.
+    draw is one LCG step, the XSL-RR output x and ``(x >> 11) * 2**-53``.  A
+    word column equal on every row is hashed and mixed once, as a scalar.
     """
     n = len(words)
     # n = 0 keeps its empty columns: there is no first row to share
     columns = [col[0] if n and (col == col[0]).all() else col for col in words.T]
     with np.errstate(over="ignore"):
         hi, lo, inc_hi, inc_lo = _pcg64_seeded(_mixed_pool(columns))
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        u = np.empty((k, n))
-        for t in range(k):
-            hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-            x = hi ^ lo
-            rot = hi >> np.uint64(58)
-            x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
-            u[t] = (x >> np.uint64(11)) * 2.0 ** -53
-    return u.T
+    # rows that share every word seed scalars; the in-place steps need one state per row
+    hi, lo = (np.full(n, half, dtype=np.uint64) if np.ndim(half) == 0 else half for half in (hi, lo))
+    scratch = np.empty((3, n), dtype=np.uint64)
+    _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
+    x, rot, low = scratch
+    while True:
+        _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, np.uint64(58), out=rot)
+        np.right_shift(x, rot, out=low)
+        np.subtract(np.uint64(64), rot, out=rot)
+        rot &= np.uint64(63)
+        x <<= rot
+        x |= low
+        x >>= np.uint64(11)
+        yield x * 2.0 ** -53
 
 
 def index_dtype(mdp: StagedMdp) -> np.dtype:
-    """The dtype of a sample's ``states`` and ``actions``: the narrowest signed integer
-    dtype that holds ``mdp``'s largest stage size and its action count, and so
-    every state and action index."""
-    top = max(*mdp.stage_sizes, mdp.num_actions)
-    return np.min_scalar_type(-top - 1)  # a signed type holding -top - 1 holds top
+    """The dtype of a sample's ``states`` and ``actions``: the ``code_dtype`` of
+    ``mdp``'s largest stage size and its action count, and so of every state and
+    action index."""
+    return code_dtype(max(*mdp.stage_sizes, mdp.num_actions))
 
 
 def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Dataset:
-    """One trajectory per row of seed words, drawn stage-wise for all rows at once.
+    """One trajectory per row of seed words, drawn stage-wise for all rows at once,
+    in its stored form (see ``Dataset``).
 
-    Row j takes its uniforms from the stream numpy's default generator gives
-    its seed (``_uniforms`` computes every row's stream at once), in rollout
-    order: per stage the action, the reward (Bernoulli rewards only) and the
-    next state, then the terminal action.  Row j therefore equals a single
-    rollout from its seed, whatever the other rows are.
-
-    ``states`` and ``actions`` take ``index_dtype(mdp)``, usually int8; the
-    draws themselves run on intp, and so does any arithmetic that meets an
-    intp operand (``stage_covariance``'s codes), so no index computed from
-    them wraps.
-
-    Each draw is counted by ``_draw`` against a CDF table built once per
-    stage, (S_h, A) for the policy and (S_h * A, S_{h+1}) for the transitions
-    indexed by ``s * A + a``, so a stage costs O(n * K) elementwise work and
-    no per-row copy of a CDF row.
+    Row j reads its seed's stream (``_uniform_columns``, one column per draw, so
+    no (draws, n) table exists) in rollout order: per stage the action, the
+    reward (Bernoulli rewards only) and the next state, then the terminal
+    action; so row j equals a single rollout from its seed.  The stream is
+    dropped before the features are grouped.  ``states`` and ``actions`` take
+    ``index_dtype(mdp)``; a reward's code is its value's rank by int64 bits
+    among the stage's values drawn.  Draws run on intp.  ``_draw`` counts
+    each against a CDF table built once per stage,
+    (S_h, A) for the policy and (S_h * A, S_{h+1}) for the transitions
+    indexed by ``s * A + a``, so a stage costs O(n * K) elementwise work.
     """
     _check_policy_shape(mdp, policy)
     H, n, A = mdp.horizon, len(words), mdp.num_actions
     bernoulli = mdp.reward_kind == "bernoulli-mean"
-    step = 3 if bernoulli else 2
-    u = _uniforms(words, step * H + 1)
+    draws = _uniform_columns(words)
     states = np.zeros((n, H + 1), dtype=index_dtype(mdp))
     actions = np.zeros((n, H + 1), dtype=index_dtype(mdp))
-    rewards = np.zeros((n, H + 1))
+    rewards = [None] * H + [(np.zeros(1), np.zeros(n, dtype=np.int8))]  # the terminal stage pays 0.0
     s = np.zeros(n, dtype=np.intp)
     for h in range(H + 1):
         policy_cdf = np.cumsum(policy.tables[h], axis=1).T
-        actions[:, h] = a = _draw(policy_cdf, s, u[:, step * h])
+        actions[:, h] = a = _draw(policy_cdf, s, next(draws))
         if h < H:
-            pair = s * A + a
-            mean = mdp.reward_means[h].ravel().take(pair)
-            rewards[:, h] = u[:, step * h + 1] < mean if bernoulli else mean
+            pair = np.multiply(s, A, out=s)  # s * A + a in place: s is drawn anew below
+            pair += a
+            del a
+            # each row pays table[key]: its mean, or the Bernoulli draw's 0.0 or 1.0
+            table, key = mdp.reward_means[h].ravel(), pair
+            if bernoulli:
+                table, key = np.array([0.0, 1.0]), (next(draws) < table.take(pair)).view(np.int8)
+            drawn = np.bincount(key, minlength=len(table)) > 0
+            values, rank = np.unique(table[drawn].view(np.int64), return_inverse=True)
+            code = np.zeros(len(table), dtype=code_dtype(len(values)))
+            code[drawn] = rank
+            rewards[h] = (values.view(np.float64), code.take(key))
             next_cdf = np.cumsum(mdp.transitions[h], axis=2).reshape(-1, mdp.stage_sizes[h + 1]).T
-            states[:, h + 1] = s = _draw(next_cdf, pair, u[:, step * h + step - 1])
+            states[:, h + 1] = s = _draw(next_cdf, pair, next(draws))
+    del draws
     groups = []  # grouped by state: no (n, H, A, d) array is gathered
     for h in range(H):
         first, by_state = _visited_states(states[:, h])
         candidates = featmap.phi[h].take(states[first, h], axis=0)  # one block per visited state
         rep, rows = _byte_order(candidates)
-        groups.append((candidates[rep], rows.take(by_state)))
+        groups.append((candidates[rep], rows.astype(code_dtype(len(rep))).take(by_state)))
     _check_paths(states, actions, rewards, groups)
     return Dataset._of_groups(states, actions, rewards, groups)
 
@@ -842,22 +871,16 @@ def trajectory_count(n) -> int:
 
 
 def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap) -> Dataset:
-    """Sample n trajectories; trajectory j is drawn from generator seed [seed, j].
-
-    The per-trajectory counter seeding makes every trajectory independently
-    reproducible: row j is the rollout of the generator seeded ``[seed, j]``.
-    So a sample of n trajectories is, array by array, the first n rows of a
-    sample of more from the same seed.  Row j's uniforms are bit for
-    bit those of numpy's default generator seeded ``[seed, j]``, because numpy
-    keeps SeedSequence and PCG64 stable; all n streams are computed in one
-    vectorised pass.  ``n`` must pass ``trajectory_count``.  Every visited
-    state's features come from ``featmap`` (a ``FeatureMap``), grouped per stage
-    into the dataset's ``visited_blocks``.
+    """Sample n trajectories; trajectory j is, bit for bit, the rollout of numpy's
+    default generator seeded ``[seed, j]`` (numpy keeps SeedSequence and PCG64
+    stable), and all n streams run in one vectorised pass.  So a sample of n
+    is, array by array, the first n rows of a larger one from the same seed.
+    ``n`` must pass ``trajectory_count``; every visited state's features come
+    from ``featmap`` (a ``FeatureMap``), grouped per stage (``visited_blocks``).
     """
     n = trajectory_count(n)
     base = np.array(_seed_words(seed), dtype=np.uint32)
-    j = np.arange(n, dtype=np.uint32)
-    return _sample(mdp, policy, np.column_stack([np.tile(base, (len(j), 1)), j]), featmap)
+    return _sample(mdp, policy, np.column_stack([np.tile(base, (n, 1)), np.arange(n, dtype=np.uint32)]), featmap)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ def config_file(tmp_path):
     return str(path)
 
 
+def test_gen_env_prints_c_conc(tmp_path, config_file, capsys):
+    # the numbers the line printed while build_instance still computed C_conc
+    env_path = str(tmp_path / "env.json")
+    assert main(["gen-env", "--config", config_file, "--out", env_path]) == 0
+    assert capsys.readouterr().out == f"wrote environment to {env_path} (v* = 1.17227, C_conc = 2.366)\n"
+
+
 def test_full_pipeline(tmp_path, config_file, capsys):
     env_path = str(tmp_path / "env.json")
     data_path = str(tmp_path / "data.npz")

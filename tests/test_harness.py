@@ -27,7 +27,7 @@ from skiprl.design import build_true_guess, guess_grid
 from skiprl.envs import random_linear_mdp, sample_policies
 from skiprl.learner import serialize_outcome
 from skiprl.mdp import Dataset, ValidationError, sample_trajectories, uniform_policy
-from skiprl.oracles import suboptimality
+from skiprl.oracles import concentrability, suboptimality
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -618,9 +618,21 @@ class TestRunAndSweep:
             data={"n": 100, "behavior": "eps-greedy", "mix": 0.4, "seed": 9}, sweep={"n_values": [100], "replicates": 3}
         )
         inst = build_instance(cfg)
-        assert np.isfinite(inst.c_conc)
+        assert np.isfinite(concentrability(inst.mdp, inst.behavior).c_conc)
         result = sweep(cfg)
         assert all(r.gap >= -1e-9 for r in result.rows)
+
+    def test_setup_never_computes_concentrability(self, monkeypatch):
+        # only gen-env's print reads C_conc; set-up and sweeps must not pay for it
+        def refuse(*args, **kwargs):
+            raise AssertionError("concentrability called")
+
+        monkeypatch.setattr(harness.oracles, "concentrability", refuse)
+        cfg = tiny_config(sweep={"n_values": [60], "replicates": 2})
+        inst = build_instance(cfg)
+        assert not hasattr(inst, "c_conc")
+        result = sweep(cfg)
+        assert len(result.rows) == 2 and all(np.isfinite(r.gap) for r in result.rows)
 
 
 class TestEmission:

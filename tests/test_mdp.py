@@ -16,7 +16,8 @@ from skiprl.mdp import (
     _draw,
     _factorize,
     _seed_words,
-    _uniforms,
+    _uniform_columns,
+    code_dtype,
     deterministic_policy,
     enumerate_deterministic_policies,
     evaluate_policy,
@@ -30,6 +31,12 @@ from skiprl.mdp import (
     sample_trajectories,
     uniform_policy,
 )
+
+
+def _uniforms(words, k):
+    """The first k columns of ``_uniform_columns(words)`` as an (n, k) array."""
+    draws = _uniform_columns(words)
+    return np.column_stack([next(draws) for _ in range(k)]).reshape(len(words), k)
 
 
 def inverse_cdf(cum, u):
@@ -419,7 +426,7 @@ class TestIndexDtype:
 
 
 class TestUniformsAgainstNumpy:
-    """``_uniforms`` against numpy's own ``default_rng(seed).random(k)``."""
+    """``_uniform_columns`` against numpy's own ``default_rng(seed).random(k)``."""
 
     @given(seed=st.lists(seed_parts, max_size=6), k=st.integers(1, 16))
     @settings(max_examples=200, deadline=None)
@@ -797,10 +804,11 @@ class TestGroupingAgainstByteKeys:
         for (blocks, rows), (want_blocks, want_rows) in zip(ds.visited_blocks, byte_key_blocks(ds), strict=True):
             assert (blocks.dtype, blocks.shape) == (want_blocks.dtype, want_blocks.shape)
             assert blocks.tobytes() == want_blocks.tobytes()
-            assert (rows.dtype, rows.shape) == (want_rows.dtype, want_rows.shape) and np.array_equal(rows, want_rows)
+            assert (rows.dtype, rows.shape) == (code_dtype(len(blocks)), want_rows.shape)
+            assert np.array_equal(rows, want_rows)
         for (first, back), (want_first, want_back) in zip(ds.tail_paths, byte_key_tails(ds), strict=True):
             m = len(want_first)
-            assert first.shape == (m,) and back.shape == (ds.n,)
+            assert first.shape == (m,) and (back.dtype, back.shape) == (code_dtype(m), (ds.n,))
             assert len({(a, b) for a, b in zip(back.tolist(), want_back.tolist())}) == m  # the same partition
             assert [int(np.flatnonzero(back == g)[0]) for g in range(m)] == first.tolist()
             assert sorted(first.tolist()) == sorted(want_first.tolist())
