@@ -26,6 +26,8 @@ def cmd_gen_env(args) -> int:
 
 
 def cmd_collect(args) -> int:
+    if args.replicate < 0:
+        raise ValidationError(f"--replicate must be >= 0, got {args.replicate}")
     cfg = _load_cfg(args.config)
     if args.n is not None:
         cfg.data.n = args.n

@@ -99,6 +99,13 @@ class SweepSpec:
     replicates: int = 20
 
 
+def _json_object(value, where: str) -> dict:
+    """``value`` if it is a JSON object, else a ``ValidationError`` naming ``where``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
 def _refuse_unknown(doc: dict, spec_cls, where: str) -> None:
     """Refuse the first key of ``doc`` that names no field of ``spec_cls``."""
     known = [f.name for f in fields(spec_cls)]
@@ -122,7 +129,8 @@ class ExperimentConfig:
     def __post_init__(self):
         counts = {"env.d": self.env.d, "env.horizon": self.env.horizon, "env.num_actions": self.env.num_actions,
                   "env.seed": self.env.seed, "data.seed": self.data.seed, "guesses.seed": self.guesses.seed,
-                  "sweep.replicates": self.sweep.replicates, "calibration.replicates": self.calibration.replicates,
+                  "guesses.count": self.guesses.count, "sweep.replicates": self.sweep.replicates,
+                  "calibration.replicates": self.calibration.replicates,
                   "calibration.seed_offset": self.calibration.seed_offset, "policy_sample": self.policy_sample,
                   "policy_sample_seed": self.policy_sample_seed}
         for name, value in counts.items():
@@ -143,6 +151,8 @@ class ExperimentConfig:
         if not values:
             raise ValidationError("sweep.n_values is empty; a sweep needs at least one n")
         for i, n in enumerate(values):
+            if not is_integer(n):
+                raise ValidationError(f"sweep.n_values[{i}] must be an integer, got {n!r}")
             if n in values[:i]:
                 raise ValidationError(f"sweep.n_values repeats n = {n!r}; each n is one set of cells")
 
@@ -152,16 +162,18 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """The config of a JSON document: a missing key takes its default, and an
-        unknown key is refused, naming its section."""
-        _refuse_unknown(doc, cls, "at the top level")
+        unknown key, a section that is not an object or a list field that is not a
+        list is refused, naming it."""
+        _refuse_unknown(_json_object(doc, "the config document"), cls, "at the top level")
 
         def build(spec_cls, key):
-            sub = dict(doc.get(key, {}))
+            sub = dict(_json_object(doc.get(key, {}), f"config section {key!r}"))
             _refuse_unknown(sub, spec_cls, f"in section {key!r}")
-            if "stage_sizes" in sub:
-                sub["stage_sizes"] = tuple(sub["stage_sizes"])
-            if "n_values" in sub:
-                sub["n_values"] = tuple(sub["n_values"])
+            for name in ("stage_sizes", "n_values"):
+                if name in sub:
+                    if not isinstance(sub[name], (list, tuple)):
+                        raise ValidationError(f"{key}.{name} must be a list, got {sub[name]!r}")
+                    sub[name] = tuple(sub[name])
             return spec_cls(**sub)
 
         top = {k: doc[k] for k in ("policy_sample", "policy_sample_seed", "output_dir") if k in doc}

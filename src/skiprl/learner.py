@@ -49,7 +49,6 @@ from .skipping import (
 
 MEMBER_TOL = 1e-12
 RADIUS_TOL = 1e-9
-DISTANCE_BLOCK = 1 << 14  # elements of each (d, rows, m) array _stacked_forms builds at once
 RIDGE_BLOCK = 1 << 13  # _stage_sets solves ceil(RIDGE_BLOCK / n) combos' (combos, n) target rows at once
 
 
@@ -98,17 +97,22 @@ class LearnerConfig:
 
 
 def _check_dims(guesses=(), featmap=None, dataset=None) -> None:
-    """Refuse disagreeing feature dimensions among ``featmap.d``, ``dataset.dim`` and
-    each guess's ``dim``; a guess without panels (H = 1) has none."""
-    named = []
+    """Refuse disagreeing horizons among ``featmap``, ``dataset`` and each guess, then
+    disagreeing feature dimensions among ``featmap.d``, ``dataset.dim`` and each
+    guess's ``dim``; a guess without panels (H = 1) has no dimension."""
+    horizons, dims = [], []
     if featmap is not None:
-        named.append(("featmap.d", featmap.d))
+        horizons.append(("featmap.horizon", featmap.horizon))
+        dims.append(("featmap.d", featmap.d))
     if dataset is not None:
-        named.append(("dataset.dim", dataset.dim))
-    named.extend((f"guess {i} dim", g.dim) for i, g in enumerate(guesses) if g.panels)
-    for name, d in named[1:]:
-        if d != named[0][1]:
-            raise ValidationError(f"dimension mismatch: {name} = {d} but {named[0][0]} = {named[0][1]}")
+        horizons.append(("dataset.horizon", dataset.horizon))
+        dims.append(("dataset.dim", dataset.dim))
+    horizons.extend((f"guess {i} horizon", g.horizon) for i, g in enumerate(guesses))
+    dims.extend((f"guess {i} dim", g.dim) for i, g in enumerate(guesses) if g.panels)
+    for what, named in (("horizon", horizons), ("dimension", dims)):
+        for name, value in named[1:]:
+            if value != named[0][1]:
+                raise ValidationError(f"{what} mismatch: {name} = {value} but {named[0][0]} = {named[0][1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,48 +248,10 @@ class StageSets:
                 "combos": self.combos, "subsampled": self.subsampled, "tails": self.tails}
 
 
-def _stacked_forms(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """The X_h quadratic form (``matrix`` is X_h) of each row of ``thetas`` minus each
-    anchor, shape (p, m), computed in the order of ``np.einsum("pmd,de,pme->pm",
-    diffs, matrix, diffs)``: each term is ``(diff_d * X_de) * diff_e``, and the
-    d * d terms are added one at a time, d-major, onto +0.0.  That gives
-    einsum's bits whenever the output has more than two elements; at d = 2
-    einsum adds a one- or two-element output's terms row by row.  Rows are
-    taken in blocks whose (d, rows, m) arrays hold at most ``DISTANCE_BLOCK``
-    elements.
-    """
-    p, m, d = thetas.shape[0], anchors.shape[0], matrix.shape[0]
-    quad = np.zeros((p, m))
-    step = max(1, DISTANCE_BLOCK // (d * m))
-    rows, centres = thetas.T[:, :, None], anchors.T[:, None, :]
-    for start in range(0, p, step):
-        diffs = rows[:, start : start + step] - centres  # (d, rows, m)
-        block = quad[start : start + step]
-        for i in range(d):
-            terms = diffs[i] * matrix[i, :, None, None]
-            terms *= diffs
-            for term in terms:
-                block += term
-    return quad
-
-
-def _anchor_forms(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """``np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)`` of the (p, m, d) diffs
-    of ``thetas`` from ``anchors``, bit for bit.  einsum is slow over a
-    length-2 or -3 axis with more than one anchor, so there an output of at
-    least 512 elements goes through ``_stacked_forms``; einsum is as fast
-    elsewhere.
-    """
-    p, m, d = thetas.shape[0], anchors.shape[0], matrix.shape[0]
-    if d in (2, 3) and m > 1 and p * m >= 512:
-        return _stacked_forms(anchors, matrix, thetas)
-    diffs = thetas[:, None, :] - anchors[None, :, :]
-    return np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
-
-
 def _anchor_distance(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """min over anchors of the X_h-distance (``matrix`` is X_h) to each row of ``thetas``, shape (p,)."""
-    return np.sqrt(np.maximum(_anchor_forms(anchors, matrix, thetas).min(axis=1), 0.0))
+    diffs = thetas[:, None, :] - anchors[None, :, :]
+    return np.sqrt(np.maximum(np.einsum("pmd,de,pme->pm", diffs, matrix, diffs).min(axis=1), 0.0))
 
 
 def _admitted(thetas: np.ndarray, stats: np.ndarray, config: LearnerConfig) -> np.ndarray:

@@ -254,15 +254,6 @@ def _factorize(codes: np.ndarray, size: int):
     return first, inverse
 
 
-def _visited_states(state: np.ndarray):
-    """``_factorize`` of one stage's state column: the first row of each distinct
-    state, in increasing state order, and each row's index among them."""
-    state = state.astype(np.int64)
-    low = state.min()
-    size = int(state.max()) - int(low) + 1
-    return _factorize((state - low).view(np.uint64), size)  # wraps to the exact offset
-
-
 def _byte_order(blocks: np.ndarray):
     """``(first, inverse)`` of ``np.unique`` over the bytes of the (k, A, d) ``blocks``:
     the distinct blocks in the order of their bytes are ``blocks[first]``, and row j
@@ -757,24 +748,21 @@ def _pcg64_seeded(pool: list):
     return inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo
 
 
-def _uniform_columns(words: np.ndarray):
-    """Every row's uniforms, one (n,) column per ``next``: row i of column t is the
-    t-th ``random()`` draw of numpy's default generator for seed i.
+def _uniform_columns(shared: list, n: int):
+    """Every row's uniforms, one (n,) column per ``next``: row j of column t is the
+    t-th ``random()`` draw of numpy's default generator seeded ``[*shared, j]``.
 
-    ``words`` is the (n, w) uint32 array of every seed's entropy words (see
-    ``_seed_words``).  numpy fixes both algorithms, so all rows run at once:
+    ``shared`` holds the entropy words every row starts with (see ``_seed_words``);
+    they are hashed and mixed once, as scalars, and the row counter j is the
+    only per-row word.  numpy fixes both algorithms, so all rows run at once:
     SeedSequence mixes the words into a 4-word pool and expands it to four
     uint64 words; PCG64 (XSL-RR 128/64) seeds its 128-bit LCG from them; each
-    draw is one LCG step, the XSL-RR output x and ``(x >> 11) * 2**-53``.  A
-    word column equal on every row is hashed and mixed once, as a scalar.
+    draw is one LCG step, the XSL-RR output x and ``(x >> 11) * 2**-53``.
     """
-    n = len(words)
-    # n = 0 keeps its empty columns: there is no first row to share
-    columns = [col[0] if n and (col == col[0]).all() else col for col in words.T]
+    columns = [np.uint32(word) for word in shared] + [np.arange(n, dtype=np.uint32)]
     with np.errstate(over="ignore"):
+        # the counter is mixed into every pool word, so each LCG half is an (n,) array
         hi, lo, inc_hi, inc_lo = _pcg64_seeded(_mixed_pool(columns))
-    # rows that share every word seed scalars; the in-place steps need one state per row
-    hi, lo = (np.full(n, half, dtype=np.uint64) if np.ndim(half) == 0 else half for half in (hi, lo))
     scratch = np.empty((3, n), dtype=np.uint64)
     _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
     x, rot, low = scratch
@@ -798,9 +786,9 @@ def index_dtype(mdp: StagedMdp) -> np.dtype:
     return code_dtype(max(*mdp.stage_sizes, mdp.num_actions))
 
 
-def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Dataset:
-    """One trajectory per row of seed words, drawn stage-wise for all rows at once,
-    in its stored form (see ``Dataset``).
+def _sample(mdp: StagedMdp, policy: Policy, shared: list, n: int, featmap) -> Dataset:
+    """n trajectories, row j from the seed words ``[*shared, j]``, drawn stage-wise
+    for all rows at once, in their stored form (see ``Dataset``).
 
     Row j reads its seed's stream (``_uniform_columns``, one column per draw, so
     no (draws, n) table exists) in rollout order: per stage the action, the
@@ -814,9 +802,9 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
     indexed by ``s * A + a``, so a stage costs O(n * K) elementwise work.
     """
     _check_policy_shape(mdp, policy)
-    H, n, A = mdp.horizon, len(words), mdp.num_actions
+    H, A = mdp.horizon, mdp.num_actions
     bernoulli = mdp.reward_kind == "bernoulli-mean"
-    draws = _uniform_columns(words)
+    draws = _uniform_columns(shared, n)
     states = np.zeros((n, H + 1), dtype=index_dtype(mdp))
     actions = np.zeros((n, H + 1), dtype=index_dtype(mdp))
     rewards = [None] * H + [(np.zeros(1), np.zeros(n, dtype=np.int8))]  # the terminal stage pays 0.0
@@ -842,7 +830,7 @@ def _sample(mdp: StagedMdp, policy: Policy, words: np.ndarray, featmap) -> Datas
     del draws
     groups = []  # grouped by state: no (n, H, A, d) array is gathered
     for h in range(H):
-        first, by_state = _visited_states(states[:, h])
+        first, by_state = _factorize(states[:, h], mdp.stage_sizes[h])
         candidates = featmap.phi[h].take(states[first, h], axis=0)  # one block per visited state
         rep, rows = _byte_order(candidates)
         groups.append((candidates[rep], rows.astype(code_dtype(len(rep))).take(by_state)))
@@ -875,12 +863,13 @@ def sample_trajectories(mdp: StagedMdp, policy: Policy, n: int, seed, featmap) -
     default generator seeded ``[seed, j]`` (numpy keeps SeedSequence and PCG64
     stable), and all n streams run in one vectorised pass.  So a sample of n
     is, array by array, the first n rows of a larger one from the same seed.
-    ``n`` must pass ``trajectory_count``; every visited state's features come
-    from ``featmap`` (a ``FeatureMap``), grouped per stage (``visited_blocks``).
+    The words of ``seed`` are shared by every row and mixed once; the row
+    counter j is the only per-row seed word.  ``n`` must pass
+    ``trajectory_count``; every visited state's features come from
+    ``featmap`` (a ``FeatureMap``), grouped per stage (``visited_blocks``).
     """
     n = trajectory_count(n)
-    base = np.array(_seed_words(seed), dtype=np.uint32)
-    return _sample(mdp, policy, np.column_stack([np.tile(base, (n, 1)), np.arange(n, dtype=np.uint32)]), featmap)
+    return _sample(mdp, policy, _seed_words(seed), n, featmap)
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,10 @@ def _omega_block(feats: np.ndarray, panel: np.ndarray, params: SkipParams) -> np
 
 
 def omega_tables(guess: Guess, featmap, params: SkipParams) -> list:
-    """Per-stage skip-probability tables over all states; a guess with panels must
-    have the feature map's width."""
+    """Per-stage skip-probability tables over all states; the guess must have the
+    feature map's horizon and, if it has panels, its width."""
+    if guess.horizon != featmap.horizon:
+        raise ValidationError(f"horizon mismatch: guess horizon = {guess.horizon} but featmap.horizon = {featmap.horizon}")
     if guess.panels and guess.dim != featmap.d:
         raise ValidationError(f"dimension mismatch: guess dim = {guess.dim} but featmap.d = {featmap.d}")
     H = guess.horizon

@@ -173,3 +173,11 @@ def test_verify_all_passes(tmp_path, capsys):
 
 def test_unknown_inputs_fail_cleanly(tmp_path):
     assert main(["eval", "--outcome", str(tmp_path / "missing.json")]) == 2
+
+
+def test_negative_replicate_refused_by_name(tmp_path, config_file, capsys):
+    # used to print numpy's bare "expected non-negative integer"
+    out = tmp_path / "data.npz"
+    assert main(["collect", "--config", config_file, "--replicate", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --replicate must be >= 0, got -1\n"
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import tempfile
 import xml.etree.ElementTree as ET
 import zipfile
@@ -205,14 +206,33 @@ class TestConfig:
         ("data", "mix", True, "data.mix must be a real number, got True"),
         ("env", "reward_scale", "2", "env.reward_scale must be a real number, got '2'"),
         ("calibration", "delta", "0.05", "calibration.delta must be a real number, got '0.05'"),
+        ("guesses", "count", 2.0, "guesses.count must be an integer, got 2.0"),
+        ("guesses", "count", True, "guesses.count must be an integer, got True"),
+        ("sweep", "n_values", [100, "a"], "sweep.n_values[1] must be an integer, got 'a'"),
+        ("sweep", "n_values", [100.0], "sweep.n_values[0] must be an integer, got 100.0"),
+        ("sweep", "n_values", 100, "sweep.n_values must be a list, got 100"),
+        ("env", "stage_sizes", 4, "env.stage_sizes must be a list, got 4"),
     ])
     def test_ill_typed_settings_refused_by_name(self, section, key, value, match):
         # "enabled": "no" used to run with calibration on; 1.5 replicates raised a bare
         # TypeError with no pipeline stage, and true ran as 1 (a net of spacing 1.0, a
         # beta, a guess spread or an eps-greedy mix of 1.0); "beta": "10" raised a bare
-        # TypeError, and a string reward_scale or delta one only at stage gen-env or calibrate
+        # TypeError, and a string reward_scale or delta one only at stage gen-env or calibrate;
+        # a count of 2.0 failed only at stage prepare, n_values [100, "a"] built a config,
+        # and a scalar list field raised a bare TypeError
         doc = {key: value} if section is None else {section: {key: value}}
-        with pytest.raises(ValidationError, match=f"^{match}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, match", [
+        ([], "the config document must be a JSON object, got []"),
+        ({"env": 5}, "config section 'env' must be a JSON object, got 5"),
+        ({"learn": None}, "config section 'learn' must be a JSON object, got None"),
+        ({"sweep": [100]}, "config section 'sweep' must be a JSON object, got [100]"),
+    ])
+    def test_non_object_sections_refused_by_name(self, doc, match):
+        # [] used to raise an AttributeError and the others a bare TypeError
+        with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
             ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("spread", ["-0.3", "NaN", "Infinity"])

@@ -272,18 +272,12 @@ class TestTightness:
 
 
 class TestStackedKernels:
-    """The anchor distance and the chain's start values are stacked kernels; each
-    must equal the per-item numpy call it replaced bit for bit."""
+    """The chain's start values are a stacked kernel and must equal the per-member
+    numpy call it replaced bit for bit; the anchor distance must keep the bits of
+    its one-einsum reference over every shape."""
 
     @staticmethod
     def assert_distance_is_einsums(anchors, matrix, thetas):
-        # the stacked form is exact for outputs of more than two elements at every d,
-        # though _anchor_forms sends it only d = 2 or 3, m > 1 and 512 or more
-        diffs = thetas[:, None, :] - anchors[None, :, :]
-        want = np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
-        assert learner._anchor_forms(anchors, matrix, thetas).tobytes() == want.tobytes()
-        if thetas.shape[0] * anchors.shape[0] > 2:
-            assert learner._stacked_forms(anchors, matrix, thetas).tobytes() == want.tobytes()
         got = _anchor_distance(anchors, matrix, thetas)
         assert got.tobytes() == einsum_distance(anchors, matrix, thetas).tobytes()
 
@@ -291,15 +285,15 @@ class TestStackedKernels:
         seed=st.integers(0, 2**31 - 1),
         d=st.integers(1, 6),
         m=st.integers(1, 8),
-        rows=st.sampled_from(["one", "two", "three", "block", "block+1", "blocks+3"]),
+        rows=st.sampled_from(["one", "two", "three", "many", "many+1", "2 many+3"]),
         zeros=st.sampled_from(["none", "anchor rows", "coordinates", "signed"]),
         sign=st.sampled_from([1.0, -1.0]),
     )
     @settings(max_examples=200, deadline=None)
     def test_anchor_distance_matches_einsum(self, seed, d, m, rows, zeros, sign):
         rng = np.random.default_rng(seed)
-        step = max(1, learner.DISTANCE_BLOCK // (d * m))  # pool rows per block
-        p = {"one": 1, "two": 2, "three": 3, "block": step, "block+1": step + 1, "blocks+3": 2 * step + 3}[rows]
+        many = 188  # the pool size of a netted-sets stage set
+        p = {"one": 1, "two": 2, "three": 3, "many": many, "many+1": many + 1, "2 many+3": 2 * many + 3}[rows]
         scale = 10.0 ** rng.uniform(-2, 2)
         anchors = rng.normal(scale=scale, size=(m, d))
         thetas = rng.normal(scale=scale, size=(p, d))
@@ -319,8 +313,7 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_anchor_distance_of_small_outputs_matches_einsum(self, d):
-        # einsum adds a one- or two-element output's terms in its own order at d = 2;
-        # 511 and 512 outputs sit on either side of _anchor_forms' switch
+        # einsum adds a one- or two-element output's terms in its own order at d = 2
         rng = np.random.default_rng(d)
         for p, m in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (511, 1), (256, 2)] * 25:
             anchors, thetas = rng.normal(size=(m, d)), rng.normal(size=(p, d))
@@ -489,7 +482,7 @@ class TestVisitedBlocksShared:
     @pytest.fixture
     def groupings(self, monkeypatch):
         """The grouping passes: the caller of each ``mdp._factorize`` pass (per
-        stage one of the sampler's ``_visited_states`` and two of ``tail_paths``),
+        stage one of the sampler's ``_sample`` and two of ``tail_paths``),
         and the length of each ``np.unique`` sort of feature-block byte keys."""
         calls = {"passes": [], "block_sorts": []}
         factorize, unique = mdp_module._factorize, np.unique
@@ -516,7 +509,7 @@ class TestVisitedBlocksShared:
             guesses = guess_grid(guess, 0.3, count, seed=2)
             assert len(guesses) == count
             solve(ds, guesses, config, fm)
-            assert passes.count("_visited_states") == ds.horizon
+            assert passes.count("_sample") == ds.horizon
             assert passes.count("tail_paths") == 2 * ds.horizon
             assert len(passes) == 3 * ds.horizon
             assert ds.visited_blocks is ds.visited_blocks and ds.tail_paths is ds.tail_paths
@@ -526,7 +519,7 @@ class TestVisitedBlocksShared:
         mdp, fm, behavior, guess, config, _ = setup
         passes = groupings["passes"]
         calibrate(mdp, fm, behavior, guess, [200], config, replicates=2, delta=0.5, seed=19)
-        assert passes.count("_visited_states") == 2 * mdp.horizon
+        assert passes.count("_sample") == 2 * mdp.horizon
         assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
         assert len(passes) == 6 * mdp.horizon
 
@@ -536,7 +529,7 @@ class TestVisitedBlocksShared:
         mdp, fm, behavior, guess, config, _ = setup
         passes = groupings["passes"]
         grid = calibrate(mdp, fm, behavior, guess, [50, 200, 120], config, replicates=2, delta=0.5, seed=19)
-        assert passes.count("_visited_states") == 2 * mdp.horizon
+        assert passes.count("_sample") == 2 * mdp.horizon
         assert passes.count("tail_paths") == 2 * 2 * mdp.horizon
         assert len(passes) == 6 * mdp.horizon
         for n, got in zip([50, 200, 120], grid):
@@ -1137,6 +1130,35 @@ class TestDimensions:
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
             check_skip_realizability(mdp, fm, wide, behavior, lambda t, s: 0.0, 0, SkipParams(config.alpha, fm.d))
         omega_tables(zero_guess(1, 3), random_linear_mdp(2, 1, (1, 1), 2, seed=0)[1], SkipParams(config.alpha, 2))  # no panels to compare
+
+    @pytest.mark.parametrize("horizon", [2, 4])
+    def test_guess_horizon_mismatch_refused(self, setup, horizon):
+        # an H = 4 guess on H = 3 data used to solve silently from its first panels,
+        # and an H = 2 one to fail as an IndexError or "no panel at stage 2"
+        mdp, fm, behavior, guess, config, ds = setup
+        other = zero_guess(horizon, 2)
+        with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 1 horizon = {horizon} but featmap\.horizon = 3$"):
+            solve(ds, [guess, other], config, fm)
+        with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 0 horizon = {horizon} but dataset\.horizon = 3$"):
+            build_confidence_sets(ds, [other], config, covs(ds, config))
+        with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 0 horizon = {horizon} but dataset\.horizon = 3$"):
+            lstsq_anchor(ds, 0, other, np.zeros((mdp.horizon, 2)), config)
+        with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 0 horizon = {horizon} but featmap\.horizon = 3$"):
+            calibrate(mdp, fm, behavior, other, [50], config, replicates=2, delta=0.5, seed=0)
+        fm_other = random_linear_mdp(2, horizon, (1,) + (4,) * (horizon - 1) + (1,), mdp.num_actions, seed=0)[1]
+        with pytest.raises(ValidationError, match=rf"^horizon mismatch: dataset\.horizon = 3 but featmap\.horizon = {horizon}$"):
+            solve(ds, [guess], config, fm_other)
+
+    @pytest.mark.parametrize("horizon", [2, 4])
+    def test_oracle_guess_horizon_refused(self, setup, horizon):
+        # an H = 2 guess used to run skip_optimal_policy on the wrong omega tables
+        mdp, fm, behavior, guess, config, ds = setup
+        other = zero_guess(horizon, 2)
+        match = rf"^horizon mismatch: guess horizon = {horizon} but featmap\.horizon = 3$"
+        with pytest.raises(ValidationError, match=match):
+            skip_optimal_policy(mdp, fm, other, behavior, SkipParams(config.alpha, fm.d))
+        with pytest.raises(ValidationError, match=match):
+            omega_tables(other, fm, SkipParams(config.alpha, fm.d))
 
     def test_guess_without_panels_exempt(self):
         # with H = 1 a guess has no panels, so it carries no dimension to compare

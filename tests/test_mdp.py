@@ -33,10 +33,10 @@ from skiprl.mdp import (
 )
 
 
-def _uniforms(words, k):
-    """The first k columns of ``_uniform_columns(words)`` as an (n, k) array."""
-    draws = _uniform_columns(words)
-    return np.column_stack([next(draws) for _ in range(k)]).reshape(len(words), k)
+def _uniforms(shared, n, k):
+    """The first k columns of ``_uniform_columns(shared, n)`` as an (n, k) array."""
+    draws = _uniform_columns(shared, n)
+    return np.column_stack([next(draws) for _ in range(k)]).reshape(n, k)
 
 
 def inverse_cdf(cum, u):
@@ -432,33 +432,21 @@ class TestUniformsAgainstNumpy:
     @settings(max_examples=200, deadline=None)
     def test_one_seed_bit_for_bit(self, seed, k):
         # up to 6 parts of up to 4 words each runs the entropy past the 4-word pool
-        got = _uniforms(np.array([_seed_words(seed)], dtype=np.uint32), k)
-        np.testing.assert_array_equal(got[0], np.random.default_rng(seed).random(k))
+        got = _uniforms(_seed_words(seed), 1, k)
+        np.testing.assert_array_equal(got[0], np.random.default_rng([*seed, 0]).random(k))
 
     @given(
-        rows=st.integers(1, 8).flatmap(
-            lambda w: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=w, max_size=w), min_size=1, max_size=6)
-        ),
-        k=st.integers(1, 16),
+        shared=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+        n=st.integers(1, 6),
+        k=st.integers(1, 12),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_rows_are_independent_streams(self, rows, k):
-        got = _uniforms(np.array(rows, dtype=np.uint32), k)
-        want = np.array([np.random.default_rng(row).random(k) for row in rows])
-        np.testing.assert_array_equal(got, want)
-
-    @given(w=st.integers(1, 8), n=st.integers(1, 6), k=st.integers(1, 12), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_shared_leading_words(self, w, n, k, data):
-        # rows sharing their first 0..w words mix those words once, as scalars;
-        # n = 1 and rows that share every word never build a per-row column
-        shared = data.draw(st.integers(0, w))
-        word = st.integers(0, 2**32 - 1)
-        prefix = data.draw(st.lists(word, min_size=shared, max_size=shared))
-        rows = [prefix + data.draw(st.lists(word, min_size=w - shared, max_size=w - shared)) for _ in range(n)]
-        got = _uniforms(np.array(rows, dtype=np.uint32), k)
+    def test_shared_leading_words(self, shared, n, k):
+        # every row mixes the shared words as scalars and its own counter j;
+        # 4 or more shared words run the entropy past the 4-word pool
+        got = _uniforms(shared, n, k)
         assert got.shape == (n, k)
-        want = np.array([np.random.default_rng(row).random(k) for row in rows])
+        want = np.array([np.random.default_rng([*shared, j]).random(k) for j in range(n)])
         np.testing.assert_array_equal(got, want)
 
     def test_negative_part_raises_like_numpy(self, fixed_instance):
