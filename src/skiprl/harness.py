@@ -128,7 +128,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         counts = {"env.d": self.env.d, "env.horizon": self.env.horizon, "env.num_actions": self.env.num_actions,
-                  "env.seed": self.env.seed, "data.seed": self.data.seed, "guesses.seed": self.guesses.seed,
+                  "env.seed": self.env.seed, "data.n": self.data.n, "data.seed": self.data.seed,
+                  "guesses.seed": self.guesses.seed,
                   "guesses.count": self.guesses.count, "sweep.replicates": self.sweep.replicates,
                   "calibration.replicates": self.calibration.replicates,
                   "calibration.seed_offset": self.calibration.seed_offset, "policy_sample": self.policy_sample,
@@ -147,6 +148,9 @@ class ExperimentConfig:
             raise ValidationError(f"guesses.spread must be a finite number >= 0, got {self.guesses.spread!r}")
         if self.sweep.replicates < 1:
             raise ValidationError("replicate count must be >= 1")
+        for name in ("data.n", "guesses.count"):
+            if counts[name] < 1:
+                raise ValidationError(f"{name} must be >= 1, got {counts[name]!r}")
         values = list(self.sweep.n_values)
         if not values:
             raise ValidationError("sweep.n_values is empty; a sweep needs at least one n")
@@ -614,7 +618,7 @@ def _suite_skip_realizability(seed, instances=4, thetas=3):
         behavior = uniform_policy(mdp)
         policies = sample_policies(mdp, 40, int(rng.integers(0, 2**31)))
         guess = build_true_guess(mdp, featmap, policies)
-        params = SkipParams(alpha=float(rng.uniform(0.05, 0.9)), d=d)
+        params = SkipParams(alpha=float(rng.uniform(0.05, 0.9)))
         for _ in range(thetas):
             theta = rng.normal(size=d)
 

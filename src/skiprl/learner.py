@@ -59,8 +59,8 @@ class LearnerConfig:
     ``lam`` is the ridge weight of the stage covariances X_h = lam I + phi^T phi,
     ``beta`` the ellipsoid radius, ``eps_bar`` the tightness threshold,
     ``theta_radius`` the candidate-norm ball and ``alpha`` the skip threshold
-    of the guesses' skip probabilities (``SkipParams(alpha, d)``, with d the
-    data's feature width).  ``grid_per_stage`` is the candidate pool budget and
+    of the guesses' skip probabilities (``SkipParams(alpha)``, with d taken
+    from the features scored).  ``grid_per_stage`` is the candidate pool budget and
     ``combo_cap`` the number of tail combinations enumerated per stage (full
     enumeration below the cap, a uniform subsample seeded by ``seed`` and the
     stage above).  ``net_spacing`` optionally adds epsilon-net points to the pool.
@@ -99,17 +99,20 @@ class LearnerConfig:
 def _check_dims(guesses=(), featmap=None, dataset=None) -> None:
     """Refuse disagreeing horizons among ``featmap``, ``dataset`` and each guess, then
     disagreeing feature dimensions among ``featmap.d``, ``dataset.dim`` and each
-    guess's ``dim``; a guess without panels (H = 1) has no dimension."""
-    horizons, dims = [], []
+    guess's ``dim`` (a guess without panels, H = 1, has no dimension), then
+    disagreeing action counts of ``featmap`` and ``dataset``."""
+    horizons, dims, actions = [], [], []
     if featmap is not None:
         horizons.append(("featmap.horizon", featmap.horizon))
         dims.append(("featmap.d", featmap.d))
+        actions.append(("featmap action count", featmap.phi[0].shape[1]))
     if dataset is not None:
         horizons.append(("dataset.horizon", dataset.horizon))
         dims.append(("dataset.dim", dataset.dim))
+        actions.append(("dataset action count", dataset.visited_blocks[0][0].shape[1]))
     horizons.extend((f"guess {i} horizon", g.horizon) for i, g in enumerate(guesses))
     dims.extend((f"guess {i} dim", g.dim) for i, g in enumerate(guesses) if g.panels)
-    for what, named in (("horizon", horizons), ("dimension", dims)):
+    for what, named in (("horizon", horizons), ("dimension", dims), ("action count", actions)):
         for name, value in named[1:]:
             if value != named[0][1]:
                 raise ValidationError(f"{what} mismatch: {name} = {value} but {named[0][0]} = {named[0][1]}")
@@ -138,7 +141,7 @@ def greedy_policy(featmap: FeatureMap, thetas: np.ndarray) -> Policy:
 # covariances and anchors
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: field-wise == on arrays has no truth value
 class StageCovariance:
     """Stage-h data shared by every guess: the features of the actions taken,
     ``phi`` (n, d), X_h = lam I + phi^T phi with its cached inverse, and the
@@ -185,11 +188,6 @@ def stage_covariance(dataset: Dataset, h: int, lam: float) -> StageCovariance:
     return StageCovariance(phi=phi, matrix=lam * np.eye(d) + phi.T @ phi, lam=lam, pairs=pairs, codes=codes)
 
 
-def _stage_data(ds: Dataset, lam: float) -> list:
-    """``ds``'s H ``StageCovariance``s, one per stage."""
-    return [stage_covariance(ds, h, lam) for h in range(ds.horizon)]
-
-
 def _clipped_vbar_blocks(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
     """v-bar of each theta at the distinct visited feature blocks of stage h, shape (k, m)."""
     blocks, _ = dataset.visited_blocks[h]
@@ -214,7 +212,7 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     H = dataset.horizon
     if tail.shape != (H - h, dataset.dim):
         raise ValidationError(f"tail must supply one parameter for each of stages {h + 1}..{H}")
-    omega = dataset_omega(dataset, guess, SkipParams(config.alpha, dataset.dim))
+    omega = dataset_omega(dataset, guess, SkipParams(config.alpha))
     fvals = np.zeros((dataset.n, H - h))
     for i, u in enumerate(range(h + 1, H)):
         fvals[:, i] = _clipped_vbar_rows(dataset, u, tail[i : i + 1])[0]
@@ -268,8 +266,8 @@ class ConfidenceSets:
     Stage H is pinned to the singleton {0}.  ``empty_stage`` records the
     first stage (from the top of the backward pass) where no candidate
     survived, which signals infeasibility of the guess.  The X_h matrices
-    are not kept; they stay in the ``StageCovariance`` list the sets were
-    built from.
+    are not kept; each stage's ``StageCovariance`` is released once the
+    stage is built.
     """
 
     horizon: int
@@ -412,7 +410,6 @@ def build_confidence_sets(
     dataset: Dataset,
     guesses,
     config: LearnerConfig,
-    covs: list,
     extra_candidates: dict | None = None,
 ) -> list:
     """Backward construction of anchors, filtered candidate sets and their tightness,
@@ -427,8 +424,9 @@ def build_confidence_sets(
     distinct tails (``Dataset.tail_paths``), where ``_stage_sets`` solves the
     tail combos' ridges.
 
-    ``covs[h]`` is ``stage_covariance(dataset, h, config.lam)``.  Each stage's
-    pool is its anchors, then ``extra_candidates[h]``, then the epsilon-net
+    Stage h's ``stage_covariance`` is built when the pass reaches h and released
+    before stage h-1's is built, so one is alive at a time.  Each stage's pool
+    is its anchors, then ``extra_candidates[h]``, then the epsilon-net
     points, each row kept once by value (``_pool``); the ``grid_per_stage`` pool
     points nearest an anchor are kept and admitted when they lie in the
     theta_radius ball within beta of an anchor.  A stage's tightness scores its
@@ -439,7 +437,7 @@ def build_confidence_sets(
     """
     _check_dims(guesses, dataset=dataset)
     H, d = dataset.horizon, dataset.dim
-    skip = SkipParams(config.alpha, d)
+    skip = SkipParams(config.alpha)
     net = _net(config, d)
     net = None if net is None else _keyed(net)
     stage_sets = [[None] * H for _ in guesses]
@@ -470,12 +468,13 @@ def build_confidence_sets(
         if extra_candidates and h in extra_candidates:  # keyed with the net, extras first
             extras = np.asarray(extra_candidates[h], dtype=float).reshape(-1, d)
             fixed = _keyed(extras if net is None else np.vstack([extras, net[0]]))
+        cov = stage_covariance(dataset, h, config.lam)
         kept = []
         for indices, omega_tail, vbar_tail in groups:
             stop = stop_probabilities(_on_tails(omega_tail, at, len(first)))
             # C-contiguous (k_u, tails) rows, so that _combo_targets adds and gathers contiguous rows
             tail_vbar = [vals.take(blocks, axis=1) for vals, blocks in zip(vbar_tail, at)] + [terminal]
-            sets = _stage_sets(h, config, covs[h], back, stop, cumrew, tail_vbar, fixed)
+            sets = _stage_sets(h, config, cov, back, stop, cumrew, tail_vbar, fixed)
             for g in indices:
                 stage_sets[g][h] = sets
             if sets.members.shape[0] == 0:
@@ -483,12 +482,13 @@ def build_confidence_sets(
                     empty_stage[g] = h  # stages below h are never filled, so they stay None
                     tight[g] = []
                 continue
-            spread = tightness(covs[h], sets.members, H)
+            spread = tightness(cov, sets.members, H)
             for g in indices:
                 tight[g][h] = spread
             if h >= 1:
                 kept.append((indices, omega_tail, [_clipped_vbar_blocks(dataset, h, sets.members), *vbar_tail]))
         groups = kept
+        del cov
 
     return [ConfidenceSets(horizon=H, dim=d, stage_sets=s, tightness=t, empty_stage=e)
             for s, t, e in zip(stage_sets, tight, empty_stage)]
@@ -576,10 +576,10 @@ def _chain_from(sets: ConfidenceSets, featmap: FeatureMap):
 def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap) -> SolveOutcome:
     """Optimistic argmax over guesses and stage-0 candidates.
 
-    The stage data is built once, and one ``build_confidence_sets`` pass gives
-    every guess its confidence sets (guesses with equal skip suffixes share
-    their stage sets), which carry per-stage tightness; guesses exceeding
-    ``eps_bar`` at any stage (or with an empty stage) are rejected.
+    One ``build_confidence_sets`` pass gives every guess its confidence sets
+    (guesses with equal skip suffixes share their stage sets), which carry
+    per-stage tightness; guesses exceeding ``eps_bar`` at any stage (or with an
+    empty stage) are rejected.
     Among feasible guesses the largest clipped start-state estimate wins,
     with ties broken by guess order then member order.  Parameters at stages
     past the first are the first member of their set, and the output policy
@@ -589,9 +589,8 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
         raise ValidationError("at least one guess candidate is required")
     _check_dims(guesses, featmap=featmap, dataset=dataset)
     H = dataset.horizon
-    covs = _stage_data(dataset, config.lam)
     reports = []
-    for gi, sets in enumerate(build_confidence_sets(dataset, guesses, config, covs)):
+    for gi, sets in enumerate(build_confidence_sets(dataset, guesses, config)):
         feasible = sets.empty_stage is None and max(sets.tightness) <= config.eps_bar + MEMBER_TOL
         reports.append(GuessReport(index=gi, feasible=feasible, sets=sets))
 
@@ -615,7 +614,7 @@ def solve(dataset: Dataset, guesses, config: LearnerConfig, featmap: FeatureMap)
             net = _net(config, dataset.dim)
             extras = None if net is None else dict.fromkeys(range(H), net)
             admit_all = replace(config, beta=math.inf, theta_radius=math.inf, net_spacing=None)
-            (sets,) = build_confidence_sets(dataset, guesses[:1], admit_all, covs, extra_candidates=extras)
+            (sets,) = build_confidence_sets(dataset, guesses[:1], admit_all, extra_candidates=extras)
             chosen = 0
         thetas, vbar = _chain_from(sets, featmap)
 
@@ -692,9 +691,9 @@ class CalibrationResult:
     tightness_values: np.ndarray
 
 
-def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, config: LearnerConfig) -> float:
+def _own_tail_distance(ds: Dataset, guess: Guess, psi: np.ndarray, config: LearnerConfig) -> float:
     """max over stages h of ||lstsq_anchor(ds, h, guess, psi[h+1:]) - psi[h]||_{X_h}, bit for bit;
-    ``covs[h]`` is ``stage_covariance(ds, h, config.lam)``.
+    each stage's ``stage_covariance`` is released before the next one is built.
 
     omega and psi's v-bar are scored once per distinct visited block of each
     interior stage.  A stage-h target is elementwise in its row's tail
@@ -703,37 +702,39 @@ def _own_tail_distance(ds: Dataset, covs: list, guess: Guess, psi: np.ndarray, c
     """
     H = ds.horizon
     # per block of stages 1..H-1, so entries h: are those of stages h+1..H-1
-    skip = SkipParams(config.alpha, ds.dim)
+    skip = SkipParams(config.alpha)
     omega = [block_omega(ds, guess, u, skip) for u in range(1, H)]
     vbar = [_clipped_vbar_blocks(ds, u, psi[u : u + 1])[0] for u in range(1, H)]
     worst = 0.0
-    for h, cov in enumerate(covs):
+    for h in range(H):
         first, back = ds.tail_paths[h]
         at = [ds.visited_blocks[u][1][first].astype(np.intp) for u in range(h + 1, H)]
         stop = stop_probabilities(_on_tails(omega[h:], at, len(first)))
         cumrew = np.cumsum(ds.tail_rewards(first, h), axis=1)
         targets = targets_under_law(stop, cumrew, _on_tails(vbar[h:], at, len(first)))
+        cov = stage_covariance(ds, h, config.lam)
         worst = max(worst, cov.norm(cov.ridge(targets[back]) - psi[h]))
+        del cov
     return worst
 
 
 def _calibrate_at(pool: list, n: int, guess: Guess, psi: np.ndarray, config: LearnerConfig,
                   delta: float) -> CalibrationResult:
     """``calibrate``'s result at n from the first n rows of each held-out replicate of
-    ``pool`` (``Dataset.prefix``).  A replicate's stage data is built for the
-    pass that reads it and dropped before the next replicate's: once for the
-    own-tail distances, and again for the tightness pass, which needs beta from
-    every replicate first.  So at most H ``StageCovariance``s are alive at a time.
+    ``pool`` (``Dataset.prefix``).  Each pass builds a replicate's stage
+    covariances one stage at a time: once for the own-tail distances, and again
+    for the tightness pass, which needs beta from every replicate first.  So one
+    ``StageCovariance`` is alive at a time.
     """
     datasets = [ds.prefix(n) for ds in pool]
-    stats = np.array([_own_tail_distance(ds, _stage_data(ds, config.lam), guess, psi, config) for ds in datasets])
+    stats = np.array([_own_tail_distance(ds, guess, psi, config) for ds in datasets])
     beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
 
     extras = {h: psi[h][None, :] for h in range(pool[0].horizon)}
     cfg = replace(config, beta=beta)
     tight = np.zeros(len(pool))
     for c, ds in enumerate(datasets):
-        (sets,) = build_confidence_sets(ds, [guess], cfg, _stage_data(ds, config.lam), extra_candidates=extras)
+        (sets,) = build_confidence_sets(ds, [guess], cfg, extra_candidates=extras)
         if sets.empty_stage is not None:
             raise ValidationError(f"the true guess's confidence set is empty at stage {sets.empty_stage} on held-out "
                                   f"replicate {c} (theta_radius = {config.theta_radius:g}) at n = {n}; "
@@ -769,8 +770,8 @@ def calibrate(
     first n rows (``Dataset.prefix``), byte for byte a sample of n from that
     seed.  The pool holds each replicate in its stored form (``mdp.Dataset``),
     5H + 3 bytes per row when every code is int8, and each n builds one
-    replicate's stage data at a time (``_calibrate_at``), so the working set is
-    the pool plus H ``StageCovariance``s, not R * H.  The pool is dropped when
+    stage covariance at a time (``_calibrate_at``), so the working set is the
+    pool plus one ``StageCovariance``, not R * H.  The pool is dropped when
     the call returns.
 
     Every n must pass ``mdp.trajectory_count``, ``n_values`` must be nonempty,
@@ -788,7 +789,7 @@ def calibrate(
     n_values = [trajectory_count(n) for n in n_values]  # before slicing: a negative n would slice from the end
     if not n_values:
         raise ValidationError("calibration needs at least one n")
-    pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, SkipParams(config.alpha, featmap.d))
+    pistar, _ = skip_optimal_policy(mdp, featmap, guess, behavior, SkipParams(config.alpha))
     psi = np.ascontiguousarray(fit_policy_stack(mdp, featmap, [pistar]).theta[:, 0])
     pool = [sample_trajectories(mdp, behavior, max(n_values), [seed, c], featmap) for c in range(replicates)]
     return [_calibrate_at(pool, n, guess, psi, config, delta) for n in n_values]

@@ -28,7 +28,7 @@ from .mdp import (
     occupancy,
     optimal_policy,
 )
-from .skipping import SkipParams
+from .skipping import SkipParams, check_guess_fits
 
 
 @dataclass
@@ -233,18 +233,17 @@ class ContractError(ValueError):
 
 def guess_range(guess: Guess, featmap: FeatureMap, stage: int, state: int) -> float:
     """Surrogate range of a state under a guess, defined on stages 1..H-1: the max over
-    panel vectors and action pairs of the feature-difference score."""
+    panel vectors and action pairs of the feature-difference score.  The guess must
+    fit the feature map (``skipping.check_guess_fits``)."""
+    check_guess_fits(guess, featmap)
     if stage < 1 or stage >= guess.horizon:
         raise ValidationError(f"guess range is undefined at stage {stage}")
-    if guess.dim != featmap.d:
-        raise ValidationError(f"dimension mismatch: guess dim = {guess.dim} but featmap.d = {featmap.d}")
     scores = featmap.phi[stage][state] @ guess.panel(stage).T  # (A, k)
     return float((scores.max(axis=0) - scores.min(axis=0)).max())
 
 
-def probability_from_range(range_value: float, params: SkipParams) -> float:
-    """Piecewise skip probability: 1 below the threshold, 0 above twice it."""
-    t = params.threshold
+def probability_from_range(range_value: float, t: float) -> float:
+    """Piecewise skip probability: 1 below the threshold t, 0 above twice it."""
     if range_value <= t:
         return 1.0
     if range_value >= 2.0 * t:
@@ -253,10 +252,12 @@ def probability_from_range(range_value: float, params: SkipParams) -> float:
 
 
 def skip_probability(guess: Guess, featmap: FeatureMap, stage: int, state: int, params: SkipParams) -> float:
-    """Probability of skipping a state; zero at the start and terminal stages."""
+    """Probability of skipping a state; zero at the start and terminal stages.  The
+    guess must fit the feature map (``skipping.check_guess_fits``)."""
+    check_guess_fits(guess, featmap)
     if stage == 0 or stage >= guess.horizon:
         return 0.0
-    return probability_from_range(guess_range(guess, featmap, stage, state), params)
+    return probability_from_range(guess_range(guess, featmap, stage, state), params.threshold(featmap.d))
 
 
 @dataclass

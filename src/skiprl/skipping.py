@@ -21,20 +21,17 @@ from .mdp import Dataset, ValidationError
 
 @dataclass
 class SkipParams:
-    """Skip threshold alpha in (0, 1] and the ambient feature dimension."""
+    """Skip threshold alpha in (0, 1]; the width d comes from the features scored."""
 
     alpha: float
-    d: int
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must lie in (0, 1]")
-        if self.d < 1:
-            raise ValidationError("dimension must be >= 1")
 
-    @property
-    def threshold(self) -> float:
-        return self.alpha / np.sqrt(2.0 * self.d)
+    def threshold(self, d: int) -> float:
+        """The skip threshold alpha / sqrt(2 d) of width-d features."""
+        return self.alpha / np.sqrt(2.0 * d)
 
 
 def _omega_block(feats: np.ndarray, panel: np.ndarray, params: SkipParams) -> np.ndarray:
@@ -45,16 +42,20 @@ def _omega_block(feats: np.ndarray, panel: np.ndarray, params: SkipParams) -> np
     scores = feats @ panel.T  # (..., A, k)
     spread = scores.max(axis=-2)
     spread -= scores.min(axis=-2)
-    return np.clip(2.0 - spread.max(axis=-1) / params.threshold, 0.0, 1.0)
+    return np.clip(2.0 - spread.max(axis=-1) / params.threshold(feats.shape[-1]), 0.0, 1.0)
 
 
-def omega_tables(guess: Guess, featmap, params: SkipParams) -> list:
-    """Per-stage skip-probability tables over all states; the guess must have the
-    feature map's horizon and, if it has panels, its width."""
+def check_guess_fits(guess: Guess, featmap) -> None:
+    """Refuse a guess without the feature map's horizon or, if it has panels, its width."""
     if guess.horizon != featmap.horizon:
         raise ValidationError(f"horizon mismatch: guess horizon = {guess.horizon} but featmap.horizon = {featmap.horizon}")
     if guess.panels and guess.dim != featmap.d:
         raise ValidationError(f"dimension mismatch: guess dim = {guess.dim} but featmap.d = {featmap.d}")
+
+
+def omega_tables(guess: Guess, featmap, params: SkipParams) -> list:
+    """Per-stage skip-probability tables over all states (``check_guess_fits``)."""
+    check_guess_fits(guess, featmap)
     H = guess.horizon
     inner = [_omega_block(featmap.phi[stage], guess.panel(stage), params) for stage in range(1, H)]
     return [np.zeros(featmap.phi[0].shape[0]), *inner, np.zeros(featmap.phi[H].shape[0])]

@@ -3,7 +3,7 @@ import pytest
 
 from skiprl.design import guess_from_fit
 from skiprl.envs import FeatureMap, fit_policy_stack, random_linear_mdp, sample_policies
-from skiprl.learner import MEMBER_TOL, RADIUS_TOL
+from skiprl.learner import MEMBER_TOL, RADIUS_TOL, stage_covariance
 from skiprl.mdp import Dataset, StagedMdp, _byte_order
 
 
@@ -44,20 +44,20 @@ def dense_dataset(states, actions, rewards, features):
                              np.array([len(b) for b in blocks]), np.stack(codes, axis=1))
 
 
-def anchor_distance(sets, covs, h, theta) -> float:
+def anchor_distance(sets, ds, h, theta, lam) -> float:
     """min over stage h's anchors a of sqrt((theta - a)^T X_h (theta - a)), with X_h the
-    matrix of ``covs[h]``, one anchor at a time, without the learner's stacked
-    distance kernels."""
-    X = covs[h].matrix
+    matrix of ``stage_covariance(ds, h, lam)``, one anchor at a time, without the
+    learner's stacked distance kernels."""
+    X = stage_covariance(ds, h, lam).matrix
     return min(float(np.sqrt(max((theta - a) @ X @ (theta - a), 0.0))) for a in sets.stage_sets[h].anchors)
 
 
-def is_member(sets, covs, h, theta, config) -> bool:
-    """Whether ``theta`` passes stage h's ellipsoid test: inside the theta_radius ball and
-    within beta of an anchor in the metric of ``covs[h]``, with the learner's tolerances."""
+def is_member(sets, ds, h, theta, config) -> bool:
+    """Whether ``theta`` passes stage h's ellipsoid test on ``ds``: inside the theta_radius
+    ball and within beta of an anchor in the metric of X_h, with the learner's tolerances."""
     theta = np.asarray(theta, dtype=float)
     return (np.linalg.norm(theta) <= config.theta_radius + RADIUS_TOL
-            and anchor_distance(sets, covs, h, theta) <= config.beta + MEMBER_TOL)
+            and anchor_distance(sets, ds, h, theta, config.lam) <= config.beta + MEMBER_TOL)
 
 
 def zero_reward_mdp(rng, horizon=3):

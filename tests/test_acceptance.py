@@ -98,7 +98,7 @@ def test_criterion_2_exact_identities(acceptance_instance):
         anchor = lstsq_anchor(ds, h, inst.true_guess, tail, lc)
         from skiprl.skipping import batch_skip_targets, dataset_omega
 
-        omega = dataset_omega(ds, inst.true_guess, harness.SkipParams(lc.alpha, ds.dim))
+        omega = dataset_omega(ds, inst.true_guess, harness.SkipParams(lc.alpha))
         fvals = np.zeros((ds.n, H - h))
         for i, u in enumerate(range(h + 1, H)):
             fvals[:, i] = np.clip((ds.features[:, u] @ tail[i]).max(axis=1), 0.0, H)
@@ -123,7 +123,7 @@ def test_criterion_3_skip_realizability(small_linear_batch):
     worst = 0.0
     for mdp, featmap, _, guess in small_linear_batch:
         behavior = uniform_policy(mdp)
-        params = harness.SkipParams(alpha=0.2, d=featmap.d)
+        params = harness.SkipParams(alpha=0.2)
         for _ in range(5):
             theta = rng.normal(size=featmap.d)
 
@@ -152,7 +152,7 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
     cfg, inst = acceptance_config, acceptance_instance
     n = 5000
     lc, cal = harness.calibrated_config(cfg, inst, n)
-    skip = harness.SkipParams(lc.alpha, inst.featmap.d)
+    skip = harness.SkipParams(lc.alpha)
     pistar_G, _ = skip_optimal_policy(inst.mdp, inst.featmap, inst.true_guess, inst.behavior, skip)
     psi = fit_policy_stack(inst.mdp, inst.featmap, [pistar_G]).theta[:, 0]
     H = inst.mdp.horizon
@@ -160,11 +160,10 @@ def test_criterion_5_membership_and_feasibility(acceptance_config, acceptance_in
     passes = 0
     for r in range(20):
         ds = sample_trajectories(inst.mdp, inst.behavior, n, [cfg.data.seed, r], inst.featmap)
-        covs = [stage_covariance(ds, h, lc.lam) for h in range(H)]
-        (sets,) = build_confidence_sets(ds, [inst.true_guess], lc, covs, extra_candidates=extras)
+        (sets,) = build_confidence_sets(ds, [inst.true_guess], lc, extra_candidates=extras)
         if sets.empty_stage is not None:
             continue
-        member = all(is_member(sets, covs, h, psi[h], lc) for h in range(H))
+        member = all(is_member(sets, ds, h, psi[h], lc) for h in range(H))
         feasible = max(sets.tightness) <= lc.eps_bar + 1e-12
         passes += member and feasible
     elapsed = time.perf_counter() - t0

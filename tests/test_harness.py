@@ -212,6 +212,9 @@ class TestConfig:
         ("sweep", "n_values", [100.0], "sweep.n_values[0] must be an integer, got 100.0"),
         ("sweep", "n_values", 100, "sweep.n_values must be a list, got 100"),
         ("env", "stage_sizes", 4, "env.stage_sizes must be a list, got 4"),
+        ("guesses", "count", 0, "guesses.count must be >= 1, got 0"),
+        ("data", "n", 2.5, "data.n must be an integer, got 2.5"),
+        ("data", "n", 0, "data.n must be >= 1, got 0"),
     ])
     def test_ill_typed_settings_refused_by_name(self, section, key, value, match):
         # "enabled": "no" used to run with calibration on; 1.5 replicates raised a bare
@@ -219,7 +222,8 @@ class TestConfig:
         # beta, a guess spread or an eps-greedy mix of 1.0); "beta": "10" raised a bare
         # TypeError, and a string reward_scale or delta one only at stage gen-env or calibrate;
         # a count of 2.0 failed only at stage prepare, n_values [100, "a"] built a config,
-        # and a scalar list field raised a bare TypeError
+        # a scalar list field raised a bare TypeError, and a guess count of 0 and an n of
+        # 2.5 built a config
         doc = {key: value} if section is None else {section: {key: value}}
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
             ExperimentConfig.from_dict(doc)

@@ -39,7 +39,7 @@ from skiprl.learner import (
     tightness,
 )
 from skiprl.mdp import REWARD_KINDS, ValidationError, evaluate_policy, sample_trajectories, uniform_policy
-from skiprl.oracles import check_skip_realizability
+from skiprl.oracles import check_skip_realizability, guess_range, skip_probability
 from skiprl.skipping import SkipParams, dataset_omega, omega_tables, stop_probabilities
 
 
@@ -55,11 +55,6 @@ def setup(fixed_instance):
     config = LearnerConfig(lam=1.0, beta=5.0, eps_bar=1.0, theta_radius=100.0, alpha=0.2, seed=0)
     ds = sample_trajectories(mdp, behavior, 600, [3000, 0], fm)
     return mdp, fm, behavior, guess, config, ds
-
-
-def covs(ds, config):
-    """The per-stage data ``build_confidence_sets`` takes."""
-    return [stage_covariance(ds, h, config.lam) for h in range(ds.horizon)]
 
 
 class TestClippedEstimators:
@@ -160,7 +155,7 @@ class TestAnchor:
             anchor = lstsq_anchor(ds, h, guess, tail, config)
             from skiprl.skipping import batch_skip_targets, dataset_omega
 
-            omega = dataset_omega(ds, guess, SkipParams(config.alpha, ds.dim))
+            omega = dataset_omega(ds, guess, SkipParams(config.alpha))
             fvals = np.zeros((ds.n, H - h))
             for i, u in enumerate(range(h + 1, H)):
                 fvals[:, i] = np.clip((ds.features[:, u] @ tail[i]).max(axis=1), 0.0, H)
@@ -180,50 +175,48 @@ class TestAnchor:
 class TestConfidenceSets:
     def test_terminal_stage_is_zero_singleton(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        (sets,) = build_confidence_sets(ds, [guess], config, covs(ds, config))
+        (sets,) = build_confidence_sets(ds, [guess], config)
         np.testing.assert_array_equal(sets.members_at(mdp.horizon), np.zeros((1, 2)))
 
     def test_anchors_are_members(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        stage_covs = covs(ds, config)
-        (sets,) = build_confidence_sets(ds, [guess], config, stage_covs)
+        (sets,) = build_confidence_sets(ds, [guess], config)
         for h in range(mdp.horizon):
             for anchor in sets.stage_sets[h].anchors:
-                assert is_member(sets, stage_covs, h, anchor, config)
-                assert anchor_distance(sets, stage_covs, h, anchor) <= 1e-9
+                assert is_member(sets, ds, h, anchor, config)
+                assert anchor_distance(sets, ds, h, anchor, config.lam) <= 1e-9
 
     def test_tiny_radius_gives_empty_signal(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         strict = replace(config, theta_radius=1e-9)
-        (sets,) = build_confidence_sets(ds, [guess], strict, covs(ds, strict))
+        (sets,) = build_confidence_sets(ds, [guess], strict)
         assert sets.empty_stage is not None
         with pytest.raises(ValidationError):
             sets.members_at(0)
 
     def test_extras_join_when_close(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
+        pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha))
         psi = fit_policy_stack(mdp, fm, [pistar]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        stage_covs = covs(ds, config)
-        (sets,) = build_confidence_sets(ds, [guess], config, stage_covs, extra_candidates=extras)
+        (sets,) = build_confidence_sets(ds, [guess], config, extra_candidates=extras)
         for h in range(mdp.horizon):
             assert sets.empty_stage is None
-            if is_member(sets, stage_covs, h, psi[h], config):
+            if is_member(sets, ds, h, psi[h], config):
                 members = sets.members_at(h)
                 assert np.min(np.linalg.norm(members - psi[h], axis=1)) <= 1e-12
 
     def test_net_points_enter_pool(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         netted = replace(config, net_spacing=1.0, theta_radius=2.0, beta=1e9, grid_per_stage=40)
-        (sets,) = build_confidence_sets(ds, [guess], netted, covs(ds, netted))
+        (sets,) = build_confidence_sets(ds, [guess], netted)
         assert sets.members_at(0).shape[0] > sets.stage_sets[0].anchors.shape[0]
 
     def test_subsampled_combos_deterministic(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         cfg = replace(config, net_spacing=0.8, theta_radius=2.0, beta=1e9, grid_per_stage=12, combo_cap=5)
-        (a,) = build_confidence_sets(ds, [guess], cfg, covs(ds, cfg))
-        (b,) = build_confidence_sets(ds, [guess], cfg, covs(ds, cfg))
+        (a,) = build_confidence_sets(ds, [guess], cfg)
+        (b,) = build_confidence_sets(ds, [guess], cfg)
         for h in range(mdp.horizon):
             np.testing.assert_array_equal(a.stage_sets[h].anchors, b.stage_sets[h].anchors)
             np.testing.assert_array_equal(a.stage_sets[h].members, b.stage_sets[h].members)
@@ -373,12 +366,11 @@ class TestSolve:
     def test_optimism_against_skip_optimal_parameter(self, setup):
         # when psi_1(pi*_G) enters the candidate sets, the optimistic value dominates it
         mdp, fm, behavior, guess, config, ds = setup
-        pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
+        pistar, _ = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha))
         psi = fit_policy_stack(mdp, fm, [pistar]).theta[:, 0]
         extras = {h: psi[h][None, :] for h in range(mdp.horizon)}
-        stage_covs = covs(ds, config)
-        (sets,) = build_confidence_sets(ds, [guess], config, stage_covs, extra_candidates=extras)
-        assert is_member(sets, stage_covs, 0, psi[0], config)
+        (sets,) = build_confidence_sets(ds, [guess], config, extra_candidates=extras)
+        assert is_member(sets, ds, 0, psi[0], config)
         vals = [clipped_v(t, fm, 0, 0) for t in sets.members_at(0)]
         assert max(vals) >= clipped_v(psi[0], fm, 0, 0) - 1e-9
 
@@ -455,7 +447,7 @@ class TestSolve:
 class TestSkipOptimalPolicy:
     def test_consistent_with_its_own_evaluation(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
-        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
+        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha))
         again = evaluate_policy(mdp, pistar)
         for h in range(mdp.horizon + 1):
             np.testing.assert_allclose(vals.v[h], again.v[h], atol=1e-12)
@@ -464,13 +456,13 @@ class TestSkipOptimalPolicy:
         # zero guess: every interior range is 0, so omega = 1 and the policy
         # follows the behavior policy at interior stages
         mdp, fm, behavior, _, config, _ = setup
-        pistar, _ = skip_optimal_policy(mdp, fm, zero_guess(mdp.horizon, 2), behavior, SkipParams(config.alpha, fm.d))
+        pistar, _ = skip_optimal_policy(mdp, fm, zero_guess(mdp.horizon, 2), behavior, SkipParams(config.alpha))
         for h in range(1, mdp.horizon):
             np.testing.assert_allclose(pistar.tables[h], behavior.tables[h], atol=1e-12)
 
     def test_greedy_at_start(self, setup):
         mdp, fm, behavior, guess, config, _ = setup
-        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha, fm.d))
+        pistar, vals = skip_optimal_policy(mdp, fm, guess, behavior, SkipParams(config.alpha))
         assert pistar.tables[0][0].max() == 1.0
 
 
@@ -584,19 +576,20 @@ def einsum_distance(anchors, matrix, thetas):
     return np.sqrt(np.maximum(quad.min(axis=1), 0.0))
 
 
-def reference_sets(dataset, guess, config, covs, extra_candidates=None):
+def reference_sets(dataset, guess, config, extra_candidates=None):
     """The construction before tail grouping, target terms, block-coded tightness and
     the keyed pool: each combo's targets are stacked and summed on all n rows, the
     anchors and the pool are deduplicated with ``np.unique`` and tightness scores
-    every row.  Returns per stage ``(anchors, members)`` (None below an empty
+    every row.  Each stage's covariance comes from ``stage_covariance``.  Returns per stage ``(anchors, members)`` (None below an empty
     stage), the tightness list and the empty stage."""
     n, H, d = dataset.n, dataset.horizon, dataset.dim
-    omega = dataset_omega(dataset, guess, SkipParams(config.alpha, d))
+    omega = dataset_omega(dataset, guess, SkipParams(config.alpha))
     net = _net(config, d)
     sets, tight = [None] * H, [None] * H
     vbar_rows = [None] * (H + 1)
     vbar_rows[H] = np.zeros((1, n))
     for h in range(H - 1, -1, -1):
+        cov = stage_covariance(dataset, h, config.lam)
         counts = [vbar_rows[u].shape[0] for u in range(h + 1, H + 1)]
         picks = _tail_combos(counts, config.combo_cap, [config.seed, h])
         combos = list(itertools.product(*map(range, counts))) if picks is None else picks
@@ -609,7 +602,7 @@ def reference_sets(dataset, guess, config, covs, extra_candidates=None):
             # np.sum adds up to 7 columns left to right from +0.0 and longer rows
             # pairwise; those are added left to right, as ``skip_target`` does
             targets = np.sum(terms, axis=1) if H - h <= 7 else sum(terms.T, np.zeros(n))
-            anchors[ci] = covs[h].inv @ (covs[h].phi.T @ targets)
+            anchors[ci] = cov.inv @ (cov.phi.T @ targets)
         anchors = dedupe_reference(anchors)
         pool = [anchors]
         if extra_candidates and h in extra_candidates:
@@ -617,14 +610,14 @@ def reference_sets(dataset, guess, config, covs, extra_candidates=None):
         if net is not None:
             pool.append(net)
         pool = dedupe_reference(np.vstack(pool))
-        stats = einsum_distance(anchors, covs[h].matrix, pool)
+        stats = einsum_distance(anchors, cov.matrix, pool)
         order = np.lexsort((np.arange(pool.shape[0]), stats))[: config.grid_per_stage]
         pool, stats = pool[order], stats[order]
         members = pool[_admitted(pool, stats, config)]
         sets[h] = (anchors, members)
         if members.shape[0] == 0:
             return sets, [], h
-        scores = np.clip(covs[h].phi @ members.T, 0.0, H)
+        scores = np.clip(cov.phi @ members.T, 0.0, H)
         tight[h] = float(np.mean(scores.max(axis=1) - scores.min(axis=1)))
         if h >= 1:
             vbar_rows[h] = _clipped_vbar_rows(dataset, h, members)
@@ -652,9 +645,9 @@ def hand_built_dataset(rng, n, H, A, d):
     return dense_dataset(states, actions, rewards, feats)
 
 
-def assert_matches_reference(got, ds, guess, config, stage_covs, extras=None):
+def assert_matches_reference(got, ds, guess, config, extras=None):
     """One guess's ``ConfidenceSets`` equal ``reference_sets`` bit for bit."""
-    sets, tight, empty = reference_sets(ds, guess, config, stage_covs, extra_candidates=extras)
+    sets, tight, empty = reference_sets(ds, guess, config, extra_candidates=extras)
     assert got.empty_stage == empty
     assert np.array(got.tightness).tobytes() == np.array(tight).tobytes()
     for h, stage in enumerate(got.stage_sets):
@@ -672,9 +665,8 @@ class TestTailGrouping:
 
     @staticmethod
     def check(ds, guess, config, extras=None):
-        stage_covs = covs(ds, config)
-        (got,) = build_confidence_sets(ds, [guess], config, stage_covs, extra_candidates=extras)
-        assert_matches_reference(got, ds, guess, config, stage_covs, extras)
+        (got,) = build_confidence_sets(ds, [guess], config, extra_candidates=extras)
+        assert_matches_reference(got, ds, guess, config, extras)
         return got
 
     @staticmethod
@@ -758,11 +750,10 @@ class TestSuffixSharing:
 
     @staticmethod
     def check(ds, guesses, config, extras=None):
-        stage_covs = covs(ds, config)
-        got = build_confidence_sets(ds, guesses, config, stage_covs, extra_candidates=extras)
+        got = build_confidence_sets(ds, guesses, config, extra_candidates=extras)
         assert len(got) == len(guesses)
         for guess, sets in zip(guesses, got):
-            assert_matches_reference(sets, ds, guess, config, stage_covs, extras)
+            assert_matches_reference(sets, ds, guess, config, extras)
         return got
 
     @staticmethod
@@ -789,7 +780,7 @@ class TestSuffixSharing:
         mixed = Guess(horizon=3, panels=[grid[2].panels[0], grid[1].panels[1]], radius_bound=grid[1].radius_bound)
         guesses = [*grid, grid[3], mixed]
         got = self.check(ds, guesses, config)
-        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(config.alpha, ds.dim))
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(config.alpha))
         assert all(s is t for s, t in zip(got[0].stage_sets, got[len(grid) - 1].stage_sets))
         assert all(s is t for s, t in zip(got[3].stage_sets, got[len(grid)].stage_sets))
         assert got[-1].stage_sets[1] is got[1].stage_sets[1]
@@ -805,7 +796,7 @@ class TestSuffixSharing:
         cfg = replace(config, theta_radius=theta_radius)
         got = self.check(ds, guesses, cfg)
         assert {sets.empty_stage for sets in got} == empty
-        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(cfg.alpha, ds.dim))
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(cfg.alpha))
 
     @pytest.mark.parametrize("net_spacing, combo_cap", [(0.8, 5), (0.5, 64)])
     def test_netted_grid(self, setup, net_spacing, combo_cap):
@@ -815,7 +806,7 @@ class TestSuffixSharing:
         guesses = guess_grid(guess, 0.3, 8, seed=2)
         got = self.check(ds, guesses, cfg)
         assert max(s.members.shape[0] for sets in got for s in sets.stage_sets) > 1
-        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(cfg.alpha, ds.dim))
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(cfg.alpha))
 
     @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(REWARD_KINDS),
            multi=st.sampled_from(["net", "extras", "plain", "empty", "partial"]), combo_cap=st.sampled_from([1, 3, 64]))
@@ -837,17 +828,17 @@ class TestSuffixSharing:
             # a ball that holds the shared stage H-1 and passes through one of the lower
             # stages' unconstrained anchors empties some guesses' stages and not others'
             config = replace(config, beta=1e9)
-            free = build_confidence_sets(ds, guesses, config, covs(ds, config))
+            free = build_confidence_sets(ds, guesses, config)
             top = max(float(np.linalg.norm(free[0].stage_sets[-1].anchors, axis=1).max()), 1e-9)
             lower = sorted({float(x) for sets in free for s in sets.stage_sets[:-1]
                             for x in np.linalg.norm(s.anchors, axis=1) if x > top})
             config = replace(config, theta_radius=lower[int(rng.integers(0, len(lower)))] if lower else top)
         got = self.check(ds, guesses, config, extras)
-        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(config.alpha, ds.dim))
+        self.assert_shared_by_suffix(ds, guesses, got, SkipParams(config.alpha))
 
     def test_no_guesses(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
-        assert build_confidence_sets(ds, [], config, covs(ds, config)) == []
+        assert build_confidence_sets(ds, [], config) == []
 
 
 class CountingPhi(np.ndarray):
@@ -901,10 +892,14 @@ class TestStackedRidge:
         mdp, fm, behavior, guess, config, ds = setup
         if budget is not None:
             monkeypatch.setattr(learner, "RIDGE_BLOCK", budget)
-        stage_covs = covs(ds, config)
-        for cov in stage_covs:
-            cov.phi = cov.phi.view(CountingPhi)
         seen = []
+
+        def counting_covariance(*args):
+            cov = stage_covariance(*args)
+            cov.phi = cov.phi.view(CountingPhi)
+            return cov
+
+        monkeypatch.setattr(learner, "stage_covariance", counting_covariance)
         real = learner._stage_sets
 
         def counted(*args):
@@ -916,7 +911,7 @@ class TestStackedRidge:
         monkeypatch.setattr(learner, "_stage_sets", counted)
         monkeypatch.setattr(learner.StageCovariance, "ridge", None)  # the per-combo solve
         cfg = replace(self.netted(config, 64), grid_per_stage=8)
-        build_confidence_sets(ds, guess_grid(guess, 0.3, 8, seed=2), cfg, stage_covs)
+        build_confidence_sets(ds, guess_grid(guess, 0.3, 8, seed=2), cfg)
         block = math.ceil(learner.RIDGE_BLOCK / ds.n)
         for combos, products in seen:
             assert products == math.ceil(combos / block) <= math.ceil(combos * ds.n / learner.RIDGE_BLOCK)
@@ -970,9 +965,8 @@ class TestPoolRule:
             outcome = solve(ds, inst.guesses, config, inst.featmap)
         stages = [s for r in outcome.reports for s in r.sets.stage_sets]
         assert calls and any(s.anchors.shape[0] >= config.grid_per_stage for s in stages)
-        stage_covs = covs(ds, config)
         for guess, report in zip(inst.guesses[:4], outcome.reports):
-            assert_matches_reference(report.sets, ds, guess, config, stage_covs)
+            assert_matches_reference(report.sets, ds, guess, config)
 
     @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(REWARD_KINDS), multi=st.sampled_from(["net", "extras"]))
     @settings(max_examples=30, deadline=None)
@@ -987,7 +981,7 @@ class TestPoolRule:
         ds = sample_trajectories(mdp, uniform_policy(mdp), int(rng.integers(1, 200)), int(rng.integers(0, 2**31)), fm)
         config, extras = TestTailGrouping.config_for(rng, d, H, multi, 64)
         guess = random_guess(rng, H, d)
-        (free,) = build_confidence_sets(ds, [guess], replace(config, grid_per_stage=64), covs(ds, config),
+        (free,) = build_confidence_sets(ds, [guess], replace(config, grid_per_stage=64),
                                         extra_candidates=extras)
         m = max(s.anchors.shape[0] for s in free.stage_sets if s is not None)
         for grid in sorted({m - 1, m, m + 1} - {0}):
@@ -1099,7 +1093,7 @@ class TestDimensions:
         with pytest.raises(ValidationError, match=self.MISMATCH):
             lstsq_anchor(wide, 0, guess, np.zeros((mdp.horizon, 50)), config)
         with pytest.raises(ValidationError, match=self.MISMATCH):
-            build_confidence_sets(wide, [guess], config, covs(wide, config))
+            build_confidence_sets(wide, [guess], config)
 
     def test_featmap_dimension_mismatch_refused(self, setup):
         # a d = 3 feature map of the same shape used to fail inside numpy's matmul
@@ -1124,12 +1118,12 @@ class TestDimensions:
         mdp, fm, behavior, guess, config, ds = setup
         wide = zero_guess(mdp.horizon, 3)
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
-            skip_optimal_policy(mdp, fm, wide, behavior, SkipParams(config.alpha, fm.d))
+            skip_optimal_policy(mdp, fm, wide, behavior, SkipParams(config.alpha))
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
-            omega_tables(wide, fm, SkipParams(config.alpha, fm.d))
+            omega_tables(wide, fm, SkipParams(config.alpha))
         with pytest.raises(ValidationError, match=r"guess dim = 3 but featmap\.d = 2"):
-            check_skip_realizability(mdp, fm, wide, behavior, lambda t, s: 0.0, 0, SkipParams(config.alpha, fm.d))
-        omega_tables(zero_guess(1, 3), random_linear_mdp(2, 1, (1, 1), 2, seed=0)[1], SkipParams(config.alpha, 2))  # no panels to compare
+            check_skip_realizability(mdp, fm, wide, behavior, lambda t, s: 0.0, 0, SkipParams(config.alpha))
+        omega_tables(zero_guess(1, 3), random_linear_mdp(2, 1, (1, 1), 2, seed=0)[1], SkipParams(config.alpha))  # no panels to compare
 
     @pytest.mark.parametrize("horizon", [2, 4])
     def test_guess_horizon_mismatch_refused(self, setup, horizon):
@@ -1140,7 +1134,7 @@ class TestDimensions:
         with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 1 horizon = {horizon} but featmap\.horizon = 3$"):
             solve(ds, [guess, other], config, fm)
         with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 0 horizon = {horizon} but dataset\.horizon = 3$"):
-            build_confidence_sets(ds, [other], config, covs(ds, config))
+            build_confidence_sets(ds, [other], config)
         with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 0 horizon = {horizon} but dataset\.horizon = 3$"):
             lstsq_anchor(ds, 0, other, np.zeros((mdp.horizon, 2)), config)
         with pytest.raises(ValidationError, match=rf"^horizon mismatch: guess 0 horizon = {horizon} but featmap\.horizon = 3$"):
@@ -1151,14 +1145,30 @@ class TestDimensions:
 
     @pytest.mark.parametrize("horizon", [2, 4])
     def test_oracle_guess_horizon_refused(self, setup, horizon):
-        # an H = 2 guess used to run skip_optimal_policy on the wrong omega tables
+        # an H = 2 guess used to run skip_optimal_policy on the wrong omega tables, and
+        # the scalar chain took both: check_skip_realizability returned a slack of 4.4e-16
+        # (H = 2, stage 2 never skipped) and 6.7e-16 (H = 4)
         mdp, fm, behavior, guess, config, ds = setup
         other = zero_guess(horizon, 2)
         match = rf"^horizon mismatch: guess horizon = {horizon} but featmap\.horizon = 3$"
         with pytest.raises(ValidationError, match=match):
-            skip_optimal_policy(mdp, fm, other, behavior, SkipParams(config.alpha, fm.d))
+            skip_optimal_policy(mdp, fm, other, behavior, SkipParams(config.alpha))
         with pytest.raises(ValidationError, match=match):
-            omega_tables(other, fm, SkipParams(config.alpha, fm.d))
+            omega_tables(other, fm, SkipParams(config.alpha))
+        with pytest.raises(ValidationError, match=match):
+            check_skip_realizability(mdp, fm, other, behavior, lambda t, s: 0.0, 0, SkipParams(config.alpha))
+        with pytest.raises(ValidationError, match=match):
+            skip_probability(other, fm, 2, 0, SkipParams(config.alpha))
+        with pytest.raises(ValidationError, match=match):
+            guess_range(other, fm, 1, 0)
+
+    def test_action_count_mismatch_refused(self, setup):
+        # an A = 2 dataset against an A = 3 feature map used to solve into a 3-action policy
+        mdp, fm, behavior, guess, config, ds = setup
+        _, fm3 = random_linear_mdp(2, mdp.horizon, mdp.stage_sizes, 3, seed=0)
+        with pytest.raises(ValidationError, match=r"^action count mismatch: dataset action count = 2 but "
+                                                  r"featmap action count = 3$"):
+            solve(ds, [guess], config, fm3)
 
     def test_guess_without_panels_exempt(self):
         # with H = 1 a guess has no panels, so it carries no dimension to compare
@@ -1166,7 +1176,7 @@ class TestDimensions:
         rewards = np.array([[0.5, 0.0], [0.25, 0.0], [0.5, 0.0]])
         ds = dense_dataset(np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int), rewards, feats)
         config = LearnerConfig(lam=1.0, beta=1.0, eps_bar=1.0, theta_radius=10.0, alpha=0.5)
-        (sets,) = build_confidence_sets(ds, [zero_guess(1, 5)], config, covs(ds, config))
+        (sets,) = build_confidence_sets(ds, [zero_guess(1, 5)], config)
         assert sets.empty_stage is None
 
 
@@ -1179,8 +1189,8 @@ class TestCalibration:
         assert np.isfinite(cal.tightness_values).all()
 
     def test_stage_data_one_replicate_at_a_time(self, fixed_instance, monkeypatch):
-        # each pass builds a replicate's H stage objects and drops them before the next
-        # replicate's: never more than H alive, and 2H built per replicate per n
+        # each pass builds a replicate's H stage objects one stage at a time, each
+        # dropped before the next is built: one alive, and 2H built per replicate per n
         mdp, fm = fixed_instance
         H = mdp.horizon
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
@@ -1196,9 +1206,34 @@ class TestCalibration:
         monkeypatch.setattr(learner, "stage_covariance", tracked)
         grid, replicates = [50, 30], 3
         calibrate(mdp, fm, uniform_policy(mdp), guess, grid, config, replicates=replicates, delta=0.5, seed=3)
-        assert max(alive_at_build) == H
+        assert max(alive_at_build) == 1
         assert len(built) == 2 * H * replicates * len(grid)
-        assert [h for h, _ in built] == list(range(H)) * (2 * replicates * len(grid))
+        # the own-tail pass runs forward over the stages, the confidence sets backward
+        own_tail, backward = list(range(H)) * replicates, list(range(H - 1, -1, -1)) * replicates
+        assert [h for h, _ in built] == (own_tail + backward) * len(grid)
+
+    @pytest.mark.parametrize("entry", ["solve", "calibrate"])
+    def test_one_stage_covariance_alive_at_a_time(self, setup, monkeypatch, entry):
+        # a stage's covariance is built where the backward pass reads it and released
+        # before the next stage's; solve used to hold all H and calibrate a replicate's H
+        mdp, fm, behavior, guess, config, ds = setup
+        assert mdp.horizon >= 3
+        live, others = weakref.WeakSet(), []
+
+        def tracked(*args):
+            others.append(len(live))
+            cov = stage_covariance(*args)
+            live.add(cov)
+            return cov
+
+        monkeypatch.setattr(learner, "stage_covariance", tracked)
+        if entry == "solve":
+            solve(ds, guess_grid(guess, 0.3, 6, seed=2), config, fm)
+            builds = mdp.horizon
+        else:
+            calibrate(mdp, fm, behavior, guess, [200, 100], config, replicates=3, delta=0.5, seed=3)
+            builds = 2 * mdp.horizon * 3 * 2  # two passes per replicate per n
+        assert len(others) == builds and max(others) <= 1
 
     def test_grid_equals_one_n_calls(self, setup):
         # one sample at the largest n, sliced for the others, gives each n the
@@ -1254,17 +1289,24 @@ class TestCalibration:
 
 def calibrate_at_reference(pool, n, guess, psi, config, delta):
     """``learner._calibrate_at`` as it was when every held-out replicate's H stage
-    objects were built first and shared by the own-tail and tightness passes."""
+    objects were built first and shared by the own-tail and tightness passes: each
+    ``stage_covariance`` call reads a table built before either pass."""
     datasets = [ds.prefix(n) for ds in pool]
     H = pool[0].horizon
-    stage_data = [[stage_covariance(ds, h, config.lam) for h in range(H)] for ds in datasets]
-    stats = np.array([_own_tail_distance(ds, covs, guess, psi, config) for ds, covs in zip(datasets, stage_data)])
-    beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
-    extras = {h: psi[h][None, :] for h in range(H)}
-    cfg = replace(config, beta=beta)
+    built = {(id(ds), h): stage_covariance(ds, h, config.lam) for ds in datasets for h in range(H)}
+
+    def prebuilt(ds, h, lam):
+        assert lam == config.lam
+        return built[id(ds), h]
+
+    with mock.patch.object(learner, "stage_covariance", prebuilt):
+        stats = np.array([_own_tail_distance(ds, guess, psi, config) for ds in datasets])
+        beta = max(float(np.quantile(stats, 1.0 - delta, method="higher")), 1e-9)
+        extras = {h: psi[h][None, :] for h in range(H)}
+        cfg = replace(config, beta=beta)
+        sets_of = [build_confidence_sets(ds, [guess], cfg, extra_candidates=extras)[0] for ds in datasets]
     tight = np.zeros(len(pool))
-    for c, (ds, covs) in enumerate(zip(datasets, stage_data)):
-        (sets,) = build_confidence_sets(ds, [guess], cfg, covs, extra_candidates=extras)
+    for c, sets in enumerate(sets_of):
         if sets.empty_stage is not None:
             raise ValidationError(f"the true guess's confidence set is empty at stage {sets.empty_stage} on held-out "
                                   f"replicate {c} (theta_radius = {config.theta_radius:g}) at n = {n}; "
@@ -1337,4 +1379,4 @@ class TestOwnTailDistance:
         for h in range(H):
             cov = stage_covariance(ds, h, config.lam)
             want = max(want, cov.norm(lstsq_anchor(ds, h, guess, psi[h + 1 :], config) - psi[h]))
-        assert _own_tail_distance(ds, covs(ds, config), guess, psi, config) == want
+        assert _own_tail_distance(ds, guess, psi, config) == want

@@ -261,7 +261,7 @@ class TestSkipRealizability:
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 2, seed=3, reward_scale=0.0)
         behavior = uniform_policy(mdp)
         guess = zero_guess(3, 2)
-        params = SkipParams(alpha=0.3, d=2)
+        params = SkipParams(alpha=0.3)
         res = check_skip_realizability(mdp, fm, guess, behavior, lambda t, s: 0.0, 0, params)
         assert res <= 1e-12
 
@@ -271,7 +271,7 @@ class TestSkipRealizability:
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 3, 1), 2, seed=4)
         behavior = uniform_policy(mdp)
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 30, 0))
-        params = SkipParams(alpha=1e-9, d=2)
+        params = SkipParams(alpha=1e-9)
         theta = np.array([0.2, -0.4])
         f = lambda t, s: clipped_v(theta, fm, t, s)
         for h in range(mdp.horizon):
@@ -281,7 +281,7 @@ class TestSkipRealizability:
         mdp, fm = random_linear_mdp(2, 3, (1, 4, 4, 1), 2, seed=5)
         behavior = uniform_policy(mdp)
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
-        params = SkipParams(alpha=0.4, d=2)
+        params = SkipParams(alpha=0.4)
         rng = np.random.default_rng(9)
         for _ in range(3):
             theta = rng.normal(size=2)
@@ -302,7 +302,7 @@ class TestSkipRealizability:
             theta = rng.normal(size=2)
             f = lambda t, s: clipped_v(theta, fm, t, s)
             for guess, alpha in itertools.product(guess_grid(true, 0.3, 3, seed), (0.05, 0.4, 1.0)):
-                params = SkipParams(alpha=alpha, d=2)
+                params = SkipParams(alpha=alpha)
                 for h in range(H):
                     dp = expected_skip_target(mdp, fm, guess, behavior, f, h, params)
                     paths = _skip_target_by_paths(mdp, fm, guess, behavior, f, h, params)
@@ -314,7 +314,7 @@ class TestSkipRealizability:
         mdp, fm = random_linear_mdp(2, 9, (1, *[3] * 8, 1), 2, seed=14)
         behavior = uniform_policy(mdp)
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
-        params = SkipParams(alpha=0.4, d=2)
+        params = SkipParams(alpha=0.4)
         theta = np.array([0.6, -0.2])
         f = lambda t, s: clipped_v(theta, fm, t, s)
         for h in range(mdp.horizon):
@@ -326,7 +326,7 @@ class TestSkipRealizability:
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 10, 0))
         with pytest.raises(ValidationError):
             check_skip_realizability(
-                mdp, fm, guess, behavior, lambda t, s: 1.0, 0, SkipParams(alpha=0.3, d=2)
+                mdp, fm, guess, behavior, lambda t, s: 1.0, 0, SkipParams(alpha=0.3)
             )
 
     def test_expectation_matches_sampled_targets(self):
@@ -335,7 +335,7 @@ class TestSkipRealizability:
         mdp, fm = random_linear_mdp(2, 3, (1, 3, 3, 1), 2, seed=8)
         behavior = uniform_policy(mdp)
         guess = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
-        params = SkipParams(alpha=0.5, d=2)
+        params = SkipParams(alpha=0.5)
         theta = np.array([0.5, 0.1])
         f = lambda t, s: clipped_v(theta, fm, t, s)
         h, s, a = 0, 0, 1

@@ -70,21 +70,20 @@ class TestSkipProbability:
     def test_branch_boundaries_agree(self):
         # at r = t both the constant branch and the interpolation give 1;
         # at r = 2t both give 0
-        params = SkipParams(alpha=0.6, d=3)
-        t = params.threshold
-        assert probability_from_range(t, params) == pytest.approx(1.0, abs=1e-12)
-        assert probability_from_range(2 * t, params) == pytest.approx(0.0, abs=1e-12)
+        t = SkipParams(alpha=0.6).threshold(3)
+        assert probability_from_range(t, t) == pytest.approx(1.0, abs=1e-12)
+        assert probability_from_range(2 * t, t) == pytest.approx(0.0, abs=1e-12)
         assert 2.0 - t / t == pytest.approx(1.0)
         assert 2.0 - 2 * t / t == pytest.approx(0.0)
 
     def test_midpoint_interpolation(self):
-        params = SkipParams(alpha=0.4, d=2)
-        assert probability_from_range(1.5 * params.threshold, params) == pytest.approx(0.5, abs=1e-12)
+        t = SkipParams(alpha=0.4).threshold(2)
+        assert probability_from_range(1.5 * t, t) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_at_boundary_stages(self):
         fm = two_state_featmap(2, {1: 1.0})
         g = Guess.from_stage_vectors(2, 1, {1: [[2.0]]}, radius_bound=2.0)
-        params = SkipParams(alpha=0.5, d=1)
+        params = SkipParams(alpha=0.5)
         assert skip_probability(g, fm, 0, 0, params) == 0.0
         assert skip_probability(g, fm, 2, 0, params) == 0.0
 
@@ -96,15 +95,15 @@ class TestSkipProbability:
     )
     @settings(max_examples=200, deadline=None)
     def test_lipschitz_in_range(self, r1, r2, alpha, d):
-        params = SkipParams(alpha=alpha, d=d)
-        lhs = abs(probability_from_range(r1, params) - probability_from_range(r2, params))
+        t = SkipParams(alpha=alpha).threshold(d)
+        lhs = abs(probability_from_range(r1, t) - probability_from_range(r2, t))
         assert lhs <= np.sqrt(2 * d) / alpha * abs(r1 - r2) + 1e-12
 
     def test_alpha_domain(self):
         with pytest.raises(ValidationError):
-            SkipParams(alpha=0.0, d=2)
+            SkipParams(alpha=0.0)
         with pytest.raises(ValidationError):
-            SkipParams(alpha=1.5, d=2)
+            SkipParams(alpha=1.5)
 
 
 def single_path_mdp(horizon, rng=None, zero_rewards=False):
@@ -126,8 +125,8 @@ def one_path(mdp, seed):
 
 def make_omega_trajectory(horizon, omega_value, alpha=0.5):
     """Single-path MDP whose interior states all have skip probability omega_value."""
-    params = SkipParams(alpha=alpha, d=1)
-    t = params.threshold
+    params = SkipParams(alpha=alpha)
+    t = params.threshold(1)
     r = (2.0 - omega_value) * t  # inverts the interpolation branch
     fm = two_state_featmap(horizon, {stage: 1.0 for stage in range(1, horizon)})
     g = Guess.from_stage_vectors(horizon, 1, {stage: [[r]] for stage in range(1, horizon)}, radius_bound=max(r, 1e-9))
@@ -139,7 +138,7 @@ class TestStopDistribution:
         mdp, fm = fixed_instance
         g = build_true_guess(mdp, fm, sample_policies(mdp, 30, 0))
         # alpha tiny: every interior range is above twice the threshold
-        params = SkipParams(alpha=1e-9, d=2)
+        params = SkipParams(alpha=1e-9)
         states, _ = one_path(mdp, 1)
         for h in range(mdp.horizon):
             dist = stop_distribution(g, fm, states, h, params)
@@ -164,7 +163,7 @@ class TestStopDistribution:
         sizes = [1] + [int(rng.integers(1, 4)) for _ in range(H - 1)] + [1]
         mdp, fm = random_linear_mdp(d, H, sizes, 2, seed=int(rng.integers(0, 2**31)))
         g = build_true_guess(mdp, fm, sample_policies(mdp, 10, 0))
-        params = SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d)
+        params = SkipParams(alpha=float(rng.uniform(0.05, 1.0)))
         states, _ = one_path(mdp, int(rng.integers(0, 100)))
         for h in range(H):
             assert stop_distribution(g, fm, states, h, params).probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +210,7 @@ class TestSkipTarget:
     def test_value_within_bounds(self, fixed_instance):
         mdp, fm = fixed_instance
         g = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
-        params = SkipParams(alpha=0.3, d=2)
+        params = SkipParams(alpha=0.3)
         states, rewards = one_path(mdp, 11)
         f = lambda t, s: 0.0 if t == mdp.horizon else 1.5
         val = skip_target(g, fm, states, rewards, 0, f, params)
@@ -235,7 +234,7 @@ class TestBatchTargets:
     def test_batch_agrees_with_scalar(self, fixed_instance):
         mdp, fm = fixed_instance
         g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
-        params = SkipParams(alpha=0.25, d=2)
+        params = SkipParams(alpha=0.25)
         ds = sample_trajectories(mdp, uniform_policy(mdp), 64, 77, fm)
         self.assert_batch_equals_scalar(mdp, fm, g, params, ds, np.array([0.4, -0.2]), 7)
 
@@ -244,7 +243,7 @@ class TestBatchTargets:
         # the stage-order sum keeps the scalar oracle's bits on every row
         mdp, fm = random_linear_mdp(2, 9, (1,) + (4,) * 8 + (1,), 2, seed=7)
         g = build_true_guess(mdp, fm, sample_policies(mdp, 40, 0))
-        params = SkipParams(alpha=0.5, d=2)  # np.sum's pairwise order missed the oracle on 9 of 576 targets
+        params = SkipParams(alpha=0.5)  # np.sum's pairwise order missed the oracle on 9 of 576 targets
         ds = sample_trajectories(mdp, uniform_policy(mdp), 64, 7, fm)
         omega = dataset_omega(ds, g, params)
         assert ((omega[:, 1:9] > 0.0) & (omega[:, 1:9] < 1.0)).any()  # the laws spread over several stages
@@ -269,7 +268,7 @@ class TestBatchTargets:
     def test_dataset_omega_edges(self, fixed_instance):
         mdp, fm = fixed_instance
         g = build_true_guess(mdp, fm, sample_policies(mdp, 20, 0))
-        params = SkipParams(alpha=0.3, d=2)
+        params = SkipParams(alpha=0.3)
         ds = sample_trajectories(mdp, uniform_policy(mdp), 16, 5, fm)
         omega = dataset_omega(ds, g, params)
         assert np.all(omega[:, 0] == 0.0)
@@ -288,7 +287,7 @@ class TestOmegaAgainstScalar:
             sizes = [1] + [int(rng.integers(1, 6)) for _ in range(H - 1)] + [1]
             mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)))
             true_guess = build_true_guess(mdp, fm, sample_policies(mdp, 10, int(rng.integers(0, 2**31))))
-            params = SkipParams(alpha=float(1.0 - rng.uniform(0.0, 0.98)), d=d)
+            params = SkipParams(alpha=float(1.0 - rng.uniform(0.0, 0.98)))
             ds = sample_trajectories(mdp, uniform_policy(mdp), 12, int(rng.integers(0, 2**31)), fm)
             for g in guess_grid(true_guess, 0.5, 3, int(rng.integers(0, 2**31))):
                 tables = omega_tables(g, fm, params)
@@ -306,8 +305,8 @@ class TestOmegaAgainstScalar:
 
     def test_clip_pinned_at_branch_boundaries(self):
         # d=2, alpha=0.5: t = 0.25 exactly; stage s has range r_s exactly
-        params = SkipParams(alpha=0.5, d=2)
-        t = params.threshold
+        params = SkipParams(alpha=0.5)
+        t = params.threshold(2)
         assert t == 0.25
         ranges = {1: t, 2: 1.5 * t, 3: 2.0 * t}
         phi = [np.array([[[1.0, 0.0], [0.0, 0.0]]]) for _ in range(4)] + [np.zeros((1, 2, 2))]
@@ -329,7 +328,7 @@ def omega_all_rows(ds, guess, params):
     for stage in range(1, ds.horizon):
         scores = ds.features[:, stage] @ guess.panel(stage).T
         spread = (scores.max(axis=-2) - scores.min(axis=-2)).max(axis=-1)
-        omega[:, stage] = np.clip(2.0 - spread / params.threshold, 0.0, 1.0)
+        omega[:, stage] = np.clip(2.0 - spread / params.threshold(ds.dim), 0.0, 1.0)
     return omega
 
 
@@ -370,7 +369,7 @@ class TestDistinctBlocks:
             scale = float(np.exp(rng.uniform(-3.0, 1.0)))
             panels = [rng.normal(scale=scale, size=(panel_size(d), d)) for _ in range(H - 1)]
             guess = Guess(horizon=H, panels=panels, radius_bound=1e9)
-            params = SkipParams(alpha=float(rng.uniform(0.05, 1.0)), d=d)
+            params = SkipParams(alpha=float(rng.uniform(0.05, 1.0)))
             omega = dataset_omega(ds, guess, params)
             assert omega.tobytes() == omega_all_rows(ds, guess, params).tobytes()
             checked += int(((omega > 0.0) & (omega < 1.0)).sum())
