@@ -146,9 +146,8 @@ class ExperimentConfig:
             raise ValidationError(f"calibration.enabled must be true or false, got {self.calibration.enabled!r}")
         if not 0.0 <= self.guesses.spread < math.inf:  # also refuses NaN
             raise ValidationError(f"guesses.spread must be a finite number >= 0, got {self.guesses.spread!r}")
-        if self.sweep.replicates < 1:
-            raise ValidationError("replicate count must be >= 1")
-        for name in ("data.n", "guesses.count"):
+        for name in ("data.n", "guesses.count", "sweep.replicates", "calibration.replicates", "policy_sample", "env.d",
+                     "env.horizon", "env.num_actions"):
             if counts[name] < 1:
                 raise ValidationError(f"{name} must be >= 1, got {counts[name]!r}")
         values = list(self.sweep.n_values)

@@ -15,6 +15,8 @@ needed just to materialise the greedy policy over the full state space.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -42,6 +44,7 @@ from .skipping import (
     block_omega,
     dataset_omega,
     omega_tables,
+    stacked_block_omega,
     stop_probabilities,
     target_terms,
     targets_under_law,
@@ -49,7 +52,7 @@ from .skipping import (
 
 MEMBER_TOL = 1e-12
 RADIUS_TOL = 1e-9
-RIDGE_BLOCK = 1 << 13  # _stage_sets solves ceil(RIDGE_BLOCK / n) combos' (combos, n) target rows at once
+RIDGE_BLOCK = 1 << 13  # elements of a stacked array: a ridge solves ceil(RIDGE_BLOCK / n) combos' (combos, n) rows
 
 
 @dataclass
@@ -192,7 +195,7 @@ def _clipped_vbar_blocks(dataset: Dataset, h: int, thetas: np.ndarray) -> np.nda
     """v-bar of each theta at the distinct visited feature blocks of stage h, shape (k, m)."""
     blocks, _ = dataset.visited_blocks[h]
     scores = np.einsum("mad,kd->kma", blocks, thetas)
-    return np.clip(scores.max(axis=2), 0.0, dataset.horizon)
+    return scores.max(axis=2).clip(0.0, dataset.horizon)
 
 
 def _clipped_vbar_rows(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
@@ -219,13 +222,13 @@ def lstsq_anchor(dataset: Dataset, h: int, guess: Guess, theta_tail, config: Lea
     return stage_covariance(dataset, h, config.lam).ridge(batch_skip_targets(dataset.rewards, omega, fvals, h))
 
 
-def _on_tails(per_block, at, tails: int) -> np.ndarray:
-    """(tails, len(at) + 1) values at a stage's distinct tails: column i is the
-    per-block array ``per_block[i]`` of stage h+1+i gathered to the tails' blocks
-    ``at[i]`` there, and the last column, the terminal stage, is zero."""
-    out = np.zeros((tails, len(at) + 1))
+def _on_tails(per_block, at, tails: int, lead: tuple = ()) -> np.ndarray:
+    """(*lead, tails, len(at) + 1) values at a stage's distinct tails: column i is the
+    per-block array ``per_block[i]`` (*lead, m) of stage h+1+i gathered to the tails'
+    blocks ``at[i]`` there, and the last column, the terminal stage, is zero."""
+    out = np.zeros((*lead, tails, len(at) + 1))
     for i, (vals, blocks) in enumerate(zip(per_block, at)):
-        out[:, i] = vals[blocks]
+        out[..., i] = vals.take(blocks, axis=-1)
     return out
 
 
@@ -246,15 +249,19 @@ class StageSets:
                 "combos": self.combos, "subsampled": self.subsampled, "tails": self.tails}
 
 
-def _anchor_distance(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """min over anchors of the X_h-distance (``matrix`` is X_h) to each row of ``thetas``, shape (p,)."""
+def _anchor_distance(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray, starts=None) -> np.ndarray:
+    """min over anchors of the X_h-distance (``matrix`` is X_h) to each row of ``thetas``, shape (p,);
+    with ``starts``, the anchors are consecutive sets that begin at those rows and the
+    minimum is taken per set, shape (p, sets)."""
     diffs = thetas[:, None, :] - anchors[None, :, :]
-    return np.sqrt(np.maximum(np.einsum("pmd,de,pme->pm", diffs, matrix, diffs).min(axis=1), 0.0))
+    quad = np.einsum("pmd,de,pme->pm", diffs, matrix, diffs)
+    return np.sqrt(np.maximum(quad.min(axis=1) if starts is None else np.minimum.reduceat(quad, starts, axis=1), 0.0))
 
 
 def _admitted(thetas: np.ndarray, stats: np.ndarray, config: LearnerConfig) -> np.ndarray:
-    """Rows inside the theta_radius ball whose anchor distance is at most beta."""
-    return (np.linalg.norm(thetas, axis=1) <= config.theta_radius + RADIUS_TOL) & (
+    """Rows inside the theta_radius ball whose anchor distance is at most beta; the norms are
+    ``np.linalg.norm(thetas, axis=1)``'s own sums, without its argument handling."""
+    return (np.sqrt(np.add.reduce(thetas * thetas, axis=1)) <= config.theta_radius + RADIUS_TOL) & (
         stats <= config.beta + MEMBER_TOL
     )
 
@@ -291,7 +298,7 @@ def _row_keys(arr: np.ndarray) -> list:
     if arr.dtype.kind == "f":
         arr = arr + 0.0
     arr = np.ascontiguousarray(arr)
-    return arr.view(np.dtype((np.void, arr.dtype.itemsize * arr.shape[1]))).ravel().tolist()
+    return arr.view(f"V{arr.dtype.itemsize * arr.shape[1]}").ravel().tolist()
 
 
 def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
@@ -309,19 +316,6 @@ def _keyed(points: np.ndarray):
     """``points`` without repeated rows, and a dict from each kept row's key to its index."""
     points = _dedupe_rows(points)
     return points, {key: i for i, key in enumerate(_row_keys(points))}
-
-
-def _pool(anchors: np.ndarray, fixed) -> np.ndarray:
-    """A stage's candidate pool: its distinct ``anchors``, then the ``fixed``
-    candidates that equal no anchor, in order.  ``fixed`` is ``_keyed`` (its
-    points and their key index) or None, so these are the rows of
-    ``_dedupe_rows(np.vstack([anchors, fixed points]))`` and a stage looks up
-    only its anchors."""
-    if fixed is None:
-        return anchors
-    points, index = fixed
-    taken = [index[key] for key in _row_keys(anchors) if key in index]
-    return np.vstack([anchors, np.delete(points, taken, axis=0) if taken else points])
 
 
 def _tail_combos(counts, cap: int, rng_seed):
@@ -364,46 +358,210 @@ def _combo_targets(terms, picks, step: int):
 
 def _net(config: LearnerConfig, d: int):
     """The epsilon-net pool points of the theta_radius ball, or None without ``net_spacing``."""
-    return None if config.net_spacing is None else epsilon_net(config.theta_radius, d, config.net_spacing)
+    return None if config.net_spacing is None else _keyed_net(config.theta_radius, d, config.net_spacing)[0]
 
 
-def _stage_sets(h: int, config: LearnerConfig, cov: StageCovariance, back, stop, cumrew, tail_vbar,
-                fixed) -> StageSets:
-    """Stage h's anchors and admitted members for one skip suffix.
+@functools.cache
+def _keyed_net(theta_radius: float, d: int, net_spacing: float):
+    """``_keyed`` of the epsilon net of one setting, built once per setting; the points are read-only."""
+    points, index = _keyed(epsilon_net(theta_radius, d, net_spacing))
+    points.setflags(write=False)
+    return points, index
 
-    ``stop`` and ``cumrew`` are the stopping law and accumulated rewards of the
-    stage's distinct tails, ``tail_vbar`` the tails' v-bar values at stages
-    h+1..H, one (k_u, tails) array per stage, and ``back`` each row's tail
-    (``dataset.tail_paths[h]``).  Each member's target term at each later stage
-    is computed once (``skipping.target_terms``); a combo adds its members'
-    terms in stage order (``_combo_targets``).  The anchors are one stacked
-    ridge per block of ceil(``RIDGE_BLOCK`` / n) combos: the targets are
-    gathered to C-contiguous (combos, n) rows with ``take(back, axis=1)`` (over
-    F-strided ones the stacked product can move the last bits) and solved as
-    ``cov.inv @ (cov.phi.T @ rows[:, :, None])``, one gemv per combo, the
-    products ``cov.ridge`` makes.  ``fixed`` is as in ``_pool``; when it is None
-    or the distinct anchors number at least ``grid_per_stage``, the kept rows
-    are the first ``grid_per_stage`` anchors, each at distance 0 from itself,
-    and the pool is not scored.
+
+def _stack(arrays) -> np.ndarray:
+    """The rows of the arrays ``arrays`` in one array; a lone array comes back as is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _runs(sizes, width: int) -> list:
+    """Consecutive runs, (start, stop) index pairs, of items of ``sizes`` rows of ``width``
+    elements each: an item joins a run while the run's rows fit in ``RIDGE_BLOCK``
+    elements, and an item larger than that is a run alone."""
+    runs, start, rows = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and (rows + size) * width > RIDGE_BLOCK:
+            runs.append((start, i))
+            start, rows = i, 0
+        rows += size
+    if sizes:
+        runs.append((start, len(sizes)))
+    return runs
+
+
+def _in_blocks(pieces, step: int):
+    """The rows of the 2-D arrays ``pieces``, in order, in blocks of ``step`` rows (the
+    last may hold fewer); a piece that makes a whole block alone passes as is."""
+    held, count = [], 0
+    for piece in pieces:
+        if not count and len(piece) == step:
+            yield piece
+            continue
+        while len(piece):
+            room = step - count
+            held.append(piece[:room])
+            count += len(held[-1])
+            piece = piece[room:]
+            if count == step:
+                yield _stack(held)
+                held, count = [], 0
+    if held:
+        yield _stack(held)
+
+
+def _split(dataset: Dataset, guesses, groups, stage: int, skip: SkipParams) -> list:
+    """``groups`` split by the bytes of their guesses' ``block_omega`` at ``stage``, all
+    scored in one product (``stacked_block_omega``); each subgroup, in the order of
+    its first guess, puts its omega row in front of its group's suffix."""
+    live = [g for indices, _, _ in groups for g in indices]
+    rows = iter(stacked_block_omega(dataset, [guesses[g] for g in live], stage, skip))
+    split = []
+    for indices, omega_tail, vbar_tail in groups:
+        by_omega = {}
+        for g, omega in zip(indices, rows):
+            by_omega.setdefault(omega.tobytes(), (omega, []))[1].append(g)
+        split.extend((sub, [omega, *omega_tail], vbar_tail) for omega, sub in by_omega.values())
+    return split
+
+
+def _stage_targets(groups, batches, at, cumrew, picks, step: int):
+    """The tail targets of stage h's combos, group after group, in blocks of at most
+    ``step`` combos (``_combo_targets``); ``picks[j]`` is group j's ``_tail_combos``.
+
+    Each batch (``batches``) has one stopping law (G, tails, H-h) and one term
+    array per later stage (``skipping.target_terms``), its groups' members' rows
+    in turn; a group's combos add its slices.  Every step is elementwise, so each
+    slice has the bits of the group's own terms.
     """
-    picks = _tail_combos([vals.shape[0] for vals in tail_vbar], config.combo_cap, [config.seed, h])
-    terms = target_terms(stop, cumrew, tail_vbar)
-    step = -(-RIDGE_BLOCK // len(back))
-    solved = [(cov.inv @ (cov.phi.T @ targets.take(back, axis=1)[:, :, None]))[..., 0]
-              for targets in _combo_targets(terms, picks, step)]
-    anchors = _dedupe_rows(np.concatenate(solved))
+    tails = cumrew.shape[0]
+    terminal = np.zeros((1, tails))
+    for start, stop in batches:
+        batch = groups[start:stop]
+        if len(batch) == 1:  # a lone group's law broadcasts over its members' rows
+            ((_, omega_tail, vbar_tail),) = batch
+            fvals = [vals.take(blocks, axis=1) for vals, blocks in zip(vbar_tail, at)] + [terminal]
+            terms = target_terms(stop_probabilities(_on_tails(omega_tail, at, tails)).T, cumrew, fvals)
+            yield from _combo_targets(terms, picks[start], step)
+            continue
+        law = stop_probabilities(_on_tails([np.stack(rows) for rows in zip(*[omega for _, omega, _ in batch])],
+                                           at, tails, (len(batch),)))
+        vbar = list(zip(*[vbar_tail for _, _, vbar_tail in batch]))  # per later stage, each group's (k, m) v-bar
+        counts = [[len(vals) for vals in per_stage] for per_stage in vbar] + [[1] * len(batch)]
+        # C-contiguous (members, tails) rows, so that _combo_targets adds and gathers contiguous rows
+        fvals = [_stack(per_stage).take(blocks, axis=1) for per_stage, blocks in zip(vbar, at)] + [terminal]
+        weights = [law[:, :, i] if max(ks) == 1 else np.repeat(law[:, :, i], ks, axis=0) for i, ks in enumerate(counts)]
+        terms = target_terms(weights, cumrew, fvals)
+        ends = [list(itertools.accumulate(ks)) for ks in counts]
+        for j in range(len(batch)):
+            yield from _combo_targets([term[e[j] - ks[j] : e[j]] for term, e, ks in zip(terms, ends, counts)],
+                                      picks[start + j], step)
 
+
+def _candidate_stats(anchor_sets, matrix: np.ndarray, points: np.ndarray, taken) -> np.ndarray:
+    """(sets, p + 1) anchor distances (``_anchor_distance``) from each of ``points`` to
+    each of ``anchor_sets``, then a column of 0.0, the anchors' own distance; the
+    points ``taken[s]``, equal to one of set s's anchors, are left unscored.
+
+    Runs of sets whose (p, anchors) output fits in ``RIDGE_BLOCK`` elements share
+    one einsum.  einsum sums an output of at most two elements in another order
+    (seen at d = 2), so a set whose own pool, its anchors then its free points,
+    gives such an output, or whose run would, is scored alone on that pool.
+    """
+    p = len(points)
+    dist = np.zeros((len(anchor_sets), p + 1))
+    stacked, alone = [], []
+    for s, (anchors, cols) in enumerate(zip(anchor_sets, taken)):
+        free = p - len(cols)
+        if free:
+            (alone if (len(anchors) + free) * len(anchors) <= 2 else stacked).append(s)
+    for a, b in _runs([len(anchor_sets[s]) for s in stacked], p):
+        run = stacked[a:b]
+        anchors = _stack([anchor_sets[s] for s in run])
+        if p * len(anchors) <= 2:
+            alone += run
+            continue
+        starts = list(itertools.accumulate([len(anchor_sets[s]) for s in run[:-1]], initial=0))
+        dist[run, :p] = _anchor_distance(anchors, matrix, points, starts).T
+    for s in alone:
+        cols = [c for c in range(p) if c not in taken[s]] if taken[s] else slice(p)
+        m = len(anchor_sets[s])
+        dist[s, cols] = _anchor_distance(anchor_sets[s], matrix, np.vstack([anchor_sets[s], points[cols]]))[m:]
+    return dist
+
+
+def _batch_sets(solved: np.ndarray, made, fixed, matrix: np.ndarray, config: LearnerConfig, tails: int):
+    """The ``StageSets`` of a batch of groups from their combos' anchors ``solved``, group
+    after group (``made``: each group's combo count and subsampled flag); also all
+    their members in one array, and each group's member count.
+
+    A group's anchors are its distinct solved rows.  With at least
+    ``grid_per_stage`` of them, or no ``fixed`` candidates, it keeps its first
+    ``grid_per_stage`` anchors, each at distance 0 from itself.  Otherwise it keeps
+    its anchors, then the ``grid_per_stage`` - m candidates equal to none of them
+    nearest an anchor (``_candidate_stats``), ties by order: the rows that sorting
+    its pool, the anchors then those candidates, would keep.
+    """
     keep = config.grid_per_stage
-    if fixed is None or anchors.shape[0] >= keep:
-        pool, stats = anchors[:keep], 0.0
+    keys = _row_keys(solved)
+    firsts, kept, start = [], [], 0
+    for combos, _ in made:
+        first = {}
+        for i in range(start, start + combos):
+            first.setdefault(keys[i], i)
+        firsts.append(first)
+        kept += first.values()
+        start += combos
+    distinct = solved if len(kept) == len(solved) else solved[kept]
+    if len(made) == 1:  # a lone group scores its own pool: its anchors, then its free candidates
+        anchors = distinct
+        if fixed is None or len(anchors) >= keep:
+            pool, stats = anchors[:keep], 0.0
+        else:
+            points, index = fixed
+            taken = [index[key] for key in firsts[0] if key in index]
+            pool = np.vstack([anchors, np.delete(points, taken, axis=0) if taken else points])
+            stats = _anchor_distance(anchors, matrix, pool)
+            order = np.argsort(stats, kind="stable")[:keep]  # ties by pool order
+            pool, stats = pool[order], stats[order]
+        members = pool[_admitted(pool, stats, config)]
+        ((combos, subsampled),) = made
+        return [StageSets(anchors, members, combos, subsampled, tails)], members, [len(members)]
+    begins = list(itertools.accumulate(map(len, firsts), initial=0))
+    short = [] if fixed is None else [j for j, first in enumerate(firsts) if len(first) < keep]
+    picked = {}
+    if short:
+        points, index = fixed
+        p = len(points)
+        taken = [[index[key] for key in firsts[j] if key in index] for j in short]
+        dist = _candidate_stats([distinct[begins[j] : begins[j + 1]] for j in short], matrix, points, taken)
+        if any(taken):  # each set's taken points sort last
+            masked = np.zeros((len(short), p), dtype=bool)
+            masked[[s for s, cols in enumerate(taken) for _ in cols], [c for cols in taken for c in cols]] = True
+            order = np.lexsort((dist[:, :p], masked))
+        else:
+            order = np.argsort(dist[:, :p], axis=1, kind="stable")
+        for s, (j, cols, ranked) in enumerate(zip(short, taken, order[:, :keep].tolist())):
+            picked[j] = [(s * (p + 1) + c, len(distinct) + c) for c in ranked[: min(keep - len(firsts[j]), p - len(cols))]]
+    rows, at, ends = [], [], [0]  # each group's pool rows in distinct + points, and their stats in dist's cells
+    for j, (a, b) in enumerate(itertools.pairwise(begins)):
+        rows += range(a, min(b, a + keep))
+        at += [p] * (len(rows) - len(at)) if short else ()  # dist's cell p holds 0.0
+        for cell, row in picked.get(j, ()):
+            rows.append(row)
+            at.append(cell)
+        ends.append(len(rows))
+    if short:
+        pool, stats = np.concatenate([distinct, points])[rows], dist.ravel()[at]
     else:
-        pool = _pool(anchors, fixed)
-        stats = _anchor_distance(anchors, cov.matrix, pool)
-        order = np.lexsort((np.arange(pool.shape[0]), stats))[:keep]
-        pool, stats = pool[order], stats[order]
-    members = pool[_admitted(pool, stats, config)]
-    return StageSets(anchors=anchors, members=members, combos=sum(map(len, solved)), subsampled=picks is not None,
-                     tails=stop.shape[0])
+        pool, stats = (distinct if len(rows) == len(distinct) else distinct[rows]), 0.0
+    flags = _admitted(pool, stats, config)
+    members = pool[flags]
+    flags = flags.tolist()
+    bounds = list(itertools.accumulate((sum(flags[a:b]) for a, b in itertools.pairwise(ends)), initial=0))
+    sets = [StageSets(anchors=distinct[begins[j] : begins[j + 1]], members=members[bounds[j] : bounds[j + 1]],
+                      combos=combos, subsampled=subsampled, tails=tails)
+            for j, (combos, subsampled) in enumerate(made)]
+    return sets, members, [b - a for a, b in itertools.pairwise(bounds)]
 
 
 def build_confidence_sets(
@@ -416,77 +574,85 @@ def build_confidence_sets(
     one ``ConfidenceSets`` per guess of the sequence ``guesses``.
 
     A guess reaches stage h only through its skip probabilities omega at stages
-    h+1..H-1 (its skip suffix).  So one backward pass keeps groups of guesses
-    with equal suffixes, split before each stage h < H-1 by the bytes of their
-    ``block_omega`` at stage h+1, and builds each group's ``StageSets`` once
-    for all its guesses.  A group keeps omega and its members' v-bar per
-    distinct visited block of each later stage and gathers both to the stage's
-    distinct tails (``Dataset.tail_paths``), where ``_stage_sets`` solves the
-    tail combos' ridges.
+    h+1..H-1 (its skip suffix), so guesses with equal suffixes share each
+    ``StageSets`` object: before each stage h < H-1 every group splits by the
+    bytes of its guesses' omega at h+1 (``_split``).  A group keeps omega and its
+    members' v-bar per distinct visited block of each later stage and gathers
+    both to the stage's distinct tails (``Dataset.tail_paths``).
+
+    The pass is stage-major: stage h's groups are built in batches (``_runs``)
+    with stacked stopping laws and target terms (``_stage_targets``).  The
+    stage's combos, all groups' in turn, are solved in blocks of
+    ceil(``RIDGE_BLOCK`` / n) combos, gathered to C-contiguous (combos, n) rows
+    with ``take(back, axis=1)`` (over F-strided rows the last bits can move) and
+    solved as ``cov.inv @ (cov.phi.T @ rows[:, :, None])``, one gemv per combo,
+    the products ``cov.ridge`` makes.  A batch's pools, admission (``_batch_sets``),
+    tightness and v-bar take one call each.
 
     Stage h's ``stage_covariance`` is built when the pass reaches h and released
-    before stage h-1's is built, so one is alive at a time.  Each stage's pool
-    is its anchors, then ``extra_candidates[h]``, then the epsilon-net
-    points, each row kept once by value (``_pool``); the ``grid_per_stage`` pool
-    points nearest an anchor are kept and admitted when they lie in the
-    theta_radius ball within beta of an anchor.  A stage's tightness scores its
-    members on the stage's distinct (visited block, action) rows
-    (``tightness``).  ``extra_candidates`` maps a stage to extra vectors, for
-    calibration, the lemma checks and ``solve``'s fallback (beta = theta_radius
-    = inf).
+    before stage h-1's, so one is alive at a time.  A stage's pool is its
+    anchors, then ``extra_candidates[h]``, then the epsilon-net points, each row
+    kept once by value; the ``grid_per_stage`` pool points nearest an anchor are
+    kept and admitted when they lie in the theta_radius ball within beta of an
+    anchor.  ``extra_candidates`` maps a stage to extra vectors, for calibration,
+    the lemma checks and ``solve``'s fallback (beta = theta_radius = inf).
     """
     _check_dims(guesses, dataset=dataset)
     H, d = dataset.horizon, dataset.dim
     skip = SkipParams(config.alpha)
-    net = _net(config, d)
-    net = None if net is None else _keyed(net)
+    net = None if config.net_spacing is None else _keyed_net(config.theta_radius, d, config.net_spacing)
     stage_sets = [[None] * H for _ in guesses]
     tight = [[None] * H for _ in guesses]
     empty_stage = [None] * len(guesses)
 
-    # (guess indices, omega, members' v-bar), the last two per block of stages h+1..H-1
-    groups = [(list(range(len(guesses))), [], [])]
+    # (guess indices, omega (m,), members' v-bar (k, m)), the last two per block of stages h+1..H-1
+    groups = [(list(range(len(guesses))), [], [])] if guesses else []
     for h in range(H - 1, -1, -1):
         if not groups:
             break
         if h < H - 1:
-            split = []
-            for indices, omega_tail, vbar_tail in groups:
-                by_omega = {}
-                for g in indices:
-                    omega = block_omega(dataset, guesses[g], h + 1, skip)
-                    by_omega.setdefault(omega.tobytes(), (omega, []))[1].append(g)
-                split.extend((sub, [omega, *omega_tail], vbar_tail) for omega, sub in by_omega.values())
-            groups = split
+            groups = _split(dataset, guesses, groups, h + 1, skip)
 
         first, back = dataset.tail_paths[h]
-        back = back.astype(np.intp)  # once per stage: every group gathers with it, and numpy gathers fastest by intp
+        back = back.astype(np.intp)  # once per stage: every block gathers with it, and numpy gathers fastest by intp
         at = [dataset.visited_blocks[u][1][first].astype(np.intp) for u in range(h + 1, H)]  # each tail's block at u
         cumrew = np.cumsum(dataset.tail_rewards(first, h), axis=1)
-        terminal = np.zeros((1, len(first)))
         fixed = net
         if extra_candidates and h in extra_candidates:  # keyed with the net, extras first
             extras = np.asarray(extra_candidates[h], dtype=float).reshape(-1, d)
             fixed = _keyed(extras if net is None else np.vstack([extras, net[0]]))
         cov = stage_covariance(dataset, h, config.lam)
+        sizes = [[*map(len, vbar_tail), 1] for _, _, vbar_tail in groups]  # members per later stage, terminal last
+        picks = [_tail_combos(counts, config.combo_cap, [config.seed, h]) for counts in sizes]
+        made = [(math.prod(counts), False) if p is None else (len(p), True) for counts, p in zip(sizes, picks)]
+        batches = _runs([sum(counts) for counts in sizes], len(first))
+        step = -(-RIDGE_BLOCK // len(back))
+        targets = _in_blocks(_stage_targets(groups, batches, at, cumrew, picks, step), step)
+        solved = _stack([(cov.inv @ (cov.phi.T @ rows.take(back, axis=1)[:, :, None]))[..., 0] for rows in targets])
+        ends = list(itertools.accumulate((combos for combos, _ in made), initial=0))
+
         kept = []
-        for indices, omega_tail, vbar_tail in groups:
-            stop = stop_probabilities(_on_tails(omega_tail, at, len(first)))
-            # C-contiguous (k_u, tails) rows, so that _combo_targets adds and gathers contiguous rows
-            tail_vbar = [vals.take(blocks, axis=1) for vals, blocks in zip(vbar_tail, at)] + [terminal]
-            sets = _stage_sets(h, config, cov, back, stop, cumrew, tail_vbar, fixed)
-            for g in indices:
-                stage_sets[g][h] = sets
-            if sets.members.shape[0] == 0:
+        for start, stop in batches:
+            sets, members, held = _batch_sets(solved[ends[start] : ends[stop]], made[start:stop], fixed,
+                                              cov.matrix, config, len(first))
+            filled = [k for k in held if k]
+            spreads = iter(tightness(cov, members, H, filled) if filled else ())
+            vbar = _clipped_vbar_blocks(dataset, h, members) if h >= 1 and filled else None
+            row = 0
+            for (indices, omega_tail, vbar_tail), st, k in zip(groups[start:stop], sets, held):
                 for g in indices:
-                    empty_stage[g] = h  # stages below h are never filled, so they stay None
-                    tight[g] = []
-                continue
-            spread = tightness(cov, sets.members, H)
-            for g in indices:
-                tight[g][h] = spread
-            if h >= 1:
-                kept.append((indices, omega_tail, [_clipped_vbar_blocks(dataset, h, sets.members), *vbar_tail]))
+                    stage_sets[g][h] = st
+                if k == 0:
+                    for g in indices:
+                        empty_stage[g] = h  # stages below h are never filled, so they stay None
+                        tight[g] = []
+                    continue
+                spread = next(spreads)
+                for g in indices:
+                    tight[g][h] = spread
+                if vbar is not None:
+                    kept.append((indices, omega_tail, [vbar[row : row + k], *vbar_tail]))
+                row += k
         groups = kept
         del cov
 
@@ -494,15 +660,44 @@ def build_confidence_sets(
             for s, t, e in zip(stage_sets, tight, empty_stage)]
 
 
-def tightness(cov: StageCovariance, thetas, horizon: int) -> float:
+def tightness(cov: StageCovariance, thetas, horizon: int, sizes=None):
     """Average spread of the clipped q-estimates over a parameter set at the stage's
     taken-action features: each distinct row ``cov.pairs`` is scored once and the
-    spreads are gathered back to the n rows (``cov.codes``) before the mean."""
+    spreads are gathered back to the n rows (``cov.codes``) before the mean.  With
+    ``sizes``, ``thetas`` stacks sets of those sizes and each set's spread is
+    returned, in a list.
+
+    A one-member set's spread is 0.0 with no product: a one-column product (gemv)
+    can differ in the last bit from the same column of a wider gemm.  The other
+    sets share one product, whose columns keep each set's bits; their spreads are
+    gathered to C-contiguous (sets, n) rows in runs of at most ``RIDGE_BLOCK``
+    elements, whose row means keep one set's bits.
+    """
     thetas = np.asarray(thetas, dtype=float).reshape(-1, cov.pairs.shape[1])
-    if thetas.shape[0] == 0:
-        raise ValidationError("tightness needs a nonempty parameter set")
-    scores = np.clip(cov.pairs @ thetas.T, 0.0, horizon)
-    return float(np.mean((scores.max(axis=1) - scores.min(axis=1))[cov.codes]))
+    if sizes is None:
+        if thetas.shape[0] == 0:
+            raise ValidationError("tightness needs a nonempty parameter set")
+        if thetas.shape[0] == 1:
+            return 0.0
+        scores = (cov.pairs @ thetas.T).clip(0.0, horizon)
+        return float((scores.max(axis=1) - scores.min(axis=1))[cov.codes].mean())
+    if 0 in sizes or sum(sizes) != thetas.shape[0]:
+        raise ValidationError(f"tightness needs nonempty parameter sets, got sizes {list(sizes)} for {len(thetas)} rows")
+    if len(sizes) == 1:
+        return [tightness(cov, thetas, horizon)]
+    spreads = [0.0] * len(sizes)
+    multi = [j for j, k in enumerate(sizes) if k > 1]
+    if multi:
+        if len(multi) < len(sizes):
+            begins = list(itertools.accumulate(sizes, initial=0))
+            thetas = np.concatenate([thetas[begins[j] : begins[j + 1]] for j in multi])
+        scores = (cov.pairs @ thetas.T).clip(0.0, horizon)
+        starts = list(itertools.accumulate([sizes[j] for j in multi[:-1]], initial=0))
+        spread = (np.maximum.reduceat(scores, starts, axis=1) - np.minimum.reduceat(scores, starts, axis=1)).T
+        for a, b in _runs([1] * len(multi), len(cov.codes)):
+            for j, mean in zip(multi[a:b], spread[a:b].take(cov.codes, axis=1).mean(axis=1).tolist()):
+                spreads[j] = mean
+    return spreads
 
 
 # ---------------------------------------------------------------------------

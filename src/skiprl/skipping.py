@@ -34,15 +34,19 @@ class SkipParams:
         return self.alpha / np.sqrt(2.0 * d)
 
 
-def _omega_block(feats: np.ndarray, panel: np.ndarray, params: SkipParams) -> np.ndarray:
-    """Skip probabilities of feature blocks (..., A, d) under one stage's panel.
+def _omega_of_scores(scores: np.ndarray, d: int, params: SkipParams) -> np.ndarray:
+    """Skip probabilities of width-d feature blocks from their panel scores (..., A, k).
 
     Bit-equal to ``oracles.probability_from_range``: r/t rounds monotonely and t/t, 2t/t are exact.
     """
-    scores = feats @ panel.T  # (..., A, k)
     spread = scores.max(axis=-2)
     spread -= scores.min(axis=-2)
-    return np.clip(2.0 - spread.max(axis=-1) / params.threshold(feats.shape[-1]), 0.0, 1.0)
+    return np.clip(2.0 - spread.max(axis=-1) / params.threshold(d), 0.0, 1.0)
+
+
+def _omega_block(feats: np.ndarray, panel: np.ndarray, params: SkipParams) -> np.ndarray:
+    """Skip probabilities of feature blocks (..., A, d) under one stage's panel."""
+    return _omega_of_scores(feats @ panel.T, feats.shape[-1], params)
 
 
 def check_guess_fits(guess: Guess, featmap) -> None:
@@ -68,6 +72,22 @@ def block_omega(dataset: Dataset, guess: Guess, stage: int, params: SkipParams) 
     return _omega_block(blocks, guess.panel(stage), params)
 
 
+def stacked_block_omega(dataset: Dataset, guesses, stage: int, params: SkipParams) -> np.ndarray:
+    """``block_omega`` of each of ``guesses`` at ``stage``, shape (len(guesses), m), byte for byte.
+
+    The guesses' panels are stacked and scored in one product,
+    ``blocks[None] @ panels.transpose(0, 2, 1)[:, None]``, which makes the
+    per-block products ``block_omega`` makes, one (A, d) @ (d, k) each.
+    """
+    blocks, _ = dataset.visited_blocks[stage]
+    if not guesses:
+        return np.empty((0, blocks.shape[0]))
+    if len(guesses) == 1:
+        return block_omega(dataset, guesses[0], stage, params)[None]
+    panels = np.stack([guess.panel(stage) for guess in guesses])
+    return _omega_of_scores(blocks[None] @ panels.transpose(0, 2, 1)[:, None], blocks.shape[-1], params)
+
+
 def dataset_omega(dataset: Dataset, guess: Guess, params: SkipParams) -> np.ndarray:
     """Skip probabilities at every visited state, from the recorded features.
 
@@ -89,14 +109,16 @@ def stop_probabilities(omega_tail: np.ndarray) -> np.ndarray:
     return prefix * (1.0 - omega_tail)
 
 
-def target_terms(stop: np.ndarray, cumrew: np.ndarray, fvals) -> list:
-    """Each stopping candidate's share of the skip targets: ``stop[:, i] * (cumrew[:, i]
-    + fvals[i])`` for candidate i, where ``fvals[i]`` holds value-function evaluations
-    at the rows, shape (rows,) or (k, rows) for k value functions at once.
+def target_terms(weights, cumrew: np.ndarray, fvals) -> list:
+    """Each stopping candidate's share of the skip targets: ``weights[i] * (cumrew[:, i]
+    + fvals[i])`` for candidate i, where ``weights[i]`` is its stopping probability at
+    the rows (a column of a stopping law) and ``fvals[i]`` holds value-function
+    evaluations there, shape (rows,) or (k, rows) for k value functions at once;
+    ``weights[i]`` may hold one row per value function, or one for all of them.
 
     The first term has ``+ 0.0`` folded in, so that ``add_in_stage_order`` starts
     from +0.0 as ``np.sum`` does (a -0.0 first term sums to 0.0)."""
-    terms = [stop[:, i] * (cumrew[:, i] + f) for i, f in enumerate(fvals)]
+    terms = [w * (cumrew[:, i] + f) for i, (w, f) in enumerate(zip(weights, fvals))]
     terms[0] += 0.0
     return terms
 
@@ -118,7 +140,7 @@ def targets_under_law(stop: np.ndarray, cumrew: np.ndarray, fvals: np.ndarray) -
     """Stage-h skip targets of rows with stopping laws ``stop`` over stages h+1..H,
     rewards ``cumrew`` accumulated from stage h up to each of them and value-function
     evaluations ``fvals`` there, all (rows, H-h); the stages are added in order."""
-    return add_in_stage_order(target_terms(stop, cumrew, fvals.T))
+    return add_in_stage_order(target_terms(stop.T, cumrew, fvals.T))
 
 
 def batch_skip_targets(rewards: np.ndarray, omega: np.ndarray, fvals: np.ndarray, h: int) -> np.ndarray:

@@ -175,9 +175,12 @@ class TestConfig:
         assert err.value.stage == "gen-env"
 
     def test_negative_policy_sample_refused(self):
-        # -1 used to build the instance from the uniform policy alone
+        # -1 used to build the instance from the uniform policy alone; the config now
+        # refuses it, so it is set after the config is built, as a caller may
+        cfg = tiny_config()
+        cfg.policy_sample = -1
         with pytest.raises(HarnessError, match=r"policy count must be >= 0, got -1") as err:
-            build_instance(tiny_config(policy_sample=-1))
+            build_instance(cfg)
         assert err.value.stage == "prepare"
 
     @pytest.mark.parametrize("section, key, value, match", [
@@ -215,6 +218,12 @@ class TestConfig:
         ("guesses", "count", 0, "guesses.count must be >= 1, got 0"),
         ("data", "n", 2.5, "data.n must be an integer, got 2.5"),
         ("data", "n", 0, "data.n must be >= 1, got 0"),
+        ("calibration", "replicates", 0, "calibration.replicates must be >= 1, got 0"),
+        (None, "policy_sample", 0, "policy_sample must be >= 1, got 0"),
+        ("env", "d", 0, "env.d must be >= 1, got 0"),
+        ("env", "horizon", 0, "env.horizon must be >= 1, got 0"),
+        ("env", "num_actions", 0, "env.num_actions must be >= 1, got 0"),
+        ("sweep", "replicates", 0, "sweep.replicates must be >= 1, got 0"),
     ])
     def test_ill_typed_settings_refused_by_name(self, section, key, value, match):
         # "enabled": "no" used to run with calibration on; 1.5 replicates raised a bare
@@ -223,7 +232,8 @@ class TestConfig:
         # TypeError, and a string reward_scale or delta one only at stage gen-env or calibrate;
         # a count of 2.0 failed only at stage prepare, n_values [100, "a"] built a config,
         # a scalar list field raised a bare TypeError, and a guess count of 0 and an n of
-        # 2.5 built a config
+        # 2.5 built a config; zero calibration replicates, policy_sample, d, horizon and
+        # action count built one too, and zero sweep replicates named no key
         doc = {key: value} if section is None else {section: {key: value}}
         with pytest.raises(ValidationError, match=f"^{re.escape(match)}$"):
             ExperimentConfig.from_dict(doc)
@@ -522,9 +532,13 @@ class TestRunAndSweep:
         "calibration", [{"replicates": 0}, {"delta": 0.0}, {"delta": 1.0}], ids=["replicates-0", "delta-0", "delta-1"]
     )
     def test_bad_calibration_named_by_stage(self, calibration):
-        # replicates = 0 used to surface as a bare IndexError from np.quantile
+        # replicates = 0 used to surface as a bare IndexError from np.quantile; the config
+        # now refuses it, so it is set after the config is built, as a caller may
+        cfg = tiny_config(calibration={"enabled": True, "replicates": 3, "delta": 0.34})
+        for key, value in calibration.items():
+            setattr(cfg.calibration, key, value)
         with pytest.raises(HarnessError) as err:
-            sweep(tiny_config(calibration={"enabled": True, "replicates": 3, "delta": 0.34, **calibration}))
+            sweep(cfg)
         assert err.value.stage == "calibrate" and isinstance(err.value.original, ValidationError)
         assert next(iter(calibration)) in str(err.value)
 

@@ -212,6 +212,19 @@ class TestConfidenceSets:
         (sets,) = build_confidence_sets(ds, [guess], netted)
         assert sets.members_at(0).shape[0] > sets.stage_sets[0].anchors.shape[0]
 
+    def test_net_is_built_once_per_setting(self, setup):
+        # the keyed net of a setting is built on the first call and shared after it
+        *_, config, ds = setup
+        netted = replace(config, net_spacing=0.9, theta_radius=2.0)
+        first = learner._keyed_net(2.0, 2, 0.9)
+        assert learner._keyed_net(2.0, 2, 0.9) is first and _net(netted, 2) is first[0]
+        assert not first[0].flags.writeable
+        with pytest.raises(ValueError):
+            first[0][0, 0] = 1.0
+        assert learner._keyed_net(2.0, 2, 0.8)[0] is not first[0]
+        with mock.patch.object(learner, "epsilon_net", side_effect=AssertionError("net rebuilt")):
+            build_confidence_sets(ds, guess_grid(setup[3], 0.3, 2, seed=2), netted)
+
     def test_subsampled_combos_deterministic(self, setup):
         mdp, fm, behavior, guess, config, ds = setup
         cfg = replace(config, net_spacing=0.8, theta_radius=2.0, beta=1e9, grid_per_stage=12, combo_cap=5)
@@ -264,6 +277,41 @@ class TestTightness:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+    @given(seed=st.integers(0, 2**31 - 1), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           budget=st.sampled_from([None, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_sets_equal_each_set(self, setup, seed, sizes, budget):
+        # one product for every set of two or more members, gathered one set at a time
+        # under a budget of one element
+        rng = np.random.default_rng(seed)
+        *_, ds = setup
+        cov = stage_covariance(ds, int(rng.integers(0, ds.horizon)), 1.0)
+        thetas = rng.normal(scale=float(rng.choice([0.3, 3.0])), size=(sum(sizes), 2))
+        with mock.patch.object(learner, "RIDGE_BLOCK", budget or learner.RIDGE_BLOCK):
+            got = tightness(cov, thetas, ds.horizon, sizes)
+        begins = list(itertools.accumulate(sizes, initial=0))
+        want = [tightness(cov, thetas[a:b], ds.horizon) for a, b in itertools.pairwise(begins)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_one_member_sets_make_no_product(self, setup):
+        *_, ds = setup
+        cov = stage_covariance(ds, 1, 1.0)
+        cov.pairs = cov.pairs.view(CountingPhi)
+        before = CountingPhi.products
+        assert tightness(cov, np.ones((1, 2)), ds.horizon) == 0.0
+        assert tightness(cov, np.ones((3, 2)), ds.horizon, [1, 1, 1]) == [0.0] * 3
+        assert CountingPhi.products == before
+        spreads = tightness(cov, np.arange(10.0).reshape(5, 2) / 9, ds.horizon, [1, 2, 1, 1])
+        assert CountingPhi.products == before + 1 and spreads[0] == spreads[2] == spreads[3] == 0.0 < spreads[1]
+
+    def test_set_sizes_must_cover_the_rows(self, setup):
+        *_, ds = setup
+        cov = stage_covariance(ds, 1, 1.0)
+        for thetas, sizes in [(np.ones((0, 2)), None), (np.ones((3, 2)), [1, 0, 2]), (np.ones((3, 2)), [1, 1])]:
+            with pytest.raises(ValidationError, match="tightness needs"):
+                tightness(cov, thetas, ds.horizon, sizes)
+
+
 class TestStackedKernels:
     """The chain's start values are a stacked kernel and must equal the per-member
     numpy call it replaced bit for bit; the anchor distance must keep the bits of
@@ -312,6 +360,48 @@ class TestStackedKernels:
             anchors, thetas = rng.normal(size=(m, d)), rng.normal(size=(p, d))
             phi = rng.normal(size=(5, d))
             self.assert_distance_is_einsums(anchors, np.eye(d) + phi.T @ phi, thetas)
+
+    @given(seed=st.integers(0, 2**31 - 1), d=st.integers(1, 4), counts=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+           p=st.sampled_from([1, 2, 3, 20, 188]), budget=st.sampled_from([None, "a set a run"]))
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_stats_match_each_pool(self, seed, d, counts, p, budget):
+        # each set's distances keep the bits of scoring its own pool, its anchors then
+        # the points equal to none of them, whether the sets share one einsum or not
+        rng = np.random.default_rng(seed)
+        anchor_sets = [rng.normal(size=(m, d)) for m in counts]
+        points = rng.normal(size=(p, d))
+        for anchors in anchor_sets:  # some points are some sets' anchors
+            cols = sorted({int(c) for c in rng.integers(0, p, size=int(rng.integers(0, 3)))})
+            points[cols] = anchors[rng.integers(0, len(anchors), size=len(cols))]
+        taken = [[c for c in range(p) if any((points[c] == a).all() for a in anchors)]
+                 for anchors in anchor_sets]
+        phi = rng.normal(size=(5, d))
+        with mock.patch.object(learner, "RIDGE_BLOCK", p if budget else learner.RIDGE_BLOCK):
+            self.assert_candidate_stats_match_pools(anchor_sets, np.eye(d) + phi.T @ phi, points, taken)
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_candidate_stats_of_small_pools_match_each_pool(self, d):
+        # a pool of one anchor and one free point gives einsum a two-element output,
+        # which it sums in its own order at d = 2
+        rng = np.random.default_rng(d)
+        for counts, p in [([1], 1), ([1, 1], 1), ([1, 3], 1), ([2], 1), ([1], 2), ([1, 2], 2)] * 30:
+            anchor_sets = [rng.normal(size=(m, d)) for m in counts]
+            points = rng.normal(size=(p, d))
+            taken = [[] for _ in counts]
+            if p == 2:  # set 0 takes point 0, so one point is free
+                points[0], taken[0] = anchor_sets[0][0], [0]
+            phi = rng.normal(size=(5, d))
+            self.assert_candidate_stats_match_pools(anchor_sets, np.eye(d) + phi.T @ phi, points, taken)
+
+    @staticmethod
+    def assert_candidate_stats_match_pools(anchor_sets, matrix, points, taken):
+        p = len(points)
+        dist = learner._candidate_stats(anchor_sets, matrix, points, taken)
+        assert dist.shape == (len(anchor_sets), p + 1) and not dist[:, p].any()
+        for row, anchors, cols in zip(dist, anchor_sets, taken):
+            free = [c for c in range(p) if c not in cols]
+            want = _anchor_distance(anchors, matrix, np.vstack([anchors, points[free]]))[len(anchors):]
+            assert row[free].tobytes() == want.tobytes()
 
     @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 12), ties=st.sampled_from(["none", "repeated", "clipped"]))
     @settings(max_examples=100, deadline=None)
@@ -864,10 +954,10 @@ def netted_sets_inputs():
 
 
 class TestStackedRidge:
-    """``_stage_sets`` solves a stage set's combos in stacked blocks of
-    ceil(RIDGE_BLOCK / n) combos; the anchors must equal the per-combo
-    ``reference_sets`` bit for bit whatever the block size, and the products
-    must be one per block, not one per combo."""
+    """``build_confidence_sets`` solves each stage's combos, all groups' in turn, in
+    stacked blocks of ceil(RIDGE_BLOCK / n) combos; the anchors must equal the
+    per-combo ``reference_sets`` bit for bit whatever the block size, and the
+    products must be one per block, not one per combo or per group."""
 
     @staticmethod
     def netted(config, combo_cap):
@@ -876,15 +966,35 @@ class TestStackedRidge:
     @pytest.mark.parametrize("combo_cap", [5, 64], ids=["subsampled", "enumerated"])
     @pytest.mark.parametrize("rows", [1, 3], ids=["per-combo", "three-combo"])
     def test_any_block_size_gives_the_reference(self, setup, monkeypatch, combo_cap, rows):
-        # a budget of one element solves each combo alone; n * 2 + 1 elements give
-        # blocks of three combos, which split a stage set's combos mid-block
+        # a budget of one element solves each combo alone and builds each group in a
+        # batch of its own; n * 2 + 1 elements give blocks of three combos, which split
+        # a group's combos mid-block and fill a block from two groups, and batches of
+        # several groups at stages with few tails
         mdp, fm, behavior, guess, config, ds = setup
         monkeypatch.setattr(learner, "RIDGE_BLOCK", 1 if rows == 1 else 2 * ds.n + 1)
         cfg = self.netted(config, combo_cap)
+        stages = []  # per stage, the combo count of each group of each batch, in build order
+        real = learner._batch_sets
+
+        def recording(solved, made, fixed, matrix, *rest):
+            if not stages or stages[-1][0] is not matrix:  # each stage has its own covariance
+                stages.append((matrix, []))
+            stages[-1][1].append([combos for combos, _ in made])
+            return real(solved, made, fixed, matrix, *rest)
+
+        monkeypatch.setattr(learner, "_batch_sets", recording)
         got = TestSuffixSharing.check(ds, guess_grid(guess, 0.3, 8, seed=2), cfg)
-        stages = [s for sets in got for s in sets.stage_sets]
+        sets = [s for g in got for s in g.stage_sets]
         # sampled combos with the cap of 5, enumerated ones past one block with 64
-        assert any(s.subsampled == (combo_cap == 5) and s.combos > 3 and s.combos % 3 for s in stages)
+        assert any(s.subsampled == (combo_cap == 5) and s.combos > 3 and s.combos % 3 for s in sets)
+        batches = [batch for _, stage in stages for batch in stage]
+        assert len(batches) > len(stages)  # some stage has several batches
+        widest = max(map(len, batches))
+        assert widest == 1 if rows == 1 else widest > 1
+        if rows == 3:
+            # a group that ends mid-block shares that block with the next group
+            ends = [list(itertools.accumulate(c for batch in stage for c in batch))[:-1] for _, stage in stages]
+            assert any(end % 3 for stage in ends for end in stage)
 
     @pytest.mark.parametrize("budget", [None, 1, 1000])
     def test_one_stacked_product_per_block(self, setup, monkeypatch, budget):
@@ -900,24 +1010,28 @@ class TestStackedRidge:
             return cov
 
         monkeypatch.setattr(learner, "stage_covariance", counting_covariance)
-        real = learner._stage_sets
-
-        def counted(*args):
-            before = CountingPhi.products
-            sets = real(*args)
-            seen.append((sets.combos, CountingPhi.products - before))
-            return sets
-
-        monkeypatch.setattr(learner, "_stage_sets", counted)
         monkeypatch.setattr(learner.StageCovariance, "ridge", None)  # the per-combo solve
         cfg = replace(self.netted(config, 64), grid_per_stage=8)
-        build_confidence_sets(ds, guess_grid(guess, 0.3, 8, seed=2), cfg)
+        counts = []  # the products counted when each stage's covariance is built, then at the end
+        real = learner._stage_targets
+
+        def counted(*args):
+            counts.append(CountingPhi.products)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_stage_targets", counted)
+        got = build_confidence_sets(ds, guess_grid(guess, 0.3, 8, seed=2), cfg)
+        counts.append(CountingPhi.products)
         block = math.ceil(learner.RIDGE_BLOCK / ds.n)
-        for combos, products in seen:
+        per_group = []  # the products of blocks filled one group at a time
+        for h, products in zip(range(ds.horizon - 1, -1, -1), np.diff(counts)):
+            stage = list({id(sets.stage_sets[h]): sets.stage_sets[h] for sets in got}.values())
+            combos = sum(s.combos for s in stage)
             assert products == math.ceil(combos / block) <= math.ceil(combos * ds.n / learner.RIDGE_BLOCK)
-        assert max(combos for combos, _ in seen) > block
-        if budget != 1:
-            assert sum(p for _, p in seen) < sum(c for c, _ in seen)
+            per_group.append((products, sum(math.ceil(s.combos / block) for s in stage)))
+        assert max(s.combos for sets in got for s in sets.stage_sets) > block
+        if budget is None:  # blocks of 14 combos, filled across groups
+            assert any(products < alone for products, alone in per_group)
 
 
 class TestPoolRule:
@@ -931,10 +1045,11 @@ class TestPoolRule:
         """``_anchor_distance`` that refuses the stage sets the rule covers and records the others."""
         real = learner._anchor_distance
 
-        def distance(anchors, matrix, thetas):
-            assert thetas is not anchors and anchors.shape[0] < grid_per_stage, "a full pool was scored"
-            calls.append(anchors.shape[0])
-            return real(anchors, matrix, thetas)
+        def distance(anchors, matrix, thetas, starts=None):
+            sizes = np.diff([*(starts or [0]), anchors.shape[0]]).tolist()  # each scored set's anchor count
+            assert thetas is not anchors and max(sizes) < grid_per_stage, "a full pool was scored"
+            calls.extend(sizes)
+            return real(anchors, matrix, thetas, starts)
 
         return mock.patch.object(learner, "_anchor_distance", distance)
 

@@ -18,8 +18,10 @@ from skiprl.oracles import (
 from skiprl.skipping import (
     SkipParams,
     batch_skip_targets,
+    block_omega,
     dataset_omega,
     omega_tables,
+    stacked_block_omega,
     stop_probabilities,
     targets_under_law,
 )
@@ -408,3 +410,35 @@ class TestDistinctBlocks:
         assert len(blocks) == 3 and len(ds.visited_blocks[0][0]) == 1
         assert rows[0] == rows[3] and rows[1] == rows[4] and len({rows[0], rows[1], rows[2]}) == 3
         self.check(ds, np.random.default_rng(810), 2)
+
+
+class TestStackedBlockOmega:
+    """``stacked_block_omega`` scores every guess's panel in one product; each row must
+    equal that guess's ``block_omega`` bit for bit, for no guess, one and several."""
+
+    @given(seed=st.integers(0, 2**31 - 1), count=st.sampled_from([0, 1, 2, 5, 16]),
+           kind=st.sampled_from(["sampled", "hand-built"]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_each_guess_block_omega(self, seed, count, kind):
+        rng = np.random.default_rng(seed)
+        d, H, A = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        if kind == "sampled":
+            sizes = [1] + [int(rng.integers(1, 6)) for _ in range(H - 1)] + [1]
+            mdp, fm = random_linear_mdp(d, H, sizes, A, seed=int(rng.integers(0, 2**31)))
+            ds = sample_trajectories(mdp, uniform_policy(mdp), int(rng.integers(1, 300)), int(rng.integers(0, 2**31)), fm)
+        else:
+            ds = hand_built_dataset(rng, int(rng.integers(1, 300)), H, A, d)
+        guesses = []
+        for _ in range(count):
+            scale = float(np.exp(rng.uniform(-3.0, 1.0)))
+            panels = [rng.normal(scale=scale, size=(panel_size(d), d)) for _ in range(H - 1)]
+            guesses.append(Guess(horizon=H, panels=panels, radius_bound=1e9))
+        if count > 1:  # a repeated guess and a zero guess among the others
+            guesses[-1] = guesses[0]
+            guesses[1] = zero_guess(H, d)
+        params = SkipParams(alpha=float(rng.uniform(0.05, 1.0)))
+        for stage in range(1, H):
+            got = stacked_block_omega(ds, guesses, stage, params)
+            assert got.shape == (count, len(ds.visited_blocks[stage][0]))
+            for row, guess in zip(got, guesses):
+                assert row.tobytes() == block_omega(ds, guess, stage, params).tobytes()
