@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import types
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,7 +196,7 @@ def _clipped_vbar_blocks(dataset: Dataset, h: int, thetas: np.ndarray) -> np.nda
     """v-bar of each theta at the distinct visited feature blocks of stage h, shape (k, m)."""
     blocks, _ = dataset.visited_blocks[h]
     scores = np.einsum("mad,kd->kma", blocks, thetas)
-    return scores.max(axis=2).clip(0.0, dataset.horizon)
+    return np.clip(scores.max(axis=2), 0.0, dataset.horizon)
 
 
 def _clipped_vbar_rows(dataset: Dataset, h: int, thetas: np.ndarray) -> np.ndarray:
@@ -259,9 +260,8 @@ def _anchor_distance(anchors: np.ndarray, matrix: np.ndarray, thetas: np.ndarray
 
 
 def _admitted(thetas: np.ndarray, stats: np.ndarray, config: LearnerConfig) -> np.ndarray:
-    """Rows inside the theta_radius ball whose anchor distance is at most beta; the norms are
-    ``np.linalg.norm(thetas, axis=1)``'s own sums, without its argument handling."""
-    return (np.sqrt(np.add.reduce(thetas * thetas, axis=1)) <= config.theta_radius + RADIUS_TOL) & (
+    """Rows inside the theta_radius ball whose anchor distance is at most beta."""
+    return (np.linalg.norm(thetas, axis=1) <= config.theta_radius + RADIUS_TOL) & (
         stats <= config.beta + MEMBER_TOL
     )
 
@@ -298,7 +298,7 @@ def _row_keys(arr: np.ndarray) -> list:
     if arr.dtype.kind == "f":
         arr = arr + 0.0
     arr = np.ascontiguousarray(arr)
-    return arr.view(f"V{arr.dtype.itemsize * arr.shape[1]}").ravel().tolist()
+    return arr.view(np.dtype((np.void, arr.dtype.itemsize * arr.shape[1]))).ravel().tolist()
 
 
 def _dedupe_rows(arr: np.ndarray) -> np.ndarray:
@@ -361,12 +361,13 @@ def _net(config: LearnerConfig, d: int):
     return None if config.net_spacing is None else _keyed_net(config.theta_radius, d, config.net_spacing)[0]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=2)
 def _keyed_net(theta_radius: float, d: int, net_spacing: float):
-    """``_keyed`` of the epsilon net of one setting, built once per setting; the points are read-only."""
+    """``_keyed`` of the epsilon net of one setting, kept for the last two settings
+    used; the points are read-only and the index a read-only mapping."""
     points, index = _keyed(epsilon_net(theta_radius, d, net_spacing))
     points.setflags(write=False)
-    return points, index
+    return points, types.MappingProxyType(index)
 
 
 def _stack(arrays) -> np.ndarray:
@@ -424,35 +425,43 @@ def _split(dataset: Dataset, guesses, groups, stage: int, skip: SkipParams) -> l
     return split
 
 
+def _batch_terms(batch, at, cumrew) -> tuple:
+    """A batch's target terms (``skipping.target_terms``): one (members, tails) array
+    per later stage, terminal last, its groups' members' rows in turn; and each
+    stage's member count per group.  The batch has one stopping law (G, tails,
+    H-h), released on return, as are the v-bar values gathered to the tails.
+    """
+    tails = cumrew.shape[0]
+    law = stop_probabilities(_on_tails([np.stack(rows) for rows in zip(*[omega for _, omega, _ in batch])],
+                                       at, tails, (len(batch),)))
+    vbar = list(zip(*[vbar_tail for _, _, vbar_tail in batch]))  # per later stage, each group's (k, m) v-bar
+    counts = [[len(vals) for vals in per_stage] for per_stage in vbar] + [[1] * len(batch)]
+    # a member row's weight is its group's column of the law: a (G, 1, tails) view over the
+    # (G, k, tails) rows when every group has k members, else the columns repeated per row
+    weights, fvals = [], []
+    for i, (per_stage, blocks, ks) in enumerate(zip(vbar, at, counts)):
+        # C-contiguous (members, tails) rows, so that _combo_targets adds and gathers contiguous rows
+        vals = _stack(per_stage).take(blocks, axis=1)
+        even = min(ks) == max(ks)
+        weights.append(law[:, None, :, i] if even else np.repeat(law[:, :, i], ks, axis=0))
+        fvals.append(vals.reshape(len(ks), ks[0], tails) if even else vals)
+    weights.append(law[:, None, :, -1])
+    fvals.append(np.zeros((1, 1, tails)))
+    return [term.reshape(-1, tails) for term in target_terms(weights, cumrew, fvals)], counts
+
+
 def _stage_targets(groups, batches, at, cumrew, picks, step: int):
     """The tail targets of stage h's combos, group after group, in blocks of at most
     ``step`` combos (``_combo_targets``); ``picks[j]`` is group j's ``_tail_combos``.
 
-    Each batch (``batches``) has one stopping law (G, tails, H-h) and one term
-    array per later stage (``skipping.target_terms``), its groups' members' rows
-    in turn; a group's combos add its slices.  Every step is elementwise, so each
-    slice has the bits of the group's own terms.
+    Each batch (``batches``) has one term array per later stage (``_batch_terms``);
+    a group's combos add its slices.  Every step is elementwise, so each slice has
+    the bits of the group's own terms.
     """
-    tails = cumrew.shape[0]
-    terminal = np.zeros((1, tails))
     for start, stop in batches:
-        batch = groups[start:stop]
-        if len(batch) == 1:  # a lone group's law broadcasts over its members' rows
-            ((_, omega_tail, vbar_tail),) = batch
-            fvals = [vals.take(blocks, axis=1) for vals, blocks in zip(vbar_tail, at)] + [terminal]
-            terms = target_terms(stop_probabilities(_on_tails(omega_tail, at, tails)).T, cumrew, fvals)
-            yield from _combo_targets(terms, picks[start], step)
-            continue
-        law = stop_probabilities(_on_tails([np.stack(rows) for rows in zip(*[omega for _, omega, _ in batch])],
-                                           at, tails, (len(batch),)))
-        vbar = list(zip(*[vbar_tail for _, _, vbar_tail in batch]))  # per later stage, each group's (k, m) v-bar
-        counts = [[len(vals) for vals in per_stage] for per_stage in vbar] + [[1] * len(batch)]
-        # C-contiguous (members, tails) rows, so that _combo_targets adds and gathers contiguous rows
-        fvals = [_stack(per_stage).take(blocks, axis=1) for per_stage, blocks in zip(vbar, at)] + [terminal]
-        weights = [law[:, :, i] if max(ks) == 1 else np.repeat(law[:, :, i], ks, axis=0) for i, ks in enumerate(counts)]
-        terms = target_terms(weights, cumrew, fvals)
+        terms, counts = _batch_terms(groups[start:stop], at, cumrew)
         ends = [list(itertools.accumulate(ks)) for ks in counts]
-        for j in range(len(batch)):
+        for j in range(stop - start):
             yield from _combo_targets([term[e[j] - ks[j] : e[j]] for term, e, ks in zip(terms, ends, counts)],
                                       picks[start + j], step)
 
@@ -512,20 +521,6 @@ def _batch_sets(solved: np.ndarray, made, fixed, matrix: np.ndarray, config: Lea
         kept += first.values()
         start += combos
     distinct = solved if len(kept) == len(solved) else solved[kept]
-    if len(made) == 1:  # a lone group scores its own pool: its anchors, then its free candidates
-        anchors = distinct
-        if fixed is None or len(anchors) >= keep:
-            pool, stats = anchors[:keep], 0.0
-        else:
-            points, index = fixed
-            taken = [index[key] for key in firsts[0] if key in index]
-            pool = np.vstack([anchors, np.delete(points, taken, axis=0) if taken else points])
-            stats = _anchor_distance(anchors, matrix, pool)
-            order = np.argsort(stats, kind="stable")[:keep]  # ties by pool order
-            pool, stats = pool[order], stats[order]
-        members = pool[_admitted(pool, stats, config)]
-        ((combos, subsampled),) = made
-        return [StageSets(anchors, members, combos, subsampled, tails)], members, [len(members)]
     begins = list(itertools.accumulate(map(len, firsts), initial=0))
     short = [] if fixed is None else [j for j, first in enumerate(firsts) if len(first) < keep]
     picked = {}
@@ -665,7 +660,7 @@ def tightness(cov: StageCovariance, thetas, horizon: int, sizes=None):
     taken-action features: each distinct row ``cov.pairs`` is scored once and the
     spreads are gathered back to the n rows (``cov.codes``) before the mean.  With
     ``sizes``, ``thetas`` stacks sets of those sizes and each set's spread is
-    returned, in a list.
+    returned, in a list; without, ``thetas`` is one set.
 
     A one-member set's spread is 0.0 with no product: a one-column product (gemv)
     can differ in the last bit from the same column of a wider gemm.  The other
@@ -674,30 +669,24 @@ def tightness(cov: StageCovariance, thetas, horizon: int, sizes=None):
     elements, whose row means keep one set's bits.
     """
     thetas = np.asarray(thetas, dtype=float).reshape(-1, cov.pairs.shape[1])
-    if sizes is None:
-        if thetas.shape[0] == 0:
-            raise ValidationError("tightness needs a nonempty parameter set")
-        if thetas.shape[0] == 1:
-            return 0.0
-        scores = (cov.pairs @ thetas.T).clip(0.0, horizon)
-        return float((scores.max(axis=1) - scores.min(axis=1))[cov.codes].mean())
+    one = sizes is None
+    sizes = [thetas.shape[0]] if one else list(sizes)
     if 0 in sizes or sum(sizes) != thetas.shape[0]:
-        raise ValidationError(f"tightness needs nonempty parameter sets, got sizes {list(sizes)} for {len(thetas)} rows")
-    if len(sizes) == 1:
-        return [tightness(cov, thetas, horizon)]
+        raise ValidationError(f"tightness needs nonempty parameter sets, got sizes {sizes} for {len(thetas)} rows")
     spreads = [0.0] * len(sizes)
     multi = [j for j, k in enumerate(sizes) if k > 1]
     if multi:
         if len(multi) < len(sizes):
             begins = list(itertools.accumulate(sizes, initial=0))
             thetas = np.concatenate([thetas[begins[j] : begins[j + 1]] for j in multi])
-        scores = (cov.pairs @ thetas.T).clip(0.0, horizon)
+        scores = np.clip(cov.pairs @ thetas.T, 0.0, horizon)
         starts = list(itertools.accumulate([sizes[j] for j in multi[:-1]], initial=0))
         spread = (np.maximum.reduceat(scores, starts, axis=1) - np.minimum.reduceat(scores, starts, axis=1)).T
-        for a, b in _runs([1] * len(multi), len(cov.codes)):
-            for j, mean in zip(multi[a:b], spread[a:b].take(cov.codes, axis=1).mean(axis=1).tolist()):
+        run = max(1, RIDGE_BLOCK // len(cov.codes))
+        for a in range(0, len(multi), run):
+            for j, mean in zip(multi[a : a + run], spread[a : a + run].take(cov.codes, axis=1).mean(axis=1).tolist()):
                 spreads[j] = mean
-    return spreads
+    return spreads[0] if one else spreads
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,6 @@ def stacked_block_omega(dataset: Dataset, guesses, stage: int, params: SkipParam
     blocks, _ = dataset.visited_blocks[stage]
     if not guesses:
         return np.empty((0, blocks.shape[0]))
-    if len(guesses) == 1:
-        return block_omega(dataset, guesses[0], stage, params)[None]
     panels = np.stack([guess.panel(stage) for guess in guesses])
     return _omega_of_scores(blocks[None] @ panels.transpose(0, 2, 1)[:, None], blocks.shape[-1], params)
 

@@ -221,7 +221,10 @@ class TestConfidenceSets:
         assert not first[0].flags.writeable
         with pytest.raises(ValueError):
             first[0][0, 0] = 1.0
+        with pytest.raises(TypeError):
+            first[1][b"key"] = 0
         assert learner._keyed_net(2.0, 2, 0.8)[0] is not first[0]
+        assert learner._keyed_net.cache_info().currsize <= learner._keyed_net.cache_info().maxsize == 2
         with mock.patch.object(learner, "epsilon_net", side_effect=AssertionError("net rebuilt")):
             build_confidence_sets(ds, guess_grid(setup[3], 0.3, 2, seed=2), netted)
 
